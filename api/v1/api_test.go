@@ -127,7 +127,7 @@ func TestApproximateMarkerOnWire(t *testing.T) {
 // strict decoder.
 func TestTuningOnWire(t *testing.T) {
 	opts := scalesim.FastOptions()
-	opts.Tuning = &scalesim.Tuning{CoreWorkers: 4, EpochLogOps: 1024}
+	opts.Tuning = &scalesim.Tuning{CoreWorkers: 4, CampaignWorkers: 2}
 	req := NewJobRequest("", []scalesim.CampaignJob{{
 		Machine:    scalesim.MachineSpec{Cores: 2, Policy: scalesim.PolicyPRS},
 		Benchmarks: []string{"mcf", "lbm"},
@@ -138,7 +138,7 @@ func TestTuningOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := buf.String()
-	if !strings.Contains(wire, `"tuning":{"core_workers":4,"epoch_log_ops":1024}`) {
+	if !strings.Contains(wire, `"tuning":{"core_workers":4,"campaign_workers":2}`) {
 		t.Fatalf("tuning missing from the wire form: %s", wire)
 	}
 	got, err := DecodeJobRequest(strings.NewReader(wire))
@@ -167,6 +167,22 @@ func TestTuningOnWire(t *testing.T) {
 	}
 	if oldReq.Jobs[0].Options.Tuning != nil {
 		t.Fatalf("pre-tuning payload decoded a tuning: %+v", oldReq.Jobs[0].Options.Tuning)
+	}
+
+	// A hand-written payload carrying the surviving knob still decodes; one
+	// carrying the removed epoch_log_ops is now an unknown field.
+	withTuning := func(tuning string) string {
+		return strings.Replace(old, `"options":{"Seed":42}`, `"options":{"Seed":42,"tuning":`+tuning+`}`, 1)
+	}
+	kept, err := DecodeJobRequest(strings.NewReader(withTuning(`{"core_workers":2}`)))
+	if err != nil {
+		t.Fatalf("payload with tuning.core_workers must decode: %v", err)
+	}
+	if tun := kept.Jobs[0].Options.Tuning; tun == nil || tun.CoreWorkers != 2 {
+		t.Fatalf("tuning.core_workers decoded as %+v", tun)
+	}
+	if _, err := DecodeJobRequest(strings.NewReader(withTuning(`{"epoch_log_ops":1024}`))); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("payload with the removed epoch_log_ops: err = %v, want ErrBadRequest", err)
 	}
 }
 

@@ -2,12 +2,9 @@ package scalesim
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"scalesim/internal/metrics"
 	"scalesim/internal/runner"
-	"scalesim/internal/store"
 )
 
 // CampaignJob is one design point of a campaign: a machine, a benchmark
@@ -27,16 +24,11 @@ type CampaignJob struct {
 type Campaign struct {
 	// Jobs are the design points, in the order results are returned.
 	Jobs []CampaignJob
-	// Workers is the worker-pool size (<= 0 selects GOMAXPROCS). Results
-	// are bit-identical for any worker count — only wall-clock changes.
-	//
-	// Deprecated: set Tuning.CampaignWorkers instead. Workers remains as
-	// an alias; Tuning.CampaignWorkers takes precedence when both are set.
-	Workers int
 	// Tuning consolidates the campaign's performance knobs: job-level
-	// workers, per-simulation core workers, arena sizing. Nil means auto.
-	// A job's own Options.Tuning, when non-nil, overrides the campaign
-	// default for that job. Tuning never changes results or cache keys.
+	// workers (CampaignWorkers, <= 0 selects GOMAXPROCS) and per-simulation
+	// core workers. Nil means auto. A job's own Options.Tuning, when
+	// non-nil, overrides the campaign default for that job. Tuning never
+	// changes results or cache keys — only wall-clock.
 	Tuning *Tuning
 	// OnProgress, when non-nil, is invoked serially after each job
 	// completes (successfully, from cache, or with an error).
@@ -63,47 +55,36 @@ type Campaign struct {
 // RetryPolicy bounds transient-failure retries. Attempt n (1-based) that
 // fails transiently sleeps BaseDelay<<(n-1), capped at MaxDelay, before the
 // next attempt, up to MaxAttempts total attempts.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts (>=1)
-	BaseDelay   time.Duration // backoff before the first retry
-	MaxDelay    time.Duration // backoff cap
-}
+type RetryPolicy = runner.RetryPolicy
 
 // ResultSource says where a job's result came from.
-type ResultSource string
+type ResultSource = runner.Source
 
 const (
 	// SourceCompute: the simulator actually ran for this job.
-	SourceCompute = ResultSource(runner.SourceCompute)
+	SourceCompute = runner.SourceCompute
 	// SourceMemory: served by the in-memory memo cache — the identical
 	// design point had already completed when this job was submitted.
-	SourceMemory = ResultSource(runner.SourceMemory)
+	SourceMemory = runner.SourceMemory
 	// SourceCoalesced: deduplicated against an identical design point that
 	// was still in flight — the job waited for that run instead of
 	// simulating. Batch campaigns and the serving daemon (`scalesim serve`)
 	// report request coalescing through this one value.
-	SourceCoalesced = ResultSource(runner.SourceCoalesced)
+	SourceCoalesced = runner.SourceCoalesced
 	// SourceDisk: loaded from the campaign's durable store.
-	SourceDisk = ResultSource(runner.SourceDisk)
+	SourceDisk = runner.SourceDisk
 	// SourceModel: predicted by the surrogate model instead of simulating —
 	// an approximate answer (JobOutcome.Approximate is set). Only possible
 	// when a surrogate tier is configured; the memory and disk tiers hold
 	// ground truth exclusively.
-	SourceModel = ResultSource(runner.SourceModel)
+	SourceModel = runner.SourceModel
 )
 
-// CampaignProgress is one campaign progress event.
-type CampaignProgress struct {
-	// Job is the submission-order index of the job that just finished.
-	Job int
-	// Completed and Total track overall campaign progress.
-	Completed int
-	Total     int
-	// CacheHit reports whether the job was served from the memo cache.
-	CacheHit bool
-	// Err is the job's error, if it failed.
-	Err error
-}
+// CampaignProgress is one campaign progress event: Job is the
+// submission-order index of the job that just finished, Completed and Total
+// track the whole campaign, CacheHit reports whether the job was served
+// without simulating, and Err is its error, if it failed.
+type CampaignProgress = metrics.Progress
 
 // JobOutcome is one job's result: either a simulation result or an error,
 // plus where the result came from and what it cost.
@@ -132,31 +113,10 @@ type JobOutcome struct {
 	Approximate bool
 }
 
-// CampaignStats aggregates a campaign's execution counters.
-type CampaignStats struct {
-	Jobs          int // jobs submitted
-	UniqueRuns    int // simulator invocations (computes)
-	CacheHits     int // jobs served from the completed in-memory memo cache
-	CoalescedHits int // jobs deduplicated against an identical in-flight job
-	DiskHits      int // jobs served from the durable store
-	ModelHits     int // jobs served (approximately) by the surrogate model
-	Retries       int // transient failures retried (panics and I/O errors)
-	PanicRetries  int // the panic subset of Retries
-	Failures      int // jobs that ended in an error
-	StoreCorrupt  int // store artifacts quarantined and recomputed
-}
-
-// HitRate returns the fraction of jobs served without simulating — from
-// the in-memory cache, by coalescing onto an in-flight run, from the
-// durable store, or by the surrogate model.
-func (s CampaignStats) HitRate() float64 {
-	return metrics.CampaignStats(s).HitRate()
-}
-
-// String renders the stats as a one-line report.
-func (s CampaignStats) String() string {
-	return metrics.CampaignStats(s).String()
-}
+// CampaignStats aggregates a campaign's execution counters; HitRate is
+// the fraction of jobs served without simulating and String renders a
+// one-line report.
+type CampaignStats = metrics.CampaignStats
 
 // CampaignResult is a completed campaign: outcomes in submission order plus
 // the engine's counters.
@@ -179,9 +139,9 @@ func (r *CampaignResult) Errs() []JobOutcome {
 // RunCampaign executes the campaign's jobs on a bounded worker pool and
 // returns their outcomes in submission order. Duplicated design points
 // simulate once; each simulation is deterministic, so results are
-// bit-identical to a sequential (Workers: 1) run apart from the measured
-// wall-clock. Per-job failures — including invalid specs and recovered
-// panics — are reported in the outcomes without aborting the batch.
+// bit-identical to a sequential (CampaignWorkers: 1) run apart from the
+// measured wall-clock. Per-job failures — including invalid specs and
+// recovered panics — are reported in the outcomes without aborting the batch.
 func RunCampaign(c Campaign) (*CampaignResult, error) {
 	return RunCampaignContext(context.Background(), c)
 }
@@ -199,89 +159,40 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 // inside an open store is not — it is quarantined and its job recomputed
 // (counted in Stats.StoreCorrupt).
 func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignResult, error) {
-	if err := c.Tuning.Validate(); err != nil {
+	svc, err := newService("campaign", ServiceConfig{Tuning: c.Tuning, Store: c.Store, Retry: c.Retry, Surrogate: c.Surrogate})
+	if err != nil {
 		return nil, err
 	}
-	eng := runner.New(c.Tuning.campaignWorkers(c.Workers))
-	if c.Store != "" {
-		st, err := store.Open(c.Store)
-		if err != nil {
-			return nil, fmt.Errorf("scalesim: opening campaign store: %w", err)
-		}
-		defer st.Close()
-		eng.SetStore(st)
-	}
-	if c.Retry != (RetryPolicy{}) {
-		eng.SetRetry(runner.RetryPolicy(c.Retry))
-	}
-	if c.Surrogate != nil {
-		if _, err := attachSurrogate(eng, c.Surrogate, c.Store); err != nil {
-			return nil, err
-		}
-	}
-	jobs := make([]runner.Job, len(c.Jobs))
-	errs := make([]error, len(c.Jobs))
+	defer svc.Close()
+
+	res := &CampaignResult{Outcomes: make([]JobOutcome, len(c.Jobs))}
+	var batch []runner.Job
+	var at []int // batch[k] is c.Jobs[at[k]]
 	for i, cj := range c.Jobs {
-		if err := cj.Options.Tuning.Validate(); err != nil {
-			errs[i] = err
-			continue
-		}
-		cfg, wl, err := buildRun(cj.Machine, cj.Benchmarks, cj.Extra)
+		p, err := svc.Prepare(cj)
 		if err != nil {
 			// Invalid job: fails in its outcome without entering the batch.
-			errs[i] = err
+			res.Outcomes[i] = JobOutcome{Job: i, Err: err}
 			continue
 		}
-		io := cj.Options.internal()
-		if cj.Options.Tuning == nil {
-			// The campaign-level tuning is the default for jobs that carry
-			// none of their own.
-			io.CoreWorkers = c.Tuning.coreWorkers()
-			io.EpochLogOps = c.Tuning.epochLogOps()
-		}
-		jobs[i] = runner.Job{Config: cfg, Workload: wl, Options: io}
+		batch = append(batch, p.job)
+		at = append(at, i)
 	}
-	// Run only the valid jobs, preserving submission indices.
-	valid := make([]runner.Job, 0, len(jobs))
-	validIdx := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if errs[i] == nil {
-			valid = append(valid, jobs[i])
-			validIdx = append(validIdx, i)
-		}
-	}
-	var progress func(metrics.Progress)
+	invalid := len(c.Jobs) - len(batch) // these count as finished, and failed
+	var progress func(CampaignProgress)
 	if c.OnProgress != nil {
-		total := len(c.Jobs)
-		done := len(c.Jobs) - len(valid) // invalid jobs count as finished
-		progress = func(p metrics.Progress) {
-			c.OnProgress(CampaignProgress{
-				Job:       validIdx[p.Job],
-				Completed: done + p.Completed,
-				Total:     total,
-				CacheHit:  p.CacheHit,
-				Err:       p.Err,
-			})
+		progress = func(p CampaignProgress) {
+			p.Job, p.Completed, p.Total = at[p.Job], invalid+p.Completed, len(c.Jobs)
+			c.OnProgress(p)
 		}
 	}
-	outcomes, ctxErr := eng.RunBatch(ctx, valid, progress)
-
-	res := &CampaignResult{
-		Outcomes: make([]JobOutcome, len(c.Jobs)),
-		Stats:    CampaignStats(eng.Stats()),
+	outcomes, ctxErr := svc.eng.RunBatch(ctx, batch, progress)
+	for k, oc := range outcomes {
+		res.Outcomes[at[k]] = outcomeFromInternal(oc)
+		res.Outcomes[at[k]].Job = at[k]
 	}
-	for i, err := range errs {
-		res.Outcomes[i] = JobOutcome{Job: i, Err: err}
-	}
+	res.Stats = svc.Stats()
 	res.Stats.Jobs = len(c.Jobs)
-	res.Stats.Failures += len(c.Jobs) - len(valid)
-	for k, o := range outcomes {
-		i := validIdx[k]
-		out := JobOutcome{Job: i, Err: o.Err, Source: ResultSource(o.Source), CacheHit: o.CacheHit, Retries: o.Retries, Approximate: o.Approximate}
-		if o.Result != nil {
-			out.Result = resultFromInternal(o.Result)
-		}
-		res.Outcomes[i] = out
-	}
+	res.Stats.Failures += invalid
 	return res, ctxErr
 }

@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
@@ -43,7 +44,7 @@ func TestCampaignMemoizesAndPreservesOrder(t *testing.T) {
 	if len(jobs) < 8 {
 		t.Fatalf("campaign too small: %d jobs", len(jobs))
 	}
-	res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Workers: 2})
+	res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestCampaignMemoizesAndPreservesOrder(t *testing.T) {
 
 func TestCampaignParallelBitIdenticalToSequential(t *testing.T) {
 	jobs := campaignJobs()
-	seq, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Workers: 1})
+	seq, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Workers: runtime.NumCPU()})
+	par, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: runtime.NumCPU()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +119,12 @@ func TestCampaignSpeedup(t *testing.T) {
 		})
 	}
 	t0 := time.Now()
-	if _, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Workers: 1}); err != nil {
+	if _, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	seq := time.Since(t0)
 	t0 = time.Now()
-	if _, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Workers: 4}); err != nil {
+	if _, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	par := time.Since(t0)
@@ -141,7 +142,7 @@ func TestCampaignInvalidJobIsolated(t *testing.T) {
 	var progress []CampaignProgress
 	res, err := RunCampaignContext(context.Background(), Campaign{
 		Jobs:       jobs,
-		Workers:    2,
+		Tuning:     &Tuning{CampaignWorkers: 2},
 		OnProgress: func(p CampaignProgress) { progress = append(progress, p) },
 	})
 	if err != nil {
@@ -167,6 +168,115 @@ func TestCampaignInvalidJobIsolated(t *testing.T) {
 	}
 	if progress[0].Completed != 3 || progress[0].Total != 3 {
 		t.Fatalf("progress %+v must account for invalid jobs", progress[0])
+	}
+	// The experiment driver reports an unknown name through the same sentinel.
+	if _, err := NewExperimentsSubset(tinyOptions(), "gcc", "nothere", "lbm"); !errors.Is(err, ErrUnknownBenchmark) {
+		t.Fatalf("NewExperimentsSubset err %v, want ErrUnknownBenchmark", err)
+	}
+}
+
+// TestCampaignIsABatchOverService pins the contract that lets Campaign stay a
+// thin batch over Service: the same job list — a valid point, its duplicate,
+// an invalid spec, an unknown benchmark — driven through RunCampaignContext
+// and through Service.Prepare + RunJobContext one job at a time yields the
+// same Source, Approximate, Retries and result bytes per job and the same
+// CampaignStats, once the invalid jobs the service never ran are counted the
+// way the campaign counts them. With a store, a second pass over it (disk
+// hits) must agree too.
+func TestCampaignIsABatchOverService(t *testing.T) {
+	jobs := []CampaignJob{
+		{Machine: MachineSpec{Cores: 1}, Benchmarks: []string{"gcc"}, Options: tinyOptions()},
+		{Machine: MachineSpec{Cores: 1}, Benchmarks: []string{"gcc"}, Options: tinyOptions()},
+		{Machine: MachineSpec{Cores: 1, Policy: "bogus"}, Benchmarks: []string{"gcc"}, Options: tinyOptions()},
+		{Machine: MachineSpec{Cores: 1}, Benchmarks: []string{"nothere"}, Options: tinyOptions()},
+	}
+	type row struct {
+		Source      ResultSource
+		Approximate bool
+		Retries     int
+		Err         string
+		Result      string
+	}
+	rowOf := func(o JobOutcome) row {
+		r := row{Source: o.Source, Approximate: o.Approximate, Retries: o.Retries}
+		if o.Err != nil {
+			r.Err = o.Err.Error()
+		}
+		if o.Result != nil {
+			res := *o.Result
+			res.WallClockSec = 0
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Result = string(b)
+		}
+		return r
+	}
+	sequential := &Tuning{CampaignWorkers: 1}
+	viaCampaign := func(store string) ([]row, CampaignStats) {
+		res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: sequential, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]row, len(res.Outcomes))
+		for i, o := range res.Outcomes {
+			rows[i] = rowOf(o)
+		}
+		return rows, res.Stats
+	}
+	viaService := func(store string) ([]row, CampaignStats) {
+		svc, err := NewService(ServiceConfig{Tuning: sequential, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		rows := make([]row, len(jobs))
+		invalid := 0
+		for i, j := range jobs {
+			p, err := svc.Prepare(j)
+			if err != nil {
+				rows[i] = rowOf(JobOutcome{Err: err})
+				invalid++
+				continue
+			}
+			rows[i] = rowOf(svc.RunJobContext(context.Background(), p))
+		}
+		stats := svc.Stats()
+		stats.Jobs += invalid
+		stats.Failures += invalid
+		return rows, stats
+	}
+	for _, tc := range []struct {
+		name   string
+		store  bool
+		passes int
+	}{{"memory only", false, 1}, {"with store", true, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dirA, dirB string
+			if tc.store {
+				dirA, dirB = t.TempDir(), t.TempDir()
+			}
+			for pass := 0; pass < tc.passes; pass++ {
+				crows, cstats := viaCampaign(dirA)
+				srows, sstats := viaService(dirB)
+				if !reflect.DeepEqual(crows, srows) {
+					t.Errorf("pass %d: outcomes differ:\ncampaign %+v\nservice  %+v", pass, crows, srows)
+				}
+				if cstats != sstats {
+					t.Errorf("pass %d: stats differ:\ncampaign %+v\nservice  %+v", pass, cstats, sstats)
+				}
+				want := []ResultSource{SourceCompute, SourceMemory, "", ""}
+				if pass == 1 {
+					want[0] = SourceDisk
+				}
+				for i, r := range crows {
+					if r.Source != want[i] {
+						t.Errorf("pass %d job %d: source %q, want %q", pass, i, r.Source, want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

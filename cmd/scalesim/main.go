@@ -15,9 +15,9 @@
 //
 // Performance flags follow a -<subsystem>-<knob> convention: -core-workers
 // (epoch parallelism inside one simulation), -campaign-workers (concurrent
-// jobs; -workers remains a deprecated alias), -surrogate-* (learned fast
-// path). None of them change results — only wall-clock. simulate and sweep
-// also take -cpuprofile/-memprofile to capture pprof profiles.
+// jobs), -surrogate-* (learned fast path). None of them change results —
+// only wall-clock. simulate and sweep also take -cpuprofile/-memprofile to
+// capture pprof profiles.
 //
 // Examples:
 //
@@ -99,8 +99,7 @@ func usage() {
 
 performance flags (identical results at any setting, wall-clock only):
   -core-workers N       epoch workers inside one simulation (0 = auto)
-  -campaign-workers N   concurrent campaign jobs (0 = GOMAXPROCS); -workers
-                        is a deprecated alias
+  -campaign-workers N   concurrent campaign jobs (0 = GOMAXPROCS)
   -cpuprofile FILE      write a pprof CPU profile (simulate, sweep)
   -memprofile FILE      write a pprof heap profile at exit (simulate, sweep)
   scalesim request -bench A,B,... [-machine C[:POLICY]] [-server URL] [-client ID] [-fast]

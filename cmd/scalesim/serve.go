@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"scalesim"
@@ -35,11 +36,12 @@ func cmdServe(args []string) {
 	_ = fs.Parse(args)
 
 	tun := tuning()
-	var workers int
-	if tun != nil {
-		// The server's simulation bound is the job-level knob; the rest of
-		// the tuning (the CoreWorkers default for served jobs) rides into
-		// the service.
+	// The server's simulation bound is the job-level knob, resolved here the
+	// way the server and the engine resolve auto so the listen line states
+	// the effective count; the rest of the tuning (the CoreWorkers default
+	// for served jobs) rides into the service.
+	workers := runtime.GOMAXPROCS(0)
+	if tun != nil && tun.CampaignWorkers > 0 {
 		workers = tun.CampaignWorkers
 	}
 	svc, err := scalesim.NewService(scalesim.ServiceConfig{Store: *storeDir, Surrogate: surrogate(), Tuning: tun})

@@ -23,7 +23,7 @@ type daemon struct {
 func startDaemon(t *testing.T, extra ...string) *daemon {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
-	args := append([]string{"serve", "-addr", "127.0.0.1:0", "-addrfile", addrFile, "-workers", "2"}, extra...)
+	args := append([]string{"serve", "-addr", "127.0.0.1:0", "-addrfile", addrFile, "-campaign-workers", "2"}, extra...)
 	d := &daemon{cmd: exec.Command(os.Args[0], "-test.run=^$"), out: &bytes.Buffer{}}
 	d.cmd.Env = append(os.Environ(), "SCALESIM_CLI_ARGS="+strings.Join(args, " "))
 	d.cmd.Stdout = d.out

@@ -2,55 +2,28 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 
 	"scalesim"
 )
-
-// deprecationOut receives deprecated-flag warnings; tests swap it to
-// capture the message.
-var deprecationOut io.Writer = os.Stderr
-
-// workersWarnOnce collapses repeated -workers uses (several subcommand
-// FlagSets share tuningFlags) into one warning per process.
-var workersWarnOnce sync.Once
-
-// warnDeprecatedWorkers prints the one-time -workers deprecation warning
-// if fs parsed the deprecated alias.
-func warnDeprecatedWorkers(fs *flag.FlagSet) {
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name != "workers" {
-			return
-		}
-		workersWarnOnce.Do(func() {
-			fmt.Fprintln(deprecationOut, "scalesim: -workers is deprecated; use -campaign-workers (same meaning: concurrent campaign jobs)")
-		})
-	})
-}
 
 // tuningFlags registers the shared performance-tuning flags, following the
 // -<subsystem>-<knob> naming convention, and returns a closure producing
 // the resulting *scalesim.Tuning after parsing (nil when every knob is
 // auto). When campaign is true the job-level knob is registered too, as
-// -campaign-workers, with the historical -workers spelling kept as a
-// deprecated alias bound to the same value.
+// -campaign-workers.
 func tuningFlags(fs *flag.FlagSet, campaign bool) func() *scalesim.Tuning {
 	core := fs.Int("core-workers", 0, "per-simulation epoch workers (0 = auto; any value yields identical results)")
 	var jobs *int
 	if campaign {
 		jobs = fs.Int("campaign-workers", 0, "concurrent campaign jobs (0 = GOMAXPROCS)")
-		fs.IntVar(jobs, "workers", 0, "deprecated alias of -campaign-workers")
 	}
 	return func() *scalesim.Tuning {
 		t := &scalesim.Tuning{CoreWorkers: *core}
 		if jobs != nil {
-			warnDeprecatedWorkers(fs)
 			t.CampaignWorkers = *jobs
 		}
 		if *t == (scalesim.Tuning{}) {

@@ -1,63 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"flag"
-	"strings"
-	"sync"
+	"io"
 	"testing"
 )
 
-// resetWorkersWarning swaps the warning writer for a buffer and re-arms
-// the once, restoring both on cleanup.
-func resetWorkersWarning(t *testing.T) *bytes.Buffer {
-	t.Helper()
-	var buf bytes.Buffer
-	prevOut := deprecationOut
-	deprecationOut = &buf
-	workersWarnOnce = sync.Once{}
-	t.Cleanup(func() {
-		deprecationOut = prevOut
-		workersWarnOnce = sync.Once{}
-	})
-	return &buf
-}
-
-const workersWarning = "scalesim: -workers is deprecated; use -campaign-workers (same meaning: concurrent campaign jobs)"
-
-func TestDeprecatedWorkersFlagWarnsOnce(t *testing.T) {
-	buf := resetWorkersWarning(t)
-
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	tuning := tuningFlags(fs, true)
-	if err := fs.Parse([]string{"-workers", "3"}); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	tun := tuning()
-	if tun == nil || tun.CampaignWorkers != 3 {
-		t.Fatalf("tuning after -workers 3: %+v, want CampaignWorkers 3", tun)
-	}
-	if got := strings.TrimSpace(buf.String()); got != workersWarning {
-		t.Errorf("warning = %q, want %q", got, workersWarning)
-	}
-
-	// A second use in the same process (another subcommand's FlagSet) must
-	// not repeat the warning.
-	tuning() // the same closure re-invoked is the cheapest repeat
-	fs2 := flag.NewFlagSet("serve", flag.ContinueOnError)
-	tuning2 := tuningFlags(fs2, true)
-	if err := fs2.Parse([]string{"-workers", "2"}); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	tuning2()
-	if got := strings.Count(buf.String(), "deprecated"); got != 1 {
-		t.Errorf("warning printed %d times, want once:\n%s", got, buf.String())
-	}
-}
-
+// TestCampaignWorkersFlagDoesNotWarn pins the job-level knob's one
+// spelling: -campaign-workers lands in Tuning.CampaignWorkers, and the
+// retired -workers alias is an unknown flag, not a silent synonym.
 func TestCampaignWorkersFlagDoesNotWarn(t *testing.T) {
-	buf := resetWorkersWarning(t)
-
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	tuning := tuningFlags(fs, true)
 	if err := fs.Parse([]string{"-campaign-workers", "4"}); err != nil {
@@ -66,7 +18,11 @@ func TestCampaignWorkersFlagDoesNotWarn(t *testing.T) {
 	if tun := tuning(); tun == nil || tun.CampaignWorkers != 4 {
 		t.Fatalf("tuning after -campaign-workers 4: %+v", tun)
 	}
-	if buf.Len() != 0 {
-		t.Errorf("unexpected warning for the canonical spelling: %q", buf.String())
+
+	old := flag.NewFlagSet("serve", flag.ContinueOnError)
+	old.SetOutput(io.Discard)
+	tuningFlags(old, true)
+	if err := old.Parse([]string{"-workers", "3"}); err == nil {
+		t.Error("-workers still parses; the alias was removed in favour of -campaign-workers")
 	}
 }

@@ -90,7 +90,7 @@ func writeDeterminismPayload(t *testing.T, path string) {
 
 	// Campaign results (including a duplicate job exercising the memo
 	// cache) rendered with bit-exact float formatting.
-	campaign := Campaign{Workers: 2}
+	campaign := Campaign{Tuning: &Tuning{CampaignWorkers: 2}}
 	for _, seed := range []uint64{1, 7, 1} {
 		o := opts
 		o.Seed = seed

@@ -42,7 +42,7 @@ func NewExperimentsSubset(opts SimOptions, names ...string) (*Experiments, error
 	for _, n := range names {
 		p := trace.ByName(n)
 		if p == nil {
-			return nil, fmt.Errorf("scalesim: unknown benchmark %q", n)
+			return nil, fmt.Errorf("scalesim: %w %q", ErrUnknownBenchmark, n)
 		}
 		suite = append(suite, p)
 	}
@@ -100,7 +100,7 @@ func (e *Experiments) SetRetry(p RetryPolicy) {
 		e.lab.SetRetry(runner.DefaultRetryPolicy)
 		return
 	}
-	e.lab.SetRetry(runner.RetryPolicy(p))
+	e.lab.SetRetry(p)
 }
 
 // Close releases the attached store, if any.

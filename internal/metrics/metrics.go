@@ -108,10 +108,8 @@ type Progress struct {
 
 // CampaignStats aggregates a campaign engine's counters: how many jobs were
 // requested, how many unique simulations actually ran, and how many were
-// deduplicated by the content-addressed cache — in memory or on disk.
-//
-// NOTE: the public scalesim.CampaignStats mirrors this struct field for
-// field (a direct struct conversion); keep names, types, and order in sync.
+// deduplicated by the content-addressed cache — in memory or on disk. The
+// public scalesim.CampaignStats is an alias of this type.
 type CampaignStats struct {
 	Jobs          int // jobs submitted
 	UniqueRuns    int // simulator invocations (computes)

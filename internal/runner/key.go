@@ -3,13 +3,13 @@
 // The memoization key must be a pure function of a job's *semantic content*:
 // the machine configuration, every workload profile's parameters, and the
 // simulation options. Hashing Go's reflected "%+v" rendering is not that —
-// any pointer-, map-, or interface-typed field (such as a telemetry sink)
-// renders as an address or in nondeterministic order, making keys differ
-// between processes that describe the identical simulation and silently
-// defeating cross-campaign memoization. Instead every field is written
-// explicitly, in a fixed order, with a fixed format; the encoding (and the
-// regression test pinning a fixture key) must be extended whenever a
-// semantic field is added to config.SystemConfig, trace.Profile or
+// any pointer-, map-, or interface-typed field (such as the telemetry
+// options) renders as an address or in nondeterministic order, making keys
+// differ between processes that describe the identical simulation and
+// silently defeating cross-campaign memoization. Instead every field is
+// written explicitly, in a fixed order, with a fixed format; the encoding
+// (and the regression test pinning a fixture key) must be extended whenever
+// a semantic field is added to config.SystemConfig, trace.Profile or
 // sim.Options.
 package runner
 
@@ -29,9 +29,9 @@ import (
 // profile's parameters, and the options (seed included). Profiles are keyed
 // by value, so two custom benchmarks sharing a name but differing in any
 // parameter never collide. The key is byte-stable across processes and
-// platforms. Non-semantic option fields (the telemetry sink) are excluded;
-// whether telemetry is enabled is included, because it changes the result's
-// content (Result.Trace).
+// platforms. The performance-only option (CoreWorkers) is excluded; whether
+// telemetry is enabled is included, because it changes the result's content
+// (Result.Trace).
 func (j Job) Key() string {
 	h := sha256.New()
 	if j.Config != nil {
@@ -82,10 +82,9 @@ func writeProfile(w io.Writer, p *trace.Profile) {
 	}
 }
 
-// writeOptions encodes the simulation options. The telemetry sink is
-// excluded (a sink's identity is not part of the design point); the
-// enablement and warmup-coverage bits are included, since they change the
-// produced Result.
+// writeOptions encodes the simulation options. CoreWorkers is excluded (it
+// cannot change results); telemetry's enablement and warmup-coverage bits
+// are included, since they change the produced Result.
 func writeOptions(w io.Writer, o sim.Options) {
 	traced, warm := false, false
 	if o.Telemetry != nil {

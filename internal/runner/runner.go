@@ -197,7 +197,7 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 // I/O errors, and timeouts can succeed on a second attempt; deterministic
 // simulation errors (and context cancellation) cannot.
 func Transient(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil || cancelled(err) {
 		return false
 	}
 	var pe *PanicError
@@ -222,16 +222,13 @@ func Transient(err error) bool {
 	return false
 }
 
-// entry is one cache slot. done is closed when res/err are final. approx
-// marks a model-predicted result; such entries are evicted before done
-// closes (the memory tier holds ground truth only), so approx is read only
-// by waiters that coalesced onto the flight.
-type entry struct {
-	done    chan struct{}
-	res     *sim.Result
-	err     error
-	retries int
-	approx  bool
+// flight is one cache slot: the job's Outcome as its owner resolved it,
+// final once done is closed. A model-served flight is evicted before done
+// closes (the memory tier holds ground truth only), so an approximate
+// Outcome is read only by waiters that coalesced onto it.
+type flight struct {
+	done chan struct{}
+	oc   Outcome
 }
 
 // Engine executes jobs on a bounded worker pool with memoization. An Engine
@@ -246,24 +243,22 @@ type Engine struct {
 	predictor Predictor
 	sleep     func(context.Context, time.Duration) error
 
-	mu      sync.Mutex
-	cache   map[string]*entry
-	stats   metrics.CampaignStats
-	simTime map[string]time.Duration
-	simRuns map[string]int
+	mu        sync.Mutex
+	cache     map[string]*flight
+	stats     metrics.CampaignStats
+	perConfig map[string]ConfigTime
 }
 
 // New returns an engine with the given worker-pool size (<= 0 selects
 // GOMAXPROCS), the default retry policy, and no durable store.
 func New(workers int) *Engine {
 	return &Engine{
-		workers: workers,
-		retry:   DefaultRetryPolicy,
-		run:     sim.RunContext,
-		sleep:   sleepContext,
-		cache:   make(map[string]*entry),
-		simTime: make(map[string]time.Duration),
-		simRuns: make(map[string]int),
+		workers:   workers,
+		retry:     DefaultRetryPolicy,
+		run:       sim.RunContext,
+		sleep:     sleepContext,
+		cache:     make(map[string]*flight),
+		perConfig: make(map[string]ConfigTime),
 	}
 }
 
@@ -353,19 +348,6 @@ func (e *Engine) Stats() metrics.CampaignStats {
 	return e.stats
 }
 
-// SimTime returns a copy of accumulated simulator wall-clock per
-// configuration name (cache misses only — cached results cost nothing).
-func (e *Engine) SimTime() map[string]time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]time.Duration, len(e.simTime))
-	//simlint:ignore maporder copies into a map under the same keys; order cannot leak
-	for k, v := range e.simTime {
-		out[k] = v
-	}
-	return out
-}
-
 // ConfigTime aggregates the simulator wall-clock spent on one machine
 // configuration (cache misses only — cached results cost nothing).
 type ConfigTime struct {
@@ -385,10 +367,10 @@ type Report struct {
 func (e *Engine) Report() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := Report{Stats: e.stats, PerConfig: make([]ConfigTime, 0, len(e.simTime))}
+	r := Report{Stats: e.stats, PerConfig: make([]ConfigTime, 0, len(e.perConfig))}
 	//simlint:ignore maporder PerConfig is sorted by name immediately below
-	for name, d := range e.simTime {
-		r.PerConfig = append(r.PerConfig, ConfigTime{Name: name, Runs: e.simRuns[name], Time: d})
+	for _, ct := range e.perConfig {
+		r.PerConfig = append(r.PerConfig, ct)
 	}
 	sort.Slice(r.PerConfig, func(i, j int) bool { return r.PerConfig[i].Name < r.PerConfig[j].Name })
 	return r
@@ -410,114 +392,145 @@ func (r Report) String() string {
 	return out
 }
 
-// Run executes one job through the memoization tiers: the in-memory cache,
-// then the durable store (if attached), then the surrogate model (if
-// attached), then the simulator itself. The returned Outcome carries the
-// result or error plus its Source and retry count. WallClock is left zero;
-// RunBatch fills it.
+// Run executes one job through the memoization tiers, in their order: claim
+// the key in memory (a hit, a coalesce, or a new flight this caller owns),
+// resolve a new flight from disk → model → compute, settle it for waiters
+// and later callers. The returned Outcome carries the result or error plus
+// its Source and retry count. WallClock is left zero; RunBatch fills it.
 func (e *Engine) Run(ctx context.Context, job Job) Outcome {
 	key := job.Key()
-	e.mu.Lock()
-	e.stats.Jobs++
-	if ent, ok := e.cache[key]; ok {
-		// Distinguish a hit on a completed entry (memory) from coalescing
-		// onto a still-in-flight run: the result is identical either way,
-		// but the served/batch paths report the dedup through one shared
-		// vocabulary (SourceMemory vs SourceCoalesced).
+	f, src := e.claim(key)
+	if src == SourceCoalesced {
 		select {
-		case <-ent.done:
-			e.stats.CacheHits++
-			e.mu.Unlock()
-			return Outcome{Result: ent.res, Err: ent.err, Source: SourceMemory, CacheHit: true, Retries: ent.retries}
-		default:
-		}
-		e.stats.CoalescedHits++
-		e.mu.Unlock()
-		select {
-		case <-ent.done:
-			return Outcome{Result: ent.res, Err: ent.err, Source: SourceCoalesced, CacheHit: true, Retries: ent.retries, Approximate: ent.approx}
+		case <-f.done:
 		case <-ctx.Done():
-			return Outcome{Err: ctx.Err(), Source: SourceCoalesced, CacheHit: true}
+			return Outcome{Err: ctx.Err(), Source: src, CacheHit: true}
 		}
 	}
-	ent := &entry{done: make(chan struct{})}
-	e.cache[key] = ent
+	if src != "" {
+		oc := f.oc
+		oc.Source, oc.CacheHit = src, true
+		return oc
+	}
+	f.oc = e.resolve(ctx, key, job)
+	e.settle(key, job, f)
+	return f.oc
+}
+
+// claim says how the memory tier serves the key: SourceMemory from a landed
+// flight, SourceCoalesced from one still in the air (the same result, told
+// apart only so batch and serving report dedup alike), or "" with a fresh
+// flight the caller must resolve.
+func (e *Engine) claim(key string) (*flight, Source) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.stats.Jobs++
+	f, ok := e.cache[key]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		e.cache[key] = f
+		return f, ""
+	}
+	select {
+	case <-f.done:
+		e.stats.CacheHits++
+		return f, SourceMemory
+	default:
+		e.stats.CoalescedHits++
+		return f, SourceCoalesced
+	}
+}
+
+// resolve answers a claimed job from the first tier below memory that can:
+// the store, then the model, then the simulator. Ground truth goes through
+// admit; the model step returns before anything that calls it.
+func (e *Engine) resolve(ctx context.Context, key string, job Job) Outcome {
+	e.mu.Lock()
 	store, predictor := e.store, e.predictor
 	e.mu.Unlock()
-
-	src := SourceCompute
 	if store != nil {
-		if res, ok, lerr := store.Load(key); ok {
-			ent.res, src = res, SourceDisk
-			if predictor != nil {
-				// Disk hits are ground truth the model may not have seen
-				// (e.g. computed by an earlier process): feed them back.
-				predictor.Observe(job, res)
-			}
-		} else if lerr != nil {
-			// Quarantined by the store; recompute. Never fatal.
+		res, ok, err := store.Load(key)
+		if ok {
+			// Already on disk, but the model may not have seen it (e.g.
+			// computed by an earlier process).
+			admit(nil, predictor, key, job, res)
+			return Outcome{Result: res, Source: SourceDisk, CacheHit: true}
+		}
+		if err != nil { // quarantined by the store; recompute, never fatal
 			e.mu.Lock()
 			e.stats.StoreCorrupt++
 			e.mu.Unlock()
 		}
 	}
-	if src == SourceCompute && predictor != nil {
-		// The learned tier sits between disk and compute: serve the model's
-		// answer when its confidence gate passes, otherwise fall through to
-		// the simulator as if no predictor were attached.
+	if predictor != nil {
+		// A query the confidence gate rejects falls through to the
+		// simulator as if no predictor were attached.
 		if res, ok := predictor.Predict(job); ok {
-			ent.res, ent.approx, src = res, true, SourceModel
+			return Outcome{Result: res, Source: SourceModel, CacheHit: true, Approximate: true}
 		}
 	}
-	if src == SourceCompute {
-		if store != nil {
-			_ = store.Begin(key) // best-effort journaling
-		}
-		ent.res, ent.err, ent.retries = e.execute(ctx, job)
-		if store != nil {
-			switch {
-			case ent.err == nil:
-				_ = store.Save(key, ent.res) // best-effort: memory still serves it
-			case !errors.Is(ent.err, context.Canceled) && !errors.Is(ent.err, context.DeadlineExceeded):
-				_ = store.Fail(key)
-			}
-		}
-		if ent.err == nil && predictor != nil {
-			// Active learning: every computed result joins the training
-			// set, so gate-rejected queries teach the model the region it
-			// was unsure about.
-			predictor.Observe(job, ent.res)
-		}
+	if store != nil {
+		_ = store.Begin(key) // best-effort journaling
 	}
+	res, err, retries := e.execute(ctx, job)
+	switch {
+	case err == nil:
+		// Active learning: a gate-rejected query teaches the model the
+		// region it was unsure about.
+		admit(store, predictor, key, job, res)
+	case store != nil && !cancelled(err):
+		_ = store.Fail(key)
+	}
+	return Outcome{Result: res, Err: err, Source: SourceCompute, Retries: retries}
+}
 
+// admit is the only door into the ground-truth tiers, the store and the
+// predictor's training set; resolve hands it what the store or the
+// simulator produced, never a prediction. Both writes are best-effort:
+// memory still serves the result.
+func admit(store ResultStore, predictor Predictor, key string, job Job, res *sim.Result) {
+	if store != nil {
+		_ = store.Save(key, res)
+	}
+	if predictor != nil {
+		predictor.Observe(job, res)
+	}
+}
+
+// settle lands a resolved flight: one counter update for how it was
+// answered, the two eviction rules, then done closes and waiters read it.
+func (e *Engine) settle(key string, job Job, f *flight) {
+	oc, gaveUp := f.oc, cancelled(f.oc.Err)
 	e.mu.Lock()
 	switch {
-	case ent.err == nil && src == SourceDisk:
+	case oc.Source == SourceDisk:
 		e.stats.DiskHits++
-	case ent.err == nil && src == SourceModel:
+	case oc.Source == SourceModel:
 		e.stats.ModelHits++
-		// Approximations never enter the ground-truth memory tier: evict
-		// the entry so an identical later query re-predicts (the model may
-		// have learned since — or grown confident enough to stand aside).
-		// Waiters already coalesced onto this flight still read ent.
-		delete(e.cache, key)
-	case ent.err == nil:
+	case oc.Err == nil:
 		e.stats.UniqueRuns++
-		e.simTime[job.Config.Name] += ent.res.WallClock
-		e.simRuns[job.Config.Name]++
+		name := job.Config.Name
+		ct := e.perConfig[name]
+		e.perConfig[name] = ConfigTime{Name: name, Runs: ct.Runs + 1, Time: ct.Time + oc.Result.WallClock}
+	case gaveUp:
+		e.stats.Failures++
 	default:
 		e.stats.Failures++
-		// Do not cache cancellation: the same job may be re-submitted with
-		// a live context later and must then actually run.
-		if errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded) {
-			delete(e.cache, key)
-		} else {
-			e.stats.UniqueRuns++
-		}
+		e.stats.UniqueRuns++
+	}
+	// The memory tier holds ground truth only, so an identical later query
+	// re-predicts (the model may have learned since); and a cancelled job
+	// re-submitted with a live context must actually run.
+	if oc.Approximate || gaveUp {
+		delete(e.cache, key)
 	}
 	e.mu.Unlock()
-	close(ent.done)
-	return Outcome{Result: ent.res, Err: ent.err, Source: src, CacheHit: src != SourceCompute, Retries: ent.retries, Approximate: ent.approx}
+	close(f.done)
+}
+
+// cancelled reports whether err is a context giving up, not a job failing.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // execute runs the job with panic isolation, retrying transient failures
@@ -543,16 +556,13 @@ func (e *Engine) execute(ctx context.Context, job Job) (*sim.Result, error, int)
 		}
 		job.Options.CoreWorkers = split
 	}
-	if pol.MaxAttempts < 1 {
-		pol.MaxAttempts = 1
-	}
 	retries := 0
 	for attempt := 1; ; attempt++ {
 		res, err := protect(ctx, run, job)
 		if err == nil {
 			return res, nil, retries
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if cancelled(err) {
 			return nil, err, retries
 		}
 		if attempt >= pol.MaxAttempts || !Transient(err) {

@@ -75,6 +75,17 @@ func TestKeyContentAddressing(t *testing.T) {
 	if j1.Key() == j3.Key() {
 		t.Fatal("config not part of the key")
 	}
+	// Whether tracing is enabled, and whether it covers warmup, changes
+	// Result.Trace, so both are part of the design point.
+	traced, warm := job(1), job(1)
+	traced.Options.Telemetry = &sim.TelemetryOptions{}
+	warm.Options.Telemetry = &sim.TelemetryOptions{Warmup: true}
+	if traced.Key() == a.Key() {
+		t.Fatal("traced and untraced jobs collide (their results differ)")
+	}
+	if warm.Key() == traced.Key() {
+		t.Fatal("warmup-traced and measure-traced jobs collide")
+	}
 }
 
 // fixtureJob is a fully specified design point for the pinned-key test:
@@ -122,29 +133,6 @@ func TestKeyPinned(t *testing.T) {
 	// And it must be stable within the process, trivially.
 	if fixtureJob().Key() != fixtureJob().Key() {
 		t.Fatal("fixture key unstable across calls")
-	}
-}
-
-// TestKeyIgnoresSinkIdentity pins the telemetry rules: the sink's identity
-// is not part of the design point, but whether tracing is enabled (and
-// whether it covers warmup) is, because it changes Result.Trace.
-func TestKeyIgnoresSinkIdentity(t *testing.T) {
-	sinkA := sim.NewJSONLSink(nil)
-	sinkB := sim.NewJSONLSink(nil)
-	ja, jb := job(1), job(1)
-	ja.Options.Telemetry = &sim.TelemetryOptions{Sink: sinkA}
-	jb.Options.Telemetry = &sim.TelemetryOptions{Sink: sinkB}
-	if ja.Key() != jb.Key() {
-		t.Fatal("sink identity leaked into the cache key")
-	}
-	plain := job(1)
-	if ja.Key() == plain.Key() {
-		t.Fatal("traced and untraced jobs collide (their results differ)")
-	}
-	warm := job(1)
-	warm.Options.Telemetry = &sim.TelemetryOptions{Warmup: true}
-	if warm.Key() == ja.Key() {
-		t.Fatal("warmup-traced and measure-traced jobs collide")
 	}
 }
 

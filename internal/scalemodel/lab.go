@@ -2,7 +2,6 @@ package scalemodel
 
 import (
 	"context"
-	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/runner"
@@ -103,9 +102,6 @@ func (l *Lab) CacheHits() int { return l.engine.Stats().CacheHits }
 
 // DiskHits reports how many runs were served from the durable store.
 func (l *Lab) DiskHits() int { return l.engine.Stats().DiskHits }
-
-// SimTime reports accumulated simulator wall-clock per configuration name.
-func (l *Lab) SimTime() map[string]time.Duration { return l.engine.SimTime() }
 
 // Report returns the engine's campaign execution report: job counters plus
 // the per-configuration simulation-time breakdown.

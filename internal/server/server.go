@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -89,8 +90,8 @@ const DefaultQueueDepth = 64
 
 // Config configures a Server.
 type Config struct {
-	// Workers bounds concurrent simulations (<= 0 selects 1). Each worker
-	// runs one queued job at a time.
+	// Workers bounds concurrent simulations (<= 0 selects GOMAXPROCS, like
+	// the campaign engine). Each worker runs one queued job at a time.
 	Workers int
 	// QueueDepth caps queued (admitted, not yet running) jobs across all
 	// clients (<= 0 selects DefaultQueueDepth). Coalesced requests do not
@@ -137,7 +138,7 @@ type Server struct {
 // Submit can complete.
 func New(backend Backend, cfg Config) *Server {
 	if cfg.Workers <= 0 {
-		cfg.Workers = 1
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -275,6 +276,8 @@ func (s *Server) Stats() scalesim.CampaignStats {
 // (healthz reports draining, new jobs get 503), queued and in-flight jobs
 // finish — bounded by cfg.DrainTimeout — and their results persist to the
 // backend's store before the function returns.
+//
+//simlint:ignore apipair a daemon is stopped by cancelling ctx; a context-free twin could only serve until the listener failed, and had no caller
 func ListenAndServeContext(ctx context.Context, addr string, backend Backend, cfg Config) error {
 	s := New(backend, cfg)
 	ln, err := net.Listen("tcp", addr)
@@ -332,10 +335,4 @@ func ListenAndServeContext(ctx context.Context, addr string, backend Backend, cf
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe is ListenAndServeContext without cancellation: it serves
-// until the listener fails.
-func ListenAndServe(addr string, backend Backend, cfg Config) error {
-	return ListenAndServeContext(context.Background(), addr, backend, cfg)
 }

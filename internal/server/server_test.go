@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -343,6 +344,43 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 	if stats.Shed != 1 || stats.QueueCapacity != 1 {
 		t.Errorf("statsz = %+v, want shed=1 capacity=1", stats)
+	}
+}
+
+// TestDefaultWorkersIsGOMAXPROCS: a zero Config runs GOMAXPROCS jobs at
+// once, the way the campaign engine, the -campaign-workers help text and
+// the README resolve auto — not one at a time.
+func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
+	const procs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fake := &fakeBackend{entered: make(chan string, procs+1), release: make(chan struct{})}
+	s := New(fake, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	done := make(chan error, procs+1)
+	for seed := uint64(1); seed <= procs+1; seed++ {
+		seed := seed
+		go func() {
+			_, err := s.Submit(context.Background(), "a", job(seed))
+			done <- err
+		}()
+	}
+	// Every worker is gated inside the backend and one job is left queued
+	// behind them: exactly procs run concurrently.
+	waitUntil(t, "the default pool to fill", func() bool {
+		return fake.runCount() == procs && s.queue.snapshot().depth == 1
+	})
+	close(fake.release)
+	for i := 0; i < procs+1; i++ {
+		if err := <-done; err != nil {
+			t.Errorf("submit: %v", err)
+		}
+	}
+	s.Drain()
+	if n := fake.runCount(); n != procs+1 {
+		t.Errorf("backend ran %d jobs, want %d", n, procs+1)
 	}
 }
 

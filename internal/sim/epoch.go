@@ -45,10 +45,10 @@ type llcOp struct {
 	kind llcOpKind
 }
 
-// defaultEpochLogOps is the initial per-core LLC log capacity when
-// Options.EpochLogOps is zero. Logs grow on demand and keep their high-water
-// capacity across epochs.
-const defaultEpochLogOps = 4096
+// defaultEpochLogOps is the initial per-core LLC log capacity. Logs grow on
+// demand and keep their high-water capacity across epochs. A variable only
+// so the in-package determinism test can undersize it and exercise growth.
+var defaultEpochLogOps = 4096
 
 // coreCtx implements cpu.MemSystem for one core. Private levels (L1-I,
 // L1-D, L2, prefetcher, partitioned-LLC slice) are mutated directly — no

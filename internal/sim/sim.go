@@ -79,18 +79,14 @@ type Options struct {
 	// seed-matrix determinism test.
 	//simlint:ignore keydrift worker count is performance-only; parallel and serial epochs are byte-identical by canonical replay
 	CoreWorkers int
-	// EpochLogOps pre-sizes each core's shared-LLC operation log arena in
-	// entries; 0 means a reasonable default. Logs grow on demand either way.
-	//simlint:ignore keydrift arena pre-sizing is performance-only; logs grow on demand
-	EpochLogOps int
 
 	// Telemetry enables per-epoch observability when non-nil: every
 	// measured epoch (and warmup epoch when Telemetry.Warmup is set) is
-	// snapshotted into Result.Trace and streamed to Telemetry.Sink when one
-	// is present. Nil — the default — is the zero-overhead fast path: the
-	// epoch loop performs a single nil check and nothing else. Telemetry
-	// never perturbs the simulation: a traced run's Result is bit-identical
-	// to an untraced run's (wall-clock and Trace aside).
+	// snapshotted into Result.Trace. Nil — the default — is the
+	// zero-overhead fast path: the epoch loop performs a single nil check
+	// and nothing else. Telemetry never perturbs the simulation: a traced
+	// run's Result is bit-identical to an untraced run's (wall-clock and
+	// Trace aside).
 	Telemetry *TelemetryOptions
 }
 
@@ -305,10 +301,6 @@ func newMachine(cfg *config.SystemConfig, wl Workload, opts Options) (*machine, 
 	// core can touch it within an epoch; a single core or the partitioned
 	// ablation keeps the zero-overhead direct path.
 	sharedLLC := cfg.Cores > 1 && m.part == nil
-	logCap := opts.EpochLogOps
-	if logCap <= 0 {
-		logCap = defaultEpochLogOps
-	}
 	m.workers = resolveWorkers(opts.CoreWorkers, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		// The L1-I stays at native size: code footprints are not
@@ -334,7 +326,7 @@ func newMachine(cfg *config.SystemConfig, wl Workload, opts Options) (*machine, 
 		cc := &coreCtx{m: m, core: i, dramAcc: m.mem.NewAcc()}
 		if sharedLLC {
 			cc.ov = cache.NewOverlay(m.llc)
-			cc.log = make([]llcOp, 0, logCap)
+			cc.log = make([]llcOp, 0, defaultEpochLogOps)
 		}
 		m.ctxs = append(m.ctxs, cc)
 
@@ -385,7 +377,7 @@ func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 	// one nil check per epoch.
 	var obs *observer
 	if opts.Telemetry != nil {
-		obs = newObserver(m, wl, opts.Telemetry)
+		obs = newObserver(m, wl)
 	}
 
 	// Phase 1 — warmup: run epochs until every program has retired its

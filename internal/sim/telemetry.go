@@ -18,9 +18,6 @@
 package sim
 
 import (
-	"encoding/json"
-	"io"
-
 	"scalesim/internal/cache"
 	"scalesim/internal/units"
 )
@@ -33,22 +30,9 @@ const (
 
 // TelemetryOptions enables per-epoch observability (see Options.Telemetry).
 type TelemetryOptions struct {
-	// Sink, when non-nil, receives every snapshot as it is taken — e.g. a
-	// JSONLSink streaming to a file. Snapshots are also always collected
-	// into Result.Trace. The sink's identity is deliberately not part of
-	// the campaign cache key — only enablement and Warmup change a Result.
-	//simlint:ignore keydrift sink identity is not semantic; key.go encodes enablement and Warmup
-	Sink TelemetrySink
 	// Warmup additionally snapshots warmup epochs (Phase == PhaseWarmup).
 	// The default observes only the measured phase.
 	Warmup bool
-}
-
-// TelemetrySink consumes epoch snapshots as the simulation produces them.
-// Implementations must not retain the snapshot's Cores slice across calls if
-// they mutate it; the simulator itself never reuses it.
-type TelemetrySink interface {
-	Epoch(EpochSnapshot)
 }
 
 // CoreEpoch is one core's activity during one epoch (all counters are deltas
@@ -107,29 +91,6 @@ type EpochSnapshot struct {
 	Cores []CoreEpoch `json:"cores"`
 }
 
-// JSONLSink streams snapshots to w as JSON Lines (one snapshot per line).
-// Encoding errors are sticky: the first one stops further writes and is
-// reported by Err.
-type JSONLSink struct {
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONLSink returns a sink streaming snapshots to w.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Epoch implements TelemetrySink.
-func (s *JSONLSink) Epoch(e EpochSnapshot) {
-	if s.err == nil {
-		s.err = s.enc.Encode(&e)
-	}
-}
-
-// Err returns the first encoding error, if any.
-func (s *JSONLSink) Err() error { return s.err }
-
 // coreCounters is one core's cumulative counter state at an epoch boundary,
 // kept by the observer to compute per-epoch deltas.
 type coreCounters struct {
@@ -143,9 +104,8 @@ type coreCounters struct {
 // observer computes epoch snapshots for one run. It is only allocated when
 // telemetry is enabled; the disabled path never touches it.
 type observer struct {
-	m    *machine
-	wl   Workload
-	opts *TelemetryOptions
+	m  *machine
+	wl Workload
 
 	epoch    int
 	endCycle units.Cycles
@@ -155,8 +115,8 @@ type observer struct {
 	trace []EpochSnapshot
 }
 
-func newObserver(m *machine, wl Workload, opts *TelemetryOptions) *observer {
-	o := &observer{m: m, wl: wl, opts: opts, prev: make([]coreCounters, len(m.cores))}
+func newObserver(m *machine, wl Workload) *observer {
+	o := &observer{m: m, wl: wl, prev: make([]coreCounters, len(m.cores))}
 	o.sync()
 	return o
 }
@@ -201,9 +161,9 @@ func hitRate(d cache.Stats) float64 {
 	return ratio(float64(d.Accesses-d.Misses), float64(d.Accesses))
 }
 
-// observe snapshots the epoch that just ended and forwards it to the trace
-// and the sink. Must be called after the machine's endEpoch so the
-// shared-resource estimates reflect the epoch's traffic.
+// observe snapshots the epoch that just ended into the trace. Must be
+// called after the machine's endEpoch so the shared-resource estimates
+// reflect the epoch's traffic.
 func (o *observer) observe(phase string, epochCycles units.Cycles) {
 	o.endCycle += epochCycles
 	snap := EpochSnapshot{
@@ -248,7 +208,4 @@ func (o *observer) observe(phase string, epochCycles units.Cycles) {
 	o.prevDRAM = o.m.mem.TotalBytes
 	o.epoch++
 	o.trace = append(o.trace, snap)
-	if o.opts.Sink != nil {
-		o.opts.Sink.Epoch(snap)
-	}
 }

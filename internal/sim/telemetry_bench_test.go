@@ -26,4 +26,4 @@ func benchRun(b *testing.B, opts Options) {
 }
 
 func BenchmarkTelemetryOff(b *testing.B) { benchRun(b, fastOpts()) }
-func BenchmarkTelemetryOn(b *testing.B)  { benchRun(b, tracedOpts(nil, false)) }
+func BenchmarkTelemetryOn(b *testing.B)  { benchRun(b, tracedOpts(false)) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -9,14 +10,14 @@ import (
 )
 
 // tracedOpts enables telemetry on top of the fast unit-test options.
-func tracedOpts(sink TelemetrySink, warmup bool) Options {
+func tracedOpts(warmup bool) Options {
 	o := fastOpts()
-	o.Telemetry = &TelemetryOptions{Sink: sink, Warmup: warmup}
+	o.Telemetry = &TelemetryOptions{Warmup: warmup}
 	return o
 }
 
 func TestTelemetryCollectsMeasuredEpochs(t *testing.T) {
-	res, err := Run(scaleModel(t, 2), Homogeneous(trace.ByName("mcf"), 2), tracedOpts(nil, false))
+	res, err := Run(scaleModel(t, 2), Homogeneous(trace.ByName("mcf"), 2), tracedOpts(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestTelemetryCollectsMeasuredEpochs(t *testing.T) {
 }
 
 func TestTelemetryWarmupCoverage(t *testing.T) {
-	res, err := Run(scaleModel(t, 1), Homogeneous(trace.ByName("gcc"), 1), tracedOpts(nil, true))
+	res, err := Run(scaleModel(t, 1), Homogeneous(trace.ByName("gcc"), 1), tracedOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Run(scaleModel(t, 2), wl, tracedOpts(nil, true))
+	traced, err := Run(scaleModel(t, 2), wl, tracedOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,47 +107,50 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestTelemetryJSONLDeterminism pins the reproducibility half: two traced
-// runs of the same job stream byte-identical JSONL.
+// runs of the same job encode to byte-identical JSONL.
 func TestTelemetryJSONLDeterminism(t *testing.T) {
 	stream := func() []byte {
-		var buf bytes.Buffer
-		sink := NewJSONLSink(&buf)
-		_, err := Run(scaleModel(t, 2), Homogeneous(trace.ByName("mcf"), 2), tracedOpts(sink, true))
+		res, err := Run(scaleModel(t, 2), Homogeneous(trace.ByName("mcf"), 2), tracedOpts(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sink.Err(); err != nil {
-			t.Fatal(err)
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for i := range res.Trace {
+			if err := enc.Encode(&res.Trace[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return buf.Bytes()
 	}
 	a, b := stream(), stream()
 	if len(a) == 0 {
-		t.Fatal("sink received no snapshots")
+		t.Fatal("traced run produced no snapshots")
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("traced runs differ: %d vs %d bytes", len(a), len(b))
 	}
 }
 
-func TestJSONLSinkStickyError(t *testing.T) {
-	sink := NewJSONLSink(failWriter{})
-	sink.Epoch(EpochSnapshot{})
-	if sink.Err() == nil {
-		t.Fatal("write error not reported")
+// TestEpochLogGrowthDeterminism undersizes the per-core LLC replay log so
+// the arena growth path is exercised, not just the pre-sized happy path: a
+// parallel run that must grow every log mid-epoch stays byte-identical to
+// the serial run at the default capacity.
+func TestEpochLogGrowthDeterminism(t *testing.T) {
+	run := func(workers int) *Result {
+		o := tracedOpts(true)
+		o.CoreWorkers = workers
+		res, err := Run(scaleModel(t, 4), Homogeneous(trace.ByName("mcf"), 4), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.WallClock = 0
+		return res
 	}
-	sink.Epoch(EpochSnapshot{}) // must not panic or clear the error
-	if sink.Err() == nil {
-		t.Fatal("sticky error cleared")
+	serial := run(1)
+	defer func(n int) { defaultEpochLogOps = n }(defaultEpochLogOps)
+	defaultEpochLogOps = 8
+	if grown := run(4); !reflect.DeepEqual(serial, grown) {
+		t.Fatalf("undersized parallel logs diverged from the serial run:\nserial: %+v\ngrown:  %+v", serial, grown)
 	}
 }
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
-
-var errWrite = &writeError{}
-
-type writeError struct{}
-
-func (*writeError) Error() string { return "write failed" }

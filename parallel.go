@@ -17,16 +17,8 @@ import (
 // speedup-stack bottleneck analysis.
 
 // SpeedupStack decomposes average per-thread cycles into bottleneck
-// components (fractions summing to ~1).
-type SpeedupStack struct {
-	Base, Branch, Memory, Frontend, Barrier float64
-}
-
-// String renders the stack as percentages.
-func (s SpeedupStack) String() string {
-	return fmt.Sprintf("base %.0f%% | branch %.0f%% | memory %.0f%% | frontend %.0f%% | barrier %.0f%%",
-		100*s.Base, 100*s.Branch, 100*s.Memory, 100*s.Frontend, 100*s.Barrier)
-}
+// components (fractions summing to ~1); String renders it as percentages.
+type SpeedupStack = sim.SpeedupStack
 
 // ParallelResult is the outcome of one multi-threaded simulation.
 type ParallelResult struct {
@@ -75,11 +67,8 @@ func SimulateParallelContext(ctx context.Context, spec MachineSpec, workload str
 		Threads:        len(res.Threads),
 		MakespanCycles: float64(res.MakespanCycles),
 		AggregateIPC:   res.AggregateIPC(),
-		Stack: SpeedupStack{
-			Base: res.Stack.Base, Branch: res.Stack.Branch, Memory: res.Stack.Memory,
-			Frontend: res.Stack.Frontend, Barrier: res.Stack.Barrier,
-		},
-		WallClockSec: res.WallClock.Seconds(),
+		Stack:          res.Stack,
+		WallClockSec:   res.WallClock.Seconds(),
 	}, nil
 }
 
@@ -152,10 +141,7 @@ func (e *Experiments) ExtMultithreaded() (*MTResult, error) {
 				return nil, err
 			}
 			w.ThroughputAt[cores] = res.AggregateIPC()
-			w.StackAt[cores] = SpeedupStack{
-				Base: res.Stack.Base, Branch: res.Stack.Branch, Memory: res.Stack.Memory,
-				Frontend: res.Stack.Frontend, Barrier: res.Stack.Barrier,
-			}
+			w.StackAt[cores] = res.Stack
 			if cores >= 2 && cores <= 16 {
 				xs = append(xs, float64(cores))
 				ys = append(ys, res.AggregateIPC()/float64(cores))
@@ -298,7 +284,7 @@ func (e *Experiments) PrefetchStudy() (*PrefetchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i, ne := range errsList {
+		for _, ne := range errsList {
 			if !variant {
 				out.Rows = append(out.Rows, PrefetchRow{
 					Benchmark: ne.Name,
@@ -316,7 +302,6 @@ func (e *Experiments) PrefetchStudy() (*PrefetchResult, error) {
 					}
 				}
 				onErrs = append(onErrs, ne.Error)
-				_ = i
 			}
 		}
 	}

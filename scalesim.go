@@ -112,11 +112,10 @@ type SimOptions struct {
 	// TraceWarmup additionally snapshots warmup epochs (requires Trace).
 	TraceWarmup bool
 
-	// Tuning holds the performance-only knobs (worker pools, arena
-	// sizing). Nil means auto everywhere. Tuning never changes results and
-	// is not part of the campaign cache key. The field rides the wire in
-	// api/v1 as an optional "tuning" object; payloads without it decode
-	// unchanged.
+	// Tuning holds the performance-only knobs (the worker pools). Nil means
+	// auto everywhere. Tuning never changes results and is not part of the
+	// campaign cache key. The field rides the wire in api/v1 as an optional
+	// "tuning" object; payloads without it decode unchanged.
 	Tuning *Tuning `json:"tuning,omitempty"`
 }
 
@@ -157,7 +156,6 @@ func (o SimOptions) internal() sim.Options {
 		NoFeedback:     o.NoFeedback,
 		PartitionedLLC: o.PartitionedLLC,
 		CoreWorkers:    o.Tuning.coreWorkers(),
-		EpochLogOps:    o.Tuning.epochLogOps(),
 	}
 	if o.Trace {
 		io.Telemetry = &sim.TelemetryOptions{Warmup: o.TraceWarmup}

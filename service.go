@@ -6,21 +6,17 @@ import (
 
 	"scalesim/internal/runner"
 	"scalesim/internal/store"
+	"scalesim/internal/surrogate"
 )
 
 // ServiceConfig configures a long-lived Service.
 type ServiceConfig struct {
-	// Workers sizes the engine's internal pool for batch use; Service
-	// callers that drive jobs one at a time (like `scalesim serve`) bound
-	// concurrency themselves and may leave it zero.
-	//
-	// Deprecated: set Tuning.CampaignWorkers instead. Workers remains as
-	// an alias; Tuning.CampaignWorkers takes precedence when both are set.
-	Workers int
 	// Tuning consolidates the service's performance knobs: job-level
-	// workers, the per-simulation CoreWorkers default for jobs that carry
-	// no tuning of their own, arena sizing. Nil means auto. Tuning never
-	// changes results or cache keys.
+	// workers (CampaignWorkers sizes the engine's pool for batch use;
+	// callers that drive jobs one at a time, like `scalesim serve`, bound
+	// concurrency themselves) and the per-simulation CoreWorkers default
+	// for jobs that carry no tuning of their own. Nil means auto. Tuning
+	// never changes results or cache keys.
 	Tuning *Tuning
 	// Store, when non-empty, is the durable memoization directory shared
 	// with batch campaigns: results a campaign computed serve from disk,
@@ -50,35 +46,42 @@ type ServiceConfig struct {
 // A Service is safe for concurrent use.
 type Service struct {
 	eng *runner.Engine
-	st  *store.Store
+	st  *store.Store         // nil without ServiceConfig.Store
+	sur *surrogate.Surrogate // nil without ServiceConfig.Surrogate
 	tun *Tuning
 }
 
 // NewService opens the store (when configured) and assembles the engine.
 func NewService(cfg ServiceConfig) (*Service, error) {
+	return newService("service", cfg)
+}
+
+// newService is the one place an engine is assembled; owner names the
+// caller ("service", "campaign") in the store-open error.
+func newService(owner string, cfg ServiceConfig) (*Service, error) {
 	if err := cfg.Tuning.Validate(); err != nil {
 		return nil, err
 	}
-	eng := runner.New(cfg.Tuning.campaignWorkers(cfg.Workers))
+	svc := &Service{eng: runner.New(cfg.Tuning.campaignWorkers()), tun: cfg.Tuning}
 	if cfg.Retry != (RetryPolicy{}) {
-		eng.SetRetry(runner.RetryPolicy(cfg.Retry))
+		svc.eng.SetRetry(cfg.Retry)
 	}
-	svc := &Service{eng: eng, tun: cfg.Tuning}
 	if cfg.Store != "" {
 		st, err := store.Open(cfg.Store)
 		if err != nil {
-			return nil, fmt.Errorf("scalesim: opening service store: %w", err)
+			return nil, fmt.Errorf("scalesim: opening %s store: %w", owner, err)
 		}
 		svc.st = st
-		eng.SetStore(st)
+		svc.eng.SetStore(st)
 	}
 	if cfg.Surrogate != nil {
-		if _, err := attachSurrogate(eng, cfg.Surrogate, cfg.Store); err != nil {
-			if svc.st != nil {
-				svc.st.Close()
-			}
-			return nil, err
+		sur, err := surrogate.New(cfg.Surrogate.internal(cfg.Store))
+		if err != nil {
+			svc.Close()
+			return nil, fmt.Errorf("scalesim: opening surrogate tier: %w", err)
 		}
+		svc.sur = sur
+		svc.eng.SetPredictor(sur)
 	}
 	return svc, nil
 }
@@ -113,7 +116,6 @@ func (s *Service) Prepare(job CampaignJob) (*PreparedJob, error) {
 		// The service-level tuning is the default for jobs that carry none
 		// of their own (tuning is keyless, so this cannot split the memo).
 		io.CoreWorkers = s.tun.coreWorkers()
-		io.EpochLogOps = s.tun.epochLogOps()
 	}
 	rj := runner.Job{Config: cfg, Workload: wl, Options: io}
 	return &PreparedJob{key: rj.Key(), job: rj}, nil
@@ -128,8 +130,12 @@ func (s *Service) Prepare(job CampaignJob) (*PreparedJob, error) {
 // boundary; jobs another caller is already computing are waited on and
 // reported as SourceCoalesced.
 func (s *Service) RunJobContext(ctx context.Context, p *PreparedJob) JobOutcome {
-	oc := s.eng.Run(ctx, p.job)
-	out := JobOutcome{Err: oc.Err, Source: ResultSource(oc.Source), CacheHit: oc.CacheHit, Retries: oc.Retries, Approximate: oc.Approximate}
+	return outcomeFromInternal(s.eng.Run(ctx, p.job))
+}
+
+// outcomeFromInternal is the one engine-to-public outcome conversion.
+func outcomeFromInternal(oc runner.Outcome) JobOutcome {
+	out := JobOutcome{Err: oc.Err, Source: oc.Source, CacheHit: oc.CacheHit, Retries: oc.Retries, Approximate: oc.Approximate}
 	if oc.Result != nil {
 		out.Result = resultFromInternal(oc.Result)
 	}
@@ -139,14 +145,21 @@ func (s *Service) RunJobContext(ctx context.Context, p *PreparedJob) JobOutcome 
 // Stats snapshots the engine's counters across every job the service has
 // run since construction.
 func (s *Service) Stats() CampaignStats {
-	return CampaignStats(s.eng.Stats())
+	return s.eng.Stats()
 }
 
-// Close releases the durable store, if any. The Service must not be used
+// Close releases the surrogate's training-set file and the durable store,
+// if any, returning the first error. The Service must not be used
 // afterwards.
 func (s *Service) Close() error {
-	if s.st != nil {
-		return s.st.Close()
+	var err error
+	if s.sur != nil {
+		err = s.sur.Close()
 	}
-	return nil
+	if s.st != nil {
+		if cerr := s.st.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

@@ -1,10 +1,8 @@
 package scalesim
 
 import (
-	"fmt"
 	"path/filepath"
 
-	"scalesim/internal/runner"
 	"scalesim/internal/surrogate"
 )
 
@@ -68,15 +66,4 @@ func (c *SurrogateConfig) internal(storeDir string) surrogate.Config {
 		cfg.Dir = filepath.Join(storeDir, "surrogate")
 	}
 	return cfg
-}
-
-// attachSurrogate builds the surrogate tier from cfg and attaches it to
-// the engine. Returns the tier for callers that keep a handle on it.
-func attachSurrogate(eng *runner.Engine, cfg *SurrogateConfig, storeDir string) (*surrogate.Surrogate, error) {
-	sur, err := surrogate.New(cfg.internal(storeDir))
-	if err != nil {
-		return nil, fmt.Errorf("scalesim: opening surrogate tier: %w", err)
-	}
-	eng.SetPredictor(sur)
-	return sur, nil
 }

@@ -41,7 +41,7 @@ func TestSurrogateCampaignEndToEnd(t *testing.T) {
 	jobs, base := surrogateSweep()
 	res, err := RunCampaignContext(context.Background(), Campaign{
 		Jobs:      jobs,
-		Workers:   1, // sequential: the base grid trains before the midpoints query
+		Tuning:    &Tuning{CampaignWorkers: 1}, // sequential: the base grid trains before the midpoints query
 		Surrogate: looseSurrogate(base),
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestSurrogateCampaignEndToEnd(t *testing.T) {
 // of the tier — every point computes, nothing is approximate.
 func TestSurrogateOffByDefault(t *testing.T) {
 	jobs, _ := surrogateSweep()
-	res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs[:3], Workers: 1})
+	res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs[:3], Tuning: &Tuning{CampaignWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSurrogateModelResultsNeverPersist(t *testing.T) {
 
 	first, err := RunCampaignContext(context.Background(), Campaign{
 		Jobs:      jobs,
-		Workers:   1,
+		Tuning:    &Tuning{CampaignWorkers: 1},
 		Store:     storeDir,
 		Surrogate: looseSurrogate(base),
 	})
@@ -116,9 +116,9 @@ func TestSurrogateModelResultsNeverPersist(t *testing.T) {
 	// Same store, surrogate off: the base grid is ground truth on disk, the
 	// midpoints were only ever approximated and must compute now.
 	second, err := RunCampaignContext(context.Background(), Campaign{
-		Jobs:    jobs,
-		Workers: 1,
-		Store:   storeDir,
+		Jobs:   jobs,
+		Tuning: &Tuning{CampaignWorkers: 1},
+		Store:  storeDir,
 	})
 	if err != nil {
 		t.Fatal(err)

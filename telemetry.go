@@ -31,8 +31,8 @@ const (
 )
 
 // TraceSchema is the version tag heading JSONL traces written by
-// WriteTraceJSONL. ReadTraceJSONL skips a matching header, rejects an
-// unknown one (ErrUnknownSchema), and still reads headerless v0 files.
+// WriteTraceJSONL. ReadTraceJSONL skips a matching header and rejects a
+// missing or unknown one (ErrUnknownSchema).
 const TraceSchema = "scalesim/trace/v1"
 
 // WriteTraceJSONL writes the trace to w as JSON Lines: a schema header
@@ -51,37 +51,30 @@ func WriteTraceJSONL(w io.Writer, trace []EpochSnapshot) error {
 	return nil
 }
 
-// ReadTraceJSONL reads a JSON Lines trace written by WriteTraceJSONL (or a
-// streaming sink) back into snapshots. A leading schema record is verified
-// and skipped; a trace with no header (the pre-versioning v0 format) is
-// read as-is, and one with an unrecognised schema tag is rejected with an
-// error wrapping ErrUnknownSchema.
+// ReadTraceJSONL reads a JSON Lines trace written by WriteTraceJSONL back
+// into snapshots. The leading schema record is verified and skipped; a
+// first record without the TraceSchema tag — no header, or one this build
+// does not recognise — is rejected with an error wrapping ErrUnknownSchema.
 func ReadTraceJSONL(r io.Reader) ([]EpochSnapshot, error) {
 	dec := json.NewDecoder(r)
+	var hdr struct {
+		Schema string `json:"schema"`
+	}
+	if err := dec.Decode(&hdr); err == io.EOF {
+		return nil, nil
+	} else if err != nil {
+		return nil, fmt.Errorf("scalesim: reading trace header: %w", err)
+	}
+	if hdr.Schema != TraceSchema {
+		return nil, fmt.Errorf("scalesim: trace header: %w %q (this build reads %s)",
+			ErrUnknownSchema, hdr.Schema, TraceSchema)
+	}
 	var trace []EpochSnapshot
-	for i := 0; ; i++ {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
+	for {
+		var s EpochSnapshot
+		if err := dec.Decode(&s); err == io.EOF {
 			return trace, nil
 		} else if err != nil {
-			return trace, fmt.Errorf("scalesim: reading trace epoch %d: %w", len(trace), err)
-		}
-		if i == 0 {
-			var hdr struct {
-				Schema string `json:"schema"`
-			}
-			if json.Unmarshal(raw, &hdr) == nil && hdr.Schema != "" {
-				if hdr.Schema != TraceSchema {
-					return nil, fmt.Errorf("scalesim: trace header: %w %q (this build reads %s)",
-						ErrUnknownSchema, hdr.Schema, TraceSchema)
-				}
-				continue // known header: skip
-			}
-			// No schema field: a headerless v0 trace; fall through and
-			// decode the record as a snapshot.
-		}
-		var s EpochSnapshot
-		if err := json.Unmarshal(raw, &s); err != nil {
 			return trace, fmt.Errorf("scalesim: reading trace epoch %d: %w", len(trace), err)
 		}
 		trace = append(trace, s)

@@ -87,14 +87,11 @@ func TestTraceSchemaHeader(t *testing.T) {
 		t.Fatalf("first trace line = %q, want schema header for %s", first, TraceSchema)
 	}
 
-	// Headerless v0 traces (e.g. from a streaming sink) still read.
+	// A headerless file is rejected, never silently parsed as snapshots:
+	// nothing writes one any more.
 	_, body, _ := strings.Cut(buf.String(), "\n")
-	v0, err := ReadTraceJSONL(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("headerless v0 trace rejected: %v", err)
-	}
-	if !reflect.DeepEqual(v0, res.Trace) {
-		t.Fatalf("headerless read lost data: %d epochs, want %d", len(v0), len(res.Trace))
+	if v0, err := ReadTraceJSONL(strings.NewReader(body)); !errors.Is(err, ErrUnknownSchema) || len(v0) != 0 {
+		t.Fatalf("headerless trace = (%d epochs, %v), want none and an error wrapping ErrUnknownSchema", len(v0), err)
 	}
 
 	// An unknown schema tag fails loudly instead of misreading.

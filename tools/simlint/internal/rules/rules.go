@@ -41,10 +41,9 @@ func RepoConfig(root string) analysis.Config {
 		// other pool in the tree.
 		Goroutines: []string{"internal/runner", "internal/store", "internal/server", "internal/surrogate", "internal/sim"},
 		// The root package must keep at least Simulate/SimulateParallel/
-		// RunCampaign as Context pairs, and the serving layer its
-		// ListenAndServe pair; a refactor that hides them from the analyzer
-		// would otherwise silently void the rule.
-		APIPairMin: map[string]int{"": 3, "internal/server": 1},
+		// RunCampaign as Context pairs; a refactor that hides them from the
+		// analyzer would otherwise silently void the rule.
+		APIPairMin: map[string]int{"": 3},
 		// The surrogate quarantine invariant (PR 7): anything the predictor
 		// returns is approximate and must never reach a ground-truth tier —
 		// the durable store, the engine's memory cache, or the training set

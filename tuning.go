@@ -18,9 +18,7 @@ var ErrBadTuning = errors.New("invalid tuning")
 //
 // The zero value (and a nil *Tuning) means "auto" everywhere. Tuning is
 // accepted by SimOptions, Campaign, and ServiceConfig, and is settable from
-// the CLIs via -core-workers / -campaign-workers. The pre-existing knobs it
-// consolidates (Campaign.Workers, ServiceConfig.Workers, the CLI -workers
-// flag) remain as deprecated aliases that delegate onto it.
+// the CLIs via -core-workers / -campaign-workers.
 type Tuning struct {
 	// CoreWorkers bounds the worker pool that executes per-core epoch work
 	// in parallel inside one simulation. 0 = auto: a standalone simulation
@@ -29,13 +27,8 @@ type Tuning struct {
 	// the effective campaign workers). 1 forces serial epoch execution.
 	CoreWorkers int `json:"core_workers,omitempty"`
 	// CampaignWorkers bounds concurrent jobs in a campaign or service.
-	// 0 = auto (GOMAXPROCS). Takes precedence over the deprecated
-	// Campaign.Workers / ServiceConfig.Workers aliases when set.
+	// 0 = auto (GOMAXPROCS).
 	CampaignWorkers int `json:"campaign_workers,omitempty"`
-	// EpochLogOps pre-sizes each core's shared-LLC operation log arena in
-	// entries (0 = auto). Logs grow on demand either way; pre-sizing only
-	// avoids a few early-epoch reallocations on memory-intensive mixes.
-	EpochLogOps int `json:"epoch_log_ops,omitempty"`
 }
 
 // Validate reports whether every field is in range. A nil receiver is
@@ -50,9 +43,6 @@ func (t *Tuning) Validate() error {
 	if t.CampaignWorkers < 0 {
 		return fmt.Errorf("scalesim: %w: CampaignWorkers %d < 0", ErrBadTuning, t.CampaignWorkers)
 	}
-	if t.EpochLogOps < 0 {
-		return fmt.Errorf("scalesim: %w: EpochLogOps %d < 0", ErrBadTuning, t.EpochLogOps)
-	}
 	return nil
 }
 
@@ -64,20 +54,10 @@ func (t *Tuning) coreWorkers() int {
 	return t.CoreWorkers
 }
 
-// epochLogOps returns the log arena pre-size, 0 for auto.
-func (t *Tuning) epochLogOps() int {
+// campaignWorkers returns the job-level worker bound, 0 for auto.
+func (t *Tuning) campaignWorkers() int {
 	if t == nil {
 		return 0
 	}
-	return t.EpochLogOps
-}
-
-// campaignWorkers resolves the job-level worker count against the
-// deprecated alias: the Tuning field wins when set, otherwise the alias,
-// otherwise auto (0).
-func (t *Tuning) campaignWorkers(deprecatedAlias int) int {
-	if t != nil && t.CampaignWorkers != 0 {
-		return t.CampaignWorkers
-	}
-	return deprecatedAlias
+	return t.CampaignWorkers
 }

@@ -22,7 +22,6 @@ func TestTuningValidate(t *testing.T) {
 	for _, bad := range []Tuning{
 		{CoreWorkers: -1},
 		{CampaignWorkers: -2},
-		{EpochLogOps: -3},
 	} {
 		if err := bad.Validate(); !errors.Is(err, ErrBadTuning) {
 			t.Errorf("Validate(%+v) = %v, want ErrBadTuning", bad, err)
@@ -60,28 +59,6 @@ func TestBadTuningSurfaces(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWorkersAlias pins the alias contract for the consolidated
-// knob: Tuning.CampaignWorkers wins when set, the deprecated
-// Campaign.Workers / ServiceConfig.Workers value applies otherwise.
-func TestDeprecatedWorkersAlias(t *testing.T) {
-	cases := []struct {
-		tuning *Tuning
-		alias  int
-		want   int
-	}{
-		{nil, 0, 0},
-		{nil, 3, 3},
-		{&Tuning{}, 3, 3},
-		{&Tuning{CampaignWorkers: 2}, 3, 2},
-		{&Tuning{CampaignWorkers: 2}, 0, 2},
-	}
-	for _, c := range cases {
-		if got := c.tuning.campaignWorkers(c.alias); got != c.want {
-			t.Errorf("campaignWorkers(tuning=%+v, alias=%d) = %d, want %d", c.tuning, c.alias, got, c.want)
-		}
-	}
-}
-
 // TestTuningIsKeyless pins the memoization contract: two jobs differing
 // only in Tuning are the same design point and share one cache key.
 func TestTuningIsKeyless(t *testing.T) {
@@ -94,7 +71,7 @@ func TestTuningIsKeyless(t *testing.T) {
 	opts := FastOptions()
 	base := runner.Job{Config: cfg, Workload: wl, Options: opts.internal()}
 	tuned := opts
-	tuned.Tuning = &Tuning{CoreWorkers: 8, CampaignWorkers: 3, EpochLogOps: 16}
+	tuned.Tuning = &Tuning{CoreWorkers: 8, CampaignWorkers: 3}
 	alt := runner.Job{Config: cfg, Workload: wl, Options: tuned.internal()}
 	if base.Key() != alt.Key() {
 		t.Fatalf("tuning changed the cache key:\n base %s\ntuned %s", base.Key(), alt.Key())
@@ -130,10 +107,8 @@ func TestParallelEpochDeterminism(t *testing.T) {
 
 				serial := opts
 				serial.Tuning = &Tuning{CoreWorkers: 1}
-				// EpochLogOps 8 deliberately undersizes the replay log so the
-				// arena growth path is exercised, not just the happy path.
 				parallel := opts
-				parallel.Tuning = &Tuning{CoreWorkers: 4, EpochLogOps: 8}
+				parallel.Tuning = &Tuning{CoreWorkers: 4}
 
 				a := simPayload(t, spec, benches, serial)
 				b := simPayload(t, spec, benches, parallel)
