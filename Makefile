@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint lint-fix lint-sarif lint-baseline race bench bench-json bench-diff clean clean-store store-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check lint lint-fix lint-sarif lint-baseline race bench clean clean-store store-smoke serve-smoke surrogate-smoke
 
 # Lint outputs land at the repository root regardless of the directory make
 # was invoked from, so CI's artifact paths and local runs always agree.
@@ -113,42 +113,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -timeout=2h ./...
-
-# Machine-readable benchmark report: runs the bench suite and parses the
-# output into BENCH_<date>.json (see tools/benchjson). 100ms per benchmark
-# averages the nanosecond-scale microbenchmarks into stable ns/op figures;
-# anything slower than 100ms/op still executes exactly one iteration.
-bench-json:
-	$(GO) test -bench=. -benchtime=100ms -timeout=2h ./... \
-		| $(GO) run ./tools/benchjson -out BENCH_$$(date +%Y%m%d).json
-
-# The sub-second benchmark subset the regression gate re-runs: everything
-# fast enough for CI and self-contained. The Fig* benchmarks are excluded
-# even when their baseline ns/op looks small: they share one memoizing
-# experiment driver, so a figure's cost depends on which other benchmarks
-# ran before it in the same process — filtered re-runs would compare a cold
-# number against a warm baseline.
-BENCH_SHORT ?= TableI|Speedup|Simulator_|Surrogate_|Tournament|LevelAccessHit|NUCAAccess|CoreStep|SVRFit|ForestFit|Telemetry|GeneratorNext|Uint64|Zipf
-BENCH_DIFF_THRESHOLD ?= 15
-# The baseline file pattern, overridable so the guard test can simulate a
-# tree with no committed baseline.
-BENCH_BASELINE_GLOB ?= BENCH_*.json
-
-# Short-benchmark regression gate: re-run the sub-second benchmarks and
-# diff their ns/op against the newest committed BENCH_*.json baseline,
-# failing on regressions past BENCH_DIFF_THRESHOLD percent. CI passes a
-# looser threshold because hosted runners are not the hardware the
-# baseline was recorded on. With no committed baseline (a fresh or shallow
-# clone), the gate skips cleanly instead of failing: there is nothing to
-# regress against, and `make bench-json` creates one.
-bench-diff:
-	@base=$$(ls $(BENCH_BASELINE_GLOB) 2>/dev/null | sort | tail -1); \
-	[ -n "$$base" ] || { echo "bench-diff: skip: no $(BENCH_BASELINE_GLOB) baseline committed (run 'make bench-json' to create one)"; exit 0; }; \
-	echo "bench-diff: baseline $$base"; \
-	{ $(GO) test -run='^$$' -bench='$(BENCH_SHORT)' -benchtime=100ms -timeout=30m ./... \
-		| $(GO) run ./tools/benchjson -out .bench-diff.json \
-		&& $(GO) run ./tools/benchjson -diff -threshold $(BENCH_DIFF_THRESHOLD) $$base .bench-diff.json; }; \
-	status=$$?; rm -f .bench-diff.json; exit $$status
 
 clean:
 	$(GO) clean ./...

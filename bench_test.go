@@ -278,13 +278,7 @@ func BenchmarkSpeedup_SimulationTime(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, loaded := printedFigures.LoadOrStore("speedup", true); !loaded {
-			fmt.Println("Simulation time per machine size (homogeneous suite):")
-			base := rows[len(rows)-1].TotalSecs
-			for _, r := range rows {
-				fmt.Printf("  %2d cores: %8.2fs (%6.1f ms/benchmark)  speedup vs target %5.1fx\n",
-					r.Cores, r.TotalSecs, r.PerBenchMs, base/r.TotalSecs)
-			}
-			fmt.Println()
+			fmt.Println(rows)
 		}
 		b.ReportMetric(rows[len(rows)-1].TotalSecs/rows[0].TotalSecs, "speedup_1core_x")
 	}

@@ -26,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	fast := flag.Bool("fast", false, "reduced simulation fidelity (~10x faster)")
-	figs := flag.String("figs", "", "comma-separated ids to run (default: all): 1,3..12, mt, ablations, speedup")
+	figs := flag.String("figs", "", "comma-separated ids to run (default: all): 1,3..12, mt, ablations, prefetch, speedup")
 	skipHetero := flag.Bool("skip-hetero", false, "skip the heterogeneous studies (Figs. 5 and 6), the most expensive collection")
 	workers := flag.Int("workers", 1, "campaign worker-pool size for batch collections (0 = GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print the campaign execution report (per-configuration simulation time) at the end")
@@ -63,20 +63,6 @@ func main() {
 	fmt.Printf("host: single-threaded Go simulator; all runs deterministic (seed %d)\n\n", opts.Seed)
 
 	start := time.Now()
-	step := func(id, name string, f func() (fmt.Stringer, error)) {
-		if !selected(id) {
-			return
-		}
-		t0 := time.Now()
-		res, err := f()
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Println(res.String())
-		fmt.Printf("  [%s regenerated in %.1fs, %d simulations so far]\n\n",
-			name, time.Since(t0).Seconds(), ex.Runs())
-	}
-
 	if selected("1") {
 		rows, err := scalesim.TableI(scalesim.BandwidthMCFirst)
 		if err != nil {
@@ -89,35 +75,21 @@ func main() {
 		fmt.Println()
 	}
 
-	step("3", "Fig. 3", func() (fmt.Stringer, error) { return ex.Fig3Construction() })
-	step("4", "Fig. 4", func() (fmt.Stringer, error) { return ex.Fig4Homogeneous() })
-	if !*skipHetero {
-		step("5", "Fig. 5", func() (fmt.Stringer, error) { return ex.Fig5Heterogeneous() })
-		step("6", "Fig. 6", func() (fmt.Stringer, error) { return ex.Fig6STP() })
-	}
-	step("7", "Fig. 7", func() (fmt.Stringer, error) { return ex.Fig7ErrorVsSpeedup() })
-	step("8", "Fig. 8", func() (fmt.Stringer, error) { return ex.Fig8BandwidthScaling() })
-	step("9", "Fig. 9", func() (fmt.Stringer, error) { return ex.Fig9RegressionForms() })
-	step("10", "Fig. 10", func() (fmt.Stringer, error) { return ex.Fig10Inputs() })
-	step("11", "Fig. 11", func() (fmt.Stringer, error) { return ex.Fig11ScaleModelCount() })
-	step("12", "Fig. 12", func() (fmt.Stringer, error) { return ex.Fig12Bandwidth() })
-
-	step("mt", "Extension: multi-threaded", func() (fmt.Stringer, error) { return ex.ExtMultithreaded() })
-	step("ablations", "Ablations", func() (fmt.Stringer, error) { return ex.Ablations() })
-	step("prefetch", "Extension: prefetcher robustness", func() (fmt.Stringer, error) { return ex.PrefetchStudy() })
-
-	if selected("speedup") || len(want) == 0 {
-		rows, err := ex.SimulationTimeStudy()
+	for _, f := range ex.Figures() {
+		if !selected(f.ID) || *skipHetero && (f.ID == "5" || f.ID == "6") {
+			continue
+		}
+		t0 := time.Now()
+		res, err := f.Run()
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", f.Name, err)
 		}
-		fmt.Println("Simulation time study (§I / §V-D) — wall-clock per machine size, full homogeneous suite")
-		base := rows[len(rows)-1].TotalSecs
-		for _, r := range rows {
-			fmt.Printf("  %2d cores: %8.2fs total (%6.1f ms/benchmark)  speedup vs 32-core: %5.1fx\n",
-				r.Cores, r.TotalSecs, r.PerBenchMs, base/r.TotalSecs)
+		fmt.Println(res.String())
+		// The time study regenerates nothing: it reads recorded durations.
+		if f.ID != "speedup" {
+			fmt.Printf("  [%s regenerated in %.1fs, %d simulations so far]\n\n",
+				f.Name, time.Since(t0).Seconds(), ex.Runs())
 		}
-		fmt.Println()
 	}
 
 	fmt.Printf("total: %.1fs wall-clock, %d distinct simulations", time.Since(start).Seconds(), ex.Runs())

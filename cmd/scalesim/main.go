@@ -86,7 +86,7 @@ func usage() {
                                             prints the per-component trace summary,
                                             -store reuses results across invocations
   scalesim predict -bench NAME [-fast]      predict 32-core IPC from a 1-core scale model
-  scalesim experiment -fig ID [-fast]       regenerate one figure (3..12, speedup)
+  scalesim experiment -fig ID [-fast]       regenerate one figure (3..12, mt, ablations, prefetch, speedup)
   scalesim sweep -knob llc|dram -bench NAME [-cores N] [-campaign-workers N] [-fast] [-store DIR]
                                             concurrent design-space sweep on a scale model
   scalesim stats -trace FILE                summarise a JSONL trace file
@@ -336,47 +336,20 @@ func abs(x float64) float64 {
 
 func cmdExperiment(args []string) {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	fig := fs.String("fig", "", "figure id: 3,4,5,6,7,8,9,10,11,12 or speedup")
+	fig := fs.String("fig", "", "figure id: 3..12, mt, ablations, prefetch or speedup")
 	fast := fs.Bool("fast", false, "reduced fidelity")
 	_ = fs.Parse(args)
 	ex, err := scalesim.NewExperiments(options(*fast))
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *fig {
-	case "3":
-		show(ex.Fig3Construction())
-	case "4":
-		show(ex.Fig4Homogeneous())
-	case "5":
-		show(ex.Fig5Heterogeneous())
-	case "6":
-		show(ex.Fig6STP())
-	case "7":
-		show(ex.Fig7ErrorVsSpeedup())
-	case "8":
-		show(ex.Fig8BandwidthScaling())
-	case "9":
-		show(ex.Fig9RegressionForms())
-	case "10":
-		show(ex.Fig10Inputs())
-	case "11":
-		show(ex.Fig11ScaleModelCount())
-	case "12":
-		show(ex.Fig12Bandwidth())
-	case "speedup":
-		rows, err := ex.SimulationTimeStudy()
-		if err != nil {
-			log.Fatal(err)
+	for _, f := range ex.Figures() {
+		if f.ID == *fig {
+			show(f.Run())
+			return
 		}
-		base := rows[len(rows)-1].TotalSecs
-		for _, r := range rows {
-			fmt.Printf("%2d cores: %8.2fs (%6.1f ms/benchmark), speedup vs target %5.1fx\n",
-				r.Cores, r.TotalSecs, r.PerBenchMs, base/r.TotalSecs)
-		}
-	default:
-		log.Fatalf("unknown figure %q", *fig)
 	}
+	log.Fatalf("unknown figure %q", *fig)
 }
 
 // surrogateFlags registers the shared surrogate-tier flags on fs and

@@ -278,6 +278,15 @@ func writeStorePayload(t *testing.T, path, storeDir, expect string) {
 	}
 }
 
+// openFDs counts this process's open descriptors.
+func openFDs(t *testing.T) int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open descriptors on this platform: %v", err)
+	}
+	return len(ents)
+}
+
 // TestStoreAndSurrogateHandlesAreReleased pins the one place handles are
 // closed: with Store and Surrogate both set, a campaign and a Service each
 // hold the store journal and the surrogate's dataset file, and both must be
@@ -286,15 +295,8 @@ func writeStorePayload(t *testing.T, path, storeDir, expect string) {
 // services stay referenced so a leaked file cannot be rescued by its
 // finalizer mid-test.
 func TestStoreAndSurrogateHandlesAreReleased(t *testing.T) {
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("cannot count open descriptors on this platform: %v", err)
-		}
-		return len(ents)
-	}
 	dir := t.TempDir()
-	before := openFDs()
+	before := openFDs(t)
 	var closed []*Service
 	for i := 0; i < 50; i++ {
 		if _, err := RunCampaign(Campaign{Store: dir, Surrogate: &SurrogateConfig{}}); err != nil {
@@ -309,7 +311,35 @@ func TestStoreAndSurrogateHandlesAreReleased(t *testing.T) {
 		}
 		closed = append(closed, svc)
 	}
-	if after := openFDs(); after != before {
+	if after := openFDs(t); after != before {
 		t.Errorf("%d descriptors open after 50 store+surrogate campaigns and %d services, %d before: a handle leaks", after, len(closed), before)
+	}
+}
+
+// TestExperimentsSetStoreReplacesAndCloses: a second SetStore closes the
+// store it replaces, so re-pointing a driver 50 times and closing it leaves
+// the descriptor count flat (the first store's journal used to stay open).
+// The drivers stay referenced so no finalizer can close a leaked file.
+func TestExperimentsSetStoreReplacesAndCloses(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	before := openFDs(t)
+	var closed []*Experiments
+	for i := 0; i < 50; i++ {
+		ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{dirA, dirB, dirA} {
+			if err := ex.SetStore(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ex.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed = append(closed, ex)
+	}
+	if after := openFDs(t); after != before {
+		t.Errorf("%d descriptors open after %d drivers each re-pointed twice, %d before: a replaced store leaks", after, len(closed), before)
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/fit"
 	"scalesim/internal/metrics"
-	"scalesim/internal/runner"
 	"scalesim/internal/scalemodel"
-	"scalesim/internal/store"
 	"scalesim/internal/trace"
 )
 
@@ -18,6 +16,8 @@ import (
 // simulations are cached, so regenerating several figures shares their
 // common runs; collecting the first figure is the expensive step.
 type Experiments struct {
+	// svc owns the engine the lab's collections run on, and its store.
+	svc        *Service
 	lab        *scalemodel.Lab
 	suite      []*trace.Profile
 	scaleCores []int
@@ -25,7 +25,6 @@ type Experiments struct {
 
 	homog  map[scalemodel.Metric]*scalemodel.HomogeneousData
 	hetero *scalemodel.HeterogeneousData
-	store  *store.Store
 }
 
 // NewExperiments prepares an experiment driver with the paper's defaults:
@@ -61,8 +60,14 @@ func newExperiments(opts SimOptions, suite []*trace.Profile) (*Experiments, erro
 		heteroOpts.EvalMixes = 4
 		heteroOpts.STPMixes = 10
 	}
+	// Sequential by default; SetWorkers widens the pool.
+	svc, err := newService("experiment", ServiceConfig{Tuning: &Tuning{CampaignWorkers: 1}})
+	if err != nil {
+		return nil, err
+	}
 	return &Experiments{
-		lab:        scalemodel.NewLab(opts.internal()),
+		svc:        svc,
+		lab:        scalemodel.NewLab(svc.eng, opts.internal()),
 		suite:      suite,
 		scaleCores: []int{2, 4, 8, 16},
 		heteroOpts: heteroOpts,
@@ -71,58 +76,34 @@ func newExperiments(opts SimOptions, suite []*trace.Profile) (*Experiments, erro
 }
 
 // Runs reports how many distinct simulations have been executed so far.
-func (e *Experiments) Runs() int { return e.lab.Runs() }
+func (e *Experiments) Runs() int { return e.svc.Stats().UniqueRuns }
 
 // CacheHits reports how many simulations were served from the memo cache.
-func (e *Experiments) CacheHits() int { return e.lab.CacheHits() }
+func (e *Experiments) CacheHits() int { return e.svc.Stats().CacheHits }
 
 // DiskHits reports how many simulations were served from the durable store.
-func (e *Experiments) DiskHits() int { return e.lab.DiskHits() }
+func (e *Experiments) DiskHits() int { return e.svc.Stats().DiskHits }
 
 // SetStore attaches the durable result store at dir (created on first use)
 // as a second memoization tier: previously computed design points load from
 // disk instead of simulating, making full-suite regeneration incremental
 // across invocations. Results are bit-identical with or without a store.
-func (e *Experiments) SetStore(dir string) error {
-	st, err := store.Open(dir)
-	if err != nil {
-		return fmt.Errorf("scalesim: opening experiment store: %w", err)
-	}
-	e.store = st
-	e.lab.SetStore(st)
-	return nil
-}
-
-// SetRetry replaces the engine's transient-failure retry policy (the zero
-// value restores the default).
-func (e *Experiments) SetRetry(p RetryPolicy) {
-	if p == (RetryPolicy{}) {
-		e.lab.SetRetry(runner.DefaultRetryPolicy)
-		return
-	}
-	e.lab.SetRetry(p)
-}
+// A second call replaces the first store and closes it.
+func (e *Experiments) SetStore(dir string) error { return e.svc.attachStore("experiment", dir) }
 
 // Close releases the attached store, if any.
-func (e *Experiments) Close() error {
-	if e.store == nil {
-		return nil
-	}
-	err := e.store.Close()
-	e.store = nil
-	return err
-}
+func (e *Experiments) Close() error { return e.svc.Close() }
 
 // CampaignReport renders the campaign engine's execution report: job
 // counters plus a per-configuration table of where simulation time went
 // (printed by `experiments -stats`).
-func (e *Experiments) CampaignReport() string { return e.lab.Report().String() }
+func (e *Experiments) CampaignReport() string { return e.svc.eng.Report().String() }
 
 // SetWorkers sets the campaign engine's worker-pool size used when
 // experiment protocols fan batches of simulations out in parallel (<= 0
 // selects GOMAXPROCS; the default is 1, i.e. sequential). Results are
 // bit-identical for any worker count.
-func (e *Experiments) SetWorkers(n int) { e.lab.SetWorkers(n) }
+func (e *Experiments) SetWorkers(n int) { e.svc.eng.SetWorkers(n) }
 
 func (e *Experiments) homogData(m scalemodel.Metric) (*scalemodel.HomogeneousData, error) {
 	if d, ok := e.homog[m]; ok {
@@ -146,12 +127,6 @@ func (e *Experiments) heteroData() (*scalemodel.HeterogeneousData, error) {
 	}
 	e.hetero = d
 	return d, nil
-}
-
-// scalemodelNoExtrap is the no-extrapolation method spec used by several
-// studies.
-func scalemodelNoExtrap() scalemodel.MethodSpec {
-	return scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation}
 }
 
 // BenchError is one benchmark's absolute prediction error, with its LLC
@@ -385,24 +360,8 @@ func (e *Experiments) Fig7ErrorVsSpeedup() (*SpeedupResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Wall-clock totals per machine size over the homogeneous suite (all
-	// runs are cached by now; this only reads their recorded durations).
-	simSecs := map[int]float64{}
-	for _, prof := range e.suite {
-		for _, c := range append([]int{1}, e.scaleCores...) {
-			res, err := e.lab.HomogeneousRun(c, prof)
-			if err != nil {
-				return nil, err
-			}
-			simSecs[c] += res.WallClock.Seconds()
-		}
-		res, err := e.lab.HomogeneousRun(e.lab.Target.Cores, prof)
-		if err != nil {
-			return nil, err
-		}
-		simSecs[e.lab.Target.Cores] += res.WallClock.Seconds()
-	}
-	targetSecs := simSecs[e.lab.Target.Cores]
+	// Wall-clock per machine size, as the collection recorded it.
+	targetSecs := d.SimTime[d.TargetCores].Seconds()
 
 	out := &SpeedupResult{}
 	// No-extrapolation points: the X-core scale-model reading predicts
@@ -422,7 +381,7 @@ func (e *Experiments) Fig7ErrorVsSpeedup() (*SpeedupResult, error) {
 		out.NoExtrapolation = append(out.NoExtrapolation, SpeedupPoint{
 			Label:   fmt.Sprintf("%d-core", X),
 			Error:   s.Mean,
-			Speedup: targetSecs / simSecs[X],
+			Speedup: targetSecs / d.SimTime[X].Seconds(),
 		})
 	}
 	// ML points: both methods only need the single-core scale model at
@@ -435,15 +394,10 @@ func (e *Experiments) Fig7ErrorVsSpeedup() (*SpeedupResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]float64, len(errs))
-		for i, e := range errs {
-			vals[i] = e.Error
-		}
-		s := metrics.Summarize(vals)
 		out.ML = append(out.ML, SpeedupPoint{
 			Label:   spec.Name() + " (1-core)",
-			Error:   s.Mean,
-			Speedup: targetSecs / simSecs[1],
+			Error:   methodResult(spec.Name(), errs).Mean,
+			Speedup: targetSecs / d.SimTime[1].Seconds(),
 		})
 	}
 	return out, nil
@@ -585,23 +539,34 @@ type SimTimeRow struct {
 	PerBenchMs float64
 }
 
-// SimulationTimeStudy measures the wall-clock cost of simulating the
+// SimTimeRows is the simulation-cost study: one row per machine size,
+// smallest first, the target last.
+type SimTimeRows []SimTimeRow
+
+// String renders the rows with each size's speedup over the target.
+func (rows SimTimeRows) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Simulation time study (§I / §V-D) — wall-clock per machine size, full homogeneous suite\n")
+	target := rows[len(rows)-1]
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %2d cores: %8.2fs total (%6.1f ms/benchmark)  speedup vs %d-core: %5.1fx\n",
+			r.Cores, r.TotalSecs, r.PerBenchMs, target.Cores, target.TotalSecs/r.TotalSecs)
+	}
+	return b.String()
+}
+
+// SimulationTimeStudy reports the wall-clock cost of simulating the
 // homogeneous suite at each machine size, reproducing §I's super-linear
-// growth observation and the 28x single-core speedup claim.
-func (e *Experiments) SimulationTimeStudy() ([]SimTimeRow, error) {
-	if _, err := e.homogData(scalemodel.MetricIPC); err != nil {
+// growth observation and the 28x single-core speedup claim. It reads the
+// durations the homogeneous collection recorded.
+func (e *Experiments) SimulationTimeStudy() (SimTimeRows, error) {
+	d, err := e.homogData(scalemodel.MetricIPC)
+	if err != nil {
 		return nil, err
 	}
-	var rows []SimTimeRow
-	for _, c := range []int{1, 2, 4, 8, 16, 32} {
-		total := 0.0
-		for _, prof := range e.suite {
-			res, err := e.lab.HomogeneousRun(c, prof)
-			if err != nil {
-				return nil, err
-			}
-			total += res.WallClock.Seconds()
-		}
+	var rows SimTimeRows
+	for _, c := range append(append([]int{1}, e.scaleCores...), d.TargetCores) {
+		total := d.SimTime[c].Seconds()
 		rows = append(rows, SimTimeRow{
 			Cores:      c,
 			TotalSecs:  total,
@@ -609,6 +574,39 @@ func (e *Experiments) SimulationTimeStudy() ([]SimTimeRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// Figure is one entry of the evaluation's table of contents.
+type Figure struct {
+	ID   string // what the CLIs select it by: "3".."12", "mt", "ablations", "prefetch", "speedup"
+	Name string
+	Run  func() (fmt.Stringer, error)
+}
+
+// figure adapts a FigN method, whose result type is its own, to a table entry.
+func figure[T fmt.Stringer](id, name string, run func() (T, error)) Figure {
+	return Figure{ID: id, Name: name, Run: func() (fmt.Stringer, error) { return run() }}
+}
+
+// Figures lists everything the driver can regenerate, in report order. Both
+// CLIs loop over it.
+func (e *Experiments) Figures() []Figure {
+	return []Figure{
+		figure("3", "Fig. 3", e.Fig3Construction),
+		figure("4", "Fig. 4", e.Fig4Homogeneous),
+		figure("5", "Fig. 5", e.Fig5Heterogeneous),
+		figure("6", "Fig. 6", e.Fig6STP),
+		figure("7", "Fig. 7", e.Fig7ErrorVsSpeedup),
+		figure("8", "Fig. 8", e.Fig8BandwidthScaling),
+		figure("9", "Fig. 9", e.Fig9RegressionForms),
+		figure("10", "Fig. 10", e.Fig10Inputs),
+		figure("11", "Fig. 11", e.Fig11ScaleModelCount),
+		figure("12", "Fig. 12", e.Fig12Bandwidth),
+		figure("mt", "Extension: multi-threaded", e.ExtMultithreaded),
+		figure("ablations", "Ablations", e.Ablations),
+		figure("prefetch", "Extension: prefetcher robustness", e.PrefetchStudy),
+		figure("speedup", "Simulation time study", e.SimulationTimeStudy),
+	}
 }
 
 // PredictTargetIPC predicts the named benchmark's per-core IPC on the

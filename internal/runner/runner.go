@@ -6,11 +6,13 @@
 //
 // # Determinism
 //
-// Each simulation is single-threaded and fully deterministic for a fixed
-// (config, workload, options, seed); jobs share no mutable state. Results
-// are therefore bit-identical regardless of worker count or scheduling
-// order, and RunBatch returns them in submission order. The only
-// non-deterministic field is the measured host wall-clock.
+// Each simulation is fully deterministic for a fixed (config, workload,
+// options, seed) — including one that runs its per-core epoch work on
+// several core workers, which is byte-identical to the serial run — and
+// jobs share no mutable state. Results are therefore bit-identical
+// regardless of worker count or scheduling order, and RunBatch returns them
+// in submission order. The only non-deterministic field is the measured
+// host wall-clock.
 //
 // # Memoization
 //

@@ -6,18 +6,16 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/runner"
 	"scalesim/internal/sim"
-	"scalesim/internal/trace"
 	"scalesim/internal/units"
 )
 
-// Lab runs and memoises simulations for the experiment protocols. Many of
-// the paper's figures share the same underlying runs (e.g. every
-// homogeneous study needs the 29 single-core scale-model runs), so the Lab
-// routes every run through a shared campaign engine (internal/runner) whose
-// content-addressed cache is keyed by the full (configuration, workload,
-// options, seed) tuple; experiments then cost only their unique
-// simulations, and batch collections fan out across the engine's worker
-// pool.
+// Lab runs the experiment protocols' simulations. Many of the paper's
+// figures share the same underlying runs (e.g. every homogeneous study needs
+// the 29 single-core scale-model runs), so every collection is one ordered
+// batch on the campaign engine (internal/runner) whose content-addressed
+// cache is keyed by the full (configuration, workload, options, seed) tuple;
+// experiments then cost only their unique simulations, and a collection fans
+// out across the engine's worker pool.
 type Lab struct {
 	// Target is the system being predicted (default: config.Target()).
 	Target *config.SystemConfig
@@ -28,7 +26,7 @@ type Lab struct {
 	// Bandwidth is the DRAM scaling order (default MCFirst).
 	Bandwidth config.BandwidthScaling
 
-	// ctx bounds every simulation issued by this Lab (nil = Background).
+	// ctx bounds every simulation issued by this Lab (see WithContext).
 	ctx context.Context
 
 	// engine is shared by every Lab variant (WithPolicy, WithBandwidth,
@@ -37,29 +35,18 @@ type Lab struct {
 }
 
 // NewLab returns a Lab predicting the Table II target with the given
-// simulation options. The campaign engine starts sequential (one worker);
-// use SetWorkers to enable parallel batch collection.
-func NewLab(opts sim.Options) *Lab {
+// simulation options on eng. The Lab owns no engine state: workers, store
+// and counters belong to whoever assembled eng.
+func NewLab(eng *runner.Engine, opts sim.Options) *Lab {
 	return &Lab{
 		Target:    config.Target(),
 		Opts:      opts,
 		Policy:    config.PRSFull,
 		Bandwidth: config.MCFirst,
-		engine:    runner.New(1),
+		ctx:       context.Background(),
+		engine:    eng,
 	}
 }
-
-// SetWorkers resizes the engine's worker pool (<= 0 selects GOMAXPROCS).
-// Results are bit-identical for any worker count; only wall-clock changes.
-func (l *Lab) SetWorkers(n int) { l.engine.SetWorkers(n) }
-
-// SetStore attaches a durable result store as the engine's second
-// memoization tier (nil detaches). Results are bit-identical with or
-// without a store; only recomputation cost changes.
-func (l *Lab) SetStore(s runner.ResultStore) { l.engine.SetStore(s) }
-
-// SetRetry replaces the engine's transient-failure retry policy.
-func (l *Lab) SetRetry(p runner.RetryPolicy) { l.engine.SetRetry(p) }
 
 // WithContext returns a Lab variant whose simulations are bounded by ctx:
 // cancellation propagates into the simulator's epoch loop.
@@ -94,93 +81,45 @@ func (l *Lab) WithSimOptions(opts sim.Options) *Lab {
 	return &v
 }
 
-// Runs reports how many distinct simulations have actually been executed.
-func (l *Lab) Runs() int { return l.engine.Stats().UniqueRuns }
-
-// CacheHits reports how many runs were served from the memo cache.
-func (l *Lab) CacheHits() int { return l.engine.Stats().CacheHits }
-
-// DiskHits reports how many runs were served from the durable store.
-func (l *Lab) DiskHits() int { return l.engine.Stats().DiskHits }
-
-// Report returns the engine's campaign execution report: job counters plus
-// the per-configuration simulation-time breakdown.
-func (l *Lab) Report() runner.Report { return l.engine.Report() }
-
-// context returns the Lab's bounding context.
-func (l *Lab) context() context.Context {
-	if l.ctx != nil {
-		return l.ctx
+// Machine returns the machine a cores-wide workload runs on: the target
+// itself at the target's core count, the Lab's scale model below it.
+func (l *Lab) Machine(cores int) (*config.SystemConfig, error) {
+	if cores == l.Target.Cores {
+		return l.Target, nil
 	}
-	return context.Background()
-}
-
-// ScaleModelConfig derives the Lab's scale model with the given core count
-// (the target configuration itself when cores equals the target's).
-func (l *Lab) ScaleModelConfig(cores int) (*config.SystemConfig, error) {
 	return config.ScaleModel(l.Target, cores, config.ScaleModelOptions{
 		Policy:    l.Policy,
 		Bandwidth: l.Bandwidth,
 	})
 }
 
-// Run simulates wl on cfg through the shared engine, returning a cached
-// result when the same run was already performed.
-func (l *Lab) Run(cfg *config.SystemConfig, wl sim.Workload) (*sim.Result, error) {
-	oc := l.engine.Run(l.context(), runner.Job{Config: cfg, Workload: wl, Options: l.Opts})
-	return oc.Result, oc.Err
-}
-
-// Prewarm fans the given jobs out across the engine's worker pool, filling
-// the memo cache so subsequent sequential Run calls are hits. Job errors
-// are deferred: the sequential replay re-encounters (and reports) them in
-// protocol order, keeping error behaviour identical to a sequential run.
-// Only context errors abort the prewarm.
-func (l *Lab) Prewarm(jobs []runner.Job) error {
-	if len(jobs) < 2 || l.engine.Workers() < 2 {
-		return nil // nothing to gain
-	}
-	_, err := l.engine.RunBatch(l.context(), jobs, nil)
-	return err
-}
-
-// HomogeneousJob builds (without running) the job for `cores` copies of
-// prof on the matching scale model.
-func (l *Lab) HomogeneousJob(cores int, prof *trace.Profile) (runner.Job, error) {
-	cfg := l.Target
-	if cores != l.Target.Cores {
-		var err error
-		cfg, err = l.ScaleModelConfig(cores)
-		if err != nil {
-			return runner.Job{}, err
-		}
-	}
-	return runner.Job{Config: cfg, Workload: sim.Homogeneous(prof, cores), Options: l.Opts}, nil
-}
-
-// HomogeneousRun simulates `cores` copies of prof on the matching scale
-// model (or the target when cores equals the target core count).
-func (l *Lab) HomogeneousRun(cores int, prof *trace.Profile) (*sim.Result, error) {
-	job, err := l.HomogeneousJob(cores, prof)
-	if err != nil {
-		return nil, err
-	}
-	return l.Run(job.Config, job.Workload)
-}
-
-// MixRun simulates a heterogeneous mix on the machine with exactly
-// len(profiles) cores.
-func (l *Lab) MixRun(profiles []*trace.Profile) (*sim.Result, error) {
-	cores := len(profiles)
-	cfg := l.Target
-	if cores != l.Target.Cores {
-		var err error
-		cfg, err = l.ScaleModelConfig(cores)
+// machines derives Machine for each size, keyed by core count.
+func (l *Lab) machines(sizes []int) (map[int]*config.SystemConfig, error) {
+	cfgs := make(map[int]*config.SystemConfig, len(sizes))
+	for _, c := range sizes {
+		cfg, err := l.Machine(c)
 		if err != nil {
 			return nil, err
 		}
+		cfgs[c] = cfg
 	}
-	return l.Run(cfg, sim.Workload{Profiles: profiles})
+	return cfgs, nil
+}
+
+// runBatch runs a collection's jobs as one engine batch and returns their
+// results by index. One worker runs them in submission order; more workers
+// change only wall-clock. The first failed outcome in submission order is
+// the returned error, whichever worker hit it first.
+func (l *Lab) runBatch(jobs []runner.Job) ([]*sim.Result, error) {
+	outcomes, err := l.engine.RunBatch(l.ctx, jobs, nil)
+	results := make([]*sim.Result, len(outcomes))
+	for i, oc := range outcomes {
+		if oc.Err != nil {
+			return nil, oc.Err
+		}
+		results[i] = oc.Result
+	}
+	return results, err
 }
 
 // fairShareBW converts a core result's DRAM traffic into the dimensionless
@@ -205,24 +144,16 @@ type Measurement struct {
 	MPKI  float64 // LLC misses per kilo-instruction (Fig. 3's sort key)
 }
 
-// MeasureSingleCore runs prof alone on the single-core scale model and
-// returns its measurement (cached like any other run).
-func (l *Lab) MeasureSingleCore(prof *trace.Profile) (Measurement, error) {
-	cfg, err := l.ScaleModelConfig(1)
-	if err != nil {
-		return Measurement{}, err
-	}
-	res, err := l.Run(cfg, sim.Homogeneous(prof, 1))
-	if err != nil {
-		return Measurement{}, err
-	}
+// singleCoreMeasurement reads an application's measurement off its run alone
+// on the single-core scale model cfg.
+func singleCoreMeasurement(cfg *config.SystemConfig, res *sim.Result) Measurement {
 	cr := res.Cores[0]
 	return Measurement{
-		Bench: prof.Name,
+		Bench: cr.Benchmark,
 		IPC:   cr.IPC,
 		BW:    fairShareBW(cfg, cr),
 		MPKI:  cr.LLCMPKI,
-	}, nil
+	}
 }
 
 // metricValue extracts the dependent variable from one core result.

@@ -2,7 +2,9 @@ package scalemodel
 
 import (
 	"fmt"
+	"time"
 
+	"scalesim/internal/config"
 	"scalesim/internal/fit"
 	"scalesim/internal/metrics"
 	"scalesim/internal/runner"
@@ -109,78 +111,63 @@ type HomogeneousData struct {
 	Feat   map[string]Features
 	Target map[string]float64
 	Scale  map[int]map[string]float64
-}
 
-// homogeneousJobs enumerates every run the homogeneous protocol needs, in
-// protocol order, for batch prewarming.
-func (l *Lab) homogeneousJobs(benchmarks []*trace.Profile, scaleCores []int) ([]runner.Job, error) {
-	var jobs []runner.Job
-	sizes := append([]int{1, l.Target.Cores}, scaleCores...)
-	for _, prof := range benchmarks {
-		for _, c := range sizes {
-			job, err := l.HomogeneousJob(c, prof)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	return jobs, nil
+	// SimTime is the simulator wall-clock the suite cost at each machine
+	// size (1, the scale models, the target), as recorded in the collected
+	// results — the speedup studies' only input besides the errors.
+	SimTime map[int]time.Duration
 }
 
 // CollectHomogeneous simulates everything the homogeneous protocol needs:
 // for each benchmark, the single-core scale model, the homogeneous target
 // run, and homogeneous runs on each multi-core scale model in scaleCores.
-// With a multi-worker engine the whole collection is prewarmed through the
-// campaign engine's worker pool first; the sequential assembly below then
-// reads from the memo cache, so results are bit-identical to a sequential
-// collection.
+// The collection is one ordered job list run as one engine batch; the data
+// is assembled from the results by index, so it is bit-identical for any
+// worker count.
 func (l *Lab) CollectHomogeneous(benchmarks []*trace.Profile, scaleCores []int, metric Metric) (*HomogeneousData, error) {
-	if jobs, err := l.homogeneousJobs(benchmarks, scaleCores); err == nil {
-		if err := l.Prewarm(jobs); err != nil {
-			return nil, err
+	T := l.Target.Cores
+	sizes := append([]int{1, T}, scaleCores...)
+	cfgs, err := l.machines(sizes)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]runner.Job, 0, len(benchmarks)*len(sizes))
+	for _, prof := range benchmarks {
+		for _, c := range sizes {
+			jobs = append(jobs, runner.Job{Config: cfgs[c], Workload: sim.Homogeneous(prof, c), Options: l.Opts})
 		}
 	}
+	results, err := l.runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
+
 	d := &HomogeneousData{
-		TargetCores: l.Target.Cores,
+		TargetCores: T,
 		Metric:      metric,
 		Meas:        map[string]Measurement{},
 		Feat:        map[string]Features{},
 		Target:      map[string]float64{},
 		Scale:       map[int]map[string]float64{},
+		SimTime:     map[int]time.Duration{},
 	}
 	for _, c := range scaleCores {
 		d.Scale[c] = map[string]float64{}
 	}
-	T := l.Target.Cores
-	for _, prof := range benchmarks {
-		m, err := l.MeasureSingleCore(prof)
-		if err != nil {
-			return nil, err
-		}
+	for bi, prof := range benchmarks {
+		row := results[bi*len(sizes) : (bi+1)*len(sizes)]
+		m := singleCoreMeasurement(cfgs[1], row[0])
 		d.Benchmarks = append(d.Benchmarks, prof.Name)
 		d.Meas[prof.Name] = m
 		// In a homogeneous mix every co-runner is another copy of the
 		// benchmark itself: CoBW = (T-1) * BW^ss.
 		d.Feat[prof.Name] = Features{IPC: m.IPC, BW: m.BW, CoBW: float64(T-1) * m.BW}
-
-		tres, err := l.HomogeneousRun(T, prof)
-		if err != nil {
-			return nil, err
+		d.Target[prof.Name] = perBenchAverage(metric, l.Target, row[1])[prof.Name]
+		for i, c := range scaleCores {
+			d.Scale[c][prof.Name] = perBenchAverage(metric, cfgs[c], row[2+i])[prof.Name]
 		}
-		tcfg := l.Target
-		d.Target[prof.Name] = perBenchAverage(metric, tcfg, tres)[prof.Name]
-
-		for _, c := range scaleCores {
-			cfg, err := l.ScaleModelConfig(c)
-			if err != nil {
-				return nil, err
-			}
-			res, err := l.HomogeneousRun(c, prof)
-			if err != nil {
-				return nil, err
-			}
-			d.Scale[c][prof.Name] = perBenchAverage(metric, cfg, res)[prof.Name]
+		for i, c := range sizes {
+			d.SimTime[c] += row[i].WallClock
 		}
 	}
 	return d, nil
@@ -391,10 +378,9 @@ func (l *Lab) CollectHeterogeneous(suite []*trace.Profile, opts HeteroOptions) (
 		return mix
 	}
 
-	// Draw every mix composition up front (the draws depend only on the
-	// seed, not on simulation results, so the RNG sequence is identical to
-	// the historical interleaved order), then prewarm the whole collection
-	// through the campaign engine in one batch.
+	// Draw every mix composition up front: the draws depend only on the
+	// seed, not on simulation results, so the whole collection is known
+	// before anything runs.
 	mixRng := rng.Split()
 	nTrainMixes := opts.TrainResults / T
 	if nTrainMixes < 1 {
@@ -404,15 +390,15 @@ func (l *Lab) CollectHeterogeneous(suite []*trace.Profile, opts HeteroOptions) (
 	for i := range trainMixes {
 		trainMixes[i] = randomMix(mixRng, trainProfiles, T)
 	}
-	regMixes := map[int][][]*trace.Profile{}
-	for _, X := range opts.ScaleModels {
+	regMixes := make([][][]*trace.Profile, len(opts.ScaleModels))
+	for xi, X := range opts.ScaleModels {
 		n := opts.TrainResults / X
 		if n < 1 {
 			n = 1
 		}
 		smRng := rng.Split()
 		for i := 0; i < n; i++ {
-			regMixes[X] = append(regMixes[X], randomMix(smRng, trainProfiles, X))
+			regMixes[xi] = append(regMixes[xi], randomMix(smRng, trainProfiles, X))
 		}
 	}
 	evalRng := rng.Split()
@@ -426,128 +412,78 @@ func (l *Lab) CollectHeterogeneous(suite []*trace.Profile, opts HeteroOptions) (
 		stpMixes[i] = randomMix(stpRng, evalProfiles, T)
 	}
 
-	if jobs, err := l.heterogeneousJobs(suite, trainMixes, regMixes, evalMixes, stpMixes); err == nil {
-		if err := l.Prewarm(jobs); err != nil {
-			return nil, err
+	// One ordered job list — the single-core measurements, then every mix
+	// group in protocol order — run as one batch and read back through a
+	// cursor in the same order.
+	cfgs, err := l.machines(append([]int{1, T}, opts.ScaleModels...))
+	if err != nil {
+		return nil, err
+	}
+	var jobs []runner.Job
+	for _, p := range suite {
+		jobs = append(jobs, runner.Job{Config: cfgs[1], Workload: sim.Homogeneous(p, 1), Options: l.Opts})
+	}
+	groups := append(append([][][]*trace.Profile{trainMixes}, regMixes...), evalMixes, stpMixes)
+	for _, mixes := range groups {
+		for _, mix := range mixes {
+			jobs = append(jobs, runner.Job{Config: cfgs[len(mix)], Workload: sim.Workload{Profiles: mix}, Options: l.Opts})
 		}
+	}
+	results, err := l.runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
+	next := func() *sim.Result {
+		res := results[0]
+		results = results[1:]
+		return res
 	}
 
 	// Single-core measurements for every benchmark.
 	for _, p := range suite {
-		m, err := l.MeasureSingleCore(p)
-		if err != nil {
-			return nil, err
-		}
-		d.Meas[p.Name] = m
+		d.Meas[p.Name] = singleCoreMeasurement(cfgs[1], next())
 	}
 
 	// Training mixes for ML-based Prediction: target-system runs.
 	for _, mix := range trainMixes {
-		res, err := l.MixRun(mix)
-		if err != nil {
-			return nil, err
-		}
-		mr := MixResult{Slots: profileNames(mix), Actual: perBenchAverage(opts.Metric, l.Target, res)}
-		feats := mr.features(d.Meas)
-		for _, cr := range res.Cores {
-			d.PredSamples = append(d.PredSamples, Sample{
-				Bench: cr.Benchmark,
-				F:     feats[cr.Benchmark],
-				Y:     metricValue(opts.Metric, l.Target, cr),
-			})
-		}
+		d.PredSamples = append(d.PredSamples, d.mixSamples(mix, l.Target, next())...)
 	}
 
 	// Training mixes for ML-based Regression: multi-core scale models.
-	for _, X := range opts.ScaleModels {
-		cfg, err := l.ScaleModelConfig(X)
-		if err != nil {
-			return nil, err
-		}
-		for _, mix := range regMixes[X] {
-			res, err := l.MixRun(mix)
-			if err != nil {
-				return nil, err
-			}
-			mr := MixResult{Slots: profileNames(mix)}
-			feats := mr.features(d.Meas)
-			for _, cr := range res.Cores {
-				d.RegSamples[X] = append(d.RegSamples[X], Sample{
-					Bench: cr.Benchmark,
-					F:     feats[cr.Benchmark],
-					Y:     metricValue(opts.Metric, cfg, cr),
-				})
-			}
+	for xi, X := range opts.ScaleModels {
+		for _, mix := range regMixes[xi] {
+			d.RegSamples[X] = append(d.RegSamples[X], d.mixSamples(mix, cfgs[X], next())...)
 		}
 	}
 
 	// Evaluation mixes: balanced (each eval benchmark appears T/n times),
 	// then shuffled across cores.
 	for _, mix := range evalMixes {
-		res, err := l.MixRun(mix)
-		if err != nil {
-			return nil, err
-		}
 		d.EvalMixes = append(d.EvalMixes, MixResult{
 			Slots:  profileNames(mix),
-			Actual: perBenchAverage(opts.Metric, l.Target, res),
+			Actual: perBenchAverage(opts.Metric, l.Target, next()),
 		})
 	}
 
 	// STP mixes: random compositions of eval benchmarks (IPC metric).
 	for _, mix := range stpMixes {
-		res, err := l.MixRun(mix)
-		if err != nil {
-			return nil, err
-		}
 		d.STPMixes = append(d.STPMixes, MixResult{
 			Slots:  profileNames(mix),
-			Actual: perBenchAverage(MetricIPC, l.Target, res),
+			Actual: perBenchAverage(MetricIPC, l.Target, next()),
 		})
 	}
 	return d, nil
 }
 
-// heterogeneousJobs enumerates every run the heterogeneous protocol needs
-// for batch prewarming: single-core measurements plus all mixes.
-func (l *Lab) heterogeneousJobs(suite []*trace.Profile, trainMixes [][]*trace.Profile,
-	regMixes map[int][][]*trace.Profile, evalMixes, stpMixes [][]*trace.Profile) ([]runner.Job, error) {
-	var jobs []runner.Job
-	for _, p := range suite {
-		job, err := l.HomogeneousJob(1, p)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, job)
+// mixSamples labels one training mix: a sample per core of its run on cfg,
+// with the mix's co-runner features.
+func (d *HeterogeneousData) mixSamples(mix []*trace.Profile, cfg *config.SystemConfig, res *sim.Result) []Sample {
+	feats := MixResult{Slots: profileNames(mix)}.features(d.Meas)
+	out := make([]Sample, len(res.Cores))
+	for i, cr := range res.Cores {
+		out[i] = Sample{Bench: cr.Benchmark, F: feats[cr.Benchmark], Y: metricValue(d.Metric, cfg, cr)}
 	}
-	addMix := func(mix []*trace.Profile) error {
-		cores := len(mix)
-		cfg := l.Target
-		if cores != l.Target.Cores {
-			var err error
-			cfg, err = l.ScaleModelConfig(cores)
-			if err != nil {
-				return err
-			}
-		}
-		jobs = append(jobs, runner.Job{Config: cfg, Workload: sim.Workload{Profiles: mix}, Options: l.Opts})
-		return nil
-	}
-	for _, mixes := range [][][]*trace.Profile{trainMixes, evalMixes, stpMixes} {
-		for _, mix := range mixes {
-			if err := addMix(mix); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, cores := range sortedKeys(regMixes) {
-		for _, mix := range regMixes[cores] {
-			if err := addMix(mix); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return jobs, nil
+	return out
 }
 
 func profileNames(ps []*trace.Profile) []string {

@@ -1,14 +1,19 @@
 package scalemodel
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/fit"
 	"scalesim/internal/metrics"
+	"scalesim/internal/runner"
 	"scalesim/internal/sim"
 	"scalesim/internal/trace"
 	"scalesim/internal/units"
@@ -70,10 +75,16 @@ func (w fakeWorld) run(cfg *config.SystemConfig, wl sim.Workload, opts sim.Optio
 	return res, nil
 }
 
-func fakeLab() *Lab {
-	l := NewLab(sim.Options{Instructions: 1000, Warmup: 100, EpochCycles: 100, CapacityScale: 16, Seed: 1})
-	l.SetRunnerForTest(fakeWorld{}.run)
-	return l
+func fakeLab() *Lab { return fakeLabWorkers(1) }
+
+// fakeLabWorkers is a Lab on a fresh engine of the given pool size whose
+// simulator is the fake world.
+func fakeLabWorkers(workers int) *Lab {
+	eng := runner.New(workers)
+	eng.SetRunFunc(func(_ context.Context, cfg *config.SystemConfig, wl sim.Workload, opts sim.Options) (*sim.Result, error) {
+		return fakeWorld{}.run(cfg, wl, opts)
+	})
+	return NewLab(eng, sim.Options{Instructions: 1000, Warmup: 100, EpochCycles: 100, CapacityScale: 16, Seed: 1})
 }
 
 func someBenchmarks(n int) []*trace.Profile {
@@ -143,17 +154,60 @@ func TestLabCaching(t *testing.T) {
 	if _, err := l.CollectHomogeneous(benches, []int{2, 4}, MetricIPC); err != nil {
 		t.Fatal(err)
 	}
-	runs := l.Runs()
+	runs := l.engine.Stats().UniqueRuns
 	// Re-collecting must hit the cache entirely.
 	if _, err := l.CollectHomogeneous(benches, []int{2, 4}, MetricIPC); err != nil {
 		t.Fatal(err)
 	}
-	if l.Runs() != runs {
-		t.Fatalf("recollection ran %d extra simulations", l.Runs()-runs)
+	if again := l.engine.Stats().UniqueRuns; again != runs {
+		t.Fatalf("recollection ran %d extra simulations", again-runs)
 	}
 	// 4 benches x (1-core + target + 2 scale models) = 16 runs.
 	if runs != 16 {
 		t.Fatalf("ran %d simulations, want 16", runs)
+	}
+}
+
+// TestCollectionIsOneBatch pins the single enumeration: a collection submits
+// each of its jobs to the engine exactly once, at any pool size. (A prewarm
+// followed by a replay would show 32 jobs and 16 memory hits at 4 workers.)
+func TestCollectionIsOneBatch(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		l := fakeLabWorkers(workers)
+		d, err := l.CollectHomogeneous(someBenchmarks(4), []int{2, 4}, MetricIPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := l.engine.Stats()
+		if st.Jobs != 16 || st.CacheHits != 0 || st.UniqueRuns != 16 {
+			t.Errorf("%d workers: jobs %d, memory hits %d, unique runs %d; want 16, 0, 16",
+				workers, st.Jobs, st.CacheHits, st.UniqueRuns)
+		}
+		// The fake world charges one millisecond per core per run.
+		for _, c := range []int{1, 32, 2, 4} {
+			if want := 4 * time.Duration(c) * time.Millisecond; d.SimTime[c] != want {
+				t.Errorf("%d workers: SimTime[%d] = %v, want %v", workers, c, d.SimTime[c], want)
+			}
+		}
+	}
+}
+
+// TestCollectionReportsFirstFailureInOrder: whichever worker fails first,
+// the collection's error is the first failed job in submission order.
+func TestCollectionReportsFirstFailureInOrder(t *testing.T) {
+	benches := someBenchmarks(4)
+	for _, workers := range []int{1, 4} {
+		eng := runner.New(workers)
+		eng.SetRunFunc(func(_ context.Context, cfg *config.SystemConfig, wl sim.Workload, opts sim.Options) (*sim.Result, error) {
+			if name := wl.Profiles[0].Name; name == benches[1].Name || name == benches[3].Name {
+				return nil, fmt.Errorf("no %s on %d cores", name, cfg.Cores)
+			}
+			return fakeWorld{}.run(cfg, wl, opts)
+		})
+		_, err := NewLab(eng, sim.Options{Seed: 1}).CollectHomogeneous(benches, []int{2}, MetricIPC)
+		if want := fmt.Sprintf("no %s on 1 cores", benches[1].Name); err == nil || !errors.Is(err, runner.ErrJobFailed) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d workers: err %v, want ErrJobFailed carrying %q", workers, err, want)
+		}
 	}
 }
 
@@ -363,8 +417,8 @@ func TestCollectHeterogeneousRejectsBadSplit(t *testing.T) {
 }
 
 func TestDeterministicCollection(t *testing.T) {
-	collect := func() *HeterogeneousData {
-		l := fakeLab()
+	collect := func(workers int) *HeterogeneousData {
+		l := fakeLabWorkers(workers)
 		d, err := l.CollectHeterogeneous(trace.Suite()[:10], HeteroOptions{
 			EvalBenchmarks: 3, TrainResults: 64, EvalMixes: 2, STPMixes: 2,
 			ScaleModels: []int{2, 4}, Metric: MetricIPC, Seed: 42,
@@ -374,7 +428,10 @@ func TestDeterministicCollection(t *testing.T) {
 		}
 		return d
 	}
-	a, b := collect(), collect()
+	a, b := collect(1), collect(1)
+	if par := collect(4); !reflect.DeepEqual(a, par) {
+		t.Fatal("heterogeneous collection differs between 1 and 4 workers")
+	}
 	if len(a.PredSamples) != len(b.PredSamples) {
 		t.Fatal("sample counts differ across identical collections")
 	}
@@ -427,7 +484,7 @@ func TestRealSimulatorSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation")
 	}
-	l := NewLab(sim.Options{Instructions: 40_000, Warmup: 10_000, EpochCycles: 10_000, CapacityScale: 32, Seed: 5})
+	l := NewLab(runner.New(1), sim.Options{Instructions: 40_000, Warmup: 10_000, EpochCycles: 10_000, CapacityScale: 32, Seed: 5})
 	benches := []*trace.Profile{trace.ByName("exchange2"), trace.ByName("gcc"), trace.ByName("lbm"), trace.ByName("mcf")}
 	d, err := l.CollectHomogeneous(benches, []int{2, 4}, MetricIPC)
 	if err != nil {

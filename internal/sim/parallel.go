@@ -286,11 +286,6 @@ func RunParallelContext(ctx context.Context, cfg *config.SystemConfig, spec Para
 	return res, nil
 }
 
-// atBarrier reports whether the core has consumed its pending boundary.
-func atBarrier(c *cpu.Core, limit uint64) bool {
-	return c.Stats.Instructions >= limit
-}
-
 // everyoneBlocked reports whether every unfinished thread has reached its
 // pending barrier boundary (or its end of work).
 func everyoneBlocked(cores []*cpu.Core, next []uint64, work []uint64, done []bool) bool {

@@ -8,6 +8,7 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/fit"
 	"scalesim/internal/metrics"
+	"scalesim/internal/scalemodel"
 	"scalesim/internal/sim"
 	"scalesim/internal/trace"
 )
@@ -128,13 +129,9 @@ func (e *Experiments) ExtMultithreaded() (*MTResult, error) {
 		}
 		var xs, ys []float64
 		for _, cores := range []int{1, 2, 4, 8, 16, 32} {
-			cfg := e.lab.Target
-			if cores != cfg.Cores {
-				var err error
-				cfg, err = config.ScaleModel(e.lab.Target, cores, config.ScaleModelOptions{Policy: config.PRSFull})
-				if err != nil {
-					return nil, err
-				}
+			cfg, err := e.lab.Machine(cores)
+			if err != nil {
+				return nil, err
 			}
 			res, err := sim.RunParallel(cfg, sim.ParallelSpec{Profile: pp}, e.lab.Opts)
 			if err != nil {
@@ -212,7 +209,7 @@ func (e *Experiments) Ablations() (*AblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			errsList, err := d.EvaluateLOO(scalemodelNoExtrap())
+			errsList, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
 			if err != nil {
 				return nil, err
 			}
@@ -280,7 +277,7 @@ func (e *Experiments) PrefetchStudy() (*PrefetchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		errsList, err := d.EvaluateLOO(scalemodelNoExtrap())
+		errsList, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
 		if err != nil {
 			return nil, err
 		}

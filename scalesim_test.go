@@ -192,6 +192,9 @@ func TestFig4AndDerivativesOnSubset(t *testing.T) {
 		t.Errorf("figures 9-11 ran %d extra simulations; they must reuse Fig. 4 data", ex.Runs()-runsBefore)
 	}
 
+	// The speedup studies read the durations the collection recorded: they
+	// submit nothing to the engine, not even memory hits.
+	jobsBefore := ex.svc.Stats().Jobs
 	fig7, err := ex.Fig7ErrorVsSpeedup()
 	if err != nil {
 		t.Fatal(err)
@@ -213,6 +216,9 @@ func TestFig4AndDerivativesOnSubset(t *testing.T) {
 	rows, err := ex.SimulationTimeStudy()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if jobs := ex.svc.Stats().Jobs; jobs != jobsBefore {
+		t.Errorf("Fig. 7 and the simulation-time study submitted %d engine jobs; they must read collected data", jobs-jobsBefore)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("%d sim-time rows", len(rows))
@@ -426,5 +432,32 @@ func TestCustomMachineSpec(t *testing.T) {
 	}
 	if _, err := Simulate(MachineSpec{Cores: 1, LLCPerCoreKB: 3000}, []string{"gcc"}, tinyOptions()); err == nil {
 		t.Error("invalid custom LLC accepted")
+	}
+}
+
+// TestFiguresTable pins the one figure table both CLIs loop over: the ids
+// `-figs`/`-fig` accept, in report order, and the simulation-time study's
+// rendering (the layout experiments_full.txt records).
+func TestFiguresTable(t *testing.T) {
+	ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, f := range ex.Figures() {
+		if f.Name == "" || f.Run == nil {
+			t.Errorf("figure %q: incomplete entry", f.ID)
+		}
+		ids = append(ids, f.ID)
+	}
+	if got, want := strings.Join(ids, ","), "3,4,5,6,7,8,9,10,11,12,mt,ablations,prefetch,speedup"; got != want {
+		t.Errorf("figure ids %s, want %s", got, want)
+	}
+	rows := SimTimeRows{{Cores: 1, TotalSecs: 0.5, PerBenchMs: 125}, {Cores: 32, TotalSecs: 14, PerBenchMs: 3500}}
+	want := "Simulation time study (§I / §V-D) — wall-clock per machine size, full homogeneous suite\n" +
+		"   1 cores:     0.50s total ( 125.0 ms/benchmark)  speedup vs 32-core:  28.0x\n" +
+		"  32 cores:    14.00s total (3500.0 ms/benchmark)  speedup vs 32-core:   1.0x\n"
+	if got := rows.String(); got != want {
+		t.Errorf("time study renders\n%s\nwant\n%s", got, want)
 	}
 }

@@ -57,7 +57,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 }
 
 // newService is the one place an engine is assembled; owner names the
-// caller ("service", "campaign") in the store-open error.
+// caller ("service", "campaign", "experiment") in the store-open error.
 func newService(owner string, cfg ServiceConfig) (*Service, error) {
 	if err := cfg.Tuning.Validate(); err != nil {
 		return nil, err
@@ -67,12 +67,9 @@ func newService(owner string, cfg ServiceConfig) (*Service, error) {
 		svc.eng.SetRetry(cfg.Retry)
 	}
 	if cfg.Store != "" {
-		st, err := store.Open(cfg.Store)
-		if err != nil {
-			return nil, fmt.Errorf("scalesim: opening %s store: %w", owner, err)
+		if err := svc.attachStore(owner, cfg.Store); err != nil {
+			return nil, err
 		}
-		svc.st = st
-		svc.eng.SetStore(st)
 	}
 	if cfg.Surrogate != nil {
 		sur, err := surrogate.New(cfg.Surrogate.internal(cfg.Store))
@@ -84,6 +81,23 @@ func newService(owner string, cfg ServiceConfig) (*Service, error) {
 		svc.eng.SetPredictor(sur)
 	}
 	return svc, nil
+}
+
+// attachStore opens the durable store at dir and makes it the engine's disk
+// tier — the one place a store is opened. A store already attached is
+// replaced and closed. owner names the caller in the open error.
+func (s *Service) attachStore(owner, dir string) error {
+	st, err := store.Open(dir)
+	if err != nil {
+		return fmt.Errorf("scalesim: opening %s store: %w", owner, err)
+	}
+	old := s.st
+	s.st = st
+	s.eng.SetStore(st)
+	if old != nil {
+		return old.Close()
+	}
+	return nil
 }
 
 // PreparedJob is a validated, compiled design point: the machine resolved

@@ -11,14 +11,7 @@ const StoreSchema = store.ArtifactSchema
 
 // StoreInfo is an offline inspection report for a campaign store directory
 // (see CheckStore).
-type StoreInfo struct {
-	Artifacts   int      // artifacts that verified cleanly
-	Corrupt     int      // artifacts failing verification (left in place)
-	CorruptKeys []string // their job keys, sorted
-	Quarantined int      // artifacts previously quarantined by campaigns
-	Interrupted int      // journaled jobs started but never finished
-	Bytes       int64    // total artifact bytes (clean + corrupt)
-}
+type StoreInfo = store.CheckInfo
 
 // CheckStore verifies every artifact in the campaign store at dir —
 // schema tag, embedded key, and checksum — without modifying anything. It
@@ -26,8 +19,7 @@ type StoreInfo struct {
 // non-nil only when the store itself cannot be read (including a journal
 // with an unknown schema, wrapping ErrUnknownSchema).
 func CheckStore(dir string) (StoreInfo, error) {
-	info, err := store.Check(dir)
-	return StoreInfo(info), err
+	return store.Check(dir)
 }
 
 // ReadArtifact verifies and decodes one store artifact file, returning the

@@ -79,11 +79,6 @@ import (
 )
 
 func main() {
-	det := flag.String("det", "", "comma-separated module-relative deterministic package dirs (default: the repo policy)")
-	keyFile := flag.String("keyfile", "", "module-relative path of the canonical key encoder (default: internal/runner/key.go)")
-	keyRoots := flag.String("keyroots", "", "comma-separated key root types as <pkg dir>.<TypeName> (default: internal/runner.Job)")
-	unitsDir := flag.String("units", "", "module-relative dir of the quantity-type package (default: internal/units)")
-	goroutines := flag.String("goroutines", "", "comma-separated module-relative dirs where go statements must be joined (default: internal/runner,internal/store)")
 	ruleList := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	reportPath := flag.String("report", "", "write a JSON report (scalesim/simlint-report/v1) to this path")
 	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 report to this path")
@@ -97,22 +92,6 @@ func main() {
 		root = args[0]
 	}
 	cfg := rules.RepoConfig(root)
-	if *det != "" {
-		cfg.Deterministic = strings.Split(*det, ",")
-	}
-	if *keyFile != "" {
-		cfg.KeyFile = *keyFile
-	}
-	if *keyRoots != "" {
-		cfg.KeyRoots = strings.Split(*keyRoots, ",")
-	}
-	if *unitsDir != "" {
-		cfg.UnitsDir = *unitsDir
-	}
-	if *goroutines != "" {
-		cfg.Goroutines = strings.Split(*goroutines, ",")
-	}
-
 	active := rules.All(cfg)
 	if *ruleList != "" {
 		want := map[string]bool{}
