@@ -1,12 +1,11 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint lint-fix lint-sarif lint-baseline race bench clean clean-store store-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check lint race bench clean clean-store store-smoke serve-smoke surrogate-smoke
 
-# Lint outputs land at the repository root regardless of the directory make
-# was invoked from, so CI's artifact paths and local runs always agree.
+# The lint report lands at the repository root regardless of the directory
+# make was invoked from, so CI's artifact path and local runs always agree.
 LINT_REPORT := $(CURDIR)/simlint-report.json
-LINT_SARIF := $(CURDIR)/simlint.sarif
 
 all: build
 
@@ -29,7 +28,7 @@ check: build
 		exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./tools/simlint -report $(LINT_REPORT) -sarif $(LINT_SARIF)
+	$(GO) run ./tools/simlint -report $(LINT_REPORT)
 	$(GO) test -race -short ./...
 	$(MAKE) store-smoke
 	$(MAKE) serve-smoke
@@ -86,26 +85,10 @@ serve-smoke:
 
 # Static analysis over the full simlint rule set (see tools/simlint and
 # DESIGN.md, "Static analysis invariants"). Writes the machine-readable
-# report to simlint-report.json and the SARIF form to simlint.sarif, and
-# exits non-zero on any finding that is neither suppressed in-source nor
-# listed in tools/simlint/baseline.json.
+# report to simlint-report.json and exits non-zero on any finding that is
+# not suppressed in-source.
 lint:
-	$(GO) run ./tools/simlint -report $(LINT_REPORT) -sarif $(LINT_SARIF)
-
-# Apply every suggested fix, then re-lint: only what could not be fixed
-# automatically is reported.
-lint-fix:
-	$(GO) run ./tools/simlint -fix -report $(LINT_REPORT) -sarif $(LINT_SARIF)
-
-# SARIF only, for feeding GitHub code scanning by hand.
-lint-sarif:
-	$(GO) run ./tools/simlint -sarif $(LINT_SARIF)
-
-# Accept every current finding into the committed baseline. Use sparingly:
-# the baseline exists to land rule tightenings without blocking on legacy
-# findings, not to mute new regressions.
-lint-baseline:
-	$(GO) run ./tools/simlint -write-baseline
+	$(GO) run ./tools/simlint -report $(LINT_REPORT)
 
 # Race detector over the full test set (slow).
 race:
@@ -121,4 +104,4 @@ clean:
 # with the conventional .scalesim-store directory.
 clean-store:
 	rm -rf .store-smoke .scalesim-store .surrogate-smoke.out
-	rm -f simlint-report.json simlint.sarif
+	rm -f simlint-report.json

@@ -7,10 +7,11 @@ import (
 	"scalesim/internal/xrand"
 )
 
-// The hot cache paths are 0 allocs/op (PR 9's invariant, proven statically
-// by simlint's hotpath rule). These tests enforce it dynamically too —
-// cheap enough to run under -short, so `make check` catches a regression
-// even where benchmarks don't run.
+// The hot cache paths are 0 allocs/op (PR 9's invariant). These tests are
+// what holds it — cheap enough to run under -short, so `make check` catches
+// a regression even where benchmarks don't run. The paths in composition
+// (miss, fill, eviction, overlay, barrier replay) are held by internal/sim's
+// TestEpochSteadyStateAllocFree.
 
 func TestLevelAccessHitAllocFree(t *testing.T) {
 	l, err := NewLevel(config.CacheLevelConfig{Size: 32 * config.KB, Assoc: 8, LineSize: 64}, 1)

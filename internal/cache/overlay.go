@@ -104,8 +104,6 @@ func (o *Overlay) cloneFor(slice int, line uint64) int {
 // grow extends the arena to hold at least need ways, doubling to amortize.
 // The arena keeps its high-water capacity across epochs (Reset truncates,
 // never frees), so steady-state epochs run allocation-free.
-//
-//simlint:hotpath-exempt arena doubling is amortized; capacity persists across epochs so the steady state allocates nothing
 func (o *Overlay) grow(need int) {
 	newCap := 2 * len(o.tags)
 	if newCap < need {

@@ -53,9 +53,9 @@ func (p *StridePrefetcher) defaults() (degree, streams int) {
 // OnMiss observes a demand miss at addr and returns the addresses to
 // prefetch (possibly none). Confidence builds over two consecutive
 // same-stride misses before any prefetch is issued, the standard
-// two-delta-confirmation policy.
-//
-//simlint:hotpath-exempt opt-in fidelity feature off the baseline path; runs only on demand misses, and the candidate slice is degree-bounded
+// two-delta-confirmation policy. It allocates the candidate slice: the
+// prefetcher is an opt-in fidelity feature off the baseline path, runs only
+// on demand misses, and the slice is degree-bounded.
 func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 	degree, streams := p.defaults()
 	if p.table == nil {

@@ -8,9 +8,10 @@ import (
 	"scalesim/internal/trace"
 )
 
-// TestCoreStepAllocFree enforces the per-cycle stepper's 0 allocs/op
-// invariant dynamically (simlint's hotpath rule proves it statically from
-// the Core.Run root). Runs under -short, so `make check` gates it.
+// TestCoreStepAllocFree holds the per-cycle stepper's 0 allocs/op
+// invariant against a fake memory system; internal/sim's
+// TestEpochSteadyStateAllocFree holds it against the real one. Runs under
+// -short, so `make check` gates it.
 func TestCoreStepAllocFree(t *testing.T) {
 	gen, err := trace.NewGenerator(trace.ByName("gcc"), trace.GenOptions{Seed: 1, CapacityScale: 8})
 	if err != nil {

@@ -26,9 +26,6 @@ type Lab struct {
 	// Bandwidth is the DRAM scaling order (default MCFirst).
 	Bandwidth config.BandwidthScaling
 
-	// ctx bounds every simulation issued by this Lab (see WithContext).
-	ctx context.Context
-
 	// engine is shared by every Lab variant (WithPolicy, WithBandwidth,
 	// ...), so e.g. the Fig. 3 policy sweep reuses one set of target runs.
 	engine *runner.Engine
@@ -43,17 +40,8 @@ func NewLab(eng *runner.Engine, opts sim.Options) *Lab {
 		Opts:      opts,
 		Policy:    config.PRSFull,
 		Bandwidth: config.MCFirst,
-		ctx:       context.Background(),
 		engine:    eng,
 	}
-}
-
-// WithContext returns a Lab variant whose simulations are bounded by ctx:
-// cancellation propagates into the simulator's epoch loop.
-func (l *Lab) WithContext(ctx context.Context) *Lab {
-	v := *l
-	v.ctx = ctx
-	return &v
 }
 
 // WithPolicy returns a Lab variant using the given scale-model construction
@@ -111,7 +99,8 @@ func (l *Lab) machines(sizes []int) (map[int]*config.SystemConfig, error) {
 // change only wall-clock. The first failed outcome in submission order is
 // the returned error, whichever worker hit it first.
 func (l *Lab) runBatch(jobs []runner.Job) ([]*sim.Result, error) {
-	outcomes, err := l.engine.RunBatch(l.ctx, jobs, nil)
+	//simlint:ignore ctxflow the figure API is context-free; the process is the cancellation scope
+	outcomes, err := l.engine.RunBatch(context.Background(), jobs, nil)
 	results := make([]*sim.Result, len(outcomes))
 	for i, oc := range outcomes {
 		if oc.Err != nil {

@@ -275,9 +275,8 @@ func (s *Server) Stats() scalesim.CampaignStats {
 // serves until ctx is cancelled, then drains gracefully: admission stops
 // (healthz reports draining, new jobs get 503), queued and in-flight jobs
 // finish — bounded by cfg.DrainTimeout — and their results persist to the
-// backend's store before the function returns.
-//
-//simlint:ignore apipair a daemon is stopped by cancelling ctx; a context-free twin could only serve until the listener failed, and had no caller
+// backend's store before the function returns. There is no context-free
+// twin: a daemon is stopped by cancelling ctx.
 func ListenAndServeContext(ctx context.Context, addr string, backend Backend, cfg Config) error {
 	s := New(backend, cfg)
 	ln, err := net.Listen("tcp", addr)

@@ -112,11 +112,13 @@ func (c *coreCtx) llcAccess(addr uint64, write bool) (slice int, hit bool) {
 		if write {
 			kind = opWrite
 		}
-		//simlint:hotpath-exempt the op log keeps its high-water capacity across epochs, so steady-state appends never grow
+		// The op log keeps its high-water capacity across epochs, so
+		// steady-state appends never grow.
 		c.log = append(c.log, llcOp{addr: addr, kind: kind})
 		return slice, hit
 	}
-	//simlint:ignore sharestrict serial fallback: ov is nil only when one core runs, so no worker races the shared LLC
+	// Serial fallback: ov is nil only when one core runs, so no worker
+	// races the shared LLC.
 	return m.llc.Access(c.core, addr, write)
 }
 
@@ -133,11 +135,13 @@ func (c *coreCtx) llcFill(addr uint64, dirty bool) (victimAddr uint64, victimDir
 		if dirty {
 			kind = opFillDirty
 		}
-		//simlint:hotpath-exempt the op log keeps its high-water capacity across epochs, so steady-state appends never grow
+		// The op log keeps its high-water capacity across epochs, so
+		// steady-state appends never grow.
 		c.log = append(c.log, llcOp{addr: addr, kind: kind})
 		return victimAddr, victimDirty, evicted
 	}
-	//simlint:ignore sharestrict serial fallback: ov is nil only when one core runs, so no worker races the shared LLC
+	// Serial fallback: ov is nil only when one core runs, so no worker
+	// races the shared LLC.
 	return m.llc.Fill(c.core, addr, dirty)
 }
 

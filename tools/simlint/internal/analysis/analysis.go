@@ -1,7 +1,7 @@
 // Package analysis is the simlint analyzer framework: a shared type-checked
 // module load, an Analyzer interface with per-package facts, suppression
 // comments, deterministically sorted diagnostics, and a JSON report format
-// with a committed baseline for CI.
+// for CI.
 //
 // Rules live in the sibling package rules; the framework knows nothing about
 // individual invariants.
@@ -23,40 +23,6 @@ type Finding struct {
 	Pos  token.Position
 	Rule string
 	Msg  string
-	// Fix, when non-nil, is a machine-applicable remediation: `simlint -fix`
-	// applies the edits (see ApplyFixes). Fixes never change what a rule
-	// reports — they ride along on the finding.
-	Fix *Fix
-	// Flow, when non-nil, is the finding's interprocedural witness: the
-	// call chain from a configured root to the flagged site, in call order.
-	// The interprocedural rules (hotpath, sharestrict) attach it so output
-	// explains *why* a function is hot or worker-reachable; it renders as a
-	// SARIF codeFlow.
-	Flow []FlowStep
-}
-
-// FlowStep is one hop of a finding's witness chain: a source position and
-// what happens there ("Core.Run calls step").
-type FlowStep struct {
-	Pos token.Position
-	Msg string
-}
-
-// Fix is a suggested remediation: a set of source edits that resolve the
-// finding. Applying a fix must be idempotent — once applied, the rule no
-// longer fires, so a second run produces no further edits.
-type Fix struct {
-	// Message describes the remediation ("replace context.Background() with
-	// the ctx parameter").
-	Message string
-	Edits   []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with New. Positions are
-// token.Pos values from the module's shared FileSet.
-type TextEdit struct {
-	Pos, End token.Pos
-	New      string
 }
 
 // Analyzer is one repo-specific rule. Every analyzer implements exactly one
@@ -65,8 +31,6 @@ type TextEdit struct {
 type Analyzer interface {
 	// Name is the rule name used in diagnostics and suppressions.
 	Name() string
-	// Doc is a one-line description shown by the driver's -rules listing.
-	Doc() string
 }
 
 // PackageAnalyzer runs once per package. Packages are visited in
@@ -221,7 +185,7 @@ func (idx suppressionIndex) suppressed(f Finding) bool {
 }
 
 // Config selects what the pipeline checks. The zero value is not usable;
-// see the driver's defaultConfig for the repository's own settings.
+// see rules.RepoConfig for the repository's own settings.
 type Config struct {
 	// Root is the module root directory.
 	Root string
@@ -244,49 +208,10 @@ type Config struct {
 	// statement must be joined through a sync.WaitGroup and the spawning
 	// function must accept a context.Context.
 	Goroutines []string
-	// APIPairMin pins a minimum number of XContext/X pairs per
-	// module-relative package directory, so a refactor that hides the pairs
-	// from the parser cannot silently void the apipair rule.
-	APIPairMin map[string]int
-	// ApproxSources name the taint sources of the approxflow rule — calls
-	// whose results are approximate (model-derived) values — as
-	// "<module-relative pkg dir>.<Type>.<Method>" (or "<dir>.<Func>" for a
-	// package-level function).
-	ApproxSources []string
-	// ApproxSinks name the ground-truth sinks approximate values must never
-	// reach, as "<dir>.<Type>.<Method>@<arg index>": the call's argument at
-	// that index is the guarded payload.
-	ApproxSinks []string
-	// ApproxCaches name map-typed struct fields that are ground-truth
-	// memoization tiers, as "<dir>.<Type>.<Field>": an index-assignment of
-	// an approximate value into such a field is a finding.
-	ApproxCaches []string
 	// Locks lists module-relative package directories where the lockscope
 	// rule enforces mutex hygiene (no blocking operation with a mutex held,
 	// no return path that leaks a lock).
 	Locks []string
-	// HotRoots name the hot-loop entry points of the hotpath rule as
-	// "<module-relative pkg dir>.<Type>.<Method>" (or "<dir>.<Func>"):
-	// every function reachable from a root through the call graph must be
-	// allocation-free (no make/new/append growth, slice or map literals,
-	// string concatenation, boxing into interface parameters, closure
-	// creation), must not lock, defer, range a map, or call fmt. Escapes
-	// use //simlint:hotpath-exempt <justification>. Empty disables the
-	// rule.
-	HotRoots []string
-	// WorkerRoots name the fork/join spawn points of the sharestrict rule:
-	// the goroutines launched inside these functions are the epoch worker
-	// pool, and nothing they reach may write shared simulator state.
-	WorkerRoots []string
-	// SharedTypes name the shared structures sharestrict guards, as
-	// "<dir>.<Type>": worker-reachable code must not call their mutating
-	// methods or write their fields directly.
-	SharedTypes []string
-	// SharedSafe names shared-type methods that are read-only and safe to
-	// call concurrently from workers, as "<dir>.<Type>.<Method>". Methods
-	// whose name ends in "Into" (the accumulator convention: reads shared
-	// state, writes a thread-local *Acc) are sanctioned implicitly.
-	SharedSafe []string
 	// KnownRules lists every registered rule name for //simlint:ignore
 	// validation. When empty, the names of the analyzers actually run are
 	// used — set it when running a rule subset, so suppressions of inactive
@@ -335,9 +260,6 @@ func Run(cfg Config, analyzers []Analyzer) ([]Finding, *Module, error) {
 	}
 	for i := range findings {
 		findings[i].Pos.Filename = m.RelFile(findings[i].Pos.Filename)
-		for j := range findings[i].Flow {
-			findings[i].Flow[j].Pos.Filename = m.RelFile(findings[i].Flow[j].Pos.Filename)
-		}
 	}
 	SortFindings(findings)
 	return findings, m, nil

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"sort"
 )
@@ -10,23 +9,12 @@ import (
 // ReportSchema versions the machine-readable lint report.
 const ReportSchema = "scalesim/simlint-report/v1"
 
-// BaselineSchema versions the committed baseline file.
-const BaselineSchema = "scalesim/simlint-baseline/v1"
-
-// ReportFinding is one diagnostic in the JSON report and the baseline.
-// Baseline matching deliberately ignores the line number: a baselined
-// finding should survive unrelated edits to the same file, and a rule firing
-// at a new site with a new message is still caught because messages name the
-// offending symbol.
+// ReportFinding is one diagnostic in the JSON report.
 type ReportFinding struct {
 	File string `json:"file"`
-	Line int    `json:"line,omitempty"`
+	Line int    `json:"line"`
 	Rule string `json:"rule"`
 	Msg  string `json:"msg"`
-	// Fixable marks findings whose diagnostic carries a suggested fix that
-	// `simlint -fix` can apply. Never set in baseline files (it is not part
-	// of the match key).
-	Fixable bool `json:"fixable,omitempty"`
 }
 
 // Report is the machine-readable result of a lint run, written by
@@ -35,109 +23,20 @@ type Report struct {
 	Schema string   `json:"schema"`
 	Module string   `json:"module"`
 	Rules  []string `json:"rules"`
-	// Findings are the diagnostics NOT covered by the baseline — the set
-	// that fails the run.
-	Findings []ReportFinding `json:"findings"`
-	// Baselined are diagnostics matched by the committed baseline: reported
-	// for visibility, but not failing.
-	Baselined []ReportFinding `json:"baselined,omitempty"`
-}
-
-// Baseline is the committed set of accepted diagnostics. CI fails on any
-// finding not listed here; an empty findings list means the tree must lint
-// clean.
-type Baseline struct {
-	Schema   string          `json:"schema"`
+	// Findings are the unsuppressed diagnostics — the set that fails the run.
 	Findings []ReportFinding `json:"findings"`
 }
 
-// LoadBaseline reads a baseline file. A missing file is an empty baseline,
-// so fresh checkouts and fixture modules need no baseline at all.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &Baseline{Schema: BaselineSchema}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("simlint: baseline %s: %w", path, err)
-	}
-	if b.Schema != BaselineSchema {
-		return nil, fmt.Errorf("simlint: baseline %s has schema %q, this build reads %s", path, b.Schema, BaselineSchema)
-	}
-	return &b, nil
-}
-
-type baselineKey struct {
-	file, rule, msg string
-}
-
-// Split partitions findings into (new, baselined) against the baseline.
-func (b *Baseline) Split(fs []Finding) (newFindings, baselined []Finding) {
-	accepted := map[baselineKey]bool{}
-	for _, f := range b.Findings {
-		accepted[baselineKey{f.File, f.Rule, f.Msg}] = true
-	}
-	for _, f := range fs {
-		if accepted[baselineKey{f.Pos.Filename, f.Rule, f.Msg}] {
-			baselined = append(baselined, f)
-		} else {
-			newFindings = append(newFindings, f)
-		}
-	}
-	return newFindings, baselined
-}
-
-// WriteBaseline writes every current finding as the new accepted set,
-// deterministically ordered.
-func WriteBaseline(path string, fs []Finding) error {
-	b := Baseline{Schema: BaselineSchema, Findings: toReportFindings(fs, false)}
-	if b.Findings == nil {
-		b.Findings = []ReportFinding{}
-	}
-	return writeJSON(path, b)
-}
-
-// BuildReport assembles the JSON report for a lint run.
-func BuildReport(module string, ruleNames []string, newFindings, baselined []Finding) Report {
+// WriteReport writes the JSON report of a lint run: indented,
+// newline-terminated, rules sorted.
+func WriteReport(path, module string, ruleNames []string, findings []Finding) error {
 	rules := append([]string(nil), ruleNames...)
 	sort.Strings(rules)
-	r := Report{
-		Schema:    ReportSchema,
-		Module:    module,
-		Rules:     rules,
-		Findings:  toReportFindings(newFindings, true),
-		Baselined: toReportFindings(baselined, true),
+	r := Report{Schema: ReportSchema, Module: module, Rules: rules, Findings: []ReportFinding{}}
+	for _, f := range findings {
+		r.Findings = append(r.Findings, ReportFinding{File: f.Pos.Filename, Line: f.Pos.Line, Rule: f.Rule, Msg: f.Msg})
 	}
-	if r.Findings == nil {
-		r.Findings = []ReportFinding{}
-	}
-	return r
-}
-
-// WriteReport writes the report as indented JSON, newline-terminated.
-func WriteReport(path string, r Report) error {
-	return writeJSON(path, r)
-}
-
-func toReportFindings(fs []Finding, withLine bool) []ReportFinding {
-	var out []ReportFinding
-	for _, f := range fs {
-		rf := ReportFinding{File: f.Pos.Filename, Rule: f.Rule, Msg: f.Msg}
-		if withLine {
-			rf.Line = f.Pos.Line
-			rf.Fixable = f.Fix != nil
-		}
-		out = append(out, rf)
-	}
-	return out
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,9 @@
 // Package flow is simlint's intraprocedural dataflow layer: a control-flow
-// graph over go/ast function bodies, a generic forward worklist solver, and
-// a reaching-values taint engine with per-parameter labels. It is built on
-// the standard library only, like the rest of the analyzer framework, and
-// exists so rules can enforce *flow* properties (a value from here must
-// never reach there; a lock acquired on this path is released on every
-// path) instead of purely syntactic ones.
+// graph over go/ast function bodies and a generic forward worklist solver.
+// It is built on the standard library only, like the rest of the analyzer
+// framework, and exists so the lockscope rule can enforce a *flow* property
+// (a lock acquired on this path is released on every path) instead of a
+// purely syntactic one.
 //
 // The CFG is statement-granular: each basic block holds the atomic
 // statements and condition expressions executed in order, and edges follow

@@ -2,31 +2,17 @@ package flow
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"testing"
 )
 
-// load type-checks one file worth of source and returns the named function
-// plus the type info.
-func load(t *testing.T, src string) (map[string]*ast.FuncDecl, *types.Info, *token.FileSet) {
+// load parses one file worth of source and returns its functions by name.
+func load(t *testing.T, src string) map[string]*ast.FuncDecl {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "src.go", src, parser.SkipObjectResolution)
+	f, err := parser.ParseFile(token.NewFileSet(), "src.go", src, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
-		t.Fatalf("typecheck: %v", err)
 	}
 	funcs := map[string]*ast.FuncDecl{}
 	for _, d := range f.Decls {
@@ -34,155 +20,7 @@ func load(t *testing.T, src string) (map[string]*ast.FuncDecl, *types.Info, *tok
 			funcs[fd.Name.Name] = fd
 		}
 	}
-	return funcs, info, fset
-}
-
-func params(fd *ast.FuncDecl) []*ast.Ident {
-	var out []*ast.Ident
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			out = append(out, nil)
-			continue
-		}
-		for _, n := range field.Names {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-const taintSrc = `package p
-
-func source() int { return 1 }
-func sink(x int)  {}
-func clean() int  { return 0 }
-
-func direct() {
-	v := source()
-	sink(v)
-}
-
-func killed() {
-	v := source()
-	v = clean()
-	sink(v)
-}
-
-func branches(c bool) int {
-	v := 0
-	if c {
-		v = source()
-	} else {
-		v = clean()
-	}
-	sink(v)
-	return v
-}
-
-func throughStruct() {
-	type box struct{ a, b int }
-	var x box
-	x.a = source()
-	sink(x.b)
-	sink(x.a)
-}
-
-func loops() {
-	v := 0
-	for i := 0; i < 3; i++ {
-		sink(v)
-		v = source()
-	}
-}
-
-func passes(p int) int {
-	sink(p)
-	return p
-}
-`
-
-// runTaint runs the engine over one function with source() as the taint
-// source, recording the taint of every sink(x) argument in call order.
-func runTaint(t *testing.T, name string) (sinks []Taint, result Taint) {
-	funcs, info, _ := load(t, taintSrc)
-	fd := funcs[name]
-	if fd == nil {
-		t.Fatalf("no function %s", name)
-	}
-	cfg := TaintConfig{
-		Info:   info,
-		Params: params(fd),
-		CallTaint: func(call *ast.CallExpr, args []Taint) Taint {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "source" {
-				return Source
-			}
-			return 0
-		},
-	}
-	result = RunTaint(fd.Body, cfg, TaintVisitor{
-		Call: func(call *ast.CallExpr, args []Taint) {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "sink" {
-				sinks = append(sinks, args[0])
-			}
-		},
-	})
-	return sinks, result
-}
-
-func TestTaintDirectFlow(t *testing.T) {
-	sinks, _ := runTaint(t, "direct")
-	if len(sinks) != 1 || sinks[0]&Source == 0 {
-		t.Errorf("direct: sink taints = %v, want [Source]", sinks)
-	}
-}
-
-func TestTaintKilledByReassignment(t *testing.T) {
-	sinks, _ := runTaint(t, "killed")
-	if len(sinks) != 1 || sinks[0]&Source != 0 {
-		t.Errorf("killed: sink taints = %v, want untainted", sinks)
-	}
-}
-
-func TestTaintJoinsBranches(t *testing.T) {
-	sinks, result := runTaint(t, "branches")
-	if len(sinks) != 1 || sinks[0]&Source == 0 {
-		t.Errorf("branches: sink taints = %v, want Source (may-analysis over the join)", sinks)
-	}
-	if result&Source == 0 {
-		t.Errorf("branches: result taint = %v, want Source", result)
-	}
-}
-
-func TestTaintFieldSensitivity(t *testing.T) {
-	sinks, _ := runTaint(t, "throughStruct")
-	if len(sinks) != 2 {
-		t.Fatalf("throughStruct: %d sink calls, want 2", len(sinks))
-	}
-	if sinks[0]&Source != 0 {
-		t.Errorf("throughStruct: untainted sibling field reported tainted")
-	}
-	if sinks[1]&Source == 0 {
-		t.Errorf("throughStruct: tainted field not reported")
-	}
-}
-
-func TestTaintLoopBackEdge(t *testing.T) {
-	sinks, _ := runTaint(t, "loops")
-	// The sink precedes the source in the body, but the back edge carries
-	// the taint around: the fixpoint must flag it.
-	if len(sinks) != 1 || sinks[0]&Source == 0 {
-		t.Errorf("loops: sink taints = %v, want Source via the back edge", sinks)
-	}
-}
-
-func TestTaintParamLabels(t *testing.T) {
-	sinks, result := runTaint(t, "passes")
-	if len(sinks) != 1 || sinks[0]&ParamBit(0) == 0 {
-		t.Errorf("passes: sink taints = %v, want ParamBit(0)", sinks)
-	}
-	if result&ParamBit(0) == 0 {
-		t.Errorf("passes: result taint = %v, want ParamBit(0)", result)
-	}
+	return funcs
 }
 
 const cfgSrc = `package p
@@ -231,7 +69,7 @@ func selects(ch chan int) int {
 `
 
 func TestCFGShapes(t *testing.T) {
-	funcs, _, _ := load(t, cfgSrc)
+	funcs := load(t, cfgSrc)
 	g := Build(funcs["shapes"].Body)
 	if g.Entry == nil || g.Exit == nil || len(g.Blocks) < 5 {
 		t.Fatalf("implausible CFG: %d blocks", len(g.Blocks))
@@ -256,7 +94,7 @@ func TestCFGShapes(t *testing.T) {
 }
 
 func TestCFGSelectMetadata(t *testing.T) {
-	funcs, _, _ := load(t, cfgSrc)
+	funcs := load(t, cfgSrc)
 	g := Build(funcs["selects"].Body)
 	var withDefault, without int
 	for _, has := range g.SelectHasDefault {

@@ -1,0 +1,74 @@
+package rules
+
+import (
+	"go/ast"
+	"go/types"
+
+	"scalesim/tools/simlint/internal/analysis"
+)
+
+// calleeOf resolves the called function or method of a call expression,
+// including interface methods. Returns nil for conversions, builtins,
+// function-typed values and literals.
+func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// recvTypeName returns the name of a method's receiver type (struct or
+// interface, through a pointer), or "" for package-level functions.
+func recvTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+// funcKey renders the summary-fact key of a function or method:
+// "Type.Method" or "Func", scoped by the exporting package.
+func funcKey(fn *types.Func) string {
+	if r := recvTypeName(fn); r != "" {
+		return r + "." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// funcUnit is one analyzable function body: a declared function or a
+// function literal (closures and goroutine bodies are their own units —
+// the dataflow never descends into a FuncLit).
+type funcUnit struct {
+	name string        // enclosing declaration name, for messages
+	decl *ast.FuncDecl // nil for literal units
+	body *ast.BlockStmt
+}
+
+// funcUnits collects every function body of a file in declaration order:
+// each FuncDecl, followed by every FuncLit it contains.
+func funcUnits(f *ast.File) []funcUnit {
+	var out []funcUnit
+	analysis.EnclosingFuncs(f, func(fd *ast.FuncDecl) {
+		out = append(out, funcUnit{name: fd.Name.Name, decl: fd, body: fd.Body})
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				out = append(out, funcUnit{name: fd.Name.Name, body: lit.Body})
+			}
+			return true
+		})
+	})
+	return out
+}

@@ -4,120 +4,58 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"scalesim/tools/simlint/internal/analysis"
-	"scalesim/tools/simlint/internal/flow"
 )
 
-// ctxflow tracks fresh root contexts. context.Background() (and TODO()) is
-// only legitimate at the top of a program — package main, or the sanctioned
-// convenience wrappers whose entire body is delegation to their XContext
-// twin. Anywhere else, a fresh root context passed into one of this
-// module's context-taking calls severs the caller's cancellation chain: the
-// engine keeps simulating after the campaign is cancelled, the store keeps
-// journaling after shutdown. The rule is flow-sensitive — a root context is
-// a taint source, context-deriving stdlib calls (WithCancel, WithTimeout,
-// WithValue) propagate it, and the sinks are module-internal calls whose
-// signature accepts a context.Context.
-//
-// When the offending argument is literally context.Background()/TODO() and
-// the enclosing function has a usable context parameter, the finding
-// carries a fix replacing the literal with that parameter.
+// ctxflow keeps root contexts at the top of the program.
+// context.Background() (and TODO()) is only legitimate in package main, or
+// in the sanctioned convenience wrappers whose entire body is delegation to
+// their XContext twin. Anywhere else a fresh root context severs the
+// caller's cancellation chain: the engine keeps simulating after the
+// campaign is cancelled, the store keeps journaling after shutdown. The
+// rule is purely syntactic — every call that mints a root context outside
+// those two places is a finding, whether it is passed on directly, derived
+// from (WithCancel), captured by a goroutine or parked in a struct field
+// for a later call to pick up.
 type ctxflow struct{}
 
 func (ctxflow) Name() string { return "ctxflow" }
-func (ctxflow) Doc() string {
-	return "fresh context.Background()/TODO() outside main never flows into module calls"
-}
 
 func (a ctxflow) Run(pass *analysis.Pass) []analysis.Finding {
 	p := pass.Pkg
-	mod := pass.Module
 	if p.Pkg.Name() == "main" {
 		return nil
 	}
-
 	var out []analysis.Finding
 	for _, f := range p.Files {
-		for _, u := range funcUnits(f) {
-			if isBackgroundWrapper(u) {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && isBackgroundWrapper(p.Info, fd) {
 				continue
 			}
-			u := u
-			ctxParam := contextParam(p.Info, u.params)
-			visit := flow.TaintVisitor{Call: func(call *ast.CallExpr, args []flow.Taint) {
-				fn := calleeOf(p.Info, call)
-				if fn == nil || fn.Pkg() == nil {
-					return
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isRootContextCall(p.Info, call) {
+					return true
 				}
-				path := fn.Pkg().Path()
-				if path != mod.Path && !strings.HasPrefix(path, mod.Path+"/") {
-					return
-				}
-				sig, ok := fn.Type().(*types.Signature)
-				if !ok {
-					return
-				}
-				for i := 0; i < sig.Params().Len() && i < len(args); i++ {
-					if !isContextType(sig.Params().At(i).Type()) || args[i]&flow.Source == 0 {
-						continue
-					}
-					fnd := analysis.Finding{
-						Pos:  mod.Fset.Position(call.Args[i].Pos()),
-						Rule: a.Name(),
-						Msg: fmt.Sprintf("fresh root context flows into %s in %s, severing the caller's cancellation chain; thread the caller's context through",
-							funcKey(fn), u.name),
-					}
-					if ctxParam != nil && isRootContextCall(p.Info, call.Args[i]) {
-						arg := call.Args[i]
-						fnd.Fix = &analysis.Fix{
-							Message: fmt.Sprintf("pass the %s parameter instead of a fresh root context", ctxParam.Name),
-							Edits:   []analysis.TextEdit{{Pos: arg.Pos(), End: arg.End(), New: ctxParam.Name}},
-						}
-					}
-					out = append(out, fnd)
-					return
-				}
-			}}
-			flow.RunTaint(u.body, flow.TaintConfig{
-				Info:    p.Info,
-				Params:  u.params,
-				Results: u.results,
-				CallTaint: func(call *ast.CallExpr, args []flow.Taint) flow.Taint {
-					return rootContextTaint(p.Info, call, args)
-				},
-			}, visit)
+				out = append(out, analysis.Finding{
+					Pos:  pass.Module.Fset.Position(call.Pos()),
+					Rule: a.Name(),
+					Msg: fmt.Sprintf("%s outside package main severs the caller's cancellation chain; thread the caller's context through (only a single-statement X → XContext wrapper may mint a root context)",
+						types.ExprString(call)),
+				})
+				return true
+			})
 		}
 	}
 	return out
 }
 
-// rootContextTaint is the ctxflow transfer for calls: Background/TODO mint
-// the taint, and the context package's deriving constructors (WithCancel,
-// WithTimeout, WithValue, ...) pass their parent's taint through.
-func rootContextTaint(info *types.Info, call *ast.CallExpr, args []flow.Taint) flow.Taint {
-	fn := calleeOf(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-		return 0
-	}
-	switch fn.Name() {
-	case "Background", "TODO":
-		return flow.Source
-	default:
-		var t flow.Taint
-		for _, a := range args {
-			t |= a & flow.Source
-		}
-		return t
-	}
-}
-
-// isRootContextCall reports whether expr is literally context.Background()
-// or context.TODO() — the only shape the autofix rewrites.
+// isRootContextCall reports whether expr is context.Background() or
+// context.TODO().
 func isRootContextCall(info *types.Info, expr ast.Expr) bool {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok || len(call.Args) != 0 {
+	if !ok {
 		return false
 	}
 	fn := calleeOf(info, call)
@@ -125,30 +63,15 @@ func isRootContextCall(info *types.Info, expr ast.Expr) bool {
 		(fn.Name() == "Background" || fn.Name() == "TODO")
 }
 
-// contextParam returns the first named, non-blank context.Context parameter
-// of a unit, or nil.
-func contextParam(info *types.Info, params []*ast.Ident) *ast.Ident {
-	for _, id := range params {
-		if id == nil || id.Name == "_" {
-			continue
-		}
-		if obj := info.Defs[id]; obj != nil && isContextType(obj.Type()) {
-			return id
-		}
-	}
-	return nil
-}
-
-// isBackgroundWrapper reports whether a unit is a sanctioned convenience
-// wrapper: a declared function X whose whole body is one statement
-// delegating to XContext with context.Background() as the first argument
-// (the apipair pattern — apipair separately enforces the exact pairing).
-func isBackgroundWrapper(u funcUnit) bool {
-	if u.decl == nil || len(u.body.List) != 1 {
+// isBackgroundWrapper reports whether a declaration is a sanctioned
+// convenience wrapper: a function X whose whole body is one statement
+// delegating to XContext with a root context as the first argument.
+func isBackgroundWrapper(info *types.Info, fd *ast.FuncDecl) bool {
+	if fd.Body == nil || len(fd.Body.List) != 1 {
 		return false
 	}
 	var call *ast.CallExpr
-	switch s := u.body.List[0].(type) {
+	switch s := fd.Body.List[0].(type) {
 	case *ast.ReturnStmt:
 		if len(s.Results) != 1 {
 			return false
@@ -160,24 +83,6 @@ func isBackgroundWrapper(u funcUnit) bool {
 	if call == nil || len(call.Args) == 0 {
 		return false
 	}
-	var callee string
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		callee = fun.Name
-	case *ast.SelectorExpr:
-		callee = fun.Sel.Name
-	}
-	if callee != u.decl.Name.Name+"Context" {
-		return false
-	}
-	inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr)
-	if !ok || len(inner.Args) != 0 {
-		return false
-	}
-	sel, ok := ast.Unparen(inner.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Background" && sel.Sel.Name != "TODO" {
-		return false
-	}
-	base, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && base.Name == "context"
+	fn := calleeOf(info, call)
+	return fn != nil && fn.Name() == fd.Name.Name+"Context" && isRootContextCall(info, call.Args[0])
 }

@@ -26,9 +26,6 @@ import (
 type errwrap struct{}
 
 func (errwrap) Name() string { return "errwrap" }
-func (errwrap) Doc() string {
-	return "sentinel errors are wrapped with %w and matched with errors.Is"
-}
 
 const errwrapFactKey = "sentinels"
 
@@ -88,7 +85,6 @@ func (a errwrap) Run(pass *analysis.Pass) []analysis.Finding {
 	}
 
 	for _, f := range p.Files {
-		errorsName := importedErrorsName(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
@@ -101,20 +97,6 @@ func (a errwrap) Run(pass *analysis.Pass) []analysis.Finding {
 						continue
 					}
 					report(n.OpPos, "error compared to sentinel %s with %s; use errors.Is so wrapped errors still match", s.Name(), n.Op)
-					// The rewrite is only offered when the file already
-					// imports errors — a fix must never break the build.
-					if errorsName != "" {
-						neg := ""
-						if n.Op == token.NEQ {
-							neg = "!"
-						}
-						out[len(out)-1].Fix = &analysis.Fix{
-							Message: "compare with errors.Is",
-							Edits: []analysis.TextEdit{{Pos: n.Pos(), End: n.End(),
-								New: fmt.Sprintf("%s%s.Is(%s, %s)", neg, errorsName,
-									types.ExprString(ast.Unparen(other)), types.ExprString(ast.Unparen(pair[0])))}},
-						}
-					}
 					break
 				}
 				if isErrorTextMatch(p.Info, n.X, n.Y) || isErrorTextMatch(p.Info, n.Y, n.X) {
@@ -211,24 +193,6 @@ func isErrorCall(info *types.Info, e ast.Expr) bool {
 	}
 	recv := info.TypeOf(sel.X)
 	return recv != nil && types.Implements(recv, errorIface)
-}
-
-// importedErrorsName returns the name the errors package is imported under
-// in the file ("" when absent, dot- or blank-imported).
-func importedErrorsName(f *ast.File) string {
-	for _, spec := range f.Imports {
-		if spec.Path.Value != `"errors"` {
-			continue
-		}
-		if spec.Name == nil {
-			return "errors"
-		}
-		if spec.Name.Name == "_" || spec.Name.Name == "." {
-			return ""
-		}
-		return spec.Name.Name
-	}
-	return ""
 }
 
 func isNilIdent(info *types.Info, e ast.Expr) bool {

@@ -3,9 +3,8 @@ package rules
 import "strconv"
 
 // verbRef is one formatting verb and the argument index it consumes
-// (relative to the first variadic argument). Shared by reflectfmt (hunting
-// %v of pointer-carrying values) and errwrap (hunting sentinels passed to
-// fmt.Errorf without %w).
+// (relative to the first variadic argument); errwrap uses it to hunt
+// sentinels passed to fmt.Errorf without %w.
 type verbRef struct {
 	verb  rune
 	flags string // the verb's flag characters, e.g. "+" for %+v

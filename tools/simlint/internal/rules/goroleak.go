@@ -25,9 +25,6 @@ type goroleak struct {
 }
 
 func (goroleak) Name() string { return "goroleak" }
-func (goroleak) Doc() string {
-	return "every go statement in runner/store is WaitGroup-joined and context-aware"
-}
 
 func (a goroleak) Run(pass *analysis.Pass) []analysis.Finding {
 	p := pass.Pkg

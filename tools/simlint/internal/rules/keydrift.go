@@ -32,9 +32,6 @@ type keydrift struct {
 }
 
 func (keydrift) Name() string { return "keydrift" }
-func (keydrift) Doc() string {
-	return "every semantic design-point field must be encoded by the key file"
-}
 
 func (a keydrift) RunModule(m *analysis.Module) []analysis.Finding {
 	if a.keyFile == "" || len(a.roots) == 0 {

@@ -32,9 +32,6 @@ type lockscope struct {
 }
 
 func (lockscope) Name() string { return "lockscope" }
-func (lockscope) Doc() string {
-	return "no mutex held across blocking operations; no return path leaks a lock"
-}
 
 const lockFactKey = "blocking-funcs"
 
@@ -339,7 +336,7 @@ func mutexOp(info *types.Info, call *ast.CallExpr, names map[string]string) (str
 	if !ok {
 		return "", 0, false
 	}
-	path, ok := flow.PathOf(info, sel.X)
+	path, ok := lockPath(info, sel.X)
 	if !ok {
 		return "", 0, false
 	}
@@ -347,6 +344,47 @@ func mutexOp(info *types.Info, call *ast.CallExpr, names map[string]string) (str
 		names[path] = types.ExprString(sel.X)
 	}
 	return path, op, true
+}
+
+// lockPath renders a canonical lvalue path for a mutex expression, or
+// reports that the expression is not a trackable storage location.
+// Variables key on their declaration position, so shadowed names stay
+// distinct; pointer dereferences collapse onto the pointer's path (one
+// level of aliasing); all elements of an indexed container share one "[]"
+// path.
+func lockPath(info *types.Info, expr ast.Expr) (string, bool) {
+	switch x := ast.Unparen(expr).(type) {
+	case *ast.Ident:
+		obj := info.ObjectOf(x)
+		if vr, ok := obj.(*types.Var); ok && !vr.IsField() {
+			return fmt.Sprintf("v%d", vr.Pos()), true
+		}
+		return "", false
+	case *ast.SelectorExpr:
+		// A package-qualified variable keys on the variable itself.
+		if id, ok := x.X.(*ast.Ident); ok {
+			if _, isPkg := info.ObjectOf(id).(*types.PkgName); isPkg {
+				if vr, ok := info.ObjectOf(x.Sel).(*types.Var); ok {
+					return fmt.Sprintf("v%d", vr.Pos()), true
+				}
+				return "", false
+			}
+		}
+		base, ok := lockPath(info, x.X)
+		if !ok {
+			return "", false
+		}
+		return base + "." + x.Sel.Name, true
+	case *ast.StarExpr:
+		return lockPath(info, x.X)
+	case *ast.IndexExpr:
+		base, ok := lockPath(info, x.X)
+		if !ok {
+			return "", false
+		}
+		return base + "[]", true
+	}
+	return "", false
 }
 
 // isPanicNode reports whether a CFG node is a bare panic call — a held lock

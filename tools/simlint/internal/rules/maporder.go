@@ -21,9 +21,6 @@ type maporder struct {
 }
 
 func (maporder) Name() string { return "maporder" }
-func (maporder) Doc() string {
-	return "no `range` over maps in deterministic packages"
-}
 
 func (a maporder) Run(pass *analysis.Pass) []analysis.Finding {
 	p := pass.Pkg

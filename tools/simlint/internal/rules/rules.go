@@ -8,8 +8,9 @@ import "scalesim/tools/simlint/internal/analysis"
 
 // RepoConfig is this repository's lint policy. The deterministic set is
 // every package whose code executes between "design point in" and "Result
-// out": the simulator core and its models, the synthetic trace generators,
-// the scale-model protocols, and the campaign engine (whose cache keys and
+// out": the simulator core and its substrate models, the synthetic trace
+// generators, the machine configurations, the ML fits and the scale-model
+// protocols built on them, and the campaign engine (whose cache keys and
 // reports must themselves be reproducible). It lives here, next to the
 // rules, so the driver and the repo-clean test share one definition.
 func RepoConfig(root string) analysis.Config {
@@ -17,10 +18,20 @@ func RepoConfig(root string) analysis.Config {
 		Root: root,
 		Deterministic: []string{
 			"internal/sim",
+			// The per-cycle core model is the hottest loop in the repo:
+			// maporder here is what keeps map iteration out of it.
+			"internal/cpu",
+			"internal/branch",
 			"internal/trace",
 			"internal/cache",
 			"internal/noc",
 			"internal/dram",
+			"internal/config",
+			// Forest/SVR fits: the surrogate and scale-model fingerprints
+			// are functions of them.
+			"internal/ml",
+			"internal/fit",
+			"internal/metrics",
 			"internal/scalemodel",
 			"internal/runner",
 			"internal/store",
@@ -40,57 +51,10 @@ func RepoConfig(root string) analysis.Config {
 		// statements must be WaitGroup-joined and context-scoped like every
 		// other pool in the tree.
 		Goroutines: []string{"internal/runner", "internal/store", "internal/server", "internal/surrogate", "internal/sim"},
-		// The root package must keep at least Simulate/SimulateParallel/
-		// RunCampaign as Context pairs; a refactor that hides them from the
-		// analyzer would otherwise silently void the rule.
-		APIPairMin: map[string]int{"": 3},
-		// The surrogate quarantine invariant (PR 7): anything the predictor
-		// returns is approximate and must never reach a ground-truth tier —
-		// the durable store, the engine's memory cache, or the training set
-		// (predictions fed back as observations would make the model eat its
-		// own output).
-		ApproxSources: []string{
-			"internal/runner.Predictor.Predict",
-			"internal/ml.RandomForest.Predict",
-			"internal/ml.RandomForest.PredictStats",
-		},
-		ApproxSinks: []string{
-			"internal/runner.ResultStore.Save@1",
-			"internal/store.Store.Save@1",
-			"internal/runner.Predictor.Observe@1",
-		},
-		ApproxCaches: []string{"internal/runner.Engine.cache"},
 		// Mutex hygiene in every package that mixes locks with channels, the
 		// journal, or the network — and, since PR 10, the epoch simulator
-		// (which must in fact hold no locks at all; hotpath enforces that
-		// on the hot set, lockscope on whatever it would add).
+		// (which must in fact hold no locks at all).
 		Locks: []string{"internal/runner", "internal/store", "internal/server", "internal/surrogate", "internal/sim"},
-		// The hot set of the epoch simulator (PR 9's 0 allocs/op loop): the
-		// per-cycle core stepper, the memory-system resolve path, and the
-		// cache access paths, per-core and shared-LLC.
-		HotRoots: []string{
-			"internal/cpu.Core.Run",
-			"internal/sim.coreCtx.resolve",
-			"internal/cache.Level.Access",
-			"internal/cache.NUCA.Access",
-		},
-		// The epoch fork/join pool: goroutines spawned here must not write
-		// shared simulator state.
-		WorkerRoots: []string{"internal/sim.machine.runCoresParallel"},
-		SharedTypes: []string{"internal/noc.Mesh", "internal/dram.Memory", "internal/cache.NUCA"},
-		// Read-only shared surfaces workers may touch concurrently; the
-		// *Into accumulator methods are sanctioned by convention.
-		SharedSafe: []string{
-			"internal/noc.Mesh.Route",
-			"internal/noc.Mesh.MCTile",
-			"internal/noc.Mesh.Tile",
-			"internal/noc.Mesh.Tiles",
-			"internal/dram.Memory.MCOf",
-			"internal/dram.Memory.Controllers",
-			"internal/dram.Memory.BaseLatency",
-			"internal/cache.NUCA.SliceOf",
-			"internal/cache.NUCA.Probe",
-		},
 	}
 	// Suppressions always validate against the full registry, even when the
 	// driver runs a rule subset.
@@ -115,25 +79,12 @@ func All(cfg analysis.Config) []analysis.Analyzer {
 	return []analysis.Analyzer{
 		maporder{det: det},
 		wallclock{det: det},
-		reflectfmt{},
 		keydrift{keyFile: cfg.KeyFile, roots: cfg.KeyRoots},
 		unitsRule{dir: cfg.UnitsDir},
 		errwrap{},
-		apipair{min: cfg.APIPairMin},
 		goroleak{pkgs: goro},
-		approxflow{
-			sources: parseTaintSpecs(cfg.ApproxSources),
-			sinks:   parseTaintSpecs(cfg.ApproxSinks),
-			caches:  parseTaintSpecs(cfg.ApproxCaches),
-		},
 		ctxflow{},
 		lockscope{pkgs: locks},
-		hotpath{roots: parseTaintSpecs(cfg.HotRoots)},
-		sharestrict{
-			workerRoots: parseTaintSpecs(cfg.WorkerRoots),
-			shared:      parseTaintSpecs(cfg.SharedTypes),
-			safe:        parseTaintSpecs(cfg.SharedSafe),
-		},
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -17,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite testdata/fixture.golden from th
 
 // fixtureConfig lints the self-contained module under testdata/fixture,
 // with its own deterministic set, key encoder, units package, goroutine
-// policy, and pair pin.
+// policy and lock policy.
 func fixtureConfig() analysis.Config {
 	return analysis.Config{
 		Root:          filepath.Join("testdata", "fixture"),
@@ -26,15 +25,7 @@ func fixtureConfig() analysis.Config {
 		KeyRoots:      []string{"keys.Options"},
 		UnitsDir:      "uu",
 		Goroutines:    []string{"leak"},
-		APIPairMin:    map[string]int{"pair": 4},
-		ApproxSources: []string{"af.Predictor.Predict"},
-		ApproxSinks:   []string{"af.Store.Save@1"},
-		ApproxCaches:  []string{"af.Cache.cache"},
 		Locks:         []string{"lk"},
-		HotRoots:      []string{"hp.Engine.Step"},
-		WorkerRoots:   []string{"ss.Pool.run"},
-		SharedTypes:   []string{"ss.Mesh"},
-		SharedSafe:    []string{"ss.Mesh.Tiles"},
 	}
 }
 
@@ -76,10 +67,6 @@ func TestAnalyzerFindings(t *testing.T) {
 			"det/det.go:43", // Stamp: time.Since
 			"det/det.go:59", // Draw: global math/rand
 		},
-		"reflectfmt": {
-			"hashctx/hashctx.go:18", // Key: %+v of pointer-carrying struct
-			"hashctx/hashctx.go:41", // mix: %v into a hash.Hash writer
-		},
 		"keydrift": {
 			"keys/keys.go:16", // Region.Skew never encoded
 			"keys/keys.go:23", // Options.Drift never encoded
@@ -101,30 +88,18 @@ func TestAnalyzerFindings(t *testing.T) {
 			"ew/ew.go:23",  // ContainsMatched: strings.Contains(Error(), ...)
 			"ew2/ew2.go:8", // CrossCompared: != imported sentinel
 		},
-		"apipair": {
-			"pair/pair.go:3",  // pinned minimum pair count missed
-			"pair/pair.go:14", // OrphanContext without a wrapper
-			"pair/pair.go:20", // Drift wrapper that re-implements
-		},
 		"goroleak": {
 			"leak/leak.go:11", // Fire: no context parameter
 			"leak/leak.go:11", // Fire: not WaitGroup-joined
 			"leak/leak.go:16", // Unjoined: not WaitGroup-joined
 			"leak/leak.go:38", // Opaque: unresolvable goroutine body
 		},
-		"approxflow": {
-			"af/af.go:28",   // Direct: prediction saved to the store
-			"af/af.go:47",   // Branch: prediction live on one arm of the join
-			"af/af.go:52",   // Memo: prediction inserted into the cache field
-			"af/af.go:68",   // ViaHelper: taint through a local summary
-			"af3/af3.go:13", // Indirect: cross-package sink-param summary
-			"af3/af3.go:20", // Imported: cross-package result summary
-		},
 		"ctxflow": {
-			"cf/cf.go:18",     // Fresh: Background despite a ctx parameter
-			"cf/cf.go:25",     // Derived: WithCancel does not launder a root
-			"cf/cf.go:37",     // Spawn: goroutine drops the caller's context
-			"pair/pair.go:22", // Drift: a re-implementing wrapper loses the exemption
+			"cf/cf.go:18", // Fresh: Background despite a ctx parameter
+			"cf/cf.go:23", // Derived: WithCancel does not launder a root
+			"cf/cf.go:37", // Spawn: goroutine drops the caller's context
+			"cf/cf.go:50", // Drift: a re-implementing wrapper loses the exemption
+			"cf/cf.go:62", // NewHolder: root context parked in a struct field
 		},
 		"lockscope": {
 			"lk/lk.go:23", // HeldAcrossSend: channel send under the mutex
@@ -132,28 +107,6 @@ func TestAnalyzerFindings(t *testing.T) {
 			"lk/lk.go:39", // LeakyReturn: early return leaks the lock
 			"lk/lk.go:62", // Blocks: default-less select under the mutex
 			"lk/lk.go:84", // ViaHelper: callee blocking summary
-		},
-		"hotpath": {
-			"hp/hp.go:31",  // locked: sync.Mutex.Lock one call below the root
-			"hp/hp.go:32",  // locked: defer
-			"hp/hp.go:32",  // locked: sync.Mutex.Unlock
-			"hp/hp.go:44",  // Load (reached via CHA): append growth
-			"hp/hp.go:50",  // lookup: make
-			"hp/hp.go:52",  // lookup: range over a map
-			"hp/hp.go:62",  // spill (three frames deep): fmt.Println
-			"hp/hp.go:63",  // spill: boxing into an any parameter
-			"hp/hp.go:64",  // spill: &composite literal
-			"hp/hp.go:65",  // spill: string concatenation
-			"hp/hp.go:66",  // spill: closure creation
-			"hp/hp.go:67",  // spill: dynamic call through a func value
-			"hp/hp.go:94",  // sloppy: exemption without a justification
-			"hp/hp.go:100", // cold: stale exemption on an unreachable function
-		},
-		"sharestrict": {
-			"ss/ss.go:64", // work: mutating Mesh.Latency call from the worker
-			"ss/ss.go:65", // work: direct Mesh.Total write
-			"ss/ss.go:74", // deep: direct write two frames below the spawn
-			"ss/ss.go:86", // handoff: Mesh.Merge taken as a method value
 		},
 	}
 	for rule, sites := range want {
@@ -219,58 +172,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Errorf("repository is not lint-clean:\n%s", analysis.Render(findings))
-	}
-}
-
-// TestWitnessFlows pins the interprocedural witnesses end to end: the
-// seeded hot-path alloc (reached through a CHA-resolved interface call)
-// and the seeded shared-Mesh write from the worker must both carry a call
-// chain in the message, a Finding.Flow whose first step is the root and
-// whose last step is the flagged site, and a SARIF codeFlow rendering it.
-func TestWitnessFlows(t *testing.T) {
-	findings := fixtureLint(t)
-	want := map[string]struct {
-		site  string // file:line of the finding
-		chain string // witness rendered in the message
-		root  string // first flow step's message
-	}{
-		"hotpath":     {"hp/hp.go:44", "Engine.Step → Table.Load", "root Engine.Step"},
-		"sharestrict": {"ss/ss.go:74", "Pool.run$1 → Pool.work → Pool.deep", "root Pool.run$1"},
-	}
-	seen := map[string]bool{}
-	for _, f := range findings {
-		w, ok := want[f.Rule]
-		if !ok || fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line) != w.site {
-			continue
-		}
-		seen[f.Rule] = true
-		if !strings.Contains(f.Msg, w.chain) {
-			t.Errorf("%s at %s: message %q does not carry witness chain %q", f.Rule, w.site, f.Msg, w.chain)
-		}
-		if len(f.Flow) < 2 {
-			t.Fatalf("%s at %s: Flow has %d steps, want >= 2", f.Rule, w.site, len(f.Flow))
-		}
-		if f.Flow[0].Msg != w.root {
-			t.Errorf("%s at %s: first flow step %q, want %q", f.Rule, w.site, f.Flow[0].Msg, w.root)
-		}
-		last := f.Flow[len(f.Flow)-1]
-		if last.Pos.Filename != f.Pos.Filename || last.Pos.Line != f.Pos.Line {
-			t.Errorf("%s at %s: last flow step at %s:%d, want the finding site", f.Rule, w.site, last.Pos.Filename, last.Pos.Line)
-		}
-		cfg := fixtureConfig()
-		log := analysis.BuildSARIF(All(cfg), []analysis.Finding{f}, nil)
-		res := log.Runs[0].Results[0]
-		if len(res.CodeFlows) != 1 || len(res.CodeFlows[0].ThreadFlows) != 1 {
-			t.Fatalf("%s at %s: SARIF result carries no codeFlow", f.Rule, w.site)
-		}
-		if got := len(res.CodeFlows[0].ThreadFlows[0].Locations); got != len(f.Flow) {
-			t.Errorf("%s at %s: codeFlow has %d locations, want %d", f.Rule, w.site, got, len(f.Flow))
-		}
-	}
-	for rule := range want {
-		if !seen[rule] {
-			t.Errorf("no %s finding at %s in the fixture", rule, want[rule].site)
-		}
 	}
 }
 

@@ -1,10 +1,10 @@
-// Package cf exercises the ctxflow rule: fresh root contexts created
-// outside main must not flow into the module's context-taking calls.
+// Package cf exercises the ctxflow rule: outside package main a root context
+// may be minted only by a single-statement X → XContext wrapper.
 package cf
 
 import "context"
 
-// RunContext is a module-internal context-taking entry point (a sink).
+// RunContext is a module-internal context-taking entry point.
 func RunContext(ctx context.Context, n int) int {
 	<-ctx.Done()
 	return n
@@ -13,7 +13,7 @@ func RunContext(ctx context.Context, n int) int {
 // Run is the sanctioned X/XContext convenience wrapper: exempt.
 func Run(n int) int { return RunContext(context.Background(), n) }
 
-// Fresh ignores its own context parameter: flagged, with a fix.
+// Fresh ignores its own context parameter: flagged.
 func Fresh(ctx context.Context, n int) int {
 	return RunContext(context.Background(), n)
 }
@@ -34,8 +34,33 @@ func Threaded(ctx context.Context, n int) int {
 func Spawn(ctx context.Context, n int) {
 	done := make(chan struct{})
 	go func() {
-		RunContext(context.Background(), n)
+		RunContext(context.TODO(), n)
 		close(done)
 	}()
 	<-done
 }
+
+// DriftContext has a wrapper that does not delegate.
+func DriftContext(ctx context.Context, n int) int { return n }
+
+// Drift re-implements instead of delegating in one statement, so it loses
+// the wrapper exemption: flagged.
+func Drift(n int) int {
+	if n > 0 {
+		return DriftContext(context.Background(), n)
+	}
+	return 0
+}
+
+// Holder launders a root context through a struct field: the constructor
+// parks it, a later method passes it on. No call ever receives a literal
+// root context, so only the minting site can be flagged.
+type Holder struct{ ctx context.Context }
+
+// NewHolder mints the root context the field carries: flagged.
+func NewHolder() *Holder {
+	return &Holder{ctx: context.Background()}
+}
+
+// Go passes the parked context on; the call itself looks threaded.
+func (h *Holder) Go(n int) int { return RunContext(h.ctx, n) }

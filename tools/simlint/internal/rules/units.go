@@ -39,9 +39,6 @@ type unitsRule struct {
 }
 
 func (unitsRule) Name() string { return "units" }
-func (unitsRule) Doc() string {
-	return "no arithmetic mixing distinct unit types or bare literals at unit boundaries"
-}
 
 const unitsFactKey = "types"
 

@@ -19,9 +19,6 @@ type wallclock struct {
 }
 
 func (wallclock) Name() string { return "wallclock" }
-func (wallclock) Doc() string {
-	return "no time.Now/Since or math/rand in deterministic packages"
-}
 
 func (a wallclock) Run(pass *analysis.Pass) []analysis.Finding {
 	p := pass.Pkg

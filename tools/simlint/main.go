@@ -11,41 +11,26 @@
 //	maporder    no `range` over maps in deterministic packages
 //	wallclock   no time.Now/time.Since or math/rand in deterministic
 //	            packages; internal/xrand is the only randomness source
-//	reflectfmt  no %v/%+v of pointer-carrying values feeding a hash or key
 //	keydrift    every semantic field of the design-point structs must be
 //	            encoded by internal/runner/key.go
 //	units       no arithmetic mixing distinct internal/units quantity
 //	            types, no bare literals across unit boundaries
 //	errwrap     sentinel errors are wrapped with %w and matched with
 //	            errors.Is, never == or string matching
-//	apipair     every exported *Context entry point has a single-statement
-//	            delegating context-free wrapper
-//	goroleak    every go statement in internal/runner and internal/store
-//	            is WaitGroup-joined and spawned from a context-aware
-//	            function
-//	approxflow  flow-sensitive taint: model predictions (approximate
-//	            values) never reach the store, the memory cache, or the
-//	            training set
-//	ctxflow     flow-sensitive: fresh context.Background()/TODO() outside
-//	            main and the sanctioned X/XContext wrappers never flows
-//	            into the module's context-taking calls
+//	goroleak    every go statement in the pool-owning packages is
+//	            WaitGroup-joined and spawned from a context-aware function
+//	ctxflow     no context.Background()/TODO() outside package main and
+//	            the single-statement X → XContext(context.Background(), …)
+//	            wrappers
 //	lockscope   flow-sensitive: no mutex held across a blocking operation,
 //	            no return path that leaks a lock
-//	hotpath     interprocedural: functions reachable from the hot-loop
-//	            roots (the per-cycle core stepper, the memory-system
-//	            resolve path, the cache access paths) must not allocate,
-//	            lock, defer, range a map, or call fmt; escapes use
-//	            //simlint:hotpath-exempt <justification>
-//	sharestrict interprocedural: the epoch fork/join workers must not
-//	            write shared simulator state (noc.Mesh, dram.Memory, the
-//	            shared-LLC cache.NUCA) except through the sanctioned
-//	            read-only and *Into accumulator surfaces
 //
-// The two interprocedural rules run over a CHA-based call graph
-// (tools/simlint/internal/callgraph): interface calls resolve to every
-// module type implementing the interface, closures and method values are
-// edges, and each finding carries its witness — the shortest call chain
-// from a configured root — in the message and as a SARIF codeFlow.
+// Each rule holds an invariant no test can: a new unencoded key field, a
+// lock held across a send, a map range that happens to iterate in order
+// today. Invariants a test already holds (the hot loop allocates nothing,
+// epoch workers do not write shared state, model predictions never reach a
+// ground-truth tier) are left to that test; DESIGN.md, "Static analysis
+// invariants", names it for each.
 //
 // Findings print as "file:line: [rule] message", sorted, and exit status 1.
 // A finding is suppressed by a trailing or preceding comment
@@ -53,14 +38,7 @@
 //	//simlint:ignore <rule> <justification>
 //
 // where the rule name must be registered and the justification is
-// mandatory. Findings listed in the committed baseline file
-// (tools/simlint/baseline.json) are reported in the JSON report but do not
-// fail the run; `make lint-baseline` regenerates the baseline. See
-// DESIGN.md, "Static analysis invariants".
-//
-// Some findings carry a suggested fix; -fix applies them (atomically per
-// file, idempotently) and re-lints so only what remains is reported.
-// -sarif writes the run as SARIF 2.1.0 for GitHub code scanning.
+// mandatory; that is the one escape valve.
 //
 // Usage:
 //
@@ -71,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"scalesim/tools/simlint/internal/analysis"
@@ -81,10 +58,6 @@ import (
 func main() {
 	ruleList := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	reportPath := flag.String("report", "", "write a JSON report (scalesim/simlint-report/v1) to this path")
-	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 report to this path")
-	applyFix := flag.Bool("fix", false, "apply suggested fixes, then re-lint and report what remains")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings (default: <root>/tools/simlint/baseline.json; missing file = empty baseline)")
-	writeBaseline := flag.Bool("write-baseline", false, "accept every current finding: rewrite the baseline file and exit 0")
 	flag.Parse()
 
 	root := "."
@@ -117,65 +90,19 @@ func main() {
 		fatal(err)
 	}
 
-	blPath := *baselinePath
-	if blPath == "" {
-		blPath = filepath.Join(root, "tools", "simlint", "baseline.json")
-	}
-	if *writeBaseline {
-		if err := analysis.WriteBaseline(blPath, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "simlint: baseline %s rewritten with %d finding(s)\n", blPath, len(findings))
-	}
-	baseline, err := analysis.LoadBaseline(blPath)
-	if err != nil {
-		fatal(err)
-	}
-	newFindings, baselined := baseline.Split(findings)
-
-	if *applyFix {
-		res, err := analysis.ApplyFixes(mod, newFindings)
-		if err != nil {
-			fatal(err)
-		}
-		if res.Skipped > 0 {
-			fmt.Fprintf(os.Stderr, "simlint: %d overlapping fix(es) skipped; re-run -fix after this pass\n", res.Skipped)
-		}
-		if res.Applied > 0 {
-			fmt.Fprintf(os.Stderr, "simlint: applied %d fix(es) to %s\n", res.Applied, strings.Join(res.Files, ", "))
-			// Re-lint from the rewritten sources so the report and the exit
-			// status describe what is actually left.
-			findings, mod, err = analysis.Run(cfg, active)
-			if err != nil {
-				fatal(err)
-			}
-			newFindings, baselined = baseline.Split(findings)
-		}
-	}
-
-	if *sarifPath != "" {
-		if err := analysis.WriteSARIF(*sarifPath, analysis.BuildSARIF(active, newFindings, baselined)); err != nil {
-			fatal(err)
-		}
-	}
-
 	if *reportPath != "" {
 		var names []string
 		for _, a := range active {
 			names = append(names, a.Name())
 		}
-		report := analysis.BuildReport(mod.Path, names, newFindings, baselined)
-		if err := analysis.WriteReport(*reportPath, report); err != nil {
+		if err := analysis.WriteReport(*reportPath, mod.Path, names, findings); err != nil {
 			fatal(err)
 		}
 	}
 
-	if len(baselined) > 0 {
-		fmt.Fprintf(os.Stderr, "simlint: %d baselined finding(s) suppressed\n", len(baselined))
-	}
-	if len(newFindings) > 0 {
-		fmt.Print(analysis.Render(newFindings))
-		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(newFindings))
+	if len(findings) > 0 {
+		fmt.Print(analysis.Render(findings))
+		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }
