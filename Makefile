@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint race bench clean clean-store store-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check lint race bench bench-record clean clean-store store-smoke serve-smoke surrogate-smoke
 
 # The lint report lands at the repository root regardless of the directory
 # make was invoked from, so CI's artifact path and local runs always agree.
@@ -96,6 +96,15 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -timeout=2h ./...
+
+# Benchmark trajectory: run scalebench on all five workloads BENCH_N times
+# and write BENCH_<yyyymmdd>.json (medians, quartiles, digests, tier counts,
+# host facts). With BENCH_PARENT=<checkout of the parent commit> the runs
+# alternate parent/change and the file carries the paired comparison that
+# bench/README.md requires of a claimed gain. Commit one per perf-claiming PR.
+BENCH_N ?= 10
+bench-record:
+	$(GO) run ./tools/benchrecord -n $(BENCH_N) $(if $(BENCH_PARENT),-parent $(BENCH_PARENT))
 
 clean:
 	$(GO) clean ./...

@@ -451,3 +451,38 @@ func BenchmarkSurrogate_Compute(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFigures_Warm measures one warm regeneration: Figs. 4, 9, 10, 11
+// and 12 on an eight-benchmark subset over a store a cold pass has filled,
+// so every simulation is a disk read and the fold-model fits and the
+// evaluation are the cost (scalebench's methodology-warm, visible to
+// go test -bench).
+func BenchmarkFigures_Warm(b *testing.B) {
+	dir := b.TempDir()
+	regenerate := func() {
+		ex, err := NewExperimentsSubset(FastOptions(), "exchange2", "povray", "gcc", "xz", "omnetpp", "fotonik3d", "mcf", "lbm")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex.SetWorkers(2)
+		if err := ex.SetStore(dir); err != nil {
+			b.Fatal(err)
+		}
+		for _, fig := range []func() (*FigureResult, error){
+			ex.Fig4Homogeneous, ex.Fig9RegressionForms, ex.Fig10Inputs, ex.Fig11ScaleModelCount, ex.Fig12Bandwidth,
+		} {
+			if _, err := fig(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ex.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	regenerate() // cold: fills the store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		regenerate()
+	}
+}

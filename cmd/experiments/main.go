@@ -28,7 +28,7 @@ func main() {
 	fast := flag.Bool("fast", false, "reduced simulation fidelity (~10x faster)")
 	figs := flag.String("figs", "", "comma-separated ids to run (default: all): 1,3..12, mt, ablations, prefetch, speedup")
 	skipHetero := flag.Bool("skip-hetero", false, "skip the heterogeneous studies (Figs. 5 and 6), the most expensive collection")
-	workers := flag.Int("workers", 1, "campaign worker-pool size for batch collections (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "campaign worker-pool size: bounds batch collections and leave-one-out evaluation fan-out (0 = GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print the campaign execution report (per-configuration simulation time) at the end")
 	storeDir := flag.String("store", "", "durable result store directory: makes figure regeneration incremental across invocations")
 	flag.Parse()

@@ -99,9 +99,10 @@ func (e *Experiments) Close() error { return e.svc.Close() }
 // (printed by `experiments -stats`).
 func (e *Experiments) CampaignReport() string { return e.svc.eng.Report().String() }
 
-// SetWorkers sets the campaign engine's worker-pool size used when
-// experiment protocols fan batches of simulations out in parallel (<= 0
-// selects GOMAXPROCS; the default is 1, i.e. sequential). Results are
+// SetWorkers sets the campaign engine's worker-pool size (<= 0 selects
+// GOMAXPROCS; the default is 1, i.e. sequential). It bounds both fan-outs:
+// the batches of simulations a collection submits, and the leave-one-out
+// folds an evaluation trains and predicts concurrently. Results are
 // bit-identical for any worker count.
 func (e *Experiments) SetWorkers(n int) { e.svc.eng.SetWorkers(n) }
 
@@ -412,8 +413,15 @@ func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
 		name string
 		bw   config.BandwidthScaling
 	}{{"MC-first", config.MCFirst}, {"MB-first", config.MBFirst}} {
-		lab := e.lab.WithBandwidth(bwp.bw)
-		d, err := lab.CollectHomogeneous(e.suite, e.scaleCores, scalemodel.MetricIPC)
+		var d *scalemodel.HomogeneousData
+		var err error
+		if bwp.bw == e.lab.Bandwidth {
+			// The base lab's own order is Fig. 4's data: its rows reuse the
+			// fold models already trained there.
+			d, err = e.homogData(scalemodel.MetricIPC)
+		} else {
+			d, err = e.lab.WithBandwidth(bwp.bw).CollectHomogeneous(e.suite, e.scaleCores, scalemodel.MetricIPC)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", bwp.name, err)
 		}

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -433,26 +434,34 @@ func TestFinite(t *testing.T) {
 	}
 }
 
-func BenchmarkSVRFit(b *testing.B) {
-	X, y := synth(320, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &SVR{}
-		if err := s.Fit(X, y); err != nil {
-			b.Fatal(err)
-		}
+// benchmarkFit times fit on the training-set shapes the figures send the
+// estimators: 7 rows (subset runs) and 28 rows (the full suite's folds) at
+// d = 1 (IPC-only inputs) and d = 3, and the heterogeneous protocol's 320
+// rows.
+func benchmarkFit(b *testing.B, fit func(X [][]float64, y []float64) error) {
+	for _, shape := range []struct{ n, d int }{{7, 1}, {7, 3}, {28, 1}, {28, 3}, {320, 3}} {
+		b.Run(fmt.Sprintf("n%d_d%d", shape.n, shape.d), func(b *testing.B) {
+			X, y := synth(shape.n, 1)
+			for i := range X {
+				X[i] = X[i][:shape.d]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fit(X, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+func BenchmarkSVRFit(b *testing.B) {
+	benchmarkFit(b, func(X [][]float64, y []float64) error { return (&SVR{}).Fit(X, y) })
+}
+
 func BenchmarkForestFit(b *testing.B) {
-	X, y := synth(320, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := &RandomForest{Trees: 100}
-		if err := f.Fit(X, y); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkFit(b, func(X [][]float64, y []float64) error { return (&RandomForest{Trees: 100}).Fit(X, y) })
 }
 
 func TestTunedSVRSelectsAndFits(t *testing.T) {

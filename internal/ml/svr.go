@@ -103,14 +103,13 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	}
 	lambda := 1 / (C * float64(n))
 
-	// Precompute the kernel matrix.
-	K := make([][]float64, n)
-	for i := range K {
-		K[i] = make([]float64, n)
+	// Precompute the kernel matrix, row-major in one block.
+	K := make([]float64, n*n)
+	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			k := s.kernel(s.X[i], s.X[j])
-			K[i][j] = k
-			K[j][i] = k
+			K[i*n+j] = k
+			K[j*n+i] = k
 		}
 	}
 
@@ -119,7 +118,8 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	// lambda*f + (1/n) sum_i s_i K(x_i, .) with s_i the tube sign, giving
 	// the update beta <- (1 - eta*lambda)*beta - (eta/n)*s under the
 	// schedule eta_t = 1/(lambda*(t+2)).
-	s.beta = make([]float64, n)
+	beta := make([]float64, n)
+	s.beta = beta
 	s.b = 0
 	f := make([]float64, n)
 	sign := make([]float64, n)
@@ -127,9 +127,8 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 		// f = K beta + b
 		for i := 0; i < n; i++ {
 			sum := s.b
-			Ki := K[i]
-			for j := 0; j < n; j++ {
-				sum += Ki[j] * s.beta[j]
+			for j, k := range K[i*n : (i+1)*n] {
+				sum += k * beta[j]
 			}
 			f[i] = sum
 		}
@@ -155,7 +154,7 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 		eta := 1 / (lambda * float64(epoch+2))
 		shrink := 1 - eta*lambda
 		for i := 0; i < n; i++ {
-			s.beta[i] = shrink*s.beta[i] - eta/float64(n)*sign[i]
+			beta[i] = shrink*beta[i] - eta/float64(n)*sign[i]
 		}
 		// The bias is unregularised; a small decaying step on its
 		// subgradient keeps it stable alongside the Pegasos schedule.

@@ -3,7 +3,7 @@ package ml
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // DecisionTree is a CART regression tree: binary splits chosen by maximum
@@ -55,99 +55,129 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 		return err
 	}
 	t.d = d
+	f := &treeFit{X: X, y: y, features: t.featureIdx, sorted: make([]keyed, n), left: make([]int, n), right: make([]int, n)}
+	if f.features == nil {
+		f.features = make([]int, d)
+		for j := range f.features {
+			f.features[j] = j
+		}
+	}
+	f.maxDepth, f.minLeaf = t.defaults()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	maxDepth, minLeaf := t.defaults()
-	t.root = t.build(X, y, idx, 0, maxDepth, minLeaf)
+	t.root = f.build(idx, 0)
 	return nil
 }
 
-// build grows the subtree over the sample indices idx.
-func (t *DecisionTree) build(X [][]float64, y []float64, idx []int, depth, maxDepth, minLeaf int) *treeNode {
+// treeFit is one Fit's working state: the training set, and the scratch
+// every node reuses (a node is done with both before its children start).
+type treeFit struct {
+	X                 [][]float64
+	y                 []float64
+	features          []int
+	maxDepth, minLeaf int
+	sorted            []keyed // bestSplit's sort buffer
+	left, right       []int   // build's partition buffers
+}
+
+// keyed is a sample index with the value of the feature being scanned.
+type keyed struct {
+	v float64
+	i int
+}
+
+// byValue orders keyed samples by feature value; validate has excluded NaN.
+func byValue(a, b keyed) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
+// build grows the subtree over the sample indices idx, which it reorders
+// into its children's halves.
+func (f *treeFit) build(idx []int, depth int) *treeNode {
 	leafValue := func() *treeNode {
 		sum := 0.0
 		for _, i := range idx {
-			sum += y[i]
+			sum += f.y[i]
 		}
 		return &treeNode{leaf: true, value: sum / float64(len(idx))}
 	}
-	if depth >= maxDepth || len(idx) < 2*minLeaf {
+	if depth >= f.maxDepth || len(idx) < 2*f.minLeaf {
 		return leafValue()
 	}
-	feature, thresh, ok := t.bestSplit(X, y, idx, minLeaf)
+	feature, thresh, ok := f.bestSplit(idx)
 	if !ok {
 		return leafValue()
 	}
-	var left, right []int
+	// Stable partition through the scratch: each side keeps idx's order, as
+	// the sums over a side depend on it.
+	left, right := f.left[:0], f.right[:0]
 	for _, i := range idx {
-		if X[i][feature] <= thresh {
+		if f.X[i][feature] <= thresh {
 			left = append(left, i)
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) < minLeaf || len(right) < minLeaf {
+	if len(left) < f.minLeaf || len(right) < f.minLeaf {
 		return leafValue()
 	}
+	nl := copy(idx, left)
+	copy(idx[nl:], right)
 	return &treeNode{
 		feature: feature,
 		thresh:  thresh,
-		left:    t.build(X, y, left, depth+1, maxDepth, minLeaf),
-		right:   t.build(X, y, right, depth+1, maxDepth, minLeaf),
+		left:    f.build(idx[:nl], depth+1),
+		right:   f.build(idx[nl:], depth+1),
 	}
 }
 
 // bestSplit finds the (feature, threshold) pair with the greatest variance
 // reduction, scanning candidate thresholds at midpoints between consecutive
 // sorted feature values.
-func (t *DecisionTree) bestSplit(X [][]float64, y []float64, idx []int, minLeaf int) (feature int, thresh float64, ok bool) {
+func (f *treeFit) bestSplit(idx []int) (feature int, thresh float64, ok bool) {
 	n := len(idx)
-	features := t.featureIdx
-	if features == nil {
-		features = make([]int, t.d)
-		for j := range features {
-			features[j] = j
-		}
-	}
-
-	// Total sum of squares; a split must reduce it to be accepted.
-	var total, totalSq float64
+	total := 0.0
 	for _, i := range idx {
-		total += y[i]
-		totalSq += y[i] * y[i]
+		total += f.y[i]
 	}
+	// SSE reduction = totalSSE - (leftSSE + rightSSE); the sums of squares
+	// cancel, leaving the -(sum^2/n) terms. A split must reduce the SSE to
+	// be accepted.
+	totalTerm := total * total / float64(n)
 	bestGain := 1e-12
 
-	order := make([]int, n)
-	for _, f := range features {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+	sorted := f.sorted[:n]
+	for _, j := range f.features {
+		for k, i := range idx {
+			sorted[k] = keyed{f.X[i][j], i}
+		}
+		slices.SortFunc(sorted, byValue)
 
-		var leftSum, leftSq float64
+		leftSum := 0.0
 		for k := 0; k < n-1; k++ {
-			i := order[k]
-			leftSum += y[i]
-			leftSq += y[i] * y[i]
+			leftSum += f.y[sorted[k].i]
 			nl := k + 1
 			nr := n - nl
-			if nl < minLeaf || nr < minLeaf {
+			if nl < f.minLeaf || nr < f.minLeaf {
 				continue
 			}
-			if X[order[k]][f] == X[order[k+1]][f] {
+			if sorted[k].v == sorted[k+1].v {
 				continue // cannot split between equal values
 			}
 			rightSum := total - leftSum
-			rightSq := totalSq - leftSq
-			// SSE reduction = totalSSE - (leftSSE + rightSSE); comparing
-			// -(sum^2/n) terms suffices since the squared terms cancel.
-			gain := leftSum*leftSum/float64(nl) + rightSum*rightSum/float64(nr) - total*total/float64(n)
-			_ = rightSq
+			gain := leftSum*leftSum/float64(nl) + rightSum*rightSum/float64(nr) - totalTerm
 			if gain > bestGain {
 				bestGain = gain
-				feature = f
-				thresh = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				feature = j
+				thresh = (sorted[k].v + sorted[k+1].v) / 2
 				ok = true
 			}
 		}

@@ -2,7 +2,6 @@ package scalemodel
 
 import (
 	"fmt"
-	"sort"
 
 	"scalesim/internal/fit"
 	"scalesim/internal/ml"
@@ -95,29 +94,36 @@ type RegressionModel struct {
 // key is the scale model's core count; its samples carry values measured on
 // that scale model.
 func TrainRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Metric, perScaleModel map[int][]Sample, seed uint64) (*RegressionModel, error) {
-	if len(perScaleModel) < 2 {
-		return nil, fmt.Errorf("scalemodel: regression needs >= 2 multi-core scale models, got %d", len(perScaleModel))
+	return assembleRegression(kind, form, in, metric, sortedKeys(perScaleModel), func(cores int, seed uint64) (*Predictor, error) {
+		return TrainPredictor(kind, in, metric, perScaleModel[cores], seed)
+	}, seed)
+}
+
+// assembleRegression builds the regression model over the given ascending
+// scale-model sizes from one predictor per size; train is handed each
+// size's effective seed.
+func assembleRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Metric, sizes []int, train trainFunc, seed uint64) (*RegressionModel, error) {
+	if len(sizes) < 2 {
+		return nil, fmt.Errorf("scalemodel: regression needs >= 2 multi-core scale models, got %d", len(sizes))
 	}
 	r := &RegressionModel{
 		Kind:       kind,
 		Form:       form,
 		Inputs:     in,
 		Metric:     metric,
-		predictors: make(map[int]*Predictor, len(perScaleModel)),
+		cores:      sizes,
+		predictors: make(map[int]*Predictor, len(sizes)),
 	}
-	for _, cores := range sortedKeys(perScaleModel) {
-		samples := perScaleModel[cores]
+	for _, cores := range sizes {
 		if cores < 2 {
 			return nil, fmt.Errorf("scalemodel: regression scale model with %d cores (need multi-core)", cores)
 		}
-		p, err := TrainPredictor(kind, in, metric, samples, seed^uint64(cores))
+		p, err := train(cores, seed^uint64(cores))
 		if err != nil {
 			return nil, fmt.Errorf("scalemodel: %d-core scale model: %w", cores, err)
 		}
 		r.predictors[cores] = p
-		r.cores = append(r.cores, cores)
 	}
-	sort.Ints(r.cores)
 	return r, nil
 }
 

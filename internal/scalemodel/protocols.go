@@ -2,6 +2,9 @@ package scalemodel
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"scalesim/internal/config"
@@ -57,12 +60,16 @@ func (s MethodSpec) Name() string {
 // predictFunc maps an application's features to a target-system estimate.
 type predictFunc func(Features) (float64, error)
 
-// buildMethod trains the method described by spec and returns its
-// prediction function. predSamples carry target-system labels (used by
-// Prediction); regSamples carry per-scale-model labels (used by
-// Regression). metric selects the no-extrapolation feature passthrough.
-func buildMethod(spec MethodSpec, targetCores int, metric Metric,
-	predSamples []Sample, regSamples map[int][]Sample) (predictFunc, error) {
+// trainFunc returns the spec's Predictor for labels measured on the
+// cores-wide machine — the target system for Prediction, a multi-core scale
+// model inside Regression — under the given effective seed.
+type trainFunc func(cores int, seed uint64) (*Predictor, error)
+
+// buildMethod assembles the method described by spec from the predictors
+// train hands out and returns its prediction function. collected lists the
+// multi-core scale-model sizes the data holds, ascending; metric selects
+// the no-extrapolation feature passthrough.
+func buildMethod(spec MethodSpec, targetCores int, metric Metric, collected []int, train trainFunc) (predictFunc, error) {
 	switch spec.Method {
 	case MethodNoExtrapolation:
 		return func(f Features) (float64, error) {
@@ -72,24 +79,24 @@ func buildMethod(spec MethodSpec, targetCores int, metric Metric,
 			return NoExtrapolation(f), nil
 		}, nil
 	case MethodPrediction:
-		p, err := TrainPredictor(spec.Estimator, spec.Inputs, metric, predSamples, spec.Seed)
+		p, err := train(targetCores, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return func(f Features) (float64, error) { return p.Predict(f), nil }, nil
 	case MethodRegression:
-		selected := regSamples
+		sizes := collected
 		if spec.ScaleModels != nil {
-			selected = make(map[int][]Sample, len(spec.ScaleModels))
-			for _, c := range spec.ScaleModels {
-				s, ok := regSamples[c]
-				if !ok {
+			sizes = slices.Clone(spec.ScaleModels)
+			slices.Sort(sizes)
+			sizes = slices.Compact(sizes)
+			for _, c := range sizes {
+				if !slices.Contains(collected, c) {
 					return nil, fmt.Errorf("scalemodel: no samples collected for %d-core scale model", c)
 				}
-				selected[c] = s
 			}
 		}
-		r, err := TrainRegression(spec.Estimator, spec.Form, spec.Inputs, metric, selected, spec.Seed)
+		r, err := assembleRegression(spec.Estimator, spec.Form, spec.Inputs, metric, sizes, train, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -97,6 +104,56 @@ func buildMethod(spec MethodSpec, targetCores int, metric Metric,
 	default:
 		return nil, fmt.Errorf("scalemodel: unknown method %d", int(spec.Method))
 	}
+}
+
+// foldKey identifies one trained Predictor within a collected data set: the
+// estimator and its inputs, the machine size whose measurements are the
+// labels (see trainFunc), the benchmark held out of training (none in the
+// heterogeneous protocol) and the effective seed; the metric is the data
+// set's own. A Predictor is a pure function of these fields and the
+// read-only data, so every method that needs one — any curve Form, any
+// ScaleModels subset — shares a single training and gets the same bits.
+type foldKey struct {
+	kind    EstimatorKind
+	inputs  Inputs
+	cores   int
+	heldOut string
+	seed    uint64
+}
+
+// foldModels trains each fold model of one data set once and keeps it for
+// the data set's lifetime.
+type foldModels struct {
+	mu      sync.Mutex
+	entries map[foldKey]*foldEntry
+	trained atomic.Int64 // trainings run; equals len(entries) once all return
+}
+
+type foldEntry struct {
+	once sync.Once
+	p    *Predictor
+	err  error
+}
+
+// get returns k's model, training it on the first request. Concurrent
+// callers of one key wait on that one training; the map's lock is released
+// before it starts.
+func (m *foldModels) get(k foldKey, train func() (*Predictor, error)) (*Predictor, error) {
+	m.mu.Lock()
+	e := m.entries[k]
+	if e == nil {
+		if m.entries == nil {
+			m.entries = map[foldKey]*foldEntry{}
+		}
+		e = &foldEntry{}
+		m.entries[k] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		m.trained.Add(1)
+		e.p, e.err = train()
+	})
+	return e.p, e.err
 }
 
 // HomogeneousData holds every measurement the homogeneous leave-one-out
@@ -116,6 +173,11 @@ type HomogeneousData struct {
 	// size (1, the scale models, the target), as recorded in the collected
 	// results — the speedup studies' only input besides the errors.
 	SimTime map[int]time.Duration
+
+	// engine lends EvaluateLOO its worker count (nil, as in hand-built
+	// data, means one worker); models holds the fold models trained so far.
+	engine *runner.Engine
+	models foldModels
 }
 
 // CollectHomogeneous simulates everything the homogeneous protocol needs:
@@ -150,6 +212,7 @@ func (l *Lab) CollectHomogeneous(benchmarks []*trace.Profile, scaleCores []int, 
 		Target:      map[string]float64{},
 		Scale:       map[int]map[string]float64{},
 		SimTime:     map[int]time.Duration{},
+		engine:      l.engine,
 	}
 	for _, c := range scaleCores {
 		d.Scale[c] = map[string]float64{}
@@ -173,32 +236,24 @@ func (l *Lab) CollectHomogeneous(benchmarks []*trace.Profile, scaleCores []int, 
 	return d, nil
 }
 
-// samplesExcluding builds labelled samples from every benchmark except
-// skip, with labels drawn from the given per-benchmark value map.
-func (d *HomogeneousData) samplesExcluding(skip string, labels map[string]float64) []Sample {
-	out := make([]Sample, 0, len(d.Benchmarks))
-	for _, b := range d.Benchmarks {
-		if b == skip {
-			continue
-		}
-		out = append(out, Sample{Bench: b, F: d.Feat[b], Y: labels[b]})
+// samplesExcluding builds the training samples whose labels were measured
+// on the cores-wide machine, from every benchmark except skip. The labels
+// come from cores-copy homogeneous runs, so the co-runner bandwidth feature
+// is the pressure of cores-1 copies — keeping each machine's feature space
+// consistent with its measurements (Regression queries are projected into
+// the same space by RegressionModel).
+func (d *HomogeneousData) samplesExcluding(skip string, cores int) []Sample {
+	labels := d.Scale[cores]
+	if cores == d.TargetCores {
+		labels = d.Target
 	}
-	return out
-}
-
-// scaleSamplesExcluding builds the regression training samples for the
-// X-core scale model: the labels come from X-copy homogeneous runs, so the
-// co-runner bandwidth feature is the pressure of X-1 copies — keeping each
-// scale model's feature space consistent with its measurements (queries are
-// projected into the same space by RegressionModel).
-func (d *HomogeneousData) scaleSamplesExcluding(skip string, scaleCores int, labels map[string]float64) []Sample {
 	out := make([]Sample, 0, len(d.Benchmarks))
 	for _, b := range d.Benchmarks {
 		if b == skip {
 			continue
 		}
 		m := d.Meas[b]
-		f := Features{IPC: m.IPC, BW: m.BW, CoBW: float64(scaleCores-1) * m.BW}
+		f := Features{IPC: m.IPC, BW: m.BW, CoBW: float64(cores-1) * m.BW}
 		out = append(out, Sample{Bench: b, F: f, Y: labels[b]})
 	}
 	return out
@@ -208,46 +263,52 @@ func (d *HomogeneousData) scaleSamplesExcluding(skip string, scaleCores int, lab
 // method: for every benchmark, a model trained on the other N-1 benchmarks
 // predicts it, and the absolute relative error against the target-system
 // measurement is recorded. Errors carry the benchmark's single-core LLC
-// MPKI as sort key (Fig. 3/4 order benchmarks by memory intensity).
+// MPKI as sort key (Fig. 3/4 order benchmarks by memory intensity). The
+// folds are independent and run on as many goroutines as the collecting
+// engine has workers; results are assembled by fold index, so they are
+// bit-identical for any worker count.
 func (d *HomogeneousData) EvaluateLOO(spec MethodSpec) ([]metrics.NamedError, error) {
-	var out []metrics.NamedError
-	for _, b := range d.Benchmarks {
-		predSamples := d.samplesExcluding(b, d.Target)
-		regSamples := make(map[int][]Sample, len(d.Scale))
-		for _, c := range sortedKeys(d.Scale) {
-			regSamples[c] = d.scaleSamplesExcluding(b, c, d.Scale[c])
-		}
-		predict, err := buildMethod(spec, d.TargetCores, d.Metric, predSamples, regSamples)
+	workers := 1
+	if d.engine != nil {
+		workers = d.engine.Workers()
+	}
+	out := make([]metrics.NamedError, len(d.Benchmarks))
+	errs := make([]error, len(d.Benchmarks))
+	slots := make(chan struct{}, workers) // semaphore: one slot per running fold
+	var wg sync.WaitGroup
+	for i, b := range d.Benchmarks {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			pred, actual, err := d.PredictOne(b, spec)
+			out[i] = metrics.NamedError{Name: b, Key: d.Meas[b].MPKI, Error: metrics.PredictionError(pred, actual)}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("scalemodel: %s for %s: %w", spec.Name(), b, err)
+			return nil, fmt.Errorf("scalemodel: %s for %s: %w", spec.Name(), d.Benchmarks[i], err)
 		}
-		pred, err := predict(d.Feat[b])
-		if err != nil {
-			return nil, fmt.Errorf("scalemodel: %s predicting %s: %w", spec.Name(), b, err)
-		}
-		out = append(out, metrics.NamedError{
-			Name:  b,
-			Key:   d.Meas[b].MPKI,
-			Error: metrics.PredictionError(pred, d.Target[b]),
-		})
 	}
 	metrics.SortByKey(out)
 	return out, nil
 }
 
-// PredictOne trains spec on every benchmark except bench and returns the
-// prediction for bench alongside the measured target value (one fold of the
-// leave-one-out protocol).
+// PredictOne returns spec's prediction for bench from models trained on
+// every other benchmark, alongside the measured target value (one fold of
+// the leave-one-out protocol). The fold's models come from d's cache.
 func (d *HomogeneousData) PredictOne(bench string, spec MethodSpec) (pred, actual float64, err error) {
 	if _, ok := d.Feat[bench]; !ok {
 		return 0, 0, fmt.Errorf("scalemodel: benchmark %q not collected", bench)
 	}
-	predSamples := d.samplesExcluding(bench, d.Target)
-	regSamples := make(map[int][]Sample, len(d.Scale))
-	for _, c := range sortedKeys(d.Scale) {
-		regSamples[c] = d.scaleSamplesExcluding(bench, c, d.Scale[c])
-	}
-	predict, err := buildMethod(spec, d.TargetCores, d.Metric, predSamples, regSamples)
+	predict, err := buildMethod(spec, d.TargetCores, d.Metric, sortedKeys(d.Scale), func(cores int, seed uint64) (*Predictor, error) {
+		return d.models.get(foldKey{spec.Estimator, spec.Inputs, cores, bench, seed}, func() (*Predictor, error) {
+			return TrainPredictor(spec.Estimator, spec.Inputs, d.Metric, d.samplesExcluding(bench, cores), seed)
+		})
+	})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -311,6 +372,8 @@ type HeterogeneousData struct {
 	EvalMixes []MixResult
 	// STPMixes are the random mixes for the throughput study (IPC metric).
 	STPMixes []MixResult
+
+	models foldModels // the predictors trained so far, shared by every spec
 }
 
 // MixResult is one simulated mix: its composition and the measured
@@ -505,9 +568,18 @@ func balancedMix(rng *xrand.RNG, pool []*trace.Profile, slots int) []*trace.Prof
 	return mix
 }
 
-// fitMethod trains spec on the heterogeneous training data.
+// fitMethod assembles spec from predictors trained on the heterogeneous
+// training data, each trained once however many specs and figures use it.
 func (d *HeterogeneousData) fitMethod(spec MethodSpec) (predictFunc, error) {
-	return buildMethod(spec, d.TargetCores, d.Metric, d.PredSamples, d.RegSamples)
+	return buildMethod(spec, d.TargetCores, d.Metric, sortedKeys(d.RegSamples), func(cores int, seed uint64) (*Predictor, error) {
+		return d.models.get(foldKey{spec.Estimator, spec.Inputs, cores, "", seed}, func() (*Predictor, error) {
+			samples := d.RegSamples[cores]
+			if cores == d.TargetCores {
+				samples = d.PredSamples
+			}
+			return TrainPredictor(spec.Estimator, spec.Inputs, d.Metric, samples, seed)
+		})
+	})
 }
 
 // EvaluatePerApp returns, for each evaluation benchmark, the mean absolute

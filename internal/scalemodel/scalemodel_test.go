@@ -450,15 +450,32 @@ func TestDeterministicCollection(t *testing.T) {
 }
 
 func TestBuildMethodErrors(t *testing.T) {
+	// fresh trains on the given samples at every call, as the heterogeneous
+	// protocol did before its predictors were cached.
+	fresh := func(spec MethodSpec, pred []Sample, reg map[int][]Sample) trainFunc {
+		return func(cores int, seed uint64) (*Predictor, error) {
+			samples := reg[cores]
+			if cores == 32 {
+				samples = pred
+			}
+			return TrainPredictor(spec.Estimator, spec.Inputs, MetricIPC, samples, seed)
+		}
+	}
 	if _, err := buildMethod(MethodSpec{Method: MethodKind(9)}, 32, MetricIPC, nil, nil); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	if _, err := buildMethod(MethodSpec{Method: MethodPrediction, Estimator: SVM}, 32, MetricIPC, nil, nil); err == nil {
+	spec := MethodSpec{Method: MethodPrediction, Estimator: SVM}
+	if _, err := buildMethod(spec, 32, MetricIPC, nil, fresh(spec, nil, nil)); err == nil {
 		t.Fatal("prediction without samples accepted")
 	}
-	if _, err := buildMethod(MethodSpec{Method: MethodRegression, Estimator: SVM}, 32, MetricIPC, nil,
-		map[int][]Sample{2: {{F: Features{IPC: 1}, Y: 1}}}); err == nil {
+	spec = MethodSpec{Method: MethodRegression, Estimator: SVM}
+	one := map[int][]Sample{2: {{F: Features{IPC: 1}, Y: 1}}}
+	if _, err := buildMethod(spec, 32, MetricIPC, sortedKeys(one), fresh(spec, nil, one)); err == nil {
 		t.Fatal("regression with one scale model accepted")
+	}
+	spec.ScaleModels = []int{2, 4}
+	if _, err := buildMethod(spec, 32, MetricIPC, sortedKeys(one), fresh(spec, nil, one)); err == nil {
+		t.Fatal("regression over an uncollected scale model accepted")
 	}
 }
 

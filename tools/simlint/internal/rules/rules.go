@@ -54,7 +54,7 @@ func RepoConfig(root string) analysis.Config {
 		// Mutex hygiene in every package that mixes locks with channels, the
 		// journal, or the network — and, since PR 10, the epoch simulator
 		// (which must in fact hold no locks at all).
-		Locks: []string{"internal/runner", "internal/store", "internal/server", "internal/surrogate", "internal/sim"},
+		Locks: []string{"internal/runner", "internal/store", "internal/server", "internal/surrogate", "internal/sim", "internal/scalemodel"},
 	}
 	// Suppressions always validate against the full registry, even when the
 	// driver runs a rule subset.
