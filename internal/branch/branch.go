@@ -7,7 +7,13 @@
 // registers), trained online by the instruction stream, so per-benchmark
 // misprediction rates are emergent from each profile's static branch
 // population and outcome biases.
+//
+// The predictors of the hybrid a simulated core trains on every branch
+// allocate their tables and history registers through package pad: cores run
+// on different host CPUs and must not write to a shared cache line.
 package branch
+
+import "scalesim/internal/pad"
 
 // Predictor predicts conditional branch directions.
 type Predictor interface {
@@ -86,7 +92,7 @@ type Gshare struct {
 // bits of global history.
 func NewGshare(entries int, histLen uint) *Gshare {
 	entries = ceilPow2(entries)
-	return &Gshare{table: make([]counter, entries), mask: uint64(entries - 1), histLen: histLen}
+	return pad.New(Gshare{table: pad.Slice[counter](entries), mask: uint64(entries - 1), histLen: histLen})
 }
 
 // Name implements Predictor.
@@ -124,13 +130,13 @@ type Local struct {
 func NewLocal(histEntries int, histLen uint) *Local {
 	histEntries = ceilPow2(histEntries)
 	cnt := 1 << histLen
-	return &Local{
-		histories: make([]uint16, histEntries),
-		counters:  make([]counter, cnt),
+	return pad.New(Local{
+		histories: pad.Slice[uint16](histEntries),
+		counters:  pad.Slice[counter](cnt),
 		histMask:  uint64(histEntries - 1),
 		cntMask:   uint64(cnt - 1),
 		histLen:   histLen,
-	}
+	})
 }
 
 // Name implements Predictor.
@@ -175,12 +181,12 @@ func NewTournament() *Tournament {
 // table size and history length.
 func NewTournamentSized(entries int, histLen uint) *Tournament {
 	entries = ceilPow2(entries)
-	return &Tournament{
+	return pad.New(Tournament{
 		local:   NewLocal(entries, histLen),
 		global:  NewGshare(entries, histLen),
-		chooser: make([]counter, entries),
+		chooser: pad.Slice[counter](entries),
 		mask:    uint64(entries - 1),
-	}
+	})
 }
 
 // Name implements Predictor.

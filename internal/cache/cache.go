@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"scalesim/internal/config"
+	"scalesim/internal/pad"
 	"scalesim/internal/units"
 )
 
@@ -65,7 +66,9 @@ func (s Stats) Delta(prev Stats) Stats {
 }
 
 // Level is one set-associative, write-back, write-allocate cache level with
-// true LRU replacement.
+// true LRU replacement. A private level is written by its core on every
+// access, so the Level and its arrays are allocated through package pad:
+// cores run on different host CPUs and must not share a cache line.
 type Level struct {
 	sets      int
 	assoc     int
@@ -113,20 +116,20 @@ func NewLevel(cfg config.CacheLevelConfig, scale int) (*Level, error) {
 		shift++
 	}
 	n := sets * cfg.Assoc
-	tags := make([]uint64, n)
+	tags := pad.Slice[uint64](n)
 	for i := range tags {
 		tags[i] = invalidTag
 	}
-	return &Level{
+	return pad.New(Level{
 		sets:      sets,
 		assoc:     cfg.Assoc,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		tags:      tags,
 		dirty:     newBitset(n),
-		stamp:     make([]uint32, n),
-		clock:     make([]uint32, sets),
-	}, nil
+		stamp:     pad.Slice[uint32](n),
+		clock:     pad.Slice[uint32](sets),
+	}), nil
 }
 
 // Sets returns the number of sets.

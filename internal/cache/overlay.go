@@ -1,5 +1,7 @@
 package cache
 
+import "scalesim/internal/pad"
+
 // Overlay is a per-core copy-on-write view of a shared NUCA for one epoch of
 // parallel execution.
 //
@@ -44,13 +46,13 @@ const ovDirty uint8 = 1 << 0
 func NewOverlay(n *NUCA) *Overlay {
 	lvl := n.slices[0]
 	total := len(n.slices) * lvl.sets
-	return &Overlay{
+	return pad.New(Overlay{
 		n:     n,
 		sets:  lvl.sets,
 		assoc: lvl.assoc,
-		slot:  make([]int32, total),
-		ver:   make([]uint32, total),
-	}
+		slot:  pad.Slice[int32](total),
+		ver:   pad.Slice[uint32](total),
+	})
 }
 
 // BeginEpoch invalidates every clone (the shared NUCA may have changed at
@@ -109,16 +111,16 @@ func (o *Overlay) grow(need int) {
 	if newCap < need {
 		newCap = need
 	}
-	tags := make([]uint64, newCap)
+	tags := pad.Slice[uint64](newCap)
 	copy(tags, o.tags)
 	o.tags = tags
-	meta := make([]uint8, newCap)
+	meta := pad.Slice[uint8](newCap)
 	copy(meta, o.meta)
 	o.meta = meta
-	stamp := make([]uint32, newCap)
+	stamp := pad.Slice[uint32](newCap)
 	copy(stamp, o.stamp)
 	o.stamp = stamp
-	clock := make([]uint32, newCap/o.assoc)
+	clock := pad.Slice[uint32](newCap / o.assoc)
 	copy(clock, o.clock)
 	o.clock = clock
 }

@@ -1,5 +1,7 @@
 package cache
 
+import "scalesim/internal/pad"
+
 // StridePrefetcher is a stream/stride prefetcher of the kind that sits
 // beside an L2: it watches the demand-miss address stream, detects constant
 // strides across a small table of tracked streams, and once confident emits
@@ -35,7 +37,7 @@ type streamEntry struct {
 // NewStridePrefetcher returns a prefetcher for caches with the given line
 // size.
 func NewStridePrefetcher(lineSize int) *StridePrefetcher {
-	return &StridePrefetcher{lineSize: uint64(lineSize)}
+	return pad.New(StridePrefetcher{lineSize: uint64(lineSize)})
 }
 
 func (p *StridePrefetcher) defaults() (degree, streams int) {
@@ -59,7 +61,7 @@ func (p *StridePrefetcher) defaults() (degree, streams int) {
 func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 	degree, streams := p.defaults()
 	if p.table == nil {
-		p.table = make([]streamEntry, streams)
+		p.table = pad.Slice[streamEntry](streams)
 	}
 	line := addr / p.lineSize
 

@@ -16,6 +16,7 @@ import (
 
 	"scalesim/internal/branch"
 	"scalesim/internal/config"
+	"scalesim/internal/pad"
 	"scalesim/internal/trace"
 	"scalesim/internal/units"
 )
@@ -144,7 +145,9 @@ func New(id int, cfg config.CoreConfig, gen *trace.Generator, pred branch.Predic
 		mlp = 1
 	}
 	lineInstr := 64 / instrBytes
-	return &Core{
+	// Stats is written on every instruction: the core lives on host cache
+	// lines no other core shares (see package pad).
+	return pad.New(Core{
 		id:         id,
 		cfg:        cfg,
 		gen:        gen,
@@ -154,7 +157,7 @@ func New(id int, cfg config.CoreConfig, gen *trace.Generator, pred branch.Predic
 		hideCycles: units.Cycles(hide),
 		effMLP:     mlp,
 		fetchGroup: lineInstr,
-	}, nil
+	}), nil
 }
 
 // ID returns the core's id.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"scalesim/internal/config"
+	"scalesim/internal/pad"
 	"scalesim/internal/units"
 )
 
@@ -116,12 +117,13 @@ type Acc struct {
 	writes       uint64
 }
 
-// NewAcc returns an accumulator shaped for this memory's controller count.
+// NewAcc returns an accumulator shaped for this memory's controller count,
+// on host cache lines no other core's accumulator shares (see package pad).
 func (m *Memory) NewAcc() *Acc {
-	return &Acc{
-		epochBytes:   make([]units.Bytes, m.mcs),
-		epochStreams: make([]uint64, m.mcs),
-	}
+	return pad.New(Acc{
+		epochBytes:   pad.Slice[units.Bytes](m.mcs),
+		epochStreams: pad.Slice[uint64](m.mcs),
+	})
 }
 
 // AccessInto is Access with the demand accounted into a instead of the

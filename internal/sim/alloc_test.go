@@ -21,9 +21,8 @@ func TestEpochSteadyStateAllocFree(t *testing.T) {
 	const (
 		warmEpochs = 40
 		// forkJoin bounds a parallel epoch: one goroutine (and its closure)
-		// per worker plus the WaitGroup and claim counter. 4 measured at
-		// CoreWorkers 2; anything proportional to simulated work is
-		// thousands.
+		// per forked helper plus the WaitGroup. 3 measured at CoreWorkers 2;
+		// anything proportional to simulated work is thousands.
 		forkJoin = 8
 	)
 	wl := Workload{Profiles: []*trace.Profile{

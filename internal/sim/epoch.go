@@ -10,12 +10,13 @@ import (
 	"scalesim/internal/cpu"
 	"scalesim/internal/dram"
 	"scalesim/internal/noc"
+	"scalesim/internal/pad"
 	"scalesim/internal/units"
 )
 
 // This file is the epoch execution engine: per-core memory-system contexts,
-// the fork/join worker pool, and the canonical-order barrier that makes
-// parallel execution byte-identical to serial execution.
+// the fork/join of per-worker core blocks, and the canonical-order barrier
+// that makes parallel execution byte-identical to serial execution.
 //
 // Within an epoch, NoC and DRAM latencies are pure functions (they read only
 // the utilization estimates frozen at the last epoch boundary), and cores
@@ -27,6 +28,10 @@ import (
 // order (0, 1, 2, ...) and the accumulators merged the same way, so the
 // machine state entering the next epoch is a pure function of the inputs —
 // never of goroutine scheduling. See DESIGN.md, "Performance invariants".
+//
+// Independent in the model is not unshared on the host: everything a core
+// owns is allocated through package pad, so that two cores never touch one
+// host cache line (TestCoresShareNoCacheLine).
 
 // llcOpKind tags one logged shared-LLC operation.
 type llcOpKind uint8
@@ -99,6 +104,17 @@ func (c *coreCtx) replay() {
 	c.log = c.log[:0]
 }
 
+// logOp appends one shared-LLC operation to the replay log. The log keeps
+// its high-water capacity across epochs, so steady-state appends never grow;
+// when it must, it moves to a larger padded arena rather than letting append
+// pick an ordinary allocation.
+func (c *coreCtx) logOp(addr uint64, kind llcOpKind) {
+	if len(c.log) == cap(c.log) {
+		c.log = append(pad.Slice[llcOp](2 * cap(c.log))[:0], c.log...)
+	}
+	c.log = append(c.log, llcOp{addr: addr, kind: kind})
+}
+
 // llcAccess routes an LLC lookup to the partition, the overlay, or the
 // shared NUCA directly, mirroring the serial semantics of each mode.
 func (c *coreCtx) llcAccess(addr uint64, write bool) (slice int, hit bool) {
@@ -112,9 +128,7 @@ func (c *coreCtx) llcAccess(addr uint64, write bool) (slice int, hit bool) {
 		if write {
 			kind = opWrite
 		}
-		// The op log keeps its high-water capacity across epochs, so
-		// steady-state appends never grow.
-		c.log = append(c.log, llcOp{addr: addr, kind: kind})
+		c.logOp(addr, kind)
 		return slice, hit
 	}
 	// Serial fallback: ov is nil only when one core runs, so no worker
@@ -135,9 +149,7 @@ func (c *coreCtx) llcFill(addr uint64, dirty bool) (victimAddr uint64, victimDir
 		if dirty {
 			kind = opFillDirty
 		}
-		// The op log keeps its high-water capacity across epochs, so
-		// steady-state appends never grow.
-		c.log = append(c.log, llcOp{addr: addr, kind: kind})
+		c.logOp(addr, kind)
 		return victimAddr, victimDirty, evicted
 	}
 	// Serial fallback: ov is nil only when one core runs, so no worker
@@ -341,12 +353,11 @@ func (m *machine) runEpoch(ctx context.Context, cycles units.Cycles, limits []ui
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if m.workers > 1 {
+	if len(m.blocks) > 1 {
 		m.runCoresParallel(ctx, cycles, limits)
 	} else {
-		for i, c := range m.cores {
-			m.ctxs[i].beginEpoch()
-			c.Run(cycles, limits[i])
+		for i := range m.cores {
+			m.runCore(i, cycles, limits[i])
 		}
 	}
 	// Epoch barrier. Replay order — not execution order — defines the LLC
@@ -363,32 +374,93 @@ func (m *machine) runEpoch(ctx context.Context, cycles units.Cycles, limits []ui
 	return nil
 }
 
-// runCoresParallel executes the epoch's per-core work on a bounded worker
-// pool. Cores are claimed from an atomic counter; each core's work is
-// independent given the frozen epoch-boundary state, so any schedule
-// produces the same logs and accumulators.
+// runCore advances core i by one epoch against its thread-local view.
+func (m *machine) runCore(i int, cycles units.Cycles, limit uint64) {
+	m.ctxs[i].beginEpoch()
+	m.cores[i].Run(cycles, limit)
+}
+
+// block is one worker's share of the cores in the current epoch: the
+// half-open range [lo, hi) packed into one word, so that the owner taking
+// from the front and a thief taking from the back can never both win the
+// last core. Each block fills a host cache-line pair of its own.
+type block struct {
+	span atomic.Uint64 // lo<<32 | hi
+	_    [pad.Line - 8]byte
+}
+
+const blockHi = 1<<32 - 1
+
+// left returns the number of unclaimed cores.
+func (b *block) left() int {
+	s := b.span.Load()
+	return int(s&blockHi) - int(s>>32)
+}
+
+// take claims the block's first core, or with back set its last one.
+func (b *block) take(back bool) (core int, ok bool) {
+	for {
+		s := b.span.Load()
+		lo, hi := s>>32, s&blockHi
+		if lo >= hi {
+			return 0, false
+		}
+		core, claimed := int(lo), s+1<<32
+		if back {
+			core, claimed = int(hi-1), s-1
+		}
+		if b.span.CompareAndSwap(s, claimed) {
+			return core, true
+		}
+	}
+}
+
+// runCoresParallel executes the epoch's per-core work on len(m.blocks)
+// workers: the calling goroutine and one forked helper per further block,
+// all joined before it returns. Worker w owns cores [w*n/W, (w+1)*n/W) —
+// the same contiguous block every epoch, so a core's state stays in the
+// cache of the host CPU that ran it last, and neighbours in memory run one
+// after the other on one thread rather than at the same moment on two.
+// Each core's work is independent given the frozen epoch-boundary state, so
+// who runs it never shows in the logs and accumulators.
 func (m *machine) runCoresParallel(ctx context.Context, cycles units.Cycles, limits []uint64) {
-	var next atomic.Int64
+	n, workers := len(m.cores), len(m.blocks)
+	for w := range m.blocks {
+		m.blocks[w].span.Store(uint64(w*n/workers)<<32 | uint64((w+1)*n/workers))
+	}
 	var wg sync.WaitGroup
-	n := m.workers
-	if n > len(m.cores) {
-		n = len(m.cores)
-	}
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(m.cores) {
-					return
-				}
-				m.ctxs[i].beginEpoch()
-				m.cores[i].Run(cycles, limits[i])
-			}
-		}()
+			m.runBlock(w, cycles, limits)
+		}(w)
 	}
+	m.runBlock(0, cycles, limits)
 	wg.Wait()
+}
+
+// runBlock is worker w's epoch: its own block front to back, then — cores
+// differ in cost, so blocks do not finish together — one core at a time
+// from the far end of whichever block has the most left, until none has.
+func (m *machine) runBlock(w int, cycles units.Cycles, limits []uint64) {
+	for i, ok := m.blocks[w].take(false); ok; i, ok = m.blocks[w].take(false) {
+		m.runCore(i, cycles, limits[i])
+	}
+	for {
+		victim, most := -1, 0
+		for v := range m.blocks {
+			if left := m.blocks[v].left(); left > most {
+				victim, most = v, left
+			}
+		}
+		if victim < 0 {
+			return
+		}
+		if i, ok := m.blocks[victim].take(true); ok {
+			m.runCore(i, cycles, limits[i])
+		}
+	}
 }
 
 // noLimits fills limits with "unbounded" for the free-running phases.

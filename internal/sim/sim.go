@@ -34,6 +34,7 @@ import (
 	"scalesim/internal/cpu"
 	"scalesim/internal/dram"
 	"scalesim/internal/noc"
+	"scalesim/internal/pad"
 	"scalesim/internal/trace"
 	"scalesim/internal/units"
 )
@@ -197,8 +198,9 @@ type machine struct {
 	cores []*cpu.Core
 	ctxs  []*coreCtx
 
-	// workers is the resolved epoch worker-pool size (resolveWorkers).
-	workers int
+	// blocks holds one block of cores per epoch worker (resolveWorkers of
+	// them; see runCoresParallel). Nil when one worker runs every core.
+	blocks []block
 
 	// part, when non-nil, replaces the shared LLC with per-core private
 	// partitions (the PartitionedLLC ablation).
@@ -301,7 +303,9 @@ func newMachine(cfg *config.SystemConfig, wl Workload, opts Options) (*machine, 
 	// core can touch it within an epoch; a single core or the partitioned
 	// ablation keeps the zero-overhead direct path.
 	sharedLLC := cfg.Cores > 1 && m.part == nil
-	m.workers = resolveWorkers(opts.CoreWorkers, cfg.Cores)
+	if workers := resolveWorkers(opts.CoreWorkers, cfg.Cores); workers > 1 {
+		m.blocks = pad.Slice[block](workers)
+	}
 	for i := 0; i < cfg.Cores; i++ {
 		// The L1-I stays at native size: code footprints are not
 		// miniaturised (see trace.NewGenerator), so scaling the L1-I would
@@ -323,10 +327,10 @@ func newMachine(cfg *config.SystemConfig, wl Workload, opts Options) (*machine, 
 		m.l1d = append(m.l1d, l1d)
 		m.l2 = append(m.l2, l2)
 
-		cc := &coreCtx{m: m, core: i, dramAcc: m.mem.NewAcc()}
+		cc := pad.New(coreCtx{m: m, core: i, dramAcc: m.mem.NewAcc()})
 		if sharedLLC {
 			cc.ov = cache.NewOverlay(m.llc)
-			cc.log = make([]llcOp, 0, defaultEpochLogOps)
+			cc.log = pad.Slice[llcOp](defaultEpochLogOps)[:0]
 		}
 		m.ctxs = append(m.ctxs, cc)
 

@@ -77,15 +77,15 @@ func NewThreadGenerator(pp *ParallelProfile, thread, threads int, opts GenOption
 			// guard gaps in the layout keep siblings apart for small
 			// regions, and the address-space stride keeps threads apart
 			// even for large ones.
-			rs.base += uint64(thread+1) * (rs.size + (1 << 21))
+			rs.base += uint64(thread+1) * (rs.size.n + (1 << 21))
 		case rs.pattern == Seq:
 			// Partition the stream: thread t walks slice [t*size/N, (t+1)*size/N).
-			part := rs.size / uint64(threads)
+			part := rs.size.n / uint64(threads)
 			if part < rs.elem {
 				part = rs.elem
 			}
 			rs.base += uint64(thread) * part
-			rs.size = part
+			rs.size = newModulus(part)
 			rs.cursor = 0
 		default:
 			// Shared random/zipf/chase region: full range, thread-specific
@@ -93,7 +93,7 @@ func NewThreadGenerator(pp *ParallelProfile, thread, threads int, opts GenOption
 		}
 	}
 	// Spread thread start positions in the shared code.
-	g.icursor = (uint64(thread) * 4096) % g.isize
+	g.icursor = (uint64(thread) * 4096) % g.isize.n
 	return g, nil
 }
 

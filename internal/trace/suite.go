@@ -165,9 +165,17 @@ func Suite() []*Profile {
 	}
 }
 
-// ByName returns the suite profile with the given name, or nil.
+// suite is the lookup table behind ByName and Names: one Suite(), built
+// once. Its profiles are handed out shared — a served request resolves one
+// per program — so nothing may mutate them; TestSuiteTableIsNeverMutated
+// (internal/sim) compares it with a fresh Suite() after a simulation.
+var suite = Suite()
+
+// ByName returns the suite profile with the given name, or nil. The profile
+// is shared: callers must treat it as read-only (copy it to derive a
+// variant; Suite builds fresh ones).
 func ByName(name string) *Profile {
-	for _, p := range Suite() {
+	for _, p := range suite {
 		if p.Name == name {
 			return p
 		}
@@ -177,7 +185,6 @@ func ByName(name string) *Profile {
 
 // Names returns the suite benchmark names in suite order.
 func Names() []string {
-	suite := Suite()
 	names := make([]string, len(suite))
 	for i, p := range suite {
 		names[i] = p.Name

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"scalesim/internal/config"
+	"scalesim/internal/pad"
 	"scalesim/internal/xrand"
 )
 
@@ -170,16 +171,23 @@ func (p *Profile) Validate() error {
 // Distinct instances of the same profile (different Instance values) produce
 // decorrelated streams in disjoint address spaces, modelling the paper's
 // "co-running instances starting at slightly different offsets".
+//
+// A generator and everything it points to except the profile belong to one
+// simulated core and are allocated through package pad, so that cores
+// running on different host CPUs never write to a shared cache line.
 type Generator struct {
 	prof *Profile
 
 	rng *xrand.RNG
 
 	// kinds is a repeating 1000-slot schedule realising the per-KI
-	// instruction mix exactly, with loads/stores/branches spread evenly.
+	// instruction mix exactly, with loads/stores/branches spread evenly;
+	// slot is the next instruction's position in it (retired % 1000).
 	kinds [1000]OpKind
+	slot  int
 
 	regions []regionState
+	fracs   []float64 // Regions[i].Frac, flat for the interleaving loop
 	regAcc  []float64 // region interleaving accumulators
 
 	branches []branchState
@@ -187,7 +195,7 @@ type Generator struct {
 
 	// instruction-side state
 	ibase   uint64
-	isize   uint64
+	isize   modulus
 	icursor uint64
 	// codeZipf picks jump targets: real code time is concentrated in hot
 	// functions, so jump targets follow a Zipf popularity over 256-byte
@@ -199,13 +207,37 @@ type Generator struct {
 
 type regionState struct {
 	base     uint64
-	size     uint64 // scaled size in bytes
+	size     modulus // scaled size in bytes
 	elem     uint64
 	pattern  Pattern
 	zipf     *xrand.Zipf
-	zipfGran uint64 // bytes per zipf bucket
+	zipfGran modulus // bytes per zipf bucket
 	cursor   uint64
 	chaseLCG uint64
+}
+
+// modulus is a fixed divisor for reducing random draws to an offset. A power
+// of two — the L1-resident region's bucket size at the usual capacity scales,
+// many scaled footprints — reduces with an AND instead of a 64-bit divide.
+type modulus struct {
+	n    uint64
+	mask uint64 // n-1 when n is a power of two, else 0
+}
+
+func newModulus(n uint64) modulus {
+	m := modulus{n: n}
+	if n&(n-1) == 0 {
+		m.mask = n - 1
+	}
+	return m
+}
+
+// reduce returns x % m.n.
+func (m modulus) reduce(x uint64) uint64 {
+	if m.mask != 0 {
+		return x & m.mask
+	}
+	return x % m.n
 }
 
 type branchState struct {
@@ -240,16 +272,16 @@ func NewGenerator(prof *Profile, opts GenOptions) (*Generator, error) {
 	seed := opts.Seed ^ hashName(prof.Name) ^ (uint64(opts.Instance+1) * 0x9e3779b97f4a7c15)
 	rng := xrand.New(seed)
 
-	g := &Generator{
-		prof: prof,
-		rng:  rng,
-	}
+	g := pad.New(Generator{prof: prof, rng: rng})
 	g.buildKindSchedule()
 
 	base := uint64(opts.Instance+1) * addressSpaceStride
 	// Data regions are laid out from 1 GB within the instance's space.
 	next := base + (1 << 30)
-	for _, r := range prof.Regions {
+	g.regions = pad.Slice[regionState](len(prof.Regions))
+	g.fracs = pad.Slice[float64](len(prof.Regions))
+	g.regAcc = pad.Slice[float64](len(prof.Regions))
+	for i, r := range prof.Regions {
 		size := uint64(int64(r.Size)) / uint64(scale)
 		if size < 256 {
 			size = 256
@@ -260,7 +292,7 @@ func NewGenerator(prof *Profile, opts GenOptions) (*Generator, error) {
 		}
 		rs := regionState{
 			base:    next,
-			size:    size,
+			size:    newModulus(size),
 			elem:    elem,
 			pattern: r.Pattern,
 			// Each instance starts its walk at a different offset.
@@ -282,16 +314,15 @@ func NewGenerator(prof *Profile, opts GenOptions) (*Generator, error) {
 				buckets = 65536
 			}
 			rs.zipf = xrand.NewZipf(rng.Split(), buckets, s)
-			rs.zipfGran = size / uint64(buckets)
+			rs.zipfGran = newModulus(size / uint64(buckets))
 		}
-		g.regions = append(g.regions, rs)
+		g.regions[i], g.fracs[i] = rs, r.Frac
 		next += size + (1 << 24) // 16 MB guard gap
 	}
-	g.regAcc = make([]float64, len(prof.Regions))
 
 	// Static branch population.
 	if prof.BranchesPerKI > 0 {
-		g.branches = make([]branchState, prof.StaticBranches)
+		g.branches = pad.Slice[branchState](prof.StaticBranches)
 		for i := range g.branches {
 			// The minority-direction rate bounds the achievable prediction
 			// accuracy on i.i.d. outcomes: easy loop/guard branches flip
@@ -319,12 +350,13 @@ func NewGenerator(prof *Profile, opts GenOptions) (*Generator, error) {
 	// the large-code benchmarks such as gcc and perlbench), matching real
 	// machines, where the I-side rarely leaves the private hierarchy.
 	g.ibase = base + (1 << 20)
-	g.isize = uint64(int64(prof.IFootprint)) / uint64(scale)
-	if g.isize < 4096 {
-		g.isize = 4096
+	isize := uint64(int64(prof.IFootprint)) / uint64(scale)
+	if isize < 4096 {
+		isize = 4096
 	}
-	g.icursor = (uint64(opts.Instance) * 997 * 64) % g.isize
-	chunks := int(g.isize / 256)
+	g.isize = newModulus(isize)
+	g.icursor = (uint64(opts.Instance) * 997 * 64) % isize
+	chunks := int(isize / 256)
 	if chunks < 8 {
 		chunks = 8
 	}
@@ -355,11 +387,11 @@ func (g *Generator) Retired() uint64 { return g.retired }
 // front end even when they miss.
 func (g *Generator) NextIFetch() (addr uint64, jump bool) {
 	if g.rng.Bool(0.02) { // function call / long jump to a (hot) target
-		g.icursor = uint64(g.codeZipf.Next()) * 256 % g.isize
+		g.icursor = g.isize.reduce(uint64(g.codeZipf.Next()) * 256)
 		return g.ibase + g.icursor, true
 	}
 	g.icursor += 64
-	if g.icursor >= g.isize {
+	if g.icursor >= g.isize.n {
 		g.icursor = 0
 	}
 	return g.ibase + g.icursor, false
@@ -390,7 +422,10 @@ func (g *Generator) buildKindSchedule() {
 // Next produces the next instruction. The kind schedule is exact; addresses
 // and branch outcomes are drawn from the profile's distributions.
 func (g *Generator) Next() Op {
-	kind := g.kinds[g.retired%1000]
+	kind := g.kinds[g.slot]
+	if g.slot++; g.slot == len(g.kinds) {
+		g.slot = 0
+	}
 	g.retired++
 	switch kind {
 	case OpLoad:
@@ -408,8 +443,8 @@ func (g *Generator) memOp(isStore bool) Op {
 	// Pick the region whose accumulated deficit is largest (exact-fraction
 	// interleaving, deterministic).
 	best, bestV := 0, -1.0
-	for i := range g.regAcc {
-		g.regAcc[i] += g.prof.Regions[i].Frac
+	for i, frac := range g.fracs {
+		g.regAcc[i] += frac
 		if g.regAcc[i] > bestV {
 			bestV = g.regAcc[i]
 			best = i
@@ -423,23 +458,23 @@ func (g *Generator) memOp(isStore bool) Op {
 	switch rs.pattern {
 	case Seq:
 		rs.cursor += rs.elem
-		if rs.cursor >= rs.size {
+		if rs.cursor >= rs.size.n {
 			rs.cursor = 0
 		}
 		off = rs.cursor
 	case Rand:
-		off = g.rng.Uint64() % rs.size
+		off = rs.size.reduce(g.rng.Uint64())
 		off &^= 7
 	case Zipf:
 		b := uint64(rs.zipf.Next())
-		off = b*rs.zipfGran + g.rng.Uint64()%rs.zipfGran
+		off = b*rs.zipfGran.n + rs.zipfGran.reduce(g.rng.Uint64())
 		off &^= 7
 	case Chase:
 		// Deterministic pseudo-random dependent walk: an LCG over the region
 		// visits lines in an unpredictable order; each access depends on the
 		// previous one.
 		rs.chaseLCG = rs.chaseLCG*6364136223846793005 + 1442695040888963407
-		off = (rs.chaseLCG >> 11) % rs.size
+		off = rs.size.reduce(rs.chaseLCG >> 11)
 		off &^= 63 // line-granular nodes
 		dep = true
 	}
@@ -463,7 +498,7 @@ func (g *Generator) branchOp() Op {
 func (g *Generator) Footprint() uint64 {
 	var total uint64
 	for _, r := range g.regions {
-		total += r.size
+		total += r.size.n
 	}
 	return total
 }

@@ -319,10 +319,23 @@ func TestSortByName(t *testing.T) {
 	}
 }
 
+// BenchmarkGeneratorNext is the Go-benchmark twin of scalebench's
+// trace.next_ns.gcc / .mcf probes (same profiles, same capacity scale).
 func BenchmarkGeneratorNext(b *testing.B) {
-	g, _ := NewGenerator(ByName("gcc"), GenOptions{CapacityScale: 8, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next()
+	for _, name := range []string{"gcc", "mcf"} {
+		b.Run(name, func(b *testing.B) {
+			g, err := NewGenerator(ByName(name), GenOptions{CapacityScale: 16, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				sum += g.Next().Addr
+			}
+			addrSink = sum
+		})
 	}
 }
+
+var addrSink uint64

@@ -9,7 +9,11 @@
 // splitmix64 for seeding and xoshiro256** for the main stream.
 package xrand
 
-import "math"
+import (
+	"math"
+
+	"scalesim/internal/pad"
+)
 
 // RNG is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct with New.
@@ -19,9 +23,10 @@ type RNG struct {
 
 // New returns a generator seeded from seed via splitmix64, as recommended by
 // the xoshiro authors. Distinct seeds yield statistically independent
-// streams.
+// streams. The state is written on every draw, so it is allocated on host
+// cache lines of its own (see package pad).
 func New(seed uint64) *RNG {
-	r := &RNG{}
+	r := pad.New(RNG{})
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -159,12 +164,18 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Zipf samples from a Zipf distribution over {0, ..., n-1} with exponent s,
-// using inverse-CDF on a precomputed table when called through NewZipf. This
-// direct method is O(log n) per sample.
+// Zipf samples from a Zipf distribution over {0, ..., n-1} with exponent s
+// by inverting a precomputed CDF: a draw u in [0, 1) maps to the lowest rank
+// whose cumulative probability reaches u. A guide table (Chen & Asau's
+// indexed search) makes the inversion O(1) expected: guide[j] is the lowest
+// rank with cdf >= j/K, so the answer for any u in [j/K, (j+1)/K) is found by
+// scanning up from guide[j] — with K >= 2n cells, less than one step on
+// average, and the same rank a search of the whole table would return.
 type Zipf struct {
-	cdf []float64
-	rng *RNG
+	cdf   []float64
+	guide []uint32
+	cells float64 // K = len(guide) as a float64: a power of two, so u*K is exact
+	rng   *RNG
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s > 0. Lower ranks
@@ -173,7 +184,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	if n <= 0 || s <= 0 {
 		panic("xrand: NewZipf requires n > 0 and s > 0")
 	}
-	cdf := make([]float64, n)
+	cdf := pad.Slice[float64](n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		sum += 1 / math.Pow(float64(i+1), s)
@@ -183,20 +194,31 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against FP round-off
-	return &Zipf{cdf: cdf, rng: rng}
+	cells := 2
+	for cells < 2*n {
+		cells <<= 1
+	}
+	z := pad.New(Zipf{cdf: cdf, guide: pad.Slice[uint32](cells), cells: float64(cells), rng: rng})
+	rank := 0
+	for j := range z.guide {
+		for cdf[rank] < float64(j)/z.cells {
+			rank++
+		}
+		z.guide[j] = uint32(rank)
+	}
+	return z
 }
 
 // Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (z *Zipf) Next() int { return z.rank(z.rng.Float64()) }
+
+// rank returns the lowest rank whose cumulative probability is at least u,
+// for u in [0, 1). The scan ends at the latest on the last entry, which is
+// exactly 1.
+func (z *Zipf) rank(u float64) int {
+	i := int(z.guide[int(u*z.cells)])
+	for z.cdf[i] < u {
+		i++
 	}
-	return lo
+	return i
 }

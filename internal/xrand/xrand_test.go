@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -246,11 +247,64 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
+// BenchmarkZipf covers the table sizes the trace generator samples from: a
+// scaled data region's buckets, the branch population, a code footprint.
 func BenchmarkZipf(b *testing.B) {
-	r := New(1)
-	z := NewZipf(r, 4096, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Next()
+	for _, n := range []int{8, 512, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			z := NewZipf(New(1), n, 0.9)
+			b.ResetTimer()
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += z.Next()
+			}
+			zipfSink = sum
+		})
+	}
+}
+
+var zipfSink int
+
+// refRank is the sampler Zipf.rank replaced — a binary search of the whole
+// CDF for the lowest rank with cdf >= u — kept as the oracle.
+func refRank(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfMatchesReference pins the guide-table sampler to the binary search
+// it replaced: the same rank draw for draw, and on the draws where the two
+// could part ways — u exactly on a CDF entry, one ulp below it, and 0.
+func TestZipfMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 100, 512, 4096, 65536} {
+		for _, s := range []float64{0.7, 0.8, 0.9, 1.0, 1.1, 1.2} {
+			z := NewZipf(New(uint64(n)), n, s)
+			ref := New(uint64(n))
+			for i := 0; i < 100_000; i++ {
+				if got, want := z.Next(), refRank(z.cdf, ref.Float64()); got != want {
+					t.Fatalf("n=%d s=%.1f draw %d: rank %d, reference %d", n, s, i, got, want)
+				}
+			}
+			edges := []float64{0}
+			for _, c := range z.cdf {
+				if c < 1 { // draws lie in [0, 1)
+					edges = append(edges, c)
+				}
+				edges = append(edges, math.Nextafter(c, 0))
+			}
+			for _, u := range edges {
+				if got, want := z.rank(u), refRank(z.cdf, u); got != want {
+					t.Fatalf("n=%d s=%.1f u=%x: rank %d, reference %d", n, s, u, got, want)
+				}
+			}
+		}
 	}
 }

@@ -5,10 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"testing"
 
+	"scalesim/internal/config"
 	"scalesim/internal/runner"
+	"scalesim/internal/sim"
+	"scalesim/internal/trace"
 )
 
 func TestTuningValidate(t *testing.T) {
@@ -82,7 +86,8 @@ func TestTuningIsKeyless(t *testing.T) {
 // epoch fork/join: across a seed matrix and both LLC organisations, a run
 // with CoreWorkers > 1 must be byte-identical to the serial run — the same
 // full-precision per-core metrics, the same contention utilisations, and
-// the same JSONL telemetry bytes. It stays in -short (and therefore in
+// the same JSONL telemetry bytes — however the cores fall into worker
+// blocks and whoever ends up running them. It stays in -short (and therefore in
 // `make check` under -race, where the race detector also vets the epoch
 // barrier) because parallel epochs are the default execution mode.
 func TestParallelEpochDeterminism(t *testing.T) {
@@ -117,6 +122,64 @@ func TestParallelEpochDeterminism(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// One core per worker never shares a block and never steals. Seven and
+	// eight cores on 2, 3, 5, 8 and 16 workers give even and uneven blocks,
+	// blocks that finish early and steal, and more workers than cores. A
+	// 7-core machine is not a paper configuration: it is the 8-core scale
+	// model with a core and its LLC slice taken out.
+	machine := func(cores int) *config.SystemConfig {
+		cfg, err := config.ScaleModel(config.Target(), 8, config.ScaleModelOptions{Policy: config.PRSFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cores, cfg.LLC.Slices = cores, cores
+		return cfg
+	}
+	workerCounts := []int{2, 3, 5, 8, 16}
+	for _, cores := range []int{7, 8} {
+		var wl sim.Workload
+		for _, name := range []string{"mcf", "exchange2", "lbm", "gcc", "povray", "milc", "leela", "xz"}[:cores] {
+			wl.Profiles = append(wl.Profiles, trace.ByName(name))
+		}
+		run := func(workers int) *sim.Result {
+			res, err := sim.Run(machine(cores), wl, sim.Options{
+				Instructions: 30_000, Warmup: 10_000, EpochCycles: 10_000, CapacityScale: 16, Seed: 3,
+				CoreWorkers: workers, Telemetry: &sim.TelemetryOptions{Warmup: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.WallClock = 0
+			return res
+		}
+		serial := run(1)
+		for _, workers := range workerCounts {
+			if got := run(workers); !reflect.DeepEqual(serial, got) {
+				t.Errorf("%d cores on %d workers diverged from the serial run:\nserial:   %+v\nparallel: %+v", cores, workers, serial, got)
+			}
+		}
+	}
+
+	// A skewed data-parallel run: threads that reach a barrier early retire
+	// nothing for whole epochs while the stragglers catch up, so blocks cost
+	// very different amounts and idle workers steal.
+	threads := func(workers int) *sim.ParallelResult {
+		opts := sim.Options{Instructions: 160_000, Warmup: 40_000, EpochCycles: 10_000, CapacityScale: 16, Seed: 3, CoreWorkers: workers}
+		res, err := sim.RunParallelContext(context.Background(), machine(8), sim.ParallelSpec{Profile: trace.ParallelByName("par.graph")}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.WallClock = 0
+		return res
+	}
+	serial := threads(1)
+	if serial.Stack.Barrier == 0 {
+		t.Fatal("no thread ever waited at a barrier; the skewed run does not exercise idle cores")
+	}
+	if got := threads(3); !reflect.DeepEqual(serial, got) {
+		t.Errorf("multi-threaded run on 3 workers diverged from the serial run:\nserial:   %+v\nparallel: %+v", serial, got)
 	}
 }
 
