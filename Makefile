@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint race bench bench-record clean clean-store store-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check lint mutate race bench bench-record clean clean-store store-smoke serve-smoke surrogate-smoke
 
 # The lint report lands at the repository root regardless of the directory
 # make was invoked from, so CI's artifact path and local runs always agree.
@@ -89,6 +89,13 @@ serve-smoke:
 # not suppressed in-source.
 lint:
 	$(GO) run ./tools/simlint -report $(LINT_REPORT)
+
+# Executable mutants: each tools/mutants/NN-name.patch seeds one violation of
+# an invariant and names the check that must catch it; the driver applies
+# them one at a time to a temporary copy of the tree and fails if any
+# survives. Independent of `make check`; CI runs it after the test suite.
+mutate:
+	sh tools/mutants/run.sh
 
 # Race detector over the full test set (slow).
 race:

@@ -211,29 +211,22 @@ func cmdSimulate(args []string) {
 	opts.Tuning = tuning()
 	defer profile()()
 
-	var res *scalesim.SimResult
+	// One path with or without -store: a one-job campaign, whose engine
+	// hands the job the whole host. An empty Store is no store.
+	cres, err := scalesim.RunCampaign(scalesim.Campaign{
+		Jobs:  []scalesim.CampaignJob{{Machine: m, Benchmarks: wl, Options: opts}},
+		Store: *storeDir,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	oc := cres.Outcomes[0]
+	if oc.Err != nil {
+		log.Fatal(oc.Err)
+	}
+	res := oc.Result
 	if *storeDir != "" {
-		// Route through the campaign engine so the durable store serves
-		// (and records) the design point.
-		campaign := scalesim.Campaign{
-			Jobs:  []scalesim.CampaignJob{{Machine: m, Benchmarks: wl, Options: opts}},
-			Store: *storeDir,
-		}
-		cres, err := scalesim.RunCampaign(campaign)
-		if err != nil {
-			log.Fatal(err)
-		}
-		oc := cres.Outcomes[0]
-		if oc.Err != nil {
-			log.Fatal(oc.Err)
-		}
-		res = oc.Result
 		fmt.Printf("store: %s (%s)\n", oc.Source, cres.Stats)
-	} else {
-		res, err = scalesim.Simulate(m, wl, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)

@@ -146,9 +146,6 @@ func (l *Level) CapacityBytes() units.Bytes {
 	return units.Bytes(int64(l.sets) * int64(l.assoc) * int64(l.LineSize()))
 }
 
-// LineAddr converts a byte address to a line address.
-func (l *Level) LineAddr(addr uint64) uint64 { return addr >> l.lineShift }
-
 // Access looks up the line containing addr. On a hit it updates LRU state
 // (and the dirty bit for writes) and returns true. On a miss it returns
 // false without allocating; the caller is responsible for resolving the miss
@@ -231,22 +228,6 @@ func (l *Level) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, e
 	l.clock[set]++
 	l.stamp[victim] = l.clock[set]
 	return victimAddr, victimDirty, evicted
-}
-
-// Invalidate removes the line containing addr if present, returning whether
-// it was present and dirty.
-func (l *Level) Invalidate(addr uint64) (present, dirty bool) {
-	line := addr >> l.lineShift
-	set := line & l.setMask
-	base := int(set) * l.assoc
-	for w := 0; w < l.assoc; w++ {
-		i := base + w
-		if l.tags[i] == line {
-			l.tags[i] = invalidTag
-			return true, l.dirty.get(i)
-		}
-	}
-	return false, false
 }
 
 // NUCA is the shared last-level cache: one slice per core, with lines

@@ -174,23 +174,6 @@ func TestProbeDoesNotDisturbState(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	l := mustLevel(t, 256, 2, 1)
-	l.Fill(0, false)
-	l.Access(0, true)
-	present, dirty := l.Invalidate(0)
-	if !present || !dirty {
-		t.Fatalf("invalidate = (%v,%v), want present dirty", present, dirty)
-	}
-	if l.Access(0, false) {
-		t.Fatal("invalidated line still hits")
-	}
-	present, _ = l.Invalidate(0)
-	if present {
-		t.Fatal("double invalidate reports present")
-	}
-}
-
 func TestLRUPropertyMostRecentSurvives(t *testing.T) {
 	// Property: after any access sequence, immediately re-accessing the last
 	// touched line always hits (the MRU line is never the victim).

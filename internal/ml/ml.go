@@ -165,18 +165,6 @@ func mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MAE returns the mean absolute error between predictions and targets.
-func MAE(pred, actual []float64) float64 {
-	if len(pred) != len(actual) || len(pred) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range pred {
-		sum += math.Abs(pred[i] - actual[i])
-	}
-	return sum / float64(len(pred))
-}
-
 // MAPE returns the mean absolute percentage error (the paper's error
 // metric, averaged): mean(|pred-actual| / |actual|), over the points whose
 // target is non-zero. A zero target has no defined percentage error; such

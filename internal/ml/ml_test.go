@@ -303,18 +303,12 @@ func TestScalerRoundTripProperty(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	act := []float64{1, 1, 4}
-	if got := MAE(pred, act); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("MAE = %v, want 2/3", got)
-	}
 	wantMAPE := (0 + 1.0 + 1.0/4) / 3
 	if got := MAPE(pred, act); math.Abs(got-wantMAPE) > 1e-12 {
 		t.Errorf("MAPE = %v, want %v", got, wantMAPE)
 	}
 	if !math.IsNaN(MAPE([]float64{1}, []float64{0})) {
 		t.Error("MAPE with zero actual should be NaN")
-	}
-	if !math.IsNaN(MAE(nil, nil)) {
-		t.Error("MAE of empty slices should be NaN")
 	}
 }
 

@@ -544,20 +544,9 @@ func (e *Engine) execute(ctx context.Context, job Job) (*sim.Result, error, int)
 	run, pol, sleep := e.run, e.retry, e.sleep
 	workers := e.effectiveWorkers()
 	e.mu.Unlock()
-	// Split the host's parallelism budget between job-level and core-level
-	// workers: a job that left CoreWorkers at auto gets its share of
-	// GOMAXPROCS given the engine's pool size, so a wide campaign does not
-	// oversubscribe the host while a job-serial engine (workers=1) hands
-	// each simulation the whole machine. CoreWorkers is not part of the
-	// cache key — it cannot change results — so rewriting it here never
-	// changes which stored result the job maps to.
-	if job.Options.CoreWorkers == 0 {
-		split := runtime.GOMAXPROCS(0) / workers
-		if split < 1 {
-			split = 1
-		}
-		job.Options.CoreWorkers = split
-	}
+	// A direct Run caller (the server's pool) has no batch to size the
+	// split by: the engine's pool size stands in for the campaign's width.
+	job = withCoreShare(job, workers)
 	retries := 0
 	for attempt := 1; ; attempt++ {
 		res, err := protect(ctx, run, job)
@@ -584,6 +573,20 @@ func (e *Engine) execute(ctx context.Context, job Job) (*sim.Result, error, int)
 	}
 }
 
+// withCoreShare splits the host's parallelism budget between job-level and
+// core-level workers: a job that left CoreWorkers at auto gets GOMAXPROCS
+// divided by width, the number of jobs that run side by side, so a wide
+// campaign does not oversubscribe the host while a lone job is handed the
+// whole machine. CoreWorkers is not part of the cache key — it cannot
+// change results — so setting it never changes which stored result the job
+// maps to.
+func withCoreShare(job Job, width int) Job {
+	if job.Options.CoreWorkers == 0 {
+		job.Options.CoreWorkers = max(1, runtime.GOMAXPROCS(0)/width)
+	}
+	return job
+}
+
 // protect invokes one simulation attempt, converting panics into errors.
 func protect(ctx context.Context, run RunFunc, job Job) (res *sim.Result, err error) {
 	defer func() {
@@ -605,10 +608,9 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job, progress func(metrics
 	if len(jobs) == 0 {
 		return out, ctx.Err()
 	}
-	workers := e.Workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	// The batch is as wide as its pool, never wider than its job list: that
+	// width, not the engine's, is what an auto CoreWorkers is a share of.
+	workers := min(e.Workers(), len(jobs))
 
 	var (
 		wg        sync.WaitGroup
@@ -620,7 +622,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job, progress func(metrics
 		defer wg.Done()
 		for i := range idx {
 			t0 := time.Now() //simlint:ignore wallclock measures Outcome.WallClock reporting only; never simulated state
-			oc := e.Run(ctx, jobs[i])
+			oc := e.Run(ctx, withCoreShare(jobs[i], workers))
 			//simlint:ignore wallclock measures Outcome.WallClock reporting only; never simulated state
 			oc.WallClock = time.Since(t0)
 			out[i] = oc

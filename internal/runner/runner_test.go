@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,42 +50,19 @@ func countingEngine(workers int, delay time.Duration) (*Engine, *atomic.Int64) {
 	return e, &calls
 }
 
+// TestKeyContentAddressing: identical jobs share a key, different machines
+// do not. Field-by-field coverage is TestKeyCoversEveryField's.
 func TestKeyContentAddressing(t *testing.T) {
 	a, b := job(1), job(1)
 	if a.Key() != b.Key() {
 		t.Fatal("identical jobs hash differently")
 	}
-	if a.Key() == job(2).Key() {
-		t.Fatal("seed not part of the key")
-	}
-	// Same profile name, different parameters: must not collide.
-	p1 := *trace.Suite()[0]
-	p2 := p1
-	p2.BaseCPI += 0.1
-	j1 := Job{Config: config.Target(), Workload: sim.Workload{Profiles: []*trace.Profile{&p1}}}
-	j2 := Job{Config: config.Target(), Workload: sim.Workload{Profiles: []*trace.Profile{&p2}}}
-	if j1.Key() == j2.Key() {
-		t.Fatal("profiles hashed by name only")
-	}
-	// Different configs must not collide.
 	small, err := config.ScaleModel(config.Target(), 2, config.ScaleModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j3 := Job{Config: small, Workload: j1.Workload}
-	if j1.Key() == j3.Key() {
+	if c := (Job{Config: small, Workload: a.Workload, Options: a.Options}); a.Key() == c.Key() {
 		t.Fatal("config not part of the key")
-	}
-	// Whether tracing is enabled, and whether it covers warmup, changes
-	// Result.Trace, so both are part of the design point.
-	traced, warm := job(1), job(1)
-	traced.Options.Telemetry = &sim.TelemetryOptions{}
-	warm.Options.Telemetry = &sim.TelemetryOptions{Warmup: true}
-	if traced.Key() == a.Key() {
-		t.Fatal("traced and untraced jobs collide (their results differ)")
-	}
-	if warm.Key() == traced.Key() {
-		t.Fatal("warmup-traced and measure-traced jobs collide")
 	}
 }
 
@@ -340,6 +318,53 @@ func TestRunBatchOrderingAndProgress(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Completed != len(jobs) || last.Total != len(jobs) {
 		t.Fatalf("final progress %+v", last)
+	}
+}
+
+// TestBatchSplitsHostByItsOwnWidth: an auto CoreWorkers is the job's share
+// of the batch it runs in, whose pool is clamped to its job list — not of the
+// engine's nominal pool — so a one-job campaign on a default engine gets the
+// whole host. The split never reaches the key.
+func TestBatchSplitsHostByItsOwnWidth(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	e := New(0) // pool = GOMAXPROCS
+	var mu sync.Mutex
+	got := map[uint64]int{} // seed -> CoreWorkers the simulator was handed
+	e.SetRunFunc(func(_ context.Context, _ *config.SystemConfig, _ sim.Workload, o sim.Options) (*sim.Result, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		got[o.Seed] = o.CoreWorkers
+		return fakeResult(o.Seed), nil
+	})
+	run := func(jobs ...Job) {
+		t.Helper()
+		if _, err := e.RunBatch(context.Background(), jobs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run(job(100))
+	if got[100] != procs {
+		t.Errorf("one-job batch: CoreWorkers = %d, want GOMAXPROCS = %d", got[100], procs)
+	}
+
+	explicit := job(200)
+	explicit.Options.CoreWorkers = 3
+	wide := []Job{explicit, job(100)} // job(100) again: same key, so a memory hit
+	for i := 0; i < procs; i++ {
+		wide = append(wide, job(uint64(i)))
+	}
+	run(wide...)
+	for i := 0; i < procs; i++ {
+		if got[uint64(i)] != 1 {
+			t.Errorf("batch at least as wide as the host: job %d got CoreWorkers = %d, want 1", i, got[uint64(i)])
+		}
+	}
+	if got[200] != 3 {
+		t.Errorf("explicit CoreWorkers = 3 was rewritten to %d", got[200])
+	}
+	if runs := e.Stats().UniqueRuns; runs != procs+2 {
+		t.Errorf("%d simulations, want %d: the split must not change a job's key", runs, procs+2)
 	}
 }
 

@@ -198,29 +198,37 @@ func (s *Server) Submit(ctx context.Context, client string, job scalesim.Campaig
 	if err != nil {
 		return scalesim.JobOutcome{Err: err}, nil
 	}
+	fl, coalesced, err := s.admit(client, prep)
+	if err != nil {
+		return scalesim.JobOutcome{}, err
+	}
+	return s.await(ctx, fl, coalesced)
+}
+
+// admit is Submit's whole critical section: refuse while draining, attach
+// to an identical in-flight job (coalesced), or enqueue a new flight under
+// the client's identity.
+func (s *Server) admit(client string, prep Prepared) (_ *flight, coalesced bool, _ error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
-		return scalesim.JobOutcome{}, fmt.Errorf("server: %w", ErrDraining)
+		return nil, false, fmt.Errorf("server: %w", ErrDraining)
 	}
 	if fl, ok := s.inflight[prep.Key()]; ok {
 		// Coalesce: attach to the flight instead of consuming queue
 		// depth. Counted at attach time, so stats reflect waiters the
 		// moment they join.
 		s.coalesced++
-		s.mu.Unlock()
-		return s.await(ctx, fl, true)
+		return fl, true, nil
 	}
 	fl := &flight{done: make(chan struct{})}
 	if err := s.queue.enqueue(client, &task{prep: prep, fl: fl}); err != nil {
-		s.mu.Unlock()
-		return scalesim.JobOutcome{}, err
+		return nil, false, err
 	}
 	// Register only after successful admission, inside the same critical
 	// section: a follower can never attach to a flight that was shed.
 	s.inflight[prep.Key()] = fl
-	s.mu.Unlock()
-	return s.await(ctx, fl, false)
+	return fl, false, nil
 }
 
 // await blocks until the flight resolves or ctx is cancelled. Coalesced

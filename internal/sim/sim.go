@@ -77,8 +77,8 @@ type Options struct {
 	// parallel; 0 means auto (one worker per core, up to GOMAXPROCS), 1
 	// forces serial execution. Parallel and serial runs are byte-identical
 	// by construction (DESIGN.md, "Performance invariants"), proven by the
-	// seed-matrix determinism test.
-	//simlint:ignore keydrift worker count is performance-only; parallel and serial epochs are byte-identical by canonical replay
+	// seed-matrix determinism test — which is why this is the one field
+	// runner.Job.Key leaves out (TestKeyCoversEveryField's keyless set).
 	CoreWorkers int
 
 	// Telemetry enables per-epoch observability when non-nil: every

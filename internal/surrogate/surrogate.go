@@ -56,6 +56,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"scalesim/internal/ml"
 	"scalesim/internal/runner"
@@ -133,8 +134,8 @@ type record struct {
 	Targets  [][]float64 `json:"targets"`
 }
 
-// model is one immutable fitted generation: Predict snapshots the pointer
-// and works lock-free on it while Observe builds the next generation.
+// model is one immutable fitted generation: Predict loads the pointer and
+// works on it without the mutex while Observe builds the next generation.
 type model struct {
 	scaler  *ml.Scaler
 	forests [numTargets]*ml.RandomForest
@@ -148,10 +149,14 @@ type model struct {
 type Surrogate struct {
 	cfg Config
 
+	// fitted is the serving generation, nil until MinTrain points are
+	// observed. Readers load it without mu, so a query never waits out a
+	// refit; writers fit and publish under mu.
+	fitted atomic.Pointer[model]
+
 	mu      sync.Mutex
 	rows    map[string]record // by job key; one entry per design point
 	pending int               // observations since the last fit
-	fitted  *model            // nil until MinTrain points observed
 	file    *os.File          // append-only dataset sidecar (nil without Dir)
 }
 
@@ -252,10 +257,10 @@ func (s *Surrogate) Observe(job runner.Job, res *sim.Result) {
 	//simlint:ignore lockscope the training-set journal must persist rows in exactly the order they enter s.rows or replay diverges; the append is small and bounded
 	s.persist(rec)
 	s.pending++
-	switch {
-	case s.fitted == nil && len(s.rows) >= s.cfg.MinTrain:
+	switch fitted := s.fitted.Load() != nil; {
+	case !fitted && len(s.rows) >= s.cfg.MinTrain:
 		s.fit()
-	case s.fitted != nil && s.pending >= s.cfg.RefitEvery:
+	case fitted && s.pending >= s.cfg.RefitEvery:
 		s.fit()
 	}
 }
@@ -308,18 +313,16 @@ func (s *Surrogate) fit() {
 		}
 		m.forests[t] = f
 	}
-	s.fitted = m
+	s.fitted.Store(m)
 	s.pending = 0
 }
 
 // Predict implements runner.Predictor: answer the query from the trained
 // model iff the confidence gate passes for every core and every target.
-// The model generation is snapshotted under the lock and used lock-free, so
-// a concurrent refit never blocks serving.
+// It works on one whole model generation and never takes the mutex, so a
+// concurrent refit never blocks serving.
 func (s *Surrogate) Predict(job runner.Job) (*sim.Result, bool) {
-	s.mu.Lock()
-	m := s.fitted
-	s.mu.Unlock()
+	m := s.fitted.Load()
 	if m == nil {
 		return nil, false
 	}
@@ -452,11 +455,7 @@ func (s *Surrogate) TrainedPoints() int {
 
 // Ready reports whether a model generation has been fitted (the tier can
 // serve).
-func (s *Surrogate) Ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fitted != nil
-}
+func (s *Surrogate) Ready() bool { return s.fitted.Load() != nil }
 
 // Fingerprint returns a stable hex digest of the current model generation:
 // the canonical encoding of every forest plus the scaler parameters. Equal
@@ -464,9 +463,7 @@ func (s *Surrogate) Ready() bool {
 // processes and observation orders; the determinism suite asserts exactly
 // this. Empty until the first fit.
 func (s *Surrogate) Fingerprint() string {
-	s.mu.Lock()
-	m := s.fitted
-	s.mu.Unlock()
+	m := s.fitted.Load()
 	if m == nil {
 		return ""
 	}

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/runner"
@@ -115,6 +116,27 @@ func TestObserveFitPredict(t *testing.T) {
 	}
 	if !(res.SimulatedPicos > 0) {
 		t.Fatalf("SimulatedPicos = %v, want > 0", res.SimulatedPicos)
+	}
+}
+
+// TestPredictDoesNotWaitForRefit holds the mutex as Observe does for the
+// whole of a refit, and requires the serving-side reads to return anyway.
+func TestPredictDoesNotWaitForRefit(t *testing.T) {
+	s := train(t, 8, looseConfig())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	served := make(chan bool, 1)
+	go func() {
+		_, ok := s.Predict(synthJob(3))
+		served <- ok && s.Ready() && s.Fingerprint() != ""
+	}()
+	select {
+	case ok := <-served:
+		if !ok {
+			t.Error("a trained surrogate did not serve while the mutex was held")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Predict, Ready or Fingerprint waited for the mutex a refit holds")
 	}
 }
 

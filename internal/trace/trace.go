@@ -17,7 +17,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"scalesim/internal/config"
 	"scalesim/internal/pad"
@@ -501,12 +500,4 @@ func (g *Generator) Footprint() uint64 {
 		total += r.size.n
 	}
 	return total
-}
-
-// SortByName returns profiles sorted by name (stable experiment ordering).
-func SortByName(ps []*Profile) []*Profile {
-	out := make([]*Profile, len(ps))
-	copy(out, ps)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -307,18 +307,6 @@ func TestGeneratorPropertyAddressAlignment(t *testing.T) {
 	}
 }
 
-func TestSortByName(t *testing.T) {
-	s := SortByName(Suite())
-	for i := 1; i < len(s); i++ {
-		if s[i-1].Name >= s[i].Name {
-			t.Fatalf("not sorted at %d: %s >= %s", i, s[i-1].Name, s[i].Name)
-		}
-	}
-	if len(s) != len(Suite()) {
-		t.Fatal("SortByName changed length")
-	}
-}
-
 // BenchmarkGeneratorNext is the Go-benchmark twin of scalebench's
 // trace.next_ns.gcc / .mcf probes (same profiles, same capacity scale).
 func BenchmarkGeneratorNext(b *testing.B) {

@@ -25,28 +25,13 @@ type Finding struct {
 	Msg  string
 }
 
-// Analyzer is one repo-specific rule. Every analyzer implements exactly one
-// of PackageAnalyzer (run once per package, in import-topological order) or
-// ModuleAnalyzer (run once over the whole module).
+// Analyzer is one repo-specific rule, run once per package. Packages are
+// visited in import-topological order, so facts exported from a package are
+// visible when its importers are analyzed.
 type Analyzer interface {
 	// Name is the rule name used in diagnostics and suppressions.
 	Name() string
-}
-
-// PackageAnalyzer runs once per package. Packages are visited in
-// import-topological order, so facts exported from a package are visible
-// when its importers are analyzed.
-type PackageAnalyzer interface {
-	Analyzer
 	Run(pass *Pass) []Finding
-}
-
-// ModuleAnalyzer runs once over the fully loaded module; rules that
-// cross-check one file against types declared elsewhere (keydrift) use this
-// form.
-type ModuleAnalyzer interface {
-	Analyzer
-	RunModule(m *Module) []Finding
 }
 
 // Pass carries one (analyzer, package) unit of work plus the fact store
@@ -192,14 +177,6 @@ type Config struct {
 	// Deterministic lists module-relative package directories whose code
 	// must be reproducible: maporder and wallclock apply only there.
 	Deterministic []string
-	// KeyFile is the module-relative path of the canonical cache-key
-	// encoder cross-checked by keydrift.
-	KeyFile string
-	// KeyRoots name the struct types whose field sets the key encoder must
-	// cover, as "<module-relative package dir>.<TypeName>". Struct-typed
-	// fields of a root (transitively, through pointers, slices and arrays)
-	// are checked too.
-	KeyRoots []string
 	// UnitsDir is the module-relative directory of the package declaring
 	// the named quantity types (Cycles, Bytes, ...) that the units analyzer
 	// enforces. Empty disables the rule.
@@ -240,21 +217,12 @@ func Run(cfg Config, analyzers []Analyzer) ([]Finding, *Module, error) {
 	idx, findings := collectSuppressions(m, known)
 	facts := newFactStore()
 	for _, a := range analyzers {
-		var raw []Finding
-		switch a := a.(type) {
-		case PackageAnalyzer:
-			for _, p := range m.Order {
-				pass := &Pass{Module: m, Pkg: p, analyzer: a.Name(), facts: facts}
-				raw = append(raw, a.Run(pass)...)
-			}
-		case ModuleAnalyzer:
-			raw = a.RunModule(m)
-		default:
-			return nil, nil, fmt.Errorf("simlint: analyzer %q implements neither PackageAnalyzer nor ModuleAnalyzer", a.Name())
-		}
-		for _, f := range raw {
-			if !idx.suppressed(f) {
-				findings = append(findings, f)
+		for _, p := range m.Order {
+			pass := &Pass{Module: m, Pkg: p, analyzer: a.Name(), facts: facts}
+			for _, f := range a.Run(pass) {
+				if !idx.suppressed(f) {
+					findings = append(findings, f)
+				}
 			}
 		}
 	}

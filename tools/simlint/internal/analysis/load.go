@@ -52,9 +52,6 @@ type Module struct {
 	byRel map[string]*Package
 }
 
-// ByRel returns the package in the given module-relative directory, or nil.
-func (m *Module) ByRel(rel string) *Package { return m.byRel[rel] }
-
 // RelFile renders an absolute file position path relative to the module
 // root, for stable, machine-independent output.
 func (m *Module) RelFile(filename string) string {

@@ -50,10 +50,9 @@ func funcKey(fn *types.Func) string {
 
 // funcUnit is one analyzable function body: a declared function or a
 // function literal (closures and goroutine bodies are their own units —
-// the dataflow never descends into a FuncLit).
+// no walk of one descends into another).
 type funcUnit struct {
-	name string        // enclosing declaration name, for messages
-	decl *ast.FuncDecl // nil for literal units
+	name string // enclosing declaration name, for messages
 	body *ast.BlockStmt
 }
 
@@ -62,7 +61,7 @@ type funcUnit struct {
 func funcUnits(f *ast.File) []funcUnit {
 	var out []funcUnit
 	analysis.EnclosingFuncs(f, func(fd *ast.FuncDecl) {
-		out = append(out, funcUnit{name: fd.Name.Name, decl: fd, body: fd.Body})
+		out = append(out, funcUnit{name: fd.Name.Name, body: fd.Body})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
 				out = append(out, funcUnit{name: fd.Name.Name, body: lit.Body})

@@ -8,25 +8,31 @@ import (
 	"strings"
 
 	"scalesim/tools/simlint/internal/analysis"
-	"scalesim/tools/simlint/internal/flow"
 )
 
-// lockscope enforces mutex hygiene in the configured packages: a mutex must
-// never be held across an operation that can block indefinitely (a channel
-// send or receive outside a select-with-default, a default-less select,
-// sync.WaitGroup.Wait, time.Sleep, file or network IO), and no return path
-// may leave the function with the lock still held unless the unlock is
-// deferred. Both properties are flow-sensitive: the rule runs a forward
-// dataflow over the flow package's CFG whose state is, per mutex, "may be
-// held without a deferred unlock" / "may be held with one" — tracking the
-// two bits separately keeps the join precise, so a locked-with-defer path
-// merging with a never-locked path does not fabricate a leak.
+// lockscope makes the shape of a critical section the invariant. In the
+// configured packages a sync.Mutex or RWMutex is taken in one of two ways:
 //
+//	X.Lock()              X.Lock()
+//	defer X.Unlock()      ...         // no return, goto, labelled branch
+//	...                   X.Unlock()  // or loop exit in between
+//
+// The deferred form holds X to the end of the function; the paired form
+// holds it between two statements of one statement list. Every other Lock or
+// Unlock — an unlock inside a branch, a lock taken in an `if` and released
+// after the join, a defer that does not directly follow its Lock — is a
+// finding, so where a section starts and ends is read off the page, with no
+// control-flow graph. That is stricter than following paths: unlocking in a
+// branch and then returning is correct on every path and still rejected.
+//
+// Nothing inside a section may block indefinitely: a channel send or
+// receive, a default-less select, sync.WaitGroup.Wait, time.Sleep, file or
+// network IO, or a call to a function that does one of these (same-package
+// callees by a local fixpoint, imported ones by exported facts).
 // sync.Cond.Wait is exempt (its contract requires the lock held), and so is
 // a select with a default clause (non-blocking by construction — the
-// engine's cache-probe select is the sanctioned idiom). Functions that
-// contain a blocking operation poison their callers: same-package callees
-// via a local fixpoint, cross-package ones via exported facts.
+// engine's cache-probe select is the sanctioned idiom). Func literals, go
+// and defer statements are skipped: their bodies do not run in the section.
 type lockscope struct {
 	pkgs map[string]bool
 }
@@ -35,375 +41,287 @@ func (lockscope) Name() string { return "lockscope" }
 
 const lockFactKey = "blocking-funcs"
 
-// lockFact is the per-mutex dataflow state, a may-analysis over both
-// acquisition modes.
-type lockFact uint8
-
-const (
-	heldNoDefer   lockFact = 1 << iota // held on some path with no deferred unlock
-	heldWithDefer                      // held on some path with a deferred unlock
-)
-
-type lockState map[string]lockFact
-
-var lockOps = flow.Ops[lockState]{
-	Clone: func(s lockState) lockState {
-		out := make(lockState, len(s))
-		for k, v := range s {
-			out[k] = v
-		}
-		return out
-	},
-	Join: func(dst, src lockState) (lockState, bool) {
-		changed := false
-		for k, v := range src {
-			if dst[k]|v != dst[k] {
-				dst[k] |= v
-				changed = true
-			}
-		}
-		return dst, changed
-	},
-	// Transfer is installed per-function (it needs the type info); see run.
-}
-
 func (a lockscope) Run(pass *analysis.Pass) []analysis.Finding {
 	p := pass.Pkg
-	mod := pass.Module
 	if !a.pkgs[p.Rel] {
 		return nil
 	}
-
-	imported := map[string]string{} // "<pkg path>|<funcKey>" -> blocking reason
+	c := &lockChecker{pass: pass, imported: map[string]string{}, blocking: map[*types.Func]string{}}
 	for _, imp := range p.Pkg.Imports() {
 		if v, ok := pass.ImportFact(imp.Path(), lockFactKey); ok {
 			for k, reason := range v.(map[string]string) {
-				imported[imp.Path()+"|"+k] = reason
-			}
-		}
-	}
-	blocking := map[*types.Func]string{} // local functions that may block
-
-	// calleeBlocks classifies one resolved callee: a leaf blocking primitive,
-	// a locally summarized function, or an imported fact.
-	calleeBlocks := func(fn *types.Func) (string, bool) {
-		pkg := fn.Pkg()
-		if pkg == nil {
-			return "", false
-		}
-		switch pkg.Path() {
-		case "sync":
-			if fn.Name() == "Wait" && recvTypeName(fn) == "WaitGroup" {
-				return "sync.WaitGroup.Wait", true
-			}
-			return "", false // Mutex ops and Cond.Wait are not sinks
-		case "time":
-			if fn.Name() == "Sleep" {
-				return "time.Sleep", true
-			}
-			return "", false
-		case "os", "net", "net/http", "io", "bufio":
-			if ioVerb(fn.Name()) {
-				return pkg.Path() + "." + funcKey(fn), true
-			}
-			return "", false
-		}
-		if pkg == p.Pkg {
-			if reason := blocking[fn]; reason != "" {
-				return fmt.Sprintf("%s (which may block on %s)", fn.Name(), reason), true
-			}
-			return "", false
-		}
-		if reason := imported[pkg.Path()+"|"+funcKey(fn)]; reason != "" {
-			return fmt.Sprintf("%s (which may block on %s)", funcKey(fn), reason), true
-		}
-		return "", false
-	}
-
-	// nodeBlocks classifies one CFG node. Nodes are atomized statements, so
-	// the only composite to special-case is the select marker itself; comm
-	// clauses are separate nodes recorded in g.Comm and never block on their
-	// own (the marker accounts for them).
-	nodeBlocks := func(g *flow.Graph, n ast.Node) (string, bool) {
-		if stmt, ok := n.(ast.Stmt); ok {
-			if _, isComm := g.Comm[stmt]; isComm {
-				return "", false
-			}
-		}
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			if g.SelectHasDefault[sel] {
-				return "", false
-			}
-			return "select with no default clause", true
-		}
-		reason, found := "", false
-		ast.Inspect(n, func(c ast.Node) bool {
-			if found {
-				return false
-			}
-			switch c := c.(type) {
-			case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-				return false
-			case *ast.SendStmt:
-				reason, found = "channel send", true
-				return false
-			case *ast.UnaryExpr:
-				if c.Op == token.ARROW {
-					reason, found = "channel receive", true
-					return false
-				}
-			case *ast.CallExpr:
-				if fn := calleeOf(p.Info, c); fn != nil {
-					if r, ok := calleeBlocks(fn); ok {
-						reason, found = r, true
-						return false
-					}
-				}
-			}
-			return true
-		})
-		return reason, found
-	}
-
-	var declUnits []struct {
-		u  funcUnit
-		fn *types.Func
-		g  *flow.Graph
-	}
-	var allUnits []struct {
-		u funcUnit
-		g *flow.Graph
-	}
-	for _, f := range p.Files {
-		for _, u := range funcUnits(f) {
-			g := flow.Build(u.body)
-			allUnits = append(allUnits, struct {
-				u funcUnit
-				g *flow.Graph
-			}{u, g})
-			if u.decl != nil {
-				if fn, ok := p.Info.Defs[u.decl.Name].(*types.Func); ok {
-					declUnits = append(declUnits, struct {
-						u  funcUnit
-						fn *types.Func
-						g  *flow.Graph
-					}{u, fn, g})
-				}
+				c.imported[imp.Path()+"|"+k] = reason
 			}
 		}
 	}
 
-	// Fixpoint over local blocking summaries: a function blocks if any of
-	// its CFG nodes does, including calls to already-summarized locals.
+	// Fixpoint over local blocking summaries: a function blocks if its body
+	// does, including through calls to already-summarized locals.
 	for changed := true; changed; {
 		changed = false
-		for _, d := range declUnits {
-			if blocking[d.fn] != "" {
-				continue
-			}
-			for _, blk := range d.g.Blocks {
-				for _, n := range blk.Nodes {
-					if reason, ok := nodeBlocks(d.g, n); ok {
-						blocking[d.fn] = reason
+		for _, f := range p.Files {
+			analysis.EnclosingFuncs(f, func(fd *ast.FuncDecl) {
+				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
+				if !ok || c.blocking[fn] != "" {
+					return
+				}
+				c.blockers(fd.Body, func(_ ast.Node, reason string) {
+					if c.blocking[fn] == "" {
+						c.blocking[fn] = reason
 						changed = true
 					}
-				}
-			}
-		}
-	}
-
-	var out []analysis.Finding
-	report := func(n ast.Node, format string, args ...any) {
-		out = append(out, analysis.Finding{
-			Pos:  mod.Fset.Position(n.Pos()),
-			Rule: a.Name(),
-			Msg:  fmt.Sprintf(format, args...),
-		})
-	}
-
-	for _, au := range allUnits {
-		u, g := au.u, au.g
-		names := map[string]string{} // mutex path -> source rendering
-		transfer := func(s lockState, n ast.Node) lockState {
-			ast.Inspect(n, func(c ast.Node) bool {
-				switch c := c.(type) {
-				case *ast.FuncLit, *ast.GoStmt:
-					return false
-				case *ast.DeferStmt:
-					if path, op, ok := mutexOp(p.Info, c.Call, names); ok && op == opUnlock {
-						if s[path]&heldNoDefer != 0 {
-							s[path] = s[path]&^heldNoDefer | heldWithDefer
-						}
-					}
-					return false
-				case *ast.CallExpr:
-					if path, op, ok := mutexOp(p.Info, c, names); ok {
-						switch op {
-						case opLock:
-							s[path] |= heldNoDefer
-						case opUnlock:
-							delete(s, path)
-						}
-					}
-				}
-				return true
+				})
 			})
-			return s
 		}
-		ops := lockOps
-		ops.Transfer = transfer
+	}
 
-		held := func(s lockState, mask lockFact) (string, bool) {
-			// Deterministic pick when several mutexes are held.
-			best := ""
-			for path, f := range s {
-				if f&mask != 0 && (best == "" || path < best) {
-					best = path
-				}
-			}
-			return names[best], best != ""
-		}
-
-		in := flow.Solve(g, lockState{}, ops)
-		flow.Replay(g, in, ops, func(s lockState, n ast.Node) {
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				if name, ok := held(s, heldNoDefer); ok {
-					report(ret, "return in %s with %s still held and no deferred unlock; unlock before returning or defer the unlock", u.name, name)
-				}
-				return
-			}
-			if reason, ok := nodeBlocks(g, n); ok {
-				if name, ok := held(s, heldNoDefer|heldWithDefer); ok {
-					report(n, "%s held across %s in %s; release the lock before any operation that can block", name, reason, u.name)
-				}
-			}
-		})
-		for _, ex := range flow.ExitStates(g, in, ops) {
-			if ex.Last == nil {
-				continue
-			}
-			if _, isRet := ex.Last.(*ast.ReturnStmt); isRet {
-				continue // already checked by the replay pass
-			}
-			if isPanicNode(p.Info, ex.Last) {
-				continue
-			}
-			if name, ok := held(ex.State, heldNoDefer); ok {
-				report(ex.Last, "%s can fall off the end with %s still held and no deferred unlock", u.name, name)
-			}
+	for _, f := range p.Files {
+		for _, u := range funcUnits(f) {
+			c.unit(u)
 		}
 	}
 
 	// Export blocking summaries of exported functions for importing packages.
 	exported := map[string]string{}
-	for fn, reason := range blocking {
+	for fn, reason := range c.blocking {
 		if fn.Exported() {
 			exported[funcKey(fn)] = reason
 		}
 	}
 	pass.ExportFact(lockFactKey, exported)
-	return out
+	return c.out
 }
 
-type mutexOpKind int
+// lockChecker is one package's lockscope run.
+type lockChecker struct {
+	pass     *analysis.Pass
+	imported map[string]string      // "<pkg path>|<funcKey>" -> blocking reason
+	blocking map[*types.Func]string // local functions that may block
+	out      []analysis.Finding
+}
 
-const (
-	opLock mutexOpKind = iota
-	opUnlock
-)
+func (c *lockChecker) report(at ast.Node, format string, args ...any) {
+	c.out = append(c.out, analysis.Finding{
+		Pos:  c.pass.Module.Fset.Position(at.Pos()),
+		Rule: "lockscope",
+		Msg:  fmt.Sprintf(format, args...),
+	})
+}
 
-// mutexOp classifies a call as a sync.Mutex/RWMutex acquire or release and
-// returns the lock's canonical path, recording a human rendering in names.
-func mutexOp(info *types.Info, call *ast.CallExpr, names map[string]string) (string, mutexOpKind, bool) {
+// unit finds the critical sections of one function body, checks what each
+// holds the lock across, and rejects every mutex call that is part of none.
+func (c *lockChecker) unit(u funcUnit) {
+	info := c.pass.Pkg.Info
+	inShape := map[*ast.CallExpr]bool{}
+	heldAcross := func(mu string) func(ast.Node, string) {
+		return func(at ast.Node, reason string) {
+			c.report(at, "%s held across %s in %s; release the lock before any operation that can block", mu, reason, u.name)
+		}
+	}
+	eachStmtList(u.body, func(list []ast.Stmt) {
+		for i, st := range list {
+			lock := stmtCall(st)
+			mu, method := mutexCall(info, lock)
+			if method != "Lock" && method != "RLock" {
+				continue
+			}
+			release := strings.Replace(method, "Lock", "Unlock", 1)
+			unlocks := func(call *ast.CallExpr) bool {
+				m, op := mutexCall(info, call)
+				return m == mu && op == release
+			}
+			rest := list[i+1:]
+			if len(rest) == 0 {
+				continue
+			}
+			if d, ok := rest[0].(*ast.DeferStmt); ok && unlocks(d.Call) {
+				inShape[lock], inShape[d.Call] = true, true
+				// Held to the end of the function, so the section is
+				// everything after the defer, enclosing lists included.
+				report := heldAcross(mu)
+				c.blockers(u.body, func(at ast.Node, reason string) {
+					if at.Pos() > d.End() {
+						report(at, reason)
+					}
+				})
+				continue
+			}
+			for j, s := range rest {
+				unlock := stmtCall(s)
+				if !unlocks(unlock) {
+					continue
+				}
+				inShape[lock], inShape[unlock] = true, true
+				section := &ast.BlockStmt{List: rest[:j]}
+				c.blockers(section, heldAcross(mu))
+				escapes(section, false, false, func(e ast.Stmt, what, leaving string) {
+					c.report(e, "%s in %s with %s still held and no deferred unlock; unlock before %s or defer the unlock", what, u.name, mu, leaving)
+				})
+				break
+			}
+		}
+	})
+	ast.Inspect(u.body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false // its own unit
+		case *ast.CallExpr:
+			mu, method := mutexCall(info, n)
+			switch method {
+			case "Lock", "RLock", "Unlock", "RUnlock":
+				if !inShape[n] {
+					c.report(n, "%s.%s() in %s is in neither permitted shape: Lock directly followed by defer Unlock, or Lock … Unlock as two statements of one block", mu, method, u.name)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// eachStmtList applies fn to every statement list of one function body — the
+// body itself, nested blocks, case and comm clauses — func literals excluded.
+func eachStmtList(body *ast.BlockStmt, fn func([]ast.Stmt)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.BlockStmt:
+			fn(n.List)
+		case *ast.CaseClause:
+			fn(n.Body)
+		case *ast.CommClause:
+			fn(n.Body)
+		}
+		return true
+	})
+}
+
+// stmtCall returns the call of an expression statement that is nothing but
+// a call, else nil.
+func stmtCall(s ast.Stmt) *ast.CallExpr {
+	if es, ok := s.(*ast.ExprStmt); ok {
+		call, _ := ast.Unparen(es.X).(*ast.CallExpr)
+		return call
+	}
+	return nil
+}
+
+// mutexCall classifies a call as a sync.Mutex/RWMutex method, returning the
+// source text of the mutex it is called on and the method name ("" for any
+// other call, nil included). Two calls name the same lock when they spell it
+// the same way — within one statement list that is what a reader checks too.
+func mutexCall(info *types.Info, call *ast.CallExpr) (mu, method string) {
+	if call == nil {
+		return "", ""
+	}
 	fn := calleeOf(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", 0, false
+		return "", ""
 	}
-	recv := recvTypeName(fn)
-	if recv != "Mutex" && recv != "RWMutex" {
-		return "", 0, false
-	}
-	var op mutexOpKind
-	switch fn.Name() {
-	case "Lock", "RLock":
-		op = opLock
-	case "Unlock", "RUnlock":
-		op = opUnlock
-	default:
-		return "", 0, false
+	if recv := recvTypeName(fn); recv != "Mutex" && recv != "RWMutex" {
+		return "", ""
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", 0, false
+		return "", ""
 	}
-	path, ok := lockPath(info, sel.X)
-	if !ok {
-		return "", 0, false
-	}
-	if names != nil {
-		names[path] = types.ExprString(sel.X)
-	}
-	return path, op, true
+	return types.ExprString(sel.X), fn.Name()
 }
 
-// lockPath renders a canonical lvalue path for a mutex expression, or
-// reports that the expression is not a trackable storage location.
-// Variables key on their declaration position, so shadowed names stay
-// distinct; pointer dereferences collapse onto the pointer's path (one
-// level of aliasing); all elements of an indexed container share one "[]"
-// path.
-func lockPath(info *types.Info, expr ast.Expr) (string, bool) {
-	switch x := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		obj := info.ObjectOf(x)
-		if vr, ok := obj.(*types.Var); ok && !vr.IsField() {
-			return fmt.Sprintf("v%d", vr.Pos()), true
+// escapes finds the statements under n that leave a Lock … Unlock section
+// sideways, with the lock held: a return, a goto or labelled branch
+// (wherever it lands), and a break or continue whose target encloses the
+// section. n is the section, or a statement inside it that an unlabelled
+// break (breakOK) or continue (continueOK) can target.
+func escapes(n ast.Node, breakOK, continueOK bool, found func(s ast.Stmt, what, leaving string)) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		if c == n {
+			return true
 		}
-		return "", false
-	case *ast.SelectorExpr:
-		// A package-qualified variable keys on the variable itself.
-		if id, ok := x.X.(*ast.Ident); ok {
-			if _, isPkg := info.ObjectOf(id).(*types.PkgName); isPkg {
-				if vr, ok := info.ObjectOf(x.Sel).(*types.Var); ok {
-					return fmt.Sprintf("v%d", vr.Pos()), true
+		switch c := c.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			found(c, "return", "returning")
+		case *ast.BranchStmt:
+			switch {
+			case c.Label != nil:
+				found(c, c.Tok.String()+" "+c.Label.Name, "branching")
+			case c.Tok == token.BREAK && !breakOK, c.Tok == token.CONTINUE && !continueOK:
+				found(c, c.Tok.String(), "branching")
+			}
+		case *ast.ForStmt, *ast.RangeStmt:
+			escapes(c, true, true, found)
+			return false
+		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			escapes(c, true, continueOK, found)
+			return false
+		}
+		return true
+	})
+}
+
+// blockers calls found for every construct under n that can block
+// indefinitely.
+func (c *lockChecker) blockers(n ast.Node, found func(at ast.Node, reason string)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		case *ast.SendStmt:
+			found(n, "channel send")
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				found(n, "channel receive")
+			}
+		case *ast.SelectStmt:
+			// The comm operations are the select's own: it blocks as a
+			// whole, or not at all with a default clause. The clause bodies
+			// are ordinary statements.
+			hasDefault := false
+			for _, cl := range n.Body.List {
+				cc := cl.(*ast.CommClause)
+				hasDefault = hasDefault || cc.Comm == nil
+				for _, s := range cc.Body {
+					c.blockers(s, found)
 				}
-				return "", false
+			}
+			if !hasDefault {
+				found(n, "select with no default clause")
+			}
+			return false
+		case *ast.CallExpr:
+			if fn := calleeOf(c.pass.Pkg.Info, n); fn != nil {
+				if reason, ok := c.calleeBlocks(fn); ok {
+					found(n, reason)
+				}
 			}
 		}
-		base, ok := lockPath(info, x.X)
-		if !ok {
-			return "", false
-		}
-		return base + "." + x.Sel.Name, true
-	case *ast.StarExpr:
-		return lockPath(info, x.X)
-	case *ast.IndexExpr:
-		base, ok := lockPath(info, x.X)
-		if !ok {
-			return "", false
-		}
-		return base + "[]", true
-	}
-	return "", false
+		return true
+	})
 }
 
-// isPanicNode reports whether a CFG node is a bare panic call — a held lock
-// on a panicking path is the recover story's problem, not a leak.
-func isPanicNode(info *types.Info, n ast.Node) bool {
-	es, ok := n.(*ast.ExprStmt)
-	if !ok {
-		return false
+// calleeBlocks classifies one resolved callee: a leaf blocking primitive, a
+// locally summarized function, or an imported fact.
+func (c *lockChecker) calleeBlocks(fn *types.Func) (string, bool) {
+	pkg := fn.Pkg()
+	if pkg == nil {
+		return "", false
 	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok {
-		return false
+	switch pkg.Path() {
+	case "sync":
+		// Mutex ops and Cond.Wait are not sinks.
+		return "sync.WaitGroup.Wait", fn.Name() == "Wait" && recvTypeName(fn) == "WaitGroup"
+	case "time":
+		return "time.Sleep", fn.Name() == "Sleep"
+	case "os", "net", "net/http", "io", "bufio":
+		return pkg.Path() + "." + funcKey(fn), ioVerb(fn.Name())
 	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
+	reason := c.imported[pkg.Path()+"|"+funcKey(fn)]
+	if pkg == c.pass.Pkg.Pkg {
+		reason = c.blocking[fn]
 	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
+	return fmt.Sprintf("%s (which may block on %s)", funcKey(fn), reason), reason != ""
 }
 
 // ioVerb reports whether a function name in an IO package denotes an

@@ -1,7 +1,7 @@
 // Package rules holds simlint's analyzers. Each rule is a small
-// analysis.PackageAnalyzer or analysis.ModuleAnalyzer; the registry in All
-// wires them to a Config and is the single source of truth for known rule
-// names (which also validates //simlint:ignore comments).
+// analysis.Analyzer; the registry in All wires them to a Config and is the
+// single source of truth for known rule names (which also validates
+// //simlint:ignore comments).
 package rules
 
 import "scalesim/tools/simlint/internal/analysis"
@@ -44,8 +44,6 @@ func RepoConfig(root string) analysis.Config {
 			// across processes require the same discipline.
 			"internal/surrogate",
 		},
-		KeyFile:  "internal/runner/key.go",
-		KeyRoots: []string{"internal/runner.Job"},
 		UnitsDir: "internal/units",
 		// internal/sim joined for PR 10: the epoch fork/join pool's `go`
 		// statements must be WaitGroup-joined and context-scoped like every
@@ -79,7 +77,6 @@ func All(cfg analysis.Config) []analysis.Analyzer {
 	return []analysis.Analyzer{
 		maporder{det: det},
 		wallclock{det: det},
-		keydrift{keyFile: cfg.KeyFile, roots: cfg.KeyRoots},
 		unitsRule{dir: cfg.UnitsDir},
 		errwrap{},
 		goroleak{pkgs: goro},

@@ -15,14 +15,12 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/fixture.golden from the current output")
 
 // fixtureConfig lints the self-contained module under testdata/fixture,
-// with its own deterministic set, key encoder, units package, goroutine
-// policy and lock policy.
+// with its own deterministic set, units package, goroutine policy and lock
+// policy.
 func fixtureConfig() analysis.Config {
 	return analysis.Config{
 		Root:          filepath.Join("testdata", "fixture"),
 		Deterministic: []string{"det"},
-		KeyFile:       "enc/key.go",
-		KeyRoots:      []string{"keys.Options"},
 		UnitsDir:      "uu",
 		Goroutines:    []string{"leak"},
 		Locks:         []string{"lk"},
@@ -67,10 +65,6 @@ func TestAnalyzerFindings(t *testing.T) {
 			"det/det.go:43", // Stamp: time.Since
 			"det/det.go:59", // Draw: global math/rand
 		},
-		"keydrift": {
-			"keys/keys.go:16", // Region.Skew never encoded
-			"keys/keys.go:23", // Options.Drift never encoded
-		},
 		"ignore": {
 			"det/det.go:33", // suppression without a justification
 			"det/det.go:66", // suppression naming an unknown rule
@@ -102,11 +96,17 @@ func TestAnalyzerFindings(t *testing.T) {
 			"cf/cf.go:62", // NewHolder: root context parked in a struct field
 		},
 		"lockscope": {
-			"lk/lk.go:23", // HeldAcrossSend: channel send under the mutex
-			"lk/lk.go:32", // HeldAcrossIO: file write under a deferred unlock
-			"lk/lk.go:39", // LeakyReturn: early return leaks the lock
-			"lk/lk.go:62", // Blocks: default-less select under the mutex
-			"lk/lk.go:84", // ViaHelper: callee blocking summary
+			"lk/lk.go:23",  // HeldAcrossSend: channel send under the mutex
+			"lk/lk.go:32",  // HeldAcrossIO: file write under a deferred unlock
+			"lk/lk.go:39",  // LeakyReturn: early return leaks the lock
+			"lk/lk.go:62",  // Blocks: default-less select under the mutex
+			"lk/lk.go:84",  // ViaHelper: callee blocking summary
+			"lk/lk.go:110", // BranchUnlock: unlock inside a branch
+			"lk/lk.go:111", // BranchUnlock: return between Lock and Unlock
+			"lk/lk.go:124", // LoopBreak: break out of the enclosing loop
+			"lk/lk.go:139", // NestedDefer: write after the block, before the deferred unlock runs
+			"lk/lk.go:146", // BranchOnlyLock: lock with no unlock in its block
+			"lk/lk.go:149", // BranchOnlyLock: unlock with no lock in its block
 		},
 	}
 	for rule, sites := range want {

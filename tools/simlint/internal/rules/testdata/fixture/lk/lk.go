@@ -101,3 +101,71 @@ func (b *Box) Journal(p []byte) {
 	//simlint:ignore lockscope ordered journal append, bounded write
 	b.file.Write(p)
 }
+
+// BranchUnlock unlocks inside a branch and returns: correct on every path,
+// and rejected — the section's end is no longer one statement on the page.
+func (b *Box) BranchUnlock(v int) bool {
+	b.mu.Lock()
+	if v < 0 {
+		b.mu.Unlock()
+		return false
+	}
+	b.n = v
+	b.mu.Unlock()
+	return true
+}
+
+// LoopBreak leaves the loop that encloses the section with the lock held:
+// flagged.
+func (b *Box) LoopBreak(vs []int) {
+	for _, v := range vs {
+		b.mu.Lock()
+		if v < 0 {
+			break
+		}
+		b.n += v
+		b.mu.Unlock()
+	}
+}
+
+// NestedDefer takes the lock in a block, but the deferred unlock runs at
+// the end of the function: the write after the block is under it, flagged.
+func (b *Box) NestedDefer(p []byte) {
+	if len(p) > 0 {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.n += len(p)
+	}
+	b.file.Write(p)
+}
+
+// BranchOnlyLock locks in a branch and unlocks after the join: both calls
+// are flagged, neither is half of a shape.
+func (b *Box) BranchOnlyLock(v int) {
+	if v > 0 {
+		b.mu.Lock()
+	}
+	b.n = v
+	b.mu.Unlock()
+}
+
+// SwitchInside is clean: a switch (with its implicit and explicit breaks)
+// and a loop with its own continue stay inside the section.
+func (b *Box) SwitchInside(v int) {
+	b.mu.Lock()
+	switch {
+	case v < 0:
+		b.n--
+	case v == 0:
+		break
+	default:
+		b.n++
+	}
+	for i := 0; i < v; i++ {
+		if i%2 == 0 {
+			continue
+		}
+		b.n += i
+	}
+	b.mu.Unlock()
+}

@@ -1,7 +1,7 @@
 // Command simlint is the repository's static-analysis gate: determinism,
-// key-drift, unit, error-wrapping and concurrency invariants, enforced over
-// every package of the module with go/parser + go/types (standard library
-// only, offline).
+// unit, error-wrapping and concurrency invariants, enforced over every
+// package of the module with go/parser + go/types (standard library only,
+// offline).
 //
 // The simulator's value rests on bit-identical, seed-stable, dimensionally
 // sane runs: the scale-model extrapolation (and anything trained on campaign
@@ -11,8 +11,6 @@
 //	maporder    no `range` over maps in deterministic packages
 //	wallclock   no time.Now/time.Since or math/rand in deterministic
 //	            packages; internal/xrand is the only randomness source
-//	keydrift    every semantic field of the design-point structs must be
-//	            encoded by internal/runner/key.go
 //	units       no arithmetic mixing distinct internal/units quantity
 //	            types, no bare literals across unit boundaries
 //	errwrap     sentinel errors are wrapped with %w and matched with
@@ -22,15 +20,16 @@
 //	ctxflow     no context.Background()/TODO() outside package main and
 //	            the single-statement X → XContext(context.Background(), …)
 //	            wrappers
-//	lockscope   flow-sensitive: no mutex held across a blocking operation,
-//	            no return path that leaks a lock
+//	lockscope   a critical section is Lock directly followed by defer
+//	            Unlock, or Lock … Unlock as two statements of one block
+//	            with no way out between them; nothing in it may block
 //
-// Each rule holds an invariant no test can: a new unencoded key field, a
-// lock held across a send, a map range that happens to iterate in order
-// today. Invariants a test already holds (the hot loop allocates nothing,
-// epoch workers do not write shared state, model predictions never reach a
-// ground-truth tier) are left to that test; DESIGN.md, "Static analysis
-// invariants", names it for each.
+// Each rule holds an invariant no test can: a lock held across a send, a
+// map range that happens to iterate in order today. Invariants a test
+// already holds (every design-point field moves the cache key, the hot loop
+// allocates nothing, epoch workers do not write shared state, model
+// predictions never reach a ground-truth tier) are left to that test;
+// DESIGN.md, "Static analysis invariants", names it for each.
 //
 // Findings print as "file:line: [rule] message", sorted, and exit status 1.
 // A finding is suppressed by a trailing or preceding comment

@@ -24,7 +24,9 @@ type Tuning struct {
 	// in parallel inside one simulation. 0 = auto: a standalone simulation
 	// uses min(cores, GOMAXPROCS); a campaign splits the host budget
 	// between job-level and core-level parallelism (GOMAXPROCS divided by
-	// the effective campaign workers). 1 forces serial epoch execution.
+	// the jobs running side by side: the effective campaign workers, or
+	// the campaign's job count when that is smaller). 1 forces serial
+	// epoch execution.
 	CoreWorkers int `json:"core_workers,omitempty"`
 	// CampaignWorkers bounds concurrent jobs in a campaign or service.
 	// 0 = auto (GOMAXPROCS).
