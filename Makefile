@@ -109,9 +109,11 @@ bench:
 # host facts). With BENCH_PARENT=<checkout of the parent commit> the runs
 # alternate parent/change and the file carries the paired comparison that
 # bench/README.md requires of a claimed gain. Commit one per perf-claiming PR.
+# An existing BENCH_<yyyymmdd>.json is never replaced: name a second record of
+# the day with BENCH_OUT=<file>.
 BENCH_N ?= 10
 bench-record:
-	$(GO) run ./tools/benchrecord -n $(BENCH_N) $(if $(BENCH_PARENT),-parent $(BENCH_PARENT))
+	$(GO) run ./tools/benchrecord -n $(BENCH_N) $(if $(BENCH_PARENT),-parent $(BENCH_PARENT)) $(if $(BENCH_OUT),-out $(BENCH_OUT))
 
 clean:
 	$(GO) clean ./...

@@ -158,13 +158,12 @@ func (l *Level) Access(addr uint64, write bool) bool {
 	if write {
 		l.Stats.Writes++
 	}
-	for w := 0; w < l.assoc; w++ {
-		i := base + w
-		if l.tags[i] == line {
+	for w, tag := range l.tags[base : base+l.assoc] {
+		if tag == line {
 			l.clock[set]++
-			l.stamp[i] = l.clock[set]
+			l.stamp[base+w] = l.clock[set]
 			if write {
-				l.dirty.set(i)
+				l.dirty.set(base + w)
 			}
 			return true
 		}
@@ -177,15 +176,32 @@ func (l *Level) Access(addr uint64, write bool) bool {
 // updating LRU state or statistics.
 func (l *Level) Probe(addr uint64) bool {
 	line := addr >> l.lineShift
-	set := line & l.setMask
-	base := int(set) * l.assoc
-	for w := 0; w < l.assoc; w++ {
-		i := base + w
-		if l.tags[i] == line {
+	base := int(line&l.setMask) * l.assoc
+	for _, tag := range l.tags[base : base+l.assoc] {
+		if tag == line {
 			return true
 		}
 	}
 	return false
+}
+
+// lruVictim returns the way Fill replaces in a set with the given tags, LRU
+// stamps and set clock: the first invalid way, else the least recently used
+// (the first of equals).
+func lruVictim(tags []uint64, stamps []uint32, clock uint32) int {
+	stamps = stamps[:len(tags)] // one bounds check here, none per way below
+	victim := 0
+	var oldest uint32
+	for w, tag := range tags {
+		if tag == invalidTag {
+			return w
+		}
+		// Unsigned distance from the current clock handles wrap-around.
+		if age := clock - stamps[w]; w == 0 || age > oldest {
+			oldest, victim = age, w
+		}
+	}
+	return victim
 }
 
 // Fill allocates the line containing addr (marking it dirty if dirty),
@@ -195,25 +211,8 @@ func (l *Level) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, e
 	line := addr >> l.lineShift
 	set := line & l.setMask
 	base := int(set) * l.assoc
-
-	victim := -1
-	var oldest uint32
-	first := true
-	for w := 0; w < l.assoc; w++ {
-		i := base + w
-		if l.tags[i] == invalidTag {
-			victim = i
-			evicted = false
-			break
-		}
-		// Unsigned distance from the current clock handles wrap-around.
-		age := l.clock[set] - l.stamp[i]
-		if first || age > oldest {
-			oldest = age
-			victim = i
-			first = false
-		}
-	}
+	clock := l.clock[set]
+	victim := base + lruVictim(l.tags[base:base+l.assoc], l.stamp[base:], clock)
 	if l.tags[victim] != invalidTag {
 		evicted = true
 		victimAddr = l.tags[victim] << l.lineShift
@@ -225,8 +224,8 @@ func (l *Level) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, e
 	}
 	l.tags[victim] = line
 	l.dirty.assign(victim, dirty)
-	l.clock[set]++
-	l.stamp[victim] = l.clock[set]
+	l.clock[set] = clock + 1
+	l.stamp[victim] = clock + 1
 	return victimAddr, victimDirty, evicted
 }
 

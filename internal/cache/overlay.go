@@ -69,16 +69,17 @@ func (o *Overlay) BeginEpoch() {
 	o.used = 0
 }
 
-// cloneFor returns the arena base index of the clone for addr's home set,
-// copying the set out of the shared NUCA on first touch this epoch.
-func (o *Overlay) cloneFor(slice int, line uint64) int {
+// cloneFor returns the index of the clone for addr's home set (its ways start
+// at arena index k*assoc), copying the set out of the shared NUCA on first
+// touch this epoch.
+func (o *Overlay) cloneFor(slice int, line uint64) (k int) {
 	lvl := o.n.slices[slice]
 	set := int(line & lvl.setMask)
 	g := slice*o.sets + set
 	if o.ver[g] == o.epoch {
-		return int(o.slot[g]) * o.assoc
+		return int(o.slot[g])
 	}
-	k := o.used
+	k = o.used
 	o.used++
 	need := o.used * o.assoc
 	if need > len(o.tags) {
@@ -86,21 +87,22 @@ func (o *Overlay) cloneFor(slice int, line uint64) int {
 	}
 	base := k * o.assoc
 	sbase := set * o.assoc
-	for w := 0; w < o.assoc; w++ {
-		// Tags copy verbatim: invalidTag sentinels ride along, so the clone
-		// needs no separate valid flag either.
-		o.tags[base+w] = lvl.tags[sbase+w]
+	// Tags copy verbatim: invalidTag sentinels ride along, so the clone
+	// needs no separate valid flag either.
+	copy(o.tags[base:base+o.assoc], lvl.tags[sbase:sbase+o.assoc])
+	copy(o.stamp[base:base+o.assoc], lvl.stamp[sbase:sbase+o.assoc])
+	meta := o.meta[base : base+o.assoc]
+	for w := range meta {
 		var m uint8
 		if lvl.dirty.get(sbase + w) {
 			m = ovDirty
 		}
-		o.meta[base+w] = m
-		o.stamp[base+w] = lvl.stamp[sbase+w]
+		meta[w] = m
 	}
 	o.clock[k] = lvl.clock[set]
 	o.slot[g] = int32(k)
 	o.ver[g] = o.epoch
-	return base
+	return k
 }
 
 // grow extends the arena to hold at least need ways, doubling to amortize.
@@ -131,15 +133,14 @@ func (o *Overlay) grow(need int) {
 func (o *Overlay) Access(addr uint64, write bool) (slice int, hit bool) {
 	slice = o.n.SliceOf(addr)
 	line := addr >> o.n.lineShift
-	base := o.cloneFor(slice, line)
-	k := base / o.assoc
-	for w := 0; w < o.assoc; w++ {
-		i := base + w
-		if o.tags[i] == line {
+	k := o.cloneFor(slice, line)
+	base := k * o.assoc
+	for w, tag := range o.tags[base : base+o.assoc] {
+		if tag == line {
 			o.clock[k]++
-			o.stamp[i] = o.clock[k]
+			o.stamp[base+w] = o.clock[k]
 			if write {
-				o.meta[i] |= ovDirty
+				o.meta[base+w] |= ovDirty
 			}
 			return slice, true
 		}
@@ -159,9 +160,8 @@ func (o *Overlay) Probe(addr uint64) bool {
 		return lvl.Probe(addr)
 	}
 	base := int(o.slot[g]) * o.assoc
-	for w := 0; w < o.assoc; w++ {
-		i := base + w
-		if o.tags[i] == line {
+	for _, tag := range o.tags[base : base+o.assoc] {
+		if tag == line {
 			return true
 		}
 	}
@@ -174,26 +174,10 @@ func (o *Overlay) Probe(addr uint64) bool {
 func (o *Overlay) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, evicted bool) {
 	slice := o.n.SliceOf(addr)
 	line := addr >> o.n.lineShift
-	base := o.cloneFor(slice, line)
-	k := base / o.assoc
-
-	victim := -1
-	var oldest uint32
-	first := true
-	for w := 0; w < o.assoc; w++ {
-		i := base + w
-		if o.tags[i] == invalidTag {
-			victim = i
-			evicted = false
-			break
-		}
-		age := o.clock[k] - o.stamp[i]
-		if first || age > oldest {
-			oldest = age
-			victim = i
-			first = false
-		}
-	}
+	k := o.cloneFor(slice, line)
+	base := k * o.assoc
+	clock := o.clock[k]
+	victim := base + lruVictim(o.tags[base:base+o.assoc], o.stamp[base:], clock)
 	if o.tags[victim] != invalidTag {
 		evicted = true
 		victimAddr = o.tags[victim] << o.n.lineShift
@@ -205,7 +189,7 @@ func (o *Overlay) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty,
 		m = ovDirty
 	}
 	o.meta[victim] = m
-	o.clock[k]++
-	o.stamp[victim] = o.clock[k]
+	o.clock[k] = clock + 1
+	o.stamp[victim] = clock + 1
 	return victimAddr, victimDirty, evicted
 }

@@ -60,32 +60,42 @@ func (r *refCache) fill(addr uint64, dirty bool) (victim uint64, victimDirty, ev
 }
 
 // TestLevelMatchesReferenceModel drives both implementations with a long
-// random access sequence and demands bit-identical behaviour.
+// random access sequence and demands bit-identical behaviour: on a 4-way
+// geometry, and on a 12-way one whose sets start at way indices that are not
+// multiples of the dirty bitset's 64-bit word (some sets straddle two words).
 func TestLevelMatchesReferenceModel(t *testing.T) {
-	const size, assoc = 8 * config.KB, 4 // 32 sets x 4 ways
-	lvl, err := NewLevel(config.CacheLevelConfig{Size: size, Assoc: assoc, LineSize: 64}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRef(size, assoc)
-
-	rng := xrand.New(321)
-	for i := 0; i < 300000; i++ {
-		// Skewed address distribution: reuse within 4x capacity.
-		addr := (rng.Uint64() % (4 * uint64(size))) &^ 63
-		write := rng.Bool(0.3)
-		gotHit := lvl.Access(addr, write)
-		wantHit := ref.access(addr, write)
-		if gotHit != wantHit {
-			t.Fatalf("step %d: addr %#x hit=%v, reference says %v", i, addr, gotHit, wantHit)
+	for _, geom := range []struct {
+		size  config.Bytes
+		assoc int
+	}{
+		{8 * config.KB, 4},   // 32 sets x 4 ways
+		{12 * config.KB, 12}, // 16 sets x 12 ways
+	} {
+		size, assoc := geom.size, geom.assoc
+		lvl, err := NewLevel(config.CacheLevelConfig{Size: size, Assoc: assoc, LineSize: 64}, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !gotHit {
-			dirty := write
-			gv, gd, ge := lvl.Fill(addr, dirty)
-			wv, wd, we := ref.fill(addr, dirty)
-			if ge != we || (ge && (gv != wv || gd != wd)) {
-				t.Fatalf("step %d: fill victim (%#x,%v,%v), reference (%#x,%v,%v)",
-					i, gv, gd, ge, wv, wd, we)
+		ref := newRef(size, assoc)
+
+		rng := xrand.New(321)
+		for i := 0; i < 300000; i++ {
+			// Skewed address distribution: reuse within 4x capacity.
+			addr := (rng.Uint64() % (4 * uint64(size))) &^ 63
+			write := rng.Bool(0.3)
+			gotHit := lvl.Access(addr, write)
+			wantHit := ref.access(addr, write)
+			if gotHit != wantHit {
+				t.Fatalf("assoc %d step %d: addr %#x hit=%v, reference says %v", assoc, i, addr, gotHit, wantHit)
+			}
+			if !gotHit {
+				dirty := write
+				gv, gd, ge := lvl.Fill(addr, dirty)
+				wv, wd, we := ref.fill(addr, dirty)
+				if ge != we || (ge && (gv != wv || gd != wd)) {
+					t.Fatalf("assoc %d step %d: fill victim (%#x,%v,%v), reference (%#x,%v,%v)",
+						assoc, i, gv, gd, ge, wv, wd, we)
+				}
 			}
 		}
 	}

@@ -177,7 +177,9 @@ func (c *Core) Run(cycleBudget units.Cycles, instrBudget uint64) units.Cycles {
 	return c.Stats.Cycles - start
 }
 
-// step retires one instruction and charges its cycles.
+// step retires one instruction and charges its cycles. It pulls the
+// instruction from the generator piecewise (kind, then address or branch)
+// rather than as a trace.Op, so the per-instruction path passes words.
 func (c *Core) step() {
 	// Front-end: fetch a new instruction line every fetchGroup instructions.
 	c.sinceIFetch++
@@ -191,21 +193,23 @@ func (c *Core) step() {
 		}
 	}
 
-	op := c.gen.Next()
+	kind := c.gen.NextKind()
 	c.Stats.Instructions++
 	c.Stats.Cycles += c.baseCPI
 	c.Stats.BaseCycles += c.baseCPI
 
-	switch op.Kind {
+	switch kind {
 	case trace.OpBranch:
-		if c.Stats.Branch.Record(c.pred, op.BranchPC, op.Taken) {
+		pc, taken := c.gen.NextBranch()
+		if c.Stats.Branch.Record(c.pred, pc, taken) {
 			cost := units.Cycles(c.cfg.MispredictCost)
 			c.Stats.Cycles += cost
 			c.Stats.BranchCycles += cost
 		}
 	case trace.OpLoad:
 		c.Stats.Loads++
-		res := c.mem.Load(c.id, op.Addr)
+		addr, dependent := c.gen.NextMem(false)
+		res := c.mem.Load(c.id, addr)
 		c.Stats.LoadsAt[res.Level]++
 		if res.Level == LevelL1 {
 			return // L1 hits are part of the base CPI
@@ -214,14 +218,15 @@ func (c *Core) step() {
 		if visible <= 0 {
 			return
 		}
-		if !op.Dependent {
+		if !dependent {
 			visible = visible.Scale(1 / c.effMLP)
 		}
 		c.Stats.Cycles += visible
 		c.Stats.MemoryCycles += visible
 	case trace.OpStore:
 		c.Stats.Stores++
-		res := c.mem.Store(c.id, op.Addr)
+		addr, _ := c.gen.NextMem(true)
+		res := c.mem.Store(c.id, addr)
 		if res.Level == LevelL1 {
 			return
 		}

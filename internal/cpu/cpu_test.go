@@ -238,3 +238,117 @@ func BenchmarkCoreStep(b *testing.B) {
 		c.step()
 	}
 }
+
+// hashMem is a MemSystem whose every answer is a hash of the address: a core
+// that draws one different address, or makes the same draws in a different
+// order, ends up with different Stats.
+type hashMem struct{}
+
+func hashAddr(addr, salt uint64) uint64 { return ((addr ^ salt) * 0x9e3779b97f4a7c15) >> 40 }
+
+func hashResult(addr, salt uint64) MemResult {
+	h := hashAddr(addr, salt)
+	return MemResult{Level: LevelL1 + MemLevel(h%4), Latency: units.Cycles(4 + h>>2%300)}
+}
+
+func (hashMem) Load(core int, addr uint64) MemResult  { return hashResult(addr, 1) }
+func (hashMem) Store(core int, addr uint64) MemResult { return hashResult(addr, 2) }
+
+func (hashMem) IFetch(core int, addr uint64, jump bool) units.Cycles {
+	if !jump {
+		return 0
+	}
+	return units.Cycles(hashAddr(addr, 3) % 40)
+}
+
+// refStep is Core.step as it was while the core consumed whole trace.Op
+// values from Generator.Next, kept as the oracle for the typed pulls.
+func refStep(c *Core) {
+	c.sinceIFetch++
+	if c.sinceIFetch >= c.fetchGroup {
+		c.sinceIFetch = 0
+		addr, jump := c.gen.NextIFetch()
+		stall := c.mem.IFetch(c.id, addr, jump)
+		if stall > 0 {
+			c.Stats.Cycles += stall
+			c.Stats.FrontendCycles += stall
+		}
+	}
+
+	op := c.gen.Next()
+	c.Stats.Instructions++
+	c.Stats.Cycles += c.baseCPI
+	c.Stats.BaseCycles += c.baseCPI
+
+	switch op.Kind {
+	case trace.OpBranch:
+		if c.Stats.Branch.Record(c.pred, op.BranchPC, op.Taken) {
+			cost := units.Cycles(c.cfg.MispredictCost)
+			c.Stats.Cycles += cost
+			c.Stats.BranchCycles += cost
+		}
+	case trace.OpLoad:
+		c.Stats.Loads++
+		res := c.mem.Load(c.id, op.Addr)
+		c.Stats.LoadsAt[res.Level]++
+		if res.Level == LevelL1 {
+			return
+		}
+		visible := res.Latency - c.hideCycles
+		if visible <= 0 {
+			return
+		}
+		if !op.Dependent {
+			visible = visible.Scale(1 / c.effMLP)
+		}
+		c.Stats.Cycles += visible
+		c.Stats.MemoryCycles += visible
+	case trace.OpStore:
+		c.Stats.Stores++
+		res := c.mem.Store(c.id, op.Addr)
+		if res.Level == LevelL1 {
+			return
+		}
+		visible := res.Latency - c.hideCycles
+		if visible <= 0 {
+			return
+		}
+		visible = visible.Scale(1 / (2 * c.effMLP))
+		c.Stats.Cycles += visible
+		c.Stats.MemoryCycles += visible
+	}
+}
+
+// TestCoreMatchesOpReference runs every profile on two cores over the same
+// address-sensitive memory system, one stepping through the typed pulls and
+// one through refStep: every counter and every cycle total must agree
+// exactly, and both generators must stand at the same instruction.
+func TestCoreMatchesOpReference(t *testing.T) {
+	for _, prof := range trace.Suite() {
+		for _, instance := range []int{0, 31} {
+			var cores [2]*Core
+			for i := range cores {
+				gen, err := trace.NewGenerator(prof, trace.GenOptions{Instance: instance, Seed: 7, CapacityScale: 32})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cores[i], err = New(instance, coreConfig(), gen, branch.NewTournament(), hashMem{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 50_000; i++ {
+				cores[0].step()
+				refStep(cores[1])
+			}
+			if got, want := cores[0].Stats, cores[1].Stats; got != want {
+				t.Errorf("%s instance %d: stats diverge from the Op consumer\n got  %+v\n want %+v", prof.Name, instance, got, want)
+			}
+			if want := cores[1].Stats; want.FrontendCycles == 0 || want.MemoryCycles == 0 {
+				t.Errorf("%s instance %d: the oracle saw no front-end or memory stall, so it compares nothing: %+v", prof.Name, instance, want)
+			}
+			if got, want := cores[0].gen.Retired(), cores[1].gen.Retired(); got != want {
+				t.Errorf("%s instance %d: generator retired %d, the Op consumer's %d", prof.Name, instance, got, want)
+			}
+		}
+	}
+}

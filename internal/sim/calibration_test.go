@@ -1,19 +1,42 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"scalesim/internal/config"
 	"scalesim/internal/trace"
 )
 
-func TestDebugCPI(t *testing.T) {
+// The tests in this file print the calibration tables under -v; what they
+// assert, on every run they pay for, is the CPI stack's conservation law
+// (ROADMAP 3(a)): on each core the base, branch, memory and front-end cycles
+// add up to the cycles charged — the same charges summed in two groupings, so
+// equal to float rounding (worst seen over five 32-core runs: 2.6e-12
+// relative) — and the IPC is a finite positive number.
+
+func checkCPIStack(t *testing.T, label string, cores ...CoreResult) {
+	t.Helper()
+	for _, c := range cores {
+		sum := c.BaseCycles + c.BranchCycles + c.MemoryCycles + c.FrontendCycles
+		if math.Abs(float64(sum-c.Cycles)) > 1e-9*float64(c.Cycles) {
+			t.Errorf("%s core %d: CPI stack %v + %v + %v + %v = %v, cycles %v", label, c.Core,
+				c.BaseCycles, c.BranchCycles, c.MemoryCycles, c.FrontendCycles, sum, c.Cycles)
+		}
+		if !(c.IPC > 0) || math.IsInf(c.IPC, 0) {
+			t.Errorf("%s core %d: IPC %v", label, c.Core, c.IPC)
+		}
+	}
+}
+
+func TestCPIStackSumsToCyclesScaleModel(t *testing.T) {
 	sm, _ := config.ScaleModel(config.Target(), 1, config.ScaleModelOptions{Policy: config.PRSFull})
 	for _, name := range []string{"exchange2", "leela", "gcc", "lbm", "mcf", "milc"} {
 		res, err := Run(sm, Homogeneous(trace.ByName(name), 1), fastOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCPIStack(t, name, res.Cores...)
 		c := res.Cores[0]
 		t.Logf("%-10s IPC %.3f CPI %.3f base %.3f branch %.3f mem %.3f fe %.3f | L1D %.1f L2 %.1f LLC %.2f MPKI | bw %.3f B/c mispred %.4f\n",
 			name, c.IPC, 1/c.IPC,
@@ -23,9 +46,10 @@ func TestDebugCPI(t *testing.T) {
 	}
 }
 
-// TestDebugCalibration prints the Fig-3-style construction table for the
-// whole suite when run with -v (manual calibration aid).
-func TestDebugCalibration(t *testing.T) {
+// TestCPIStackSumsToCyclesSuite covers the whole suite on the 1-core NRS and
+// PRS scale models and the 32-core target, and prints the Fig-3-style
+// construction table when run with -v (manual calibration aid).
+func TestCPIStackSumsToCyclesSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration table")
 	}
@@ -48,6 +72,9 @@ func TestDebugCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCPIStack(t, p.Name+" NRS-1", nrs.Cores...)
+		checkCPIStack(t, p.Name+" PRS-1", prs.Cores...)
+		checkCPIStack(t, p.Name+" target-32", tgt.Cores...)
 		actual := tgt.AverageIPC()
 		abs := func(x float64) float64 {
 			if x < 0 {
@@ -63,12 +90,13 @@ func TestDebugCalibration(t *testing.T) {
 	}
 }
 
-func TestDebugTarget32(t *testing.T) {
+func TestCPIStackSumsToCyclesTarget32(t *testing.T) {
 	for _, name := range []string{"povray", "namd", "deepsjeng", "xz", "exchange2"} {
 		res, err := Run(config.Target(), Homogeneous(trace.ByName(name), 32), fastOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCPIStack(t, name, res.Cores...)
 		c := res.Cores[5]
 		t.Logf("%-10s IPC %.3f CPI %.3f base %.3f branch %.3f mem %.3f fe %.3f | L1D %.1f L2 %.1f LLC %.2f MPKI | bw %.3f B/c | dramU %.2f nocU %.2f\n",
 			name, c.IPC, 1/c.IPC,
@@ -78,7 +106,9 @@ func TestDebugTarget32(t *testing.T) {
 	}
 }
 
-func TestDebugLevels(t *testing.T) {
+// TestCPIStackSumsToCyclesBareMachine steps a core outside the epoch loop and
+// holds the law on its raw counters; -v prints per-level cache events.
+func TestCPIStackSumsToCyclesBareMachine(t *testing.T) {
 	opts := fastOpts().normalized()
 	sm, _ := config.ScaleModel(config.Target(), 1, config.ScaleModelOptions{Policy: config.PRSFull})
 	for _, name := range []string{"povray", "exchange2", "deepsjeng"} {
@@ -91,7 +121,12 @@ func TestDebugLevels(t *testing.T) {
 			m.mesh.EndEpoch(opts.EpochCycles)
 			m.mem.EndEpoch(opts.EpochCycles)
 		}
-		ki := float64(m.cores[0].Stats.Instructions) / 1000
+		st := m.cores[0].Stats
+		checkCPIStack(t, name, CoreResult{
+			Cycles: st.Cycles, IPC: st.IPC(), BaseCycles: st.BaseCycles, BranchCycles: st.BranchCycles,
+			MemoryCycles: st.MemoryCycles, FrontendCycles: st.FrontendCycles,
+		})
+		ki := float64(st.Instructions) / 1000
 		l1i, l1d, l2 := m.l1i[0].Stats, m.l1d[0].Stats, m.l2[0].Stats
 		llc := m.llc.TotalStats()
 		t.Logf("%-10s L1I acc %.0f mis %.1f | L1D acc %.0f mis %.1f wb %.1f | L2 acc %.0f mis %.1f wb %.1f | LLC acc %.1f mis %.1f wb %.1f (per KI)\n",

@@ -418,27 +418,39 @@ func (g *Generator) buildKindSchedule() {
 	place(OpBranch, g.prof.BranchesPerKI)
 }
 
-// Next produces the next instruction. The kind schedule is exact; addresses
-// and branch outcomes are drawn from the profile's distributions.
-func (g *Generator) Next() Op {
+// NextKind retires the next instruction and returns its kind; the kind
+// schedule is exact and consumes no random draw. A load or store must be
+// followed by NextMem and a branch by NextBranch before the next NextKind.
+// The core pulls these three directly, so nothing wider than two words
+// crosses a call on the per-instruction path.
+func (g *Generator) NextKind() OpKind {
 	kind := g.kinds[g.slot]
 	if g.slot++; g.slot == len(g.kinds) {
 		g.slot = 0
 	}
 	g.retired++
-	switch kind {
-	case OpLoad:
-		return g.memOp(false)
-	case OpStore:
-		return g.memOp(true)
+	return kind
+}
+
+// Next produces the next instruction as one value: the composition of the
+// typed pulls, for consumers that want the whole Op.
+func (g *Generator) Next() Op {
+	switch kind := g.NextKind(); kind {
+	case OpLoad, OpStore:
+		addr, dependent := g.NextMem(kind == OpStore)
+		return Op{Kind: kind, Addr: addr, Dependent: dependent}
 	case OpBranch:
-		return g.branchOp()
+		pc, taken := g.NextBranch()
+		return Op{Kind: kind, BranchPC: pc, Taken: taken}
 	default:
-		return Op{Kind: OpALU}
+		return Op{Kind: kind}
 	}
 }
 
-func (g *Generator) memOp(isStore bool) Op {
+// NextMem draws the address of the load or store NextKind just announced
+// from the profile's region mixture. dependent marks a load serially
+// dependent on the previous miss.
+func (g *Generator) NextMem(store bool) (addr uint64, dependent bool) {
 	// Pick the region whose accumulated deficit is largest (exact-fraction
 	// interleaving, deterministic).
 	best, bestV := 0, -1.0
@@ -453,7 +465,6 @@ func (g *Generator) memOp(isStore bool) Op {
 	rs := &g.regions[best]
 
 	var off uint64
-	dep := false
 	switch rs.pattern {
 	case Seq:
 		rs.cursor += rs.elem
@@ -475,22 +486,18 @@ func (g *Generator) memOp(isStore bool) Op {
 		rs.chaseLCG = rs.chaseLCG*6364136223846793005 + 1442695040888963407
 		off = rs.size.reduce(rs.chaseLCG >> 11)
 		off &^= 63 // line-granular nodes
-		dep = true
+		// Stores retire without stalling the dependence chain.
+		dependent = !store
 	}
-	kind := OpLoad
-	if isStore {
-		kind = OpStore
-		dep = false // stores retire without stalling the dependence chain
-	}
-	return Op{Kind: kind, Addr: rs.base + off, Dependent: dep}
+	return rs.base + off, dependent
 }
 
-func (g *Generator) branchOp() Op {
-	if len(g.branches) == 0 {
-		return Op{Kind: OpALU}
-	}
+// NextBranch draws the static branch NextKind just announced and its actual
+// outcome. Validate guarantees a branch population whenever the mix has
+// branches.
+func (g *Generator) NextBranch() (pc uint64, taken bool) {
 	b := &g.branches[g.brZipf.Next()]
-	return Op{Kind: OpBranch, BranchPC: b.pc, Taken: g.rng.Bool(b.bias)}
+	return b.pc, g.rng.Bool(b.bias)
 }
 
 // Footprint returns the total scaled data footprint in bytes.

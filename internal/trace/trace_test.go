@@ -308,18 +308,40 @@ func TestGeneratorPropertyAddressAlignment(t *testing.T) {
 }
 
 // BenchmarkGeneratorNext is the Go-benchmark twin of scalebench's
-// trace.next_ns.gcc / .mcf probes (same profiles, same capacity scale).
+// trace.next_ns.gcc / .mcf probes (same profiles, same capacity scale). The
+// /pull twin consumes the typed pulls in cpu.Core.step's order; what Next
+// costs above it is the price of assembling an Op.
 func BenchmarkGeneratorNext(b *testing.B) {
 	for _, name := range []string{"gcc", "mcf"} {
-		b.Run(name, func(b *testing.B) {
+		newGen := func(b *testing.B) *Generator {
 			g, err := NewGenerator(ByName(name), GenOptions{CapacityScale: 16, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
+			return g
+		}
+		b.Run(name, func(b *testing.B) {
+			g := newGen(b)
 			b.ResetTimer()
 			var sum uint64
 			for i := 0; i < b.N; i++ {
 				sum += g.Next().Addr
+			}
+			addrSink = sum
+		})
+		b.Run(name+"/pull", func(b *testing.B) {
+			g := newGen(b)
+			b.ResetTimer()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				switch kind := g.NextKind(); kind {
+				case OpLoad, OpStore:
+					addr, _ := g.NextMem(kind == OpStore)
+					sum += addr
+				case OpBranch:
+					pc, _ := g.NextBranch()
+					sum += pc
+				}
 			}
 			addrSink = sum
 		})

@@ -171,10 +171,16 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // rank with cdf >= j/K, so the answer for any u in [j/K, (j+1)/K) is found by
 // scanning up from guide[j] — with K >= 2n cells, less than one step on
 // average, and the same rank a search of the whole table would return.
+//
+// The inversion runs on the 53-bit integer m behind the draw u = m·2^-53
+// (the value Float64 would return), never on u itself: thr[i] is
+// floor(cdf[i]·2^53), exact because the scaling is by a power of two, and
+// since m is an integer, cdf[i] < u if and only if thr[i] < m. The cell
+// floor(u·K) is m >> shift with K = 2^(53-shift).
 type Zipf struct {
-	cdf   []float64
+	thr   []uint64
 	guide []uint32
-	cells float64 // K = len(guide) as a float64: a power of two, so u*K is exact
+	shift uint
 	rng   *RNG
 }
 
@@ -184,24 +190,25 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	if n <= 0 || s <= 0 {
 		panic("xrand: NewZipf requires n > 0 and s > 0")
 	}
-	cdf := pad.Slice[float64](n)
+	thr := pad.Slice[uint64](n)
 	sum := 0.0
-	for i := 0; i < n; i++ {
+	for i := range thr {
 		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
+		thr[i] = math.Float64bits(sum) // the running sum, parked until the total is known
 	}
-	for i := range cdf {
-		cdf[i] /= sum
+	for i, partial := range thr {
+		thr[i] = uint64(math.Float64frombits(partial) / sum * (1 << 53))
 	}
-	cdf[n-1] = 1 // guard against FP round-off
-	cells := 2
+	thr[n-1] = 1 << 53 // cdf 1, above every draw: guard against FP round-off
+	cells, shift := 2, uint(52)
 	for cells < 2*n {
 		cells <<= 1
+		shift--
 	}
-	z := pad.New(Zipf{cdf: cdf, guide: pad.Slice[uint32](cells), cells: float64(cells), rng: rng})
+	z := pad.New(Zipf{thr: thr, guide: pad.Slice[uint32](cells), shift: shift, rng: rng})
 	rank := 0
 	for j := range z.guide {
-		for cdf[rank] < float64(j)/z.cells {
+		for thr[rank] < uint64(j)<<shift {
 			rank++
 		}
 		z.guide[j] = uint32(rank)
@@ -210,14 +217,13 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 }
 
 // Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int { return z.rank(z.rng.Float64()) }
+func (z *Zipf) Next() int { return z.rank(z.rng.Uint64() >> 11) }
 
-// rank returns the lowest rank whose cumulative probability is at least u,
-// for u in [0, 1). The scan ends at the latest on the last entry, which is
-// exactly 1.
-func (z *Zipf) rank(u float64) int {
-	i := int(z.guide[int(u*z.cells)])
-	for z.cdf[i] < u {
+// rank returns the lowest rank whose threshold is at least m, for a draw
+// m < 2^53. The scan ends at the latest on the last entry, which is 2^53.
+func (z *Zipf) rank(m uint64) int {
+	i := int(z.guide[m>>z.shift])
+	for z.thr[i] < m {
 		i++
 	}
 	return i

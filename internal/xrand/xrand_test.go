@@ -265,8 +265,23 @@ func BenchmarkZipf(b *testing.B) {
 
 var zipfSink int
 
-// refRank is the sampler Zipf.rank replaced — a binary search of the whole
-// CDF for the lowest rank with cdf >= u — kept as the oracle.
+// refCDF and refRank are the float sampler Zipf replaced, kept as the
+// oracle: the cumulative distribution as NewZipf used to store it, and a
+// binary search of the whole of it for the lowest rank with cdf >= u.
+func refCDF(n int, s float64) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / math.Pow(float64(i+1), s)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	cdf[n-1] = 1
+	return cdf
+}
+
 func refRank(cdf []float64, u float64) int {
 	lo, hi := 0, len(cdf)-1
 	for lo < hi {
@@ -280,29 +295,31 @@ func refRank(cdf []float64, u float64) int {
 	return lo
 }
 
-// TestZipfMatchesReference pins the guide-table sampler to the binary search
-// it replaced: the same rank draw for draw, and on the draws where the two
-// could part ways — u exactly on a CDF entry, one ulp below it, and 0.
+// TestZipfMatchesReference pins the integer guide-table sampler to the float
+// binary search it replaced: the rank of the 53-bit draw m is the rank the
+// reference gives u = m·2^-53, draw for draw, and on the draws where the two
+// could part ways — m on a threshold, one either side of it, 0 and 2^53-1.
 func TestZipfMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 100, 512, 4096, 65536} {
 		for _, s := range []float64{0.7, 0.8, 0.9, 1.0, 1.1, 1.2} {
 			z := NewZipf(New(uint64(n)), n, s)
+			cdf := refCDF(n, s)
 			ref := New(uint64(n))
 			for i := 0; i < 100_000; i++ {
-				if got, want := z.Next(), refRank(z.cdf, ref.Float64()); got != want {
+				if got, want := z.Next(), refRank(cdf, ref.Float64()); got != want {
 					t.Fatalf("n=%d s=%.1f draw %d: rank %d, reference %d", n, s, i, got, want)
 				}
 			}
-			edges := []float64{0}
-			for _, c := range z.cdf {
-				if c < 1 { // draws lie in [0, 1)
-					edges = append(edges, c)
-				}
-				edges = append(edges, math.Nextafter(c, 0))
+			edges := []uint64{0, 1<<53 - 1}
+			for _, thr := range z.thr {
+				edges = append(edges, thr-1, thr, thr+1)
 			}
-			for _, u := range edges {
-				if got, want := z.rank(u), refRank(z.cdf, u); got != want {
-					t.Fatalf("n=%d s=%.1f u=%x: rank %d, reference %d", n, s, u, got, want)
+			for _, m := range edges {
+				if m >= 1<<53 { // draws lie in [0, 2^53)
+					continue
+				}
+				if got, want := z.rank(m), refRank(cdf, float64(m)/(1<<53)); got != want {
+					t.Fatalf("n=%d s=%.1f m=%#x: rank %d, reference %d", n, s, m, got, want)
 				}
 			}
 		}

@@ -127,10 +127,15 @@ func main() {
 	n := flag.Int("n", 10, "runs per workload and side (pairs, with -parent)")
 	parent := flag.String("parent", "", "checkout of the parent commit; when set, runs alternate parent/change and the record carries the comparison")
 	only := flag.String("workload", "", "comma-separated workload names (default: every workload of BENCHMARK.json)")
-	out := flag.String("out", "", "output file (default BENCH_<yyyymmdd>.json)")
+	out := flag.String("out", "", "output file (default BENCH_<yyyymmdd>.json, which must not exist yet)")
 	flag.Parse()
 	if *n < 1 || flag.NArg() > 0 {
 		log.Fatal("usage: benchrecord [-n runs] [-parent dir] [-workload a,b] [-out file]")
+	}
+	now := time.Now()
+	path, err := outputPath(*out, now)
+	if err != nil {
+		log.Fatal(err) // before the runs, not after an hour of them
 	}
 
 	raw, err := os.ReadFile("BENCHMARK.json")
@@ -151,7 +156,6 @@ func main() {
 		log.Fatalf("no workload of BENCHMARK.json matches %q", *only)
 	}
 
-	now := time.Now()
 	rec := &record{Schema: "benchrecord/v1", Date: now.Format("2006-01-02"), Command: strings.Join(spec.Command, " "), Pairs: *n}
 	rec.Host.OSArch = runtime.GOOS + "/" + runtime.GOARCH
 	dirs := map[string]string{"change": "."}
@@ -200,10 +204,6 @@ func main() {
 		}
 	}
 
-	path := *out
-	if path == "" {
-		path = "BENCH_" + now.Format("20060102") + ".json"
-	}
 	enc, err := json.MarshalIndent(rec, "", " ")
 	if err != nil {
 		log.Fatal(err)
@@ -212,6 +212,20 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s", path)
+}
+
+// outputPath returns the file the record is written to. The dated default
+// never replaces an existing file — a second record taken on one day would
+// silently overwrite a committed one — so that record must be named by -out.
+func outputPath(out string, now time.Time) (string, error) {
+	if out != "" {
+		return out, nil
+	}
+	path := "BENCH_" + now.Format("20060102") + ".json"
+	if _, err := os.Stat(path); err == nil {
+		return "", fmt.Errorf("%s exists: pass -out to name this record (or -out %s to replace that one)", path, path)
+	}
+	return path, nil
 }
 
 // runScalebench runs one workload in dir and decodes the detail line, the

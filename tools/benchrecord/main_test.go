@@ -1,0 +1,115 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+func TestQuartiles(t *testing.T) {
+	for _, tc := range []struct {
+		xs             []float64
+		median, q1, q3 float64
+	}{
+		{[]float64{7}, 7, 7, 7},
+		{[]float64{4, 2}, 3, 2.5, 3.5},
+		{[]float64{5, 1, 4, 2, 3}, 3, 2, 4},
+		{[]float64{10, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5.5, 3.25, 7.75},
+	} {
+		in := append([]float64(nil), tc.xs...)
+		median, q1, q3 := quartiles(tc.xs)
+		if median != tc.median || q1 != tc.q1 || q3 != tc.q3 {
+			t.Errorf("quartiles(%v) = %v, %v, %v, want %v, %v, %v", in, median, q1, q3, tc.median, tc.q1, tc.q3)
+		}
+		for i := range in {
+			if tc.xs[i] != in[i] {
+				t.Fatalf("quartiles reordered its argument: %v, was %v", tc.xs, in)
+			}
+		}
+	}
+}
+
+// workload builds one side's record of a metric the way main does: runs
+// appended in pair order, then summarised.
+func workload(digest string, runs ...float64) *workloadRecord {
+	s := &summary{Runs: runs}
+	s.Median, s.Q1, s.Q3 = quartiles(runs)
+	return &workloadRecord{
+		ResultDigests: []string{digest},
+		ScriptDigests: []string{"script"},
+		Metrics:       map[string]*summary{"m": s},
+	}
+}
+
+func TestCompare(t *testing.T) {
+	parent := workload("d", 10, 10, 10, 12, 10)
+	change := workload("d", 12, 10, 9, 15, 13) // pairwise: up, tie, down, up, up
+
+	hi := compare("higher", parent, change, "m")
+	if hi.Pairs != 5 || hi.ChangeWins != 3 || hi.ParentWins != 1 {
+		t.Errorf("higher: %d pairs, change %d, parent %d, want 5, 3, 1 (a tie counts for neither)", hi.Pairs, hi.ChangeWins, hi.ParentWins)
+	}
+	// Medians 10 → 12: +20 %, and 2 apart against a parent quartile spread of 0.
+	if hi.MedianChangePct != 20 || !hi.BeyondSpread || !hi.DigestsEqual {
+		t.Errorf("higher: median change %v %%, beyond spread %v, digests equal %v, want 20, true, true", hi.MedianChangePct, hi.BeyondSpread, hi.DigestsEqual)
+	}
+
+	lo := compare("lower", parent, change, "m")
+	if lo.ChangeWins != 1 || lo.ParentWins != 3 {
+		t.Errorf("lower: change %d, parent %d, want 1, 3 (the same runs, judged the other way)", lo.ChangeWins, lo.ParentWins)
+	}
+	if lo.MedianChangePct != 20 {
+		t.Errorf("lower: median change %v %%, want 20 (signed as measured, not as judged)", lo.MedianChangePct)
+	}
+
+	// A parent as wide as the difference between the medians: not beyond.
+	wide := compare("higher", workload("d", 8, 9, 10, 11, 12), workload("d", 10, 11, 12, 13, 14), "m")
+	if wide.ChangeWins != 5 || wide.BeyondSpread {
+		t.Errorf("wide parent: change wins %d, beyond spread %v, want 5, false (medians 2 apart, quartiles 2 apart)", wide.ChangeWins, wide.BeyondSpread)
+	}
+
+	if compare("higher", parent, workload("other", 12, 10, 9, 15, 13), "m").DigestsEqual {
+		t.Error("differing result digests reported equal")
+	}
+	twice := workload("d", 12, 10, 9, 15, 13)
+	twice.ScriptDigests = append(twice.ScriptDigests, "script2")
+	if compare("higher", parent, twice, "m").DigestsEqual {
+		t.Error("a side whose runs disagreed on the script digest reported equal")
+	}
+}
+
+func TestOutputPathNeverReplacesTheDatedDefault(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	day := time.Date(2026, 10, 2, 15, 4, 5, 0, time.UTC)
+	const dated = "BENCH_20261002.json"
+	if got, err := outputPath("", day); err != nil || got != dated {
+		t.Fatalf("empty directory: %q, %v, want %q", got, err, dated)
+	}
+	if err := os.WriteFile(filepath.Join(dir, dated), []byte("committed\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := outputPath("", day)
+	if err == nil {
+		t.Fatalf("default name chosen although %s exists: %q", dated, got)
+	}
+	if !strings.Contains(err.Error(), "-out") || !strings.Contains(err.Error(), dated) {
+		t.Errorf("error %q names neither the file nor -out", err)
+	}
+	// Named explicitly, the same file — or any other — is the caller's call.
+	for _, out := range []string{dated, "BENCH_20261002_pr20.json"} {
+		if got, err := outputPath(out, day); err != nil || got != out {
+			t.Errorf("-out %s: %q, %v", out, got, err)
+		}
+	}
+}
