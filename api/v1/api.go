@@ -176,7 +176,7 @@ func checkSchema(schema string) error {
 func DecodeJobRequest(r io.Reader) (*JobRequest, error) {
 	var req JobRequest
 	if err := decodeStrict(r, &req); err != nil {
-		return nil, fmt.Errorf("apiv1: %w: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("apiv1: %w: %w", ErrBadRequest, err)
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err

@@ -9,7 +9,10 @@
 // so Table I is reproduced exactly in nominal units.
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Bytes expresses a capacity in bytes.
 type Bytes int64
@@ -320,7 +323,7 @@ func ScaleModel(target *SystemConfig, cores int, opts ScaleModelOptions) (*Syste
 	if target.Cores%cores != 0 {
 		return nil, fmt.Errorf("config: scale factor %d/%d is not integral", target.Cores, cores)
 	}
-	sm := makeSystem(fmt.Sprintf("%s-sm%d-%s-%s", target.Name, cores, opts.Policy, opts.Bandwidth), cores, opts.Bandwidth)
+	sm := makeSystem(target.Name+"-sm"+strconv.Itoa(cores)+"-"+opts.Policy.String()+"-"+opts.Bandwidth.String(), cores, opts.Bandwidth)
 	sm.Core = target.Core
 	sm.L1I, sm.L1D, sm.L2 = target.L1I, target.L1D, target.L2
 
@@ -379,7 +382,7 @@ type CustomOptions struct {
 // but freely chosen shared-resource budgets — the knob a design-space
 // exploration sweeps. Core counts follow the Table I ladder (1..32).
 func CustomSystem(cores int, opts CustomOptions) (*SystemConfig, error) {
-	c := makeSystem(fmt.Sprintf("custom-%d", cores), cores, opts.Bandwidth)
+	c := makeSystem("custom-"+strconv.Itoa(cores), cores, opts.Bandwidth)
 	if opts.LLCSlicePerCore > 0 {
 		c.LLC.SlicePerCore = opts.LLCSlicePerCore
 		sets := int64(c.LLC.SlicePerCore) / (int64(c.LLC.Assoc) * int64(c.LLC.LineSize))
@@ -390,14 +393,14 @@ func CustomSystem(cores int, opts CustomOptions) (*SystemConfig, error) {
 	if opts.DRAMPerCoreGBps > 0 {
 		total := opts.DRAMPerCoreGBps * GBps(cores)
 		c.DRAM.PerControllerGBps = total / GBps(c.DRAM.Controllers)
-		c.Name = fmt.Sprintf("%s-dram%g", c.Name, float64(opts.DRAMPerCoreGBps))
+		c.Name += "-dram" + strconv.FormatFloat(float64(opts.DRAMPerCoreGBps), 'g', -1, 64)
 	}
 	if opts.NoCPerCoreGBps > 0 {
 		c.NoC.LinkGBps = opts.NoCPerCoreGBps * GBps(cores) / GBps(c.NoC.CrossSectionLinks)
-		c.Name = fmt.Sprintf("%s-noc%g", c.Name, float64(opts.NoCPerCoreGBps))
+		c.Name += "-noc" + strconv.FormatFloat(float64(opts.NoCPerCoreGBps), 'g', -1, 64)
 	}
 	if opts.LLCSlicePerCore > 0 {
-		c.Name = fmt.Sprintf("%s-llc%d", c.Name, int64(opts.LLCSlicePerCore)>>10)
+		c.Name += "-llc" + strconv.FormatInt(int64(opts.LLCSlicePerCore)>>10, 10)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -249,5 +250,51 @@ func TestCustomSystem(t *testing.T) {
 	// Non-power-of-two LLC sets rejected.
 	if _, err := CustomSystem(1, CustomOptions{LLCSlicePerCore: 3 * MB}); err == nil {
 		t.Error("3 MB slice accepted (sets not a power of two)")
+	}
+}
+
+// TestMachineNamesPinned holds the concatenated machine names to the
+// fmt.Sprintf forms they replaced, byte for byte: the name is part of a
+// job's cache key, so a drifted name orphans every stored result.
+func TestMachineNamesPinned(t *testing.T) {
+	target := Target()
+	for _, cores := range []int{1, 2, 4, 8, 16, 32} {
+		for _, bw := range []BandwidthScaling{MCFirst, MBFirst} {
+			for _, pol := range []ScalingPolicy{NRS, PRSLLCOnly, PRSDRAMOnly, PRSFull} {
+				sm, err := ScaleModel(target, cores, ScaleModelOptions{Policy: pol, Bandwidth: bw})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := fmt.Sprintf("%s-sm%d-%s-%s", target.Name, cores, pol, bw); sm.Name != want {
+					t.Errorf("ScaleModel name = %q, want %q", sm.Name, want)
+				}
+			}
+			for _, opts := range []CustomOptions{
+				{},
+				{DRAMPerCoreGBps: 2.5},
+				{NoCPerCoreGBps: 1e-7},
+				{LLCSlicePerCore: 512 * KB},
+				{DRAMPerCoreGBps: 1e21, NoCPerCoreGBps: 0.1, LLCSlicePerCore: 2 * MB},
+			} {
+				opts.Bandwidth = bw
+				c, err := CustomSystem(cores, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fmt.Sprintf("custom-%d", cores)
+				if opts.DRAMPerCoreGBps > 0 {
+					want = fmt.Sprintf("%s-dram%g", want, float64(opts.DRAMPerCoreGBps))
+				}
+				if opts.NoCPerCoreGBps > 0 {
+					want = fmt.Sprintf("%s-noc%g", want, float64(opts.NoCPerCoreGBps))
+				}
+				if opts.LLCSlicePerCore > 0 {
+					want = fmt.Sprintf("%s-llc%d", want, int64(opts.LLCSlicePerCore)>>10)
+				}
+				if c.Name != want {
+					t.Errorf("CustomSystem name = %q, want %q", c.Name, want)
+				}
+			}
+		}
 	}
 }

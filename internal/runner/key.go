@@ -16,8 +16,7 @@ package runner
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"strconv"
 
 	"scalesim/internal/config"
 	"scalesim/internal/sim"
@@ -33,64 +32,120 @@ import (
 // telemetry is enabled is included, because it changes the result's content
 // (Result.Trace).
 func (j Job) Key() string {
-	h := sha256.New()
+	// One or two programs encode on the stack; a larger job (a 32-program
+	// target is ≈ 13 KB) grows once, to a bound: 20 bytes an integer, 24 a float.
+	var stack [4096]byte
+	b := keyBuf(stack[:0])
 	if j.Config != nil {
-		writeConfig(h, j.Config)
+		b = b.config(j.Config)
+	}
+	n := len(b) + 256 // the options record
+	for _, p := range j.Workload.Profiles {
+		if p != nil {
+			n += 256 + len(p.Name) + 160*len(p.Regions)
+		}
+	}
+	if n > cap(b) {
+		b = append(make(keyBuf, 0, n), b...)
 	}
 	for _, p := range j.Workload.Profiles {
 		if p != nil {
-			writeProfile(h, p)
+			b = b.profile(p)
 		}
 	}
-	writeOptions(h, j.Options)
-	return hex.EncodeToString(h.Sum(nil))
+	b = b.options(j.Options)
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
-// writeConfig encodes every semantic field of the machine configuration.
-// Floats use Go's shortest round-trip formatting (%v), which is exact and
-// deterministic.
-func writeConfig(w io.Writer, c *config.SystemConfig) {
-	fmt.Fprintf(w, "cfg|name=%s|cores=%d\n", c.Name, c.Cores)
-	fmt.Fprintf(w, "core|freq=%v|width=%d|rob=%d|loads=%d|stores=%d|mshrs=%d|mispredict=%d\n",
-		c.Core.FrequencyGHz, c.Core.IssueWidth, c.Core.ROBSize,
-		c.Core.MaxLoads, c.Core.MaxStores, c.Core.MaxL1DMisses, c.Core.MispredictCost)
-	writeCacheLevel(w, "l1i", c.L1I)
-	writeCacheLevel(w, "l1d", c.L1D)
-	writeCacheLevel(w, "l2", c.L2)
-	fmt.Fprintf(w, "llc|slices=%d|slice=%d|assoc=%d|line=%d|time=%d\n",
-		c.LLC.Slices, int64(c.LLC.SlicePerCore), c.LLC.Assoc, int64(c.LLC.LineSize), c.LLC.AccessTime)
-	fmt.Fprintf(w, "noc|w=%d|h=%d|csls=%d|link=%v|hop=%d\n",
-		c.NoC.MeshWidth, c.NoC.MeshHeight, c.NoC.CrossSectionLinks,
-		float64(c.NoC.LinkGBps), c.NoC.HopLatency)
-	fmt.Fprintf(w, "dram|mcs=%d|permc=%v|lat=%d\n",
-		c.DRAM.Controllers, float64(c.DRAM.PerControllerGBps), c.DRAM.BaseLatency)
+// keyBuf is the preimage, text appended with strconv and not through fmt (a
+// served job is keyed on the request path): each method adds a tag and one
+// value as %s, %d, %t or — strconv's shortest 'g' form — %v would print it.
+type keyBuf []byte
+
+func (b keyBuf) str(tag, v string) keyBuf       { return append(append(b, tag...), v...) }
+func (b keyBuf) int(tag string, v int64) keyBuf { return strconv.AppendInt(append(b, tag...), v, 10) }
+func (b keyBuf) bool(tag string, v bool) keyBuf { return strconv.AppendBool(append(b, tag...), v) }
+func (b keyBuf) uint(tag string, v uint64) keyBuf {
+	return strconv.AppendUint(append(b, tag...), v, 10)
+}
+func (b keyBuf) float(tag string, v float64) keyBuf {
+	return strconv.AppendFloat(append(b, tag...), v, 'g', -1, 64)
 }
 
-func writeCacheLevel(w io.Writer, tag string, l config.CacheLevelConfig) {
-	fmt.Fprintf(w, "%s|size=%d|assoc=%d|line=%d|time=%d\n",
-		tag, int64(l.Size), l.Assoc, int64(l.LineSize), l.AccessTime)
+// config encodes every semantic field of the machine configuration.
+func (b keyBuf) config(c *config.SystemConfig) keyBuf {
+	b = b.str("cfg|name=", c.Name)
+	b = b.int("|cores=", int64(c.Cores))
+	b = b.float("\ncore|freq=", c.Core.FrequencyGHz)
+	b = b.int("|width=", int64(c.Core.IssueWidth))
+	b = b.int("|rob=", int64(c.Core.ROBSize))
+	b = b.int("|loads=", int64(c.Core.MaxLoads))
+	b = b.int("|stores=", int64(c.Core.MaxStores))
+	b = b.int("|mshrs=", int64(c.Core.MaxL1DMisses))
+	b = b.int("|mispredict=", int64(c.Core.MispredictCost))
+	b = b.cacheLevel("\nl1i|size=", c.L1I)
+	b = b.cacheLevel("\nl1d|size=", c.L1D)
+	b = b.cacheLevel("\nl2|size=", c.L2)
+	b = b.int("\nllc|slices=", int64(c.LLC.Slices))
+	b = b.int("|slice=", int64(c.LLC.SlicePerCore))
+	b = b.int("|assoc=", int64(c.LLC.Assoc))
+	b = b.int("|line=", int64(c.LLC.LineSize))
+	b = b.int("|time=", int64(c.LLC.AccessTime))
+	b = b.int("\nnoc|w=", int64(c.NoC.MeshWidth))
+	b = b.int("|h=", int64(c.NoC.MeshHeight))
+	b = b.int("|csls=", int64(c.NoC.CrossSectionLinks))
+	b = b.float("|link=", float64(c.NoC.LinkGBps))
+	b = b.int("|hop=", int64(c.NoC.HopLatency))
+	b = b.int("\ndram|mcs=", int64(c.DRAM.Controllers))
+	b = b.float("|permc=", float64(c.DRAM.PerControllerGBps))
+	b = b.int("|lat=", int64(c.DRAM.BaseLatency))
+	return append(b, '\n')
 }
 
-// writeProfile encodes one workload profile by value, regions included.
-func writeProfile(w io.Writer, p *trace.Profile) {
-	fmt.Fprintf(w, "prof|name=%s|cpi=%v|loads=%d|stores=%d|branches=%d|mlp=%v|static=%d|hard=%v|code=%d\n",
-		p.Name, p.BaseCPI, p.LoadsPerKI, p.StoresPerKI, p.BranchesPerKI,
-		p.MLP, p.StaticBranches, p.HardFrac, int64(p.IFootprint))
+func (b keyBuf) cacheLevel(tag string, l config.CacheLevelConfig) keyBuf {
+	b = b.int(tag, int64(l.Size))
+	b = b.int("|assoc=", int64(l.Assoc))
+	b = b.int("|line=", int64(l.LineSize))
+	return b.int("|time=", int64(l.AccessTime))
+}
+
+// profile encodes one workload profile by value, regions included.
+func (b keyBuf) profile(p *trace.Profile) keyBuf {
+	b = b.str("prof|name=", p.Name)
+	b = b.float("|cpi=", p.BaseCPI)
+	b = b.int("|loads=", int64(p.LoadsPerKI))
+	b = b.int("|stores=", int64(p.StoresPerKI))
+	b = b.int("|branches=", int64(p.BranchesPerKI))
+	b = b.float("|mlp=", p.MLP)
+	b = b.int("|static=", int64(p.StaticBranches))
+	b = b.float("|hard=", p.HardFrac)
+	b = b.int("|code=", int64(p.IFootprint))
 	for _, r := range p.Regions {
-		fmt.Fprintf(w, "region|size=%d|frac=%v|pattern=%d|elem=%d|zipf=%v\n",
-			int64(r.Size), r.Frac, uint8(r.Pattern), r.ElemSize, r.ZipfS)
+		b = b.int("\nregion|size=", int64(r.Size))
+		b = b.float("|frac=", r.Frac)
+		b = b.uint("|pattern=", uint64(r.Pattern))
+		b = b.int("|elem=", int64(r.ElemSize))
+		b = b.float("|zipf=", r.ZipfS)
 	}
+	return append(b, '\n')
 }
 
-// writeOptions encodes the simulation options. CoreWorkers is excluded (it
+// options encodes the simulation options. CoreWorkers is excluded (it
 // cannot change results); telemetry's enablement and warmup-coverage bits
 // are included, since they change the produced Result.
-func writeOptions(w io.Writer, o sim.Options) {
-	traced, warm := false, false
-	if o.Telemetry != nil {
-		traced, warm = true, o.Telemetry.Warmup
-	}
-	fmt.Fprintf(w, "opts|instr=%d|warmup=%d|epoch=%v|scale=%d|seed=%d|nofb=%t|part=%t|pf=%t|trace=%t|tracewarm=%t\n",
-		o.Instructions, o.Warmup, o.EpochCycles, o.CapacityScale, o.Seed,
-		o.NoFeedback, o.PartitionedLLC, o.EnablePrefetch, traced, warm)
+func (b keyBuf) options(o sim.Options) keyBuf {
+	b = b.uint("opts|instr=", o.Instructions)
+	b = b.uint("|warmup=", o.Warmup)
+	b = b.float("|epoch=", float64(o.EpochCycles))
+	b = b.int("|scale=", int64(o.CapacityScale))
+	b = b.uint("|seed=", o.Seed)
+	b = b.bool("|nofb=", o.NoFeedback)
+	b = b.bool("|part=", o.PartitionedLLC)
+	b = b.bool("|pf=", o.EnablePrefetch)
+	b = b.bool("|trace=", o.Telemetry != nil)
+	b = b.bool("|tracewarm=", o.Telemetry != nil && o.Telemetry.Warmup)
+	return append(b, '\n')
 }

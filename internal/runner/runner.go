@@ -394,13 +394,19 @@ func (r Report) String() string {
 	return out
 }
 
-// Run executes one job through the memoization tiers, in their order: claim
-// the key in memory (a hit, a coalesce, or a new flight this caller owns),
-// resolve a new flight from disk → model → compute, settle it for waiters
-// and later callers. The returned Outcome carries the result or error plus
-// its Source and retry count. WallClock is left zero; RunBatch fills it.
+// Run keys the job and executes it with RunKeyed.
 func (e *Engine) Run(ctx context.Context, job Job) Outcome {
-	key := job.Key()
+	return e.RunKeyed(ctx, job.Key(), job)
+}
+
+// RunKeyed executes one job through the memoization tiers, in their order:
+// claim the key in memory (a hit, a coalesce, or a new flight this caller
+// owns), resolve a new flight from disk → model → compute, settle it for
+// waiters and later callers. The returned Outcome carries the result or
+// error plus its Source and retry count. WallClock is left zero; RunBatch
+// fills it. key must be job.Key(): Service.Prepare has computed it, and a
+// served job is hashed once (DESIGN.md, Performance invariants, 6).
+func (e *Engine) RunKeyed(ctx context.Context, key string, job Job) Outcome {
 	f, src := e.claim(key)
 	if src == SourceCoalesced {
 		select {

@@ -25,9 +25,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	req, err := apiv1.DecodeJobRequest(r.Body)
+	req, err := apiv1.DecodeJobRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, err)
 		return
 	}
 	outcomes := s.submitBatch(r.Context(), req.Client, req.CampaignJobs())
@@ -55,9 +59,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := &apiv1.JobResponse{Schema: apiv1.Schema, Stats: s.Stats()}
-	for _, oc := range outcomes {
-		resp.Outcomes = append(resp.Outcomes, oc.wire)
+	resp := &apiv1.JobResponse{Schema: apiv1.Schema, Outcomes: make([]apiv1.JobOutcome, len(outcomes)), Stats: s.Stats()}
+	for i, oc := range outcomes {
+		resp.Outcomes[i] = oc.wire
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -69,18 +73,25 @@ type batchOutcome struct {
 	admissionErr error
 }
 
-// submitBatch runs every job of a request concurrently, so identical
-// design points inside one batch coalesce exactly like concurrent
-// requests do. Outcomes return in submission order.
+// submitBatch runs the jobs of a request concurrently (one job: on the
+// request's goroutine), so identical design points inside one batch coalesce
+// exactly like concurrent requests do. Outcomes return in submission order.
 func (s *Server) submitBatch(ctx context.Context, client string, jobs []scalesim.CampaignJob) []batchOutcome {
 	out := make([]batchOutcome, len(jobs))
+	submit := func(i int) {
+		oc, err := s.Submit(ctx, client, jobs[i])
+		out[i] = batchOutcome{wire: wireOutcome(i, oc), admissionErr: err}
+	}
+	if len(jobs) == 1 {
+		submit(0)
+		return out
+	}
 	var wg sync.WaitGroup
 	for i := range jobs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			oc, err := s.Submit(ctx, client, jobs[i])
-			out[i] = batchOutcome{wire: wireOutcome(i, oc), admissionErr: err}
+			submit(i)
 		}()
 	}
 	wg.Wait()

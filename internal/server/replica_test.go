@@ -90,3 +90,32 @@ func TestReplicasShareStore(t *testing.T) {
 		t.Errorf("statsz = %+v, want one disk hit on a live server", stats)
 	}
 }
+
+// BenchmarkSubmitHit is the server's share of a serve-hot request below the
+// HTTP layer: Submit of a design point the engine has already landed, through
+// a real Service — Prepare (the one hash), admission, the queue hand-off to a
+// worker, the memory-tier hit, and the hand-back.
+func BenchmarkSubmitHit(b *testing.B) {
+	svc, err := scalesim.NewService(scalesim.ServiceConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	s := New(NewServiceBackend(svc), Config{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	defer s.Drain()
+
+	job := replicaJob()
+	if oc, err := s.Submit(ctx, "bench", job); err != nil || oc.Err != nil {
+		b.Fatalf("landing the key: %v, %v", err, oc.Err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if oc, err := s.Submit(ctx, "bench", job); err != nil || oc.Source != scalesim.SourceMemory {
+			b.Fatalf("Submit = %q, %v; want a memory hit", oc.Source, err)
+		}
+	}
+}

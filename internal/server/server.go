@@ -88,6 +88,11 @@ func (b serviceBackend) Stats() scalesim.CampaignStats {
 // zero.
 const DefaultQueueDepth = 64
 
+// MaxRequestBytes bounds the body of one POST /v1/jobs (413 beyond it):
+// admission control sees a request only once it is decoded, so what a client
+// can make the daemon buffer is bounded first. 1 MiB is ≈ 2 000 32-program jobs.
+const MaxRequestBytes = 1 << 20
+
 // Config configures a Server.
 type Config struct {
 	// Workers bounds concurrent simulations (<= 0 selects GOMAXPROCS, like

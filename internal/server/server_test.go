@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -531,5 +532,58 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 	if fake.runCount() != 0 {
 		t.Error("invalid spec reached the backend")
+	}
+}
+
+// TestRequestBodyLimit stands on both sides of MaxRequestBytes: a request of
+// exactly that size is served, and one whose JSON runs past it is answered
+// 413 with an ErrorResponse, without reaching the backend.
+func TestRequestBodyLimit(t *testing.T) {
+	fake := &fakeBackend{}
+	s := New(fake, Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Drain() }()
+
+	// body is a valid one-job request of exactly n bytes: the client name
+	// is the padding.
+	body := func(n int) *bytes.Buffer {
+		encode := func(client string) *bytes.Buffer {
+			var buf bytes.Buffer
+			if err := apiv1.Encode(&buf, apiv1.NewJobRequest(client, []scalesim.CampaignJob{job(1)})); err != nil {
+				t.Fatal(err)
+			}
+			return &buf
+		}
+		buf := encode(strings.Repeat("c", 1+n-encode("c").Len()))
+		if buf.Len() != n {
+			t.Fatalf("built a %d-byte body, want %d", buf.Len(), n)
+		}
+		return buf
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body(MaxRequestBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := decodeOK(t, resp); len(out.Outcomes) != 1 || out.Outcomes[0].Error != "" {
+		t.Fatalf("request at the limit: outcomes = %+v, want one success", out.Outcomes)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", body(MaxRequestBytes+64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("request past the limit: status = %d, want 413", resp.StatusCode)
+	}
+	if apiErr, err := apiv1.DecodeErrorResponse(resp.Body); err != nil || apiErr.Error == "" {
+		t.Errorf("413 body = %+v, %v; want an ErrorResponse carrying the error", apiErr, err)
+	}
+	if fake.runCount() != 1 {
+		t.Errorf("backend ran %d jobs, want only the request at the limit", fake.runCount())
 	}
 }

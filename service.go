@@ -144,7 +144,7 @@ func (s *Service) Prepare(job CampaignJob) (*PreparedJob, error) {
 // boundary; jobs another caller is already computing are waited on and
 // reported as SourceCoalesced.
 func (s *Service) RunJobContext(ctx context.Context, p *PreparedJob) JobOutcome {
-	return outcomeFromInternal(s.eng.Run(ctx, p.job))
+	return outcomeFromInternal(s.eng.RunKeyed(ctx, p.key, p.job))
 }
 
 // outcomeFromInternal is the one engine-to-public outcome conversion.

@@ -82,6 +82,58 @@ func TestTuningIsKeyless(t *testing.T) {
 	}
 }
 
+// TestPreparedKeyIsJobKey is the guard on keying a served job once: the key
+// Prepare hands out — which RunJobContext passes to the engine in place of a
+// second hash — is the key of the very job the engine runs, for every
+// fixture job, with and without per-job and service-level tuning.
+func TestPreparedKeyIsJobKey(t *testing.T) {
+	jobs := append(campaignJobs(), durabilityCampaign("").Jobs...)
+	jobs = append(jobs, CampaignJob{
+		Machine:    MachineSpec{Cores: 2, DRAMPerCoreGBps: 2.5},
+		Benchmarks: []string{"mcf", "lbm"},
+		Options:    tinyOptions(),
+	})
+	for _, tun := range []*Tuning{nil, {CoreWorkers: 2, CampaignWorkers: 1}} {
+		svc, err := NewService(ServiceConfig{Tuning: tun})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ran runner.Job // what the engine handed the simulator
+		svc.eng.SetRunFunc(func(_ context.Context, cfg *config.SystemConfig, wl sim.Workload, o sim.Options) (*sim.Result, error) {
+			ran = runner.Job{Config: cfg, Workload: wl, Options: o}
+			return &sim.Result{ConfigName: cfg.Name}, nil
+		})
+		seen := map[string]bool{}
+		for i, job := range jobs {
+			for _, jobTun := range []*Tuning{nil, {CoreWorkers: 3}} {
+				job.Options.Tuning = jobTun
+				p, err := svc.Prepare(job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Key() != p.job.Key() {
+					t.Fatalf("job %d (tuning %v): prepared key %s, but the prepared job keys to %s", i, jobTun, p.Key(), p.job.Key())
+				}
+				oc := svc.RunJobContext(context.Background(), p)
+				if oc.Err != nil {
+					t.Fatal(oc.Err)
+				}
+				if !seen[p.Key()] { // first sight of the design point: it was computed
+					if oc.Source != SourceCompute || ran.Key() != p.Key() {
+						t.Fatalf("job %d: served from %q under key %s, but the engine ran the job keyed %s", i, oc.Source, p.Key(), ran.Key())
+					}
+					seen[p.Key()] = true
+				} else if oc.Source != SourceMemory {
+					t.Fatalf("job %d (tuning %v): a repeated design point was served from %q, want memory", i, jobTun, oc.Source)
+				}
+			}
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestParallelEpochDeterminism is the parallel-correctness gate for the
 // epoch fork/join: across a seed matrix and both LLC organisations, a run
 // with CoreWorkers > 1 must be byte-identical to the serial run — the same
