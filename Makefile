@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint mutate race bench bench-record clean clean-store store-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check lint mutate race bench bench-record bench-trend clean clean-store store-smoke serve-smoke surrogate-smoke
 
 # The lint report lands at the repository root regardless of the directory
 # make was invoked from, so CI's artifact path and local runs always agree.
@@ -114,6 +114,11 @@ bench:
 BENCH_N ?= 10
 bench-record:
 	$(GO) run ./tools/benchrecord -n $(BENCH_N) $(if $(BENCH_PARENT),-parent $(BENCH_PARENT)) $(if $(BENCH_OUT),-out $(BENCH_OUT))
+
+# The line through the committed records: ops_per_s per record and workload,
+# with host drift between consecutive records flagged. Runs nothing.
+bench-trend:
+	$(GO) run ./tools/benchrecord -trend
 
 clean:
 	$(GO) clean ./...

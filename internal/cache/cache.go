@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"scalesim/internal/config"
 	"scalesim/internal/pad"
@@ -67,7 +68,7 @@ func (s Stats) Delta(prev Stats) Stats {
 
 // Level is one set-associative, write-back, write-allocate cache level with
 // true LRU replacement. A private level is written by its core on every
-// access, so the Level and its arrays are allocated through package pad:
+// access, so the Level and its ways are allocated through package pad:
 // cores run on different host CPUs and must not share a cache line.
 type Level struct {
 	sets      int
@@ -75,23 +76,66 @@ type Level struct {
 	lineShift uint
 	setMask   uint64
 
-	// Way state, laid out set-major: index = set*assoc + way. An invalid way
-	// holds invalidTag, so the hit loop is a single tag compare per way; the
-	// dirty flags are a packed bitset (see bitset.go).
-	tags  []uint64
-	dirty bitset
-	stamp []uint32 // LRU timestamps (per-set lazy counter)
-
-	clock []uint32 // per-set stamp counter
+	// ways holds set s as the assoc words [s*assoc, (s+1)*assoc), each
+	// line<<1 | dirty, most recently used first; empty ways hold emptyWay
+	// and always trail. The order is the LRU state: a hit moves its word to
+	// the front, a fill pushes one on and the word that falls off the end is
+	// the victim.
+	ways []uint64
 
 	Stats Stats
 }
 
-// invalidTag marks an empty way. A real line tag is addr >> lineShift, so the
-// all-ones value is only reachable from the topmost line of the 64-bit
-// address space — no workload generates it, and Fill/Access therefore never
-// need a separate valid flag on the hot path.
-const invalidTag = ^uint64(0)
+// emptyWay marks an empty way. A line is addr >> lineShift with lineShift
+// >= 1, so line<<1 loses no bit and the all-ones word is reachable only from
+// the topmost line of the 64-bit address space, dirty — no workload
+// generates it, and the set scans need no separate valid flag.
+const emptyWay = ^uint64(0)
+
+// touch looks line up in set; on a hit it marks the word dirty if write,
+// moves it to the front (an MRU hit moves nothing) and returns true.
+func touch(set []uint64, line uint64, write bool) bool {
+	for d, w := range set {
+		if w>>1 != line {
+			continue
+		}
+		if write {
+			w |= 1
+		}
+		if d > 0 {
+			copy(set[1:d+1], set[:d])
+		}
+		set[0] = w
+		return true
+	}
+	return false
+}
+
+// holds reports whether line is in set, moving nothing.
+func holds(set []uint64, line uint64) bool {
+	for _, w := range set {
+		if w>>1 == line {
+			return true
+		}
+	}
+	return false
+}
+
+// pushFront makes line the most recently used word of set and decodes the
+// word that fell off the end: evicted is false if that way was empty. The
+// caller fills only a line the set does not hold.
+func pushFront(set []uint64, line uint64, dirty bool, lineShift uint) (victimAddr uint64, victimDirty, evicted bool) {
+	last := set[len(set)-1]
+	copy(set[1:], set)
+	set[0] = line << 1
+	if dirty {
+		set[0] |= 1
+	}
+	if last == emptyWay {
+		return 0, false, false
+	}
+	return last >> 1 << lineShift, last&1 != 0, true
+}
 
 // NewLevel builds a cache level from cfg with its capacity divided by scale
 // (scale <= 1 means unscaled). Associativity and line size are preserved;
@@ -100,8 +144,13 @@ func NewLevel(cfg config.CacheLevelConfig, scale int) (*Level, error) {
 	if scale < 1 {
 		scale = 1
 	}
-	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
+	if cfg.Assoc <= 0 || cfg.Size <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
+	}
+	// A set word is line<<1 | dirty with line = addr >> lineShift: the shift
+	// must be exact and at least 1, or the top bit is not free.
+	if cfg.LineSize < 2 || cfg.LineSize&(cfg.LineSize-1) != 0 {
+		return nil, fmt.Errorf("cache: line size %d is not a power of two >= 2", int64(cfg.LineSize))
 	}
 	sets := int(int64(cfg.Size) / (int64(cfg.Assoc) * int64(cfg.LineSize)) / int64(scale))
 	if sets < 1 {
@@ -111,24 +160,17 @@ func NewLevel(cfg config.CacheLevelConfig, scale int) (*Level, error) {
 		return nil, fmt.Errorf("cache: set count %d not a power of two (size %v assoc %d scale %d)",
 			sets, cfg.Size, cfg.Assoc, scale)
 	}
-	shift := uint(0)
-	for (1 << shift) < int(cfg.LineSize) {
-		shift++
-	}
-	n := sets * cfg.Assoc
-	tags := pad.Slice[uint64](n)
-	for i := range tags {
-		tags[i] = invalidTag
+	shift := uint(bits.TrailingZeros64(uint64(cfg.LineSize)))
+	ways := pad.Slice[uint64](sets * cfg.Assoc)
+	for i := range ways {
+		ways[i] = emptyWay
 	}
 	return pad.New(Level{
 		sets:      sets,
 		assoc:     cfg.Assoc,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
-		tags:      tags,
-		dirty:     newBitset(n),
-		stamp:     pad.Slice[uint32](n),
-		clock:     pad.Slice[uint32](sets),
+		ways:      ways,
 	}), nil
 }
 
@@ -146,27 +188,24 @@ func (l *Level) CapacityBytes() units.Bytes {
 	return units.Bytes(int64(l.sets) * int64(l.assoc) * int64(l.LineSize()))
 }
 
+// set returns the ways of the set line maps to.
+func (l *Level) set(line uint64) []uint64 {
+	base := int(line&l.setMask) * l.assoc
+	return l.ways[base : base+l.assoc]
+}
+
 // Access looks up the line containing addr. On a hit it updates LRU state
 // (and the dirty bit for writes) and returns true. On a miss it returns
 // false without allocating; the caller is responsible for resolving the miss
 // down the hierarchy and then calling Fill.
 func (l *Level) Access(addr uint64, write bool) bool {
 	line := addr >> l.lineShift
-	set := line & l.setMask
-	base := int(set) * l.assoc
 	l.Stats.Accesses++
 	if write {
 		l.Stats.Writes++
 	}
-	for w, tag := range l.tags[base : base+l.assoc] {
-		if tag == line {
-			l.clock[set]++
-			l.stamp[base+w] = l.clock[set]
-			if write {
-				l.dirty.set(base + w)
-			}
-			return true
-		}
+	if touch(l.set(line), line, write) {
+		return true
 	}
 	l.Stats.Misses++
 	return false
@@ -176,56 +215,21 @@ func (l *Level) Access(addr uint64, write bool) bool {
 // updating LRU state or statistics.
 func (l *Level) Probe(addr uint64) bool {
 	line := addr >> l.lineShift
-	base := int(line&l.setMask) * l.assoc
-	for _, tag := range l.tags[base : base+l.assoc] {
-		if tag == line {
-			return true
-		}
-	}
-	return false
-}
-
-// lruVictim returns the way Fill replaces in a set with the given tags, LRU
-// stamps and set clock: the first invalid way, else the least recently used
-// (the first of equals).
-func lruVictim(tags []uint64, stamps []uint32, clock uint32) int {
-	stamps = stamps[:len(tags)] // one bounds check here, none per way below
-	victim := 0
-	var oldest uint32
-	for w, tag := range tags {
-		if tag == invalidTag {
-			return w
-		}
-		// Unsigned distance from the current clock handles wrap-around.
-		if age := clock - stamps[w]; w == 0 || age > oldest {
-			oldest, victim = age, w
-		}
-	}
-	return victim
+	return holds(l.set(line), line)
 }
 
 // Fill allocates the line containing addr (marking it dirty if dirty),
 // evicting the LRU way if the set is full. It returns the evicted line's
-// address and dirty state; evicted is false if an invalid way was used.
+// address and dirty state; evicted is false if an empty way was used.
 func (l *Level) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, evicted bool) {
 	line := addr >> l.lineShift
-	set := line & l.setMask
-	base := int(set) * l.assoc
-	clock := l.clock[set]
-	victim := base + lruVictim(l.tags[base:base+l.assoc], l.stamp[base:], clock)
-	if l.tags[victim] != invalidTag {
-		evicted = true
-		victimAddr = l.tags[victim] << l.lineShift
-		victimDirty = l.dirty.get(victim)
+	victimAddr, victimDirty, evicted = pushFront(l.set(line), line, dirty, l.lineShift)
+	if evicted {
 		l.Stats.Evictions++
 		if victimDirty {
 			l.Stats.Writebacks++
 		}
 	}
-	l.tags[victim] = line
-	l.dirty.assign(victim, dirty)
-	l.clock[set] = clock + 1
-	l.stamp[victim] = clock + 1
 	return victimAddr, victimDirty, evicted
 }
 

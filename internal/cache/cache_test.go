@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +38,13 @@ func TestNewLevelErrors(t *testing.T) {
 	}
 	if _, err := NewLevel(config.CacheLevelConfig{Size: 3 * config.KB, Assoc: 8, LineSize: 64}, 1); err == nil {
 		t.Error("non-power-of-two set count accepted")
+	}
+	// 48 KB of 8 x 96-byte lines is 64 sets: only the line size is wrong.
+	if _, err := NewLevel(config.CacheLevelConfig{Size: 48 * config.KB, Assoc: 8, LineSize: 96}, 1); err == nil {
+		t.Error("96-byte line accepted (would be simulated as 128-byte lines)")
+	}
+	if _, err := NewLevel(config.CacheLevelConfig{Size: 8, Assoc: 1, LineSize: 1}, 1); err == nil {
+		t.Error("one-byte line accepted (line<<1 needs a free top bit)")
 	}
 }
 
@@ -352,27 +360,71 @@ func TestNewNUCAErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkLevelAccessHit prices a hit at a fixed depth of an 8-way set:
+// depth+1 lines of one set visited round-robin, so each access finds its
+// line last among them and moves it to the front past the others.
 func BenchmarkLevelAccessHit(b *testing.B) {
-	l, _ := NewLevel(config.CacheLevelConfig{Size: 32 * config.KB, Assoc: 8, LineSize: 64}, 1)
-	l.Fill(0, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Access(0, false)
+	for _, depth := range []int{0, 3, 7} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			l, _ := NewLevel(config.CacheLevelConfig{Size: 32 * config.KB, Assoc: 8, LineSize: 64}, 1)
+			stride := uint64(l.Sets() * l.LineSize())
+			for i := 0; i <= depth; i++ {
+				l.Fill(uint64(i)*stride, false)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Access(uint64(i&depth)*stride, false) // depth+1 is a power of two
+			}
+			if l.Stats.Misses != 0 {
+				b.Fatalf("%d misses, want every access to hit", l.Stats.Misses)
+			}
+		})
 	}
 }
 
+// BenchmarkNUCAAccess prices the 64-way LLC: a hit on the most recently used
+// line, a hit on the last of a full set (62 words move), and a miss with the
+// fill that follows it (63 words move, one falls off).
 func BenchmarkNUCAAccess(b *testing.B) {
-	n, _ := NewNUCA(config.LLCConfig{Slices: 32, SlicePerCore: config.MB, Assoc: 64, LineSize: 64}, 8, 32)
-	rng := xrand.New(1)
-	addrs := make([]uint64, 1024)
-	for i := range addrs {
-		addrs[i] = rng.Uint64() &^ 63
+	newLLC := func() *NUCA {
+		n, _ := NewNUCA(config.LLCConfig{Slices: 32, SlicePerCore: config.MB, Assoc: 64, LineSize: 64}, 8, 32)
+		return n
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := addrs[i%1024]
-		if _, hit := n.Access(i%32, a, false); !hit {
-			n.Fill(i%32, a, false)
+	b.Run("hit-mru", func(b *testing.B) {
+		n := newLLC()
+		n.Fill(0, 0, false)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.Access(i%32, 0, false)
 		}
-	}
+	})
+	b.Run("hit-deep", func(b *testing.B) {
+		n := newLLC()
+		// 64 lines of one set of one slice, visited round-robin.
+		var addrs [64]uint64
+		for found, line := 0, uint64(0); found < len(addrs); line++ {
+			if addr := line << 6; n.SliceOf(addr) == 0 && line&n.slices[0].setMask == 0 {
+				addrs[found] = addr
+				n.Fill(0, addr, false)
+				found++
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.Access(i%32, addrs[i%64], false)
+		}
+		if st := n.TotalStats(); st.Misses != 0 {
+			b.Fatalf("%d misses, want every access to hit", st.Misses)
+		}
+	})
+	b.Run("miss-fill", func(b *testing.B) {
+		n := newLLC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := uint64(i) << 6 // a line never seen before
+			if _, hit := n.Access(i%32, a, false); !hit {
+				n.Fill(i%32, a, false)
+			}
+		}
+	})
 }

@@ -12,10 +12,7 @@ import (
 
 // levelState is a deep copy of everything a Level holds.
 type levelState struct {
-	tags  []uint64
-	dirty []uint64
-	stamp []uint32
-	clock []uint32
+	ways  []uint64
 	stats Stats
 }
 
@@ -28,10 +25,7 @@ func snapshotNUCA(n *NUCA) nucaState {
 	st := nucaState{perCore: slices.Clone(n.perCore)}
 	for _, l := range n.slices {
 		st.slices = append(st.slices, levelState{
-			tags:  slices.Clone(l.tags),
-			dirty: slices.Clone(l.dirty),
-			stamp: slices.Clone(l.stamp),
-			clock: slices.Clone(l.clock),
+			ways:  slices.Clone(l.ways),
 			stats: l.Stats,
 		})
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"scalesim/internal/config"
@@ -59,10 +60,29 @@ func (r *refCache) fill(addr uint64, dirty bool) (victim uint64, victimDirty, ev
 	return victim, victimDirty, evicted
 }
 
+// setInvariant returns the first violation of the set representation in the
+// set addr maps to: no line twice, no valid word behind an empty one.
+func setInvariant(l *Level, addr uint64) error {
+	set := l.set(addr >> l.lineShift)
+	for i, w := range set {
+		if w == emptyWay {
+			continue
+		}
+		if i > 0 && set[i-1] == emptyWay {
+			return fmt.Errorf("valid word %#x at depth %d behind an empty way: %#x", w, i, set)
+		}
+		for _, v := range set[:i] {
+			if v>>1 == w>>1 {
+				return fmt.Errorf("line %#x twice in one set: %#x", w>>1, set)
+			}
+		}
+	}
+	return nil
+}
+
 // TestLevelMatchesReferenceModel drives both implementations with a long
-// random access sequence and demands bit-identical behaviour: on a 4-way
-// geometry, and on a 12-way one whose sets start at way indices that are not
-// multiples of the dirty bitset's 64-bit word (some sets straddle two words).
+// random access sequence and demands bit-identical behaviour, on a 4-way
+// geometry and on a 12-way one (a set size that is no power of two).
 func TestLevelMatchesReferenceModel(t *testing.T) {
 	for _, geom := range []struct {
 		size  config.Bytes
@@ -97,13 +117,15 @@ func TestLevelMatchesReferenceModel(t *testing.T) {
 						assoc, i, gv, gd, ge, wv, wd, we)
 				}
 			}
+			if err := setInvariant(lvl, addr); err != nil {
+				t.Fatalf("assoc %d step %d: %v", assoc, i, err)
+			}
 		}
 	}
 }
 
 // TestLevelMatchesReferenceHighAssoc repeats the equivalence check at the
-// LLC's 64-way associativity, where the lazy-timestamp LRU is most at risk
-// of divergence (wrap-around handling).
+// LLC's 64-way associativity, where a hit or a fill moves the most words.
 func TestLevelMatchesReferenceHighAssoc(t *testing.T) {
 	const size, assoc = 64 * config.KB, 64 // 16 sets x 64 ways
 	lvl, err := NewLevel(config.CacheLevelConfig{Size: size, Assoc: assoc, LineSize: 64}, 1)
@@ -126,5 +148,90 @@ func TestLevelMatchesReferenceHighAssoc(t *testing.T) {
 				t.Fatalf("step %d: victim %#x/%v vs reference %#x/%v", i, gv, ge, wv, we)
 			}
 		}
+		if err := setInvariant(lvl, addr); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+}
+
+type lawOp struct {
+	addr  uint64
+	write bool
+}
+
+// inclusionViolation replays trace (fill on miss) on an a-way and a 2a-way
+// level of the same set count and returns the first broken law, or "".
+func inclusionViolation(sets, a int, trace []lawOp) string {
+	geom := func(assoc int) config.CacheLevelConfig {
+		return config.CacheLevelConfig{Size: config.Bytes(sets * assoc * 64), Assoc: assoc, LineSize: 64}
+	}
+	small, err := NewLevel(geom(a), 1)
+	if err != nil {
+		return err.Error()
+	}
+	big, err := NewLevel(geom(2*a), 1)
+	if err != nil {
+		return err.Error()
+	}
+	for i, op := range trace {
+		hitSmall, hitBig := small.Access(op.addr, op.write), big.Access(op.addr, op.write)
+		if hitSmall && !hitBig {
+			return fmt.Sprintf("op %d: %#x hits with %d ways and misses with %d", i, op.addr, a, 2*a)
+		}
+		if !hitSmall {
+			small.Fill(op.addr, op.write)
+		}
+		if !hitBig {
+			big.Fill(op.addr, op.write)
+		}
+		for _, l := range []*Level{small, big} {
+			if err := setInvariant(l, op.addr); err != nil {
+				return fmt.Sprintf("op %d, %d ways: %v", i, l.assoc, err)
+			}
+		}
+		// The LRU stack property: the small set is the front of the big one.
+		// Lines only — the small level may have written a line back and
+		// refetched it clean while the big one kept it dirty.
+		line := op.addr >> 6
+		front := big.set(line)[:a]
+		for d, w := range small.set(line) {
+			if w|1 != front[d]|1 {
+				return fmt.Sprintf("op %d: %d-way set %#x is not the front of the %d-way set %#x", i, a, small.set(line), 2*a, big.set(line))
+			}
+		}
+	}
+	return ""
+}
+
+// TestLRUInclusionOverGeneratedTraces holds LRU's inclusion law on generated
+// geometries and traces: at a fixed set count, every access that hits with a
+// ways hits with 2a, and after every operation each a-way set is the first a
+// words of the 2a-way set. A failing trace is shrunk by halving.
+func TestLRUInclusionOverGeneratedTraces(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := xrand.New(seed)
+		sets, a := 1<<rng.Intn(7), 1+rng.Intn(32)
+		// Reuse within 1-4x the small level's capacity: hits at every depth,
+		// misses that evict, and sets that never fill.
+		lines := uint64(sets*a) * uint64(1+rng.Intn(4))
+		trace := make([]lawOp, 2000)
+		for i := range trace {
+			trace[i] = lawOp{addr: rng.Uint64n(lines)<<6 | rng.Uint64n(64), write: rng.Bool(0.3)}
+		}
+		msg := inclusionViolation(sets, a, trace)
+		if msg == "" {
+			continue
+		}
+		for len(trace) > 1 {
+			half := len(trace) / 2
+			if m := inclusionViolation(sets, a, trace[:half]); m != "" {
+				trace, msg = trace[:half], m
+			} else if m := inclusionViolation(sets, a, trace[half:]); m != "" {
+				trace, msg = trace[half:], m
+			} else {
+				break
+			}
+		}
+		t.Fatalf("seed %d, %d sets, %d vs %d ways, trace shrunk to %d ops: %s", seed, sets, a, 2*a, len(trace), msg)
 	}
 }

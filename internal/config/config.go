@@ -132,9 +132,13 @@ func (c *SystemConfig) Validate() error {
 	for _, lvl := range []struct {
 		name string
 		c    CacheLevelConfig
-	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}} {
-		if lvl.c.Size <= 0 || lvl.c.Assoc <= 0 || lvl.c.LineSize <= 0 {
+	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2},
+		{"LLC slice", CacheLevelConfig{Size: c.LLC.SlicePerCore, Assoc: c.LLC.Assoc, LineSize: c.LLC.LineSize}}} {
+		if lvl.c.Size <= 0 || lvl.c.Assoc <= 0 {
 			return fmt.Errorf("config %q: %s has non-positive geometry", c.Name, lvl.name)
+		}
+		if line := lvl.c.LineSize; line < 2 || line&(line-1) != 0 {
+			return fmt.Errorf("config %q: %s line size %d is not a power of two >= 2", c.Name, lvl.name, int64(line))
 		}
 		sets := int64(lvl.c.Size) / (int64(lvl.c.Assoc) * int64(lvl.c.LineSize))
 		if sets <= 0 || sets&(sets-1) != 0 {
@@ -384,11 +388,7 @@ type CustomOptions struct {
 func CustomSystem(cores int, opts CustomOptions) (*SystemConfig, error) {
 	c := makeSystem("custom-"+strconv.Itoa(cores), cores, opts.Bandwidth)
 	if opts.LLCSlicePerCore > 0 {
-		c.LLC.SlicePerCore = opts.LLCSlicePerCore
-		sets := int64(c.LLC.SlicePerCore) / (int64(c.LLC.Assoc) * int64(c.LLC.LineSize))
-		if sets <= 0 || sets&(sets-1) != 0 {
-			return nil, fmt.Errorf("config: custom LLC slice %v gives %d sets (need a power of two)", opts.LLCSlicePerCore, sets)
-		}
+		c.LLC.SlicePerCore = opts.LLCSlicePerCore // Validate, below, holds its set count
 	}
 	if opts.DRAMPerCoreGBps > 0 {
 		total := opts.DRAMPerCoreGBps * GBps(cores)

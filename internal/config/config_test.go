@@ -168,7 +168,12 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		func(c *SystemConfig) { c.NoC.MeshWidth = 1; c.NoC.MeshHeight = 1 },
 		func(c *SystemConfig) { c.DRAM.Controllers = 0 },
 		func(c *SystemConfig) { c.L1D.Size = 0 },
-		func(c *SystemConfig) { c.L2.Size = 3 * KB }, // non-power-of-two sets
+		func(c *SystemConfig) { c.L2.Size = 3 * KB },                                  // non-power-of-two sets
+		func(c *SystemConfig) { c.L1D.LineSize = 96; c.L1D.Size = 48 * KB },           // 64 sets of a line no shift addresses
+		func(c *SystemConfig) { c.L2.LineSize = 1; c.L2.Size = 8 },                    // one-byte lines leave line<<1 no free bit
+		func(c *SystemConfig) { c.LLC.LineSize = 96; c.LLC.SlicePerCore = 1536 * KB }, // 256 sets
+		func(c *SystemConfig) { c.LLC.Assoc = 0 },
+		func(c *SystemConfig) { c.LLC.SlicePerCore = 3 * MB }, // non-power-of-two sets
 	}
 	for i, breaker := range breakers {
 		c := Target()

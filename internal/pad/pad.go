@@ -2,8 +2,8 @@
 // allocation.
 //
 // The epoch simulator runs independent cores on different host CPUs; every
-// simulated instruction writes its core's state (statistics, RNG words, LRU
-// stamps, predictor counters). Go's allocator packs objects of one size class
+// simulated instruction writes its core's state (statistics, RNG words, cache
+// sets, predictor counters). Go's allocator packs objects of one size class
 // back to back, so without help core i's and core i+1's state land on the
 // same host line and every write on one CPU invalidates the other's copy —
 // the two workers then burn more CPU-seconds than one. Everything a core
@@ -38,7 +38,7 @@ func Slice[T any](n int) []T {
 	size := int(unsafe.Sizeof(zero))
 	// Whole Lines that start on a Line boundary are blocks nothing else can
 	// touch, and they cost less than guards: the power-of-two arrays that
-	// make up most of a core's state (tag and stamp arrays, overlay arenas,
+	// make up most of a core's state (cache sets, overlay arenas,
 	// op logs) stay in their size class instead of spilling onto an extra
 	// page. Go aligns such allocations; the address check turns that habit
 	// into a fact verified per allocation, with the guards as the fallback.

@@ -13,6 +13,9 @@
 //
 //	go run ./tools/benchrecord -n 10 -parent ../parent-checkout
 //
+// With -trend it runs nothing: it reads every BENCH_*.json of the working
+// directory and prints the line through them (see trend).
+//
 // It edits nothing under bench/ and uses only the standard library.
 package main
 
@@ -21,13 +24,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"text/tabwriter"
 	"time"
 )
 
@@ -128,9 +135,16 @@ func main() {
 	parent := flag.String("parent", "", "checkout of the parent commit; when set, runs alternate parent/change and the record carries the comparison")
 	only := flag.String("workload", "", "comma-separated workload names (default: every workload of BENCHMARK.json)")
 	out := flag.String("out", "", "output file (default BENCH_<yyyymmdd>.json, which must not exist yet)")
+	trendOnly := flag.Bool("trend", false, "run nothing: print ops_per_s per record and workload over every BENCH_*.json here, flagging host drift between records")
 	flag.Parse()
 	if *n < 1 || flag.NArg() > 0 {
-		log.Fatal("usage: benchrecord [-n runs] [-parent dir] [-workload a,b] [-out file]")
+		log.Fatal("usage: benchrecord [-n runs] [-parent dir] [-workload a,b] [-out file] | benchrecord -trend")
+	}
+	if *trendOnly {
+		if err := trend(os.Stdout, "."); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
 	now := time.Now()
 	path, err := outputPath(*out, now)
@@ -319,14 +333,80 @@ func compare(better string, p, c *workloadRecord, metric string) *comparison {
 	if pm.Median != 0 {
 		out.MedianChangePct = 100 * (cm.Median - pm.Median) / pm.Median
 	}
-	diff := cm.Median - pm.Median
-	if diff < 0 {
-		diff = -diff
-	}
-	out.BeyondSpread = diff > pm.Q3-pm.Q1
+	out.BeyondSpread = math.Abs(cm.Median-pm.Median) > pm.Q3-pm.Q1
 	out.DigestsEqual = strings.Join(p.ResultDigests, ",") == strings.Join(c.ResultDigests, ",") &&
 		strings.Join(p.ScriptDigests, ",") == strings.Join(c.ScriptDigests, ",")
 	return out
+}
+
+// trend prints the trajectory of ops_per_s through the records in dir, in
+// date then name order: one row per record and workload with the parent's
+// median, the change's, and the pairs the change won. A record's parent is
+// the previous record's change measured again, so the two medians should
+// agree; where they differ by more than the later record's parent quartile
+// spread the host drifted between the records, the row says so, and figures
+// are comparable within a record but not across that boundary.
+func trend(w io.Writer, dir string) error {
+	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return err
+	}
+	type named struct {
+		file string
+		*record
+	}
+	recs := make([]named, len(files))
+	for i, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		recs[i] = named{filepath.Base(f), new(record)}
+		if err := json.Unmarshal(raw, recs[i].record); err != nil {
+			return fmt.Errorf("%s: %w", f, err)
+		}
+	}
+	slices.SortFunc(recs, func(a, b named) int { return strings.Compare(a.Date+a.file, b.Date+b.file) })
+
+	opsPerS := func(s *side, workload string) *summary {
+		if s == nil || s.Workloads[workload] == nil {
+			return nil
+		}
+		return s.Workloads[workload].Metrics["ops_per_s"]
+	}
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "record\tworkload\tparent\tchange\twins\t")
+	last := map[string]float64{} // workload → the previous record's change median
+	for _, r := range recs {
+		change := r.Sides["change"]
+		if change == nil {
+			continue
+		}
+		names := make([]string, 0, len(change.Workloads))
+		for name := range change.Workloads {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
+			c := opsPerS(change, name)
+			if c == nil {
+				continue
+			}
+			parent, wins, note := "-", "-", ""
+			if pm := opsPerS(r.Sides["parent"], name); pm != nil {
+				parent = fmt.Sprintf("%.4g", pm.Median)
+				if cmp := r.Comparison[name]["ops_per_s"]; cmp != nil {
+					wins = fmt.Sprintf("%d/%d", cmp.ChangeWins, cmp.Pairs)
+				}
+				if prev, ok := last[name]; ok && math.Abs(pm.Median-prev) > pm.Q3-pm.Q1 {
+					note = fmt.Sprintf("host drift: the previous record's change read %.4g, parent spread %.2g", prev, pm.Q3-pm.Q1)
+				}
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.4g\t%s\t%s\n", r.file, name, parent, c.Median, wins, note)
+			last[name] = c.Median
+		}
+	}
+	return tw.Flush()
 }
 
 // commitOf names the commit checked out in dir, marked when the tree has

@@ -113,3 +113,62 @@ func TestOutputPathNeverReplacesTheDatedDefault(t *testing.T) {
 		}
 	}
 }
+
+// trendRecord is a hand-written record: one workload, ops_per_s only.
+func trendRecord(date string, parent, change string) string {
+	sides := `"change":{"workloads":{"w":{"metrics":{"ops_per_s":` + change + `}}}}`
+	comparison := ""
+	if parent != "" {
+		sides += `,"parent":{"workloads":{"w":{"metrics":{"ops_per_s":` + parent + `}}}}`
+		comparison = `,"comparison":{"w":{"ops_per_s":{"pairs":10,"change_wins":9}}}`
+	}
+	return `{"schema":"benchrecord/v1","date":"` + date + `","sides":{` + sides + `}` + comparison + `}`
+}
+
+func TestTrend(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		// Read in date order, then name order — not directory order.
+		"BENCH_20261002_b.json": trendRecord("2026-10-02", `{"median":2.3,"q1":2.2,"q3":2.4}`, `{"median":3}`),   // 0.3 off, spread 0.2
+		"BENCH_20261002.json":   trendRecord("2026-10-02", `{"median":1.9,"q1":1.7,"q3":2.1}`, `{"median":2}`),   // 0.1 off, spread 0.4
+		"BENCH_20261001.json":   trendRecord("2026-10-01", "", `{"median":1.8}`),                                 // unpaired
+		"BENCH_20261003.json":   trendRecord("2026-10-03", `{"median":2.75,"q1":2.5,"q3":2.75}`, `{"median":4}`), // 0.25 off, spread 0.25: not beyond
+		"notes.json":            "not a record",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	if err := trend(&out, dir); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")[1:] // drop the header
+	want := []struct {
+		fields string
+		drift  bool
+	}{
+		{"BENCH_20261001.json w - 1.8 -", false},
+		{"BENCH_20261002.json w 1.9 2 9/10", false},
+		{"BENCH_20261002_b.json w 2.3 3 9/10", true},
+		{"BENCH_20261003.json w 2.75 4 9/10", false},
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("%d rows, want %d:\n%s", len(lines), len(want), out.String())
+	}
+	for i, w := range want {
+		if got := strings.Join(strings.Fields(lines[i])[:5], " "); got != w.fields {
+			t.Errorf("row %d: %q, want %q", i, got, w.fields)
+		}
+		if got := strings.Contains(lines[i], "host drift"); got != w.drift {
+			t.Errorf("row %d: drift flagged %v, want %v: %s", i, got, w.drift, lines[i])
+		}
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_torn.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := trend(&out, dir); err == nil || !strings.Contains(err.Error(), "BENCH_torn.json") {
+		t.Errorf("a record that does not parse: %v, want an error naming the file", err)
+	}
+}
