@@ -443,6 +443,7 @@ func cmdSweep(args []string) {
 			points[i].label, o.Result.AverageIPC(), c.LLCMPKI, o.Result.DRAMUtilization, marker)
 	}
 	fmt.Printf("  campaign: %s\n", res.Stats)
+	fmt.Printf("  fronts: %s\n", res.Stats.Fronts)
 }
 
 func show(res fmt.Stringer, err error) {

@@ -192,6 +192,11 @@ func NewTournamentSized(entries int, histLen uint) *Tournament {
 // Name implements Predictor.
 func (t *Tournament) Name() string { return "hybrid local/global" }
 
+// TableBytes returns the host memory the predictor's tables hold.
+func (t *Tournament) TableBytes() int {
+	return len(t.chooser) + len(t.global.table) + len(t.local.counters) + 2*len(t.local.histories)
+}
+
 // Predict implements Predictor.
 func (t *Tournament) Predict(pc uint64) bool {
 	if t.chooser[hashPC(pc)&t.mask].taken() {

@@ -13,12 +13,6 @@ import "scalesim/internal/pad"
 // contention — a robustness test for the scale-model methodology rather
 // than part of the paper's baseline configuration.
 type StridePrefetcher struct {
-	// Degree is how many lines ahead to prefetch once a stream is
-	// confirmed (0 = default 2).
-	Degree int
-	// Streams is the tracking-table size (0 = default 8).
-	Streams int
-
 	table []streamEntry
 
 	// Statistics.
@@ -37,32 +31,22 @@ type streamEntry struct {
 // NewStridePrefetcher returns a prefetcher for caches with the given line
 // size.
 func NewStridePrefetcher(lineSize int) *StridePrefetcher {
-	return pad.New(StridePrefetcher{lineSize: uint64(lineSize)})
+	return pad.New(StridePrefetcher{table: pad.Slice[streamEntry](prefetchStreams), lineSize: uint64(lineSize)})
 }
 
-func (p *StridePrefetcher) defaults() (degree, streams int) {
-	degree = p.Degree
-	if degree <= 0 {
-		degree = 2
-	}
-	streams = p.Streams
-	if streams <= 0 {
-		streams = 8
-	}
-	return degree, streams
-}
+const (
+	// PrefetchDegree is how many lines ahead of a confirmed stream OnMiss
+	// reaches; prefetchStreams is the tracking-table size.
+	PrefetchDegree  = 2
+	prefetchStreams = 8
+)
 
 // OnMiss observes a demand miss at addr and returns the addresses to
-// prefetch (possibly none). Confidence builds over two consecutive
-// same-stride misses before any prefetch is issued, the standard
-// two-delta-confirmation policy. It allocates the candidate slice: the
-// prefetcher is an opt-in fidelity feature off the baseline path, runs only
-// on demand misses, and the slice is degree-bounded.
-func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
-	degree, streams := p.defaults()
-	if p.table == nil {
-		p.table = pad.Slice[streamEntry](streams)
-	}
+// prefetch, cands[:n] (possibly none). Confidence builds over two
+// consecutive same-stride misses before any prefetch is issued, the standard
+// two-delta-confirmation policy. The candidates come back by value, so the
+// miss path allocates nothing.
+func (p *StridePrefetcher) OnMiss(addr uint64) (cands [PrefetchDegree]uint64, n int) {
 	line := addr / p.lineSize
 
 	// Find the entry whose last line is closest to this miss.
@@ -97,17 +81,16 @@ func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 		e.lastLine = line
 		p.Trained++
 		if e.confidence >= 2 {
-			out := make([]uint64, 0, degree)
-			for k := 1; k <= degree; k++ {
+			for k := 1; k <= PrefetchDegree; k++ {
 				next := int64(line) + int64(k)*e.stride
 				if next > 0 {
-					out = append(out, uint64(next)*p.lineSize)
+					cands[n] = uint64(next) * p.lineSize
+					n++
 				}
 			}
-			p.Issued += uint64(len(out))
-			return out
+			p.Issued += uint64(n)
 		}
-		return nil
+		return cands, n
 	}
 
 	// Allocate: replace the least-confident entry.
@@ -123,7 +106,7 @@ func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 	}
 	p.table[victim] = streamEntry{lastLine: line, stride: 0, confidence: 0, valid: true}
 	p.Trained++
-	return nil
+	return cands, 0
 }
 
 // Accuracy returns issued prefetches per trained miss (a rough utility

@@ -8,11 +8,12 @@ import (
 
 func TestPrefetcherLearnsUnitStride(t *testing.T) {
 	p := NewStridePrefetcher(64)
-	var issued []uint64
+	var issued [PrefetchDegree]uint64
+	n := 0
 	for i := uint64(0); i < 20; i++ {
-		issued = p.OnMiss(i * 64)
+		issued, n = p.OnMiss(i * 64)
 	}
-	if len(issued) == 0 {
+	if n == 0 {
 		t.Fatal("no prefetches after 20 unit-stride misses")
 	}
 	// Next-line prefetches: addresses ahead of the stream.
@@ -27,11 +28,12 @@ func TestPrefetcherLearnsUnitStride(t *testing.T) {
 
 func TestPrefetcherLearnsLargeStride(t *testing.T) {
 	p := NewStridePrefetcher(64)
-	var issued []uint64
+	var issued [PrefetchDegree]uint64
+	n := 0
 	for i := uint64(0); i < 20; i++ {
-		issued = p.OnMiss(i * 4 * 64) // stride of 4 lines
+		issued, n = p.OnMiss(i * 4 * 64) // stride of 4 lines
 	}
-	if len(issued) == 0 {
+	if n == 0 {
 		t.Fatal("no prefetches on strided stream")
 	}
 	if issued[0] != 20*4*64 {
@@ -45,9 +47,8 @@ func TestPrefetcherIgnoresRandom(t *testing.T) {
 	issued := 0
 	for i := 0; i < 5000; i++ {
 		// Uniform misses over 1 GB: no stable stride.
-		if out := p.OnMiss(rng.Uint64() % (1 << 30) &^ 63); len(out) > 0 {
-			issued += len(out)
-		}
+		_, n := p.OnMiss(rng.Uint64() % (1 << 30) &^ 63)
+		issued += n
 	}
 	// Spurious matches can happen but must stay rare.
 	if frac := float64(issued) / 5000; frac > 0.05 {
@@ -59,10 +60,10 @@ func TestPrefetcherTracksMultipleStreams(t *testing.T) {
 	p := NewStridePrefetcher(64)
 	okA, okB := false, false
 	for i := uint64(0); i < 30; i++ {
-		if out := p.OnMiss(i * 64); len(out) > 0 {
+		if _, n := p.OnMiss(i * 64); n > 0 {
 			okA = true
 		}
-		if out := p.OnMiss(1<<30 + i*2*64); len(out) > 0 {
+		if _, n := p.OnMiss(1<<30 + i*2*64); n > 0 {
 			okB = true
 		}
 	}
@@ -78,12 +79,10 @@ func TestPrefetcherStrideChangeRetrains(t *testing.T) {
 	}
 	// Change stride: confidence must drop before new prefetches appear.
 	base := uint64(9 * 64)
-	out := p.OnMiss(base + 3*64)
-	if len(out) != 0 {
+	if _, n := p.OnMiss(base + 3*64); n != 0 {
 		t.Fatal("prefetch issued immediately after stride change")
 	}
-	out = p.OnMiss(base + 6*64)
-	if len(out) == 0 {
+	if _, n := p.OnMiss(base + 6*64); n == 0 {
 		t.Fatal("prefetcher did not re-train on the new stride")
 	}
 }

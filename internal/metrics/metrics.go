@@ -121,6 +121,28 @@ type CampaignStats struct {
 	PanicRetries  int // the panic subset of Retries
 	Failures      int // jobs that ended in an error
 	StoreCorrupt  int // store artifacts quarantined and recomputed
+
+	// Fronts reports how much of the campaign's per-instruction work was
+	// shared between machines (sim.Fronts).
+	Fronts FrontStats
+}
+
+// FrontStats counts a campaign's shared private-half simulation: a chunk is
+// 4096 instructions of one program instance stepped through generator,
+// predictor, L1 and L2. Every machine that runs the instance consumes the
+// chunk; only the first to need it produces it.
+type FrontStats struct {
+	ChunksProduced uint64
+	ChunksConsumed uint64
+	StreamsBuilt   int // program instances whose private half was built
+	StreamsEvicted int // streams unlinked by the memo's byte budget
+	BytesRetained  int // events and front tables the memo holds now
+}
+
+// String renders the counters as a one-line report.
+func (s FrontStats) String() string {
+	return fmt.Sprintf("%d chunks produced for %d consumed, %d streams, %.0f MB retained, %d evicted",
+		s.ChunksProduced, s.ChunksConsumed, s.StreamsBuilt, float64(s.BytesRetained)/1e6, s.StreamsEvicted)
 }
 
 // HitRate returns the fraction of jobs served without simulating — from the

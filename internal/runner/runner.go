@@ -95,7 +95,8 @@ func (e *PanicError) Error() string {
 var ErrJobFailed = errors.New("job failed")
 
 // RunFunc is the simulation entry point the engine drives; injectable for
-// tests. The default is sim.RunContext.
+// tests. The default is the engine's sim.Fronts.RunContext: sim.RunContext
+// with the programs' private halves shared between the campaign's machines.
 type RunFunc func(context.Context, *config.SystemConfig, sim.Workload, sim.Options) (*sim.Result, error)
 
 // Source says where a job's result came from.
@@ -240,6 +241,7 @@ type flight struct {
 type Engine struct {
 	workers   int
 	retry     RetryPolicy
+	fronts    *sim.Fronts
 	run       RunFunc
 	store     ResultStore
 	predictor Predictor
@@ -254,10 +256,12 @@ type Engine struct {
 // New returns an engine with the given worker-pool size (<= 0 selects
 // GOMAXPROCS), the default retry policy, and no durable store.
 func New(workers int) *Engine {
+	fronts := sim.NewFronts()
 	return &Engine{
 		workers:   workers,
 		retry:     DefaultRetryPolicy,
-		run:       sim.RunContext,
+		fronts:    fronts,
+		run:       fronts.RunContext,
 		sleep:     sleepContext,
 		cache:     make(map[string]*flight),
 		perConfig: make(map[string]ConfigTime),
@@ -343,11 +347,14 @@ func (e *Engine) effectiveWorkers() int {
 	return e.workers
 }
 
-// Stats returns a snapshot of the engine's counters.
+// Stats returns a snapshot of the engine's counters, the front memo's
+// included.
 func (e *Engine) Stats() metrics.CampaignStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats
+	st := e.stats
+	st.Fronts = e.fronts.Stats()
+	return st
 }
 
 // ConfigTime aggregates the simulator wall-clock spent on one machine
@@ -370,6 +377,7 @@ func (e *Engine) Report() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	r := Report{Stats: e.stats, PerConfig: make([]ConfigTime, 0, len(e.perConfig))}
+	r.Stats.Fronts = e.fronts.Stats()
 	//simlint:ignore maporder PerConfig is sorted by name immediately below
 	for _, ct := range e.perConfig {
 		r.PerConfig = append(r.PerConfig, ct)
@@ -380,7 +388,7 @@ func (e *Engine) Report() Report {
 
 // String renders the report as a small table.
 func (r Report) String() string {
-	out := "campaign: " + r.Stats.String()
+	out := "campaign: " + r.Stats.String() + "\nfronts: " + r.Stats.Fronts.String()
 	if len(r.PerConfig) == 0 {
 		return out
 	}

@@ -400,6 +400,43 @@ func TestReportPerConfig(t *testing.T) {
 	}
 }
 
+// TestEngineSharesFrontsAcrossMachines drives the default run function: two
+// machine sizes running the same program instances through one engine step
+// the private half once, the engine's stats say so, and the report prints
+// the line — with counts that repeat exactly.
+func TestEngineSharesFrontsAcrossMachines(t *testing.T) {
+	campaign := func() metrics.FrontStats {
+		e := New(1)
+		var jobs []Job
+		for _, cores := range []int{1, 2} {
+			cfg, err := config.ScaleModel(config.Target(), cores, config.ScaleModelOptions{Policy: config.PRSFull})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, Job{
+				Config:   cfg,
+				Workload: sim.Homogeneous(trace.ByName("gcc"), cores),
+				Options:  sim.Options{Instructions: 40_000, Warmup: 10_000, EpochCycles: 10_000, CapacityScale: 32, Seed: 1},
+			})
+		}
+		out, err := e.RunBatch(context.Background(), jobs, nil)
+		if err != nil || out[0].Err != nil || out[1].Err != nil {
+			t.Fatal(err, out[0].Err, out[1].Err)
+		}
+		st := e.Stats().Fronts
+		if st.StreamsBuilt != 2 || st.ChunksProduced == 0 || st.ChunksConsumed <= st.ChunksProduced || st.BytesRetained == 0 || st.StreamsEvicted != 0 {
+			t.Fatalf("two machines over the same instances: %+v", st)
+		}
+		if r := e.Report().String(); !strings.Contains(r, "\nfronts: "+st.String()) {
+			t.Fatalf("report does not print the fronts line:\n%s", r)
+		}
+		return st
+	}
+	if a, b := campaign(), campaign(); a != b {
+		t.Fatalf("the same campaign counted differently: %+v then %+v", a, b)
+	}
+}
+
 func TestRunBatchCancellationCompletesOutcomes(t *testing.T) {
 	e, _ := countingEngine(2, 30*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())

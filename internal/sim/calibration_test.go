@@ -112,22 +112,24 @@ func TestCPIStackSumsToCyclesBareMachine(t *testing.T) {
 	opts := fastOpts().normalized()
 	sm, _ := config.ScaleModel(config.Target(), 1, config.ScaleModelOptions{Policy: config.PRSFull})
 	for _, name := range []string{"povray", "exchange2", "deepsjeng"} {
-		m, err := newMachine(sm, Homogeneous(trace.ByName(name), 1), opts)
+		m, err := mixMachine(nil, sm, Homogeneous(trace.ByName(name), 1), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for m.cores[0].Stats.Instructions < 400000 {
+		for m.cores[0].stats().Instructions < 400000 {
 			m.cores[0].Run(opts.EpochCycles, ^uint64(0))
 			m.mesh.EndEpoch(opts.EpochCycles)
 			m.mem.EndEpoch(opts.EpochCycles)
 		}
-		st := m.cores[0].Stats
+		st := m.cores[0].stats()
 		checkCPIStack(t, name, CoreResult{
 			Cycles: st.Cycles, IPC: st.IPC(), BaseCycles: st.BaseCycles, BranchCycles: st.BranchCycles,
 			MemoryCycles: st.MemoryCycles, FrontendCycles: st.FrontendCycles,
 		})
 		ki := float64(st.Instructions) / 1000
-		l1i, l1d, l2 := m.l1i[0].Stats, m.l1d[0].Stats, m.l2[0].Stats
+		// The front's own counters: up to one chunk ahead of the core.
+		f := m.cores[0].(*core).str.front
+		l1i, l1d, l2 := f.l1i.Stats, f.l1d.Stats, f.l2.Stats
 		llc := m.llc.TotalStats()
 		t.Logf("%-10s L1I acc %.0f mis %.1f | L1D acc %.0f mis %.1f wb %.1f | L2 acc %.0f mis %.1f wb %.1f | LLC acc %.1f mis %.1f wb %.1f (per KI)\n",
 			name,

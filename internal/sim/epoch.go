@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"scalesim/internal/cache"
 	"scalesim/internal/cpu"
@@ -14,20 +15,22 @@ import (
 	"scalesim/internal/units"
 )
 
-// This file is the epoch execution engine: per-core memory-system contexts,
-// the fork/join of per-worker core blocks, and the canonical-order barrier
-// that makes parallel execution byte-identical to serial execution.
+// This file is the epoch execution engine: the shared half of each core's
+// memory system, the fork/join of per-worker core blocks, and the
+// canonical-order barrier that makes parallel execution byte-identical to
+// serial execution.
 //
 // Within an epoch, NoC and DRAM latencies are pure functions (they read only
 // the utilization estimates frozen at the last epoch boundary), and cores
 // share mutable state only through the LLC. Each core therefore executes
-// against a thread-local view: private L1/L2 directly, LLC through a
-// copy-on-write overlay (cache.Overlay) with every operation appended to an
-// ordered log, and NoC/DRAM traffic into per-core accumulators. At the
-// barrier the logs are replayed against the real NUCA in canonical core
-// order (0, 1, 2, ...) and the accumulators merged the same way, so the
-// machine state entering the next epoch is a pure function of the inputs —
-// never of goroutine scheduling. See DESIGN.md, "Performance invariants".
+// against a thread-local view: its own stream of private-hierarchy events
+// (front.go), LLC through a copy-on-write overlay (cache.Overlay) with every
+// operation appended to an ordered log, and NoC/DRAM traffic into per-core
+// accumulators. At the barrier the logs are replayed against the real NUCA
+// in canonical core order (0, 1, 2, ...) and the accumulators merged the
+// same way, so the machine state entering the next epoch is a pure function
+// of the inputs — never of goroutine scheduling. See DESIGN.md, "Performance
+// invariants".
 //
 // Independent in the model is not unshared on the host: everything a core
 // owns is allocated through package pad, so that two cores never touch one
@@ -55,9 +58,9 @@ type llcOp struct {
 // so the in-package determinism test can undersize it and exercise growth.
 var defaultEpochLogOps = 4096
 
-// coreCtx implements cpu.MemSystem for one core. Private levels (L1-I,
-// L1-D, L2, prefetcher, partitioned-LLC slice) are mutated directly — no
-// other core touches them. The shared NUCA is reached through ov when the
+// coreCtx is the shared half of one core's memory system: what a core does
+// below its private hierarchy. The partitioned-LLC slice is mutated directly
+// — no other core touches it. The shared NUCA is reached through ov when the
 // machine actually shares it between cores; traffic lands in the thread
 // local accumulators either way.
 type coreCtx struct {
@@ -73,6 +76,10 @@ type coreCtx struct {
 
 	nocAcc  noc.Acc
 	dramAcc *dram.Acc
+
+	// borrowed is the recorded production time of the chunks this core read
+	// from a memoized stream without producing them (Result.WallClock).
+	borrowed time.Duration
 }
 
 // beginEpoch rebases the overlay on the LLC state left by the last barrier.
@@ -169,99 +176,34 @@ func (c *coreCtx) llcProbe(addr uint64) bool {
 	return m.llc.Probe(addr)
 }
 
-// prefetch issues the prefetcher's candidates for a demand L2 miss: each
-// candidate is brought into the L2 in the background, consuming LLC/DRAM
-// bandwidth but adding no latency to the triggering access.
-func (c *coreCtx) prefetch(addr uint64) {
+// demand serves a data access that missed the L2 at addr. It returns the
+// full load-to-use latency and the serving level.
+func (c *coreCtx) demand(addr uint64) (units.Cycles, cpu.MemLevel) {
 	m := c.m
-	if m.pf == nil {
-		return
-	}
-	for _, pa := range m.pf[c.core].OnMiss(addr) {
-		if m.l2[c.core].Probe(pa) {
-			continue
-		}
-		slice, hit := c.llcAccess(pa, false)
-		m.mesh.LatencyInto(&c.nocAcc, c.core, slice, reqBytes)
-		if !hit {
-			m.mesh.LatencyInto(&c.nocAcc, slice, m.mesh.MCTile(m.mem.MCOf(pa), m.mem.Controllers()), reqBytes)
-			m.mem.AccessInto(c.dramAcc, c.core, pa, lineBytes, false)
-			if victim, vdirty, evicted := c.llcFill(pa, false); evicted && vdirty {
-				m.mem.AccessInto(c.dramAcc, c.core, victim, lineBytes, true)
-			}
-		}
-		c.fillL2(pa, false)
-	}
-}
-
-// resolve serves a data access that missed in L1 at addr, filling the
-// hierarchy on its way back. It returns the total added latency beyond L1
-// and the serving level.
-func (c *coreCtx) resolve(addr uint64, dirtyFill bool) cpu.MemResult {
-	m := c.m
-	// L2 lookup.
-	if m.l2[c.core].Access(addr, false) {
-		c.fillL1(addr, dirtyFill)
-		return cpu.MemResult{Latency: m.l1Time + m.l2Time, Level: cpu.LevelL2}
-	}
-	// Demand L2 miss: train the prefetcher (if any) before going out.
-	c.prefetch(addr)
 	// LLC lookup via the NoC: core tile -> home slice tile.
 	slice, hit := c.llcAccess(addr, false)
 	nocLat := m.mesh.LatencyInto(&c.nocAcc, c.core, slice, reqBytes)
 	lat := m.l1Time + m.l2Time + m.llcTime + nocLat
 	if hit {
-		c.fillL2(addr, false)
-		c.fillL1(addr, dirtyFill)
-		return cpu.MemResult{Latency: lat, Level: cpu.LevelLLC}
+		return lat, cpu.LevelLLC
 	}
 	// DRAM access: home slice tile -> memory controller tile.
 	mc := m.mem.MCOf(addr)
 	mcTile := m.mesh.MCTile(mc, m.mem.Controllers())
 	lat += m.mesh.LatencyInto(&c.nocAcc, slice, mcTile, reqBytes)
 	lat += m.mem.AccessInto(c.dramAcc, c.core, addr, lineBytes, false)
-	// Fill the hierarchy; LLC victims write back to DRAM.
+	// LLC victims write back to DRAM.
 	if victim, vdirty, evicted := c.llcFill(addr, false); evicted && vdirty {
 		vmc := m.mem.MCOf(victim)
 		m.mesh.LatencyInto(&c.nocAcc, m.llcSliceOf(c.core, victim), m.mesh.MCTile(vmc, m.mem.Controllers()), reqBytes)
 		m.mem.AccessInto(c.dramAcc, c.core, victim, lineBytes, true)
 	}
-	c.fillL2(addr, false)
-	c.fillL1(addr, dirtyFill)
-	return cpu.MemResult{Latency: lat, Level: cpu.LevelDRAM}
+	return lat, cpu.LevelDRAM
 }
 
-// fillL1 allocates addr in this core's L1-D; dirty victims write through to
-// the L2.
-func (c *coreCtx) fillL1(addr uint64, dirty bool) {
-	victim, vdirty, evicted := c.m.l1d[c.core].Fill(addr, dirty)
-	if evicted && vdirty {
-		c.writebackToL2(victim)
-	}
-}
-
-// fillL2 allocates addr in this core's L2; dirty victims write to the LLC.
-func (c *coreCtx) fillL2(addr uint64, dirty bool) {
-	victim, vdirty, evicted := c.m.l2[c.core].Fill(addr, dirty)
-	if evicted && vdirty {
-		c.writebackToLLC(victim)
-	}
-}
-
-// writebackToL2 handles a dirty L1-D victim. Writebacks never allocate on a
-// miss (no-allocate policy): if the line is gone from the L2 it is forwarded
-// down the hierarchy. Allocating would recall evicted lines and amplify one
-// eviction into a cascade of fills.
-func (c *coreCtx) writebackToL2(addr uint64) {
-	if c.m.l2[c.core].Probe(addr) {
-		c.m.l2[c.core].Access(addr, true)
-		return
-	}
-	c.writebackToLLC(addr)
-}
-
-// writebackToLLC handles a dirty L2 victim: merge into the LLC if present,
-// otherwise bypass straight to DRAM (bandwidth only; writes are posted).
+// writebackToLLC handles a dirty victim leaving the private hierarchy: merge
+// into the LLC if present, otherwise bypass straight to DRAM (bandwidth only;
+// writes are posted).
 func (c *coreCtx) writebackToLLC(addr uint64) {
 	m := c.m
 	slice := m.llcSliceOf(c.core, addr)
@@ -274,40 +216,14 @@ func (c *coreCtx) writebackToLLC(addr uint64) {
 	m.mem.AccessInto(c.dramAcc, c.core, addr, lineBytes, true)
 }
 
-// Load implements cpu.MemSystem.
-func (c *coreCtx) Load(core int, addr uint64) cpu.MemResult {
-	if c.m.l1d[c.core].Access(addr, false) {
-		return cpu.MemResult{Latency: c.m.l1Time, Level: cpu.LevelL1}
-	}
-	return c.resolve(addr, false)
-}
-
-// Store implements cpu.MemSystem (write-allocate).
-func (c *coreCtx) Store(core int, addr uint64) cpu.MemResult {
-	if c.m.l1d[c.core].Access(addr, true) {
-		return cpu.MemResult{Latency: c.m.l1Time, Level: cpu.LevelL1}
-	}
-	return c.resolve(addr, true)
-}
-
-// IFetch implements cpu.MemSystem. Sequential fetches are covered by the
-// next-line prefetcher: they keep the hierarchy state warm and consume
-// bandwidth but never stall. Non-sequential fetches (jump targets) stall
-// the front end for their full latency beyond the pipelined L1-I access.
-func (c *coreCtx) IFetch(core int, addr uint64, jump bool) units.Cycles {
+// fetchMiss serves a read that missed the L2 at addr and fills no L1-D: an
+// instruction fetch, or a prefetch candidate brought in in the background.
+// Both consume LLC and DRAM bandwidth. It returns the stall a non-sequential
+// fetch (a jump target) pays beyond the pipelined L1-I access; a sequential
+// fetch is hidden by the next-line prefetcher and a prefetch adds no latency
+// to the demand miss that triggered it.
+func (c *coreCtx) fetchMiss(addr uint64) units.Cycles {
 	m := c.m
-	if m.l1i[c.core].Access(addr, false) {
-		return 0
-	}
-	// Instruction lines are clean; reuse the data path read logic against
-	// L2/LLC/DRAM but fill the L1-I instead of the L1-D.
-	if m.l2[c.core].Access(addr, false) {
-		m.l1i[c.core].Fill(addr, false)
-		if !jump {
-			return 0
-		}
-		return m.l2Time
-	}
 	slice, hit := c.llcAccess(addr, false)
 	nocLat := m.mesh.LatencyInto(&c.nocAcc, c.core, slice, reqBytes)
 	lat := m.l2Time + m.llcTime + nocLat
@@ -318,11 +234,6 @@ func (c *coreCtx) IFetch(core int, addr uint64, jump bool) units.Cycles {
 		if victim, vdirty, evicted := c.llcFill(addr, false); evicted && vdirty {
 			m.mem.AccessInto(c.dramAcc, c.core, victim, lineBytes, true)
 		}
-	}
-	c.fillL2(addr, false)
-	m.l1i[c.core].Fill(addr, false)
-	if !jump {
-		return 0 // hidden by the next-line prefetcher
 	}
 	return lat
 }

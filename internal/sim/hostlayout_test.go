@@ -87,7 +87,7 @@ func TestCoresShareNoCacheLine(t *testing.T) {
 		// The ablated machine swaps the overlays for private LLC partitions
 		// and adds the per-core prefetchers.
 		opts.PartitionedLLC, opts.EnablePrefetch = ablated, ablated
-		m, err := newMachine(config.Target(), targetMix(7), opts)
+		m, err := mixMachine(nil, config.Target(), targetMix(7), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,9 +125,13 @@ func TestCoresShareNoCacheLine(t *testing.T) {
 			}
 		}
 		for i := range m.cores {
-			claim(i, m.cores[i], m.ctxs[i], m.l1i[i], m.l1d[i], m.l2[i])
+			// A core reaches its stream, and the stream its front.
+			claim(i, m.cores[i], m.ctxs[i])
 			if ablated {
-				claim(i, m.part[i], m.pf[i])
+				claim(i, m.part[i])
+				if m.cores[i].(*core).str.front.pf == nil {
+					t.Fatal("the ablated machine's fronts have no prefetcher")
+				}
 			}
 		}
 		for w := range m.blocks {

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"scalesim/internal/branch"
 	"scalesim/internal/config"
-	"scalesim/internal/cpu"
 	"scalesim/internal/trace"
 	"scalesim/internal/units"
 )
@@ -90,7 +88,6 @@ func RunParallel(cfg *config.SystemConfig, spec ParallelSpec, opts Options) (*Pa
 // epoch boundary like RunContext.
 func RunParallelContext(ctx context.Context, cfg *config.SystemConfig, spec ParallelSpec, opts Options) (*ParallelResult, error) {
 	opts = opts.normalized()
-	start := time.Now() //simlint:ignore wallclock measures Result.WallClock reporting only; never simulated state
 	if spec.Profile == nil {
 		return nil, fmt.Errorf("sim: nil parallel profile")
 	}
@@ -100,27 +97,31 @@ func RunParallelContext(ctx context.Context, cfg *config.SystemConfig, spec Para
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	threads := cfg.Cores
-
-	// Build the machine manually: thread generators share an address space.
-	wl := Homogeneous(&spec.Profile.Serial, threads) // placeholder for sizing
-	m, err := newMachine(cfg, wl, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < threads; i++ {
-		gen, err := trace.NewThreadGenerator(spec.Profile, i, threads, trace.GenOptions{
+	// Thread generators share an address space and differ by thread, so each
+	// core replays a private stream: there is nothing to share between runs.
+	return runThreads(ctx, cfg, spec, opts, func(i int, cc *coreCtx) (executor, error) {
+		gen, err := trace.NewThreadGenerator(spec.Profile, i, cfg.Cores, trace.GenOptions{
 			CapacityScale: opts.CapacityScale,
 			Seed:          opts.Seed,
 		})
 		if err != nil {
 			return nil, err
 		}
-		core, err := cpu.New(i, cfg.Core, gen, branch.NewTournament(), m.ctxs[i])
+		fr, err := newFront(gen, cfg.L1I, cfg.L1D, cfg.L2, opts.CapacityScale, opts.EnablePrefetch)
 		if err != nil {
 			return nil, err
 		}
-		m.cores[i] = core
+		return newCore(cfg, &spec.Profile.Serial, newStream(fr), cc), nil
+	})
+}
+
+// runThreads is RunParallelContext over whatever cores build returns.
+func runThreads(ctx context.Context, cfg *config.SystemConfig, spec ParallelSpec, opts Options, build func(int, *coreCtx) (executor, error)) (*ParallelResult, error) {
+	start := time.Now() //simlint:ignore wallclock measures Result.WallClock reporting only; never simulated state
+	threads := cfg.Cores
+	m, err := newMachine(cfg, threads, opts, build)
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-thread work shares (strong scaling), with the profile's skew.
@@ -158,7 +159,7 @@ func RunParallelContext(ctx context.Context, cfg *config.SystemConfig, spec Para
 		}
 		allWarm := true
 		for _, c := range m.cores {
-			if c.Stats.Instructions < warmPerThread {
+			if c.stats().Instructions < warmPerThread {
 				allWarm = false
 			}
 		}
@@ -207,20 +208,21 @@ func RunParallelContext(ctx context.Context, cfg *config.SystemConfig, spec Para
 		if everyoneBlocked(m.cores, nextBarrier, work, done) {
 			release := units.Cycles(0)
 			for t, c := range m.cores {
-				if !done[t] && c.Stats.Cycles > release {
-					release = c.Stats.Cycles
+				if !done[t] && c.stats().Cycles > release {
+					release = c.stats().Cycles
 				}
 			}
 			for t, c := range m.cores {
 				if done[t] {
 					continue
 				}
-				if wait := release - c.Stats.Cycles; wait > 0 {
-					c.Stats.Cycles = release
+				st := c.stats()
+				if wait := release - st.Cycles; wait > 0 {
+					st.Cycles = release
 					barrierWait[t] += wait
 				}
 				barriers[t]++
-				if c.Stats.Instructions >= work[t] {
+				if st.Instructions >= work[t] {
 					done[t] = true
 					continue
 				}
@@ -250,7 +252,7 @@ func RunParallelContext(ctx context.Context, cfg *config.SystemConfig, spec Para
 	var stack SpeedupStack
 	totalCycles := 0.0
 	for t, c := range m.cores {
-		st := c.Stats
+		st := c.stats()
 		ki := float64(st.Instructions) / 1000
 		llcMisses := m.llcCoreMisses(t) - snaps[t].llcMisses
 		cycles := st.Cycles
@@ -288,7 +290,7 @@ func RunParallelContext(ctx context.Context, cfg *config.SystemConfig, spec Para
 
 // everyoneBlocked reports whether every unfinished thread has reached its
 // pending barrier boundary (or its end of work).
-func everyoneBlocked(cores []*cpu.Core, next []uint64, work []uint64, done []bool) bool {
+func everyoneBlocked(cores []executor, next []uint64, work []uint64, done []bool) bool {
 	for t, c := range cores {
 		if done[t] {
 			continue
@@ -297,7 +299,7 @@ func everyoneBlocked(cores []*cpu.Core, next []uint64, work []uint64, done []boo
 		if limit > work[t] {
 			limit = work[t]
 		}
-		if c.Stats.Instructions < limit {
+		if c.stats().Instructions < limit {
 			return false
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"time"
 
-	"scalesim/internal/branch"
 	"scalesim/internal/cache"
 	"scalesim/internal/config"
 	"scalesim/internal/cpu"
@@ -183,19 +182,27 @@ type Result struct {
 	Trace []EpochSnapshot
 }
 
-// machine is the simulated memory hierarchy plus its cores. Each core
-// reaches the hierarchy through its own coreCtx (see epoch.go), which
-// implements cpu.MemSystem with thread-local accounting so per-core epoch
-// work can execute in parallel.
+// executor is what the run loops need of a core. The program has one, core
+// (core.go); the oracle test puts cpu.Core over the monolithic memory system
+// behind it.
+type executor interface {
+	Run(cycleBudget units.Cycles, instrBudget uint64)
+	ResetStats()
+	stats() *cpu.Stats
+	// private returns the cumulative L1-D and L2 access and miss counts.
+	private() (l1d, l2 cache.Stats)
+}
+
+// machine is the simulated shared memory hierarchy plus its cores. Each core
+// replays its program's private half (front.go) and reaches the shared
+// hierarchy through its own coreCtx (see epoch.go), with thread-local
+// accounting so per-core epoch work can execute in parallel.
 type machine struct {
 	cfg   *config.SystemConfig
-	l1i   []*cache.Level
-	l1d   []*cache.Level
-	l2    []*cache.Level
 	llc   *cache.NUCA
 	mesh  *noc.Mesh
 	mem   *dram.Memory
-	cores []*cpu.Core
+	cores []executor
 	ctxs  []*coreCtx
 
 	// blocks holds one block of cores per epoch worker (resolveWorkers of
@@ -209,9 +216,6 @@ type machine struct {
 	// noFeedback suppresses the epoch utilization updates (the NoFeedback
 	// ablation).
 	noFeedback bool
-
-	// pf holds per-core L2 stream prefetchers when enabled.
-	pf []*cache.StridePrefetcher
 
 	l1Time, l2Time, llcTime units.Cycles
 }
@@ -257,12 +261,14 @@ const (
 	lineBytes = units.Bytes(64)
 )
 
-func newMachine(cfg *config.SystemConfig, wl Workload, opts Options) (*machine, error) {
+// newMachine builds the shared hierarchy of cfg and one core per program;
+// build returns core i, which reaches the hierarchy through cc.
+func newMachine(cfg *config.SystemConfig, programs int, opts Options, build func(i int, cc *coreCtx) (executor, error)) (*machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(wl.Profiles) != cfg.Cores {
-		return nil, fmt.Errorf("sim: workload has %d programs for %d cores", len(wl.Profiles), cfg.Cores)
+	if programs != cfg.Cores {
+		return nil, fmt.Errorf("sim: workload has %d programs for %d cores", programs, cfg.Cores)
 	}
 	m := &machine{
 		cfg:        cfg,
@@ -270,11 +276,6 @@ func newMachine(cfg *config.SystemConfig, wl Workload, opts Options) (*machine, 
 		l1Time:     units.Cycles(cfg.L1D.AccessTime),
 		l2Time:     units.Cycles(cfg.L2.AccessTime),
 		llcTime:    units.Cycles(cfg.LLC.AccessTime),
-	}
-	if opts.EnablePrefetch {
-		for i := 0; i < cfg.Cores; i++ {
-			m.pf = append(m.pf, cache.NewStridePrefetcher(int(cfg.L2.LineSize)))
-		}
 	}
 	if opts.PartitionedLLC {
 		slice := config.CacheLevelConfig{
@@ -307,48 +308,35 @@ func newMachine(cfg *config.SystemConfig, wl Workload, opts Options) (*machine, 
 		m.blocks = pad.Slice[block](workers)
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		// The L1-I stays at native size: code footprints are not
-		// miniaturised (see trace.NewGenerator), so scaling the L1-I would
-		// thrash it on every benchmark and flood the L2/NoC with
-		// instruction traffic no real machine produces.
-		l1i, err := cache.NewLevel(cfg.L1I, 1)
-		if err != nil {
-			return nil, err
-		}
-		l1d, err := cache.NewLevel(cfg.L1D, opts.CapacityScale)
-		if err != nil {
-			return nil, err
-		}
-		l2, err := cache.NewLevel(cfg.L2, opts.CapacityScale)
-		if err != nil {
-			return nil, err
-		}
-		m.l1i = append(m.l1i, l1i)
-		m.l1d = append(m.l1d, l1d)
-		m.l2 = append(m.l2, l2)
-
 		cc := pad.New(coreCtx{m: m, core: i, dramAcc: m.mem.NewAcc()})
 		if sharedLLC {
 			cc.ov = cache.NewOverlay(m.llc)
 			cc.log = pad.Slice[llcOp](defaultEpochLogOps)[:0]
 		}
 		m.ctxs = append(m.ctxs, cc)
-
-		gen, err := trace.NewGenerator(wl.Profiles[i], trace.GenOptions{
-			Instance:      i,
-			CapacityScale: opts.CapacityScale,
-			Seed:          opts.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		core, err := cpu.New(i, cfg.Core, gen, branch.NewTournament(), cc)
+		core, err := build(i, cc)
 		if err != nil {
 			return nil, err
 		}
 		m.cores = append(m.cores, core)
 	}
 	return m, nil
+}
+
+// programs returns newMachine's builder for a multiprogram mix: core i
+// replays the stream of instance i of wl.Profiles[i], taken from the memo
+// (a nil memo: a private stream).
+func (f *Fronts) programs(cfg *config.SystemConfig, wl Workload, opts Options) func(int, *coreCtx) (executor, error) {
+	return func(i int, cc *coreCtx) (executor, error) {
+		str, err := f.stream(frontKey{
+			prof: wl.Profiles[i], instance: i, seed: opts.Seed, scale: opts.CapacityScale,
+			l1i: cfg.L1I, l1d: cfg.L1D, l2: cfg.L2, prefetch: opts.EnablePrefetch,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return newCore(cfg, wl.Profiles[i], str, cc), nil
+	}
 }
 
 // snapshot captures per-core cumulative counters at the measurement start.
@@ -370,9 +358,14 @@ func Run(cfg *config.SystemConfig, wl Workload, opts Options) (*Result, error) {
 // ctx.Err(). Cancellation does not corrupt anything — the machine state is
 // simply discarded.
 func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts Options) (*Result, error) {
-	opts = opts.normalized()
+	return (*Fronts)(nil).RunContext(ctx, cfg, wl, opts)
+}
+
+// runMachine is RunContext, for normalized opts, over whatever cores build
+// returns.
+func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts Options, build func(int, *coreCtx) (executor, error)) (*Result, error) {
 	start := time.Now() //simlint:ignore wallclock measures Result.WallClock reporting only; never simulated state
-	m, err := newMachine(cfg, wl, opts)
+	m, err := newMachine(cfg, len(wl.Profiles), opts, build)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +387,7 @@ func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 		}
 		allWarm := true
 		for _, c := range m.cores {
-			if c.Stats.Instructions < opts.Warmup {
+			if c.stats().Instructions < opts.Warmup {
 				allWarm = false
 			}
 		}
@@ -413,12 +406,8 @@ func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 	snaps := make([]snapshot, cfg.Cores)
 	for i, c := range m.cores {
 		c.ResetStats()
-		snaps[i] = snapshot{
-			l1d:       m.l1d[i].Stats,
-			l2:        m.l2[i].Stats,
-			llcMisses: m.llcCoreMisses(i),
-			dramBytes: m.mem.CoreBytes(i),
-		}
+		snaps[i] = snapshot{llcMisses: m.llcCoreMisses(i), dramBytes: m.mem.CoreBytes(i)}
+		snaps[i].l1d, snaps[i].l2 = c.private()
 	}
 	if obs != nil {
 		// Core statistics were just reset; re-base the delta computation.
@@ -433,7 +422,7 @@ func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 		}
 		done := false
 		for _, c := range m.cores {
-			if c.Stats.Instructions >= opts.Instructions {
+			if c.stats().Instructions >= opts.Instructions {
 				done = true
 			}
 		}
@@ -456,7 +445,8 @@ func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 		NoCUtilization:  m.mesh.Utilization(),
 	}
 	for i, c := range m.cores {
-		st := c.Stats
+		st := c.stats()
+		l1d, l2 := c.private()
 		ki := float64(st.Instructions) / 1000
 		llcMisses := m.llcCoreMisses(i) - snaps[i].llcMisses
 		bwBytes := m.mem.CoreBytes(i) - snaps[i].dramBytes
@@ -472,8 +462,8 @@ func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 			IPC:                  st.IPC(),
 			BWBytesPerCycle:      bwBytes.Per(cycles),
 			BWShare:              float64(bwBytes.Per(cycles)) / float64(totalBW),
-			L1DMPKI:              float64(m.l1d[i].Stats.Misses-snaps[i].l1d.Misses) / ki,
-			L2MPKI:               float64(m.l2[i].Stats.Misses-snaps[i].l2.Misses) / ki,
+			L1DMPKI:              float64(l1d.Misses-snaps[i].l1d.Misses) / ki,
+			L2MPKI:               float64(l2.Misses-snaps[i].l2.Misses) / ki,
 			LLCMPKI:              float64(llcMisses) / ki,
 			LLCMisses:            llcMisses,
 			BranchMispredictRate: st.Branch.MispredictRate(),
@@ -487,8 +477,20 @@ func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 	if obs != nil {
 		res.Trace = obs.trace
 	}
-	res.WallClock = time.Since(start) //simlint:ignore wallclock measures Result.WallClock reporting only; never simulated state
+	res.WallClock = time.Since(start) + m.borrowed() //simlint:ignore wallclock measures Result.WallClock reporting only; never simulated state
 	return res, nil
+}
+
+// borrowed is the host time this run saved because another run of the
+// campaign had produced chunks it read: their recorded production time,
+// spread over the epoch workers that would have shared it. Adding it keeps
+// Result.WallClock meaning "what this run costs alone", which Fig. 7 and the
+// simulation-time study read from a collection.
+func (m *machine) borrowed() (sum time.Duration) {
+	for _, cc := range m.ctxs {
+		sum += cc.borrowed
+	}
+	return sum / time.Duration(max(1, len(m.blocks)))
 }
 
 // SystemIPC returns the sum of per-core IPC values.

@@ -18,6 +18,12 @@ func fastOpts() Options {
 	}
 }
 
+// mixMachine builds the machine a Run of wl would, with every stream taken
+// from fronts (nil: private).
+func mixMachine(fronts *Fronts, cfg *config.SystemConfig, wl Workload, opts Options) (*machine, error) {
+	return newMachine(cfg, len(wl.Profiles), opts, fronts.programs(cfg, wl, opts))
+}
+
 func scaleModel(t *testing.T, cores int) *config.SystemConfig {
 	t.Helper()
 	sm, err := config.ScaleModel(config.Target(), cores, config.ScaleModelOptions{Policy: config.PRSFull})

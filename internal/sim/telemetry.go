@@ -123,7 +123,8 @@ func newObserver(m *machine, wl Workload) *observer {
 
 // counters captures core i's current cumulative state.
 func (o *observer) counters(i int) coreCounters {
-	st := o.m.cores[i].Stats
+	st := o.m.cores[i].stats()
+	l1d, l2 := o.m.cores[i].private()
 	return coreCounters{
 		instructions: st.Instructions,
 		cycles:       st.Cycles,
@@ -131,8 +132,8 @@ func (o *observer) counters(i int) coreCounters {
 		branch:       st.BranchCycles,
 		memory:       st.MemoryCycles,
 		frontend:     st.FrontendCycles,
-		l1d:          o.m.l1d[i].Stats,
-		l2:           o.m.l2[i].Stats,
+		l1d:          l1d,
+		l2:           l2,
 		llc:          o.m.llcCoreStats(i),
 		dramBytes:    o.m.mem.CoreBytes(i),
 	}

@@ -500,6 +500,35 @@ func (g *Generator) NextBranch() (pc uint64, taken bool) {
 	return b.pc, g.rng.Bool(b.bias)
 }
 
+// KindSchedule returns the repeating kind schedule: instruction n of the
+// stream has kind KindSchedule()[n%1000], whatever the seed or instance.
+func (g *Generator) KindSchedule() [1000]OpKind { return g.kinds }
+
+// AddrLimit returns an address above every data and instruction address the
+// generator can produce.
+func (g *Generator) AddrLimit() uint64 {
+	limit := g.ibase + g.isize.n
+	for _, r := range g.regions {
+		limit = max(limit, r.base+r.size.n)
+	}
+	return limit
+}
+
+// TableBytes returns the host memory the generator's sampling tables hold,
+// for callers that budget retained generators.
+func (g *Generator) TableBytes() int {
+	n := 16*len(g.branches) + g.codeZipf.TableBytes()
+	if g.brZipf != nil {
+		n += g.brZipf.TableBytes()
+	}
+	for _, r := range g.regions {
+		if r.zipf != nil {
+			n += r.zipf.TableBytes()
+		}
+	}
+	return n
+}
+
 // Footprint returns the total scaled data footprint in bytes.
 func (g *Generator) Footprint() uint64 {
 	var total uint64

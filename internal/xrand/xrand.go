@@ -216,6 +216,9 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return z
 }
 
+// TableBytes returns the host memory the sampler's tables hold.
+func (z *Zipf) TableBytes() int { return 8*len(z.thr) + 4*len(z.guide) }
+
 // Next returns the next Zipf-distributed rank in [0, n).
 func (z *Zipf) Next() int { return z.rank(z.rng.Uint64() >> 11) }
 
