@@ -186,48 +186,33 @@ func DecodeJobRequest(r io.Reader) (*JobRequest, error) {
 
 // DecodeJobResponse reads one JobResponse, verifying its schema tag.
 func DecodeJobResponse(r io.Reader) (*JobResponse, error) {
-	var resp JobResponse
-	if err := decodeStrict(r, &resp); err != nil {
-		return nil, fmt.Errorf("apiv1: decoding response: %v", err)
-	}
-	if err := checkSchema(resp.Schema); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return decodeResponse(r, "response", func(v *JobResponse) string { return v.Schema })
 }
 
 // DecodeStatsResponse reads one StatsResponse, verifying its schema tag.
 func DecodeStatsResponse(r io.Reader) (*StatsResponse, error) {
-	var resp StatsResponse
-	if err := decodeStrict(r, &resp); err != nil {
-		return nil, fmt.Errorf("apiv1: decoding stats: %v", err)
-	}
-	if err := checkSchema(resp.Schema); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return decodeResponse(r, "stats", func(v *StatsResponse) string { return v.Schema })
 }
 
 // DecodeHealthResponse reads one HealthResponse, verifying its schema tag.
 func DecodeHealthResponse(r io.Reader) (*HealthResponse, error) {
-	var resp HealthResponse
-	if err := decodeStrict(r, &resp); err != nil {
-		return nil, fmt.Errorf("apiv1: decoding health: %v", err)
-	}
-	if err := checkSchema(resp.Schema); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return decodeResponse(r, "health", func(v *HealthResponse) string { return v.Schema })
 }
 
 // DecodeErrorResponse reads one ErrorResponse. The schema is verified so a
 // client never mistakes an unrelated payload for a service error.
 func DecodeErrorResponse(r io.Reader) (*ErrorResponse, error) {
-	var resp ErrorResponse
+	return decodeResponse(r, "error response", func(v *ErrorResponse) string { return v.Schema })
+}
+
+// decodeResponse strictly decodes one response document of type T, named
+// what in the error, and verifies the schema tag that schema reads from it.
+func decodeResponse[T any](r io.Reader, what string, schema func(*T) string) (*T, error) {
+	var resp T
 	if err := decodeStrict(r, &resp); err != nil {
-		return nil, fmt.Errorf("apiv1: decoding error response: %v", err)
+		return nil, fmt.Errorf("apiv1: decoding %s: %v", what, err)
 	}
-	if err := checkSchema(resp.Schema); err != nil {
+	if err := checkSchema(schema(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil

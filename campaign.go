@@ -39,10 +39,6 @@ type Campaign struct {
 	// on first use; results are bit-identical with or without it. See
 	// README "Durable campaigns" for the on-disk layout.
 	Store string
-	// Retry bounds transient-failure retries (panics, I/O errors) with
-	// exponential backoff. The zero value selects the default policy (one
-	// retry); deterministic simulation errors are never retried.
-	Retry RetryPolicy
 	// Surrogate, when non-nil, enables the learned fast path: design
 	// points the trained model is confident about are answered by the
 	// model (SourceModel, approximate) instead of simulating, and every
@@ -51,11 +47,6 @@ type Campaign struct {
 	// <Store>/surrogate across processes. See SurrogateConfig.
 	Surrogate *SurrogateConfig
 }
-
-// RetryPolicy bounds transient-failure retries. Attempt n (1-based) that
-// fails transiently sleeps BaseDelay<<(n-1), capped at MaxDelay, before the
-// next attempt, up to MaxAttempts total attempts.
-type RetryPolicy = runner.RetryPolicy
 
 // ResultSource says where a job's result came from.
 type ResultSource = runner.Source
@@ -159,7 +150,7 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 // inside an open store is not — it is quarantined and its job recomputed
 // (counted in Stats.StoreCorrupt).
 func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignResult, error) {
-	svc, err := newService("campaign", ServiceConfig{Tuning: c.Tuning, Store: c.Store, Retry: c.Retry, Surrogate: c.Surrogate})
+	svc, err := newService("campaign", ServiceConfig{Tuning: c.Tuning, Store: c.Store, Surrogate: c.Surrogate})
 	if err != nil {
 		return nil, err
 	}

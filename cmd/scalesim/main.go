@@ -10,6 +10,9 @@
 //	scalesim simulate -machine <cores>[:<policy>] -bench <a,b,...> [-fast] [-core-workers N]
 //	scalesim predict -bench <name> [-fast]
 //	scalesim experiment -fig <id> [-fast]
+//	scalesim sweep -knob llc|dram -bench <name> [-cores N] [-campaign-workers N] [-store <dir>]
+//	scalesim stats -trace <file>
+//	scalesim store -dir <dir>
 //	scalesim serve [-addr <host:port>] [-campaign-workers N] [-store <dir>]
 //	scalesim request -bench <a,b,...> [-server <url>]
 //
@@ -96,14 +99,14 @@ func usage() {
                                             run the campaign service: coalesces identical
                                             concurrent requests, bounds admission with a
                                             client-fair queue, drains on SIGINT/SIGTERM
+  scalesim request -bench A,B,... [-machine C[:POLICY]] [-server URL] [-client ID] [-fast]
+                                            submit one design point to a running daemon
 
 performance flags (identical results at any setting, wall-clock only):
   -core-workers N       epoch workers inside one simulation (0 = auto)
   -campaign-workers N   concurrent campaign jobs (0 = GOMAXPROCS)
   -cpuprofile FILE      write a pprof CPU profile (simulate, sweep)
-  -memprofile FILE      write a pprof heap profile at exit (simulate, sweep)
-  scalesim request -bench A,B,... [-machine C[:POLICY]] [-server URL] [-client ID] [-fast]
-                                            submit one design point to a running daemon`)
+  -memprofile FILE      write a pprof heap profile at exit (simulate, sweep)`)
 }
 
 func options(fast bool) scalesim.SimOptions {

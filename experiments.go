@@ -211,6 +211,57 @@ func predictionSpecs() []scalemodel.MethodSpec {
 	}
 }
 
+// regressionSpecs returns the ML-based regression lineup of Figs. 6 and 8:
+// every estimator under the logarithmic curve.
+func regressionSpecs() []scalemodel.MethodSpec {
+	var specs []scalemodel.MethodSpec
+	for _, est := range scalemodel.Kinds() {
+		specs = append(specs, scalemodel.MethodSpec{Method: scalemodel.MethodRegression, Estimator: est, Form: fit.Logarithmic})
+	}
+	return specs
+}
+
+// addMethods appends one row per spec to the figure: evaluate applies a spec
+// to the figure's data set, label names the row, and summaryOnly drops the
+// per-benchmark series.
+func (f *FigureResult) addMethods(evaluate func(scalemodel.MethodSpec) ([]metrics.NamedError, error), specs []scalemodel.MethodSpec, label func(scalemodel.MethodSpec) string, summaryOnly bool) error {
+	for _, spec := range specs {
+		errs, err := evaluate(spec)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", f.ID, label(spec), err)
+		}
+		mr := methodResult(label(spec), errs)
+		if summaryOnly {
+			mr.PerBench = nil
+		}
+		f.Methods = append(f.Methods, mr)
+	}
+	return nil
+}
+
+// homogFigure is a figure whose every row is a leave-one-out evaluation of
+// the homogeneous collection for metric.
+func (e *Experiments) homogFigure(id, title string, metric scalemodel.Metric, specs []scalemodel.MethodSpec, label func(scalemodel.MethodSpec) string, summaryOnly bool) (*FigureResult, error) {
+	d, err := e.homogData(metric)
+	if err != nil {
+		return nil, err
+	}
+	out := &FigureResult{ID: id, Title: title}
+	return out, out.addMethods(d.EvaluateLOO, specs, label, summaryOnly)
+}
+
+// noExtrapolation collects the suite on lab's single-core scale model and
+// target only, and evaluates the No Extrapolation baseline on it: the shared
+// step of Fig. 3, the ablations and the prefetcher study.
+func (e *Experiments) noExtrapolation(lab *scalemodel.Lab) (*scalemodel.HomogeneousData, []metrics.NamedError, error) {
+	d, err := lab.CollectHomogeneous(e.suite, nil, scalemodel.MetricIPC)
+	if err != nil {
+		return nil, nil, err
+	}
+	errs, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
+	return d, errs, err
+}
+
 // Fig3Construction regenerates Fig. 3: single-core scale-model prediction
 // error under the four construction policies (NRS; PRS scaling LLC only;
 // PRS scaling DRAM only; PRS scaling all shared resources), sorted by LLC
@@ -227,14 +278,9 @@ func (e *Experiments) Fig3Construction() (*FigureResult, error) {
 	}
 	out := &FigureResult{ID: "Fig. 3", Title: "Scale-model construction: NRS vs PRS variants (single-core scale model, no extrapolation)"}
 	for _, p := range policies {
-		lab := e.lab.WithPolicy(p.policy)
-		d, err := lab.CollectHomogeneous(e.suite, nil, scalemodel.MetricIPC)
+		_, errs, err := e.noExtrapolation(e.lab.WithPolicy(p.policy))
 		if err != nil {
 			return nil, fmt.Errorf("fig3 %s: %w", p.name, err)
-		}
-		errs, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
-		if err != nil {
-			return nil, err
 		}
 		out.Methods = append(out.Methods, methodResult(p.name, errs))
 	}
@@ -245,19 +291,8 @@ func (e *Experiments) Fig3Construction() (*FigureResult, error) {
 // mixes — No Extrapolation vs ML prediction (DT/RF/SVM) vs ML regression
 // (DT/RF/SVM-log), leave-one-benchmark-out.
 func (e *Experiments) Fig4Homogeneous() (*FigureResult, error) {
-	d, err := e.homogData(scalemodel.MetricIPC)
-	if err != nil {
-		return nil, err
-	}
-	out := &FigureResult{ID: "Fig. 4", Title: "Scale-model extrapolation, homogeneous workload mixes (LOO)"}
-	for _, spec := range predictionSpecs() {
-		errs, err := d.EvaluateLOO(spec)
-		if err != nil {
-			return nil, fmt.Errorf("fig4 %s: %w", spec.Name(), err)
-		}
-		out.Methods = append(out.Methods, methodResult(spec.Name(), errs))
-	}
-	return out, nil
+	return e.homogFigure("Fig. 4", "Scale-model extrapolation, homogeneous workload mixes (LOO)",
+		scalemodel.MetricIPC, predictionSpecs(), scalemodel.MethodSpec.Name, false)
 }
 
 // Fig5Heterogeneous regenerates Fig. 5: per-application prediction error on
@@ -268,14 +303,7 @@ func (e *Experiments) Fig5Heterogeneous() (*FigureResult, error) {
 		return nil, err
 	}
 	out := &FigureResult{ID: "Fig. 5", Title: "Scale-model extrapolation, heterogeneous workload mixes"}
-	for _, spec := range predictionSpecs() {
-		errs, err := d.EvaluatePerApp(spec)
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", spec.Name(), err)
-		}
-		out.Methods = append(out.Methods, methodResult(spec.Name(), errs))
-	}
-	return out, nil
+	return out, out.addMethods(d.EvaluatePerApp, predictionSpecs(), scalemodel.MethodSpec.Name, false)
 }
 
 // STPResult is Fig. 6's outcome: sorted per-mix STP errors per method.
@@ -310,8 +338,7 @@ func (e *Experiments) Fig6STP() (*STPResult, error) {
 		return nil, err
 	}
 	out := &STPResult{Mixes: len(d.STPMixes)}
-	for _, est := range scalemodel.Kinds() {
-		spec := scalemodel.MethodSpec{Method: scalemodel.MethodRegression, Estimator: est, Form: fit.Logarithmic}
+	for _, spec := range regressionSpecs() {
 		errs, err := d.EvaluateSTP(spec)
 		if err != nil {
 			return nil, fmt.Errorf("fig6 %s: %w", spec.Name(), err)
@@ -437,15 +464,9 @@ func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
 				Mean:   s.Mean, Max: s.Max,
 			})
 		}
-		for _, est := range scalemodel.Kinds() {
-			spec := scalemodel.MethodSpec{Method: scalemodel.MethodRegression, Estimator: est, Form: fit.Logarithmic}
-			errs, err := d.EvaluateLOO(spec)
-			if err != nil {
-				return nil, err
-			}
-			mr := methodResult(fmt.Sprintf("%s %s", bwp.name, spec.Name()), errs)
-			mr.PerBench = nil // summary-only rows for this figure
-			out.Methods = append(out.Methods, mr)
+		label := func(spec scalemodel.MethodSpec) string { return bwp.name + " " + spec.Name() }
+		if err := out.addMethods(d.EvaluateLOO, regressionSpecs(), label, true); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -454,89 +475,51 @@ func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
 // Fig9RegressionForms regenerates Fig. 9: linear vs power vs logarithmic
 // regression under SVM-based regression.
 func (e *Experiments) Fig9RegressionForms() (*FigureResult, error) {
-	d, err := e.homogData(scalemodel.MetricIPC)
-	if err != nil {
-		return nil, err
-	}
-	out := &FigureResult{ID: "Fig. 9", Title: "Regression curve families under SVM-based regression"}
+	var specs []scalemodel.MethodSpec
 	for _, form := range []fit.Model{fit.Linear, fit.Power, fit.Logarithmic} {
-		spec := scalemodel.MethodSpec{Method: scalemodel.MethodRegression, Estimator: scalemodel.SVM, Form: form}
-		errs, err := d.EvaluateLOO(spec)
-		if err != nil {
-			return nil, fmt.Errorf("fig9 %s: %w", spec.Name(), err)
-		}
-		out.Methods = append(out.Methods, methodResult(spec.Name(), errs))
+		specs = append(specs, scalemodel.MethodSpec{Method: scalemodel.MethodRegression, Estimator: scalemodel.SVM, Form: form})
 	}
-	return out, nil
+	return e.homogFigure("Fig. 9", "Regression curve families under SVM-based regression",
+		scalemodel.MetricIPC, specs, scalemodel.MethodSpec.Name, false)
 }
 
 // Fig10Inputs regenerates Fig. 10: using IPC-only versus IPC+bandwidth as
 // model inputs, for every ML method.
 func (e *Experiments) Fig10Inputs() (*FigureResult, error) {
-	d, err := e.homogData(scalemodel.MetricIPC)
-	if err != nil {
-		return nil, err
-	}
-	out := &FigureResult{ID: "Fig. 10", Title: "ML input variables: performance-only vs performance+bandwidth"}
-	base := predictionSpecs()[1:] // skip No Extrapolation
+	var specs []scalemodel.MethodSpec
 	for _, in := range []scalemodel.Inputs{scalemodel.InputsIPCOnly, scalemodel.InputsIPCAndBW} {
-		for _, spec := range base {
+		for _, spec := range predictionSpecs()[1:] { // skip No Extrapolation
 			spec.Inputs = in
-			errs, err := d.EvaluateLOO(spec)
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s/%s: %w", spec.Name(), in, err)
-			}
-			mr := methodResult(fmt.Sprintf("%s (%s)", spec.Name(), in), errs)
-			mr.PerBench = nil
-			out.Methods = append(out.Methods, mr)
+			specs = append(specs, spec)
 		}
 	}
-	return out, nil
+	label := func(spec scalemodel.MethodSpec) string { return fmt.Sprintf("%s (%s)", spec.Name(), spec.Inputs) }
+	return e.homogFigure("Fig. 10", "ML input variables: performance-only vs performance+bandwidth",
+		scalemodel.MetricIPC, specs, label, true)
 }
 
 // Fig11ScaleModelCount regenerates Fig. 11: SVM-log regression accuracy as
 // the number of multi-core scale models shrinks from four to two.
 func (e *Experiments) Fig11ScaleModelCount() (*FigureResult, error) {
-	d, err := e.homogData(scalemodel.MetricIPC)
-	if err != nil {
-		return nil, err
-	}
-	out := &FigureResult{ID: "Fig. 11", Title: "Number of multi-core scale models used for SVM-log regression"}
-	subsets := [][]int{{2, 4}, {2, 4, 8}, {2, 4, 8, 16}}
-	for _, sub := range subsets {
-		spec := scalemodel.MethodSpec{
+	var specs []scalemodel.MethodSpec
+	for _, sub := range [][]int{{2, 4}, {2, 4, 8}, {2, 4, 8, 16}} {
+		specs = append(specs, scalemodel.MethodSpec{
 			Method: scalemodel.MethodRegression, Estimator: scalemodel.SVM,
 			Form: fit.Logarithmic, ScaleModels: sub,
-		}
-		errs, err := d.EvaluateLOO(spec)
-		if err != nil {
-			return nil, fmt.Errorf("fig11 %v: %w", sub, err)
-		}
-		mr := methodResult(fmt.Sprintf("%d scale models %v", len(sub), sub), errs)
-		mr.PerBench = nil
-		out.Methods = append(out.Methods, mr)
+		})
 	}
-	return out, nil
+	label := func(spec scalemodel.MethodSpec) string {
+		return fmt.Sprintf("%d scale models %v", len(spec.ScaleModels), spec.ScaleModels)
+	}
+	return e.homogFigure("Fig. 11", "Number of multi-core scale models used for SVM-log regression",
+		scalemodel.MetricIPC, specs, label, true)
 }
 
 // Fig12Bandwidth regenerates Fig. 12: predicting per-application memory
 // bandwidth utilization instead of performance.
 func (e *Experiments) Fig12Bandwidth() (*FigureResult, error) {
-	d, err := e.homogData(scalemodel.MetricBW)
-	if err != nil {
-		return nil, err
-	}
-	out := &FigureResult{ID: "Fig. 12", Title: "Predicting memory bandwidth utilization"}
-	for _, spec := range predictionSpecs() {
-		errs, err := d.EvaluateLOO(spec)
-		if err != nil {
-			return nil, fmt.Errorf("fig12 %s: %w", spec.Name(), err)
-		}
-		mr := methodResult(spec.Name(), errs)
-		mr.PerBench = nil
-		out.Methods = append(out.Methods, mr)
-	}
-	return out, nil
+	return e.homogFigure("Fig. 12", "Predicting memory bandwidth utilization",
+		scalemodel.MetricBW, predictionSpecs(), scalemodel.MethodSpec.Name, true)
 }
 
 // SimTimeRow is one row of the simulation-cost study (§I: 8/16/32-core

@@ -1,7 +1,6 @@
 // Package branch implements the branch direction predictors used by the core
 // model. The target system (Table II) uses a hybrid local/global predictor;
-// bimodal, gshare and local two-level predictors are provided both as
-// building blocks of the hybrid and for sensitivity studies.
+// the gshare and local two-level predictors are its building blocks.
 //
 // Predictors are real hardware structures (counter tables, history
 // registers), trained online by the instruction stream, so per-benchmark
@@ -53,34 +52,9 @@ func hashPC(pc uint64) uint64 {
 	return pc ^ (pc >> 31)
 }
 
-// Bimodal is a PC-indexed table of 2-bit counters.
-type Bimodal struct {
-	table []counter
-	mask  uint64
-}
-
-// NewBimodal returns a bimodal predictor with entries counters (power of 2).
-func NewBimodal(entries int) *Bimodal {
-	entries = ceilPow2(entries)
-	return &Bimodal{table: make([]counter, entries), mask: uint64(entries - 1)}
-}
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
-
-func (b *Bimodal) idx(pc uint64) uint64 { return hashPC(pc) & b.mask }
-
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.idx(pc)].taken() }
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	i := b.idx(pc)
-	b.table[i] = b.table[i].update(taken)
-}
-
 // Gshare XORs a global history register with the PC to index a counter
-// table, capturing correlation between branches.
+// table, capturing correlation between branches. With no history bits it is
+// a bimodal predictor: a PC-indexed table of 2-bit counters.
 type Gshare struct {
 	table   []counter
 	mask    uint64

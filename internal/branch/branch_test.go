@@ -24,9 +24,13 @@ func train(p Predictor, gen func(i int) (pc uint64, taken bool), n int) float64 
 	return s.MispredictRate()
 }
 
+// newBimodal returns the baseline the history-based predictors are held
+// against: gshare with no history bits is a PC-indexed counter table.
+func newBimodal(entries int) Predictor { return NewGshare(entries, 0) }
+
 func predictors() []Predictor {
 	return []Predictor{
-		NewBimodal(4096),
+		newBimodal(4096),
 		NewGshare(4096, 12),
 		NewLocal(1024, 10),
 		NewTournament(),
@@ -62,7 +66,7 @@ func TestPeriodicPatternLocalBeatsBimodal(t *testing.T) {
 	// perfectly; bimodal cannot (it saturates toward taken and misses the N).
 	gen := func(i int) (uint64, bool) { return 0x3000, i%4 != 3 }
 	local := train(NewLocal(1024, 10), gen, 40000)
-	bimodal := train(NewBimodal(4096), gen, 40000)
+	bimodal := train(newBimodal(4096), gen, 40000)
 	if local > 0.01 {
 		t.Errorf("local: rate %.4f on period-4 pattern, want ~0", local)
 	}
@@ -84,7 +88,7 @@ func TestCorrelatedBranchesGshareLearns(t *testing.T) {
 		return 0x5000, lastA
 	}
 	gshare := train(NewGshare(4096, 12), gen, 60000)
-	bimodal := train(NewBimodal(4096), gen, 60000)
+	bimodal := train(newBimodal(4096), gen, 60000)
 	// gshare sees A's outcome in history when predicting B: B becomes
 	// near-perfect, A stays 50%. Overall ~25%.
 	if gshare > 0.35 {
@@ -117,7 +121,7 @@ func TestTournamentTracksBestComponent(t *testing.T) {
 		}
 	}
 	tour := train(NewTournament(), gen, 80000)
-	bimodal := train(NewBimodal(4096), gen, 80000)
+	bimodal := train(newBimodal(4096), gen, 80000)
 	if tour >= bimodal {
 		t.Errorf("tournament (%.4f) not better than bimodal (%.4f) on mixed workload", tour, bimodal)
 	}
@@ -179,7 +183,7 @@ func TestCeilPow2(t *testing.T) {
 func TestDistinctPCsDontAlias(t *testing.T) {
 	// Two opposite-direction branches must not destructively interfere in a
 	// reasonably sized bimodal table.
-	p := NewBimodal(4096)
+	p := newBimodal(4096)
 	var s Stats
 	for i := 0; i < 20000; i++ {
 		s.Record(p, 0xb000, true)

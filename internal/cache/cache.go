@@ -15,7 +15,6 @@ import (
 
 	"scalesim/internal/config"
 	"scalesim/internal/pad"
-	"scalesim/internal/units"
 )
 
 // Stats counts events at one cache level (or one LLC slice).
@@ -27,31 +26,6 @@ type Stats struct {
 	// Writebacks counts dirty evictions, which generate write traffic to the
 	// next level down (or DRAM for the LLC).
 	Writebacks uint64
-}
-
-// MissRate returns misses per access, or 0 if the level was never accessed.
-func (s *Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
-// HitRate returns hits per access, or 0 if the level was never accessed.
-func (s *Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Accesses-s.Misses) / float64(s.Accesses)
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Accesses += other.Accesses
-	s.Misses += other.Misses
-	s.Writes += other.Writes
-	s.Evictions += other.Evictions
-	s.Writebacks += other.Writebacks
 }
 
 // Delta returns the counters accumulated since prev was captured (s - prev,
@@ -183,11 +157,6 @@ func (l *Level) Assoc() int { return l.assoc }
 // LineSize returns the line size in bytes.
 func (l *Level) LineSize() int { return 1 << l.lineShift }
 
-// CapacityBytes returns the (scaled) capacity.
-func (l *Level) CapacityBytes() units.Bytes {
-	return units.Bytes(int64(l.sets) * int64(l.assoc) * int64(l.LineSize()))
-}
-
 // set returns the ways of the set line maps to.
 func (l *Level) set(line uint64) []uint64 {
 	base := int(line&l.setMask) * l.assoc
@@ -265,9 +234,6 @@ func NewNUCA(cfg config.LLCConfig, scale, cores int) (*NUCA, error) {
 	return n, nil
 }
 
-// Slices returns the number of LLC slices.
-func (n *NUCA) Slices() int { return len(n.slices) }
-
 // SliceOf returns the home slice index for addr. A multiplicative hash of
 // the line address spreads consecutive lines across slices, as in real NUCA
 // designs (and makes slice load roughly uniform for any stride).
@@ -314,21 +280,3 @@ func (n *NUCA) Fill(core int, addr uint64, dirty bool) (victimAddr uint64, victi
 
 // CoreStats returns the per-core attribution for core.
 func (n *NUCA) CoreStats(core int) Stats { return n.perCore[core] }
-
-// TotalStats returns aggregate statistics across all slices.
-func (n *NUCA) TotalStats() Stats {
-	var t Stats
-	for _, s := range n.slices {
-		t.Add(s.Stats)
-	}
-	return t
-}
-
-// CapacityBytes returns the total (scaled) LLC capacity.
-func (n *NUCA) CapacityBytes() units.Bytes {
-	var t units.Bytes
-	for _, s := range n.slices {
-		t += s.CapacityBytes()
-	}
-	return t
-}

@@ -23,8 +23,8 @@ func TestGeometry(t *testing.T) {
 	if l.Sets() != 64 || l.Assoc() != 8 || l.LineSize() != 64 {
 		t.Fatalf("geometry sets=%d assoc=%d line=%d, want 64/8/64", l.Sets(), l.Assoc(), l.LineSize())
 	}
-	if l.CapacityBytes() != 32*1024 {
-		t.Fatalf("capacity %v, want 32768", l.CapacityBytes())
+	if got := l.Sets() * l.Assoc() * l.LineSize(); got != 32*1024 {
+		t.Fatalf("capacity %v, want 32768", got)
 	}
 	scaled := mustLevel(t, 32*config.KB, 8, 8)
 	if scaled.Sets() != 8 {
@@ -154,7 +154,7 @@ func TestWorkingSetExceedsLRUThrashes(t *testing.T) {
 		}
 	}
 	// After warmup pass, passes 2-3 should be ~100% misses.
-	rate := l.Stats.MissRate()
+	rate := float64(l.Stats.Misses) / float64(l.Stats.Accesses)
 	if rate < 0.99 {
 		t.Fatalf("cyclic over-capacity sweep miss rate %.3f, want ~1.0", rate)
 	}
@@ -213,23 +213,6 @@ func TestStatsAccounting(t *testing.T) {
 	if l.Stats.Accesses != 3 || l.Stats.Misses != 1 || l.Stats.Writes != 1 {
 		t.Fatalf("stats %+v, want 3 accesses / 1 miss / 1 write", l.Stats)
 	}
-	if r := l.Stats.MissRate(); r < 0.33 || r > 0.34 {
-		t.Fatalf("miss rate %v, want 1/3", r)
-	}
-	var zero Stats
-	if zero.MissRate() != 0 {
-		t.Fatal("zero stats miss rate != 0")
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Accesses: 1, Misses: 2, Writes: 3, Evictions: 4, Writebacks: 5}
-	b := Stats{Accesses: 10, Misses: 20, Writes: 30, Evictions: 40, Writebacks: 50}
-	a.Add(b)
-	want := Stats{11, 22, 33, 44, 55}
-	if a != want {
-		t.Fatalf("Add: %+v, want %+v", a, want)
-	}
 }
 
 func newNUCA(t *testing.T, slices int, slicePerCore config.Bytes, scale int) *NUCA {
@@ -281,9 +264,13 @@ func TestNUCAPerCoreAttribution(t *testing.T) {
 	if got := n.CoreStats(1).Accesses; got != 0 {
 		t.Fatalf("core 1 accesses %d, want 0", got)
 	}
-	tot := n.TotalStats()
-	if tot.Accesses != 100 || tot.Misses != 100 {
-		t.Fatalf("total stats %+v, want 100 cold misses", tot)
+	var accesses, misses uint64
+	for _, s := range n.slices {
+		accesses += s.Stats.Accesses
+		misses += s.Stats.Misses
+	}
+	if accesses != 100 || misses != 100 {
+		t.Fatalf("slices saw %d accesses, %d misses; want 100 cold misses", accesses, misses)
 	}
 }
 
@@ -342,8 +329,7 @@ func TestNUCAFillEvictsWithinSlice(t *testing.T) {
 			n.Fill(0, addr, true)
 		}
 	}
-	tot := n.TotalStats()
-	if tot.Evictions == 0 {
+	if n.CoreStats(0).Evictions == 0 {
 		t.Fatal("no evictions after streaming 4x capacity")
 	}
 	if n.CoreStats(0).Writebacks == 0 {
@@ -413,8 +399,8 @@ func BenchmarkNUCAAccess(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n.Access(i%32, addrs[i%64], false)
 		}
-		if st := n.TotalStats(); st.Misses != 0 {
-			b.Fatalf("%d misses, want every access to hit", st.Misses)
+		if misses := n.slices[0].Stats.Misses; misses != 0 {
+			b.Fatalf("%d misses, want every access to hit", misses)
 		}
 	})
 	b.Run("miss-fill", func(b *testing.B) {

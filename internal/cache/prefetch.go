@@ -108,12 +108,3 @@ func (p *StridePrefetcher) OnMiss(addr uint64) (cands [PrefetchDegree]uint64, n 
 	p.Trained++
 	return cands, 0
 }
-
-// Accuracy returns issued prefetches per trained miss (a rough utility
-// metric for reports).
-func (p *StridePrefetcher) Accuracy() float64 {
-	if p.Trained == 0 {
-		return 0
-	}
-	return float64(p.Issued) / float64(p.Trained)
-}

@@ -160,12 +160,6 @@ func New(id int, cfg config.CoreConfig, gen *trace.Generator, pred branch.Predic
 	}), nil
 }
 
-// ID returns the core's id.
-func (c *Core) ID() int { return c.id }
-
-// Generator returns the trace generator driving this core.
-func (c *Core) Generator() *trace.Generator { return c.gen }
-
 // Run executes until cycleBudget cycles are consumed or instrBudget total
 // retired instructions are reached, returning the cycles actually consumed
 // in this call. Run can be invoked repeatedly (epoch by epoch).

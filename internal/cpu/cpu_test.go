@@ -194,16 +194,16 @@ func TestRunResumable(t *testing.T) {
 }
 
 func TestResetStatsPreservesPosition(t *testing.T) {
-	mem := &fakeMem{level: LevelL1, latency: 4}
-	c := newCore(t, "gcc", mem)
+	c := newCore(t, "gcc", &fakeMem{level: LevelL1, latency: 4})
+	twin := newCore(t, "gcc", &fakeMem{level: LevelL1, latency: 4})
 	c.Run(1e12, 10000)
-	pos := c.Generator().Retired()
+	twin.Run(1e12, 10000)
 	c.ResetStats()
 	if c.Stats.Instructions != 0 || c.Stats.Cycles != 0 {
 		t.Fatal("stats not zeroed")
 	}
-	if c.Generator().Retired() != pos {
-		t.Fatal("generator position moved by ResetStats")
+	if got, want := c.gen.Next(), twin.gen.Next(); got != want {
+		t.Fatalf("generator position moved by ResetStats: next op %+v, an unreset twin's %+v", got, want)
 	}
 }
 
@@ -346,8 +346,8 @@ func TestCoreMatchesOpReference(t *testing.T) {
 			if want := cores[1].Stats; want.FrontendCycles == 0 || want.MemoryCycles == 0 {
 				t.Errorf("%s instance %d: the oracle saw no front-end or memory stall, so it compares nothing: %+v", prof.Name, instance, want)
 			}
-			if got, want := cores[0].gen.Retired(), cores[1].gen.Retired(); got != want {
-				t.Errorf("%s instance %d: generator retired %d, the Op consumer's %d", prof.Name, instance, got, want)
+			if got, want := cores[0].gen.Next(), cores[1].gen.Next(); got != want {
+				t.Errorf("%s instance %d: generator left at %+v, the Op consumer's at %+v", prof.Name, instance, got, want)
 			}
 		}
 	}

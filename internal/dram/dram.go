@@ -86,29 +86,11 @@ func (m *Memory) MCOf(addr uint64) int {
 	return int((line >> 32) % uint64(m.mcs))
 }
 
-// Access records a read (write=false) or write of one line at addr by core
-// and returns its latency in cycles under the current load estimate.
-func (m *Memory) Access(core int, addr uint64, bytes units.Bytes, write bool) units.Cycles {
-	mc := m.MCOf(addr)
-	m.epochBytes[mc] += bytes
-	m.epochStreams[mc] |= 1 << (uint(core) % 64)
-	m.perCoreBytes[core] += bytes
-	m.TotalBytes += bytes
-	if write {
-		m.TotalWrites++
-		// Writes are posted: they consume bandwidth but do not stall the
-		// requester, so no latency is returned.
-		return 0
-	}
-	m.TotalReads++
-	return m.baseLatency + m.queueDelay(mc)
-}
-
-// Acc accumulates one core's DRAM traffic during an epoch of parallel
-// execution. Latencies read only the utilization and efficiency estimates
-// frozen at the last epoch boundary, so accounting demand thread-locally and
-// merging it at the barrier (in canonical core order) is exact: the Memory
-// sees the same per-controller sums it would have accumulated serially.
+// Acc accumulates one core's DRAM traffic during an epoch. Latencies read
+// only the utilization and efficiency estimates frozen at the last epoch
+// boundary, and the Memory's counters are per-controller sums and stream
+// sets, so which accumulator took which access and the order accumulators
+// are merged in change nothing the Memory reports.
 type Acc struct {
 	epochBytes   []units.Bytes
 	epochStreams []uint64
@@ -126,9 +108,10 @@ func (m *Memory) NewAcc() *Acc {
 	})
 }
 
-// AccessInto is Access with the demand accounted into a instead of the
-// shared Memory state; the returned latency is identical. The Memory itself
-// is only read, so concurrent callers with distinct accumulators are safe.
+// AccessInto accounts a read (write=false) or write of one line at addr by
+// core into a and returns its latency in cycles under the load estimate of
+// the last epoch boundary. The Memory itself is only read, so concurrent
+// callers with distinct accumulators are safe.
 func (m *Memory) AccessInto(a *Acc, core int, addr uint64, bytes units.Bytes, write bool) units.Cycles {
 	mc := m.MCOf(addr)
 	a.epochBytes[mc] += bytes
@@ -136,15 +119,17 @@ func (m *Memory) AccessInto(a *Acc, core int, addr uint64, bytes units.Bytes, wr
 	a.coreBytes += bytes
 	if write {
 		a.writes++
+		// Writes are posted: they consume bandwidth but do not stall the
+		// requester, so no latency is returned.
 		return 0
 	}
 	a.reads++
 	return m.baseLatency + m.queueDelay(mc)
 }
 
-// Merge folds a drained accumulator into the shared epoch and cumulative
-// counters, attributing its traffic to core, exactly as if it had been
-// accounted via Access.
+// Merge adds an accumulator's demand to the epoch's per-controller demand
+// and stream sets and to the cumulative counters, attributing its bytes to
+// core, and leaves the accumulator zero.
 func (m *Memory) Merge(core int, a *Acc) {
 	for mc := range a.epochBytes {
 		m.epochBytes[mc] += a.epochBytes[mc]
@@ -255,10 +240,3 @@ func (m *Memory) Efficiency() float64 {
 
 // CoreBytes returns the cumulative DRAM traffic attributed to core.
 func (m *Memory) CoreBytes(core int) units.Bytes { return m.perCoreBytes[core] }
-
-// BaseLatency returns the unloaded access latency.
-func (m *Memory) BaseLatency() units.Cycles { return m.baseLatency }
-
-// PerControllerBytesPerCycle returns one controller's capacity in bytes per
-// core cycle.
-func (m *Memory) PerControllerBytesPerCycle() units.BytesPerCycle { return m.bytesPerCyc }

@@ -18,6 +18,13 @@ func newMem(t *testing.T, mcs int, perMC config.GBps) *Memory {
 	return m
 }
 
+// epoch closes an epoch the way the simulator's barrier does: core's
+// accumulator is merged, then the load estimates are recomputed.
+func epoch(m *Memory, core int, a *Acc, cycles units.Cycles) {
+	m.Merge(core, a)
+	m.EndEpoch(cycles)
+}
+
 func TestNewErrors(t *testing.T) {
 	if _, err := New(config.DRAMConfig{Controllers: 0, PerControllerGBps: 16}, 4.0, 1); err == nil {
 		t.Error("zero controllers accepted")
@@ -32,16 +39,18 @@ func TestNewErrors(t *testing.T) {
 
 func TestUnloadedLatencyIsBase(t *testing.T) {
 	m := newMem(t, 8, 16)
-	if l := m.Access(0, 0x1000, 64, false); l != 240 {
+	if l := m.AccessInto(m.NewAcc(), 0, 0x1000, 64, false); l != 240 {
 		t.Fatalf("unloaded read latency %v, want 240", l)
 	}
 }
 
 func TestWritesArePostedButConsumeBandwidth(t *testing.T) {
 	m := newMem(t, 1, 4)
-	if l := m.Access(0, 0x40, 64, true); l != 0 {
+	a := m.NewAcc()
+	if l := m.AccessInto(a, 0, 0x40, 64, true); l != 0 {
 		t.Fatalf("write latency %v, want 0 (posted)", l)
 	}
+	m.Merge(0, a)
 	if m.TotalWrites != 1 || m.TotalBytes != 64 {
 		t.Fatalf("stats writes=%d bytes=%v, want 1/64", m.TotalWrites, m.TotalBytes)
 	}
@@ -77,15 +86,16 @@ func TestMCOfStable(t *testing.T) {
 
 func TestLatencyRisesWithLoad(t *testing.T) {
 	m := newMem(t, 1, 4) // 1 B/cycle
+	a := m.NewAcc()
 	rng := xrand.New(3)
 	// Saturate: 10000 lines in a 100k-cycle epoch = 640k bytes vs 100k capacity.
 	for e := 0; e < 10; e++ {
 		for i := 0; i < 10000; i++ {
-			m.Access(0, rng.Uint64()&^63, 64, false)
+			m.AccessInto(a, 0, rng.Uint64()&^63, 64, false)
 		}
-		m.EndEpoch(100000)
+		epoch(m, 0, a, 100000)
 	}
-	loaded := m.Access(0, 0x123440, 64, false)
+	loaded := m.AccessInto(a, 0, 0x123440, 64, false)
 	if loaded <= 240+50 {
 		t.Fatalf("loaded latency %v, want well above base 240", loaded)
 	}
@@ -100,14 +110,15 @@ func TestFatControllerHasLowerQueueDelay(t *testing.T) {
 	// asymmetry is what makes MC-first vs MB-first scaling (Fig. 8) differ.
 	run := func(mcs int, per config.GBps) units.Cycles {
 		m := newMem(t, mcs, per)
+		a := m.NewAcc()
 		rng := xrand.New(9)
 		for e := 0; e < 10; e++ {
 			for i := 0; i < 8000; i++ {
-				m.Access(0, rng.Uint64()&^63, 64, false)
+				m.AccessInto(a, 0, rng.Uint64()&^63, 64, false)
 			}
-			m.EndEpoch(100000)
+			epoch(m, 0, a, 100000)
 		}
-		return m.Access(0, 0x5540, 64, false)
+		return m.AccessInto(a, 0, 0x5540, 64, false)
 	}
 	fat := run(1, 16)
 	thin := run(4, 4)
@@ -118,9 +129,12 @@ func TestFatControllerHasLowerQueueDelay(t *testing.T) {
 
 func TestPerCoreAttribution(t *testing.T) {
 	m := newMem(t, 2, 16)
-	m.Access(0, 0x40, 64, false)
-	m.Access(0, 0x80, 64, false)
-	m.Access(3, 0xc0, 64, true)
+	a0, a3 := m.NewAcc(), m.NewAcc()
+	m.AccessInto(a0, 0, 0x40, 64, false)
+	m.AccessInto(a0, 0, 0x80, 64, false)
+	m.AccessInto(a3, 3, 0xc0, 64, true)
+	m.Merge(0, a0)
+	m.Merge(3, a3)
 	if m.CoreBytes(0) != 128 {
 		t.Fatalf("core 0 bytes %v, want 128", m.CoreBytes(0))
 	}
@@ -134,10 +148,11 @@ func TestPerCoreAttribution(t *testing.T) {
 
 func TestUtilizationDecay(t *testing.T) {
 	m := newMem(t, 1, 4)
+	a := m.NewAcc()
 	for i := 0; i < 10000; i++ {
-		m.Access(0, uint64(i)*64, 64, false)
+		m.AccessInto(a, 0, uint64(i)*64, 64, false)
 	}
-	m.EndEpoch(1000)
+	epoch(m, 0, a, 1000)
 	u1 := m.Utilization()
 	for e := 0; e < 30; e++ {
 		m.EndEpoch(1000)
@@ -149,8 +164,9 @@ func TestUtilizationDecay(t *testing.T) {
 
 func TestEndEpochZeroCyclesIsNoop(t *testing.T) {
 	m := newMem(t, 1, 4)
-	m.Access(0, 0, 64, false)
-	m.EndEpoch(0)
+	a := m.NewAcc()
+	m.AccessInto(a, 0, 0, 64, false)
+	epoch(m, 0, a, 0)
 	if u := m.Utilization(); u != 0 {
 		t.Fatalf("EndEpoch(0) changed utilization to %v", u)
 	}
@@ -159,11 +175,8 @@ func TestEndEpochZeroCyclesIsNoop(t *testing.T) {
 func TestBytesPerCycleConversion(t *testing.T) {
 	m := newMem(t, 8, 16)
 	// 16 GB/s at 4 GHz = 4 bytes/cycle.
-	if got := m.PerControllerBytesPerCycle(); got != 4 {
-		t.Fatalf("bytes/cycle = %v, want 4", got)
-	}
-	if m.BaseLatency() != 240 {
-		t.Fatalf("base latency %v, want 240", m.BaseLatency())
+	if m.bytesPerCyc != 4 {
+		t.Fatalf("bytes/cycle = %v, want 4", m.bytesPerCyc)
 	}
 	if m.Controllers() != 8 {
 		t.Fatalf("controllers %d, want 8", m.Controllers())

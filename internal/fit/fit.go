@@ -127,29 +127,3 @@ func (c Curve) Eval(x float64) float64 {
 		return math.NaN()
 	}
 }
-
-// R2 returns the coefficient of determination of the curve on the points.
-func (c Curve) R2(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(ys) == 0 {
-		return math.NaN()
-	}
-	meanY := 0.0
-	for _, y := range ys {
-		meanY += y
-	}
-	meanY /= float64(len(ys))
-	var ssRes, ssTot float64
-	for i := range xs {
-		d := ys[i] - c.Eval(xs[i])
-		ssRes += d * d
-		t := ys[i] - meanY
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}

@@ -58,26 +58,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("avg %.1f%% (max %.1f%%, n=%d)", 100*s.Mean, 100*s.Max, s.N)
 }
 
-// STP computes system throughput for one multiprogram mix: the sum over
-// applications of IPC on the target system normalised by the application's
-// single-core scale-model IPC (the paper's normalisation baseline in §V-C).
-// A non-positive baseline is an error: it means the baseline simulation
-// never retired an instruction, and silently skipping the application would
-// misreport the mix's throughput.
-func STP(targetIPC, baselineIPC []float64) (float64, error) {
-	if len(targetIPC) != len(baselineIPC) {
-		return 0, fmt.Errorf("metrics: %d target IPCs but %d baselines", len(targetIPC), len(baselineIPC))
-	}
-	stp := 0.0
-	for i := range targetIPC {
-		if baselineIPC[i] <= 0 {
-			return 0, fmt.Errorf("metrics: non-positive baseline IPC %v at %d", baselineIPC[i], i)
-		}
-		stp += targetIPC[i] / baselineIPC[i]
-	}
-	return stp, nil
-}
-
 // Sorted returns a copy of errs sorted ascending (used for Fig. 6's sorted
 // error curves), non-finite values (NaN and ±Inf) removed.
 func Sorted(errs []float64) []float64 {

@@ -53,28 +53,6 @@ func TestSummarizeSkipsInfinities(t *testing.T) {
 	}
 }
 
-func TestSTP(t *testing.T) {
-	// Two apps at half their isolated speed: STP = 1.0 (out of 2).
-	stp, err := STP([]float64{0.5, 1.0}, []float64{1.0, 2.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(stp-1.0) > 1e-12 {
-		t.Fatalf("STP = %v, want 1.0", stp)
-	}
-	if _, err := STP([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	// Non-positive baselines are an error, never silently skipped: the
-	// baseline simulation retired no instructions.
-	if _, err := STP([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("zero baseline accepted")
-	}
-	if _, err := STP([]float64{1, 1}, []float64{1, -0.5}); err == nil {
-		t.Fatal("negative baseline accepted")
-	}
-}
-
 func TestSorted(t *testing.T) {
 	got := Sorted([]float64{0.3, math.NaN(), 0.1, math.Inf(1), 0.2, math.Inf(-1)})
 	want := []float64{0.1, 0.2, 0.3}

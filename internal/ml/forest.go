@@ -8,21 +8,14 @@ import (
 	"scalesim/internal/xrand"
 )
 
-// RandomForest is a bagged ensemble of CART trees with the two levels of
-// randomisation the paper describes (§III-B1): each tree is trained on a
-// bootstrap resample of the training set, and each tree restricts its split
-// search to a random subset of the input features.
+// RandomForest is a bagged ensemble of CART trees: each tree is trained on a
+// bootstrap resample of the training set and scans the features in its own
+// random order. Like scikit-learn's RandomForestRegressor (max_features=1.0)
+// every tree may split on all features — with only three inputs, dropping
+// one per tree cripples the ensemble.
 type RandomForest struct {
 	// Trees is the ensemble size (0 = default 100, scikit-learn's default).
 	Trees int
-	// MaxDepth bounds each tree (0 = default 12).
-	MaxDepth int
-	// MinLeaf is each tree's minimum leaf size (0 = default 2).
-	MinLeaf int
-	// MaxFeatures restricts each tree's split search to a random feature
-	// subset of this size (0 or >= d = all features, scikit-learn's
-	// regression default).
-	MaxFeatures int
 	// Seed drives the bootstrap and feature sampling. The zero seed is
 	// valid and deterministic.
 	Seed uint64
@@ -48,15 +41,6 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	f.ensemble = make([]*DecisionTree, 0, trees)
 	rng := xrand.New(f.Seed ^ 0x5eedf04e57)
 
-	// Feature subset size: like scikit-learn's RandomForestRegressor
-	// (max_features=1.0) every tree may split on all features by default —
-	// with only three inputs, dropping one per tree cripples the ensemble.
-	// MaxFeatures < d enables random-subspace mode.
-	sub := f.MaxFeatures
-	if sub <= 0 || sub > d {
-		sub = d
-	}
-
 	bx := make([][]float64, n)
 	by := make([]float64, n)
 	for t := 0; t < trees; t++ {
@@ -66,12 +50,7 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 			bx[i] = X[j]
 			by[i] = y[j]
 		}
-		perm := rng.Perm(d)
-		tree := &DecisionTree{
-			MaxDepth:   f.MaxDepth,
-			MinLeaf:    f.MinLeaf,
-			featureIdx: append([]int(nil), perm[:sub]...),
-		}
+		tree := &DecisionTree{featureIdx: rng.Perm(d)}
 		if err := tree.Fit(bx, by); err != nil {
 			return fmt.Errorf("ml: forest tree %d: %w", t, err)
 		}
@@ -110,9 +89,6 @@ func (f *RandomForest) PredictStats(x []float64) (mean, std float64) {
 	}
 	return mean, math.Sqrt(variance)
 }
-
-// Size returns the number of fitted trees.
-func (f *RandomForest) Size() int { return len(f.ensemble) }
 
 // WriteCanonical writes a canonical, process-stable encoding of the fitted
 // ensemble: every tree's structure in a fixed order and format. Two

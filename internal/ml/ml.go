@@ -164,37 +164,3 @@ func mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// MAPE returns the mean absolute percentage error (the paper's error
-// metric, averaged): mean(|pred-actual| / |actual|), over the points whose
-// target is non-zero. A zero target has no defined percentage error; such
-// points are skipped rather than blanking the whole batch to NaN, so one
-// degenerate point cannot erase campaign-level error reporting. MAPE is
-// NaN only for empty/mismatched input or when every target is zero; use
-// MAPESkipZero to learn how many points were skipped.
-func MAPE(pred, actual []float64) float64 {
-	m, _ := MAPESkipZero(pred, actual)
-	return m
-}
-
-// MAPESkipZero is MAPE plus the count of zero-target points that were
-// excluded from the mean, for callers that report data quality alongside
-// the error figure.
-func MAPESkipZero(pred, actual []float64) (mape float64, skipped int) {
-	if len(pred) != len(actual) || len(pred) == 0 {
-		return math.NaN(), 0
-	}
-	sum, used := 0.0, 0
-	for i := range pred {
-		if actual[i] == 0 {
-			skipped++
-			continue
-		}
-		sum += math.Abs(pred[i]-actual[i]) / math.Abs(actual[i])
-		used++
-	}
-	if used == 0 {
-		return math.NaN(), skipped
-	}
-	return sum / float64(used), skipped
-}

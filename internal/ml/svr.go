@@ -24,13 +24,8 @@ type SVR struct {
 	// C is the regularisation trade-off (0 = default 1, scikit-learn's
 	// default).
 	C float64
-	// Epsilon is the insensitive-tube half-width on the *standardised*
-	// target scale (0 = default 0.05).
-	Epsilon float64
 	// Gamma is the RBF width on standardised features (0 = default 1).
 	Gamma float64
-	// Epochs bounds the optimisation (0 = default 1500).
-	Epochs int
 
 	xs    *Scaler
 	yMean float64
@@ -40,6 +35,14 @@ type SVR struct {
 	b     float64
 	gamma float64
 }
+
+const (
+	// svrEpsilon is the insensitive-tube half-width on the *standardised*
+	// target scale.
+	svrEpsilon = 0.05
+	// svrEpochs bounds the optimisation.
+	svrEpochs = 1500
+)
 
 // Name implements Regressor.
 func (s *SVR) Name() string { return "SVM" }
@@ -89,17 +92,9 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	if C <= 0 {
 		C = 1
 	}
-	eps := s.Epsilon
-	if eps <= 0 {
-		eps = 0.05
-	}
 	s.gamma = s.Gamma
 	if s.gamma <= 0 {
 		s.gamma = 1 // features are unit-variance after scaling
-	}
-	epochs := s.Epochs
-	if epochs <= 0 {
-		epochs = 1500
 	}
 	lambda := 1 / (C * float64(n))
 
@@ -123,7 +118,7 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	s.b = 0
 	f := make([]float64, n)
 	sign := make([]float64, n)
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < svrEpochs; epoch++ {
 		// f = K beta + b
 		for i := 0; i < n; i++ {
 			sum := s.b
@@ -137,10 +132,10 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 		for i := 0; i < n; i++ {
 			r := f[i] - ys[i]
 			switch {
-			case r > eps:
+			case r > svrEpsilon:
 				sign[i] = 1
 				active++
-			case r < -eps:
+			case r < -svrEpsilon:
 				sign[i] = -1
 				active++
 			default:

@@ -8,21 +8,21 @@ import (
 
 // DecisionTree is a CART regression tree: binary splits chosen by maximum
 // variance reduction (the regression analogue of the information-gain
-// criterion the paper cites), grown depth-first until MaxDepth or MinLeaf is
-// reached.
+// criterion the paper cites), grown depth-first until treeMaxDepth or
+// treeMinLeaf is reached.
 type DecisionTree struct {
-	// MaxDepth bounds the tree depth (0 = default 12).
-	MaxDepth int
-	// MinLeaf is the minimum number of samples in a leaf (0 = default 2).
-	MinLeaf int
-
 	root *treeNode
 	d    int
 
-	// featureIdx optionally restricts split search to a subset of features
-	// (used by the random forest). nil = all features.
+	// featureIdx optionally gives the order split search scans the features
+	// in (the random forest's permutation). nil = index order.
 	featureIdx []int
 }
+
+const (
+	treeMaxDepth = 12 // bound on the tree depth
+	treeMinLeaf  = 2  // minimum number of samples in a leaf
+)
 
 type treeNode struct {
 	feature int
@@ -35,18 +35,6 @@ type treeNode struct {
 
 // Name implements Regressor.
 func (t *DecisionTree) Name() string { return "DT" }
-
-func (t *DecisionTree) defaults() (maxDepth, minLeaf int) {
-	maxDepth = t.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 12
-	}
-	minLeaf = t.MinLeaf
-	if minLeaf <= 0 {
-		minLeaf = 2
-	}
-	return maxDepth, minLeaf
-}
 
 // Fit implements Regressor.
 func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
@@ -62,7 +50,6 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 			f.features[j] = j
 		}
 	}
-	f.maxDepth, f.minLeaf = t.defaults()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -74,12 +61,11 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 // treeFit is one Fit's working state: the training set, and the scratch
 // every node reuses (a node is done with both before its children start).
 type treeFit struct {
-	X                 [][]float64
-	y                 []float64
-	features          []int
-	maxDepth, minLeaf int
-	sorted            []keyed // bestSplit's sort buffer
-	left, right       []int   // build's partition buffers
+	X           [][]float64
+	y           []float64
+	features    []int
+	sorted      []keyed // bestSplit's sort buffer
+	left, right []int   // build's partition buffers
 }
 
 // keyed is a sample index with the value of the feature being scanned.
@@ -109,7 +95,7 @@ func (f *treeFit) build(idx []int, depth int) *treeNode {
 		}
 		return &treeNode{leaf: true, value: sum / float64(len(idx))}
 	}
-	if depth >= f.maxDepth || len(idx) < 2*f.minLeaf {
+	if depth >= treeMaxDepth || len(idx) < 2*treeMinLeaf {
 		return leafValue()
 	}
 	feature, thresh, ok := f.bestSplit(idx)
@@ -126,7 +112,7 @@ func (f *treeFit) build(idx []int, depth int) *treeNode {
 			right = append(right, i)
 		}
 	}
-	if len(left) < f.minLeaf || len(right) < f.minLeaf {
+	if len(left) < treeMinLeaf || len(right) < treeMinLeaf {
 		return leafValue()
 	}
 	nl := copy(idx, left)
@@ -166,7 +152,7 @@ func (f *treeFit) bestSplit(idx []int) (feature int, thresh float64, ok bool) {
 			leftSum += f.y[sorted[k].i]
 			nl := k + 1
 			nr := n - nl
-			if nl < f.minLeaf || nr < f.minLeaf {
+			if nl < treeMinLeaf || nr < treeMinLeaf {
 				continue
 			}
 			if sorted[k].v == sorted[k+1].v {
@@ -223,35 +209,4 @@ func (t *DecisionTree) WriteCanonical(w io.Writer) {
 		walk(n.right)
 	}
 	walk(t.root)
-}
-
-// Depth returns the fitted tree's depth (0 for a single leaf).
-func (t *DecisionTree) Depth() int {
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		if n == nil || n.leaf {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(t.root)
-}
-
-// Leaves returns the number of leaves in the fitted tree.
-func (t *DecisionTree) Leaves() int {
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		if n == nil {
-			return 0
-		}
-		if n.leaf {
-			return 1
-		}
-		return walk(n.left) + walk(n.right)
-	}
-	return walk(t.root)
 }

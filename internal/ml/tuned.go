@@ -15,37 +15,16 @@ import (
 // (C, gamma) works well for both, and cross-validated selection resolves
 // this exactly as it would in practice.
 type TunedSVR struct {
-	// Grid entries; empty selects the default grid.
-	Cs     []float64
-	Gammas []float64
-	// Folds for cross-validation (0 = default 4).
-	Folds int
-	// Epsilon is passed through to the underlying SVR.
-	Epsilon float64
-	// Groups optionally assigns each training row to a group (e.g. the
-	// benchmark it came from); cross-validation folds then hold out whole
-	// groups, matching deployment on previously unseen benchmarks. Must be
-	// empty or have one entry per row.
-	Groups []int
-
 	best    *SVR
 	BestC   float64
 	BestGam float64
 }
 
+// tunedFolds is the cross-validation's fold count.
+const tunedFolds = 4
+
 // Name implements Regressor.
 func (t *TunedSVR) Name() string { return "SVM" }
-
-func (t *TunedSVR) grid() (cs, gs []float64) {
-	cs, gs = t.Cs, t.Gammas
-	if len(cs) == 0 {
-		cs = []float64{1, 10, 30}
-	}
-	if len(gs) == 0 {
-		gs = []float64{0.33, 1}
-	}
-	return cs, gs
-}
 
 // Fit implements Regressor: it cross-validates the grid and refits the best
 // configuration on the full training set.
@@ -60,40 +39,21 @@ func (t *TunedSVR) Fit(X [][]float64, y []float64) error {
 	// (the heterogeneous protocol's 320 samples) get the grid search.
 	if n < 64 {
 		t.BestC, t.BestGam = 1, 1
-		t.best = &SVR{C: t.BestC, Gamma: t.BestGam, Epsilon: t.Epsilon}
+		t.best = &SVR{C: t.BestC, Gamma: t.BestGam}
 		return t.best.Fit(X, y)
 	}
-	folds := t.Folds
-	if folds <= 0 {
-		folds = 4
-	}
-	if folds > n {
-		folds = n
-	}
-	cs, gs := t.grid()
 
 	// Deterministic fold assignment decorrelated from input order: stride
-	// by a constant co-prime to most n. When groups are provided, whole
-	// groups share a fold so validation measures generalisation to unseen
-	// groups.
+	// by a constant co-prime to the fold count.
 	assign := make([]int, n)
-	if len(t.Groups) == n {
-		for i := 0; i < n; i++ {
-			assign[i] = (t.Groups[i] * 5) % folds
-			if assign[i] < 0 {
-				assign[i] += folds
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			assign[i] = (i * 7) % folds
-		}
+	for i := 0; i < n; i++ {
+		assign[i] = (i * 7) % tunedFolds
 	}
 
 	bestScore := math.Inf(1)
-	for _, c := range cs {
-		for _, g := range gs {
-			score, ok := t.cvScore(X, y, assign, folds, c, g)
+	for _, c := range [...]float64{1, 10, 30} {
+		for _, g := range [...]float64{0.33, 1} {
+			score, ok := cvScore(X, y, assign, c, g)
 			if ok && score < bestScore {
 				bestScore = score
 				t.BestC, t.BestGam = c, g
@@ -104,7 +64,7 @@ func (t *TunedSVR) Fit(X [][]float64, y []float64) error {
 		// Degenerate splits (e.g. n < 2 per fold): fall back to defaults.
 		t.BestC, t.BestGam = 1, 1
 	}
-	t.best = &SVR{C: t.BestC, Gamma: t.BestGam, Epsilon: t.Epsilon}
+	t.best = &SVR{C: t.BestC, Gamma: t.BestGam}
 	if err := t.best.Fit(X, y); err != nil {
 		return fmt.Errorf("ml: tuned SVR refit: %w", err)
 	}
@@ -113,9 +73,9 @@ func (t *TunedSVR) Fit(X [][]float64, y []float64) error {
 
 // cvScore returns the mean absolute validation error of (c, g) across the
 // folds.
-func (t *TunedSVR) cvScore(X [][]float64, y []float64, assign []int, folds int, c, g float64) (float64, bool) {
+func cvScore(X [][]float64, y []float64, assign []int, c, g float64) (float64, bool) {
 	total, count := 0.0, 0
-	for f := 0; f < folds; f++ {
+	for f := 0; f < tunedFolds; f++ {
 		var trX [][]float64
 		var trY []float64
 		var teX [][]float64
@@ -132,7 +92,7 @@ func (t *TunedSVR) cvScore(X [][]float64, y []float64, assign []int, folds int, 
 		if len(trX) < 2 || len(teX) == 0 {
 			return 0, false
 		}
-		m := &SVR{C: c, Gamma: g, Epsilon: t.Epsilon}
+		m := &SVR{C: c, Gamma: g}
 		if err := m.Fit(trX, trY); err != nil {
 			return 0, false
 		}

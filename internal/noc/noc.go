@@ -66,9 +66,6 @@ func New(cfg config.NoCConfig, freqGHz float64) (*Mesh, error) {
 // Tile returns the (x, y) mesh coordinates of tile id (row-major layout).
 func (m *Mesh) Tile(id int) (x, y int) { return id % m.w, id / m.w }
 
-// Tiles returns the number of tiles in the mesh.
-func (m *Mesh) Tiles() int { return m.w * m.h }
-
 // MCTile returns the tile adjacent to memory controller mc out of total.
 // Controllers are spread across the top and bottom mesh rows, as in typical
 // server floorplans.
@@ -116,37 +113,22 @@ func (m *Mesh) Route(from, to int) (hops int, crossesBisection bool) {
 	return hops, crossesBisection
 }
 
-// Latency returns the current network latency in cycles for a message of
-// size bytes between two tiles, and records the traffic for epoch
-// accounting. The latency is hop propagation plus, for bisection-crossing
-// messages, the congestion delay derived from last epoch's utilization.
-func (m *Mesh) Latency(from, to int, bytes units.Bytes) units.Cycles {
-	hops, crossing := m.Route(from, to)
-	m.TotalMessages++
-	m.TotalBytes += bytes
-	lat := m.hopLatency.Scale(float64(hops))
-	if crossing {
-		m.epochBisectionBytes += bytes
-		m.TotalBisectionBytes += bytes
-		lat += m.queueDelay()
-	}
-	return lat
-}
-
-// Acc accumulates one core's mesh traffic during an epoch of parallel
-// execution. Latencies read only the utilization frozen at the last epoch
-// boundary, so accounting traffic thread-locally and merging it at the
-// barrier (in canonical core order) is exact: the Mesh sees the same sums
-// it would have accumulated serially.
+// Acc accumulates one core's mesh traffic during an epoch. Latencies read
+// only the utilization frozen at the last epoch boundary, and the Mesh's
+// counters are sums, so which accumulator took which message and the order
+// accumulators are merged in change nothing the Mesh reports.
 type Acc struct {
 	messages       uint64
 	bytes          units.Bytes
 	bisectionBytes units.Bytes
 }
 
-// LatencyInto is Latency with the traffic accounted into a instead of the
-// shared Mesh state; the returned latency is identical. The Mesh itself is
-// only read, so concurrent callers with distinct accumulators are safe.
+// LatencyInto returns the current network latency in cycles for a message of
+// size bytes between two tiles and accounts its traffic into a. The latency
+// is hop propagation plus, for bisection-crossing messages, the congestion
+// delay derived from the utilization at the last epoch boundary. The Mesh
+// itself is only read, so concurrent callers with distinct accumulators are
+// safe.
 func (m *Mesh) LatencyInto(a *Acc, from, to int, bytes units.Bytes) units.Cycles {
 	hops, crossing := m.Route(from, to)
 	a.messages++
@@ -159,8 +141,8 @@ func (m *Mesh) LatencyInto(a *Acc, from, to int, bytes units.Bytes) units.Cycles
 	return lat
 }
 
-// Merge folds a drained accumulator into the shared epoch and cumulative
-// counters, exactly as if its traffic had been accounted via Latency.
+// Merge adds an accumulator's traffic to the epoch's bisection demand and to
+// the cumulative counters, and leaves the accumulator zero.
 func (m *Mesh) Merge(a *Acc) {
 	m.TotalMessages += a.messages
 	m.TotalBytes += a.bytes
@@ -210,23 +192,3 @@ func (m *Mesh) Utilization() float64 { return m.util }
 // QueueDelay returns the congestion delay currently charged to
 // bisection-crossing messages — the telemetry view of queueDelay.
 func (m *Mesh) QueueDelay() units.Cycles { return m.queueDelay() }
-
-// AverageHops returns the mean XY hop distance between two uniformly random
-// distinct tiles — a sanity metric used in tests and reports.
-func (m *Mesh) AverageHops() float64 {
-	if m.Tiles() == 1 {
-		return 0
-	}
-	total, pairs := 0, 0
-	for a := 0; a < m.Tiles(); a++ {
-		for b := 0; b < m.Tiles(); b++ {
-			if a == b {
-				continue
-			}
-			h, _ := m.Route(a, b)
-			total += h
-			pairs++
-		}
-	}
-	return float64(total) / float64(pairs)
-}

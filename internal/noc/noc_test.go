@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scalesim/internal/config"
+	"scalesim/internal/units"
 )
 
 func mesh4x8(t *testing.T) *Mesh {
@@ -16,6 +17,13 @@ func mesh4x8(t *testing.T) *Mesh {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// epoch closes an epoch the way the simulator's barrier does: the
+// accumulator is merged, then the utilization is recomputed.
+func epoch(m *Mesh, a *Acc, cycles units.Cycles) {
+	m.Merge(a)
+	m.EndEpoch(cycles)
 }
 
 func TestNewErrors(t *testing.T) {
@@ -36,8 +44,8 @@ func TestNewErrors(t *testing.T) {
 
 func TestTileLayout(t *testing.T) {
 	m := mesh4x8(t)
-	if m.Tiles() != 32 {
-		t.Fatalf("tiles = %d, want 32", m.Tiles())
+	if m.w*m.h != 32 {
+		t.Fatalf("tiles = %d, want 32", m.w*m.h)
 	}
 	cases := map[int][2]int{0: {0, 0}, 3: {3, 0}, 4: {0, 1}, 31: {3, 7}}
 	for id, want := range cases {
@@ -79,31 +87,29 @@ func TestSingleTileMesh(t *testing.T) {
 	if hops != 0 || crossing {
 		t.Fatalf("1x1 route = (%d,%v), want (0,false)", hops, crossing)
 	}
-	if m.AverageHops() != 0 {
-		t.Fatal("1x1 average hops != 0")
-	}
 }
 
 func TestLatencyGrowsWithUtilization(t *testing.T) {
 	m := mesh4x8(t)
+	var a Acc
 	// Unloaded: crossing latency is pure hop latency.
-	l0 := m.Latency(0, 31, 64)
+	l0 := m.LatencyInto(&a, 0, 31, 64)
 	if l0 != 20 {
 		t.Fatalf("unloaded corner-to-corner latency %v, want 10 hops x 2 = 20", l0)
 	}
 	// Saturate the bisection for several epochs.
 	for e := 0; e < 10; e++ {
 		for i := 0; i < 10000; i++ {
-			m.Latency(0, 31, 64)
+			m.LatencyInto(&a, 0, 31, 64)
 		}
-		m.EndEpoch(1000) // tiny epoch => huge utilization
+		epoch(m, &a, 1000) // tiny epoch => huge utilization
 	}
-	lLoaded := m.Latency(0, 31, 64)
+	lLoaded := m.LatencyInto(&a, 0, 31, 64)
 	if lLoaded <= l0+10 {
 		t.Fatalf("loaded latency %v not meaningfully above unloaded %v", lLoaded, l0)
 	}
 	// Non-crossing messages see no congestion delay.
-	lLocal := m.Latency(0, 1, 64)
+	lLocal := m.LatencyInto(&a, 0, 1, 64)
 	if lLocal != 2 {
 		t.Fatalf("non-crossing latency %v, want 2", lLocal)
 	}
@@ -111,10 +117,11 @@ func TestLatencyGrowsWithUtilization(t *testing.T) {
 
 func TestEndEpochDecaysUtilization(t *testing.T) {
 	m := mesh4x8(t)
+	var a Acc
 	for i := 0; i < 10000; i++ {
-		m.Latency(0, 31, 64)
+		m.LatencyInto(&a, 0, 31, 64)
 	}
-	m.EndEpoch(1000)
+	epoch(m, &a, 1000)
 	u1 := m.Utilization()
 	if u1 <= 0 {
 		t.Fatal("utilization not raised by traffic")
@@ -130,17 +137,18 @@ func TestEndEpochDecaysUtilization(t *testing.T) {
 
 func TestUtilizationBounded(t *testing.T) {
 	m := mesh4x8(t)
+	var a Acc
 	for e := 0; e < 50; e++ {
 		for i := 0; i < 100000; i++ {
-			m.Latency(0, 31, 64)
+			m.LatencyInto(&a, 0, 31, 64)
 		}
-		m.EndEpoch(1)
+		epoch(m, &a, 1)
 	}
 	if u := m.Utilization(); u > 1.5 {
 		t.Fatalf("utilization %v exceeds overshoot bound 1.5", u)
 	}
 	// Queue delay must stay finite at saturation.
-	if l := m.Latency(0, 31, 64); math.IsInf(float64(l), 0) || math.IsNaN(float64(l)) || l > 1e6 {
+	if l := m.LatencyInto(&a, 0, 31, 64); math.IsInf(float64(l), 0) || math.IsNaN(float64(l)) || l > 1e6 {
 		t.Fatalf("saturated latency %v not finite/bounded", l)
 	}
 }
@@ -171,23 +179,41 @@ func TestMCTileSingleController(t *testing.T) {
 		t.Fatal(err)
 	}
 	tile := m.MCTile(0, 1)
-	if tile < 0 || tile >= m.Tiles() {
+	if tile < 0 || tile >= m.w*m.h {
 		t.Fatalf("MC tile %d out of mesh", tile)
 	}
 }
 
 func TestAverageHopsGrowsWithMesh(t *testing.T) {
+	// Mean XY hop distance between distinct tiles, from Route.
+	averageHops := func(m *Mesh) float64 {
+		total, pairs := 0, 0
+		for a := 0; a < m.w*m.h; a++ {
+			for b := 0; b < m.w*m.h; b++ {
+				if h, _ := m.Route(a, b); a != b {
+					total += h
+					pairs++
+				}
+			}
+		}
+		return float64(total) / float64(pairs)
+	}
 	small, _ := New(config.NoCConfig{MeshWidth: 2, MeshHeight: 2, CrossSectionLinks: 2, LinkGBps: 8, HopLatency: 2}, 4.0)
 	big := mesh4x8(t)
-	if small.AverageHops() >= big.AverageHops() {
-		t.Fatalf("2x2 average hops %v >= 4x8 average hops %v", small.AverageHops(), big.AverageHops())
+	if averageHops(small) >= averageHops(big) {
+		t.Fatalf("2x2 average hops %v >= 4x8 average hops %v", averageHops(small), averageHops(big))
 	}
 }
 
 func TestTrafficStatistics(t *testing.T) {
 	m := mesh4x8(t)
-	m.Latency(0, 31, 64) // crossing
-	m.Latency(0, 1, 8)   // not crossing
+	var a Acc
+	m.LatencyInto(&a, 0, 31, 64) // crossing
+	m.LatencyInto(&a, 0, 1, 8)   // not crossing
+	if m.TotalMessages != 0 {
+		t.Fatalf("messages = %d before Merge, want 0", m.TotalMessages)
+	}
+	m.Merge(&a)
 	if m.TotalMessages != 2 {
 		t.Fatalf("messages = %d, want 2", m.TotalMessages)
 	}

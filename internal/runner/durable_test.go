@@ -196,12 +196,12 @@ func TestStoreProtocol(t *testing.T) {
 // BaseDelay, and the outcome reports the retry count.
 func TestRetryBackoffDeterministic(t *testing.T) {
 	e := New(1)
-	e.SetRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Second})
+	e.retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Second}
 	var slept []time.Duration
-	e.SetSleep(func(_ context.Context, d time.Duration) error {
+	e.sleep = func(_ context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
-	})
+	}
 	var calls atomic.Int64
 	e.SetRunFunc(func(_ context.Context, _ *config.SystemConfig, _ sim.Workload, o sim.Options) (*sim.Result, error) {
 		if calls.Add(1) <= 2 {
@@ -230,11 +230,11 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 // must not.
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	e := New(1)
-	e.SetRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
-	e.SetSleep(func(context.Context, time.Duration) error {
+	e.retry = RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}
+	e.sleep = func(context.Context, time.Duration) error {
 		t.Error("slept for a non-transient error")
 		return nil
-	})
+	}
 	var calls atomic.Int64
 	modelErr := errors.New("negative cache capacity")
 	e.SetRunFunc(func(context.Context, *config.SystemConfig, sim.Workload, sim.Options) (*sim.Result, error) {
@@ -254,9 +254,9 @@ func TestDeterministicErrorNotRetried(t *testing.T) {
 // wraps ErrJobFailed and the last underlying cause.
 func TestRetryExhaustionWrapsCause(t *testing.T) {
 	e := New(1)
-	e.SetRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
+	e.retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}
 	var delays []time.Duration
-	e.SetSleep(func(_ context.Context, d time.Duration) error { delays = append(delays, d); return nil })
+	e.sleep = func(_ context.Context, d time.Duration) error { delays = append(delays, d); return nil }
 	e.SetRunFunc(func(context.Context, *config.SystemConfig, sim.Workload, sim.Options) (*sim.Result, error) {
 		return nil, io.ErrUnexpectedEOF
 	})

@@ -49,8 +49,8 @@
 // retried with exponential backoff up to the engine's RetryPolicy;
 // deterministic simulation errors are not (retrying a pure function cannot
 // change its answer). Exhausted or non-transient failures are wrapped in
-// ErrJobFailed. Backoff sleeping goes through an injectable function
-// (SetSleep) so tests control time.
+// ErrJobFailed. Backoff sleeping goes through the engine's sleep field so
+// in-package tests control time.
 package runner
 
 import (
@@ -313,24 +313,6 @@ func (e *Engine) SetPredictor(p Predictor) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.predictor = p
-}
-
-// SetRetry replaces the transient-failure retry policy for subsequent jobs.
-func (e *Engine) SetRetry(p RetryPolicy) {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.retry = p
-}
-
-// SetSleep replaces the backoff sleep function (tests inject a recording
-// clock so retry timing stays deterministic).
-func (e *Engine) SetSleep(fn func(context.Context, time.Duration) error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sleep = fn
 }
 
 // Workers returns the effective pool size.

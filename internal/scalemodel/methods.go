@@ -90,15 +90,6 @@ type RegressionModel struct {
 	predictors map[int]*Predictor
 }
 
-// TrainRegression fits one predictor per scale-model core count. The map
-// key is the scale model's core count; its samples carry values measured on
-// that scale model.
-func TrainRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Metric, perScaleModel map[int][]Sample, seed uint64) (*RegressionModel, error) {
-	return assembleRegression(kind, form, in, metric, sortedKeys(perScaleModel), func(cores int, seed uint64) (*Predictor, error) {
-		return TrainPredictor(kind, in, metric, perScaleModel[cores], seed)
-	}, seed)
-}
-
 // assembleRegression builds the regression model over the given ascending
 // scale-model sizes from one predictor per size; train is handed each
 // size's effective seed.
@@ -127,12 +118,6 @@ func assembleRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Me
 	return r, nil
 }
 
-// ScaleModelCores returns the multi-core scale-model sizes in ascending
-// order.
-func (r *RegressionModel) ScaleModelCores() []int {
-	return append([]int(nil), r.cores...)
-}
-
 // queryFor projects the application's features into the X-core scale
 // model's feature space: that model was trained on X-program mixes, whose
 // co-runner pressure sums over X-1 applications, so the workload of
@@ -148,17 +133,6 @@ func queryFor(f Features, scaleCores, targetCores int) Features {
 	g := f
 	g.CoBW = f.CoBW * float64(scaleCores-1) / float64(targetCores-1)
 	return g
-}
-
-// PredictScaleModels returns the per-scale-model predictions for one
-// application (step 2 of Fig. 2), for a workload of interest sized for
-// targetCores programs.
-func (r *RegressionModel) PredictScaleModels(f Features, targetCores int) map[int]float64 {
-	out := make(map[int]float64, len(r.cores))
-	for _, c := range r.cores {
-		out[c] = r.predictors[c].Predict(queryFor(f, c, targetCores))
-	}
-	return out
 }
 
 // Predict extrapolates the application's value to targetCores: it predicts

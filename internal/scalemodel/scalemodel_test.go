@@ -479,12 +479,20 @@ func TestBuildMethodErrors(t *testing.T) {
 	}
 }
 
+// trainRegression assembles a regression model whose per-size predictors are
+// trained on the given samples, keyed by scale-model core count.
+func trainRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Metric, perScaleModel map[int][]Sample, seed uint64) (*RegressionModel, error) {
+	return assembleRegression(kind, form, in, metric, sortedKeys(perScaleModel), func(cores int, seed uint64) (*Predictor, error) {
+		return TrainPredictor(kind, in, metric, perScaleModel[cores], seed)
+	}, seed)
+}
+
 func TestTrainRegressionRejectsSingleCore(t *testing.T) {
 	samples := map[int][]Sample{
 		1: {{F: Features{IPC: 1}, Y: 1}, {F: Features{IPC: 2}, Y: 2}},
 		2: {{F: Features{IPC: 1}, Y: 1}, {F: Features{IPC: 2}, Y: 2}},
 	}
-	if _, err := TrainRegression(SVM, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples, 1); err == nil {
+	if _, err := trainRegression(SVM, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples, 1); err == nil {
 		t.Fatal("1-core scale model accepted in regression")
 	}
 }
@@ -569,17 +577,18 @@ func TestPredictScaleModels(t *testing.T) {
 			})
 		}
 	}
-	r, err := TrainRegression(DT, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples, 1)
+	r, err := trainRegression(DT, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cores := r.ScaleModelCores()
-	if len(cores) != 2 || cores[0] != 2 || cores[1] != 4 {
-		t.Fatalf("scale model cores %v", cores)
+	if len(r.cores) != 2 || r.cores[0] != 2 || r.cores[1] != 4 {
+		t.Fatalf("scale model cores %v", r.cores)
 	}
-	preds := r.PredictScaleModels(Features{IPC: 1.0, BW: 0.2, CoBW: 6}, 32)
-	if len(preds) != 2 || preds[2] <= 0 || preds[4] <= 0 {
-		t.Fatalf("scale-model predictions %v", preds)
+	// Step 2 of Fig. 2: every scale model's own prediction for the workload.
+	for _, c := range r.cores {
+		if p := r.predictors[c].Predict(queryFor(Features{IPC: 1.0, BW: 0.2, CoBW: 6}, c, 32)); p <= 0 {
+			t.Fatalf("%d-core scale-model prediction %v", c, p)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func TestCPIStackSumsToCyclesSuite(t *testing.T) {
 		checkCPIStack(t, p.Name+" NRS-1", nrs.Cores...)
 		checkCPIStack(t, p.Name+" PRS-1", prs.Cores...)
 		checkCPIStack(t, p.Name+" target-32", tgt.Cores...)
-		actual := tgt.AverageIPC()
+		actual := tgt.averageIPC()
 		abs := func(x float64) float64 {
 			if x < 0 {
 				return -x
@@ -130,7 +130,7 @@ func TestCPIStackSumsToCyclesBareMachine(t *testing.T) {
 		// The front's own counters: up to one chunk ahead of the core.
 		f := m.cores[0].(*core).str.front
 		l1i, l1d, l2 := f.l1i.Stats, f.l1d.Stats, f.l2.Stats
-		llc := m.llc.TotalStats()
+		llc := m.llc.CoreStats(0)
 		t.Logf("%-10s L1I acc %.0f mis %.1f | L1D acc %.0f mis %.1f wb %.1f | L2 acc %.0f mis %.1f wb %.1f | LLC acc %.1f mis %.1f wb %.1f (per KI)\n",
 			name,
 			float64(l1i.Accesses)/ki, float64(l1i.Misses)/ki,

@@ -153,25 +153,9 @@ func runThreads(ctx context.Context, cfg *config.SystemConfig, spec ParallelSpec
 
 	// Warmup (no barriers), then reset statistics.
 	limits := noLimits(make([]uint64, threads))
-	for {
-		if err := m.runEpoch(ctx, opts.EpochCycles, limits); err != nil {
-			return nil, err
-		}
-		allWarm := true
-		for _, c := range m.cores {
-			if c.stats().Instructions < warmPerThread {
-				allWarm = false
-			}
-		}
-		m.endEpoch(opts.EpochCycles)
-		if allWarm {
-			break
-		}
-	}
-	snaps := make([]snapshot, threads)
-	for i, c := range m.cores {
-		c.ResetStats()
-		snaps[i] = snapshot{llcMisses: m.llcCoreMisses(i), dramBytes: m.mem.CoreBytes(i)}
+	base, err := m.warmUp(ctx, opts.EpochCycles, limits, warmPerThread, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// Measured phase with barrier synchronisation.
@@ -254,7 +238,8 @@ func runThreads(ctx context.Context, cfg *config.SystemConfig, spec ParallelSpec
 	for t, c := range m.cores {
 		st := c.stats()
 		ki := float64(st.Instructions) / 1000
-		llcMisses := m.llcCoreMisses(t) - snaps[t].llcMisses
+		cur := m.counters(t)
+		llcMisses := cur.llc.Misses - base[t].llc.Misses
 		cycles := st.Cycles
 		if cycles > res.MakespanCycles {
 			res.MakespanCycles = cycles
@@ -267,7 +252,7 @@ func runThreads(ctx context.Context, cfg *config.SystemConfig, spec ParallelSpec
 			BarrierCycles:   barrierWait[t],
 			Barriers:        barriers[t],
 			LLCMPKI:         float64(llcMisses) / ki,
-			BWBytesPerCycle: (m.mem.CoreBytes(t) - snaps[t].dramBytes).Per(cycles),
+			BWBytesPerCycle: (cur.dramBytes - base[t].dramBytes).Per(cycles),
 		})
 		stack.Base += float64(st.BaseCycles)
 		stack.Branch += float64(st.BranchCycles)

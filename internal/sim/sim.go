@@ -239,11 +239,6 @@ func (m *machine) llcSliceOf(core int, addr uint64) int {
 	return m.llc.SliceOf(addr)
 }
 
-// llcCoreMisses returns the demand misses attributed to core.
-func (m *machine) llcCoreMisses(core int) uint64 {
-	return m.llcCoreStats(core).Misses
-}
-
 // llcCoreStats returns the LLC statistics attributed to core (the private
 // partition's counters under the PartitionedLLC ablation).
 func (m *machine) llcCoreStats(core int) cache.Stats {
@@ -339,26 +334,47 @@ func (f *Fronts) programs(cfg *config.SystemConfig, wl Workload, opts Options) f
 	}
 }
 
-// snapshot captures per-core cumulative counters at the measurement start.
-type snapshot struct {
-	l1d, l2   cache.Stats
-	llcMisses uint64
-	dramBytes units.Bytes
-}
-
-// Run simulates workload wl on machine cfg and returns measured per-core
-// results. The run is deterministic for fixed (cfg, wl, opts).
-func Run(cfg *config.SystemConfig, wl Workload, opts Options) (*Result, error) {
-	return RunContext(context.Background(), cfg, wl, opts)
-}
-
-// RunContext is Run with cancellation: ctx is checked at every epoch
-// boundary (both warmup and measurement), so a cancelled or expired context
-// aborts the run within one epoch's worth of simulated work and returns
-// ctx.Err(). Cancellation does not corrupt anything — the machine state is
-// simply discarded.
+// RunContext simulates workload wl on machine cfg and returns measured
+// per-core results. The run is deterministic for fixed (cfg, wl, opts). ctx
+// is checked at every epoch boundary (both warmup and measurement), so a
+// cancelled or expired context aborts the run within one epoch's worth of
+// simulated work and returns ctx.Err(). Cancellation does not corrupt
+// anything — the machine state is simply discarded.
 func RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts Options) (*Result, error) {
 	return (*Fronts)(nil).RunContext(ctx, cfg, wl, opts)
+}
+
+// warmUp runs epochs until every core has retired budget instructions — a
+// core that is warm early keeps running, it must keep generating contention
+// — calling observe, when non-nil, after each. It then resets the cores'
+// statistics and returns each core's cumulative counters at that boundary:
+// microarchitectural state (cache contents, predictor tables, utilization
+// estimates, generator positions) and the cache and DRAM counters carry over.
+func (m *machine) warmUp(ctx context.Context, epochCycles units.Cycles, limits []uint64, budget uint64, observe func()) ([]coreCounters, error) {
+	for {
+		if err := m.runEpoch(ctx, epochCycles, limits); err != nil {
+			return nil, err
+		}
+		allWarm := true
+		for _, c := range m.cores {
+			if c.stats().Instructions < budget {
+				allWarm = false
+			}
+		}
+		m.endEpoch(epochCycles)
+		if observe != nil {
+			observe()
+		}
+		if allWarm {
+			break
+		}
+	}
+	base := make([]coreCounters, len(m.cores))
+	for i, c := range m.cores {
+		c.ResetStats()
+		base[i] = m.counters(i)
+	}
+	return base, nil
 }
 
 // runMachine is RunContext, for normalized opts, over whatever cores build
@@ -377,37 +393,15 @@ func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 		obs = newObserver(m, wl)
 	}
 
-	// Phase 1 — warmup: run epochs until every program has retired its
-	// warmup budget. Programs that finish early keep running (they must
-	// keep generating contention).
+	// Phase 1 — warmup, until every program has retired its warmup budget.
 	limits := noLimits(make([]uint64, cfg.Cores))
-	for {
-		if err := m.runEpoch(ctx, opts.EpochCycles, limits); err != nil {
-			return nil, err
-		}
-		allWarm := true
-		for _, c := range m.cores {
-			if c.stats().Instructions < opts.Warmup {
-				allWarm = false
-			}
-		}
-		m.endEpoch(opts.EpochCycles)
-		if obs != nil && opts.Telemetry.Warmup {
-			obs.observe(PhaseWarmup, opts.EpochCycles)
-		}
-		if allWarm {
-			break
-		}
+	var observeWarmup func()
+	if obs != nil && opts.Telemetry.Warmup {
+		observeWarmup = func() { obs.observe(PhaseWarmup, opts.EpochCycles) }
 	}
-
-	// Reset statistics at the measurement boundary; microarchitectural
-	// state (cache contents, predictor tables, utilization estimates,
-	// generator positions) carries over.
-	snaps := make([]snapshot, cfg.Cores)
-	for i, c := range m.cores {
-		c.ResetStats()
-		snaps[i] = snapshot{llcMisses: m.llcCoreMisses(i), dramBytes: m.mem.CoreBytes(i)}
-		snaps[i].l1d, snaps[i].l2 = c.private()
+	base, err := m.warmUp(ctx, opts.EpochCycles, limits, opts.Warmup, observeWarmup)
+	if err != nil {
+		return nil, err
 	}
 	if obs != nil {
 		// Core statistics were just reset; re-base the delta computation.
@@ -446,10 +440,10 @@ func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 	}
 	for i, c := range m.cores {
 		st := c.stats()
-		l1d, l2 := c.private()
+		cur := m.counters(i)
 		ki := float64(st.Instructions) / 1000
-		llcMisses := m.llcCoreMisses(i) - snaps[i].llcMisses
-		bwBytes := m.mem.CoreBytes(i) - snaps[i].dramBytes
+		llcMisses := cur.llc.Misses - base[i].llc.Misses
+		bwBytes := cur.dramBytes - base[i].dramBytes
 		cycles := st.Cycles
 		if cycles == 0 {
 			cycles = 1
@@ -462,8 +456,8 @@ func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 			IPC:                  st.IPC(),
 			BWBytesPerCycle:      bwBytes.Per(cycles),
 			BWShare:              float64(bwBytes.Per(cycles)) / float64(totalBW),
-			L1DMPKI:              float64(l1d.Misses-snaps[i].l1d.Misses) / ki,
-			L2MPKI:               float64(l2.Misses-snaps[i].l2.Misses) / ki,
+			L1DMPKI:              float64(cur.l1d.Misses-base[i].l1d.Misses) / ki,
+			L2MPKI:               float64(cur.l2.Misses-base[i].l2.Misses) / ki,
 			LLCMPKI:              float64(llcMisses) / ki,
 			LLCMisses:            llcMisses,
 			BranchMispredictRate: st.Branch.MispredictRate(),
@@ -491,21 +485,4 @@ func (m *machine) borrowed() (sum time.Duration) {
 		sum += cc.borrowed
 	}
 	return sum / time.Duration(max(1, len(m.blocks)))
-}
-
-// SystemIPC returns the sum of per-core IPC values.
-func (r *Result) SystemIPC() float64 {
-	sum := 0.0
-	for _, c := range r.Cores {
-		sum += c.IPC
-	}
-	return sum
-}
-
-// AverageIPC returns the mean per-core IPC.
-func (r *Result) AverageIPC() float64 {
-	if len(r.Cores) == 0 {
-		return 0
-	}
-	return r.SystemIPC() / float64(len(r.Cores))
 }

@@ -91,8 +91,9 @@ type EpochSnapshot struct {
 	Cores []CoreEpoch `json:"cores"`
 }
 
-// coreCounters is one core's cumulative counter state at an epoch boundary,
-// kept by the observer to compute per-epoch deltas.
+// coreCounters is one core's cumulative counter state at an epoch boundary:
+// the run loops difference it across the measured phase, the observer across
+// each epoch.
 type coreCounters struct {
 	instructions                   uint64
 	cycles                         units.Cycles
@@ -122,9 +123,9 @@ func newObserver(m *machine, wl Workload) *observer {
 }
 
 // counters captures core i's current cumulative state.
-func (o *observer) counters(i int) coreCounters {
-	st := o.m.cores[i].stats()
-	l1d, l2 := o.m.cores[i].private()
+func (m *machine) counters(i int) coreCounters {
+	st := m.cores[i].stats()
+	l1d, l2 := m.cores[i].private()
 	return coreCounters{
 		instructions: st.Instructions,
 		cycles:       st.Cycles,
@@ -134,8 +135,8 @@ func (o *observer) counters(i int) coreCounters {
 		frontend:     st.FrontendCycles,
 		l1d:          l1d,
 		l2:           l2,
-		llc:          o.m.llcCoreStats(i),
-		dramBytes:    o.m.mem.CoreBytes(i),
+		llc:          m.llcCoreStats(i),
+		dramBytes:    m.mem.CoreBytes(i),
 	}
 }
 
@@ -144,7 +145,7 @@ func (o *observer) counters(i int) coreCounters {
 // are reset while cache and DRAM counters keep accumulating).
 func (o *observer) sync() {
 	for i := range o.prev {
-		o.prev[i] = o.counters(i)
+		o.prev[i] = o.m.counters(i)
 	}
 	o.prevDRAM = o.m.mem.TotalBytes
 }
@@ -182,7 +183,7 @@ func (o *observer) observe(phase string, epochCycles units.Cycles) {
 		Cores:             make([]CoreEpoch, len(o.m.cores)),
 	}
 	for i := range o.m.cores {
-		cur := o.counters(i)
+		cur := o.m.counters(i)
 		p := o.prev[i]
 		instr := cur.instructions - p.instructions
 		cycles := cur.cycles - p.cycles

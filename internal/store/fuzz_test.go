@@ -1,0 +1,69 @@
+package store
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"os"
+	"reflect"
+	"testing"
+)
+
+// fuzzKey is the key every fuzzed document is read as an artifact of.
+const fuzzKey = "aabbccdd00112233"
+
+// FuzzDecodeArtifact holds the artifact decoder — what stands between a
+// store directory and a served result — to three properties on arbitrary
+// bytes: it never panics; it returns no result for bytes whose schema, key or
+// checksum is wrong, and classifies every rejection as ErrCorrupt or
+// ErrUnknownSchema; and a result it accepts round-trips through Save and
+// Load unchanged. The hand-written seeds (valid, truncated, flipped checksum,
+// foreign key, unknown schema, trailing data) are committed under
+// testdata/fuzz.
+func FuzzDecodeArtifact(f *testing.F) {
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	if err := s.Save(fuzzKey, sampleResult()); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(s.objectPath(fuzzKey))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if res, _, err := decodeArtifact(saved, fuzzKey); err != nil || !reflect.DeepEqual(res, sampleResult()) {
+		f.Fatalf("what Save wrote decodes to (%+v, %v)", res, err)
+	}
+	f.Add(saved)
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		res, key, err := decodeArtifact(doc, fuzzKey)
+		if err != nil {
+			if res != nil {
+				t.Fatalf("a result came back with the error %v", err)
+			}
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnknownSchema) {
+				t.Fatalf("rejected with an unclassified error: %v", err)
+			}
+			return
+		}
+		// The oracle: the three checks, restated on the raw envelope.
+		var env envelope
+		if err := json.Unmarshal(doc, &env); err != nil {
+			t.Fatalf("accepted bytes that are not one JSON document: %v", err)
+		}
+		sum := sha256.Sum256(env.Result)
+		if env.Schema != ArtifactSchema || env.Key != fuzzKey || key != fuzzKey || hex.EncodeToString(sum[:]) != env.SHA256 {
+			t.Fatalf("accepted schema %q, key %q (returned %q), checksum %s over a payload hashing to %x", env.Schema, env.Key, key, env.SHA256, sum)
+		}
+		if err := s.Save(fuzzKey, res); err != nil {
+			t.Fatalf("accepted result does not save: %v", err)
+		}
+		again, ok, err := s.Load(fuzzKey)
+		if err != nil || !ok || !reflect.DeepEqual(again, res) {
+			t.Fatalf("accepted result changed through Save and Load: (%+v, %v, %v), want %+v", again, ok, err, res)
+		}
+	})
+}

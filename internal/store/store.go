@@ -101,7 +101,6 @@ type Store struct {
 
 	mu          sync.Mutex
 	journal     *os.File
-	done        map[string]bool // keys the journal records as completed
 	interrupted map[string]bool // keys started but never finished before Open
 	stats       Stats
 }
@@ -115,7 +114,7 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: creating %s: %w", d, err)
 		}
 	}
-	done, interrupted, err := replayJournal(journalPath(dir))
+	interrupted, err := replayJournal(journalPath(dir))
 	if err != nil {
 		return nil, err
 	}
@@ -132,14 +131,10 @@ func Open(dir string) (*Store, error) {
 	return &Store{
 		dir:         dir,
 		journal:     j,
-		done:        done,
 		interrupted: interrupted,
 		stats:       Stats{Interrupted: len(interrupted)},
 	}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close releases the journal handle. The store's artifacts remain valid.
 func (s *Store) Close() error {
@@ -231,10 +226,7 @@ func (s *Store) Save(key string, res *sim.Result) error {
 	}
 	syncDir(shard) // best-effort: make the rename itself durable
 
-	s.mu.Lock()
-	s.done[key] = true
-	s.stats.Writes++
-	s.mu.Unlock()
+	s.count(func(st *Stats) { st.Writes++ })
 	return s.appendJournal("done", key)
 }
 
@@ -253,7 +245,7 @@ func (s *Store) Load(key string) (res *sim.Result, ok bool, err error) {
 		}
 		return nil, false, fmt.Errorf("store: reading artifact %s: %w", path, rerr)
 	}
-	res, verr := decodeArtifact(data, key)
+	res, _, verr := decodeArtifact(data, key)
 	if verr != nil {
 		s.quarantine(key, path)
 		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
@@ -300,32 +292,33 @@ func objectPath(dir, key string) string {
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
-// decodeArtifact verifies and decodes one artifact. wantKey, when non-empty,
-// must match the embedded key (a mismatch means the file was stored under
-// the wrong name — corrupt).
-func decodeArtifact(data []byte, wantKey string) (*sim.Result, error) {
+// decodeArtifact verifies and decodes one artifact, returning the result and
+// the key the envelope embeds (set, once the envelope parses, even when
+// verification fails). wantKey, when non-empty, must match the embedded key
+// (a mismatch means the file was stored under the wrong name — corrupt).
+func decodeArtifact(data []byte, wantKey string) (*sim.Result, string, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if env.Schema != ArtifactSchema {
 		if env.Schema == "" {
-			return nil, fmt.Errorf("%w: missing schema tag", ErrCorrupt)
+			return nil, env.Key, fmt.Errorf("%w: missing schema tag", ErrCorrupt)
 		}
-		return nil, fmt.Errorf("%w %q (this build reads %s)", ErrUnknownSchema, env.Schema, ArtifactSchema)
+		return nil, env.Key, fmt.Errorf("%w %q (this build reads %s)", ErrUnknownSchema, env.Schema, ArtifactSchema)
 	}
 	if wantKey != "" && env.Key != wantKey {
-		return nil, fmt.Errorf("%w: artifact keyed %s stored under %s", ErrCorrupt, env.Key, wantKey)
+		return nil, env.Key, fmt.Errorf("%w: artifact keyed %s stored under %s", ErrCorrupt, env.Key, wantKey)
 	}
 	sum := sha256.Sum256(env.Result)
 	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return nil, env.Key, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	var res sim.Result
 	if err := json.Unmarshal(env.Result, &res); err != nil {
-		return nil, fmt.Errorf("%w: decoding result: %v", ErrCorrupt, err)
+		return nil, env.Key, fmt.Errorf("%w: decoding result: %v", ErrCorrupt, err)
 	}
-	return &res, nil
+	return &res, env.Key, nil
 }
 
 // ReadArtifact verifies and decodes the artifact file at path, returning the
@@ -336,15 +329,11 @@ func ReadArtifact(path string) (*sim.Result, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("store: reading artifact %s: %w", path, err)
 	}
-	var env envelope
-	if jerr := json.Unmarshal(data, &env); jerr != nil {
-		return nil, "", fmt.Errorf("store: artifact %s: %w: %v", path, ErrCorrupt, jerr)
-	}
-	res, verr := decodeArtifact(data, "")
+	res, key, verr := decodeArtifact(data, "")
 	if verr != nil {
-		return nil, env.Key, fmt.Errorf("store: artifact %s: %w", path, verr)
+		return nil, key, fmt.Errorf("store: artifact %s: %w", path, verr)
 	}
-	return res, env.Key, nil
+	return res, key, nil
 }
 
 // syncDir fsyncs a directory so a completed rename survives power loss.
@@ -371,21 +360,20 @@ func (s *Store) appendJournal(op, key string) error {
 	return nil
 }
 
-// replayJournal reads the journal and reconstructs job lifecycles: keys
-// completed (done) and keys started but never finished (interrupted). A
+// replayJournal reads the journal and returns the keys started but never
+// finished (interrupted). A
 // partial trailing line — a crash mid-append — is ignored; unknown complete
 // lines are skipped (crash tolerance). A journal headed by a schema tag this
 // build does not understand is an error: replaying it could misclassify
 // every job.
-func replayJournal(path string) (done, interrupted map[string]bool, err error) {
-	done = map[string]bool{}
+func replayJournal(path string) (interrupted map[string]bool, err error) {
 	started := map[string]bool{}
 	data, rerr := os.ReadFile(path)
 	if rerr != nil {
 		if errors.Is(rerr, fs.ErrNotExist) {
-			return done, started, nil
+			return started, nil
 		}
-		return nil, nil, fmt.Errorf("store: reading journal: %w", rerr)
+		return nil, fmt.Errorf("store: reading journal: %w", rerr)
 	}
 	lines := strings.Split(string(data), "\n")
 	// A line is complete only if a newline terminated it: after Split, the
@@ -396,7 +384,7 @@ func replayJournal(path string) (done, interrupted map[string]bool, err error) {
 			continue
 		}
 		if i == 0 && strings.HasPrefix(line, "scalesim/journal/") {
-			return nil, nil, fmt.Errorf("store: journal %s: %w %q (this build reads %s)",
+			return nil, fmt.Errorf("store: journal %s: %w %q (this build reads %s)",
 				path, ErrUnknownSchema, line, journalSchema)
 		}
 		op, key, ok := strings.Cut(line, " ")
@@ -406,14 +394,11 @@ func replayJournal(path string) (done, interrupted map[string]bool, err error) {
 		switch op {
 		case "start":
 			started[key] = true
-		case "done":
-			done[key] = true
-			delete(started, key)
-		case "fail":
+		case "done", "fail":
 			delete(started, key)
 		}
 	}
-	return done, started, nil
+	return started, nil
 }
 
 // CheckInfo is an offline store inspection report (see Check).
@@ -449,7 +434,7 @@ func Check(dir string) (CheckInfo, error) {
 		}
 		info.Bytes += int64(len(data))
 		key := strings.TrimSuffix(d.Name(), ".json")
-		if _, verr := decodeArtifact(data, key); verr != nil {
+		if _, _, verr := decodeArtifact(data, key); verr != nil {
 			info.Corrupt++
 			info.CorruptKeys = append(info.CorruptKeys, key)
 			return nil
@@ -464,7 +449,7 @@ func Check(dir string) (CheckInfo, error) {
 	if entries, derr := os.ReadDir(filepath.Join(dir, "quarantine")); derr == nil {
 		info.Quarantined = len(entries)
 	}
-	_, interrupted, jerr := replayJournal(journalPath(dir))
+	interrupted, jerr := replayJournal(journalPath(dir))
 	if jerr != nil {
 		return info, jerr
 	}

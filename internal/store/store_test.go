@@ -152,7 +152,7 @@ func TestTruncatedArtifactQuarantined(t *testing.T) {
 	if _, err := os.Lstat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("corrupt artifact still at object path (err=%v), want quarantined", err)
 	}
-	q := filepath.Join(s.Dir(), "quarantine", key+".json")
+	q := filepath.Join(s.dir, "quarantine", key+".json")
 	if _, err := os.Lstat(q); err != nil {
 		t.Errorf("quarantined artifact missing at %s: %v", q, err)
 	}
@@ -328,7 +328,7 @@ func TestReadArtifact(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ReadArtifact result mismatch")
 	}
-	if _, _, err := ReadArtifact(filepath.Join(s.Dir(), "nope.json")); err == nil {
+	if _, _, err := ReadArtifact(filepath.Join(s.dir, "nope.json")); err == nil {
 		t.Error("ReadArtifact of missing file succeeded")
 	}
 }
@@ -394,7 +394,7 @@ func TestNoTempFilesLeft(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err := filepath.WalkDir(s.Dir(), func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

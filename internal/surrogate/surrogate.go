@@ -445,14 +445,6 @@ func synthesize(job runner.Job, preds [][]float64) *sim.Result {
 	return res
 }
 
-// TrainedPoints returns the number of distinct design points in the
-// training set.
-func (s *Surrogate) TrainedPoints() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.rows)
-}
-
 // Ready reports whether a model generation has been fitted (the tier can
 // serve).
 func (s *Surrogate) Ready() bool { return s.fitted.Load() != nil }

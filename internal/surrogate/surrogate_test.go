@@ -77,6 +77,14 @@ func train(t *testing.T, n int, cfg Config) *Surrogate {
 
 // looseConfig trains fast and serves everything the model can express: the
 // gates are effectively off, isolating the mechanics under test.
+// trainedPoints returns the number of distinct design points in the
+// training set.
+func (s *Surrogate) trainedPoints() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.rows)
+}
+
 func looseConfig() Config {
 	return Config{MinTrain: 8, VarGate: 1e9, DistGate: 1e9, Trees: 16, RefitEvery: 4}
 }
@@ -86,7 +94,7 @@ func TestObserveFitPredict(t *testing.T) {
 	if !s.Ready() {
 		t.Fatal("surrogate not fitted after MinTrain observations")
 	}
-	if got := s.TrainedPoints(); got != 8 {
+	if got := s.trainedPoints(); got != 8 {
 		t.Fatalf("TrainedPoints = %d, want 8", got)
 	}
 
@@ -159,7 +167,7 @@ func TestObserveDedupesByKey(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Observe(synthJob(0), synthResult(0)) // same key every time
 	}
-	if got := s.TrainedPoints(); got != 1 {
+	if got := s.trainedPoints(); got != 1 {
 		t.Fatalf("TrainedPoints = %d after duplicate observes, want 1", got)
 	}
 }
@@ -181,9 +189,9 @@ func TestGateRejectsNonFinite(t *testing.T) {
 		t.Fatal("served a prediction for an Inf feature vector")
 	}
 	// Non-finite ground truth must not poison the training set either.
-	before := s.TrainedPoints()
+	before := s.trainedPoints()
 	s.Observe(bad, synthResult(99))
-	if s.TrainedPoints() != before {
+	if s.trainedPoints() != before {
 		t.Fatal("non-finite features entered the training set")
 	}
 }
@@ -331,7 +339,7 @@ func TestReplayToleratesDamage(t *testing.T) {
 		t.Fatalf("reopen over damaged dataset: %v", err)
 	}
 	defer reopened.Close()
-	if got := reopened.TrainedPoints(); got != 8 {
+	if got := reopened.trainedPoints(); got != 8 {
 		t.Fatalf("TrainedPoints = %d after damage, want the 8 valid rows", got)
 	}
 	if got := reopened.Fingerprint(); got != want {

@@ -181,7 +181,7 @@ type Generator struct {
 
 	// kinds is a repeating 1000-slot schedule realising the per-KI
 	// instruction mix exactly, with loads/stores/branches spread evenly;
-	// slot is the next instruction's position in it (retired % 1000).
+	// slot is the next instruction's position in it (instructions generated % 1000).
 	kinds [1000]OpKind
 	slot  int
 
@@ -200,8 +200,6 @@ type Generator struct {
 	// functions, so jump targets follow a Zipf popularity over 256-byte
 	// code chunks rather than a uniform sweep of the footprint.
 	codeZipf *xrand.Zipf
-
-	retired uint64
 }
 
 type regionState struct {
@@ -375,9 +373,6 @@ func hashName(s string) uint64 {
 // Profile returns the profile this generator was built from.
 func (g *Generator) Profile() *Profile { return g.prof }
 
-// Retired returns the number of instructions generated so far.
-func (g *Generator) Retired() uint64 { return g.retired }
-
 // NextIFetch returns the instruction-side line address for the current
 // fetch group and whether it is a non-sequential fetch (taken jump or call
 // target). The code footprint is walked pseudo-sequentially with occasional
@@ -428,7 +423,6 @@ func (g *Generator) NextKind() OpKind {
 	if g.slot++; g.slot == len(g.kinds) {
 		g.slot = 0
 	}
-	g.retired++
 	return kind
 }
 
@@ -527,13 +521,4 @@ func (g *Generator) TableBytes() int {
 		}
 	}
 	return n
-}
-
-// Footprint returns the total scaled data footprint in bytes.
-func (g *Generator) Footprint() uint64 {
-	var total uint64
-	for _, r := range g.regions {
-		total += r.size.n
-	}
-	return total
 }

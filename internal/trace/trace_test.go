@@ -179,10 +179,16 @@ func TestCapacityScaleShrinksFootprint(t *testing.T) {
 	p := ByName("bwaves")
 	g1, _ := NewGenerator(p, GenOptions{CapacityScale: 1, Seed: 1})
 	g8, _ := NewGenerator(p, GenOptions{CapacityScale: 8, Seed: 1})
-	if g8.Footprint() >= g1.Footprint() {
-		t.Fatalf("scale 8 footprint %d >= scale 1 footprint %d", g8.Footprint(), g1.Footprint())
+	footprint := func(g *Generator) (total uint64) {
+		for _, r := range g.regions {
+			total += r.size.n
+		}
+		return total
 	}
-	ratio := float64(g1.Footprint()) / float64(g8.Footprint())
+	if footprint(g8) >= footprint(g1) {
+		t.Fatalf("scale 8 footprint %d >= scale 1 footprint %d", footprint(g8), footprint(g1))
+	}
+	ratio := float64(footprint(g1)) / float64(footprint(g8))
 	if ratio < 7.5 || ratio > 8.5 {
 		t.Fatalf("footprint ratio %.2f, want ~8", ratio)
 	}

@@ -77,6 +77,3 @@ func (r BytesPerCycle) Capacity(c Cycles) Bytes {
 
 // Seconds converts simulated time to SI seconds for reporting.
 func (p Picoseconds) Seconds() float64 { return float64(p) * 1e-12 }
-
-// Milliseconds converts simulated time to milliseconds for reporting.
-func (p Picoseconds) Milliseconds() float64 { return float64(p) * 1e-9 }

@@ -31,9 +31,6 @@ func TestConversions(t *testing.T) {
 	if got := Picoseconds(1e12).Seconds(); got != 1 {
 		t.Fatalf("Seconds() = %v, want 1", got)
 	}
-	if got := Picoseconds(1e9).Milliseconds(); got != 1 {
-		t.Fatalf("Milliseconds() = %v, want 1", got)
-	}
 	if got := Cycles(10).Scale(2.5); got != 25 {
 		t.Fatalf("Cycles.Scale = %v, want 25", float64(got))
 	}

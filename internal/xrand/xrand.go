@@ -123,29 +123,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// Exponential returns an exponential variate with the given mean.
-func (r *RNG) Exponential(mean float64) float64 {
-	return -mean * math.Log(1-r.Float64())
-}
-
-// Geometric returns a geometric variate in {1, 2, ...} with success
-// probability p per trial (mean 1/p). It panics unless 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 1
-	}
-	u := 1 - r.Float64() // in (0, 1]
-	return 1 + int(math.Log(u)/math.Log(1-p))
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

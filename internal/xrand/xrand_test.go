@@ -115,53 +115,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(9)
-	const p, n = 0.25, 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		g := r.Geometric(p)
-		if g < 1 {
-			t.Fatalf("geometric variate %d < 1", g)
-		}
-		sum += g
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-1/p) > 0.1 {
-		t.Fatalf("geometric mean %v, want ~%v", mean, 1/p)
-	}
-}
-
-func TestGeometricEdge(t *testing.T) {
-	r := New(10)
-	if g := r.Geometric(1); g != 1 {
-		t.Fatalf("Geometric(1) = %d, want 1", g)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	r.Geometric(0)
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(11)
-	const mean, n = 12.5, 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exponential(mean)
-		if v < 0 {
-			t.Fatalf("negative exponential variate %v", v)
-		}
-		sum += v
-	}
-	got := sum / n
-	if math.Abs(got-mean)/mean > 0.02 {
-		t.Fatalf("exponential mean %v, want ~%v", got, mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(12)
 	if err := quick.Check(func(nRaw uint8) bool {
@@ -229,15 +182,6 @@ func TestZipfPanics(t *testing.T) {
 		}
 	}()
 	NewZipf(New(1), 0, 1)
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	r := New(16)
-	for i := 0; i < 1000; i++ {
-		if v := r.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("lognormal variate %v <= 0", v)
-		}
-	}
 }
 
 func BenchmarkUint64(b *testing.B) {

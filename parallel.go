@@ -8,7 +8,6 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/fit"
 	"scalesim/internal/metrics"
-	"scalesim/internal/scalemodel"
 	"scalesim/internal/sim"
 	"scalesim/internal/trace"
 )
@@ -205,23 +204,14 @@ func (e *Experiments) Ablations() (*AblationResult, error) {
 		lab := e.lab.WithSimOptions(opts)
 		row := AblationRow{Variant: v.name}
 		for _, pol := range []config.ScalingPolicy{config.NRS, config.PRSFull} {
-			d, err := lab.WithPolicy(pol).CollectHomogeneous(e.suite, nil, 0)
+			_, errs, err := e.noExtrapolation(lab.WithPolicy(pol))
 			if err != nil {
 				return nil, err
 			}
-			errsList, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
-			if err != nil {
-				return nil, err
-			}
-			vals := make([]float64, len(errsList))
-			for i, ne := range errsList {
-				vals[i] = ne.Error
-			}
-			s := metrics.Summarize(vals)
-			if pol == config.NRS {
-				row.NRSMean = s.Mean
+			if mean := methodResult(v.name, errs).Mean; pol == config.NRS {
+				row.NRSMean = mean
 			} else {
-				row.PRSMean = s.Mean
+				row.PRSMean = mean
 			}
 		}
 		out.Rows = append(out.Rows, row)
@@ -272,12 +262,7 @@ func (e *Experiments) PrefetchStudy() (*PrefetchResult, error) {
 	for _, variant := range []bool{false, true} {
 		opts := e.lab.Opts
 		opts.EnablePrefetch = variant
-		lab := e.lab.WithSimOptions(opts)
-		d, err := lab.CollectHomogeneous(e.suite, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		errsList, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
+		d, errsList, err := e.noExtrapolation(e.lab.WithSimOptions(opts))
 		if err != nil {
 			return nil, err
 		}

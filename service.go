@@ -23,9 +23,6 @@ type ServiceConfig struct {
 	// and results the service computes are visible to later campaigns.
 	// Several service replicas may share one store directory.
 	Store string
-	// Retry bounds transient-failure retries; the zero value selects the
-	// default policy.
-	Retry RetryPolicy
 	// Surrogate, when non-nil, enables the learned fast path for served
 	// jobs: the lookup order becomes memory → disk → model → compute, with
 	// confident predictions served approximately (SourceModel) and every
@@ -63,9 +60,6 @@ func newService(owner string, cfg ServiceConfig) (*Service, error) {
 		return nil, err
 	}
 	svc := &Service{eng: runner.New(cfg.Tuning.campaignWorkers()), tun: cfg.Tuning}
-	if cfg.Retry != (RetryPolicy{}) {
-		svc.eng.SetRetry(cfg.Retry)
-	}
 	if cfg.Store != "" {
 		if err := svc.attachStore(owner, cfg.Store); err != nil {
 			return nil, err

@@ -166,13 +166,14 @@ func TestRepoClean(t *testing.T) {
 		t.Skip("loads the whole module")
 	}
 	cfg := RepoConfig(filepath.Join("..", "..", "..", ".."))
-	findings, _, err := analysis.Run(cfg, All(cfg))
+	findings, m, err := analysis.Run(cfg, All(cfg))
 	if err != nil {
 		t.Fatalf("analysis.Run: %v", err)
 	}
 	if len(findings) != 0 {
 		t.Errorf("repository is not lint-clean:\n%s", analysis.Render(findings))
 	}
+	t.Run("surface", func(t *testing.T) { checkSurface(t, m) })
 }
 
 func TestVerbRefs(t *testing.T) {

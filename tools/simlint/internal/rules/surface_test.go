@@ -1,0 +1,150 @@
+package rules
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"sort"
+	"strings"
+	"testing"
+
+	"scalesim/tools/simlint/internal/analysis"
+)
+
+// surfaceAllowed lists the only names under internal/ that may exist with no
+// use in non-test code, each with the reason it stays. An entry that names
+// nothing, or names something the program does use, fails the gate too.
+var surfaceAllowed = map[string]string{
+	"internal/cpu.(*Core).Done":           "cpu.Core is TestSplitMatchesMonolith's oracle; scalebench's cpu.step_ns_per_instr probe uses only New and Run (ROADMAP 6(a′))",
+	"internal/cpu.(*Core).ResetStats":     "the oracle's, as above",
+	"internal/store.(*Store).Stats":       "fault counters (corrupt, quarantined) the durability tests read",
+	"internal/store.(*Store).Interrupted": "journalled-but-unfinished keys the durability tests read",
+	"internal/surrogate.(*Surrogate).Fingerprint": "the cross-process determinism suite's observable; in a _test.go it would " +
+		"orphan ml's WriteCanonical pair, which another package's test file cannot reach",
+}
+
+// checkSurface holds "non-test code calls it, or it is not in the program":
+// every function, method and package-level name declared under internal/ must
+// be used by non-test code somewhere in the module (bench/, cmd/, examples/
+// and the root package count as callers; the root package and api/v1 are the
+// public surface and are not policed). A use inside the declaration itself —
+// for a type, inside its own methods — does not count. The module was loaded
+// without its _test.go files, so "used" already means "used by the program".
+func checkSurface(t *testing.T, m *analysis.Module) {
+	type span struct{ pos, end token.Pos }
+	type decl struct {
+		name string
+		own  []span // the declaration's own extent(s)
+	}
+	decls := map[types.Object]*decl{}
+	for _, p := range m.Pkgs {
+		if !strings.HasPrefix(p.Rel, "internal/") {
+			continue
+		}
+		add := func(id *ast.Ident, name string, node ast.Node) {
+			if id.Name != "_" {
+				decls[p.Info.Defs[id]] = &decl{p.Rel + "." + name, []span{{node.Pos(), node.End()}}}
+			}
+		}
+		var methods []*ast.FuncDecl
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					switch {
+					case d.Recv != nil:
+						methods = append(methods, d)
+					case d.Name.Name != "init":
+						add(d.Name, d.Name.Name, d)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s.Name.Name, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(id, id.Name, s)
+							}
+						}
+					}
+				}
+			}
+		}
+		for _, d := range methods {
+			add(d.Name, "("+types.ExprString(d.Recv.List[0].Type)+")."+d.Name.Name, d)
+			// A type's methods are part of the type's own extent.
+			recv := p.Info.Defs[d.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			if named, ok := recv.(*types.Named); ok {
+				if td := decls[named.Obj()]; td != nil {
+					td.own = append(td.own, span{d.Pos(), d.End()})
+				}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	ifaces := map[*types.Interface]bool{}
+	for _, p := range m.Pkgs {
+	uses:
+		for id, obj := range p.Info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+			}
+			d := decls[obj]
+			if d == nil {
+				continue
+			}
+			for _, s := range d.own {
+				if s.pos <= id.Pos() && id.Pos() < s.end {
+					continue uses
+				}
+			}
+			used[obj] = true
+		}
+		for _, tv := range p.Info.Types {
+			if iface, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
+				ifaces[iface] = true
+			}
+		}
+	}
+	// A method that an interface named in the module lists (error and
+	// fmt.Stringer among them) is called through it.
+	for obj := range decls {
+		fn, ok := obj.(*types.Func)
+		if !ok || used[obj] || fn.Type().(*types.Signature).Recv() == nil {
+			continue
+		}
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		for iface := range ifaces {
+			for i := 0; i < iface.NumMethods() && !used[obj]; i++ {
+				used[obj] = iface.Method(i).Name() == fn.Name() && types.Implements(recv, iface)
+			}
+		}
+	}
+
+	var unused []string
+	stale := map[string]bool{}
+	for name := range surfaceAllowed {
+		stale[name] = true
+	}
+	for obj, d := range decls {
+		if used[obj] {
+			continue
+		}
+		if surfaceAllowed[d.name] == "" {
+			unused = append(unused, d.name)
+		}
+		delete(stale, d.name)
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("%s has no use in non-test code: delete it with the tests whose only subject it is, or move it to a _test.go file", name)
+	}
+	for name := range stale {
+		t.Errorf("allow-list entry %s names nothing unused under internal/: remove it", name)
+	}
+}

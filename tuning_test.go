@@ -196,7 +196,7 @@ func TestParallelEpochDeterminism(t *testing.T) {
 			wl.Profiles = append(wl.Profiles, trace.ByName(name))
 		}
 		run := func(workers int) *sim.Result {
-			res, err := sim.Run(machine(cores), wl, sim.Options{
+			res, err := sim.RunContext(context.Background(), machine(cores), wl, sim.Options{
 				Instructions: 30_000, Warmup: 10_000, EpochCycles: 10_000, CapacityScale: 16, Seed: 3,
 				CoreWorkers: workers, Telemetry: &sim.TelemetryOptions{Warmup: true},
 			})
