@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint mutate race bench bench-record bench-trend clean clean-store store-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check lint mutate race bench bench-record bench-trend clean clean-store store-smoke mt-smoke serve-smoke surrogate-smoke
 
 # The lint report lands at the repository root regardless of the directory
 # make was invoked from, so CI's artifact path and local runs always agree.
@@ -18,8 +18,7 @@ test: build
 
 # Fast CI gate: formatting + vet + the determinism linter + the race
 # detector over the short test set (the expensive collections are guarded by
-# testing.Short) + a durable-store round-trip smoke. Run this before every
-# commit.
+# testing.Short) + the four CLI smokes. Run this before every commit.
 check: build
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -31,6 +30,7 @@ check: build
 	$(GO) run ./tools/simlint -report $(LINT_REPORT)
 	$(GO) test -race -short ./...
 	$(MAKE) store-smoke
+	$(MAKE) mt-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) surrogate-smoke
 
@@ -46,6 +46,25 @@ store-smoke:
 	@$(GO) run ./cmd/scalesim store -dir .store-smoke
 	@rm -rf .store-smoke
 	@echo "store-smoke: ok"
+
+# Threaded-study smoke: the §V-E6 extension is 24 engine jobs, so a second
+# regeneration against the same store simulates nothing, reads all 24 back
+# and prints the same figure.
+mt-smoke:
+	@rm -rf .mt-smoke && mkdir -p .mt-smoke
+	@$(GO) build -o .mt-smoke/experiments ./cmd/experiments
+	@./.mt-smoke/experiments -fast -figs mt -store .mt-smoke/store > .mt-smoke/first
+	@./.mt-smoke/experiments -fast -figs mt -store .mt-smoke/store > .mt-smoke/second
+	@grep "24 distinct simulations, 0 served from store" .mt-smoke/first >/dev/null \
+		|| { echo "mt-smoke: first run did not simulate the 24 jobs" >&2; cat .mt-smoke/first >&2; exit 1; }
+	@grep " 0 distinct simulations, 24 served from store" .mt-smoke/second >/dev/null \
+		|| { echo "mt-smoke: second run did not read the 24 jobs back" >&2; cat .mt-smoke/second >&2; exit 1; }
+	@for f in first second; do grep -v -e "regenerated in" -e "^total:" .mt-smoke/$$f > .mt-smoke/$$f.fig; done
+	@cmp .mt-smoke/first.fig .mt-smoke/second.fig \
+		|| { echo "mt-smoke: the figure served from the store differs" >&2; exit 1; }
+	@$(GO) run ./cmd/scalesim store -dir .mt-smoke/store
+	@rm -rf .mt-smoke
+	@echo "mt-smoke: ok"
 
 # Surrogate-tier smoke: a sequential dense DRAM sweep with the learned fast
 # path on (gates wide open, training threshold at the base grid) must
@@ -126,5 +145,5 @@ clean:
 # Remove durable campaign stores created by the smoke step or local runs
 # with the conventional .scalesim-store directory.
 clean-store:
-	rm -rf .store-smoke .scalesim-store .surrogate-smoke.out
+	rm -rf .store-smoke .mt-smoke .scalesim-store .surrogate-smoke.out
 	rm -f simlint-report.json

@@ -405,7 +405,7 @@ func TestExperimentsParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par.SetWorkers(runtime.NumCPU())
+	par.SetWorkers(max(4, runtime.NumCPU()))
 	figSeq, err := seq.Fig3Construction()
 	if err != nil {
 		t.Fatal(err)
@@ -416,6 +416,17 @@ func TestExperimentsParallelMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(figSeq, figPar) {
 		t.Fatalf("parallel figure differs from sequential:\n%s\nvs\n%s", figSeq, figPar)
+	}
+	mtSeq, err := seq.ExtMultithreaded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mtPar, err := par.ExtMultithreaded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mtSeq, mtPar) {
+		t.Fatalf("parallel threaded study differs from sequential:\n%s\nvs\n%s", mtSeq, mtPar)
 	}
 	if par.Runs() != seq.Runs() {
 		t.Fatalf("parallel ran %d sims, sequential %d", par.Runs(), seq.Runs())

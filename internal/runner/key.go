@@ -25,12 +25,12 @@ import (
 
 // Key returns the job's content-addressed cache key: a hex SHA-256 over a
 // canonical field-by-field encoding of the full configuration, every
-// profile's parameters, and the options (seed included). Profiles are keyed
-// by value, so two custom benchmarks sharing a name but differing in any
-// parameter never collide. The key is byte-stable across processes and
-// platforms. The performance-only option (CoreWorkers) is excluded; whether
-// telemetry is enabled is included, because it changes the result's content
-// (Result.Trace).
+// profile's parameters or the threaded program's, and the options (seed
+// included). Profiles are keyed by value, so two custom benchmarks sharing a
+// name but differing in any parameter never collide. The key is byte-stable
+// across processes and platforms. The performance-only option (CoreWorkers)
+// is excluded; whether telemetry is enabled is included, because it changes
+// the result's content (Result.Trace).
 func (j Job) Key() string {
 	// One or two programs encode on the stack; a larger job (a 32-program
 	// target is ≈ 13 KB) grows once, to a bound: 20 bytes an integer, 24 a float.
@@ -52,6 +52,9 @@ func (j Job) Key() string {
 		if p != nil {
 			b = b.profile(p)
 		}
+	}
+	if t := j.Workload.Threads; t != nil {
+		b = b.threads(t)
 	}
 	b = b.options(j.Options)
 	sum := sha256.Sum256(b)
@@ -129,6 +132,19 @@ func (b keyBuf) profile(p *trace.Profile) keyBuf {
 		b = b.uint("|pattern=", uint64(r.Pattern))
 		b = b.int("|elem=", int64(r.ElemSize))
 		b = b.float("|zipf=", r.ZipfS)
+	}
+	return append(b, '\n')
+}
+
+// threads encodes a data-parallel program by value: the per-thread profile,
+// which regions are thread-private, and the barrier discipline. The record
+// exists only for a threaded job, so a mix's key is what it was without it.
+func (b keyBuf) threads(p *trace.ParallelProfile) keyBuf {
+	b = b.profile(&p.Serial)
+	b = b.uint("threads|barrier=", p.BarrierInterval)
+	b = b.float("|skew=", p.Skew)
+	for _, private := range p.PrivateRegions {
+		b = b.bool("|private=", private)
 	}
 	return append(b, '\n')
 }

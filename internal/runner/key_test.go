@@ -34,8 +34,9 @@ func TestKeyCoversEveryField(t *testing.T) {
 		name string
 		job  Job
 	}{
-		{"fixture", fixtureJob()}, // every option set
-		{"suite", job(1)},         // options mostly zero, a profile shared with the suite table
+		{"fixture", fixtureJob()},         // every option set
+		{"suite", job(1)},                 // options mostly zero, a profile shared with the suite table
+		{"threads", threadedFixtureJob()}, // a threaded program, so its private flags are leaves
 	} {
 		t.Run(base.name, func(t *testing.T) {
 			// Perturb a deep copy: the suite's profiles are shared, read-only data.
@@ -68,6 +69,28 @@ func TestKeyCoversEveryField(t *testing.T) {
 			}
 			t.Logf("%d leaves", len(met))
 		})
+	}
+}
+
+// threadedFixtureJob is fixtureJob with its program made data-parallel: the
+// same machine and options, the fixture profile per thread.
+func threadedFixtureJob() Job {
+	j := fixtureJob()
+	j.Workload = sim.Workload{Threads: &trace.ParallelProfile{
+		Serial:          *j.Workload.Profiles[0],
+		PrivateRegions:  []bool{true, false},
+		BarrierInterval: 50_000,
+		Skew:            0.25,
+	}}
+	return j
+}
+
+// TestThreadedKeyPinned is TestKeyPinned for a threaded job, whose key is as
+// durable as a mix's: re-pin it as deliberately.
+func TestThreadedKeyPinned(t *testing.T) {
+	const want = "1275aed14a6b641c644cb3bfd5b1e94e96429863e535c5297bd13c58a6fefb50"
+	if got := threadedFixtureJob().Key(); got != want {
+		t.Fatalf("threaded fixture key drifted:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -94,11 +94,11 @@ func (l *Lab) machines(sizes []int) (map[int]*config.SystemConfig, error) {
 	return cfgs, nil
 }
 
-// runBatch runs a collection's jobs as one engine batch and returns their
+// RunBatch runs a collection's jobs as one engine batch and returns their
 // results by index. One worker runs them in submission order; more workers
 // change only wall-clock. The first failed outcome in submission order is
 // the returned error, whichever worker hit it first.
-func (l *Lab) runBatch(jobs []runner.Job) ([]*sim.Result, error) {
+func (l *Lab) RunBatch(jobs []runner.Job) ([]*sim.Result, error) {
 	//simlint:ignore ctxflow the figure API is context-free; the process is the cancellation scope
 	outcomes, err := l.engine.RunBatch(context.Background(), jobs, nil)
 	results := make([]*sim.Result, len(outcomes))

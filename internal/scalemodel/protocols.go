@@ -199,7 +199,7 @@ func (l *Lab) CollectHomogeneous(benchmarks []*trace.Profile, scaleCores []int, 
 			jobs = append(jobs, runner.Job{Config: cfgs[c], Workload: sim.Homogeneous(prof, c), Options: l.Opts})
 		}
 	}
-	results, err := l.runBatch(jobs)
+	results, err := l.RunBatch(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +492,7 @@ func (l *Lab) CollectHeterogeneous(suite []*trace.Profile, opts HeteroOptions) (
 			jobs = append(jobs, runner.Job{Config: cfgs[len(mix)], Workload: sim.Workload{Profiles: mix}, Options: l.Opts})
 		}
 	}
-	results, err := l.runBatch(jobs)
+	results, err := l.RunBatch(jobs)
 	if err != nil {
 		return nil, err
 	}

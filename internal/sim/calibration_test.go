@@ -10,7 +10,7 @@ import (
 
 // The tests in this file print the calibration tables under -v; what they
 // assert, on every run they pay for, is the CPI stack's conservation law
-// (ROADMAP 3(a)): on each core the base, branch, memory and front-end cycles
+// (ROADMAP 3(c)): on each core the base, branch, memory and front-end cycles
 // add up to the cycles charged — the same charges summed in two groupings, so
 // equal to float rounding (worst seen over five 32-core runs: 2.6e-12
 // relative) — and the IPC is a finite positive number.

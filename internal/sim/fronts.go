@@ -118,6 +118,25 @@ type frontKey struct {
 	prefetch     bool
 }
 
+// front returns the front of k that steps gen, given as its constructor
+// returned it.
+func (k frontKey) front(gen *trace.Generator, err error) (*front, error) {
+	if err != nil {
+		return nil, err
+	}
+	return newFront(gen, k.l1i, k.l1d, k.l2, k.scale, k.prefetch)
+}
+
+// thread returns the private stream of thread k.instance of pp, one of
+// threads in a shared address space.
+func (k frontKey) thread(pp *trace.ParallelProfile, threads int) (*stream, error) {
+	fr, err := k.front(trace.NewThreadGenerator(pp, k.instance, threads, trace.GenOptions{CapacityScale: k.scale, Seed: k.seed}))
+	if err != nil {
+		return nil, err
+	}
+	return newStream(fr), nil
+}
+
 // frontsBudget bounds the bytes a memo retains, events and front tables
 // alike. DESIGN.md, "Performance invariants", 7, says what it was sized
 // against.
@@ -147,7 +166,7 @@ func NewFronts() *Fronts {
 // shared through the memo; on a nil memo it is the package's RunContext.
 func (f *Fronts) RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts Options) (*Result, error) {
 	opts = opts.normalized()
-	return runMachine(ctx, cfg, wl, opts, f.programs(cfg, wl, opts))
+	return runMachine(ctx, cfg, wl, opts, f.cores(cfg, wl, opts))
 }
 
 // Stats returns the memo's counters; a nil memo has shared nothing.
@@ -176,11 +195,7 @@ func (f *Fronts) stream(k frontKey) (*stream, error) {
 			return s, nil
 		}
 	}
-	gen, err := trace.NewGenerator(k.prof, trace.GenOptions{Instance: k.instance, CapacityScale: k.scale, Seed: k.seed})
-	if err != nil {
-		return nil, err
-	}
-	fr, err := newFront(gen, k.l1i, k.l1d, k.l2, k.scale, k.prefetch)
+	fr, err := k.front(trace.NewGenerator(k.prof, trace.GenOptions{Instance: k.instance, CapacityScale: k.scale, Seed: k.seed}))
 	if err != nil {
 		return nil, err
 	}

@@ -383,24 +383,31 @@ func TestSplitMatchesMonolith(t *testing.T) {
 		}
 	}
 
-	// The data-parallel path builds its fronts from thread generators.
+	// A threaded program takes the same loop, its fronts over thread
+	// generators and its epochs bounded by barriers.
 	cfg, opts := scaleModel(t, 4), parOpts()
-	opts.EnablePrefetch = true
+	opts.EnablePrefetch, opts.Telemetry = true, &TelemetryOptions{Warmup: true}
 	for _, pp := range trace.ParallelSuite()[:2] {
-		spec := ParallelSpec{Profile: pp}
-		want, err := runThreads(ctx, cfg, spec, opts.normalized(), monolith(cfg, opts, func(i int) (*trace.Generator, error) {
+		wl := Workload{Threads: pp}
+		want, err := runMachine(ctx, cfg, wl, opts.normalized(), monolith(cfg, opts, func(i int) (*trace.Generator, error) {
 			return trace.NewThreadGenerator(pp, i, cfg.Cores, trace.GenOptions{CapacityScale: opts.CapacityScale, Seed: opts.Seed})
 		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunParallel(cfg, spec, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.WallClock, want.WallClock = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: split parallel run differs from the monolith:\n split    %+v\n monolith %+v", pp.Serial.Name, got, want)
+		for _, workers := range []int{1, 2} {
+			opts.CoreWorkers = workers
+			got, err := NewFronts().RunContext(ctx, cfg, wl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.WallClock, want.WallClock = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: split threaded run differs from the monolith:\n split    %+v\n monolith %+v", pp.Serial.Name, workers, got.Cores, want.Cores)
+			}
+			if !bytes.Equal(jsonl(t, got.Trace), jsonl(t, want.Trace)) {
+				t.Fatalf("%s workers=%d: telemetry differs from the monolith's", pp.Serial.Name, workers)
+			}
 		}
 	}
 }

@@ -1,7 +1,8 @@
-// Package sim is the multicore simulator: it co-executes a multiprogram
-// workload mix on a configured machine, one trace-driven out-of-order core
-// per program, against structurally simulated private caches, a shared NUCA
-// LLC, a mesh NoC and a multi-controller DRAM subsystem.
+// Package sim is the multicore simulator: it co-executes a workload — a
+// multiprogram mix, or the threads of one data-parallel program — on a
+// configured machine, one trace-driven out-of-order core per program or
+// thread, against structurally simulated private caches, a shared NUCA LLC,
+// a mesh NoC and a multi-controller DRAM subsystem.
 //
 // # Contention model
 //
@@ -21,10 +22,14 @@
 //
 // Following the paper (§IV-2), a run warms all cores up, resets statistics,
 // and then measures until the first program retires its instruction budget.
+// A threaded program's budget is its total work, split across its threads
+// (strong scaling): it measures until every thread has passed its last
+// barrier (barrier.go).
 package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -119,9 +124,20 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Workload is a multiprogram mix: one benchmark profile per core.
+// Workload is what a machine runs, one of two kinds: a multiprogram mix, one
+// benchmark profile per core, or one data-parallel program, a thread per core
+// (the paper's §V-E6 outlook). Setting both is an input error.
 type Workload struct {
 	Profiles []*trace.Profile
+	Threads  *trace.ParallelProfile
+}
+
+// profile returns what core i executes.
+func (wl Workload) profile(i int) *trace.Profile {
+	if wl.Threads != nil {
+		return &wl.Threads.Serial
+	}
+	return wl.Profiles[i]
 }
 
 // Homogeneous builds a mix of cores copies of prof.
@@ -141,6 +157,13 @@ type CoreResult struct {
 	Instructions uint64
 	Cycles       units.Cycles
 	IPC          float64
+
+	// Barriers counts the barriers a thread crossed and BarrierCycles the
+	// cycles, included in Cycles, it waited at them for its siblings (load
+	// imbalance). Both are zero, and absent from a stored artifact, for a
+	// program of a mix.
+	Barriers      int          `json:",omitempty"`
+	BarrierCycles units.Cycles `json:",omitempty"`
 
 	// BWBytesPerCycle is the program's DRAM traffic (reads + writebacks) in
 	// bytes per cycle. BWShare is the same value as a fraction of the
@@ -165,7 +188,8 @@ type Result struct {
 	ConfigName string
 	Cores      []CoreResult
 
-	// ElapsedCycles is the measured-phase length in core cycles.
+	// ElapsedCycles is the measured-phase length in core cycles; for a
+	// threaded program its makespan, the cycle the last thread finished at.
 	ElapsedCycles units.Cycles
 	// SimulatedPicos is ElapsedCycles converted to simulated time at the
 	// core clock — the denominator of the paper's slowdown metric.
@@ -318,19 +342,28 @@ func newMachine(cfg *config.SystemConfig, programs int, opts Options, build func
 	return m, nil
 }
 
-// programs returns newMachine's builder for a multiprogram mix: core i
-// replays the stream of instance i of wl.Profiles[i], taken from the memo
-// (a nil memo: a private stream).
-func (f *Fronts) programs(cfg *config.SystemConfig, wl Workload, opts Options) func(int, *coreCtx) (executor, error) {
+// cores returns newMachine's builder for wl. Core i of a mix replays the
+// stream of instance i of wl.Profiles[i], taken from the memo (a nil memo: a
+// private stream). A thread's generator differs by thread and thread count
+// within one shared address space, so no two machines run the same one: its
+// stream is private.
+func (f *Fronts) cores(cfg *config.SystemConfig, wl Workload, opts Options) func(int, *coreCtx) (executor, error) {
 	return func(i int, cc *coreCtx) (executor, error) {
-		str, err := f.stream(frontKey{
-			prof: wl.Profiles[i], instance: i, seed: opts.Seed, scale: opts.CapacityScale,
+		k := frontKey{
+			prof: wl.profile(i), instance: i, seed: opts.Seed, scale: opts.CapacityScale,
 			l1i: cfg.L1I, l1d: cfg.L1D, l2: cfg.L2, prefetch: opts.EnablePrefetch,
-		})
+		}
+		var str *stream
+		var err error
+		if wl.Threads != nil {
+			str, err = k.thread(wl.Threads, cfg.Cores)
+		} else {
+			str, err = f.stream(k)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return newCore(cfg, wl.Profiles[i], str, cc), nil
+		return newCore(cfg, k.prof, str, cc), nil
 	}
 }
 
@@ -378,12 +411,28 @@ func (m *machine) warmUp(ctx context.Context, epochCycles units.Cycles, limits [
 }
 
 // runMachine is RunContext, for normalized opts, over whatever cores build
-// returns.
+// returns: the one run loop, for a mix and for a threaded program alike.
 func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts Options, build func(int, *coreCtx) (executor, error)) (*Result, error) {
 	start := time.Now() //simlint:ignore wallclock measures Result.WallClock reporting only; never simulated state
-	m, err := newMachine(cfg, len(wl.Profiles), opts, build)
+	programs := len(wl.Profiles)
+	if wl.Threads != nil {
+		if programs > 0 {
+			return nil, errors.New("sim: workload has both programs and threads")
+		}
+		programs = cfg.Cores
+	}
+	m, err := newMachine(cfg, programs, opts, build)
 	if err != nil {
 		return nil, err
+	}
+	// A mix's budgets are each program's; a threaded program's are split
+	// across its threads, whose barriers (nil for a mix) then bound every
+	// measured epoch and say when the run is over.
+	warmup := opts.Warmup
+	var bar *barriers
+	if wl.Threads != nil {
+		warmup = max(500, opts.Warmup/uint64(cfg.Cores))
+		bar = newBarriers(wl.Threads, cfg.Cores, opts.Instructions)
 	}
 
 	// Telemetry is allocated only when requested; the disabled path costs
@@ -393,13 +442,14 @@ func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 		obs = newObserver(m, wl)
 	}
 
-	// Phase 1 — warmup, until every program has retired its warmup budget.
+	// Phase 1 — warmup (no barriers), until every core has retired its
+	// warmup budget.
 	limits := noLimits(make([]uint64, cfg.Cores))
 	var observeWarmup func()
 	if obs != nil && opts.Telemetry.Warmup {
 		observeWarmup = func() { obs.observe(PhaseWarmup, opts.EpochCycles) }
 	}
-	base, err := m.warmUp(ctx, opts.EpochCycles, limits, opts.Warmup, observeWarmup)
+	base, err := m.warmUp(ctx, opts.EpochCycles, limits, warmup, observeWarmup)
 	if err != nil {
 		return nil, err
 	}
@@ -408,25 +458,36 @@ func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 		obs.sync()
 	}
 
-	// Phase 2 — measure: epochs until the first program retires its budget.
+	// Phase 2 — measure: epochs until the first program retires its budget,
+	// or the last barrier opens.
 	elapsed := units.Cycles(0)
-	for {
+	for done := false; !done; elapsed += opts.EpochCycles {
+		if bar != nil {
+			bar.bound(limits)
+		}
 		if err := m.runEpoch(ctx, opts.EpochCycles, limits); err != nil {
 			return nil, err
 		}
-		done := false
-		for _, c := range m.cores {
-			if c.stats().Instructions >= opts.Instructions {
-				done = true
+		if bar != nil {
+			done = bar.release(m.cores)
+		} else {
+			for _, c := range m.cores {
+				if c.stats().Instructions >= opts.Instructions {
+					done = true
+				}
 			}
 		}
 		m.endEpoch(opts.EpochCycles)
 		if obs != nil {
 			obs.observe(PhaseMeasure, opts.EpochCycles)
 		}
-		elapsed += opts.EpochCycles
-		if done {
-			break
+	}
+	if bar != nil {
+		// Threads stop where their work ends, not at an epoch boundary: the
+		// run took as long as its last thread.
+		elapsed = 0
+		for _, c := range m.cores {
+			elapsed = max(elapsed, c.stats().Cycles)
 		}
 	}
 
@@ -450,7 +511,7 @@ func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 		}
 		cr := CoreResult{
 			Core:                 i,
-			Benchmark:            wl.Profiles[i].Name,
+			Benchmark:            wl.profile(i).Name,
 			Instructions:         st.Instructions,
 			Cycles:               st.Cycles,
 			IPC:                  st.IPC(),
@@ -465,6 +526,9 @@ func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts
 			BranchCycles:         st.BranchCycles,
 			MemoryCycles:         st.MemoryCycles,
 			FrontendCycles:       st.FrontendCycles,
+		}
+		if bar != nil {
+			cr.Barriers, cr.BarrierCycles = bar.crossed, bar.wait[i]
 		}
 		res.Cores = append(res.Cores, cr)
 	}

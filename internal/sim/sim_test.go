@@ -36,7 +36,7 @@ func (r *Result) averageIPC() float64 {
 // mixMachine builds the machine a Run of wl would, with every stream taken
 // from fronts (nil: private).
 func mixMachine(fronts *Fronts, cfg *config.SystemConfig, wl Workload, opts Options) (*machine, error) {
-	return newMachine(cfg, len(wl.Profiles), opts, fronts.programs(cfg, wl, opts))
+	return newMachine(cfg, len(wl.Profiles), opts, fronts.cores(cfg, wl, opts))
 }
 
 func scaleModel(t *testing.T, cores int) *config.SystemConfig {

@@ -191,7 +191,7 @@ func (o *observer) observe(phase string, epochCycles units.Cycles) {
 		llcDelta := cur.llc.Delta(p.llc)
 		snap.Cores[i] = CoreEpoch{
 			Core:         i,
-			Benchmark:    o.wl.Profiles[i].Name,
+			Benchmark:    o.wl.profile(i).Name,
 			Instructions: instr,
 			Cycles:       float64(cycles),
 			IPC:          ratio(float64(instr), float64(cycles)),

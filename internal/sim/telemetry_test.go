@@ -88,21 +88,28 @@ func TestTelemetryWarmupCoverage(t *testing.T) {
 // correctness half: a traced run retires the same instructions in the same
 // cycles as an untraced one.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
-	wl := Homogeneous(trace.ByName("lbm"), 2)
-	plain, err := Run(scaleModel(t, 2), wl, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := Run(scaleModel(t, 2), wl, tracedOpts(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// WallClock is host time and Trace is the telemetry itself; everything
-	// else must match bit for bit.
-	plain.WallClock, traced.WallClock = 0, 0
-	traced.Trace = nil
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("telemetry perturbed the simulation:\nuntraced: %+v\ntraced:   %+v", plain, traced)
+	for _, wl := range []Workload{
+		Homogeneous(trace.ByName("lbm"), 2),
+		{Threads: trace.ParallelByName("par.graph")}, // barrier waits move core clocks between observations
+	} {
+		plain, err := Run(scaleModel(t, 2), wl, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, err := Run(scaleModel(t, 2), wl, tracedOpts(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(traced.Trace) == 0 {
+			t.Fatalf("%s: traced run produced no snapshots", wl.profile(0).Name)
+		}
+		// WallClock is host time and Trace is the telemetry itself; everything
+		// else must match bit for bit.
+		plain.WallClock, traced.WallClock = 0, 0
+		traced.Trace = nil
+		if !reflect.DeepEqual(plain, traced) {
+			t.Fatalf("telemetry perturbed the simulation:\nuntraced: %+v\ntraced:   %+v", plain, traced)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"scalesim/internal/config"
 	"scalesim/internal/trace"
+	"scalesim/internal/units"
 )
 
 func parOpts() Options {
@@ -113,59 +115,73 @@ func TestThreadGeneratorRejectsBadArgs(t *testing.T) {
 	}
 }
 
-func TestRunParallelBasics(t *testing.T) {
-	cfg, err := config.ScaleModel(config.Target(), 4, config.ScaleModelOptions{Policy: config.PRSFull})
+// runThreaded runs the named parallel-suite workload, a thread per core of
+// cfg, through the one run loop.
+func runThreaded(t *testing.T, cfg *config.SystemConfig, name string, opts Options) *Result {
+	t.Helper()
+	res, err := Run(cfg, Workload{Threads: trace.ParallelByName(name)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunParallel(cfg, ParallelSpec{Profile: trace.ParallelByName("par.stencil")}, parOpts())
-	if err != nil {
-		t.Fatal(err)
+	return res
+}
+
+// aggregateIPC is a threaded run's throughput: instructions per makespan cycle.
+func (r *Result) aggregateIPC() float64 {
+	var instr uint64
+	for _, c := range r.Cores {
+		instr += c.Instructions
 	}
-	if len(res.Threads) != 4 {
-		t.Fatalf("%d threads, want 4", len(res.Threads))
+	return float64(instr) / float64(r.ElapsedCycles)
+}
+
+// shares returns what fraction of the threads' cycles the core model's four
+// stall components explain, and what fraction was barrier wait.
+func (r *Result) shares() (stalls, barrier float64) {
+	var total units.Cycles
+	for _, c := range r.Cores {
+		stalls += float64(c.BaseCycles + c.BranchCycles + c.MemoryCycles + c.FrontendCycles)
+		barrier += float64(c.BarrierCycles)
+		total += c.Cycles
 	}
-	for _, th := range res.Threads {
+	return stalls / float64(total), barrier / float64(total)
+}
+
+func TestThreadedBasics(t *testing.T) {
+	res := runThreaded(t, scaleModel(t, 4), "par.stencil", parOpts())
+	if len(res.Cores) != 4 {
+		t.Fatalf("%d threads, want 4", len(res.Cores))
+	}
+	makespan := units.Cycles(0)
+	for _, th := range res.Cores {
+		if th.Benchmark != "par.stencil" {
+			t.Errorf("thread %d runs %q", th.Core, th.Benchmark)
+		}
 		if th.Instructions < 50_000 {
-			t.Errorf("thread %d retired only %d", th.Thread, th.Instructions)
+			t.Errorf("thread %d retired only %d", th.Core, th.Instructions)
 		}
 		if th.IPC <= 0 || th.IPC > 4 {
-			t.Errorf("thread %d IPC %.3f out of range", th.Thread, th.IPC)
+			t.Errorf("thread %d IPC %.3f out of range", th.Core, th.IPC)
 		}
 		if th.Barriers == 0 {
-			t.Errorf("thread %d crossed no barriers", th.Thread)
+			t.Errorf("thread %d crossed no barriers", th.Core)
 		}
+		makespan = max(makespan, th.Cycles)
 	}
-	if res.MakespanCycles <= 0 {
-		t.Fatal("no makespan")
+	if res.ElapsedCycles <= 0 || res.ElapsedCycles != makespan {
+		t.Fatalf("ElapsedCycles %.0f, the last thread finished at %.0f", res.ElapsedCycles, makespan)
 	}
-	sum := res.Stack.Base + res.Stack.Branch + res.Stack.Memory + res.Stack.Frontend + res.Stack.Barrier
-	if math.Abs(sum-1) > 0.05 {
-		t.Fatalf("speedup stack sums to %.3f, want ~1 (%+v)", sum, res.Stack)
+	if stalls, barrier := res.shares(); math.Abs(stalls+barrier-1) > 0.05 {
+		t.Fatalf("stall components %.3f and barrier wait %.3f do not explain the threads' cycles", stalls, barrier)
 	}
 }
 
-func TestRunParallelStrongScaling(t *testing.T) {
+func TestThreadedStrongScaling(t *testing.T) {
 	// More threads must raise aggregate throughput for the same workload
 	// (strong scaling), bounded by the thread count.
-	throughput := func(name string, cores int) float64 {
-		cfg := config.Target()
-		if cores != 32 {
-			var err error
-			cfg, err = config.ScaleModel(config.Target(), cores, config.ScaleModelOptions{Policy: config.PRSFull})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := RunParallel(cfg, ParallelSpec{Profile: trace.ParallelByName(name)}, parOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.AggregateIPC()
-	}
 	for _, name := range []string{"par.stream", "par.stencil"} {
-		p1 := throughput(name, 1)
-		p4 := throughput(name, 4)
+		p1 := runThreaded(t, scaleModel(t, 1), name, parOpts()).aggregateIPC()
+		p4 := runThreaded(t, scaleModel(t, 4), name, parOpts()).aggregateIPC()
 		speedup := p4 / p1
 		if speedup <= 1 {
 			t.Errorf("%s: no speedup from 4 threads (%.2f)", name, speedup)
@@ -176,53 +192,40 @@ func TestRunParallelStrongScaling(t *testing.T) {
 	}
 }
 
-func TestRunParallelSkewShowsImbalance(t *testing.T) {
-	cfg, err := config.ScaleModel(config.Target(), 4, config.ScaleModelOptions{Policy: config.PRSFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	balanced, err := RunParallel(cfg, ParallelSpec{Profile: trace.ParallelByName("par.stencil")}, parOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewed, err := RunParallel(cfg, ParallelSpec{Profile: trace.ParallelByName("par.graph")}, parOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skewed.Stack.Barrier <= balanced.Stack.Barrier {
-		t.Fatalf("skewed workload barrier share %.3f not above balanced %.3f",
-			skewed.Stack.Barrier, balanced.Stack.Barrier)
+func TestThreadedSkewShowsImbalance(t *testing.T) {
+	_, balanced := runThreaded(t, scaleModel(t, 4), "par.stencil", parOpts()).shares()
+	_, skewed := runThreaded(t, scaleModel(t, 4), "par.graph", parOpts()).shares()
+	if skewed <= balanced {
+		t.Fatalf("skewed workload barrier share %.3f not above balanced %.3f", skewed, balanced)
 	}
 }
 
-func TestRunParallelDeterministic(t *testing.T) {
-	cfg, _ := config.ScaleModel(config.Target(), 2, config.ScaleModelOptions{Policy: config.PRSFull})
-	run := func() *ParallelResult {
-		res, err := RunParallel(cfg, ParallelSpec{Profile: trace.ParallelByName("par.tablescan")}, parOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.MakespanCycles != b.MakespanCycles {
-		t.Fatalf("non-deterministic makespan: %.0f vs %.0f", a.MakespanCycles, b.MakespanCycles)
-	}
-	for i := range a.Threads {
-		if a.Threads[i].IPC != b.Threads[i].IPC {
-			t.Fatalf("thread %d IPC differs", i)
-		}
+func TestThreadedDeterministic(t *testing.T) {
+	a := runThreaded(t, scaleModel(t, 2), "par.tablescan", parOpts())
+	b := runThreaded(t, scaleModel(t, 2), "par.tablescan", parOpts())
+	a.WallClock, b.WallClock = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs of one threaded job differ:\n %+v\n %+v", a, b)
 	}
 }
 
-func TestRunParallelErrors(t *testing.T) {
-	cfg, _ := config.ScaleModel(config.Target(), 2, config.ScaleModelOptions{Policy: config.PRSFull})
-	if _, err := RunParallel(cfg, ParallelSpec{}, parOpts()); err == nil {
-		t.Fatal("nil profile accepted")
+func TestThreadedErrors(t *testing.T) {
+	cfg := scaleModel(t, 2)
+	if _, err := Run(cfg, Workload{}, parOpts()); err == nil {
+		t.Fatal("a workload of neither kind accepted")
+	}
+	stream := trace.ParallelByName("par.stream")
+	if _, err := Run(cfg, Workload{Profiles: Homogeneous(trace.ByName("gcc"), 2).Profiles, Threads: stream}, parOpts()); err == nil {
+		t.Fatal("a workload of both kinds accepted")
+	}
+	skewed := *stream
+	skewed.Skew = 2
+	if _, err := Run(cfg, Workload{Threads: &skewed}, parOpts()); err == nil {
+		t.Fatal("invalid parallel profile accepted")
 	}
 	bad := config.Target()
 	bad.Cores = 0
-	if _, err := RunParallel(bad, ParallelSpec{Profile: trace.ParallelByName("par.stream")}, parOpts()); err == nil {
+	if _, err := Run(bad, Workload{Threads: stream}, parOpts()); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -75,6 +75,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBarrierFieldsOnlyInThreadedArtifacts: a threaded run's barrier counts
+// round-trip, and a mix's artifact does not mention them — what the store
+// held before CoreResult had the pair reads, and hashes, as it did.
+func TestBarrierFieldsOnlyInThreadedArtifacts(t *testing.T) {
+	s := open(t, t.TempDir())
+	mix, threaded := sampleResult(), sampleResult()
+	threaded.Cores[0].Barriers, threaded.Cores[0].BarrierCycles = 3, 1500
+	for key, res := range map[string]*sim.Result{"mix": mix, "threaded": threaded} {
+		if err := s.Save(key, res); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		got, ok, err := s.Load(key)
+		if err != nil || !ok || !reflect.DeepEqual(got, res) {
+			t.Fatalf("%s: Load = (%+v, %v, %v), want what was saved", key, got, ok, err)
+		}
+		data, err := os.ReadFile(s.objectPath(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if has := strings.Contains(string(data), "Barrier"); has != (key == "threaded") {
+			t.Errorf("%s artifact mentions barriers: %v\n%s", key, has, data)
+		}
+	}
+}
+
 // TestReopenServesArtifacts pins cross-handle durability: a second handle on
 // the same directory serves artifacts the first wrote.
 func TestReopenServesArtifacts(t *testing.T) {

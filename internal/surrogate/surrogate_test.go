@@ -194,6 +194,19 @@ func TestGateRejectsNonFinite(t *testing.T) {
 	if s.trainedPoints() != before {
 		t.Fatal("non-finite features entered the training set")
 	}
+	// A threaded job has no per-program feature rows: the model neither
+	// serves it nor learns from it.
+	threaded := synthJob(3)
+	threaded.Workload = sim.Workload{Threads: &trace.ParallelProfile{Serial: *threaded.Workload.Profiles[0]}}
+	if rows := jobFeatures(threaded); len(rows) != 0 {
+		t.Fatalf("a threaded job produced %d feature rows, want none", len(rows))
+	}
+	if _, ok := s.Predict(threaded); ok {
+		t.Fatal("served a prediction for a threaded job")
+	}
+	if s.Observe(threaded, synthResult(3)); s.trainedPoints() != before {
+		t.Fatal("a threaded job entered the training set")
+	}
 }
 
 func TestGateRejectsNovelQueries(t *testing.T) {

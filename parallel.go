@@ -8,6 +8,7 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/fit"
 	"scalesim/internal/metrics"
+	"scalesim/internal/runner"
 	"scalesim/internal/sim"
 	"scalesim/internal/trace"
 )
@@ -16,9 +17,23 @@ import (
 // scale-model simulation for data-parallel multi-threaded workloads, with
 // speedup-stack bottleneck analysis.
 
-// SpeedupStack decomposes average per-thread cycles into bottleneck
-// components (fractions summing to ~1); String renders it as percentages.
-type SpeedupStack = sim.SpeedupStack
+// SpeedupStack decomposes average per-thread execution cycles into the
+// bottleneck components of Eyerman et al.'s speedup stacks: what a thread's
+// time went to, as fractions summing to ~1. Comparing stacks across machine
+// sizes shows which bottleneck limits scaling.
+type SpeedupStack struct {
+	Base     float64 // useful (ILP-limited) execution
+	Branch   float64 // misprediction penalties
+	Memory   float64 // exposed memory latency (incl. queuing contention)
+	Frontend float64 // instruction-fetch stalls
+	Barrier  float64 // barrier wait (load imbalance)
+}
+
+// String renders the stack as percentages.
+func (s SpeedupStack) String() string {
+	return fmt.Sprintf("base %.0f%% | branch %.0f%% | memory %.0f%% | frontend %.0f%% | barrier %.0f%%",
+		100*s.Base, 100*s.Branch, 100*s.Memory, 100*s.Frontend, 100*s.Barrier)
+}
 
 // ParallelResult is the outcome of one multi-threaded simulation.
 type ParallelResult struct {
@@ -28,6 +43,41 @@ type ParallelResult struct {
 	AggregateIPC   float64
 	Stack          SpeedupStack
 	WallClockSec   float64
+	// Trace is SimResult.Trace for a threaded run, in the same schema: a
+	// thread's wait at a barrier shows in the epoch the barrier opened in, as
+	// core cycles the four CPI components do not explain.
+	Trace []EpochSnapshot
+}
+
+// parallelResult reads a threaded run: throughput is total instructions per
+// makespan cycle, the stack each component's share of all threads' cycles.
+func parallelResult(res *sim.Result) *ParallelResult {
+	out := &ParallelResult{
+		Machine:        res.ConfigName,
+		Threads:        len(res.Cores),
+		MakespanCycles: float64(res.ElapsedCycles),
+		WallClockSec:   res.WallClock.Seconds(),
+		Trace:          res.Trace,
+	}
+	var instr uint64
+	var cycles float64
+	s := &out.Stack
+	for _, c := range res.Cores {
+		instr += c.Instructions
+		cycles += float64(c.Cycles)
+		s.Base += float64(c.BaseCycles)
+		s.Branch += float64(c.BranchCycles)
+		s.Memory += float64(c.MemoryCycles)
+		s.Frontend += float64(c.FrontendCycles)
+		s.Barrier += float64(c.BarrierCycles)
+	}
+	if res.ElapsedCycles > 0 {
+		out.AggregateIPC = float64(instr) / float64(res.ElapsedCycles)
+		for _, part := range []*float64{&s.Base, &s.Branch, &s.Memory, &s.Frontend, &s.Barrier} {
+			*part /= cycles
+		}
+	}
+	return out
 }
 
 // ParallelBenchmarkNames lists the data-parallel workload suite.
@@ -50,6 +100,9 @@ func SimulateParallel(spec MachineSpec, workload string, opts SimOptions) (*Para
 // or deadline expiry propagates into the simulator's epoch loop, aborting
 // the run within one epoch and returning ctx.Err().
 func SimulateParallelContext(ctx context.Context, spec MachineSpec, workload string, opts SimOptions) (*ParallelResult, error) {
+	if err := opts.Tuning.Validate(); err != nil {
+		return nil, err
+	}
 	pp := trace.ParallelByName(workload)
 	if pp == nil {
 		return nil, fmt.Errorf("scalesim: %w: parallel workload %q", ErrUnknownBenchmark, workload)
@@ -58,18 +111,11 @@ func SimulateParallelContext(ctx context.Context, spec MachineSpec, workload str
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunParallelContext(ctx, cfg, sim.ParallelSpec{Profile: pp}, opts.internal())
+	res, err := sim.RunContext(ctx, cfg, sim.Workload{Threads: pp}, opts.internal())
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelResult{
-		Machine:        res.ConfigName,
-		Threads:        len(res.Threads),
-		MakespanCycles: float64(res.MakespanCycles),
-		AggregateIPC:   res.AggregateIPC(),
-		Stack:          res.Stack,
-		WallClockSec:   res.WallClock.Seconds(),
-	}, nil
+	return parallelResult(res), nil
 }
 
 // MTWorkloadResult is one parallel workload's scaling study.
@@ -118,29 +164,37 @@ func (r *MTResult) String() string {
 // validated against a simulated 32-core target. Speedup stacks show which
 // bottleneck (memory contention or barrier imbalance) limits scaling.
 func (e *Experiments) ExtMultithreaded() (*MTResult, error) {
+	suite, sizes := trace.ParallelSuite(), []int{1, 2, 4, 8, 16, 32}
+	jobs := make([]runner.Job, 0, len(suite)*len(sizes))
+	for _, cores := range sizes {
+		cfg, err := e.lab.Machine(cores)
+		if err != nil {
+			return nil, err
+		}
+		for _, pp := range suite {
+			jobs = append(jobs, runner.Job{Config: cfg, Workload: sim.Workload{Threads: pp}, Options: e.lab.Opts})
+		}
+	}
+	results, err := e.lab.RunBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
 	out := &MTResult{}
 	var errs []float64
-	for _, pp := range trace.ParallelSuite() {
+	for wi, pp := range suite {
 		w := MTWorkloadResult{
 			Workload:     pp.Serial.Name,
 			ThroughputAt: map[int]float64{},
 			StackAt:      map[int]SpeedupStack{},
 		}
 		var xs, ys []float64
-		for _, cores := range []int{1, 2, 4, 8, 16, 32} {
-			cfg, err := e.lab.Machine(cores)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.RunParallel(cfg, sim.ParallelSpec{Profile: pp}, e.lab.Opts)
-			if err != nil {
-				return nil, err
-			}
-			w.ThroughputAt[cores] = res.AggregateIPC()
+		for ci, cores := range sizes {
+			res := parallelResult(results[ci*len(suite)+wi])
+			w.ThroughputAt[cores] = res.AggregateIPC
 			w.StackAt[cores] = res.Stack
 			if cores >= 2 && cores <= 16 {
 				xs = append(xs, float64(cores))
-				ys = append(ys, res.AggregateIPC()/float64(cores))
+				ys = append(ys, res.AggregateIPC/float64(cores))
 			}
 		}
 		curve, err := fit.Fit(fit.Logarithmic, xs, ys)

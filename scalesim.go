@@ -9,7 +9,9 @@
 //
 //   - a trace-driven multicore simulator (out-of-order cores, three-level
 //     cache hierarchy with a shared NUCA LLC, mesh NoC, multi-controller
-//     DRAM with emergent bandwidth contention),
+//     DRAM with emergent bandwidth contention) whose one run loop takes a
+//     multiprogram mix or the barrier-synchronised threads of one
+//     data-parallel program (the paper's §V-E6 outlook),
 //   - a 29-benchmark synthetic workload suite spanning compute-bound to
 //     bandwidth-saturating behaviour,
 //   - scale-model construction (No Resource Scaling and Proportional

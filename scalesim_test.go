@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -322,6 +323,20 @@ func TestSimulateParallelPublicAPI(t *testing.T) {
 	if _, err := SimulateParallel(MachineSpec{Cores: 2}, "nope", tinyOptions()); err == nil {
 		t.Fatal("unknown parallel workload accepted")
 	}
+	// Tracing records the epochs and changes nothing else.
+	traced := tinyOptions()
+	traced.Trace, traced.TraceWarmup = true, true
+	got, err := SimulateParallel(MachineSpec{Cores: 2}, "par.stencil", traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Trace) == 0 || got.Trace[0].Phase != "warmup" || len(got.Trace[0].Cores) != 2 {
+		t.Fatalf("traced threaded run recorded %d snapshots", len(got.Trace))
+	}
+	got.Trace, got.WallClockSec, res.WallClockSec = nil, 0, 0
+	if !reflect.DeepEqual(got, res) {
+		t.Fatalf("tracing perturbed the threaded run:\nuntraced: %+v\ntraced:   %+v", res, got)
+	}
 }
 
 func TestExtMultithreadedOnTinyBudget(t *testing.T) {
@@ -350,6 +365,38 @@ func TestExtMultithreadedOnTinyBudget(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "par.stream") {
 		t.Error("rendering missing workloads")
+	}
+
+	// The study is 24 engine jobs: simulated once, a repeat served from
+	// memory, a later process served from the store, the figure the same.
+	if ex.Runs() != 24 {
+		t.Fatalf("the study ran %d simulations, want 24", ex.Runs())
+	}
+	dir := t.TempDir()
+	for process, want := range []struct{ runs, disk int }{{24, 0}, {0, 24}} {
+		stored, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stored.SetStore(dir); err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			again, err := stored.ExtMultithreaded()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.String() != res.String() {
+				t.Fatalf("process %d, regeneration %d: figure differs:\n%s\nvs\n%s", process, rep, again, res)
+			}
+		}
+		if stored.Runs() != want.runs || stored.DiskHits() != want.disk || stored.CacheHits() != 24 {
+			t.Fatalf("process %d: %d simulated, %d from disk, %d from memory; want %d, %d, 24",
+				process, stored.Runs(), stored.DiskHits(), stored.CacheHits(), want.runs, want.disk)
+		}
+		if err := stored.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -44,6 +44,9 @@ func TestBadTuningSurfaces(t *testing.T) {
 	if _, err := Simulate(spec, []string{"mcf"}, opts); !errors.Is(err, ErrBadTuning) {
 		t.Errorf("Simulate with bad tuning = %v, want ErrBadTuning", err)
 	}
+	if _, err := SimulateParallel(spec, "par.stream", opts); !errors.Is(err, ErrBadTuning) {
+		t.Errorf("SimulateParallel with bad tuning = %v, want ErrBadTuning", err)
+	}
 	if _, err := RunCampaign(Campaign{Tuning: bad}); !errors.Is(err, ErrBadTuning) {
 		t.Errorf("RunCampaign with bad campaign tuning = %v, want ErrBadTuning", err)
 	}
@@ -217,9 +220,10 @@ func TestParallelEpochDeterminism(t *testing.T) {
 	// A skewed data-parallel run: threads that reach a barrier early retire
 	// nothing for whole epochs while the stragglers catch up, so blocks cost
 	// very different amounts and idle workers steal.
-	threads := func(workers int) *sim.ParallelResult {
-		opts := sim.Options{Instructions: 160_000, Warmup: 40_000, EpochCycles: 10_000, CapacityScale: 16, Seed: 3, CoreWorkers: workers}
-		res, err := sim.RunParallelContext(context.Background(), machine(8), sim.ParallelSpec{Profile: trace.ParallelByName("par.graph")}, opts)
+	threads := func(workers int) *sim.Result {
+		opts := sim.Options{Instructions: 160_000, Warmup: 40_000, EpochCycles: 10_000, CapacityScale: 16, Seed: 3,
+			CoreWorkers: workers, Telemetry: &sim.TelemetryOptions{Warmup: true}}
+		res, err := sim.RunContext(context.Background(), machine(8), sim.Workload{Threads: trace.ParallelByName("par.graph")}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +231,7 @@ func TestParallelEpochDeterminism(t *testing.T) {
 		return res
 	}
 	serial := threads(1)
-	if serial.Stack.Barrier == 0 {
+	if parallelResult(serial).Stack.Barrier == 0 {
 		t.Fatal("no thread ever waited at a barrier; the skewed run does not exercise idle cores")
 	}
 	if got := threads(3); !reflect.DeepEqual(serial, got) {
