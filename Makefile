@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint mutate race bench bench-record bench-trend clean clean-store store-smoke mt-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check lint mutate loc race bench bench-record bench-trend clean clean-store store-smoke mt-smoke serve-smoke surrogate-smoke
 
 # The lint report lands at the repository root regardless of the directory
 # make was invoked from, so CI's artifact path and local runs always agree.
@@ -115,6 +115,14 @@ lint:
 # survives. Independent of `make check`; CI runs it after the test suite.
 mutate:
 	sh tools/mutants/run.sh
+
+# The two sizes ROADMAP's diet item budgets, over tracked files: non-test Go
+# outside bench/ (testdata aside), and bench/'s non-test Go.
+loc:
+	@printf 'non-test Go outside bench/: '; \
+	git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs cat | wc -l
+	@printf 'non-test Go under bench/:   '; \
+	git ls-files '*.go' | grep '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # Race detector over the full test set (slow).
 race:

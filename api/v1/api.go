@@ -26,6 +26,14 @@
 // came from ("compute", "memory", "coalesced", "disk", "model") plus the
 // serving engine's CampaignStats snapshot. Results served by the surrogate
 // model carry an explicit "approximate" marker.
+//
+// # Fields that left
+//
+// A job runs once, so three response fields no longer exist: an outcome's
+// "retries", and the stats object's "Retries" and its panic subset (DESIGN.md,
+// "Serving invariants", spells the names). Request documents are unchanged.
+// Responses are decoded strictly too: `scalesim request` must be the build of
+// the daemon it talks to.
 package apiv1
 
 import (
@@ -87,8 +95,6 @@ type JobOutcome struct {
 	// estimates; resubmitting against a service without the surrogate tier
 	// (or after the gate tightens) yields the exact result.
 	Approximate bool `json:"approximate,omitempty"`
-	// Retries counts failed attempts before the final one.
-	Retries int `json:"retries,omitempty"`
 	// Error is the job's failure, if any (empty on success).
 	Error string `json:"error,omitempty"`
 	// Result is the simulation outcome (nil when Error is set).

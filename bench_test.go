@@ -368,7 +368,7 @@ func surrogateBenchService(b *testing.B) (*Service, *PreparedJob) {
 	b.Helper()
 	jobs, base := surrogateBenchSweep()
 	svc, err := NewService(ServiceConfig{
-		Surrogate: &SurrogateConfig{MinTrain: base, VarGate: 1e9, DistGate: 1e9, RefitEvery: 1, Trees: 8},
+		Surrogate: &SurrogateConfig{MinTrain: base, VarGate: 1e9, DistGate: 1e9, RefitEvery: 1},
 	})
 	if err != nil {
 		b.Fatal(err)

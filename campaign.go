@@ -30,9 +30,6 @@ type Campaign struct {
 	// non-nil, overrides the campaign default for that job. Tuning never
 	// changes results or cache keys — only wall-clock.
 	Tuning *Tuning
-	// OnProgress, when non-nil, is invoked serially after each job
-	// completes (successfully, from cache, or with an error).
-	OnProgress func(CampaignProgress)
 	// Store, when non-empty, is a directory used as a durable second
 	// memoization tier: results persist across processes, so re-running a
 	// campaign recomputes nothing (Stats.DiskHits). The store is created
@@ -71,22 +68,16 @@ const (
 	SourceModel = runner.SourceModel
 )
 
-// CampaignProgress is one campaign progress event: Job is the
-// submission-order index of the job that just finished, Completed and Total
-// track the whole campaign, CacheHit reports whether the job was served
-// without simulating, and Err is its error, if it failed.
-type CampaignProgress = metrics.Progress
-
 // JobOutcome is one job's result: either a simulation result or an error,
-// plus where the result came from and what it cost.
+// plus where the result came from.
 type JobOutcome struct {
 	// Job is the submission-order index into Campaign.Jobs.
 	Job int
 	// Result is the simulation outcome (nil when Err is set).
 	Result *SimResult
 	// Err is the job's failure, if any. A panicking simulation surfaces
-	// here (after the engine's retries, wrapped in ErrJobFailed) without
-	// affecting other jobs. Invalid specs fail with the matching
+	// here (wrapped in ErrJobFailed; a job runs once) without affecting
+	// other jobs. Invalid specs fail with the matching
 	// ErrUnknown* sentinel.
 	Err error
 	// Source reports whether the simulator ran (SourceCompute) or the
@@ -96,8 +87,6 @@ type JobOutcome struct {
 	// CacheHit reports whether the job was served without simulating
 	// (Source is memory, disk, or model).
 	CacheHit bool
-	// Retries counts failed attempts before the final one (0 normally).
-	Retries int
 	// Approximate marks a result predicted by the surrogate model rather
 	// than simulated: SourceModel, or SourceCoalesced onto a model-served
 	// flight. Ground-truth outcomes always report false.
@@ -169,21 +158,13 @@ func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignResult, error
 		batch = append(batch, p.job)
 		at = append(at, i)
 	}
-	invalid := len(c.Jobs) - len(batch) // these count as finished, and failed
-	var progress func(CampaignProgress)
-	if c.OnProgress != nil {
-		progress = func(p CampaignProgress) {
-			p.Job, p.Completed, p.Total = at[p.Job], invalid+p.Completed, len(c.Jobs)
-			c.OnProgress(p)
-		}
-	}
-	outcomes, ctxErr := svc.eng.RunBatch(ctx, batch, progress)
+	outcomes, ctxErr := svc.eng.RunBatch(ctx, batch)
 	for k, oc := range outcomes {
 		res.Outcomes[at[k]] = outcomeFromInternal(oc)
 		res.Outcomes[at[k]].Job = at[k]
 	}
 	res.Stats = svc.Stats()
 	res.Stats.Jobs = len(c.Jobs)
-	res.Stats.Failures += invalid
+	res.Stats.Failures += len(c.Jobs) - len(batch) // invalid jobs count as failed
 	return res, ctxErr
 }

@@ -163,7 +163,6 @@ type FigureResult struct {
 	ID      string
 	Title   string
 	Methods []MethodResult
-	Notes   string
 }
 
 // String renders the figure as a text table: one row per method, with the
@@ -191,9 +190,6 @@ func (f *FigureResult) String() string {
 			}
 			fmt.Fprintln(&b)
 		}
-	}
-	if f.Notes != "" {
-		fmt.Fprintf(&b, "  note: %s\n", f.Notes)
 	}
 	return b.String()
 }

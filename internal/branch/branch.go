@@ -96,7 +96,6 @@ type Local struct {
 	counters  []counter
 	histMask  uint64
 	cntMask   uint64
-	histLen   uint
 }
 
 // NewLocal returns a local two-level predictor with histEntries history
@@ -109,7 +108,6 @@ func NewLocal(histEntries int, histLen uint) *Local {
 		counters:  pad.Slice[counter](cnt),
 		histMask:  uint64(histEntries - 1),
 		cntMask:   uint64(cnt - 1),
-		histLen:   histLen,
 	})
 }
 

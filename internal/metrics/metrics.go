@@ -71,21 +71,6 @@ func Sorted(errs []float64) []float64 {
 	return out
 }
 
-// Progress is one campaign progress event: emitted by the campaign engine
-// after each job completes (successfully, from cache, or with an error).
-type Progress struct {
-	// Job is the submission-order index of the job that just finished.
-	Job int
-	// Completed and Total track overall campaign progress.
-	Completed int
-	Total     int
-	// CacheHit reports whether this job was served from the memo cache
-	// (including deduplication against an identical in-flight job).
-	CacheHit bool
-	// Err is the job's error, if it failed.
-	Err error
-}
-
 // CampaignStats aggregates a campaign engine's counters: how many jobs were
 // requested, how many unique simulations actually ran, and how many were
 // deduplicated by the content-addressed cache — in memory or on disk. The
@@ -97,8 +82,6 @@ type CampaignStats struct {
 	CoalescedHits int // jobs deduplicated against an identical in-flight job
 	DiskHits      int // jobs served from the durable result store
 	ModelHits     int // jobs served (approximately) by the surrogate model
-	Retries       int // transient failures retried (panics and I/O errors)
-	PanicRetries  int // the panic subset of Retries
 	Failures      int // jobs that ended in an error
 	StoreCorrupt  int // store artifacts quarantined and recomputed
 
@@ -141,9 +124,6 @@ func (s CampaignStats) String() string {
 		s.Jobs, s.UniqueRuns, s.CacheHits, s.CoalescedHits, s.DiskHits, 100*s.HitRate(), s.Failures)
 	if s.ModelHits > 0 {
 		out += fmt.Sprintf(", %d from model (approximate)", s.ModelHits)
-	}
-	if s.Retries > 0 {
-		out += fmt.Sprintf(", %d retried", s.Retries)
 	}
 	if s.StoreCorrupt > 0 {
 		out += fmt.Sprintf(", %d corrupt artifacts quarantined", s.StoreCorrupt)

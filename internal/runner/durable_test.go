@@ -3,12 +3,10 @@ package runner
 import (
 	"context"
 	"errors"
-	"io"
 	"os"
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/sim"
@@ -191,50 +189,11 @@ func TestStoreProtocol(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffDeterministic pins the retry schedule through the
-// injectable sleep: transient failures back off exponentially from
-// BaseDelay, and the outcome reports the retry count.
-func TestRetryBackoffDeterministic(t *testing.T) {
-	e := New(1)
-	e.retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Second}
-	var slept []time.Duration
-	e.sleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	var calls atomic.Int64
-	e.SetRunFunc(func(_ context.Context, _ *config.SystemConfig, _ sim.Workload, o sim.Options) (*sim.Result, error) {
-		if calls.Add(1) <= 2 {
-			return nil, io.ErrUnexpectedEOF // transient I/O failure
-		}
-		return fakeResult(o.Seed), nil
-	})
-	oc := e.Run(context.Background(), job(9))
-	if oc.Err != nil {
-		t.Fatal(oc.Err)
-	}
-	if calls.Load() != 3 || oc.Retries != 2 {
-		t.Fatalf("calls=%d retries=%d, want 3 calls / 2 retries", calls.Load(), oc.Retries)
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	if !reflect.DeepEqual(slept, want) {
-		t.Errorf("backoff schedule = %v, want %v", slept, want)
-	}
-	if s := e.Stats(); s.Retries != 2 || s.PanicRetries != 0 || s.Failures != 0 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
 // TestDeterministicErrorNotRetried: a plain simulation error is a pure
 // function of the design point — retrying cannot change it, so the engine
 // must not.
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	e := New(1)
-	e.retry = RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	e.sleep = func(context.Context, time.Duration) error {
-		t.Error("slept for a non-transient error")
-		return nil
-	}
 	var calls atomic.Int64
 	modelErr := errors.New("negative cache capacity")
 	e.SetRunFunc(func(context.Context, *config.SystemConfig, sim.Workload, sim.Options) (*sim.Result, error) {
@@ -242,66 +201,10 @@ func TestDeterministicErrorNotRetried(t *testing.T) {
 		return nil, modelErr
 	})
 	oc := e.Run(context.Background(), job(1))
-	if calls.Load() != 1 || oc.Retries != 0 {
-		t.Fatalf("deterministic error retried: calls=%d retries=%d", calls.Load(), oc.Retries)
+	if calls.Load() != 1 {
+		t.Fatalf("deterministic error retried: %d calls", calls.Load())
 	}
 	if !errors.Is(oc.Err, ErrJobFailed) || !errors.Is(oc.Err, modelErr) {
 		t.Fatalf("err = %v, want wrapping both ErrJobFailed and the cause", oc.Err)
 	}
 }
-
-// TestRetryExhaustionWrapsCause: when retries run out, the final error
-// wraps ErrJobFailed and the last underlying cause.
-func TestRetryExhaustionWrapsCause(t *testing.T) {
-	e := New(1)
-	e.retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}
-	var delays []time.Duration
-	e.sleep = func(_ context.Context, d time.Duration) error { delays = append(delays, d); return nil }
-	e.SetRunFunc(func(context.Context, *config.SystemConfig, sim.Workload, sim.Options) (*sim.Result, error) {
-		return nil, io.ErrUnexpectedEOF
-	})
-	oc := e.Run(context.Background(), job(1))
-	if !errors.Is(oc.Err, ErrJobFailed) || !errors.Is(oc.Err, io.ErrUnexpectedEOF) {
-		t.Fatalf("err = %v", oc.Err)
-	}
-	if oc.Retries != 2 || len(delays) != 2 {
-		t.Fatalf("retries=%d delays=%v, want 2 retries", oc.Retries, delays)
-	}
-	if s := e.Stats(); s.Failures != 1 || s.Retries != 2 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
-func TestBackoffCap(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 25 * time.Millisecond}
-	for i, w := range want {
-		if got := p.backoff(i + 1); got != w {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-}
-
-func TestTransientClassification(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"canceled", context.Canceled, false},
-		{"deadline", context.DeadlineExceeded, false},
-		{"panic", &PanicError{Value: "x"}, true},
-		{"syscall", &os.SyscallError{Syscall: "read", Err: errors.New("EIO")}, true},
-		{"unexpected-eof", io.ErrUnexpectedEOF, true},
-		{"model error", errors.New("unknown benchmark"), false},
-		{"wrapped panic", errorsJoin(ErrJobFailed, &PanicError{Value: "y"}), true},
-	}
-	for _, c := range cases {
-		if got := Transient(c.err); got != c.want {
-			t.Errorf("Transient(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func errorsJoin(errs ...error) error { return errors.Join(errs...) }

@@ -12,7 +12,7 @@
 // jobs share no mutable state. Results are therefore bit-identical
 // regardless of worker count or scheduling order, and RunBatch returns them
 // in submission order. The only non-deterministic field is the measured
-// host wall-clock.
+// host wall-clock (sim.Result.WallClock).
 //
 // # Memoization
 //
@@ -41,24 +41,20 @@
 // or the store — those tiers hold ground truth only — and every computed or
 // disk-loaded result is fed back to the predictor's training set.
 //
-// # Isolation and retry
+// # Isolation, and why a failed job is not retried
 //
 // A panicking simulation does not kill the campaign: the panic is recovered
-// in the worker and converted into a *PanicError for that one job.
-// Transient failures — panics, I/O errors, timeouts (see Transient) — are
-// retried with exponential backoff up to the engine's RetryPolicy;
-// deterministic simulation errors are not (retrying a pure function cannot
-// change its answer). Exhausted or non-transient failures are wrapped in
-// ErrJobFailed. Backoff sleeping goes through the engine's sleep field so
-// in-package tests control time.
+// in the worker and converted into a *PanicError, stack included, for that
+// one job. A job runs once. The simulator is a pure function of the job and
+// does no I/O, so a second attempt reproduces the first's failure at twice
+// the cost; a failure is the simulator's answer, wrapped in ErrJobFailed.
+// Context errors pass through unwrapped and are never cached.
 package runner
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -72,7 +68,9 @@ import (
 
 // Job is one unit of campaign work: a workload simulated on a machine with
 // given options. The seed lives inside Options. The content-addressed cache
-// key is computed by Key (key.go).
+// key is computed by Key (key.go) over the options as given, so a Job carries
+// resolved options (sim.Options.Resolved): the values that will run. The root
+// package resolves them at its one door, SimOptions.internal.
 type Job struct {
 	Config   *config.SystemConfig
 	Workload sim.Workload
@@ -89,9 +87,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: simulation panicked: %v", e.Value)
 }
 
-// ErrJobFailed marks a job that exhausted its retry budget or failed with a
-// non-transient error. Test with errors.Is; the underlying cause (including
-// a *PanicError) remains reachable through errors.As.
+// ErrJobFailed marks a job whose one run returned an error or panicked. Test
+// with errors.Is; the underlying cause (including a *PanicError) remains
+// reachable through errors.As.
 var ErrJobFailed = errors.New("job failed")
 
 // RunFunc is the simulation entry point the engine drives; injectable for
@@ -119,7 +117,7 @@ const (
 )
 
 // Outcome is one job's result within a batch: either a simulation result or
-// an error, plus where it came from and what it cost.
+// an error, plus where it came from.
 type Outcome struct {
 	Result *sim.Result
 	Err    error
@@ -128,11 +126,6 @@ type Outcome struct {
 	Source Source
 	// CacheHit is Source != SourceCompute: the simulator did not run.
 	CacheHit bool
-	// Retries counts failed attempts before the final one (0 normally).
-	Retries int
-	// WallClock is the host time this job occupied a worker — near zero for
-	// cache hits, the simulation time (plus any in-flight wait) otherwise.
-	WallClock time.Duration
 	// Approximate marks a result predicted by the surrogate model
 	// (SourceModel, or SourceCoalesced onto a model-served flight) rather
 	// than simulated or loaded from ground truth.
@@ -169,62 +162,6 @@ type Predictor interface {
 	Observe(job Job, res *sim.Result)
 }
 
-// RetryPolicy bounds transient-failure retries. Attempt n (1-based) that
-// fails transiently sleeps BaseDelay<<(n-1), capped at MaxDelay, before the
-// next attempt, up to MaxAttempts total attempts.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts (>=1; a value <1 means 1)
-	BaseDelay   time.Duration // backoff before the first retry
-	MaxDelay    time.Duration // backoff cap
-}
-
-// DefaultRetryPolicy is the engine's default: one retry after a short pause.
-var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second}
-
-// backoff returns the sleep before retry n (1-based).
-func (p RetryPolicy) backoff(n int) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < n; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			return p.MaxDelay
-		}
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		return p.MaxDelay
-	}
-	return d
-}
-
-// Transient reports whether an error is worth retrying: recovered panics,
-// I/O errors, and timeouts can succeed on a second attempt; deterministic
-// simulation errors (and context cancellation) cannot.
-func Transient(err error) bool {
-	if err == nil || cancelled(err) {
-		return false
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var sys *os.SyscallError
-	if errors.As(err, &sys) {
-		return true
-	}
-	if errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var timeout interface{ Timeout() bool }
-	if errors.As(err, &timeout) && timeout.Timeout() {
-		return true
-	}
-	var temp interface{ Temporary() bool }
-	if errors.As(err, &temp) && temp.Temporary() {
-		return true
-	}
-	return false
-}
-
 // flight is one cache slot: the job's Outcome as its owner resolved it,
 // final once done is closed. A model-served flight is evicted before done
 // closes (the memory tier holds ground truth only), so an approximate
@@ -240,12 +177,10 @@ type flight struct {
 // share their common design points.
 type Engine struct {
 	workers   int
-	retry     RetryPolicy
 	fronts    *sim.Fronts
 	run       RunFunc
 	store     ResultStore
 	predictor Predictor
-	sleep     func(context.Context, time.Duration) error
 
 	mu        sync.Mutex
 	cache     map[string]*flight
@@ -254,32 +189,15 @@ type Engine struct {
 }
 
 // New returns an engine with the given worker-pool size (<= 0 selects
-// GOMAXPROCS), the default retry policy, and no durable store.
+// GOMAXPROCS) and no durable store.
 func New(workers int) *Engine {
 	fronts := sim.NewFronts()
 	return &Engine{
 		workers:   workers,
-		retry:     DefaultRetryPolicy,
 		fronts:    fronts,
 		run:       fronts.RunContext,
-		sleep:     sleepContext,
 		cache:     make(map[string]*flight),
 		perConfig: make(map[string]ConfigTime),
-	}
-}
-
-// sleepContext is the default backoff sleep: a timer racing the context.
-func sleepContext(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 
@@ -393,9 +311,8 @@ func (e *Engine) Run(ctx context.Context, job Job) Outcome {
 // claim the key in memory (a hit, a coalesce, or a new flight this caller
 // owns), resolve a new flight from disk → model → compute, settle it for
 // waiters and later callers. The returned Outcome carries the result or
-// error plus its Source and retry count. WallClock is left zero; RunBatch
-// fills it. key must be job.Key(): Service.Prepare has computed it, and a
-// served job is hashed once (DESIGN.md, Performance invariants, 6).
+// error plus its Source. key must be job.Key(): Service.Prepare has computed
+// it, and a served job is hashed once (DESIGN.md, Performance invariants, 6).
 func (e *Engine) RunKeyed(ctx context.Context, key string, job Job) Outcome {
 	f, src := e.claim(key)
 	if src == SourceCoalesced {
@@ -470,7 +387,7 @@ func (e *Engine) resolve(ctx context.Context, key string, job Job) Outcome {
 	if store != nil {
 		_ = store.Begin(key) // best-effort journaling
 	}
-	res, err, retries := e.execute(ctx, job)
+	res, err := e.execute(ctx, job)
 	switch {
 	case err == nil:
 		// Active learning: a gate-rejected query teaches the model the
@@ -479,7 +396,7 @@ func (e *Engine) resolve(ctx context.Context, key string, job Job) Outcome {
 	case store != nil && !cancelled(err):
 		_ = store.Fail(key)
 	}
-	return Outcome{Result: res, Err: err, Source: SourceCompute, Retries: retries}
+	return Outcome{Result: res, Err: err, Source: SourceCompute}
 }
 
 // admit is the only door into the ground-truth tiers, the store and the
@@ -531,42 +448,21 @@ func cancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// execute runs the job with panic isolation, retrying transient failures
-// with exponential backoff up to the engine's retry policy. The final error
-// of an exhausted or non-transient failure wraps ErrJobFailed (and, through
-// it, the underlying cause); context errors pass through unwrapped.
-func (e *Engine) execute(ctx context.Context, job Job) (*sim.Result, error, int) {
+// execute runs the job once, with panic isolation. A failure wraps
+// ErrJobFailed (and, through it, the underlying cause); context errors pass
+// through unwrapped.
+func (e *Engine) execute(ctx context.Context, job Job) (*sim.Result, error) {
 	e.mu.Lock()
-	run, pol, sleep := e.run, e.retry, e.sleep
+	run := e.run
 	workers := e.effectiveWorkers()
 	e.mu.Unlock()
 	// A direct Run caller (the server's pool) has no batch to size the
 	// split by: the engine's pool size stands in for the campaign's width.
-	job = withCoreShare(job, workers)
-	retries := 0
-	for attempt := 1; ; attempt++ {
-		res, err := protect(ctx, run, job)
-		if err == nil {
-			return res, nil, retries
-		}
-		if cancelled(err) {
-			return nil, err, retries
-		}
-		if attempt >= pol.MaxAttempts || !Transient(err) {
-			return nil, fmt.Errorf("runner: %w after %d attempt(s): %w", ErrJobFailed, attempt, err), retries
-		}
-		retries++
-		e.mu.Lock()
-		e.stats.Retries++
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			e.stats.PanicRetries++
-		}
-		e.mu.Unlock()
-		if serr := sleep(ctx, pol.backoff(retries)); serr != nil {
-			return nil, serr, retries
-		}
+	res, err := protect(ctx, run, withCoreShare(job, workers))
+	if err != nil && !cancelled(err) {
+		return nil, fmt.Errorf("runner: %w: %w", ErrJobFailed, err)
 	}
+	return res, err
 }
 
 // withCoreShare splits the host's parallelism budget between job-level and
@@ -583,7 +479,7 @@ func withCoreShare(job Job, width int) Job {
 	return job
 }
 
-// protect invokes one simulation attempt, converting panics into errors.
+// protect invokes the simulation, converting a panic into an error.
 func protect(ctx context.Context, run RunFunc, job Job) (res *sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -594,12 +490,11 @@ func protect(ctx context.Context, run RunFunc, job Job) (res *sim.Result, err er
 }
 
 // RunBatch executes jobs on the worker pool and returns their outcomes in
-// submission order. Duplicated jobs (same Key) simulate once. The progress
-// callback, when non-nil, is invoked serially after each job completes.
-// RunBatch returns ctx.Err() when the batch was cut short by cancellation;
-// per-job errors (including cancellation of in-flight jobs) are reported in
-// the outcomes either way.
-func (e *Engine) RunBatch(ctx context.Context, jobs []Job, progress func(metrics.Progress)) ([]Outcome, error) {
+// submission order. Duplicated jobs (same Key) simulate once. RunBatch
+// returns ctx.Err() when the batch was cut short by cancellation; per-job
+// errors (including cancellation of in-flight jobs) are reported in the
+// outcomes either way.
+func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Outcome, error) {
 	out := make([]Outcome, len(jobs))
 	if len(jobs) == 0 {
 		return out, ctx.Err()
@@ -608,29 +503,12 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job, progress func(metrics
 	// width, not the engine's, is what an auto CoreWorkers is a share of.
 	workers := min(e.Workers(), len(jobs))
 
-	var (
-		wg        sync.WaitGroup
-		progMu    sync.Mutex
-		completed int
-	)
+	var wg sync.WaitGroup
 	idx := make(chan int)
 	worker := func() {
 		defer wg.Done()
 		for i := range idx {
-			t0 := time.Now() //simlint:ignore wallclock measures Outcome.WallClock reporting only; never simulated state
-			oc := e.Run(ctx, withCoreShare(jobs[i], workers))
-			//simlint:ignore wallclock measures Outcome.WallClock reporting only; never simulated state
-			oc.WallClock = time.Since(t0)
-			out[i] = oc
-			progMu.Lock()
-			completed++
-			if progress != nil {
-				progress(metrics.Progress{
-					Job: i, Completed: completed, Total: len(jobs),
-					CacheHit: oc.CacheHit, Err: oc.Err,
-				})
-			}
-			progMu.Unlock()
+			out[i] = e.Run(ctx, withCoreShare(jobs[i], workers))
 		}
 	}
 	wg.Add(workers)

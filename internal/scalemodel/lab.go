@@ -100,7 +100,7 @@ func (l *Lab) machines(sizes []int) (map[int]*config.SystemConfig, error) {
 // the returned error, whichever worker hit it first.
 func (l *Lab) RunBatch(jobs []runner.Job) ([]*sim.Result, error) {
 	//simlint:ignore ctxflow the figure API is context-free; the process is the cancellation scope
-	outcomes, err := l.engine.RunBatch(context.Background(), jobs, nil)
+	outcomes, err := l.engine.RunBatch(context.Background(), jobs)
 	results := make([]*sim.Result, len(outcomes))
 	for i, oc := range outcomes {
 		if oc.Err != nil {
@@ -127,10 +127,9 @@ func fairShareBW(cfg *config.SystemConfig, cr sim.CoreResult) float64 {
 
 // Measurement is one application's single-core scale-model reading.
 type Measurement struct {
-	Bench string
-	IPC   float64
-	BW    float64 // fair-share bandwidth utilization
-	MPKI  float64 // LLC misses per kilo-instruction (Fig. 3's sort key)
+	IPC  float64
+	BW   float64 // fair-share bandwidth utilization
+	MPKI float64 // LLC misses per kilo-instruction (Fig. 3's sort key)
 }
 
 // singleCoreMeasurement reads an application's measurement off its run alone
@@ -138,10 +137,9 @@ type Measurement struct {
 func singleCoreMeasurement(cfg *config.SystemConfig, res *sim.Result) Measurement {
 	cr := res.Cores[0]
 	return Measurement{
-		Bench: cr.Benchmark,
-		IPC:   cr.IPC,
-		BW:    fairShareBW(cfg, cr),
-		MPKI:  cr.LLCMPKI,
+		IPC:  cr.IPC,
+		BW:   fairShareBW(cfg, cr),
+		MPKI: cr.LLCMPKI,
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 // benchmarks exceed 80% for every estimator; with ratio targets the whole
 // lineup lands in the paper's reported range.)
 type Predictor struct {
-	Kind   EstimatorKind
 	Inputs Inputs
 	Metric Metric
 	model  ml.Regressor
@@ -68,7 +67,7 @@ func TrainPredictor(kind EstimatorKind, in Inputs, metric Metric, samples []Samp
 	if err := est.Fit(X, y); err != nil {
 		return nil, fmt.Errorf("scalemodel: training %v predictor: %w", kind, err)
 	}
-	return &Predictor{Kind: kind, Inputs: in, Metric: metric, model: est}, nil
+	return &Predictor{Inputs: in, Metric: metric, model: est}, nil
 }
 
 // Predict returns the model's estimate for one application's features.
@@ -81,10 +80,7 @@ func (p *Predictor) Predict(f Features) float64 {
 // are extrapolated to the target core count with a least-squares curve fit
 // of performance versus core count.
 type RegressionModel struct {
-	Kind   EstimatorKind
-	Form   fit.Model
-	Inputs Inputs
-	Metric Metric
+	Form fit.Model
 
 	cores      []int // ascending multi-core scale-model sizes
 	predictors map[int]*Predictor
@@ -92,16 +88,13 @@ type RegressionModel struct {
 
 // assembleRegression builds the regression model over the given ascending
 // scale-model sizes from one predictor per size; train is handed each
-// size's effective seed.
-func assembleRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Metric, sizes []int, train trainFunc, seed uint64) (*RegressionModel, error) {
+// size's seed, the size itself.
+func assembleRegression(form fit.Model, sizes []int, train trainFunc) (*RegressionModel, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("scalemodel: regression needs >= 2 multi-core scale models, got %d", len(sizes))
 	}
 	r := &RegressionModel{
-		Kind:       kind,
 		Form:       form,
-		Inputs:     in,
-		Metric:     metric,
 		cores:      sizes,
 		predictors: make(map[int]*Predictor, len(sizes)),
 	}
@@ -109,7 +102,7 @@ func assembleRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Me
 		if cores < 2 {
 			return nil, fmt.Errorf("scalemodel: regression scale model with %d cores (need multi-core)", cores)
 		}
-		p, err := train(cores, seed^uint64(cores))
+		p, err := train(cores, uint64(cores))
 		if err != nil {
 			return nil, fmt.Errorf("scalemodel: %d-core scale model: %w", cores, err)
 		}

@@ -38,8 +38,6 @@ type MethodSpec struct {
 	// ScaleModels optionally restricts Regression to a subset of the
 	// collected multi-core scale models (Fig. 11); nil = all.
 	ScaleModels []int
-	// Seed drives estimator randomisation (random forest bootstrap).
-	Seed uint64
 }
 
 // Name renders the paper's label for the method ("No Extrapolation",
@@ -62,7 +60,8 @@ type predictFunc func(Features) (float64, error)
 
 // trainFunc returns the spec's Predictor for labels measured on the
 // cores-wide machine — the target system for Prediction, a multi-core scale
-// model inside Regression — under the given effective seed.
+// model inside Regression — under the given estimator seed (random forest
+// bootstrap): 0 for Prediction, the scale model's size inside Regression.
 type trainFunc func(cores int, seed uint64) (*Predictor, error)
 
 // buildMethod assembles the method described by spec from the predictors
@@ -79,7 +78,7 @@ func buildMethod(spec MethodSpec, targetCores int, metric Metric, collected []in
 			return NoExtrapolation(f), nil
 		}, nil
 	case MethodPrediction:
-		p, err := train(targetCores, spec.Seed)
+		p, err := train(targetCores, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +95,7 @@ func buildMethod(spec MethodSpec, targetCores int, metric Metric, collected []in
 				}
 			}
 		}
-		r, err := assembleRegression(spec.Estimator, spec.Form, spec.Inputs, metric, sizes, train, spec.Seed)
+		r, err := assembleRegression(spec.Form, sizes, train)
 		if err != nil {
 			return nil, err
 		}

@@ -481,10 +481,10 @@ func TestBuildMethodErrors(t *testing.T) {
 
 // trainRegression assembles a regression model whose per-size predictors are
 // trained on the given samples, keyed by scale-model core count.
-func trainRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Metric, perScaleModel map[int][]Sample, seed uint64) (*RegressionModel, error) {
-	return assembleRegression(kind, form, in, metric, sortedKeys(perScaleModel), func(cores int, seed uint64) (*Predictor, error) {
+func trainRegression(kind EstimatorKind, form fit.Model, in Inputs, metric Metric, perScaleModel map[int][]Sample) (*RegressionModel, error) {
+	return assembleRegression(form, sortedKeys(perScaleModel), func(cores int, seed uint64) (*Predictor, error) {
 		return TrainPredictor(kind, in, metric, perScaleModel[cores], seed)
-	}, seed)
+	})
 }
 
 func TestTrainRegressionRejectsSingleCore(t *testing.T) {
@@ -492,7 +492,7 @@ func TestTrainRegressionRejectsSingleCore(t *testing.T) {
 		1: {{F: Features{IPC: 1}, Y: 1}, {F: Features{IPC: 2}, Y: 2}},
 		2: {{F: Features{IPC: 1}, Y: 1}, {F: Features{IPC: 2}, Y: 2}},
 	}
-	if _, err := trainRegression(SVM, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples, 1); err == nil {
+	if _, err := trainRegression(SVM, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples); err == nil {
 		t.Fatal("1-core scale model accepted in regression")
 	}
 }
@@ -577,7 +577,7 @@ func TestPredictScaleModels(t *testing.T) {
 			})
 		}
 	}
-	r, err := trainRegression(DT, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples, 1)
+	r, err := trainRegression(DT, fit.Logarithmic, InputsIPCAndBW, MetricIPC, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

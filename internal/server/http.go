@@ -105,7 +105,6 @@ func wireOutcome(i int, oc scalesim.JobOutcome) apiv1.JobOutcome {
 		Source:      string(oc.Source),
 		CacheHit:    oc.CacheHit,
 		Approximate: oc.Approximate,
-		Retries:     oc.Retries,
 		Result:      oc.Result,
 	}
 	if oc.Err != nil {

@@ -131,7 +131,6 @@ type queueStats struct {
 	capacity int
 	clients  int // distinct client identities holding queued tasks
 	shed     int // admissions rejected since construction
-	closed   bool
 }
 
 func (q *admitQueue) snapshot() queueStats {
@@ -142,6 +141,5 @@ func (q *admitQueue) snapshot() queueStats {
 		capacity: q.capacity,
 		clients:  len(q.clients),
 		shed:     q.shed,
-		closed:   q.closed,
 	}
 }

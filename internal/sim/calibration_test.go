@@ -109,7 +109,7 @@ func TestCPIStackSumsToCyclesTarget32(t *testing.T) {
 // TestCPIStackSumsToCyclesBareMachine steps a core outside the epoch loop and
 // holds the law on its raw counters; -v prints per-level cache events.
 func TestCPIStackSumsToCyclesBareMachine(t *testing.T) {
-	opts := fastOpts().normalized()
+	opts := fastOpts().Resolved()
 	sm, _ := config.ScaleModel(config.Target(), 1, config.ScaleModelOptions{Policy: config.PRSFull})
 	for _, name := range []string{"povray", "exchange2", "deepsjeng"} {
 		m, err := mixMachine(nil, sm, Homogeneous(trace.ByName(name), 1), opts)

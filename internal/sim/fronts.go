@@ -165,7 +165,7 @@ func NewFronts() *Fronts {
 // RunContext is the package's RunContext with every program's private half
 // shared through the memo; on a nil memo it is the package's RunContext.
 func (f *Fronts) RunContext(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts Options) (*Result, error) {
-	opts = opts.normalized()
+	opts = opts.Resolved()
 	return runMachine(ctx, cfg, wl, opts, f.cores(cfg, wl, opts))
 }
 

@@ -120,7 +120,7 @@ func (c lawCase) violation() string {
 		Instructions: 1, Warmup: 1, EpochCycles: units.Cycles(2_000 + 1_000*rng.Intn(8)), CapacityScale: 16 << rng.Intn(2),
 		Seed: c.seed, PartitionedLLC: c.partitioned, NoFeedback: c.noFeedback, EnablePrefetch: rng.Bool(0.3),
 	}
-	opts = opts.normalized()
+	opts = opts.Resolved()
 	ctx := context.Background()
 	epochs := func(m *machine) error {
 		limits := noLimits(make([]uint64, len(m.cores)))
@@ -326,7 +326,7 @@ func TestWallClockChargesBorrowedChunks(t *testing.T) {
 	filled := fronts.Stats()
 
 	// The run again, by hand, to see what it borrows.
-	opts = opts.normalized()
+	opts = opts.Resolved()
 	cfg, wl := scaleModel(t, 1), Homogeneous(prof, 1)
 	m, err := mixMachine(fronts, cfg, wl, opts)
 	if err != nil {

@@ -270,7 +270,7 @@ func jsonl(t *testing.T, trace []EpochSnapshot) []byte {
 // cpu.Stats, the derived ones included, and the private levels' access and
 // miss counts, at every epoch boundary.
 func countersMatch(t *testing.T, c splitCase, cfg *config.SystemConfig, wl Workload, opts Options) {
-	opts = opts.normalized()
+	opts = opts.Resolved()
 	split, err := mixMachine(nil, cfg, wl, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestSplitMatchesMonolith(t *testing.T) {
 	opts.EnablePrefetch, opts.Telemetry = true, &TelemetryOptions{Warmup: true}
 	for _, pp := range trace.ParallelSuite()[:2] {
 		wl := Workload{Threads: pp}
-		want, err := runMachine(ctx, cfg, wl, opts.normalized(), monolith(cfg, opts, func(i int) (*trace.Generator, error) {
+		want, err := runMachine(ctx, cfg, wl, opts.Resolved(), monolith(cfg, opts, func(i int) (*trace.Generator, error) {
 			return trace.NewThreadGenerator(pp, i, cfg.Cores, trace.GenOptions{CapacityScale: opts.CapacityScale, Seed: opts.Seed})
 		}))
 		if err != nil {

@@ -106,8 +106,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// normalized fills in zero fields with defaults.
-func (o Options) normalized() Options {
+// Resolved returns the options that run: a zero Instructions, Warmup,
+// EpochCycles or CapacityScale is replaced by its default, every other field
+// (Seed included: 0 is a seed like any other) is kept. It is idempotent.
+// runner.Job.Key hashes options as given, so whoever builds a Job resolves
+// them first; RunContext resolves again for callers that did not.
+func (o Options) Resolved() Options {
 	d := DefaultOptions()
 	if o.Instructions == 0 {
 		o.Instructions = d.Instructions
@@ -410,7 +414,7 @@ func (m *machine) warmUp(ctx context.Context, epochCycles units.Cycles, limits [
 	return base, nil
 }
 
-// runMachine is RunContext, for normalized opts, over whatever cores build
+// runMachine is RunContext, for resolved opts, over whatever cores build
 // returns: the one run loop, for a mix and for a threaded program alike.
 func runMachine(ctx context.Context, cfg *config.SystemConfig, wl Workload, opts Options, build func(int, *coreCtx) (executor, error)) (*Result, error) {
 	start := time.Now() //simlint:ignore wallclock measures Result.WallClock reporting only; never simulated state

@@ -253,11 +253,11 @@ func TestResultAggregates(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	var o Options
-	n := o.normalized()
+	n := o.Resolved()
 	d := DefaultOptions()
 	if n.Instructions != d.Instructions || n.Warmup != d.Warmup ||
 		n.EpochCycles != d.EpochCycles || n.CapacityScale != d.CapacityScale {
-		t.Fatalf("normalized zero options %+v != defaults %+v", n, d)
+		t.Fatalf("resolved zero options %+v != defaults %+v", n, d)
 	}
 }
 

@@ -34,8 +34,7 @@
 // concurrent processes sharing one store directory may duplicate work but
 // can never disagree: whichever artifact wins the rename carries the same
 // bytes. The package itself uses no wall clock and no ambient randomness
-// (it is part of the simlint deterministic set); retry backoff timing lives
-// in internal/runner behind an injectable sleep.
+// (it is part of the simlint deterministic set).
 package store
 
 import (

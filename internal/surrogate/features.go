@@ -33,14 +33,12 @@ const (
 )
 
 // jobFeatures returns one feature row per core of the job. The job must be
-// structurally complete (non-nil config, one profile per core) — jobs that
-// reach the engine's compute tier always are.
+// structurally complete (non-nil config, one profile per core, resolved
+// options: the budget and capacity scale that run) — jobs that reach the
+// engine's compute tier always are. A threaded job has no per-program rows.
 func jobFeatures(job runner.Job) [][]float64 {
 	cfg, opts := job.Config, job.Options
 	scale := float64(opts.CapacityScale)
-	if scale < 1 {
-		scale = 1
-	}
 
 	// Machine-wide features, effective (post-miniaturisation) capacities.
 	freq := cfg.Core.FrequencyGHz

@@ -36,8 +36,8 @@
 // # Determinism and persistence
 //
 // Training rows are ordered by content-addressed job key before every fit,
-// and all randomisation derives from Config.Seed, so the trained model is a
-// pure function of (training-set contents, configuration) — byte-identical
+// and the forests' seeds are constants, so the trained model is a pure
+// function of the training set's contents — byte-identical
 // across processes and insertion orders (Fingerprint exposes this for
 // tests). With Config.Dir set, the training set persists as a JSONL sidecar
 // (store artifacts hold only results, not model features, so the surrogate
@@ -77,8 +77,10 @@ const (
 	defaultVarGate    = 0.05
 	defaultDistGate   = 1.0
 	defaultRefitEvery = 16
-	defaultTrees      = 50
 )
+
+// trees is the random-forest ensemble size per target.
+const trees = 50
 
 // Config parameterises a Surrogate. The zero value of every field selects
 // the documented default, so Config{} is usable as-is.
@@ -95,11 +97,6 @@ type Config struct {
 	// RefitEvery retrains after this many new observations since the last
 	// fit.
 	RefitEvery int
-	// Trees is the random-forest ensemble size per target.
-	Trees int
-	// Seed drives all internal randomisation. Zero is valid and
-	// deterministic.
-	Seed uint64
 	// Dir, when non-empty, roots the persistent JSONL training set. Created
 	// on first use; empty means the training set is process-local.
 	Dir string
@@ -118,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RefitEvery <= 0 {
 		c.RefitEvery = defaultRefitEvery
-	}
-	if c.Trees <= 0 {
-		c.Trees = defaultTrees
 	}
 	return c
 }
@@ -307,7 +301,7 @@ func (s *Surrogate) fit() {
 	}
 	m := &model{scaler: scaler, trainX: scaler.TransformAll(X)}
 	for t := 0; t < numTargets; t++ {
-		f := &ml.RandomForest{Trees: s.cfg.Trees, Seed: s.cfg.Seed ^ uint64(t+1)*0x9e3779b97f4a7c15}
+		f := &ml.RandomForest{Trees: trees, Seed: uint64(t+1) * 0x9e3779b97f4a7c15}
 		if err := f.Fit(m.trainX, ys[t]); err != nil {
 			return
 		}
@@ -451,7 +445,7 @@ func (s *Surrogate) Ready() bool { return s.fitted.Load() != nil }
 
 // Fingerprint returns a stable hex digest of the current model generation:
 // the canonical encoding of every forest plus the scaler parameters. Equal
-// training sets and configuration produce equal fingerprints, across
+// training sets produce equal fingerprints, across
 // processes and observation orders; the determinism suite asserts exactly
 // this. Empty until the first fit.
 func (s *Surrogate) Fingerprint() string {

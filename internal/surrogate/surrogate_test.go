@@ -86,7 +86,7 @@ func (s *Surrogate) trainedPoints() int {
 }
 
 func looseConfig() Config {
-	return Config{MinTrain: 8, VarGate: 1e9, DistGate: 1e9, Trees: 16, RefitEvery: 4}
+	return Config{MinTrain: 8, VarGate: 1e9, DistGate: 1e9, RefitEvery: 4}
 }
 
 func TestObserveFitPredict(t *testing.T) {
@@ -194,17 +194,23 @@ func TestGateRejectsNonFinite(t *testing.T) {
 	if s.trainedPoints() != before {
 		t.Fatal("non-finite features entered the training set")
 	}
-	// A threaded job has no per-program feature rows: the model neither
-	// serves it nor learns from it.
+}
+
+// TestThreadedJobNeverOfferedToModel: the features are per program of a mix,
+// so a threaded job (Workload.Threads) is outside the model — never served by
+// it, never a training row.
+func TestThreadedJobNeverOfferedToModel(t *testing.T) {
+	s := train(t, 8, looseConfig())
+	before, fp := s.trainedPoints(), s.Fingerprint()
 	threaded := synthJob(3)
 	threaded.Workload = sim.Workload{Threads: &trace.ParallelProfile{Serial: *threaded.Workload.Profiles[0]}}
-	if rows := jobFeatures(threaded); len(rows) != 0 {
-		t.Fatalf("a threaded job produced %d feature rows, want none", len(rows))
+	if res, ok := s.Predict(threaded); ok || res != nil {
+		t.Fatalf("served a prediction for a threaded job: %+v", res)
 	}
-	if _, ok := s.Predict(threaded); ok {
-		t.Fatal("served a prediction for a threaded job")
-	}
-	if s.Observe(threaded, synthResult(3)); s.trainedPoints() != before {
+	threadedResult := synthResult(3)
+	threadedResult.Cores = append(threadedResult.Cores, threadedResult.Cores[0])
+	s.Observe(threaded, threadedResult)
+	if s.trainedPoints() != before || s.Fingerprint() != fp {
 		t.Fatal("a threaded job entered the training set")
 	}
 }
@@ -280,16 +286,6 @@ func TestFingerprintInsertionOrderIndependent(t *testing.T) {
 	}
 	if ra.Cores[0].IPC != rb.Cores[0].IPC || ra.Cores[0].LLCMPKI != rb.Cores[0].LLCMPKI {
 		t.Fatalf("insertion order changed predictions: %+v vs %+v", ra.Cores[0], rb.Cores[0])
-	}
-}
-
-func TestSeedChangesModel(t *testing.T) {
-	cfg := looseConfig()
-	a := train(t, 8, cfg)
-	cfg.Seed = 42
-	b := train(t, 8, cfg)
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("different seeds produced identical models")
 	}
 }
 

@@ -77,14 +77,16 @@ var (
 	// and the job recomputed — so it surfaces only from the offline
 	// artifact API (CheckStore, ReadArtifact).
 	ErrStoreCorrupt = store.ErrCorrupt
-	// ErrJobFailed marks a campaign job that exhausted its retry budget or
-	// failed with a non-transient error; the underlying cause remains
-	// reachable with errors.As / errors.Is.
+	// ErrJobFailed marks a campaign job whose one run returned an error or
+	// panicked; the underlying cause remains reachable with errors.As /
+	// errors.Is.
 	ErrJobFailed = runner.ErrJobFailed
 )
 
-// SimOptions controls simulation fidelity and cost. The zero value of any
-// field selects the default.
+// SimOptions controls simulation fidelity and cost. A zero Instructions,
+// Warmup, EpochCycles or CapacityScale selects its default, and a request
+// that leaves one at zero is the same simulation — same campaign key, same
+// store artifact — as one that spells the default out.
 type SimOptions struct {
 	// Instructions is the measured per-program instruction budget (the
 	// paper's 1B-instruction SimPoint, capacity-scaled). Default 1e6.
@@ -96,7 +98,8 @@ type SimOptions struct {
 	// CapacityScale divides cache capacities and workload footprints
 	// (see DESIGN.md, "Capacity scaling"). Default 8.
 	CapacityScale int
-	// Seed makes every run reproducible. Default 1.
+	// Seed makes every run reproducible. It has no default: 0 is a seed
+	// like any other, and DefaultOptions and FastOptions use 1.
 	Seed uint64
 	// EnablePrefetch adds a per-core L2 stream/stride prefetcher (off in
 	// the paper's baseline configuration).
@@ -147,6 +150,9 @@ func FastOptions() SimOptions {
 	}
 }
 
+// internal is the one door from public options to the simulator's: it returns
+// resolved options (sim.Options.Resolved), the values that run, so what a job
+// is keyed by, stored under and shown to the surrogate is what is simulated.
 func (o SimOptions) internal() sim.Options {
 	io := sim.Options{
 		Instructions:   o.Instructions,
@@ -162,7 +168,7 @@ func (o SimOptions) internal() sim.Options {
 	if o.Trace {
 		io.Telemetry = &sim.TelemetryOptions{Warmup: o.TraceWarmup}
 	}
-	return io
+	return io.Resolved()
 }
 
 // Pattern names a memory access pattern in Region.Pattern.

@@ -143,7 +143,7 @@ func (s *Service) RunJobContext(ctx context.Context, p *PreparedJob) JobOutcome 
 
 // outcomeFromInternal is the one engine-to-public outcome conversion.
 func outcomeFromInternal(oc runner.Outcome) JobOutcome {
-	out := JobOutcome{Err: oc.Err, Source: oc.Source, CacheHit: oc.CacheHit, Retries: oc.Retries, Approximate: oc.Approximate}
+	out := JobOutcome{Err: oc.Err, Source: oc.Source, CacheHit: oc.CacheHit, Approximate: oc.Approximate}
 	if oc.Result != nil {
 		out.Result = resultFromInternal(oc.Result)
 	}

@@ -43,12 +43,6 @@ type SurrogateConfig struct {
 	// observations since the last fit (0 = default 16). Refitting happens
 	// on the compute/observe path, never on the serving fast path.
 	RefitEvery int
-	// Trees is the random-forest ensemble size (0 = default 50).
-	Trees int
-	// Seed drives the forest's internal randomisation. The zero seed is
-	// valid and deterministic: the trained model is a pure function of
-	// (training set, configuration), byte-identical across processes.
-	Seed uint64
 }
 
 // internal converts the public configuration to the surrogate package's,
@@ -59,8 +53,6 @@ func (c *SurrogateConfig) internal(storeDir string) surrogate.Config {
 		VarGate:    c.VarGate,
 		DistGate:   c.DistGate,
 		RefitEvery: c.RefitEvery,
-		Trees:      c.Trees,
-		Seed:       c.Seed,
 	}
 	if storeDir != "" {
 		cfg.Dir = filepath.Join(storeDir, "surrogate")

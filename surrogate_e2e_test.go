@@ -3,7 +3,10 @@ package scalesim
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"scalesim/internal/sim"
 )
 
 // surrogateSweep builds the e2e workload: a base DRAM-bandwidth grid that
@@ -30,7 +33,7 @@ func surrogateSweep() ([]CampaignJob, int) {
 // looseSurrogate serves everything once trained: the e2e tests exercise the
 // plumbing (sources, markers, stats, tier isolation), not gate calibration.
 func looseSurrogate(minTrain int) *SurrogateConfig {
-	return &SurrogateConfig{MinTrain: minTrain, VarGate: 1e9, DistGate: 1e9, RefitEvery: 1, Trees: 8}
+	return &SurrogateConfig{MinTrain: minTrain, VarGate: 1e9, DistGate: 1e9, RefitEvery: 1}
 }
 
 // TestSurrogateCampaignEndToEnd drives the full stack: a sequential
@@ -136,5 +139,53 @@ func TestSurrogateModelResultsNeverPersist(t *testing.T) {
 		if oc.Approximate {
 			t.Fatalf("job %d approximate in a surrogate-free campaign", i)
 		}
+	}
+}
+
+// TestSurrogateSeesTheOptionsThatRun: the model is queried with resolved
+// options, so a request that leaves the budget and capacity scale at zero
+// gets the prediction of the one that spells the defaults out — the same
+// features, and a synthesized result whose cores retired the budget that
+// would have run, in a positive number of cycles.
+func TestSurrogateSeesTheOptionsThatRun(t *testing.T) {
+	ctx := context.Background()
+	jobs, base := surrogateSweep()
+	svc, err := NewService(ServiceConfig{Tuning: &Tuning{CampaignWorkers: 1}, Surrogate: looseSurrogate(base)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for i, job := range jobs[:base] { // train on spelled-out jobs
+		p, err := svc.Prepare(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oc := svc.RunJobContext(ctx, p); oc.Err != nil || oc.Source != SourceCompute {
+			t.Fatalf("training point %d: %q, %v", i, oc.Source, oc.Err)
+		}
+	}
+
+	d := DefaultOptions()
+	spelled, twin := jobs[base], jobs[base]
+	spelled.Options, twin.Options = d, SimOptions{Seed: d.Seed}
+	var served [2]*sim.Result
+	for i, job := range []CampaignJob{spelled, twin} {
+		p, err := svc.Prepare(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc := svc.eng.RunKeyed(ctx, p.key, p.job)
+		if oc.Err != nil || oc.Source != SourceModel || !oc.Approximate {
+			t.Fatalf("query %d: %q approx=%v, %v, want a model hit", i, oc.Source, oc.Approximate, oc.Err)
+		}
+		for _, c := range oc.Result.Cores {
+			if !(c.Cycles > 0) || c.Instructions != d.Instructions {
+				t.Fatalf("query %d: synthesized core %+v, want %d instructions in a positive number of cycles", i, c, d.Instructions)
+			}
+		}
+		served[i] = oc.Result
+	}
+	if !reflect.DeepEqual(served[0], served[1]) {
+		t.Fatalf("the zero-spelled twin was predicted differently:\n spelled %+v\n zeroed  %+v", served[0], served[1])
 	}
 }

@@ -136,9 +136,7 @@ func SummarizeTrace(trace []EpochSnapshot) TraceSummary {
 		instr                          uint64
 		cycles                         float64
 		base, branch, memory, frontend float64
-		l1dHit, l1dN                   float64
-		l2Hit, l2N                     float64
-		llcHit, llcN                   float64
+		l1dHit, l2Hit, llcHit, hitN    float64
 		dramBytes                      float64
 		benchmark                      string
 	}
@@ -179,11 +177,9 @@ func SummarizeTrace(trace []EpochSnapshot) TraceSummary {
 			// proportional to instructions for a fixed profile), and the
 			// same instruction weight for L2/LLC.
 			a.l1dHit += c.L1DHitRate * ki
-			a.l1dN += ki
 			a.l2Hit += c.L2HitRate * ki
-			a.l2N += ki
 			a.llcHit += c.LLCHitRate * ki
-			a.llcN += ki
+			a.hitN += ki
 			a.dramBytes += c.DRAMBytes
 		}
 	}
@@ -216,9 +212,9 @@ func SummarizeTrace(trace []EpochSnapshot) TraceSummary {
 		cs.BranchShare = div(a.branch, total)
 		cs.MemoryShare = div(a.memory, total)
 		cs.FrontendShare = div(a.frontend, total)
-		cs.L1DHitRate = div(a.l1dHit, a.l1dN)
-		cs.L2HitRate = div(a.l2Hit, a.l2N)
-		cs.LLCHitRate = div(a.llcHit, a.llcN)
+		cs.L1DHitRate = div(a.l1dHit, a.hitN)
+		cs.L2HitRate = div(a.l2Hit, a.hitN)
+		cs.LLCHitRate = div(a.llcHit, a.hitN)
 		s.Cores = append(s.Cores, cs)
 	}
 	return s
