@@ -20,20 +20,22 @@
 // # Shape
 //
 // A JobRequest is a campaign batch: one or more JobSpecs (machine spec,
-// benchmark mix, simulation options, optional custom profiles — exactly
-// the public scalesim.CampaignJob vocabulary). A JobResponse returns one
+// benchmark mix, simulation options, optional custom profiles — a JobSpec is
+// the public scalesim.CampaignJob). A JobResponse returns one
 // JobOutcome per job in submission order, each reporting where its result
 // came from ("compute", "memory", "coalesced", "disk", "model") plus the
 // serving engine's CampaignStats snapshot. Results served by the surrogate
-// model carry an explicit "approximate" marker.
+// model carry an explicit "approximate" marker. A job the simulator cannot
+// run is refused, unkeyed, in its own outcome's "error", which wraps
+// scalesim.ErrBadSpec; the batch's other jobs are served.
 //
 // # Fields that left
 //
 // A job runs once, so three response fields no longer exist: an outcome's
 // "retries", and the stats object's "Retries" and its panic subset (DESIGN.md,
-// "Serving invariants", spells the names). Request documents are unchanged.
-// Responses are decoded strictly too: `scalesim request` must be the build of
-// the daemon it talks to.
+// "Serving invariants", spells the names). Request documents and response
+// bytes are otherwise unchanged. Responses are decoded strictly too:
+// `scalesim request` must be the build of the daemon it talks to.
 package apiv1
 
 import (
@@ -55,15 +57,9 @@ const Schema = "scalesim/api/v1"
 // wrapping message.
 var ErrBadRequest = errors.New("invalid api request")
 
-// JobSpec is one design point of a request batch: the public campaign-job
-// vocabulary (machine, one benchmark name per core, simulation options,
-// optional custom profiles resolved by name before the suite) in wire form.
-type JobSpec struct {
-	Machine    scalesim.MachineSpec `json:"machine"`
-	Benchmarks []string             `json:"benchmarks"`
-	Options    scalesim.SimOptions  `json:"options"`
-	Profiles   []scalesim.Profile   `json:"profiles,omitempty"`
-}
+// JobSpec is one design point of a request batch: the public campaign job,
+// whose JSON tags are the wire names.
+type JobSpec = scalesim.CampaignJob
 
 // JobRequest is a campaign batch submitted to the service.
 type JobRequest struct {
@@ -246,33 +242,8 @@ func Encode(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// NewJobRequest assembles a tagged request from public campaign jobs — the
-// bridge the CLI and tests use so the wire form and the batch form cannot
-// drift.
+// NewJobRequest tags public campaign jobs as a request: a JobSpec is a
+// CampaignJob, so the wire form and the batch form cannot drift.
 func NewJobRequest(client string, jobs []scalesim.CampaignJob) *JobRequest {
-	req := &JobRequest{Schema: Schema, Client: client}
-	for _, j := range jobs {
-		req.Jobs = append(req.Jobs, JobSpec{
-			Machine:    j.Machine,
-			Benchmarks: j.Benchmarks,
-			Options:    j.Options,
-			Profiles:   j.Extra,
-		})
-	}
-	return req
-}
-
-// CampaignJobs converts the request batch back into public campaign jobs,
-// the inverse of NewJobRequest.
-func (r *JobRequest) CampaignJobs() []scalesim.CampaignJob {
-	out := make([]scalesim.CampaignJob, len(r.Jobs))
-	for i, j := range r.Jobs {
-		out[i] = scalesim.CampaignJob{
-			Machine:    j.Machine,
-			Benchmarks: j.Benchmarks,
-			Options:    j.Options,
-			Extra:      j.Profiles,
-		}
-	}
-	return out
+	return &JobRequest{Schema: Schema, Client: client, Jobs: jobs}
 }

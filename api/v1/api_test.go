@@ -55,10 +55,17 @@ func TestJobRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, req) {
 		t.Fatalf("round trip changed the request:\n got %+v\nwant %+v", got, req)
 	}
-	// And the batch conversion is an inverse pair.
-	back := NewJobRequest(req.Client, got.CampaignJobs())
-	if !reflect.DeepEqual(back, req) {
-		t.Fatalf("CampaignJobs/NewJobRequest is not an inverse pair:\n got %+v\nwant %+v", back, req)
+	// A JobSpec is a CampaignJob; its tags keep the wire names, byte for
+	// byte, that the separate wire struct it replaced encoded.
+	const wire = `{"schema":"scalesim/api/v1","client":"tenant-a","jobs":[` +
+		`{"machine":{"Cores":2,"Policy":"PRS","Bandwidth":"","LLCPerCoreKB":0,"DRAMPerCoreGBps":0,"NoCPerCoreGBps":0},"benchmarks":["mcf","lbm"],` +
+		`"options":{"Instructions":200000,"Warmup":60000,"EpochCycles":10000,"CapacityScale":16,"Seed":42,"EnablePrefetch":false,"NoFeedback":false,"PartitionedLLC":false,"Trace":false,"TraceWarmup":false}},` +
+		`{"machine":{"Cores":1,"Policy":"","Bandwidth":"","LLCPerCoreKB":512,"DRAMPerCoreGBps":0,"NoCPerCoreGBps":0},"benchmarks":["mine"],` +
+		`"options":{"Instructions":200000,"Warmup":60000,"EpochCycles":10000,"CapacityScale":16,"Seed":42,"EnablePrefetch":false,"NoFeedback":false,"PartitionedLLC":false,"Trace":false,"TraceWarmup":false},` +
+		`"profiles":[{"Name":"mine","BaseCPI":0.7,"LoadsPerKI":220,"StoresPerKI":90,"BranchesPerKI":110,"MLP":2.5,"StaticBranches":0,"HardBranchFrac":0,"CodeBytes":65536,` +
+		`"Regions":[{"SizeBytes":16777216,"Frac":1,"Pattern":"zipf","ElemSize":0,"ZipfS":0.9}]}]}]}` + "\n"
+	if buf.String() != wire {
+		t.Fatalf("the request's wire bytes moved:\n got %s\nwant %s", buf.String(), wire)
 	}
 }
 

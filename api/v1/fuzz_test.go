@@ -3,6 +3,11 @@ package apiv1
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"scalesim"
@@ -46,4 +51,61 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			t.Fatalf("request changed over the wire:\n first %s\nsecond %s", wire.Bytes(), rewire.Bytes())
 		}
 	})
+}
+
+// FuzzPrepareJobRequest holds the door behind the decoder: every job of every
+// document the decoder accepts is prepared, on a fresh Service, without
+// panicking, and a job the Service refuses is refused with an error wrapping
+// one of the root package's sentinels. It starts from FuzzDecodeJobRequest's
+// corpus and its own (testdata/fuzz): the four documents that once panicked
+// the daemon (a custom machine of three cores), held a worker forever (a
+// negative epoch), ran the default scale under a second key (a negative
+// capacity scale) and drew a model answer for a job the simulator refuses
+// (two programs on one core).
+func FuzzPrepareJobRequest(f *testing.F) {
+	addCorpus(f, "FuzzDecodeJobRequest")
+	sentinels := []error{
+		scalesim.ErrBadSpec, scalesim.ErrBadTuning, scalesim.ErrUnknownPolicy,
+		scalesim.ErrUnknownBandwidth, scalesim.ErrUnknownPattern, scalesim.ErrUnknownBenchmark,
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		req, err := DecodeJobRequest(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		svc, err := scalesim.NewService(scalesim.ServiceConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		for i, job := range req.Jobs {
+			_, err := svc.Prepare(job)
+			if err != nil && !slices.ContainsFunc(sentinels, func(s error) bool { return errors.Is(err, s) }) {
+				t.Fatalf("job %d refused with an unclassified error: %v", i, err)
+			}
+		}
+	})
+}
+
+// addCorpus seeds f with the inputs committed for another target under
+// testdata/fuzz/<target>, in the `go test fuzz v1` encoding of one []byte.
+func addCorpus(f *testing.F, target string) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no corpus for %s: %v", target, err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		header, lit, _ := strings.Cut(string(data), "\n")
+		lit, okPrefix := strings.CutPrefix(strings.TrimSpace(lit), "[]byte(")
+		lit, okSuffix := strings.CutSuffix(lit, ")")
+		doc, err := strconv.Unquote(lit)
+		if header != "go test fuzz v1" || !okPrefix || !okSuffix || err != nil {
+			f.Fatalf("%s: not one []byte in the go test fuzz v1 encoding", path)
+		}
+		f.Add([]byte(doc))
+	}
 }

@@ -9,12 +9,13 @@ import (
 
 // CampaignJob is one design point of a campaign: a machine, a benchmark
 // mix (one name per core), the simulation options, and optional custom
-// profiles resolved by name before the suite.
+// profiles resolved by name before the suite. It is also the wire form of a
+// job (api/v1's JobSpec), named by its tags.
 type CampaignJob struct {
-	Machine    MachineSpec
-	Benchmarks []string
-	Options    SimOptions
-	Extra      []Profile
+	Machine    MachineSpec `json:"machine"`
+	Benchmarks []string    `json:"benchmarks"`
+	Options    SimOptions  `json:"options"`
+	Extra      []Profile   `json:"profiles,omitempty"`
 }
 
 // Campaign is a batch of simulation jobs to execute on a worker pool with
@@ -77,8 +78,8 @@ type JobOutcome struct {
 	Result *SimResult
 	// Err is the job's failure, if any. A panicking simulation surfaces
 	// here (wrapped in ErrJobFailed; a job runs once) without affecting
-	// other jobs. Invalid specs fail with the matching
-	// ErrUnknown* sentinel.
+	// other jobs. A job the simulator cannot run fails, unkeyed and unrun,
+	// with ErrBadSpec, ErrBadTuning or the matching ErrUnknown* sentinel.
 	Err error
 	// Source reports whether the simulator ran (SourceCompute) or the
 	// result was served from memory or disk. Empty for jobs that never

@@ -310,27 +310,28 @@ func TestTypedEnumsValidate(t *testing.T) {
 	if err := Policy("bogus").Validate(); !errors.Is(err, ErrUnknownPolicy) {
 		t.Errorf("bogus policy: %v", err)
 	}
+	// The other enumerations have one switch each, their conversion.
 	for _, b := range []Bandwidth{"", BandwidthMCFirst, BandwidthMBFirst} {
-		if err := b.Validate(); err != nil {
+		if _, err := b.internal(); err != nil {
 			t.Errorf("bandwidth %q rejected: %v", b, err)
 		}
 	}
-	if err := Bandwidth("bogus").Validate(); !errors.Is(err, ErrUnknownBandwidth) {
+	if _, err := Bandwidth("bogus").internal(); !errors.Is(err, ErrUnknownBandwidth) {
 		t.Errorf("bogus bandwidth: %v", err)
 	}
 	for _, p := range []Pattern{PatternSeq, PatternRand, PatternZipf, PatternChase} {
-		if err := p.Validate(); err != nil {
+		if _, err := p.internal(); err != nil {
 			t.Errorf("pattern %q rejected: %v", p, err)
 		}
 	}
-	if err := Pattern("wat").Validate(); !errors.Is(err, ErrUnknownPattern) {
+	if _, err := Pattern("wat").internal(); !errors.Is(err, ErrUnknownPattern) {
 		t.Errorf("bogus pattern: %v", err)
 	}
-	if err := (MachineSpec{Policy: "bogus"}).Validate(); !errors.Is(err, ErrUnknownPolicy) {
-		t.Errorf("spec validate: %v", err)
+	if _, err := (MachineSpec{Cores: 1, Policy: "bogus"}).internal(); !errors.Is(err, ErrUnknownPolicy) {
+		t.Errorf("spec policy: %v", err)
 	}
-	if err := (MachineSpec{Bandwidth: "bogus"}).Validate(); !errors.Is(err, ErrUnknownBandwidth) {
-		t.Errorf("spec validate: %v", err)
+	if _, err := (MachineSpec{Cores: 1, Bandwidth: "bogus"}).internal(); !errors.Is(err, ErrUnknownBandwidth) {
+		t.Errorf("spec bandwidth: %v", err)
 	}
 }
 

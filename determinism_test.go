@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"scalesim/internal/runner"
 )
 
 // TestCrossProcessDeterminism is the end-to-end reproducibility gate: it
@@ -80,11 +78,10 @@ func writeDeterminismPayload(t *testing.T, path string) {
 	for _, seed := range []uint64{1, 7} {
 		o := opts
 		o.Seed = seed
-		cfg, wl, err := buildRun(spec, benches, nil)
+		job, err := CampaignJob{Machine: spec, Benchmarks: benches, Options: o}.job()
 		if err != nil {
-			t.Fatalf("buildRun: %v", err)
+			t.Fatal(err)
 		}
-		job := runner.Job{Config: cfg, Workload: wl, Options: o.internal()}
 		fmt.Fprintf(f, "key seed=%d %s\n", seed, job.Key())
 	}
 

@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -34,14 +35,17 @@ func NewExperiments(opts SimOptions) (*Experiments, error) {
 	return newExperiments(opts, trace.Suite())
 }
 
-// NewExperimentsSubset restricts the suite to the named benchmarks (useful
-// for quick runs; the paper's numbers use the full suite).
+// NewExperimentsSubset restricts the suite to the named benchmarks, each
+// named once (useful for quick runs; the paper's numbers use the full suite).
 func NewExperimentsSubset(opts SimOptions, names ...string) (*Experiments, error) {
 	var suite []*trace.Profile
-	for _, n := range names {
+	for i, n := range names {
 		p := trace.ByName(n)
 		if p == nil {
 			return nil, fmt.Errorf("scalesim: %w %q", ErrUnknownBenchmark, n)
+		}
+		if slices.Contains(names[:i], n) {
+			return nil, fmt.Errorf("scalesim: %w: benchmark %q named twice", ErrBadSpec, n)
 		}
 		suite = append(suite, p)
 	}
@@ -52,6 +56,10 @@ func NewExperimentsSubset(opts SimOptions, names ...string) (*Experiments, error
 }
 
 func newExperiments(opts SimOptions, suite []*trace.Profile) (*Experiments, error) {
+	io, err := opts.internal()
+	if err != nil {
+		return nil, err
+	}
 	heteroOpts := scalemodel.DefaultHeteroOptions()
 	if len(suite) < 12 {
 		// Scale the protocol down with the suite for subset runs.
@@ -67,7 +75,7 @@ func newExperiments(opts SimOptions, suite []*trace.Profile) (*Experiments, erro
 	}
 	return &Experiments{
 		svc:        svc,
-		lab:        scalemodel.NewLab(svc.eng, opts.internal()),
+		lab:        scalemodel.NewLab(svc.eng, io),
 		suite:      suite,
 		scaleCores: []int{2, 4, 8, 16},
 		heteroOpts: heteroOpts,
@@ -601,7 +609,7 @@ func (e *Experiments) Figures() []Figure {
 // — the paper's recommended practical configuration (no target-system
 // simulations needed for training).
 func (e *Experiments) PredictTargetIPC(benchmark string) (float64, error) {
-	d, err := e.homogData(scalemodel.MetricIPC)
+	d, err := e.suiteData(benchmark)
 	if err != nil {
 		return 0, err
 	}
@@ -616,13 +624,18 @@ func (e *Experiments) PredictTargetIPC(benchmark string) (float64, error) {
 // target and returns the measured per-core IPC (for validating
 // predictions).
 func (e *Experiments) ActualTargetIPC(benchmark string) (float64, error) {
-	d, err := e.homogData(scalemodel.MetricIPC)
+	d, err := e.suiteData(benchmark)
 	if err != nil {
 		return 0, err
 	}
-	v, ok := d.Target[benchmark]
-	if !ok {
-		return 0, fmt.Errorf("scalesim: benchmark %q not in the experiment suite", benchmark)
+	return d.Target[benchmark], nil
+}
+
+// suiteData returns the homogeneous IPC collection, refusing a benchmark
+// outside the experiment suite (ErrUnknownBenchmark) before it simulates.
+func (e *Experiments) suiteData(benchmark string) (*scalemodel.HomogeneousData, error) {
+	if !slices.ContainsFunc(e.suite, func(p *trace.Profile) bool { return p.Name == benchmark }) {
+		return nil, fmt.Errorf("scalesim: %w %q: not in the experiment suite", ErrUnknownBenchmark, benchmark)
 	}
-	return v, nil
+	return e.homogData(scalemodel.MetricIPC)
 }

@@ -11,6 +11,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -150,30 +151,15 @@ func (c *SystemConfig) Validate() error {
 
 // Target returns the paper's 32-core target system (Table II).
 func Target() *SystemConfig {
-	return makeSystem("target-32", 32, MCFirst)
+	c, _ := makeSystem("target-32", 32, MCFirst) // 32 is on the ladder
+	return c
 }
 
-// meshDims returns the mesh shape used for each supported core count,
+// meshShapes is the width × height mesh of each supported core count,
 // matching Table I's cross-section-link counts (bisection cut across the
-// shorter dimension).
-func meshDims(cores int) (w, h int) {
-	switch cores {
-	case 32:
-		return 4, 8
-	case 16:
-		return 4, 4
-	case 8:
-		return 2, 4
-	case 4:
-		return 2, 2
-	case 2:
-		return 1, 2
-	case 1:
-		return 1, 1
-	default:
-		panic(fmt.Sprintf("config: unsupported core count %d (want 1,2,4,8,16,32)", cores))
-	}
-}
+// shorter dimension). Its keys are the Table I ladder, the one place a core
+// count is checked: nocFor refuses any other.
+var meshShapes = map[int]struct{ w, h int }{32: {4, 8}, 16: {4, 4}, 8: {2, 4}, 4: {2, 2}, 2: {1, 2}, 1: {1, 1}}
 
 // BandwidthScaling selects how DRAM bandwidth is scaled down with core count
 // under proportional resource scaling (paper §II and §V-E1).
@@ -231,24 +217,32 @@ func dramFor(cores int, policy BandwidthScaling) DRAMConfig {
 // nocFor returns the mesh NoC configuration for a core count under
 // proportional scaling: bisection bandwidth is 4 GB/s per core, realised by
 // the cross-section links of the Table I mesh shapes.
-func nocFor(cores int) NoCConfig {
-	w, h := meshDims(cores)
-	csl := w // bisection cuts the longer dimension, leaving `w` links
-	if h < 2 {
+func nocFor(cores int) (NoCConfig, error) {
+	mesh, ok := meshShapes[cores]
+	if !ok {
+		return NoCConfig{}, fmt.Errorf("config: unsupported core count %d (want 1, 2, 4, 8, 16 or 32)", cores)
+	}
+	csl := mesh.w // bisection cuts the longer dimension, leaving `w` links
+	if mesh.h < 2 {
 		// A 1xN or 1x1 mesh has a single (nominal) cross-section link.
 		csl = 1
 	}
 	return NoCConfig{
-		MeshWidth:         w,
-		MeshHeight:        h,
+		MeshWidth:         mesh.w,
+		MeshHeight:        mesh.h,
 		CrossSectionLinks: csl,
 		LinkGBps:          GBps(4*cores) / GBps(csl),
 		HopLatency:        4,
-	}
+	}, nil
 }
 
-// makeSystem builds a PRS-scaled system with the given core count.
-func makeSystem(name string, cores int, policy BandwidthScaling) *SystemConfig {
+// makeSystem builds a PRS-scaled system with the given core count, or the
+// error of a count off the Table I ladder.
+func makeSystem(name string, cores int, policy BandwidthScaling) (*SystemConfig, error) {
+	noc, err := nocFor(cores)
+	if err != nil {
+		return nil, err
+	}
 	return &SystemConfig{
 		Name:  name,
 		Cores: cores,
@@ -271,9 +265,9 @@ func makeSystem(name string, cores int, policy BandwidthScaling) *SystemConfig {
 			LineSize:     64,
 			AccessTime:   30,
 		},
-		NoC:  nocFor(cores),
+		NoC:  noc,
 		DRAM: dramFor(cores, policy),
-	}
+	}, nil
 }
 
 // ScalingPolicy selects which shared resources a scale model scales down
@@ -321,13 +315,13 @@ func ScaleModel(target *SystemConfig, cores int, opts ScaleModelOptions) (*Syste
 	if err := target.Validate(); err != nil {
 		return nil, err
 	}
-	if cores < 1 || cores > target.Cores {
-		return nil, fmt.Errorf("config: scale model with %d cores from %d-core target", cores, target.Cores)
+	sm, err := makeSystem(target.Name+"-sm"+strconv.Itoa(cores)+"-"+opts.Policy.String()+"-"+opts.Bandwidth.String(), cores, opts.Bandwidth)
+	if err != nil {
+		return nil, err
 	}
 	if target.Cores%cores != 0 {
 		return nil, fmt.Errorf("config: scale factor %d/%d is not integral", target.Cores, cores)
 	}
-	sm := makeSystem(target.Name+"-sm"+strconv.Itoa(cores)+"-"+opts.Policy.String()+"-"+opts.Bandwidth.String(), cores, opts.Bandwidth)
 	sm.Core = target.Core
 	sm.L1I, sm.L1D, sm.L2 = target.L1I, target.L1D, target.L2
 
@@ -337,14 +331,14 @@ func ScaleModel(target *SystemConfig, cores int, opts ScaleModelOptions) (*Syste
 		// keep everything scaled
 	case NRS:
 		sm.LLC = unscaledLLC(target, cores)
-		sm.NoC = unscaledNoC(target, cores)
+		sm.NoC = unscaledNoC(target, sm.NoC)
 		sm.DRAM = target.DRAM
 	case PRSLLCOnly:
-		sm.NoC = unscaledNoC(target, cores)
+		sm.NoC = unscaledNoC(target, sm.NoC)
 		sm.DRAM = target.DRAM
 	case PRSDRAMOnly:
 		sm.LLC = unscaledLLC(target, cores)
-		sm.NoC = unscaledNoC(target, cores)
+		sm.NoC = unscaledNoC(target, sm.NoC)
 	default:
 		return nil, fmt.Errorf("config: unknown scaling policy %v", opts.Policy)
 	}
@@ -366,8 +360,7 @@ func unscaledLLC(target *SystemConfig, cores int) LLCConfig {
 
 // unscaledNoC keeps the target's bisection bandwidth on the scale model's
 // (smaller) mesh by fattening its cross-section links.
-func unscaledNoC(target *SystemConfig, cores int) NoCConfig {
-	noc := nocFor(cores)
+func unscaledNoC(target *SystemConfig, noc NoCConfig) NoCConfig {
 	noc.LinkGBps = target.NoC.BisectionGBps() / GBps(noc.CrossSectionLinks)
 	return noc
 }
@@ -384,9 +377,18 @@ type CustomOptions struct {
 
 // CustomSystem builds a machine with the Table II core/private hierarchy
 // but freely chosen shared-resource budgets — the knob a design-space
-// exploration sweeps. Core counts follow the Table I ladder (1..32).
+// exploration sweeps. Core counts follow the Table I ladder (1..32); another
+// count, or a negative or non-finite budget, is an error.
 func CustomSystem(cores int, opts CustomOptions) (*SystemConfig, error) {
-	c := makeSystem("custom-"+strconv.Itoa(cores), cores, opts.Bandwidth)
+	for _, b := range []float64{float64(opts.LLCSlicePerCore), float64(opts.DRAMPerCoreGBps), float64(opts.NoCPerCoreGBps)} {
+		if !(b >= 0) || math.IsInf(b, 1) {
+			return nil, fmt.Errorf("config: custom budget %g is negative or not finite", b)
+		}
+	}
+	c, err := makeSystem("custom-"+strconv.Itoa(cores), cores, opts.Bandwidth)
+	if err != nil {
+		return nil, err
+	}
 	if opts.LLCSlicePerCore > 0 {
 		c.LLC.SlicePerCore = opts.LLCSlicePerCore // Validate, below, holds its set count
 	}

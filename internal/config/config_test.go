@@ -213,7 +213,10 @@ func TestTableIRowString(t *testing.T) {
 func TestMeshShapesMatchTableI(t *testing.T) {
 	wantCSL := map[int]int{32: 4, 16: 4, 8: 2, 4: 2, 2: 1, 1: 1}
 	for cores, want := range wantCSL {
-		noc := nocFor(cores)
+		noc, err := nocFor(cores)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if noc.CrossSectionLinks != want {
 			t.Errorf("%d cores: %d CSLs, want %d", cores, noc.CrossSectionLinks, want)
 		}

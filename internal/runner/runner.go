@@ -70,7 +70,7 @@ import (
 // given options. The seed lives inside Options. The content-addressed cache
 // key is computed by Key (key.go) over the options as given, so a Job carries
 // resolved options (sim.Options.Resolved): the values that will run. The root
-// package resolves them at its one door, SimOptions.internal.
+// package builds every Job at its one door, newJob, which resolves them.
 type Job struct {
 	Config   *config.SystemConfig
 	Workload sim.Workload

@@ -34,7 +34,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	outcomes := s.submitBatch(r.Context(), req.Client, req.CampaignJobs())
+	outcomes := s.submitBatch(r.Context(), req.Client, req.Jobs)
 
 	// Admission failures decide the status: a drain refusal is
 	// server-wide (503), and a batch shed in its entirety is pure

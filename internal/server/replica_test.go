@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -88,6 +89,40 @@ func TestReplicasShareStore(t *testing.T) {
 	}
 	if stats.Stats.DiskHits != 1 || stats.Draining {
 		t.Errorf("statsz = %+v, want one disk hit on a live server", stats)
+	}
+}
+
+// TestBatchWithBadMachineKeepsServing: a request cannot take the daemon down.
+// A custom machine off the core-count ladder, riding a two-job batch whose
+// jobs run side by side, is refused in its own outcome (ErrBadSpec) — it
+// once panicked inside the machine's construction on a bare goroutine — while
+// its sibling is served, and so is the next request.
+func TestBatchWithBadMachineKeepsServing(t *testing.T) {
+	ts, stop := startReplica(t, "")
+	defer stop()
+	bad := replicaJob()
+	bad.Machine = scalesim.MachineSpec{Cores: 3, DRAMPerCoreGBps: 4}
+	bad.Benchmarks = []string{"mcf", "mcf", "mcf"}
+	svc, err := scalesim.NewService(scalesim.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	_, refusal := svc.Prepare(bad)
+	if !errors.Is(refusal, scalesim.ErrBadSpec) {
+		t.Fatalf("Prepare: err = %v, want ErrBadSpec", refusal)
+	}
+
+	resp := decodeOK(t, postJobs(t, ts.URL, "a", []scalesim.CampaignJob{bad, replicaJob()}))
+	if got := resp.Outcomes[0]; got.Error != refusal.Error() || got.Result != nil || got.Source != "" {
+		t.Fatalf("job 0 = %+v, want refused with %q", got, refusal)
+	}
+	if got := resp.Outcomes[1]; got.Error != "" || got.Result == nil {
+		t.Fatalf("job 1 = %+v, want its result", got)
+	}
+	next := decodeOK(t, postJobs(t, ts.URL, "b", []scalesim.CampaignJob{replicaJob()}))
+	if got := next.Outcomes[0]; got.Error != "" || got.Source != string(scalesim.SourceMemory) {
+		t.Fatalf("next request = %+v, want a memory hit", got)
 	}
 }
 

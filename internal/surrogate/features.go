@@ -32,10 +32,10 @@ const (
 	numTargets
 )
 
-// jobFeatures returns one feature row per core of the job. The job must be
-// structurally complete (non-nil config, one profile per core, resolved
-// options: the budget and capacity scale that run) — jobs that reach the
-// engine's compute tier always are. A threaded job has no per-program rows.
+// jobFeatures returns one feature row per program of the job: a non-nil
+// config and resolved options (the budget and capacity scale that run) are
+// assumed, and Predict's gate refuses a job whose rows are not one per core.
+// A threaded job has no per-program rows.
 func jobFeatures(job runner.Job) [][]float64 {
 	cfg, opts := job.Config, job.Options
 	scale := float64(opts.CapacityScale)
@@ -97,7 +97,7 @@ func jobFeatures(job runner.Job) [][]float64 {
 // profileFeatures encodes one core's workload profile.
 func profileFeatures(p *trace.Profile, scale float64) []float64 {
 	if p == nil {
-		nan := math.NaN() // rejected by the gate; cannot happen for engine jobs
+		nan := math.NaN() // a nil profile: rejected by the gate
 		return []float64{nan, nan, nan, nan, nan, nan, nan, nan}
 	}
 	// seqFrac summarises spatial locality: the fraction of data accesses

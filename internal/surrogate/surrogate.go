@@ -322,12 +322,14 @@ func (s *Surrogate) Predict(job runner.Job) (*sim.Result, bool) {
 	}
 
 	rows := jobFeatures(job)
-	if len(rows) == 0 {
+	// Gate, part zero: the model answers only what the simulator would run —
+	// one program row per core of the machine (a threaded job has none).
+	if len(rows) == 0 || len(rows) != job.Config.Cores {
 		return nil, false
 	}
 	preds := make([][]float64, len(rows))
 	for i, row := range rows {
-		// Gate, part zero: a non-finite or mis-shaped feature vector must
+		// Part zero, too: a non-finite or mis-shaped feature vector must
 		// fall through to compute — never into the forest, whose output for
 		// such input would be garbage served as a result.
 		if !ml.Finite(row) {

@@ -14,10 +14,14 @@ import (
 	"scalesim/internal/trace"
 )
 
-// synthJob builds a distinct, fully specified design point: i shifts the
-// workload's BaseCPI (and so the feature row), keeping everything else at
-// the fixture values.
+// synthJob builds a distinct, fully specified design point, one program on a
+// one-core machine: i shifts the workload's BaseCPI (and so the feature row),
+// keeping everything else at the fixture values.
 func synthJob(i int) runner.Job {
+	cfg, err := config.CustomSystem(1, config.CustomOptions{})
+	if err != nil {
+		panic(err) // the one-core PRS budgets are valid
+	}
 	prof := &trace.Profile{
 		Name:           "synth",
 		BaseCPI:        0.4 + 0.01*float64(i),
@@ -34,7 +38,7 @@ func synthJob(i int) runner.Job {
 		},
 	}
 	return runner.Job{
-		Config:   config.Target(),
+		Config:   cfg,
 		Workload: sim.Workload{Profiles: []*trace.Profile{prof}},
 		Options: sim.Options{
 			Instructions:  1_000_000,

@@ -100,18 +100,15 @@ func SimulateParallel(spec MachineSpec, workload string, opts SimOptions) (*Para
 // or deadline expiry propagates into the simulator's epoch loop, aborting
 // the run within one epoch and returning ctx.Err().
 func SimulateParallelContext(ctx context.Context, spec MachineSpec, workload string, opts SimOptions) (*ParallelResult, error) {
-	if err := opts.Tuning.Validate(); err != nil {
-		return nil, err
-	}
 	pp := trace.ParallelByName(workload)
 	if pp == nil {
 		return nil, fmt.Errorf("scalesim: %w: parallel workload %q", ErrUnknownBenchmark, workload)
 	}
-	cfg, err := spec.internal()
+	j, err := newJob(spec, sim.Workload{Threads: pp}, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunContext(ctx, cfg, sim.Workload{Threads: pp}, opts.internal())
+	res, err := sim.RunContext(ctx, j.Config, j.Workload, j.Options)
 	if err != nil {
 		return nil, err
 	}

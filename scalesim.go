@@ -43,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"scalesim/internal/config"
 	"scalesim/internal/runner"
@@ -67,6 +68,10 @@ var (
 	// ErrUnknownBenchmark reports a benchmark name that is neither in the
 	// suite nor among the supplied custom profiles.
 	ErrUnknownBenchmark = errors.New("unknown benchmark")
+	// ErrBadSpec reports a design point the simulator cannot run or would run
+	// under a second name (DESIGN.md, "Serving invariants", lists them); it
+	// is refused before it is keyed.
+	ErrBadSpec = errors.New("invalid design point")
 	// ErrUnknownSchema reports a versioned payload — a store artifact, the
 	// store journal, or a JSONL trace header — whose schema tag this build
 	// does not understand.
@@ -150,10 +155,14 @@ func FastOptions() SimOptions {
 	}
 }
 
-// internal is the one door from public options to the simulator's: it returns
-// resolved options (sim.Options.Resolved), the values that run, so what a job
-// is keyed by, stored under and shown to the surrogate is what is simulated.
-func (o SimOptions) internal() sim.Options {
+// internal is newJob's half for options: it returns resolved options
+// (sim.Options.Resolved), the values that run, so what a job is keyed by,
+// stored under and shown to the surrogate is what is simulated — or an error
+// wrapping ErrBadTuning or ErrBadSpec for options that cannot run.
+func (o SimOptions) internal() (sim.Options, error) {
+	if err := o.Tuning.Validate(); err != nil {
+		return sim.Options{}, err
+	}
 	io := sim.Options{
 		Instructions:   o.Instructions,
 		Warmup:         o.Warmup,
@@ -168,7 +177,14 @@ func (o SimOptions) internal() sim.Options {
 	if o.Trace {
 		io.Telemetry = &sim.TelemetryOptions{Warmup: o.TraceWarmup}
 	}
-	return io.Resolved()
+	io = io.Resolved()
+	if !(io.EpochCycles > 0) || math.IsInf(float64(io.EpochCycles), 1) {
+		return sim.Options{}, fmt.Errorf("scalesim: %w: EpochCycles %g is not positive and finite", ErrBadSpec, o.EpochCycles)
+	}
+	if io.CapacityScale < 1 {
+		return sim.Options{}, fmt.Errorf("scalesim: %w: CapacityScale %d < 1", ErrBadSpec, o.CapacityScale)
+	}
+	return io, nil
 }
 
 // Pattern names a memory access pattern in Region.Pattern.
@@ -181,17 +197,6 @@ const (
 	PatternZipf  Pattern = "zipf"
 	PatternChase Pattern = "chase"
 )
-
-// Validate reports whether the pattern is one of the Pattern* constants.
-// The error wraps ErrUnknownPattern.
-func (p Pattern) Validate() error {
-	switch p {
-	case PatternSeq, PatternRand, PatternZipf, PatternChase:
-		return nil
-	default:
-		return fmt.Errorf("scalesim: %w %q", ErrUnknownPattern, string(p))
-	}
-}
 
 // internal maps the pattern onto the trace generator's enumeration.
 func (p Pattern) internal() (trace.Pattern, error) {
@@ -258,10 +263,16 @@ func (p Profile) internal() (*trace.Profile, error) {
 			ZipfS:    r.ZipfS,
 		})
 	}
-	if err := tp.Validate(); err != nil {
-		return nil, err
+	return badSpec(tp, tp.Validate())
+}
+
+// badSpec returns v, or err wrapped in ErrBadSpec when there is one.
+func badSpec[T any](v T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("scalesim: %w: %w", ErrBadSpec, err)
 	}
-	return tp, nil
+	return v, nil
 }
 
 func profileFromInternal(tp *trace.Profile) Profile {
@@ -316,11 +327,25 @@ const (
 // Validate reports whether the policy is one of the Policy* constants ("" is
 // valid and selects PRS). The error wraps ErrUnknownPolicy.
 func (p Policy) Validate() error {
+	_, err := p.internal()
+	return err
+}
+
+// internal maps the policy onto the construction enumeration; PolicyTarget,
+// whose machine MachineSpec.internal builds without it, maps to the target's
+// own policy.
+func (p Policy) internal() (config.ScalingPolicy, error) {
 	switch p {
-	case "", PolicyTarget, PolicyNRS, PolicyPRS, PolicyPRSLLC, PolicyPRSDRAM:
-		return nil
+	case PolicyPRS, "", PolicyTarget:
+		return config.PRSFull, nil
+	case PolicyNRS:
+		return config.NRS, nil
+	case PolicyPRSLLC:
+		return config.PRSLLCOnly, nil
+	case PolicyPRSDRAM:
+		return config.PRSDRAMOnly, nil
 	default:
-		return fmt.Errorf("scalesim: %w %q", ErrUnknownPolicy, string(p))
+		return 0, fmt.Errorf("scalesim: %w %q", ErrUnknownPolicy, string(p))
 	}
 }
 
@@ -332,17 +357,6 @@ const (
 	BandwidthMCFirst Bandwidth = "MC-first"
 	BandwidthMBFirst Bandwidth = "MB-first"
 )
-
-// Validate reports whether the order is one of the Bandwidth* constants (""
-// is valid and selects MC-first). The error wraps ErrUnknownBandwidth.
-func (b Bandwidth) Validate() error {
-	switch b {
-	case "", BandwidthMCFirst, BandwidthMBFirst:
-		return nil
-	default:
-		return fmt.Errorf("scalesim: %w %q", ErrUnknownBandwidth, string(b))
-	}
-}
 
 // internal maps the order onto the construction enumeration.
 func (b Bandwidth) internal() (config.BandwidthScaling, error) {
@@ -374,49 +388,31 @@ type MachineSpec struct {
 	NoCPerCoreGBps  float64 // NoC bisection bandwidth per core
 }
 
-// Validate reports the first invalid enumeration field (the simulator
-// validates structural constraints like core counts at run time).
-func (m MachineSpec) Validate() error {
-	if err := m.Policy.Validate(); err != nil {
-		return err
-	}
-	return m.Bandwidth.Validate()
-}
-
+// internal builds the machine. Both enumerations are checked whatever the
+// machine; a construction error wraps ErrBadSpec.
 func (m MachineSpec) internal() (*config.SystemConfig, error) {
-	if m.LLCPerCoreKB != 0 || m.DRAMPerCoreGBps != 0 || m.NoCPerCoreGBps != 0 {
-		bw, err := m.Bandwidth.internal()
-		if err != nil {
-			return nil, err
-		}
-		return config.CustomSystem(m.Cores, config.CustomOptions{
-			LLCSlicePerCore: config.Bytes(m.LLCPerCoreKB) * config.KB,
-			DRAMPerCoreGBps: config.GBps(m.DRAMPerCoreGBps),
-			NoCPerCoreGBps:  config.GBps(m.NoCPerCoreGBps),
-			Bandwidth:       bw,
-		})
-	}
-	if m.Policy == PolicyTarget || m.Policy == "" && m.Cores == 32 {
-		return config.Target(), nil
-	}
-	var pol config.ScalingPolicy
-	switch m.Policy {
-	case PolicyPRS, "":
-		pol = config.PRSFull
-	case PolicyNRS:
-		pol = config.NRS
-	case PolicyPRSLLC:
-		pol = config.PRSLLCOnly
-	case PolicyPRSDRAM:
-		pol = config.PRSDRAMOnly
-	default:
-		return nil, fmt.Errorf("scalesim: %w %q", ErrUnknownPolicy, string(m.Policy))
+	pol, err := m.Policy.internal()
+	if err != nil {
+		return nil, err
 	}
 	bw, err := m.Bandwidth.internal()
 	if err != nil {
 		return nil, err
 	}
-	return config.ScaleModel(config.Target(), m.Cores, config.ScaleModelOptions{Policy: pol, Bandwidth: bw})
+	switch {
+	case m.LLCPerCoreKB < 0 || int64(m.LLCPerCoreKB) > math.MaxInt64>>10:
+		return nil, fmt.Errorf("scalesim: %w: LLCPerCoreKB %d is negative or overflows bytes", ErrBadSpec, m.LLCPerCoreKB)
+	case m.LLCPerCoreKB != 0 || m.DRAMPerCoreGBps != 0 || m.NoCPerCoreGBps != 0:
+		return badSpec(config.CustomSystem(m.Cores, config.CustomOptions{
+			LLCSlicePerCore: config.Bytes(m.LLCPerCoreKB) * config.KB,
+			DRAMPerCoreGBps: config.GBps(m.DRAMPerCoreGBps),
+			NoCPerCoreGBps:  config.GBps(m.NoCPerCoreGBps),
+			Bandwidth:       bw,
+		}))
+	case m.Policy == PolicyTarget || m.Policy == "" && m.Cores == 32:
+		return config.Target(), nil
+	}
+	return badSpec(config.ScaleModel(config.Target(), m.Cores, config.ScaleModelOptions{Policy: pol, Bandwidth: bw}))
 }
 
 // CoreResult is the measured outcome of one program in a simulation.
@@ -468,47 +464,59 @@ func Simulate(spec MachineSpec, benchmarks []string, opts SimOptions, extra ...P
 // expiry propagates into the simulator's epoch loop, aborting the run
 // within one epoch and returning ctx.Err().
 func SimulateContext(ctx context.Context, spec MachineSpec, benchmarks []string, opts SimOptions, extra ...Profile) (*SimResult, error) {
-	if err := opts.Tuning.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, wl, err := buildRun(spec, benchmarks, extra)
+	j, err := CampaignJob{Machine: spec, Benchmarks: benchmarks, Options: opts, Extra: extra}.job()
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunContext(ctx, cfg, wl, opts.internal())
+	res, err := sim.RunContext(ctx, j.Config, j.Workload, j.Options)
 	if err != nil {
 		return nil, err
 	}
 	return resultFromInternal(res), nil
 }
 
-// buildRun resolves a public (spec, benchmarks, extra) triple into the
-// internal machine configuration and workload.
-func buildRun(spec MachineSpec, benchmarks []string, extra []Profile) (*config.SystemConfig, sim.Workload, error) {
-	cfg, err := spec.internal()
-	if err != nil {
-		return nil, sim.Workload{}, err
-	}
+// job resolves the mix — custom profiles by name first, then the suite — and
+// hands the design point to newJob.
+func (j CampaignJob) job() (runner.Job, error) {
 	custom := map[string]*trace.Profile{}
-	for _, p := range extra {
+	for _, p := range j.Extra {
 		tp, err := p.internal()
 		if err != nil {
-			return nil, sim.Workload{}, err
+			return runner.Job{}, err
 		}
 		custom[p.Name] = tp
 	}
-	wl := sim.Workload{}
-	for _, name := range benchmarks {
+	var wl sim.Workload
+	for _, name := range j.Benchmarks {
 		tp := custom[name]
 		if tp == nil {
 			tp = trace.ByName(name)
 		}
 		if tp == nil {
-			return nil, sim.Workload{}, fmt.Errorf("scalesim: %w %q", ErrUnknownBenchmark, name)
+			return runner.Job{}, fmt.Errorf("scalesim: %w %q", ErrUnknownBenchmark, name)
 		}
 		wl.Profiles = append(wl.Profiles, tp)
 	}
-	return cfg, wl, nil
+	return newJob(j.Machine, wl, j.Options)
+}
+
+// newJob is the one door from a public design point to what the engine or the
+// simulator runs. Converting is checking: it refuses, before anything is
+// keyed, what the simulator cannot run or would run under a second name
+// (DESIGN.md, "Serving invariants").
+func newJob(spec MachineSpec, wl sim.Workload, opts SimOptions) (runner.Job, error) {
+	cfg, err := spec.internal()
+	if err != nil {
+		return runner.Job{}, err
+	}
+	if wl.Threads == nil && len(wl.Profiles) != cfg.Cores {
+		return runner.Job{}, fmt.Errorf("scalesim: %w: %d programs for %d cores", ErrBadSpec, len(wl.Profiles), cfg.Cores)
+	}
+	io, err := opts.internal()
+	if err != nil {
+		return runner.Job{}, err
+	}
+	return runner.Job{Config: cfg, Workload: wl, Options: io}, nil
 }
 
 func resultFromInternal(res *sim.Result) *SimResult {

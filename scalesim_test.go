@@ -1,6 +1,7 @@
 package scalesim
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -127,6 +128,40 @@ func TestExperimentsSubsetValidation(t *testing.T) {
 	}
 	if _, err := NewExperimentsSubset(tinyOptions(), "gcc", "lbm", "nothere"); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestExperimentsSubsetRefusesDuplicates: a benchmark named twice would be
+// two rows of one benchmark, and leave-one-out folds trained on one sample
+// fewer than the subset promises.
+func TestExperimentsSubsetRefusesDuplicates(t *testing.T) {
+	if ex, err := NewExperimentsSubset(tinyOptions(), "mcf", "mcf", "lbm"); !errors.Is(err, ErrBadSpec) {
+		if err == nil {
+			ex.Close()
+		}
+		t.Fatalf("err = %v, want ErrBadSpec", err)
+	}
+}
+
+// TestTargetIPCOutsideTheSuite: asking for a benchmark the experiment suite
+// does not hold — a suite benchmark outside the subset, or no benchmark at
+// all — wraps ErrUnknownBenchmark, and is answered before anything simulates.
+func TestTargetIPCOutsideTheSuite(t *testing.T) {
+	ex, err := NewExperimentsSubset(tinyOptions(), "mcf", "lbm", "gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	for _, name := range []string{"povray", "nothere"} {
+		if _, err := ex.PredictTargetIPC(name); !errors.Is(err, ErrUnknownBenchmark) {
+			t.Errorf("PredictTargetIPC(%q): err = %v, want ErrUnknownBenchmark", name, err)
+		}
+		if _, err := ex.ActualTargetIPC(name); !errors.Is(err, ErrUnknownBenchmark) {
+			t.Errorf("ActualTargetIPC(%q): err = %v, want ErrUnknownBenchmark", name, err)
+		}
+	}
+	if n := ex.Runs(); n != 0 {
+		t.Errorf("%d simulations ran to refuse a name", n)
 	}
 }
 

@@ -108,24 +108,19 @@ type PreparedJob struct {
 // coalesce identical concurrent requests.
 func (p *PreparedJob) Key() string { return p.key }
 
-// Prepare validates and compiles one campaign job. Invalid specs fail here
-// with the matching ErrUnknown* sentinel, before any queueing or
-// simulation.
+// Prepare validates and compiles one campaign job. A job the simulator
+// cannot run fails here, before any keying, queueing or simulation, with
+// ErrBadSpec, ErrBadTuning or the matching ErrUnknown* sentinel.
 func (s *Service) Prepare(job CampaignJob) (*PreparedJob, error) {
-	if err := job.Options.Tuning.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, wl, err := buildRun(job.Machine, job.Benchmarks, job.Extra)
+	rj, err := job.job()
 	if err != nil {
 		return nil, err
 	}
-	io := job.Options.internal()
 	if job.Options.Tuning == nil {
 		// The service-level tuning is the default for jobs that carry none
 		// of their own (tuning is keyless, so this cannot split the memo).
-		io.CoreWorkers = s.tun.coreWorkers()
+		rj.Options.CoreWorkers = s.tun.coreWorkers()
 	}
-	rj := runner.Job{Config: cfg, Workload: wl, Options: io}
 	return &PreparedJob{key: rj.Key(), job: rj}, nil
 }
 

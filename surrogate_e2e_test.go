@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -139,6 +140,68 @@ func TestSurrogateModelResultsNeverPersist(t *testing.T) {
 		if oc.Approximate {
 			t.Fatalf("job %d approximate in a surrogate-free campaign", i)
 		}
+	}
+}
+
+// TestModelNeverAnswersWhatTheSimulatorRefuses is the converse of serving
+// approximately: the model answers only a job the simulator would run. Two
+// programs on a one-core machine is a job the simulator refuses, and a model
+// trained on one-core points with its gates wide open must not answer it in
+// the simulator's stead — neither through Prepare, whose door refuses it, nor
+// when the same job is built by hand and handed to the engine, as
+// scalemodel.Lab and scalebench drive it.
+func TestModelNeverAnswersWhatTheSimulatorRefuses(t *testing.T) {
+	ctx := context.Background()
+	grid := []float64{1, 2, 4, 8, 16}
+	svc, err := NewService(ServiceConfig{Tuning: &Tuning{CampaignWorkers: 1}, Surrogate: looseSurrogate(len(grid))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	point := func(gb float64, programs int) CampaignJob {
+		return CampaignJob{
+			Machine:    MachineSpec{Cores: 1, DRAMPerCoreGBps: gb},
+			Benchmarks: mixOf("xalancbmk", programs),
+			Options:    tinyOptions(),
+		}
+	}
+	for _, gb := range grid {
+		p, err := svc.Prepare(point(gb, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oc := svc.RunJobContext(ctx, p); oc.Err != nil || oc.Source != SourceCompute {
+			t.Fatalf("training point %g GB/s: %q, %v", gb, oc.Source, oc.Err)
+		}
+	}
+	single, err := point(3, 1).job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.sur.Predict(single); !ok {
+		t.Fatal("setup: the trained model does not answer a one-core midpoint")
+	}
+
+	p, err := svc.Prepare(point(3, 2))
+	if err == nil {
+		oc := svc.RunJobContext(ctx, p)
+		cores := 0
+		if oc.Result != nil {
+			cores = len(oc.Result.Cores)
+		}
+		t.Fatalf("two programs on one core were prepared and answered source=%s, approximate=%v, %d cores", oc.Source, oc.Approximate, cores)
+	}
+	if !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("Prepare: err = %v, want ErrBadSpec", err)
+	}
+
+	double := single
+	double.Workload.Profiles = append(single.Workload.Profiles[:1:1], single.Workload.Profiles[0])
+	if res, ok := svc.sur.Predict(double); ok {
+		t.Fatalf("Predict answered two programs on one core with %d cores", len(res.Cores))
+	}
+	if oc := svc.eng.Run(ctx, double); oc.Source != SourceCompute || oc.Err == nil {
+		t.Fatalf("the engine answered two programs on one core from %q (err %v), want the simulator's refusal", oc.Source, oc.Err)
 	}
 }
 

@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -105,6 +106,61 @@ func TestTraceSchemaHeader(t *testing.T) {
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("header-only trace = (%d epochs, %v)", len(empty), err)
 	}
+}
+
+// FuzzReadTraceJSONL holds the trace reader to three properties on arbitrary
+// bytes: it never panics; it returns no snapshot for a document whose first
+// record is not the TraceSchema header; and what it reads without error, once
+// written back by WriteTraceJSONL, reads back equal and writes the same bytes
+// again. The seeds — a two-epoch trace, the same body headerless, under a
+// foreign tag and truncated, a header alone — are committed under
+// testdata/fuzz.
+func FuzzReadTraceJSONL(f *testing.F) {
+	var sample bytes.Buffer
+	if err := WriteTraceJSONL(&sample, []EpochSnapshot{{
+		Epoch: 0, Phase: PhaseMeasure, Config: "m", EndCycle: 1e4, EpochCycles: 1e4, NoCUtilization: 0.25,
+		Cores: []CoreEpoch{{Core: 0, Benchmark: "mcf", Instructions: 5000, Cycles: 1e4, IPC: 0.5, LLCMisses: 7, DRAMBytes: 448}},
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample.Bytes())
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		trace, err := ReadTraceJSONL(bytes.NewReader(doc))
+		if len(trace) > 0 && !startsWithTraceHeader(doc) {
+			t.Fatalf("%d snapshots read from a document without the %s header (err %v)", len(trace), TraceSchema, err)
+		}
+		if err != nil {
+			return
+		}
+		var wire bytes.Buffer
+		if err := WriteTraceJSONL(&wire, trace); err != nil {
+			t.Fatalf("a trace read back does not write: %v", err)
+		}
+		again, err := ReadTraceJSONL(bytes.NewReader(wire.Bytes()))
+		if err != nil || !reflect.DeepEqual(again, trace) {
+			t.Fatalf("written trace reads back as (%d snapshots, %v), want the %d written:\n%s", len(again), err, len(trace), wire.Bytes())
+		}
+		var rewire bytes.Buffer
+		if err := WriteTraceJSONL(&rewire, again); err != nil || !bytes.Equal(rewire.Bytes(), wire.Bytes()) {
+			t.Fatalf("trace changed over a second trip (%v):\n first %s\nsecond %s", err, wire.Bytes(), rewire.Bytes())
+		}
+	})
+}
+
+// startsWithTraceHeader reports whether doc's first JSON value is an object
+// with a "schema" member, its name matched as encoding/json matches a field
+// name, holding TraceSchema — read independently of ReadTraceJSONL.
+func startsWithTraceHeader(doc []byte) bool {
+	var first map[string]any
+	if json.NewDecoder(bytes.NewReader(doc)).Decode(&first) != nil {
+		return false
+	}
+	for name, v := range first {
+		if strings.EqualFold(name, "schema") && v == TraceSchema {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSummarizeTrace(t *testing.T) {

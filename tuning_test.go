@@ -69,17 +69,16 @@ func TestBadTuningSurfaces(t *testing.T) {
 // TestTuningIsKeyless pins the memoization contract: two jobs differing
 // only in Tuning are the same design point and share one cache key.
 func TestTuningIsKeyless(t *testing.T) {
-	spec := MachineSpec{Cores: 2}
-	benches := []string{"mcf", "lbm"}
-	cfg, wl, err := buildRun(spec, benches, nil)
+	cj := CampaignJob{Machine: MachineSpec{Cores: 2}, Benchmarks: []string{"mcf", "lbm"}, Options: FastOptions()}
+	base, err := cj.job()
 	if err != nil {
-		t.Fatalf("buildRun: %v", err)
+		t.Fatal(err)
 	}
-	opts := FastOptions()
-	base := runner.Job{Config: cfg, Workload: wl, Options: opts.internal()}
-	tuned := opts
-	tuned.Tuning = &Tuning{CoreWorkers: 8, CampaignWorkers: 3}
-	alt := runner.Job{Config: cfg, Workload: wl, Options: tuned.internal()}
+	cj.Options.Tuning = &Tuning{CoreWorkers: 8, CampaignWorkers: 3}
+	alt, err := cj.job()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base.Key() != alt.Key() {
 		t.Fatalf("tuning changed the cache key:\n base %s\ntuned %s", base.Key(), alt.Key())
 	}
