@@ -147,8 +147,9 @@ func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignResult, error
 	defer svc.Close()
 
 	res := &CampaignResult{Outcomes: make([]JobOutcome, len(c.Jobs))}
+	var keys []string
 	var batch []runner.Job
-	var at []int // batch[k] is c.Jobs[at[k]]
+	var at []int // batch[k], keyed keys[k], is c.Jobs[at[k]]
 	for i, cj := range c.Jobs {
 		p, err := svc.Prepare(cj)
 		if err != nil {
@@ -156,10 +157,10 @@ func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignResult, error
 			res.Outcomes[i] = JobOutcome{Job: i, Err: err}
 			continue
 		}
-		batch = append(batch, p.job)
+		keys, batch = append(keys, p.key), append(batch, p.job)
 		at = append(at, i)
 	}
-	outcomes, ctxErr := svc.eng.RunBatch(ctx, batch)
+	outcomes, ctxErr := svc.eng.RunBatch(ctx, keys, batch)
 	for k, oc := range outcomes {
 		res.Outcomes[at[k]] = outcomeFromInternal(oc)
 		res.Outcomes[at[k]].Job = at[k]

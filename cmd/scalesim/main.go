@@ -1,7 +1,8 @@
 // Command scalesim is the interactive CLI for the scale-model simulation
 // library: inspect configurations, simulate workloads on scale models or
 // the target system, and predict target performance from single-core
-// scale-model runs.
+// scale-model runs. The paper's figures are cmd/experiments' (go run
+// ./cmd/experiments -fast -figs 3).
 //
 // Usage:
 //
@@ -9,7 +10,6 @@
 //	scalesim suite
 //	scalesim simulate -machine <cores>[:<policy>] -bench <a,b,...> [-fast] [-core-workers N]
 //	scalesim predict -bench <name> [-fast]
-//	scalesim experiment -fig <id> [-fast]
 //	scalesim sweep -knob llc|dram -bench <name> [-cores N] [-campaign-workers N] [-store <dir>]
 //	scalesim stats -trace <file>
 //	scalesim store -dir <dir>
@@ -27,7 +27,6 @@
 //	scalesim simulate -machine 1:PRS -bench lbm
 //	scalesim simulate -machine 32:target -bench "lbm x32"
 //	scalesim predict -bench mcf
-//	scalesim experiment -fig 3 -fast
 package main
 
 import (
@@ -58,8 +57,6 @@ func main() {
 		cmdSimulate(os.Args[2:])
 	case "predict":
 		cmdPredict(os.Args[2:])
-	case "experiment":
-		cmdExperiment(os.Args[2:])
 	case "sweep":
 		cmdSweep(os.Args[2:])
 	case "stats":
@@ -89,7 +86,6 @@ func usage() {
                                             prints the per-component trace summary,
                                             -store reuses results across invocations
   scalesim predict -bench NAME [-fast]      predict 32-core IPC from a 1-core scale model
-  scalesim experiment -fig ID [-fast]       regenerate one figure (3..12, mt, ablations, prefetch, speedup)
   scalesim sweep -knob llc|dram -bench NAME [-cores N] [-campaign-workers N] [-fast] [-store DIR]
                                             concurrent design-space sweep on a scale model
   scalesim stats -trace FILE                summarise a JSONL trace file
@@ -106,7 +102,9 @@ performance flags (identical results at any setting, wall-clock only):
   -core-workers N       epoch workers inside one simulation (0 = auto)
   -campaign-workers N   concurrent campaign jobs (0 = GOMAXPROCS)
   -cpuprofile FILE      write a pprof CPU profile (simulate, sweep)
-  -memprofile FILE      write a pprof heap profile at exit (simulate, sweep)`)
+  -memprofile FILE      write a pprof heap profile at exit (simulate, sweep)
+
+to regenerate a figure: go run ./cmd/experiments -fast -figs 3`)
 }
 
 func options(fast bool) scalesim.SimOptions {
@@ -330,24 +328,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-func cmdExperiment(args []string) {
-	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	fig := fs.String("fig", "", "figure id: 3..12, mt, ablations, prefetch or speedup")
-	fast := fs.Bool("fast", false, "reduced fidelity")
-	_ = fs.Parse(args)
-	ex, err := scalesim.NewExperiments(options(*fast))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, f := range ex.Figures() {
-		if f.ID == *fig {
-			show(f.Run())
-			return
-		}
-	}
-	log.Fatalf("unknown figure %q", *fig)
-}
-
 // surrogateFlags registers the shared surrogate-tier flags on fs and
 // returns a closure producing the resulting configuration after parsing
 // (nil when the tier stays off).
@@ -447,11 +427,4 @@ func cmdSweep(args []string) {
 	}
 	fmt.Printf("  campaign: %s\n", res.Stats)
 	fmt.Printf("  fronts: %s\n", res.Stats.Fronts)
-}
-
-func show(res fmt.Stringer, err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(res.String())
 }

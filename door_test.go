@@ -75,6 +75,15 @@ func TestDoorRefusesWhatCannotRun(t *testing.T) {
 		{"two-programs-one-core", ofMix, machine(MachineSpec{Cores: 1}, 2), nil},
 		{"invalid-custom-profile", ofMix, hollow, nil},
 	}
+	prepare := func(_ context.Context, j CampaignJob) error {
+		svc, err := NewService(ServiceConfig{})
+		if err != nil {
+			return err
+		}
+		defer svc.Close()
+		_, err = svc.Prepare(j)
+		return err
+	}
 	entries := []struct {
 		name  string
 		takes int // the widest kind of input the entry takes
@@ -88,15 +97,7 @@ func TestDoorRefusesWhatCannotRun(t *testing.T) {
 			_, err := SimulateParallelContext(ctx, j.Machine, "par.stream", j.Options)
 			return err
 		}},
-		{"Service.Prepare", ofMix, func(_ context.Context, j CampaignJob) error {
-			svc, err := NewService(ServiceConfig{})
-			if err != nil {
-				return err
-			}
-			defer svc.Close()
-			_, err = svc.Prepare(j)
-			return err
-		}},
+		{"Service.Prepare", ofMix, prepare},
 		{"RunCampaign", ofMix, func(ctx context.Context, j CampaignJob) error {
 			res, err := RunCampaignContext(ctx, Campaign{Jobs: []CampaignJob{j}})
 			if err != nil {
@@ -133,4 +134,13 @@ func TestDoorRefusesWhatCannotRun(t *testing.T) {
 			})
 		}
 	}
+	// An LLC whose sets take gigabytes — 16 GiB a slice, ≈ 2 GiB of set words
+	// at CapacityScale 32 — is asked only of Prepare, which keys without
+	// running: through an entry that runs, a door that let it pass would
+	// allocate them.
+	t.Run("Service.Prepare/LLCPerCoreKB=1<<24", func(t *testing.T) {
+		if err := prepare(context.Background(), machine(MachineSpec{Cores: 32, LLCPerCoreKB: 1 << 24}, 32)); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("err = %v, want %v", err, ErrBadSpec)
+		}
+	})
 }

@@ -95,8 +95,7 @@ func TestStoreCorruptionRecompute(t *testing.T) {
 	}
 
 	e2, calls2 := countingEngine(1, 0)
-	st2 := openStore(t, dir)
-	e2.SetStore(st2)
+	e2.SetStore(openStore(t, dir))
 	oc := e2.Run(context.Background(), job(5))
 	if oc.Err != nil {
 		t.Fatalf("corruption leaked to the caller: %v", oc.Err)
@@ -107,8 +106,8 @@ func TestStoreCorruptionRecompute(t *testing.T) {
 	if s := e2.Stats(); s.StoreCorrupt != 1 || s.DiskHits != 0 {
 		t.Fatalf("stats %+v, want StoreCorrupt=1 DiskHits=0", s)
 	}
-	if st := st2.Stats(); st.Corrupt != 1 {
-		t.Fatalf("store stats %+v, want Corrupt=1", st)
+	if info, err := store.Check(dir); err != nil || info.Quarantined != 1 {
+		t.Fatalf("store.Check = (%+v, %v), want Quarantined=1", info, err)
 	}
 	// The recompute re-saved a clean artifact: a third engine disk-hits.
 	e3, calls3 := countingEngine(1, 0)

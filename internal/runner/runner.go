@@ -311,8 +311,8 @@ func (e *Engine) Run(ctx context.Context, job Job) Outcome {
 // claim the key in memory (a hit, a coalesce, or a new flight this caller
 // owns), resolve a new flight from disk → model → compute, settle it for
 // waiters and later callers. The returned Outcome carries the result or
-// error plus its Source. key must be job.Key(): Service.Prepare has computed
-// it, and a served job is hashed once (DESIGN.md, Performance invariants, 6).
+// error plus its Source. key must be job.Key(), computed once by the caller
+// (DESIGN.md, Performance invariants, 6).
 func (e *Engine) RunKeyed(ctx context.Context, key string, job Job) Outcome {
 	f, src := e.claim(key)
 	if src == SourceCoalesced {
@@ -490,11 +490,11 @@ func protect(ctx context.Context, run RunFunc, job Job) (res *sim.Result, err er
 }
 
 // RunBatch executes jobs on the worker pool and returns their outcomes in
-// submission order. Duplicated jobs (same Key) simulate once. RunBatch
-// returns ctx.Err() when the batch was cut short by cancellation; per-job
-// errors (including cancellation of in-flight jobs) are reported in the
-// outcomes either way.
-func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Outcome, error) {
+// submission order. keys[i] must be jobs[i].Key(), computed by the caller
+// once; duplicated jobs (same key) simulate once. RunBatch returns ctx.Err()
+// when the batch was cut short by cancellation; per-job errors (including
+// cancellation of in-flight jobs) are reported in the outcomes either way.
+func (e *Engine) RunBatch(ctx context.Context, keys []string, jobs []Job) ([]Outcome, error) {
 	out := make([]Outcome, len(jobs))
 	if len(jobs) == 0 {
 		return out, ctx.Err()
@@ -508,7 +508,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Outcome, error) {
 	worker := func() {
 		defer wg.Done()
 		for i := range idx {
-			out[i] = e.Run(ctx, withCoreShare(jobs[i], workers))
+			out[i] = e.RunKeyed(ctx, keys[i], withCoreShare(jobs[i], workers))
 		}
 	}
 	wg.Add(workers)

@@ -27,6 +27,15 @@ func job(seed uint64) Job {
 	}
 }
 
+// runBatch keys jobs, as a batch's caller does once, and runs them.
+func runBatch(ctx context.Context, e *Engine, jobs []Job) ([]Outcome, error) {
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key()
+	}
+	return e.RunBatch(ctx, keys, jobs)
+}
+
 // fakeResult fabricates a result carrying the seed, so tests can check which
 // execution produced it.
 func fakeResult(seed uint64) *sim.Result {
@@ -226,7 +235,7 @@ func TestPanickingJobRunsOnce(t *testing.T) {
 		}
 		return fakeResult(o.Seed), nil
 	})
-	out, err := e.RunBatch(context.Background(), []Job{job(1), job(2), job(3)})
+	out, err := runBatch(context.Background(), e, []Job{job(1), job(2), job(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +298,7 @@ func TestRunBatchOrdering(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job(uint64(i % 5)) // 5 unique points, 7 duplicates
 	}
-	out, err := e.RunBatch(context.Background(), jobs)
+	out, err := runBatch(context.Background(), e, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +332,7 @@ func TestBatchSplitsHostByItsOwnWidth(t *testing.T) {
 	})
 	run := func(jobs ...Job) {
 		t.Helper()
-		if _, err := e.RunBatch(context.Background(), jobs); err != nil {
+		if _, err := runBatch(context.Background(), e, jobs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +365,7 @@ func TestBatchSplitsHostByItsOwnWidth(t *testing.T) {
 func TestReportPerConfig(t *testing.T) {
 	e, _ := countingEngine(2, time.Millisecond)
 	jobs := []Job{job(1), job(2), job(1)} // 2 unique runs on one config
-	out, err := e.RunBatch(context.Background(), jobs)
+	out, err := runBatch(context.Background(), e, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +410,7 @@ func TestEngineSharesFrontsAcrossMachines(t *testing.T) {
 				Options:  sim.Options{Instructions: 40_000, Warmup: 10_000, EpochCycles: 10_000, CapacityScale: 32, Seed: 1},
 			})
 		}
-		out, err := e.RunBatch(context.Background(), jobs)
+		out, err := runBatch(context.Background(), e, jobs)
 		if err != nil || out[0].Err != nil || out[1].Err != nil {
 			t.Fatal(err, out[0].Err, out[1].Err)
 		}
@@ -430,7 +439,7 @@ func TestRunBatchCancellationCompletesOutcomes(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job(uint64(i))
 	}
-	out, err := e.RunBatch(ctx, jobs)
+	out, err := runBatch(ctx, e, jobs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch err %v", err)
 	}

@@ -99,8 +99,12 @@ func (l *Lab) machines(sizes []int) (map[int]*config.SystemConfig, error) {
 // change only wall-clock. The first failed outcome in submission order is
 // the returned error, whichever worker hit it first.
 func (l *Lab) RunBatch(jobs []runner.Job) ([]*sim.Result, error) {
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key()
+	}
 	//simlint:ignore ctxflow the figure API is context-free; the process is the cancellation scope
-	outcomes, err := l.engine.RunBatch(context.Background(), jobs)
+	outcomes, err := l.engine.RunBatch(context.Background(), keys, jobs)
 	results := make([]*sim.Result, len(outcomes))
 	for i, oc := range outcomes {
 		if oc.Err != nil {

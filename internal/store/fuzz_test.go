@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -64,6 +65,63 @@ func FuzzDecodeArtifact(f *testing.F) {
 		again, ok, err := s.Load(fuzzKey)
 		if err != nil || !ok || !reflect.DeepEqual(again, res) {
 			t.Fatalf("accepted result changed through Save and Load: (%+v, %v, %v), want %+v", again, ok, err, res)
+		}
+	})
+}
+
+// FuzzJournal holds the two readers of an existing journal.log — Open, which
+// reads its header and last byte, and Check, which reads all of it — on
+// arbitrary bytes: neither panics; a foreign header is refused by both alike;
+// a journal Open accepts still opens once written to and closed (a torn
+// header must not become a foreign one); and the records written after Open
+// read back exactly, each on a line of its own. The seeds (a torn tail, a torn
+// header, a foreign header, an empty file) are committed under testdata/fuzz.
+func FuzzJournal(f *testing.F) {
+	const started, failed, saved = "fuzz-started", "fuzz-failed", "fuzz-saved"
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(journalPath(dir), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, cerr := Check(dir)
+		s, err := Open(dir)
+		if errors.Is(err, ErrUnknownSchema) != errors.Is(cerr, ErrUnknownSchema) {
+			t.Fatalf("Open and Check disagree on the header: %v, %v", err, cerr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrUnknownSchema) {
+				t.Fatalf("Open failed with an unclassified error: %v", err)
+			}
+			return
+		}
+		for _, err := range []error{s.Begin(started), s.Begin(failed), s.Fail(failed), s.Begin(saved), s.Save(saved, sampleResult()), s.Close()} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err = Open(dir)
+		if err != nil {
+			t.Fatalf("a journal Open accepted no longer opens: %v", err)
+		}
+		defer s.Close()
+		if res, ok, err := s.Load(saved); !ok || err != nil || !reflect.DeepEqual(res, sampleResult()) {
+			t.Fatalf("Load(%s) = (%+v, %v, %v), want what was saved", saved, res, ok, err)
+		}
+		data, err := os.ReadFile(journalPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "\nstart " + started + "\nstart " + failed + "\nfail " + failed + "\nstart " + saved + "\ndone " + saved + "\n"
+		if !strings.HasSuffix(string(data), want) {
+			t.Fatalf("the records written do not end the journal on lines of their own:\n%q", data)
+		}
+		info, err := Check(dir)
+		if err != nil {
+			t.Fatalf("Check after reopening: %v", err)
+		}
+		keys, err := replayJournal(journalPath(dir))
+		if err != nil || !keys[started] || keys[failed] || keys[saved] || info.Interrupted != len(keys) {
+			t.Fatalf("interrupted = (%v, %v), Check counts %d; want %s and neither %s nor %s", keys, err, info.Interrupted, started, failed, saved)
 		}
 	})
 }

@@ -14,11 +14,12 @@
 //
 // Artifacts are written to a temporary file in the destination directory,
 // fsynced, and renamed into place, so a reader never observes a partial
-// artifact under its final name. The journal is append-only; a partial
-// trailing line (the signature of a crash mid-append) is tolerated and
-// ignored on replay. A campaign killed between journal "start" and "done"
-// leaves the key in the interrupted set: its artifact does not exist, so a
-// resumed campaign recomputes exactly that job and nothing else.
+// artifact under its final name. The journal is append-only and read only by
+// Check; Open reads its header and last byte, and ends a partial trailing
+// line (the signature of a crash mid-append) so the next record starts on a
+// line of its own. A campaign killed between journal "start" and "done"
+// leaves the key interrupted: its artifact does not exist, so a resumed
+// campaign recomputes it, as it recomputes whatever has no artifact.
 //
 // # Corruption
 //
@@ -83,56 +84,64 @@ type envelope struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// Stats counts a store handle's activity since Open.
-type Stats struct {
-	Hits        int // artifacts served
-	Misses      int // lookups with no (usable) artifact
-	Writes      int // artifacts written
-	Corrupt     int // artifacts quarantined after failed verification
-	Interrupted int // jobs the journal shows started but never finished (at Open)
-}
-
 // Store is a handle on one store directory. It is safe for concurrent use
 // within a process; distinct processes may share a directory (artifact
-// writes are atomic and journal appends use O_APPEND).
+// writes are atomic and journal appends use O_APPEND). A handle keeps no
+// books: the engine counts hits and corruption, quarantine/ holds what
+// failed verification, and Check reads the journal.
 type Store struct {
 	dir string
 
-	mu          sync.Mutex
-	journal     *os.File
-	interrupted map[string]bool // keys started but never finished before Open
-	stats       Stats
+	mu      sync.Mutex // keeps Close from releasing journal under an append
+	journal *os.File
 }
 
-// Open opens (creating if necessary) the store rooted at dir and replays its
-// journal. Keys recorded as started but never finished — an earlier campaign
-// killed mid-flight — are reported by Interrupted and in Stats.Interrupted.
+// Open opens (creating if necessary) the store rooted at dir. It reads two
+// things of the journal however long its history: the header, refusing
+// another build's tag with ErrUnknownSchema, and the last byte — a torn tail
+// is ended so the next record starts on its own line.
 func Open(dir string) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, "objects"), filepath.Join(dir, "quarantine")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: creating %s: %w", d, err)
 		}
 	}
-	interrupted, err := replayJournal(journalPath(dir))
-	if err != nil {
-		return nil, err
-	}
-	j, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	j, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
-	if fi, err := j.Stat(); err == nil && fi.Size() == 0 {
-		if _, err := j.Write([]byte(journalSchema + "\n")); err != nil {
-			j.Close()
-			return nil, fmt.Errorf("store: writing journal header: %w", err)
-		}
+	if err := sealJournal(j); err != nil {
+		j.Close()
+		return nil, err
 	}
-	return &Store{
-		dir:         dir,
-		journal:     j,
-		interrupted: interrupted,
-		stats:       Stats{Interrupted: len(interrupted)},
-	}, nil
+	return &Store{dir: dir, journal: j}, nil
+}
+
+// sealJournal readies a journal for appends: an empty one gets the header,
+// any other has its header checked and a newline if its last byte is not one.
+func sealJournal(j *os.File) error {
+	fi, err := j.Stat()
+	if err != nil {
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	seal := journalSchema + "\n"
+	if size := fi.Size(); size > 0 {
+		head, last := make([]byte, min(size, headerBytes)), make([]byte, 1)
+		if _, err := j.ReadAt(head, 0); err != nil {
+			return fmt.Errorf("store: reading journal: %w", err)
+		}
+		if _, err := j.ReadAt(last, size-1); err != nil {
+			return fmt.Errorf("store: reading journal: %w", err)
+		}
+		if err := checkHeader(j.Name(), head); err != nil || last[0] == '\n' {
+			return err
+		}
+		seal = "\n"
+	}
+	if _, err := j.WriteString(seal); err != nil {
+		return fmt.Errorf("store: sealing journal: %w", err)
+	}
+	return nil
 }
 
 // Close releases the journal handle. The store's artifacts remain valid.
@@ -147,30 +156,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Stats returns a snapshot of the handle's counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Interrupted returns the sorted keys an earlier campaign started but never
-// finished (per the journal at Open time). Their artifacts do not exist, so
-// a resumed campaign recomputes exactly these jobs.
-func (s *Store) Interrupted() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.interrupted))
-	//simlint:ignore maporder keys are sorted immediately below
-	for k := range s.interrupted {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Begin journals that a job is about to compute. If the process dies before
-// Save or Fail, replay reports the key as interrupted.
+// Save or Fail, Check reports the key as interrupted.
 func (s *Store) Begin(key string) error {
 	return s.appendJournal("start", key)
 }
@@ -210,7 +197,8 @@ func (s *Store) Save(key string, res *sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("store: creating temp artifact: %w", err)
 	}
-	if _, err := tmp.Write(data); err == nil {
+	_, err = tmp.Write(data) // a failed write or sync is never renamed into place
+	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -223,9 +211,10 @@ func (s *Store) Save(key string, res *sim.Result) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: writing artifact %s: %w", path, err)
 	}
-	syncDir(shard) // best-effort: make the rename itself durable
-
-	s.count(func(st *Stats) { st.Writes++ })
+	if d, err := os.Open(shard); err == nil { // best-effort: make the rename itself durable
+		_ = d.Sync()
+		_ = d.Close()
+	}
 	return s.appendJournal("done", key)
 }
 
@@ -238,7 +227,6 @@ func (s *Store) Load(key string) (res *sim.Result, ok bool, err error) {
 	path := s.objectPath(key)
 	data, rerr := os.ReadFile(path)
 	if rerr != nil {
-		s.count(func(st *Stats) { st.Misses++ })
 		if errors.Is(rerr, fs.ErrNotExist) {
 			return nil, false, nil
 		}
@@ -247,18 +235,9 @@ func (s *Store) Load(key string) (res *sim.Result, ok bool, err error) {
 	res, _, verr := decodeArtifact(data, key)
 	if verr != nil {
 		s.quarantine(key, path)
-		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
 		return nil, false, fmt.Errorf("store: artifact %s quarantined: %w", filepath.Base(path), verr)
 	}
-	s.count(func(st *Stats) { st.Hits++ })
 	return res, true, nil
-}
-
-// count mutates the stats under the lock.
-func (s *Store) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
 }
 
 // quarantine moves a failed artifact aside so it is preserved for inspection
@@ -278,15 +257,11 @@ func (s *Store) quarantine(key, path string) {
 
 // objectPath returns the sharded artifact path for key.
 func (s *Store) objectPath(key string) string {
-	return objectPath(s.dir, key)
-}
-
-func objectPath(dir, key string) string {
 	shard := "00"
 	if len(key) >= 2 {
 		shard = key[:2]
 	}
-	return filepath.Join(dir, "objects", shard, key+".json")
+	return filepath.Join(s.dir, "objects", shard, key+".json")
 }
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
@@ -335,15 +310,6 @@ func ReadArtifact(path string) (*sim.Result, string, error) {
 	return res, key, nil
 }
 
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
 // appendJournal writes one journal line. Appends are a single small write on
 // an O_APPEND descriptor, so concurrent writers never interleave bytes.
 func (s *Store) appendJournal(op, key string) error {
@@ -352,43 +318,53 @@ func (s *Store) appendJournal(op, key string) error {
 	if s.journal == nil {
 		return fmt.Errorf("store: journal closed")
 	}
-	//simlint:ignore lockscope journal lines must be ordered exactly like the map mutations they record; the write is one small append on an O_APPEND fd, bounded, not network IO
+	//simlint:ignore lockscope the lock keeps Close from releasing the descriptor mid-append; the write is one small append on an O_APPEND fd, bounded, not network IO
 	if _, err := s.journal.Write([]byte(op + " " + key + "\n")); err != nil {
 		return fmt.Errorf("store: journal append: %w", err)
 	}
 	return nil
 }
 
-// replayJournal reads the journal and returns the keys started but never
-// finished (interrupted). A
-// partial trailing line — a crash mid-append — is ignored; unknown complete
-// lines are skipped (crash tolerance). A journal headed by a schema tag this
-// build does not understand is an error: replaying it could misclassify
-// every job.
-func replayJournal(path string) (interrupted map[string]bool, err error) {
+// headerBytes is as much of the journal's first line as the header check
+// reads: the tag with room to spare, however long the line.
+const headerBytes = 64
+
+// checkHeader refuses a journal whose first line carries another build's tag;
+// head is the file's first bytes, at most headerBytes of them. A first line
+// that is a prefix of journalSchema is this build's header, torn: sealed, it
+// stays a header, never a foreign one.
+func checkHeader(path string, head []byte) error {
+	tag, _, _ := strings.Cut(string(head), "\n")
+	if strings.HasPrefix(tag, "scalesim/journal/") && !strings.HasPrefix(journalSchema, tag) {
+		return fmt.Errorf("store: journal %s: %w %q (this build reads %s)", path, ErrUnknownSchema, tag, journalSchema)
+	}
+	return nil
+}
+
+// replayJournal is Check's reading of the journal: the keys started but
+// never finished (interrupted). A partial trailing line — a crash mid-append
+// no Open has sealed yet — is ignored, and lines that are not records (the
+// header, damage) are skipped. A journal checkHeader refuses is an error:
+// replaying it could misclassify every job.
+func replayJournal(path string) (map[string]bool, error) {
 	started := map[string]bool{}
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
-		if errors.Is(rerr, fs.ErrNotExist) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			return started, nil
 		}
-		return nil, fmt.Errorf("store: reading journal: %w", rerr)
+		return nil, fmt.Errorf("store: reading journal: %w", err)
+	}
+	if err := checkHeader(path, data[:min(len(data), headerBytes)]); err != nil {
+		return nil, err
 	}
 	lines := strings.Split(string(data), "\n")
 	// A line is complete only if a newline terminated it: after Split, the
 	// final element is either "" (clean tail) or a partial line to ignore.
-	complete := lines[:len(lines)-1]
-	for i, line := range complete {
-		if line == "" || line == journalSchema {
-			continue
-		}
-		if i == 0 && strings.HasPrefix(line, "scalesim/journal/") {
-			return nil, fmt.Errorf("store: journal %s: %w %q (this build reads %s)",
-				path, ErrUnknownSchema, line, journalSchema)
-		}
+	for _, line := range lines[:len(lines)-1] {
 		op, key, ok := strings.Cut(line, " ")
 		if !ok || key == "" {
-			continue // damaged line: tolerate
+			continue // the header, or damage: tolerate
 		}
 		switch op {
 		case "start":
@@ -413,7 +389,8 @@ type CheckInfo struct {
 // Check verifies every artifact in the store at dir without modifying
 // anything: no quarantining, no journal writes. It reports per-artifact
 // verification failures in the counts rather than as errors; the returned
-// error is non-nil only when the store itself cannot be read.
+// error is non-nil only when the store itself cannot be read. It is the
+// journal's one reader.
 func Check(dir string) (CheckInfo, error) {
 	var info CheckInfo
 	objects := filepath.Join(dir, "objects")
@@ -448,10 +425,7 @@ func Check(dir string) (CheckInfo, error) {
 	if entries, derr := os.ReadDir(filepath.Join(dir, "quarantine")); derr == nil {
 		info.Quarantined = len(entries)
 	}
-	interrupted, jerr := replayJournal(journalPath(dir))
-	if jerr != nil {
-		return info, jerr
-	}
+	interrupted, err := replayJournal(journalPath(dir))
 	info.Interrupted = len(interrupted)
-	return info, nil
+	return info, err
 }

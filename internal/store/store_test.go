@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -69,9 +71,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	st := s.Stats()
-	if st.Writes != 1 || st.Hits != 1 || st.Misses != 1 || st.Corrupt != 0 {
-		t.Errorf("stats = %+v, want Writes=1 Hits=1 Misses=1 Corrupt=0", st)
+	if info, err := Check(s.dir); err != nil || info.Artifacts != 1 || info.Quarantined != 0 {
+		t.Errorf("Check = (%+v, %v), want one artifact, none quarantined", info, err)
 	}
 }
 
@@ -119,8 +120,8 @@ func TestReopenServesArtifacts(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reopened round-trip mismatch")
 	}
-	if n := len(s2.Interrupted()); n != 0 {
-		t.Errorf("completed job reported as interrupted: %v", s2.Interrupted())
+	if got := interrupted(t, dir); len(got) != 0 {
+		t.Errorf("completed job reported as interrupted: %v", got)
 	}
 }
 
@@ -181,8 +182,8 @@ func TestTruncatedArtifactQuarantined(t *testing.T) {
 	if _, err := os.Lstat(q); err != nil {
 		t.Errorf("quarantined artifact missing at %s: %v", q, err)
 	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Errorf("Stats.Corrupt = %d, want 1", st.Corrupt)
+	if info, err := Check(s.dir); err != nil || info.Quarantined != 1 {
+		t.Errorf("Check = (%+v, %v), want Quarantined=1", info, err)
 	}
 	// The slot is reusable: a fresh Save then Load succeeds.
 	if err := s.Save(key, sampleResult()); err != nil {
@@ -237,8 +238,8 @@ func TestUnknownArtifactSchemaRejected(t *testing.T) {
 	if ok || !errors.Is(lerr, ErrUnknownSchema) {
 		t.Errorf("Load of future-schema artifact = (ok=%v, err=%v), want miss wrapping ErrUnknownSchema", ok, lerr)
 	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Errorf("Stats.Corrupt = %d, want 1 (unknown schema quarantines too)", st.Corrupt)
+	if info, err := Check(s.dir); err != nil || info.Quarantined != 1 {
+		t.Errorf("Check = (%+v, %v), want Quarantined=1 (unknown schema quarantines too)", info, err)
 	}
 }
 
@@ -265,9 +266,20 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 	}
 }
 
+// interrupted is Check's reading of the journal in dir: the keys started and
+// never finished.
+func interrupted(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	keys, err := replayJournal(journalPath(dir))
+	if err != nil {
+		t.Fatalf("replaying the journal: %v", err)
+	}
+	return keys
+}
+
 // TestJournalResume pins the resume contract: keys started but never
-// finished are reported as interrupted by the next Open; completed and
-// failed keys are not.
+// finished read back as interrupted after the next Open; completed and
+// failed keys do not.
 func TestJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	s1 := open(t, dir)
@@ -291,14 +303,13 @@ func TestJournalResume(t *testing.T) {
 	}
 	s1.Close() // simulate the process dying with two jobs in flight
 
-	s2 := open(t, dir)
-	got := s2.Interrupted()
-	want := []string{"killed-a", "killed-b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Interrupted() = %v, want %v (sorted)", got, want)
+	open(t, dir)
+	want := map[string]bool{"killed-a": true, "killed-b": true}
+	if got := interrupted(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("interrupted = %v, want %v", got, want)
 	}
-	if st := s2.Stats(); st.Interrupted != 2 {
-		t.Errorf("Stats.Interrupted = %d, want 2", st.Interrupted)
+	if info, err := Check(dir); err != nil || info.Interrupted != 2 {
+		t.Errorf("Check = (%+v, %v), want Interrupted=2", info, err)
 	}
 }
 
@@ -320,9 +331,55 @@ func TestJournalPartialLineTolerated(t *testing.T) {
 	}
 	f.Close()
 
-	s2 := open(t, dir)
-	if got := s2.Interrupted(); !reflect.DeepEqual(got, []string{"whole"}) {
-		t.Errorf("Interrupted() = %v, want [whole] (torn done line must not count)", got)
+	open(t, dir)
+	if got := interrupted(t, dir); !reflect.DeepEqual(got, map[string]bool{"whole": true}) {
+		t.Errorf("interrupted = %v, want [whole] (torn done line must not count)", got)
+	}
+}
+
+// TestJournalTornTailKeepsNextRecord: Open ends a torn tail, so the first
+// record after it starts on its own line — appended to the torn "done a" it
+// would read "done astart b", and b would never be reported interrupted.
+func TestJournalTornTailKeepsNextRecord(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), []byte(journalSchema+"\nstart a\ndone a"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir)
+	if err := s.Begin("b"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if got := interrupted(t, dir); !reflect.DeepEqual(got, map[string]bool{"b": true}) {
+		t.Errorf("interrupted = %v, want [b]", got)
+	}
+	if info, err := Check(dir); err != nil || info.Interrupted != 1 {
+		t.Errorf("Check = (%+v, %v), want Interrupted=1", info, err)
+	}
+}
+
+// TestOpenReadsNoHistory: Open reads the journal's header and last byte, so
+// what it allocates does not grow with the history behind them.
+func TestOpenReadsNoHistory(t *testing.T) {
+	dir := t.TempDir()
+	var journal strings.Builder
+	journal.WriteString(journalSchema + "\n")
+	for i := 0; i < 100_000; i++ {
+		fmt.Fprintf(&journal, "start %064x\n", i)
+	}
+	if err := os.WriteFile(journalPath(dir), []byte(journal.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Open(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Open allocated %d bytes over a %d-byte journal, want under 1 MiB", alloc, journal.Len())
 	}
 }
 
@@ -334,6 +391,9 @@ func TestJournalUnknownVersionRejected(t *testing.T) {
 	_, err := Open(dir)
 	if !errors.Is(err, ErrUnknownSchema) {
 		t.Errorf("Open with future journal = %v, want wrapping ErrUnknownSchema", err)
+	}
+	if _, err := Check(dir); !errors.Is(err, ErrUnknownSchema) {
+		t.Errorf("Check with future journal = %v, want wrapping ErrUnknownSchema", err)
 	}
 }
 

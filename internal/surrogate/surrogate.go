@@ -42,7 +42,8 @@
 // tests). With Config.Dir set, the training set persists as a JSONL sidecar
 // (store artifacts hold only results, not model features, so the surrogate
 // keeps its own dataset) and is replayed tolerantly on open: corrupt lines
-// and rows of a foreign feature layout are skipped, never fatal.
+// and rows of a foreign feature layout are skipped, never fatal, and a torn
+// last row is ended so the next row persisted starts on a line of its own.
 package surrogate
 
 import (
@@ -168,14 +169,19 @@ func New(cfg Config) (*Surrogate, error) {
 		return nil, fmt.Errorf("surrogate: creating dataset dir: %w", err)
 	}
 	path := filepath.Join(cfg.Dir, datasetFile)
-	if data, err := os.ReadFile(path); err == nil {
-		s.replay(data)
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("surrogate: reading dataset: %w", err)
 	}
+	s.replay(data)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("surrogate: opening dataset: %w", err)
+	}
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		// A torn row (a crash mid-append) is ended, best-effort like persist,
+		// so it stays one skipped line and the next row starts on its own.
+		_, _ = f.Write([]byte{'\n'})
 	}
 	s.file = f
 	if len(s.rows) >= s.cfg.MinTrain {

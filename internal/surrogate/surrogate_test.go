@@ -79,8 +79,6 @@ func train(t *testing.T, n int, cfg Config) *Surrogate {
 	return s
 }
 
-// looseConfig trains fast and serves everything the model can express: the
-// gates are effectively off, isolating the mechanics under test.
 // trainedPoints returns the number of distinct design points in the
 // training set.
 func (s *Surrogate) trainedPoints() int {
@@ -89,6 +87,8 @@ func (s *Surrogate) trainedPoints() int {
 	return len(s.rows)
 }
 
+// looseConfig trains fast and serves everything the model can express: the
+// gates are effectively off, isolating the mechanics under test.
 func looseConfig() Config {
 	return Config{MinTrain: 8, VarGate: 1e9, DistGate: 1e9, RefitEvery: 4}
 }
@@ -357,6 +357,34 @@ func TestReplayToleratesDamage(t *testing.T) {
 	}
 	if got := reopened.Fingerprint(); got != want {
 		t.Fatalf("damaged lines leaked into the model:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestDatasetTornTailKeepsNextRow: New ends a torn last row, so the first row
+// persisted after it starts on its own line — appended to the torn row it
+// would be part of one unparseable line, and gone on the next New.
+func TestDatasetTornTailKeepsNextRow(t *testing.T) {
+	cfg := looseConfig()
+	cfg.Dir = t.TempDir()
+	train(t, 2, cfg).Close()
+	f, err := os.OpenFile(filepath.Join(cfg.Dir, datasetFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"schema":"scalesim/surrogate/v1","key":"trunc","featur`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s := train(t, 3, cfg) // replays rows 0 and 1, persists row 2
+	s.Close()
+	reopened, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	if got := reopened.trainedPoints(); got != 3 {
+		t.Fatalf("TrainedPoints = %d after reopening, want 3: the row persisted after the torn one is lost", got)
 	}
 }
 

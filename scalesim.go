@@ -516,8 +516,18 @@ func newJob(spec MachineSpec, wl sim.Workload, opts SimOptions) (runner.Job, err
 	if err != nil {
 		return runner.Job{}, err
 	}
+	llc := cfg.LLC
+	if words := int64(llc.SlicePerCore/llc.LineSize) / int64(io.CapacityScale) * int64(llc.Slices); words > maxLLCSetBytes/8 {
+		return runner.Job{}, fmt.Errorf("scalesim: %w: the LLC's sets take %d MiB after CapacityScale %d, over %d MiB",
+			ErrBadSpec, words>>17, io.CapacityScale, maxLLCSetBytes>>20)
+	}
 	return runner.Job{Config: cfg, Workload: wl, Options: io}, nil
 }
+
+// maxLLCSetBytes bounds the LLC set words (8 bytes a line, every slice, after
+// CapacityScale) a run allocates when it starts: four times the largest design
+// point in the repository, the 4 MB-a-core sweep on 32 cores at CapacityScale 1.
+const maxLLCSetBytes = 64 << 20
 
 func resultFromInternal(res *sim.Result) *SimResult {
 	out := &SimResult{

@@ -15,10 +15,8 @@ import (
 // use in non-test code, each with the reason it stays. An entry that names
 // nothing, or names something the program does use, fails the gate too.
 var surfaceAllowed = map[string]string{
-	"internal/cpu.(*Core).Done":           "cpu.Core is TestSplitMatchesMonolith's oracle; scalebench's cpu.step_ns_per_instr probe uses only New and Run (ROADMAP 8(a))",
-	"internal/cpu.(*Core).ResetStats":     "the oracle's, as above",
-	"internal/store.(*Store).Stats":       "fault counters (corrupt, quarantined) the durability tests read",
-	"internal/store.(*Store).Interrupted": "journalled-but-unfinished keys the durability tests read",
+	"internal/cpu.(*Core).Done":       "cpu.Core is TestSplitMatchesMonolith's oracle; scalebench's cpu.step_ns_per_instr probe uses only New and Run (ROADMAP 8(a))",
+	"internal/cpu.(*Core).ResetStats": "the oracle's, as above",
 	"internal/surrogate.(*Surrogate).Fingerprint": "the cross-process determinism suite's observable; in a _test.go it would " +
 		"orphan ml's WriteCanonical pair, which another package's test file cannot reach",
 }
