@@ -20,14 +20,16 @@ type RandomForest struct {
 	// valid and deterministic.
 	Seed uint64
 
-	ensemble []*DecisionTree
+	ensemble []DecisionTree
 	d        int
 }
 
 // Name implements Regressor.
 func (f *RandomForest) Name() string { return "RF" }
 
-// Fit implements Regressor.
+// Fit implements Regressor. Every tree is grown from one scratch and one
+// node arena (tree t's nodes are arena[t*n:(t+1)*n], see treeFit.grow), so a
+// fit allocates per forest, not per tree.
 func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	n, d, err := validate(X, y)
 	if err != nil {
@@ -38,23 +40,26 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 		trees = 100
 	}
 	f.d = d
-	f.ensemble = make([]*DecisionTree, 0, trees)
+	f.ensemble = make([]DecisionTree, trees)
 	rng := xrand.New(f.Seed ^ 0x5eedf04e57)
 
-	bx := make([][]float64, n)
-	by := make([]float64, n)
-	for t := 0; t < trees; t++ {
-		// Bootstrap resample (with replacement).
+	fit := newTreeFit(make([][]float64, n), make([]float64, n), d)
+	arena := make([]treeNode, trees*n)
+	perm := fit.features
+	swap := func(i, j int) { perm[i], perm[j] = perm[j], perm[i] }
+	for t := range f.ensemble {
+		// Bootstrap resample (with replacement) of the validated rows.
 		for i := 0; i < n; i++ {
 			j := rng.Intn(n)
-			bx[i] = X[j]
-			by[i] = y[j]
+			fit.X[i] = X[j]
+			fit.y[i] = y[j]
 		}
-		tree := &DecisionTree{featureIdx: rng.Perm(d)}
-		if err := tree.Fit(bx, by); err != nil {
-			return fmt.Errorf("ml: forest tree %d: %w", t, err)
+		// The feature order rng.Perm(d) returns, drawn into the reused buffer.
+		for j := range perm {
+			perm[j] = j
 		}
-		f.ensemble = append(f.ensemble, tree)
+		rng.Shuffle(d, swap)
+		fit.grow(&f.ensemble[t], arena[t*n:(t+1)*n])
 	}
 	return nil
 }
@@ -76,8 +81,8 @@ func (f *RandomForest) PredictStats(x []float64) (mean, std float64) {
 		panic("ml: RandomForest.Predict before Fit")
 	}
 	var sum, sumSq float64
-	for _, t := range f.ensemble {
-		p := t.Predict(x)
+	for i := range f.ensemble {
+		p := f.ensemble[i].Predict(x)
 		sum += p
 		sumSq += p * p
 	}
@@ -97,8 +102,8 @@ func (f *RandomForest) PredictStats(x []float64) (mean, std float64) {
 // (and regression-tests) trained models.
 func (f *RandomForest) WriteCanonical(w io.Writer) {
 	fmt.Fprintf(w, "rf|trees=%d|d=%d\n", len(f.ensemble), f.d)
-	for i, t := range f.ensemble {
+	for i := range f.ensemble {
 		fmt.Fprintf(w, "tree|%d\n", i)
-		t.WriteCanonical(w)
+		f.ensemble[i].WriteCanonical(w)
 	}
 }

@@ -444,6 +444,23 @@ func BenchmarkForestFit(b *testing.B) {
 	benchmarkFit(b, func(X [][]float64, y []float64) error { return (&RandomForest{Trees: 100}).Fit(X, y) })
 }
 
+// TestForestFitAllocs holds a forest fit to allocating per forest, not per
+// tree: every tree shares one scratch and one node arena, so 10 and 100
+// trees over the 7x3 training sets the figures send cost the same count.
+func TestForestFitAllocs(t *testing.T) {
+	X, y := synth(7, 1)
+	allocs := func(trees int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := (&RandomForest{Trees: trees}).Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if ten, hundred := allocs(10), allocs(100); ten != hundred || hundred > 16 {
+		t.Errorf("RandomForest.Fit: %.0f allocs with 10 trees, %.0f with 100; want equal and <= 16", ten, hundred)
+	}
+}
+
 func TestTunedSVRSelectsAndFits(t *testing.T) {
 	X, y := synth(150, 31)
 	m := &TunedSVR{}

@@ -44,6 +44,14 @@ const (
 	svrEpochs = 1500
 )
 
+// svrBiasStep[t] is epoch t's bias step size, 0.1/sqrt(t+1).
+var svrBiasStep = func() (steps [svrEpochs]float64) {
+	for t := range steps {
+		steps[t] = 0.1 / math.Sqrt(float64(t+1))
+	}
+	return steps
+}()
+
 // Name implements Regressor.
 func (s *SVR) Name() string { return "SVM" }
 
@@ -98,8 +106,11 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	}
 	lambda := 1 / (C * float64(n))
 
-	// Precompute the kernel matrix, row-major in one block.
-	K := make([]float64, n*n)
+	// Precompute the kernel matrix, row-major in one block, padded with
+	// zero rows to a multiple of four for rowSums (the padding rows' sums
+	// land past f[n-1] and are never read).
+	rows := (n + 3) &^ 3
+	K := make([]float64, rows*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			k := s.kernel(s.X[i], s.X[j])
@@ -115,47 +126,62 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	// schedule eta_t = 1/(lambda*(t+2)).
 	beta := make([]float64, n)
 	s.beta = beta
-	s.b = 0
-	f := make([]float64, n)
+	b := 0.0
+	f := make([]float64, rows)
 	sign := make([]float64, n)
 	for epoch := 0; epoch < svrEpochs; epoch++ {
-		// f = K beta + b
-		for i := 0; i < n; i++ {
-			sum := s.b
-			for j, k := range K[i*n : (i+1)*n] {
-				sum += k * beta[j]
-			}
-			f[i] = sum
-		}
-		active := 0
-		gb := 0.0
+		rowSums(f, K, beta, b) // f = K beta + b
+		// gb is the tube signs' sum: small integers, exact as an int.
+		active, gb := 0, 0
 		for i := 0; i < n; i++ {
 			r := f[i] - ys[i]
 			switch {
 			case r > svrEpsilon:
 				sign[i] = 1
 				active++
+				gb++
 			case r < -svrEpsilon:
 				sign[i] = -1
 				active++
+				gb--
 			default:
 				sign[i] = 0
 			}
-			gb += sign[i]
 		}
 		if active == 0 && epoch > 0 {
 			break // every point inside the tube: optimum reached
 		}
 		eta := 1 / (lambda * float64(epoch+2))
 		shrink := 1 - eta*lambda
+		step := eta / float64(n)
 		for i := 0; i < n; i++ {
-			beta[i] = shrink*beta[i] - eta/float64(n)*sign[i]
+			beta[i] = shrink*beta[i] - step*sign[i]
 		}
 		// The bias is unregularised; a small decaying step on its
 		// subgradient keeps it stable alongside the Pegasos schedule.
-		s.b -= 0.1 / math.Sqrt(float64(epoch+1)) * gb / float64(n)
+		b -= svrBiasStep[epoch] * float64(gb) / float64(n)
 	}
+	s.b = b
 	return nil
+}
+
+// rowSums sets f[i] = b + sum_j K[i*n+j]*beta[j] for each of K's len(f)
+// rows (n = len(beta), len(f) a multiple of four), four rows at a time: each
+// row adds its terms j = 0..n-1 in order into its own accumulator, exactly
+// as a row on its own does, but the four add chains overlap their latency.
+func rowSums(f, K, beta []float64, b float64) {
+	n := len(beta)
+	for i := 0; i < len(f); i += 4 {
+		k0, k1, k2, k3 := K[i*n:][:n], K[(i+1)*n:][:n], K[(i+2)*n:][:n], K[(i+3)*n:][:n]
+		f0, f1, f2, f3 := b, b, b, b
+		for j, bj := range beta {
+			f0 += k0[j] * bj
+			f1 += k1[j] * bj
+			f2 += k2[j] * bj
+			f3 += k3[j] * bj
+		}
+		f[i], f[i+1], f[i+2], f[i+3] = f0, f1, f2, f3
+	}
 }
 
 // Predict implements Regressor.

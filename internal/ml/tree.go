@@ -13,10 +13,6 @@ import (
 type DecisionTree struct {
 	root *treeNode
 	d    int
-
-	// featureIdx optionally gives the order split search scans the features
-	// in (the random forest's permutation). nil = index order.
-	featureIdx []int
 }
 
 const (
@@ -42,30 +38,45 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	t.d = d
-	f := &treeFit{X: X, y: y, features: t.featureIdx, sorted: make([]keyed, n), left: make([]int, n), right: make([]int, n)}
-	if f.features == nil {
-		f.features = make([]int, d)
-		for j := range f.features {
-			f.features[j] = j
-		}
+	f := newTreeFit(X, y, d)
+	for j := range f.features {
+		f.features[j] = j
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = f.build(idx, 0)
+	f.grow(t, make([]treeNode, n))
 	return nil
 }
 
-// treeFit is one Fit's working state: the training set, and the scratch
-// every node reuses (a node is done with both before its children start).
+// treeFit is the working state of one or more fits over n validated rows:
+// the training set, the order split search scans the features in, and the
+// scratch every node reuses (a node is done with it before its children
+// start). A forest refills X, y and features for each tree.
 type treeFit struct {
 	X           [][]float64
 	y           []float64
 	features    []int
-	sorted      []keyed // bestSplit's sort buffer
-	left, right []int   // build's partition buffers
+	idx         []int      // the samples, reordered into the nodes' halves
+	sorted      []keyed    // bestSplit's sort buffer
+	left, right []int      // build's partition buffers
+	nodes       []treeNode // the arena the tree being grown takes nodes from
+}
+
+func newTreeFit(X [][]float64, y []float64, d int) *treeFit {
+	n := len(X)
+	return &treeFit{X: X, y: y, features: make([]int, d), idx: make([]int, n),
+		sorted: make([]keyed, n), left: make([]int, n), right: make([]int, n)}
+}
+
+// grow fits t to f's training set, taking its nodes from nodes. A leaf
+// below a split holds at least treeMinLeaf = 2 samples, so a tree over n
+// samples has at most n/2 leaves and n-1 nodes (1 without a split):
+// len(nodes) = n always suffices.
+func (f *treeFit) grow(t *DecisionTree, nodes []treeNode) {
+	for i := range f.idx {
+		f.idx[i] = i
+	}
+	f.nodes = nodes
+	t.d = len(f.features)
+	t.root = f.build(f.idx, 0)
 }
 
 // keyed is a sample index with the value of the feature being scanned.
@@ -85,15 +96,34 @@ func byValue(a, b keyed) int {
 	return 0
 }
 
+// sortByValue is slices.SortFunc(s, byValue), tie order included. Up to 12
+// elements (pdqsort's maxInsertion) SortFunc runs a strict-< insertion sort,
+// which is stable; it is spelled out here, without the comparator call, for
+// the few-row nodes a forest over a handful of samples is made of.
+func sortByValue(s []keyed) {
+	if len(s) > 12 {
+		slices.SortFunc(s, byValue)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j].v < s[j-1].v; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
 // build grows the subtree over the sample indices idx, which it reorders
 // into its children's halves.
 func (f *treeFit) build(idx []int, depth int) *treeNode {
+	node := &f.nodes[0]
+	f.nodes = f.nodes[1:]
 	leafValue := func() *treeNode {
 		sum := 0.0
 		for _, i := range idx {
 			sum += f.y[i]
 		}
-		return &treeNode{leaf: true, value: sum / float64(len(idx))}
+		node.leaf, node.value = true, sum/float64(len(idx))
+		return node
 	}
 	if depth >= treeMaxDepth || len(idx) < 2*treeMinLeaf {
 		return leafValue()
@@ -117,12 +147,10 @@ func (f *treeFit) build(idx []int, depth int) *treeNode {
 	}
 	nl := copy(idx, left)
 	copy(idx[nl:], right)
-	return &treeNode{
-		feature: feature,
-		thresh:  thresh,
-		left:    f.build(idx[:nl], depth+1),
-		right:   f.build(idx[nl:], depth+1),
-	}
+	node.feature, node.thresh = feature, thresh
+	node.left = f.build(idx[:nl], depth+1)
+	node.right = f.build(idx[nl:], depth+1)
+	return node
 }
 
 // bestSplit finds the (feature, threshold) pair with the greatest variance
@@ -145,7 +173,7 @@ func (f *treeFit) bestSplit(idx []int) (feature int, thresh float64, ok bool) {
 		for k, i := range idx {
 			sorted[k] = keyed{f.X[i][j], i}
 		}
-		slices.SortFunc(sorted, byValue)
+		sortByValue(sorted)
 
 		leftSum := 0.0
 		for k := 0; k < n-1; k++ {
