@@ -57,11 +57,12 @@ func FuzzDecodeJobRequest(f *testing.F) {
 // document the decoder accepts is prepared, on a fresh Service, without
 // panicking, and a job the Service refuses is refused with an error wrapping
 // one of the root package's sentinels. It starts from FuzzDecodeJobRequest's
-// corpus and its own (testdata/fuzz): the four documents that once panicked
+// corpus and its own (testdata/fuzz): the five documents that once panicked
 // the daemon (a custom machine of three cores), held a worker forever (a
 // negative epoch), ran the default scale under a second key (a negative
-// capacity scale) and drew a model answer for a job the simulator refuses
-// (two programs on one core).
+// capacity scale), drew a model answer for a job the simulator refuses
+// (two programs on one core) and panicked the worker that ran it (a custom
+// profile's Zipf skew of −1).
 func FuzzPrepareJobRequest(f *testing.F) {
 	addCorpus(f, "FuzzDecodeJobRequest")
 	sentinels := []error{

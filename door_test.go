@@ -2,9 +2,11 @@ package scalesim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -47,10 +49,29 @@ func TestDoorRefusesWhatCannotRun(t *testing.T) {
 		j.Machine, j.Benchmarks = m, mixOf("mcf", programs)
 		return j
 	}
-	hollow := good // its regions cover half its accesses
-	hollow.Benchmarks = []string{"hollow"}
-	hollow.Extra = []Profile{{Name: "hollow", BaseCPI: 1, LoadsPerKI: 100, MLP: 1,
-		Regions: []Region{{SizeBytes: 1 << 20, Frac: 0.5, Pattern: PatternSeq}}}}
+	// custom runs one valid custom profile as edited: a non-finite number
+	// passes every comparison a NaN takes part in, and a negative skew
+	// reaches the Zipf sampler, which panics on it.
+	custom := func(edit func(*Profile)) CampaignJob {
+		p := Profile{Name: "custom", BaseCPI: 1, LoadsPerKI: 100, BranchesPerKI: 100, MLP: 2,
+			StaticBranches: 16, HardBranchFrac: 0.1, CodeBytes: 1 << 16,
+			Regions: []Region{{SizeBytes: 1 << 20, Frac: 0.5, Pattern: PatternZipf, ZipfS: 1}, {SizeBytes: 1 << 20, Frac: 0.5, Pattern: PatternSeq}}}
+		edit(&p)
+		j := good
+		j.Benchmarks, j.Extra = []string{p.Name}, []Profile{p}
+		return j
+	}
+	hollow := custom(func(p *Profile) { p.Regions = p.Regions[1:] }) // its regions cover half its accesses
+	// A negative skew as JSON carries it to scalesim serve: the job of
+	// FuzzPrepareJobRequest's negative-zipf-skew request, decoded as strictly.
+	var wire CampaignJob
+	dec := json.NewDecoder(strings.NewReader(`{"machine":{"Cores":1},"benchmarks":["skew"],"options":{"Instructions":60000,"Warmup":20000,"CapacityScale":32,"Seed":1},` +
+		`"profiles":[{"Name":"skew","BaseCPI":1,"LoadsPerKI":100,"MLP":2,"Regions":[{"SizeBytes":1048576,"Frac":1,"Pattern":"zipf","ZipfS":-1}]}]}`))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
 
 	cases := []struct {
 		name string
@@ -74,6 +95,19 @@ func TestDoorRefusesWhatCannotRun(t *testing.T) {
 		{"custom-bogus-policy", ofMachine, machine(MachineSpec{Cores: 4, Policy: "bogus", DRAMPerCoreGBps: 4}, 4), ErrUnknownPolicy},
 		{"two-programs-one-core", ofMix, machine(MachineSpec{Cores: 1}, 2), nil},
 		{"invalid-custom-profile", ofMix, hollow, nil},
+		{"ZipfS=-1", ofMix, custom(func(p *Profile) { p.Regions[0].ZipfS = -1 }), nil},
+		{"ZipfS=-1-on-the-wire", ofMix, wire, nil},
+		{"ZipfS=+Inf", ofMix, custom(func(p *Profile) { p.Regions[0].ZipfS = inf }), nil},
+		{"ZipfS=NaN", ofMix, custom(func(p *Profile) { p.Regions[0].ZipfS = nan }), nil},
+		{"Frac=NaN", ofMix, custom(func(p *Profile) { p.Regions[1].Frac = nan }), nil},
+		{"MLP=NaN", ofMix, custom(func(p *Profile) { p.MLP = nan }), nil},
+		{"MLP=+Inf", ofMix, custom(func(p *Profile) { p.MLP = inf }), nil},
+		{"BaseCPI=NaN", ofMix, custom(func(p *Profile) { p.BaseCPI = nan }), nil},
+		{"BaseCPI=+Inf", ofMix, custom(func(p *Profile) { p.BaseCPI = inf }), nil},
+		{"HardBranchFrac=NaN", ofMix, custom(func(p *Profile) { p.HardBranchFrac = nan }), nil},
+		// Negative counts whose sums pass: 1500 loads never fit the schedule.
+		{"StoresPerKI=-600", ofMix, custom(func(p *Profile) { p.LoadsPerKI, p.StoresPerKI = 1500, -600 }), nil},
+		{"BranchesPerKI=-300", ofMix, custom(func(p *Profile) { p.LoadsPerKI, p.BranchesPerKI = 1200, -300 }), nil},
 	}
 	prepare := func(_ context.Context, j CampaignJob) error {
 		svc, err := NewService(ServiceConfig{})

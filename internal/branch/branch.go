@@ -72,16 +72,17 @@ func NewGshare(entries int, histLen uint) *Gshare {
 // Name implements Predictor.
 func (g *Gshare) Name() string { return "gshare" }
 
-func (g *Gshare) idx(pc uint64) uint64 {
-	return (hashPC(pc) ^ (g.history & ((1 << g.histLen) - 1))) & g.mask
+// idx is the counter index of the branch whose PC hashes to h.
+func (g *Gshare) idx(h uint64) uint64 {
+	return (h ^ (g.history & ((1 << g.histLen) - 1))) & g.mask
 }
 
 // Predict implements Predictor.
-func (g *Gshare) Predict(pc uint64) bool { return g.table[g.idx(pc)].taken() }
+func (g *Gshare) Predict(pc uint64) bool { return g.table[g.idx(hashPC(pc))].taken() }
 
 // Update implements Predictor.
 func (g *Gshare) Update(pc uint64, taken bool) {
-	i := g.idx(pc)
+	i := g.idx(hashPC(pc))
 	g.table[i] = g.table[i].update(taken)
 	g.history <<= 1
 	if taken {
@@ -114,19 +115,19 @@ func NewLocal(histEntries int, histLen uint) *Local {
 // Name implements Predictor.
 func (l *Local) Name() string { return "local" }
 
-func (l *Local) pattern(pc uint64) uint64 {
-	h := l.histories[hashPC(pc)&l.histMask]
-	return uint64(h) & l.cntMask
+// pattern is the counter index history register hi selects.
+func (l *Local) pattern(hi uint64) uint64 {
+	return uint64(l.histories[hi]) & l.cntMask
 }
 
 // Predict implements Predictor.
-func (l *Local) Predict(pc uint64) bool { return l.counters[l.pattern(pc)].taken() }
+func (l *Local) Predict(pc uint64) bool { return l.counters[l.pattern(hashPC(pc)&l.histMask)].taken() }
 
 // Update implements Predictor.
 func (l *Local) Update(pc uint64, taken bool) {
-	p := l.pattern(pc)
-	l.counters[p] = l.counters[p].update(taken)
 	hi := hashPC(pc) & l.histMask
+	p := l.pattern(hi)
+	l.counters[p] = l.counters[p].update(taken)
 	l.histories[hi] <<= 1
 	if taken {
 		l.histories[hi] |= 1
@@ -177,17 +178,32 @@ func (t *Tournament) Predict(pc uint64) bool {
 	return t.local.Predict(pc)
 }
 
-// Update implements Predictor.
-func (t *Tournament) Update(pc uint64, taken bool) {
-	lp := t.local.Predict(pc)
-	gp := t.global.Predict(pc)
-	// Train the chooser only when the components disagree.
-	if lp != gp {
-		i := hashPC(pc) & t.mask
-		t.chooser[i] = t.chooser[i].update(gp == taken)
+// Update implements Predictor: Step's training, without its verdict.
+func (t *Tournament) Update(pc uint64, taken bool) { t.Step(pc, taken) }
+
+// Step is Predict then Update with the PC hashed and each index computed
+// once; it reports whether the prediction was correct.
+func (t *Tournament) Step(pc uint64, taken bool) (correct bool) {
+	l, g, h := t.local, t.global, hashPC(pc)
+	ci, hi := h&t.mask, h&l.histMask
+	li, gi := l.pattern(hi), g.idx(h)
+	lp, gp := l.counters[li].taken(), g.table[gi].taken()
+	predicted := lp
+	if t.chooser[ci].taken() {
+		predicted = gp
 	}
-	t.local.Update(pc, taken)
-	t.global.Update(pc, taken)
+	if lp != gp {
+		t.chooser[ci] = t.chooser[ci].update(gp == taken)
+	}
+	l.counters[li] = l.counters[li].update(taken)
+	g.table[gi] = g.table[gi].update(taken)
+	l.histories[hi] <<= 1
+	g.history <<= 1
+	if taken {
+		l.histories[hi] |= 1
+		g.history |= 1
+	}
+	return predicted == taken
 }
 
 // Stats tracks prediction accuracy for one core.

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"slices"
 	"testing"
 
 	"scalesim/internal/xrand"
@@ -192,6 +193,70 @@ func TestDistinctPCsDontAlias(t *testing.T) {
 	if r := s.MispredictRate(); r > 0.01 {
 		t.Fatalf("aliasing mispredict rate %.4f, want ~0", r)
 	}
+}
+
+// refUpdate is Tournament.Update as it was before Step, verbatim: the
+// chooser trained from the components' predictions, then each component's
+// own Update.
+func refUpdate(t *Tournament, pc uint64, taken bool) {
+	lp := t.local.Predict(pc)
+	gp := t.global.Predict(pc)
+	// Train the chooser only when the components disagree.
+	if lp != gp {
+		i := hashPC(pc) & t.mask
+		t.chooser[i] = t.chooser[i].update(gp == taken)
+	}
+	t.local.Update(pc, taken)
+	t.global.Update(pc, taken)
+}
+
+// TestStepMatchesPredictUpdate holds Step to the Predict-then-Update pair it
+// fuses, in its original form (refUpdate): on generated branch streams — a
+// Zipf-skewed static population with per-branch biases, over tables small
+// enough to alias and the default ones — every Step reports whether Predict
+// was right, and every counter, history register and chooser entry stays
+// equal to the pair's, as they do after Predict and Update, which is Step's
+// training.
+func TestStepMatchesPredictUpdate(t *testing.T) {
+	rng := xrand.New(3)
+	for _, size := range []struct {
+		entries int
+		histLen uint
+	}{{16, 4}, {256, 8}, {4096, 12}} {
+		for seed := uint64(0); seed < 4; seed++ {
+			tournament := func() *Tournament { return NewTournamentSized(size.entries, size.histLen) }
+			ref, fused, pair := tournament(), tournament(), tournament()
+			statics := 1 + rng.Intn(2*size.entries)
+			pcs, bias := make([]uint64, statics), make([]float64, statics)
+			for i := range pcs {
+				pcs[i], bias[i] = rng.Uint64(), rng.Float64()
+			}
+			pick := xrand.NewZipf(rng.Split(), statics, 1+rng.Float64())
+			for n := 0; n < 50_000; n++ {
+				b := pick.Next()
+				pc, taken := pcs[b], rng.Bool(bias[b])
+				want := ref.Predict(pc) == taken
+				refUpdate(ref, pc, taken)
+				if got := fused.Step(pc, taken); got != want {
+					t.Fatalf("%d entries, seed %d, branch %d: Step says correct=%v, Predict+Update %v", size.entries, seed, n, got, want)
+				}
+				if got := pair.Predict(pc) == taken; got != want {
+					t.Fatalf("%d entries, seed %d, branch %d: Predict says correct=%v, the original pair %v", size.entries, seed, n, got, want)
+				}
+				pair.Update(pc, taken)
+				if n%5000 == 4999 && (!sameTables(ref, fused) || !sameTables(ref, pair)) {
+					t.Fatalf("%d entries, seed %d, branch %d: tables differ from the original Predict+Update's", size.entries, seed, n)
+				}
+			}
+		}
+	}
+}
+
+// sameTables reports whether two tournaments hold equal state.
+func sameTables(a, b *Tournament) bool {
+	return slices.Equal(a.chooser, b.chooser) && slices.Equal(a.global.table, b.global.table) &&
+		a.global.history == b.global.history && slices.Equal(a.local.counters, b.local.counters) &&
+		slices.Equal(a.local.histories, b.local.histories)
 }
 
 func BenchmarkTournament(b *testing.B) {

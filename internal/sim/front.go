@@ -107,10 +107,17 @@ func (f *front) tableBytes() int {
 // produce steps the next chunkInstrs instructions and appends their events
 // to ev: per instruction the I-fetch every fetchGroup instructions, then the
 // instruction's own draw — the monolithic core's order, so every random draw
-// lands on the same consumer.
+// lands on the same consumer. ALU instructions draw nothing and leave no
+// event, so a run of them is retired in one step, stopping short of the next
+// I-fetch and of the chunk's end.
 func (f *front) produce(ev []uint64) []uint64 {
-	for pos := uint64(0); pos < chunkInstrs; pos++ {
-		at := pos << evPosShift
+	for pos := 0; pos < chunkInstrs; pos++ {
+		skip := f.gen.SkipALU(min(fetchGroup-1-f.sinceIFetch, chunkInstrs-pos))
+		f.sinceIFetch += skip
+		if pos += skip; pos == chunkInstrs {
+			break
+		}
+		at := uint64(pos) << evPosShift
 		f.sinceIFetch++
 		if f.sinceIFetch >= fetchGroup {
 			f.sinceIFetch = 0
@@ -122,9 +129,7 @@ func (f *front) produce(ev []uint64) []uint64 {
 		switch kind := f.gen.NextKind(); kind {
 		case trace.OpBranch:
 			pc, taken := f.gen.NextBranch()
-			predicted := f.pred.Predict(pc)
-			f.pred.Update(pc, taken)
-			if predicted != taken {
+			if !f.pred.Step(pc, taken) {
 				ev = append(ev, at|evBranchMiss)
 			}
 		case trace.OpLoad, trace.OpStore:

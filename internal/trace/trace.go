@@ -17,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"scalesim/internal/config"
 	"scalesim/internal/pad"
@@ -134,12 +135,16 @@ func (p *Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("trace: profile with empty name")
 	}
+	// NaN passes every comparison below; it would hang a worker.
+	if !finite(p.BaseCPI, p.MLP, p.HardFrac) {
+		return fmt.Errorf("trace: %s: BaseCPI %v, MLP %v and HardFrac %v must be finite", p.Name, p.BaseCPI, p.MLP, p.HardFrac)
+	}
 	if p.BaseCPI < 0.25 {
 		return fmt.Errorf("trace: %s: BaseCPI %.2f below 4-wide dispatch floor 0.25", p.Name, p.BaseCPI)
 	}
-	mem := p.LoadsPerKI + p.StoresPerKI
-	if mem <= 0 || mem+p.BranchesPerKI > 1000 {
-		return fmt.Errorf("trace: %s: instruction mix loads+stores=%d branches=%d invalid", p.Name, mem, p.BranchesPerKI)
+	// A negative count lets the others overfill the kind schedule: its build never ends.
+	if mem := p.LoadsPerKI + p.StoresPerKI; min(p.LoadsPerKI, p.StoresPerKI, p.BranchesPerKI) < 0 || mem <= 0 || mem+p.BranchesPerKI > 1000 {
+		return fmt.Errorf("trace: %s: instruction mix loads=%d stores=%d branches=%d invalid", p.Name, p.LoadsPerKI, p.StoresPerKI, p.BranchesPerKI)
 	}
 	if p.MLP < 1 {
 		return fmt.Errorf("trace: %s: MLP %.2f < 1", p.Name, p.MLP)
@@ -155,6 +160,9 @@ func (p *Profile) Validate() error {
 		if r.Frac < 0 {
 			return fmt.Errorf("trace: %s: region %d has negative frac", p.Name, i)
 		}
+		if !finite(r.Frac, r.ZipfS) || r.ZipfS < 0 {
+			return fmt.Errorf("trace: %s: region %d has frac %v and Zipf skew %v, want both finite and the skew non-negative", p.Name, i, r.Frac, r.ZipfS)
+		}
 		sum += r.Frac
 	}
 	if sum < 0.999 || sum > 1.001 {
@@ -164,6 +172,16 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("trace: %s: branches in mix but no static branches", p.Name)
 	}
 	return nil
+}
+
+// finite reports whether every v is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Generator produces the deterministic op stream of one benchmark instance.
@@ -182,8 +200,10 @@ type Generator struct {
 	// kinds is a repeating 1000-slot schedule realising the per-KI
 	// instruction mix exactly, with loads/stores/branches spread evenly;
 	// slot is the next instruction's position in it (instructions generated % 1000).
-	kinds [1000]OpKind
-	slot  int
+	// aluRun[s] counts the ALU slots from s up to the next drawing one.
+	kinds  [1000]OpKind
+	aluRun [1000]uint16
+	slot   int
 
 	regions []regionState
 	fracs   []float64 // Regions[i].Frac, flat for the interleaving loop
@@ -411,6 +431,11 @@ func (g *Generator) buildKindSchedule() {
 	place(OpLoad, g.prof.LoadsPerKI)
 	place(OpStore, g.prof.StoresPerKI)
 	place(OpBranch, g.prof.BranchesPerKI)
+	for s := range g.aluRun { // Validate guarantees a drawing slot to stop at
+		for g.kinds[(s+int(g.aluRun[s]))%len(g.kinds)] == OpALU {
+			g.aluRun[s]++
+		}
+	}
 }
 
 // NextKind retires the next instruction and returns its kind; the kind
@@ -424,6 +449,16 @@ func (g *Generator) NextKind() OpKind {
 		g.slot = 0
 	}
 	return kind
+}
+
+// SkipALU retires up to max ALU instructions ahead of the next drawing one,
+// as many NextKind calls would, and returns how many it retired.
+func (g *Generator) SkipALU(max int) int {
+	n := min(int(g.aluRun[g.slot]), max)
+	if g.slot += n; g.slot >= len(g.kinds) {
+		g.slot -= len(g.kinds)
+	}
+	return n
 }
 
 // Next produces the next instruction as one value: the composition of the
@@ -445,16 +480,7 @@ func (g *Generator) Next() Op {
 // from the profile's region mixture. dependent marks a load serially
 // dependent on the previous miss.
 func (g *Generator) NextMem(store bool) (addr uint64, dependent bool) {
-	// Pick the region whose accumulated deficit is largest (exact-fraction
-	// interleaving, deterministic).
-	best, bestV := 0, -1.0
-	for i, frac := range g.fracs {
-		g.regAcc[i] += frac
-		if g.regAcc[i] > bestV {
-			bestV = g.regAcc[i]
-			best = i
-		}
-	}
+	best := pickRegion(g.fracs, g.regAcc)
 	g.regAcc[best] -= 1
 	rs := &g.regions[best]
 
@@ -486,6 +512,30 @@ func (g *Generator) NextMem(store bool) (addr uint64, dependent bool) {
 	return rs.base + off, dependent
 }
 
+// pickRegion adds each region's fraction to its accumulator and returns the
+// first region with the largest deficit above −1, for the caller to debit (a
+// select that feeds a load address stays a branch). Integer keys make the
+// selects conditional moves; orderKey orders floats as < does but for NaN
+// and −0, which Validate and IEEE rounding (1−1 = +0+0 = +0) keep out.
+func pickRegion(fracs, acc []float64) int {
+	acc = acc[:len(fracs)]
+	best, bestKey := 0, orderKey(-1)
+	for i, frac := range fracs {
+		v := acc[i] + frac
+		acc[i] = v
+		if k := orderKey(v); k > bestKey {
+			best, bestKey = i, k
+		}
+	}
+	return best
+}
+
+// orderKey flips a negative float's magnitude bits: a larger magnitude, a smaller key.
+func orderKey(v float64) int64 {
+	b := int64(math.Float64bits(v))
+	return b ^ int64(uint64(b>>63)>>1)
+}
+
 // NextBranch draws the static branch NextKind just announced and its actual
 // outcome. Validate guarantees a branch population whenever the mix has
 // branches.
@@ -511,7 +561,7 @@ func (g *Generator) AddrLimit() uint64 {
 // TableBytes returns the host memory the generator's sampling tables hold,
 // for callers that budget retained generators.
 func (g *Generator) TableBytes() int {
-	n := 16*len(g.branches) + g.codeZipf.TableBytes()
+	n := 16*len(g.branches) + 2*len(g.aluRun) + g.codeZipf.TableBytes()
 	if g.brZipf != nil {
 		n += g.brZipf.TableBytes()
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -283,6 +284,16 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		func(p *Profile) { p.Regions[0].Frac = 0.5 },
 		func(p *Profile) { p.Regions[0].Size = 0 },
 		func(p *Profile) { p.StaticBranches = 0 },
+		func(p *Profile) { p.BaseCPI = math.NaN() },
+		func(p *Profile) { p.MLP = math.Inf(1) },
+		func(p *Profile) { p.HardFrac = math.NaN() },
+		func(p *Profile) {
+			p.Regions = append(p.Regions, Region{Size: config.MB, Frac: math.NaN(), Pattern: Rand})
+		},
+		func(p *Profile) { p.Regions[0].ZipfS = -1 },
+		func(p *Profile) { p.Regions[0].ZipfS = math.Inf(1) },
+		func(p *Profile) { p.LoadsPerKI, p.StoresPerKI = 1500, -600 },
+		func(p *Profile) { p.LoadsPerKI, p.BranchesPerKI = 1200, -300 },
 	}
 	for i, b := range breakers {
 		p := good()

@@ -146,8 +146,10 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // whose cumulative probability reaches u. A guide table (Chen & Asau's
 // indexed search) makes the inversion O(1) expected: guide[j] is the lowest
 // rank with cdf >= j/K, so the answer for any u in [j/K, (j+1)/K) is found by
-// scanning up from guide[j] — with K >= 2n cells, less than one step on
-// average, and the same rank a search of the whole table would return.
+// scanning up from guide[j] — with K >= max(2n, 256) cells, less than one
+// step on average (the floor of 256 keeps a small table's scan exit from
+// being a coin flip), and the same rank a search of the whole table would
+// return.
 //
 // The inversion runs on the 53-bit integer m behind the draw u = m·2^-53
 // (the value Float64 would return), never on u itself: thr[i] is
@@ -178,7 +180,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	}
 	thr[n-1] = 1 << 53 // cdf 1, above every draw: guard against FP round-off
 	cells, shift := 2, uint(52)
-	for cells < 2*n {
+	for cells < max(2*n, 256) {
 		cells <<= 1
 		shift--
 	}

@@ -84,8 +84,9 @@ type workloadRecord struct {
 }
 
 type side struct {
-	Commit    string                     `json:"commit"`
-	Workloads map[string]*workloadRecord `json:"workloads"`
+	Commit      string                     `json:"commit"`
+	Calibration *summary                   `json:"calibration_ms,omitempty"` // calibrate before each run
+	Workloads   map[string]*workloadRecord `json:"workloads"`
 }
 
 // comparison is the paired verdict for one metric of one workload.
@@ -180,7 +181,7 @@ func main() {
 	}
 	rec.Sides = map[string]*side{}
 	for _, name := range order {
-		rec.Sides[name] = &side{Commit: commitOf(dirs[name]), Workloads: map[string]*workloadRecord{}}
+		rec.Sides[name] = &side{Commit: commitOf(dirs[name]), Calibration: &summary{Unit: "ms"}, Workloads: map[string]*workloadRecord{}}
 	}
 
 	for i := 0; i < *n; i++ {
@@ -189,6 +190,7 @@ func main() {
 			// host does not favour one side.
 			for k := range order {
 				name := order[(k+i)%len(order)]
+				rec.Sides[name].Calibration.Runs = append(rec.Sides[name].Calibration.Runs, calibrate())
 				d, err := runScalebench(spec.Command, dirs[name], w)
 				if err != nil {
 					log.Fatalf("run %d, %s on %s: %v", i+1, w, name, err)
@@ -201,6 +203,7 @@ func main() {
 		}
 	}
 	for _, s := range rec.Sides {
+		s.Calibration.Median, s.Calibration.Q1, s.Calibration.Q3 = quartiles(s.Calibration.Runs)
 		for _, w := range s.Workloads {
 			for _, m := range w.Metrics {
 				m.Median, m.Q1, m.Q3 = quartiles(m.Runs)
@@ -266,6 +269,21 @@ func runScalebench(command []string, dir, workload string) (*detail, error) {
 	}
 	return &d, nil
 }
+
+// calibrate times a fixed integer loop, in milliseconds: the host's speed
+// at the moment, which trend divides out.
+func calibrate() float64 {
+	start, x := time.Now(), uint64(1)
+	for i := 0; i < 1<<26; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	calibrationSink = x
+	return float64(time.Since(start).Nanoseconds()) / 1e6
+}
+
+var calibrationSink uint64
 
 // add folds one run of workload w into the side.
 func (s *side) add(w string, d *detail) {
@@ -345,7 +363,9 @@ func compare(better string, p, c *workloadRecord, metric string) *comparison {
 // the previous record's change measured again, so the two medians should
 // agree; where they differ by more than the later record's parent quartile
 // spread the host drifted between the records, the row says so, and figures
-// are comparable within a record but not across that boundary.
+// are comparable within a record but not across that boundary — unless the
+// records carry calibrations: the last two columns are each side's median
+// times its calibration median in seconds, operations per calibration loop.
 func trend(w io.Writer, dir string) error {
 	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
@@ -374,8 +394,14 @@ func trend(w io.Writer, dir string) error {
 		}
 		return s.Workloads[workload].Metrics["ops_per_s"]
 	}
+	scaled := func(s *side, m *summary) string { // operations per calibration loop
+		if s == nil || s.Calibration == nil || m == nil {
+			return "-"
+		}
+		return fmt.Sprintf("%.4g", m.Median*s.Calibration.Median/1e3)
+	}
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "record\tworkload\tparent\tchange\twins\t")
+	fmt.Fprintln(tw, "record\tworkload\tparent\tchange\twins\tparent/host\tchange/host\t")
 	last := map[string]float64{} // workload → the previous record's change median
 	for _, r := range recs {
 		change := r.Sides["change"]
@@ -402,7 +428,8 @@ func trend(w io.Writer, dir string) error {
 					note = fmt.Sprintf("host drift: the previous record's change read %.4g, parent spread %.2g", prev, pm.Q3-pm.Q1)
 				}
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%.4g\t%s\t%s\n", r.file, name, parent, c.Median, wins, note)
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.4g\t%s\t%s\t%s\t%s\n", r.file, name, parent, c.Median, wins,
+				scaled(r.Sides["parent"], opsPerS(r.Sides["parent"], name)), scaled(change, c), note)
 			last[name] = c.Median
 		}
 	}

@@ -165,6 +165,29 @@ func TestTrend(t *testing.T) {
 		}
 	}
 
+	// A calibrated record: the change side met a host twice as fast (half the
+	// loop time) and read twice the ops/s — the same work per host speed.
+	calibrated := `{"date":"2026-10-04","sides":{` +
+		`"parent":{"calibration_ms":{"median":200},"workloads":{"w":{"metrics":{"ops_per_s":{"median":2}}}}},` +
+		`"change":{"calibration_ms":{"median":100},"workloads":{"w":{"metrics":{"ops_per_s":{"median":4}}}}}}}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_20261004.json"), []byte(calibrated), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := trend(&out, dir); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(out.String()), "\n")
+	if got := strings.Join(strings.Fields(lines[len(lines)-1])[:7], " "); got != "BENCH_20261004.json w 2 4 - 0.4 0.4" {
+		t.Errorf("calibrated row: %q, want each side's ops/s times its calibration seconds", got)
+	}
+	if got := strings.Fields(lines[1])[5:7]; got[0] != "-" || got[1] != "-" {
+		t.Errorf("uncalibrated row normalised: %v", got)
+	}
+	if ms := calibrate(); ms <= 0 {
+		t.Errorf("calibrate() = %v ms", ms)
+	}
+
 	if err := os.WriteFile(filepath.Join(dir, "BENCH_torn.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
