@@ -456,7 +456,9 @@ func BenchmarkSurrogate_Compute(b *testing.B) {
 // and 12 on an eight-benchmark subset over a store a cold pass has filled,
 // so every simulation is a disk read and the fold-model fits and the
 // evaluation are the cost (scalebench's methodology-warm, visible to
-// go test -bench).
+// go test -bench). Beside wall time it reports the process CPU time per
+// regeneration and util, CPU over wall time over the two workers: below 1
+// is a worker idle while the other finishes, what a barrier costs.
 func BenchmarkFigures_Warm(b *testing.B) {
 	dir := b.TempDir()
 	regenerate := func() {
@@ -481,8 +483,13 @@ func BenchmarkFigures_Warm(b *testing.B) {
 	}
 	regenerate() // cold: fills the store
 	b.ReportAllocs()
+	cpu0 := processCPU(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		regenerate()
 	}
+	b.StopTimer()
+	cpu := processCPU(b) - cpu0
+	b.ReportMetric(cpu.Seconds()*1000/float64(b.N), "cpu-ms/op")
+	b.ReportMetric(cpu.Seconds()/b.Elapsed().Seconds()/2, "util")
 }

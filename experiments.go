@@ -50,7 +50,7 @@ func NewExperimentsSubset(opts SimOptions, names ...string) (*Experiments, error
 		suite = append(suite, p)
 	}
 	if len(suite) < 3 {
-		return nil, fmt.Errorf("scalesim: need at least 3 benchmarks, got %d", len(suite))
+		return nil, fmt.Errorf("scalesim: %w: need at least 3 benchmarks, got %d", ErrBadSpec, len(suite))
 	}
 	return newExperiments(opts, suite)
 }
@@ -225,16 +225,16 @@ func regressionSpecs() []scalemodel.MethodSpec {
 	return specs
 }
 
-// addMethods appends one row per spec to the figure: evaluate applies a spec
-// to the figure's data set, label names the row, and summaryOnly drops the
-// per-benchmark series.
-func (f *FigureResult) addMethods(evaluate func(scalemodel.MethodSpec) ([]metrics.NamedError, error), specs []scalemodel.MethodSpec, label func(scalemodel.MethodSpec) string, summaryOnly bool) error {
-	for _, spec := range specs {
-		errs, err := evaluate(spec)
-		if err != nil {
-			return fmt.Errorf("%s %s: %w", f.ID, label(spec), err)
-		}
-		mr := methodResult(label(spec), errs)
+// addMethods appends one row per spec to the figure: evaluate applies every
+// spec to the figure's data set in one call (one pool of folds), label names
+// the row, and summaryOnly drops the per-benchmark series.
+func (f *FigureResult) addMethods(evaluate func(...scalemodel.MethodSpec) ([][]metrics.NamedError, error), specs []scalemodel.MethodSpec, label func(scalemodel.MethodSpec) string, summaryOnly bool) error {
+	errs, err := evaluate(specs...)
+	if err != nil {
+		return fmt.Errorf("%s: %w", f.ID, err)
+	}
+	for i, spec := range specs {
+		mr := methodResult(label(spec), errs[i])
 		if summaryOnly {
 			mr.PerBench = nil
 		}
@@ -263,7 +263,10 @@ func (e *Experiments) noExtrapolation(lab *scalemodel.Lab) (*scalemodel.Homogene
 		return nil, nil, err
 	}
 	errs, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
-	return d, errs, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return d, errs[0], nil
 }
 
 // Fig3Construction regenerates Fig. 3: single-core scale-model prediction
@@ -418,17 +421,18 @@ func (e *Experiments) Fig7ErrorVsSpeedup() (*SpeedupResult, error) {
 	}
 	// ML points: both methods only need the single-core scale model at
 	// prediction time.
-	for _, spec := range []scalemodel.MethodSpec{
+	specs := []scalemodel.MethodSpec{
 		{Method: scalemodel.MethodPrediction, Estimator: scalemodel.SVM},
 		{Method: scalemodel.MethodRegression, Estimator: scalemodel.SVM, Form: fit.Logarithmic},
-	} {
-		errs, err := d.EvaluateLOO(spec)
-		if err != nil {
-			return nil, err
-		}
+	}
+	errs, err := d.EvaluateLOO(specs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, spec := range specs {
 		out.ML = append(out.ML, SpeedupPoint{
 			Label:   spec.Name() + " (1-core)",
-			Error:   methodResult(spec.Name(), errs).Mean,
+			Error:   methodResult(spec.Name(), errs[i]).Mean,
 			Speedup: targetSecs / d.SimTime[1].Seconds(),
 		})
 	}

@@ -48,9 +48,17 @@ func (j Job) Key() string {
 	if n > cap(b) {
 		b = append(make(keyBuf, 0, n), b...)
 	}
+	// A program repeated at one address (a homogeneous mix is one pointer,
+	// cores times) repeats its record, b[from:to]: copy the bytes, not the floats.
+	var last *trace.Profile
+	var from, to int
 	for _, p := range j.Workload.Profiles {
-		if p != nil {
+		if p != nil && p == last {
+			b = append(b, b[from:to]...)
+		} else if p != nil {
+			from, last = len(b), p
 			b = b.profile(p)
+			to = len(b)
 		}
 	}
 	if t := j.Workload.Threads; t != nil {

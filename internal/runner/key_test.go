@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scalesim/internal/config"
@@ -357,6 +358,66 @@ func TestKeyMatchesFmtReference(t *testing.T) {
 	for i := 0; i < 2500; i++ {
 		check(fmt.Sprintf("random job %d", i), randomJob(rng))
 	}
+	// Repeated programs, whose record Key copies: runs of one pointer, and
+	// beside them the look-alikes a copy must not be taken for.
+	mcf, gcc := trace.ByName("mcf"), trace.ByName("gcc")
+	custom := *mcf // mcf by name, one region a byte larger
+	custom.Regions = slices.Clone(mcf.Regions)
+	custom.Regions[0].Size++
+	for _, mix := range []struct {
+		name  string
+		profs []*trace.Profile
+	}{
+		{"A A B B A", []*trace.Profile{mcf, mcf, gcc, gcc, mcf}},
+		{"A nil A", []*trace.Profile{mcf, nil, mcf}},
+		{"same name", []*trace.Profile{mcf, &custom, &custom, mcf}},
+		{"equal, another address", []*trace.Profile{mcf, ptrTo(*mcf), mcf}},
+	} {
+		check(mix.name, Job{Config: config.Target(), Workload: sim.Workload{Profiles: mix.profs}, Options: sim.DefaultOptions()})
+	}
+	for i := 0; i < 1000; i++ {
+		check(fmt.Sprintf("repeated job %d", i), repeatedJob(rng))
+	}
+}
+
+func ptrTo[T any](v T) *T { return &v }
+
+// repeatedJob is randomJob's job with its programs redrawn as runs from a
+// palette of its own profiles, one of them copied to another address, and a
+// same-name twin of that one differing in one region field: homogeneous
+// jobs, run-length mixes, and the look-alikes a reused record must not be
+// taken for.
+func repeatedJob(rng *xrand.RNG) Job {
+	j := randomJob(rng)
+	var palette []*trace.Profile
+	for _, p := range j.Workload.Profiles {
+		if p != nil {
+			palette = append(palette, p)
+		}
+	}
+	if len(palette) == 0 {
+		palette = append(palette, &trace.Profile{Name: "plain"})
+	}
+	p := palette[rng.Intn(len(palette))]
+	if len(p.Regions) == 0 {
+		p.Regions = []trace.Region{{Size: 4096, Frac: 1, ElemSize: 8}}
+	}
+	twin := *p
+	twin.Regions = slices.Clone(p.Regions)
+	if r := &twin.Regions[rng.Intn(len(twin.Regions))]; rng.Bool(0.5) {
+		r.Size++
+	} else {
+		r.ElemSize++
+	}
+	palette = append(palette, ptrTo(*p), &twin)
+	j.Workload.Profiles = nil
+	for runs := 1 + rng.Intn(6); runs > 0; runs-- {
+		q := palette[rng.Intn(len(palette))]
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			j.Workload.Profiles = append(j.Workload.Profiles, q)
+		}
+	}
+	return j
 }
 
 // TestKeyAllocs keeps fmt and the second hash from coming back: keying a
@@ -394,15 +455,19 @@ func TestKeyAllocs(t *testing.T) {
 }
 
 // BenchmarkJobKey is the per-request hash: c1 is a served one-program job,
-// c32 the ≈ 13 KB preimage of a 32-program target.
+// c32 the ≈ 13 KB preimage of a 32-program target mix, c32-homogeneous one
+// suite program 32 times (a collection's target job), whose record Key copies.
 func BenchmarkJobKey(b *testing.B) {
-	for _, n := range []int{1, 32} {
-		profs := make([]*trace.Profile, n)
+	for _, c := range []struct {
+		name      string
+		n, stride int
+	}{{"c1", 1, 1}, {"c32", 32, 1}, {"c32-homogeneous", 32, 0}} {
+		suite, profs := trace.Suite(), make([]*trace.Profile, c.n)
 		for i := range profs {
-			profs[i] = trace.Suite()[i%len(trace.Suite())]
+			profs[i] = suite[i*c.stride%len(suite)]
 		}
 		j := Job{Config: config.Target(), Workload: sim.Workload{Profiles: profs}, Options: sim.DefaultOptions()}
-		b.Run(fmt.Sprintf("c%d", n), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(refPreimage(j))))
 			for i := 0; i < b.N; i++ {

@@ -9,15 +9,16 @@ import (
 	"scalesim/internal/trace"
 )
 
-// figureSpec is one EvaluateLOO call of the evaluation.
-type figureSpec struct {
+// figure is one EvaluateLOO call of the evaluation: a figure's whole lineup
+// on its metric's data set.
+type figure struct {
 	metric Metric
-	spec   MethodSpec
+	specs  []MethodSpec
 }
 
-// figureSpecs lists every method Figs. 4, 9, 10, 11 and 12 evaluate, in
-// figure order (the lineups live in the root package's experiments.go).
-func figureSpecs() []figureSpec {
+// figures lists the lineups of Figs. 4, 9, 10, 11 and 12, in figure order
+// (they live in the root package's experiments.go).
+func figures() []figure {
 	lineup := []MethodSpec{
 		{Method: MethodNoExtrapolation},
 		{Method: MethodPrediction, Estimator: DT},
@@ -27,26 +28,22 @@ func figureSpecs() []figureSpec {
 		{Method: MethodRegression, Estimator: RF, Form: fit.Logarithmic},
 		{Method: MethodRegression, Estimator: SVM, Form: fit.Logarithmic},
 	}
-	var out []figureSpec
-	for _, s := range lineup { // Fig. 4
-		out = append(out, figureSpec{MetricIPC, s})
+	fig9 := figure{metric: MetricIPC}
+	for _, form := range []fit.Model{fit.Linear, fit.Power, fit.Logarithmic} {
+		fig9.specs = append(fig9.specs, MethodSpec{Method: MethodRegression, Estimator: SVM, Form: form})
 	}
-	for _, form := range []fit.Model{fit.Linear, fit.Power, fit.Logarithmic} { // Fig. 9
-		out = append(out, figureSpec{MetricIPC, MethodSpec{Method: MethodRegression, Estimator: SVM, Form: form}})
-	}
-	for _, in := range []Inputs{InputsIPCOnly, InputsIPCAndBW} { // Fig. 10
+	fig10 := figure{metric: MetricIPC}
+	for _, in := range []Inputs{InputsIPCOnly, InputsIPCAndBW} {
 		for _, s := range lineup[1:] {
 			s.Inputs = in
-			out = append(out, figureSpec{MetricIPC, s})
+			fig10.specs = append(fig10.specs, s)
 		}
 	}
-	for _, sub := range [][]int{{2, 4}, {2, 4, 8}, {2, 4, 8, 16}} { // Fig. 11
-		out = append(out, figureSpec{MetricIPC, MethodSpec{Method: MethodRegression, Estimator: SVM, Form: fit.Logarithmic, ScaleModels: sub}})
+	fig11 := figure{metric: MetricIPC}
+	for _, sub := range [][]int{{2, 4}, {2, 4, 8}, {2, 4, 8, 16}} {
+		fig11.specs = append(fig11.specs, MethodSpec{Method: MethodRegression, Estimator: SVM, Form: fit.Logarithmic, ScaleModels: sub})
 	}
-	for _, s := range lineup { // Fig. 12
-		out = append(out, figureSpec{MetricBW, s})
-	}
-	return out
+	return []figure{{MetricIPC, lineup}, fig9, fig10, fig11, {MetricBW, lineup}}
 }
 
 var figureScaleCores = []int{2, 4, 8, 16}
@@ -74,9 +71,10 @@ func collectFigureData(t *testing.T, workers int) map[Metric]*HomogeneousData {
 }
 
 // TestEvaluateLOOWorkersIdentical holds the evaluation to its reference:
-// every figure spec, evaluated from cached fold models at 1, 2 and 8
-// workers, must equal — bit for bit — a serial evaluation that builds each
-// fold's method from scratch on freshly excluded samples.
+// each figure's whole lineup, evaluated in one call — one pool of (spec,
+// fold) tasks over cached fold models — at 1, 2 and 8 workers, must equal,
+// bit for bit, a serial evaluation that builds each fold's method from
+// scratch on freshly excluded samples, one spec at a time.
 func TestEvaluateLOOWorkersIdentical(t *testing.T) {
 	reference := func(d *HomogeneousData, spec MethodSpec) []metrics.NamedError {
 		var out []metrics.NamedError
@@ -97,26 +95,34 @@ func TestEvaluateLOOWorkersIdentical(t *testing.T) {
 		return out
 	}
 
-	specs := figureSpecs()
+	figs := figures()
 	refData := collectFigureData(t, 1)
-	want := make([][]metrics.NamedError, len(specs))
-	for i, fs := range specs {
-		want[i] = reference(refData[fs.metric], fs.spec)
+	wants := make([][][]metrics.NamedError, len(figs))
+	for fi, fig := range figs {
+		for _, spec := range fig.specs {
+			wants[fi] = append(wants[fi], reference(refData[fig.metric], spec))
+		}
 	}
 	for _, workers := range []int{1, 2, 8} {
 		data := collectFigureData(t, workers)
-		for i, fs := range specs {
-			got, err := data[fs.metric].EvaluateLOO(fs.spec)
+		for fi, fig := range figs {
+			got, err := data[fig.metric].EvaluateLOO(fig.specs...)
 			if err != nil {
-				t.Fatalf("%d workers, %s: %v", workers, fs.spec.Name(), err)
+				t.Fatalf("%d workers, figure %d: %v", workers, fi, err)
 			}
-			if len(got) != len(want[i]) {
-				t.Fatalf("%d workers, %s: %d errors, want %d", workers, fs.spec.Name(), len(got), len(want[i]))
+			if len(got) != len(fig.specs) {
+				t.Fatalf("%d workers, figure %d: %d rows for %d specs", workers, fi, len(got), len(fig.specs))
 			}
-			for j := range got {
-				if got[j] != want[i][j] {
-					t.Errorf("%d workers, %s (%s, %v) fold %d: %+v, want %+v",
-						workers, fs.spec.Name(), fs.spec.Inputs, fs.spec.ScaleModels, j, got[j], want[i][j])
+			for s, spec := range fig.specs {
+				want := wants[fi][s]
+				if len(got[s]) != len(want) {
+					t.Fatalf("%d workers, %s: %d errors, want %d", workers, spec.Name(), len(got[s]), len(want))
+				}
+				for j := range want {
+					if got[s][j] != want[j] {
+						t.Errorf("%d workers, figure %d row %d, %s (%s, %v) fold %d: %+v, want %+v",
+							workers, fi, s, spec.Name(), spec.Inputs, spec.ScaleModels, j, got[s][j], want[j])
+					}
 				}
 			}
 		}
@@ -126,7 +132,8 @@ func TestEvaluateLOOWorkersIdentical(t *testing.T) {
 // TestFoldModelsTrainedOnce counts trainings across the five figures: each
 // distinct fold key — worked out here from the specs, not read back from the
 // cache — is trained exactly once, even when two callers ask for the same
-// spec at the same time and when the figures are regenerated.
+// figure at the same time (and the pool of each asks for one key from
+// several tasks) and when the figures are regenerated.
 func TestFoldModelsTrainedOnce(t *testing.T) {
 	type key struct {
 		metric  Metric
@@ -138,24 +145,26 @@ func TestFoldModelsTrainedOnce(t *testing.T) {
 	}
 	data := collectFigureData(t, 2)
 	distinct := map[key]bool{}
-	for _, fs := range figureSpecs() {
-		var sizes []int
-		switch fs.spec.Method {
-		case MethodPrediction:
-			sizes = []int{data[fs.metric].TargetCores}
-		case MethodRegression:
-			sizes = fs.spec.ScaleModels
-			if sizes == nil {
-				sizes = figureScaleCores
+	for _, fig := range figures() {
+		for _, spec := range fig.specs {
+			var sizes []int
+			switch spec.Method {
+			case MethodPrediction:
+				sizes = []int{data[fig.metric].TargetCores}
+			case MethodRegression:
+				sizes = spec.ScaleModels
+				if sizes == nil {
+					sizes = figureScaleCores
+				}
 			}
-		}
-		for _, c := range sizes {
-			seed := uint64(0)
-			if fs.spec.Method == MethodRegression {
-				seed = uint64(c)
-			}
-			for _, b := range data[fs.metric].Benchmarks {
-				distinct[key{fs.metric, fs.spec.Estimator, fs.spec.Inputs, c, b, seed}] = true
+			for _, c := range sizes {
+				seed := uint64(0)
+				if spec.Method == MethodRegression {
+					seed = uint64(c)
+				}
+				for _, b := range data[fig.metric].Benchmarks {
+					distinct[key{fig.metric, spec.Estimator, spec.Inputs, c, b, seed}] = true
+				}
 			}
 		}
 	}
@@ -166,14 +175,14 @@ func TestFoldModelsTrainedOnce(t *testing.T) {
 	}
 
 	for round := 0; round < 2; round++ {
-		for _, fs := range figureSpecs() {
+		for fi, fig := range figures() {
 			var wg sync.WaitGroup
 			for caller := 0; caller < 2; caller++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, err := data[fs.metric].EvaluateLOO(fs.spec); err != nil {
-						t.Errorf("%s: %v", fs.spec.Name(), err)
+					if _, err := data[fig.metric].EvaluateLOO(fig.specs...); err != nil {
+						t.Errorf("figure %d: %v", fi, err)
 					}
 				}()
 			}

@@ -258,41 +258,56 @@ func (d *HomogeneousData) samplesExcluding(skip string, cores int) []Sample {
 	return out
 }
 
-// EvaluateLOO runs the paper's leave-one-benchmark-out protocol for one
-// method: for every benchmark, a model trained on the other N-1 benchmarks
-// predicts it, and the absolute relative error against the target-system
-// measurement is recorded. Errors carry the benchmark's single-core LLC
-// MPKI as sort key (Fig. 3/4 order benchmarks by memory intensity). The
-// folds are independent and run on as many goroutines as the collecting
-// engine has workers; results are assembled by fold index, so they are
-// bit-identical for any worker count.
-func (d *HomogeneousData) EvaluateLOO(spec MethodSpec) ([]metrics.NamedError, error) {
+// fanOut runs task(0), …, task(n-1) on e.Workers() goroutines (one if e is
+// nil) taking indices in order from one counter; a task writes its own slot.
+// It returns the first error in index order, with its index.
+func fanOut(e *runner.Engine, n int, task func(i int) error) (int, error) {
 	workers := 1
-	if d.engine != nil {
-		workers = d.engine.Workers()
+	if e != nil {
+		workers = e.Workers()
 	}
-	out := make([]metrics.NamedError, len(d.Benchmarks))
-	errs := make([]error, len(d.Benchmarks))
-	slots := make(chan struct{}, workers) // semaphore: one slot per running fold
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, b := range d.Benchmarks {
-		slots <- struct{}{}
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-slots }()
-			pred, actual, err := d.PredictOne(b, spec)
-			out[i] = metrics.NamedError{Name: b, Key: d.Meas[b].MPKI, Error: metrics.PredictionError(pred, actual)}
-			errs[i] = err
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = task(i)
+			}
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("scalemodel: %s for %s: %w", spec.Name(), d.Benchmarks[i], err)
-		}
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		return i, errs[i]
 	}
-	metrics.SortByKey(out)
+	return -1, nil
+}
+
+// EvaluateLOO runs the paper's leave-one-benchmark-out protocol for each
+// method: for every benchmark, a model trained on the other N-1 benchmarks
+// predicts it, and the absolute relative error against the target-system
+// measurement is recorded, keyed by the benchmark's single-core LLC MPKI
+// (Fig. 3/4 order benchmarks by memory intensity); out[s] is specs[s]'s.
+// Every (spec, held-out benchmark) fold is one task of one fanOut: no method
+// waits for the last one's slowest fold, and any worker count gives the same bits.
+func (d *HomogeneousData) EvaluateLOO(specs ...MethodSpec) ([][]metrics.NamedError, error) {
+	nb := len(d.Benchmarks)
+	folds := make([]metrics.NamedError, len(specs)*nb)
+	if i, err := fanOut(d.engine, len(folds), func(i int) error {
+		b := d.Benchmarks[i%nb]
+		pred, actual, err := d.PredictOne(b, specs[i/nb])
+		folds[i] = metrics.NamedError{Name: b, Key: d.Meas[b].MPKI, Error: metrics.PredictionError(pred, actual)}
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("scalemodel: %s for %s: %w", specs[i/nb].Name(), d.Benchmarks[i%nb], err)
+	}
+	out := make([][]metrics.NamedError, len(specs))
+	for s := range out {
+		out[s] = folds[s*nb : (s+1)*nb : (s+1)*nb]
+		metrics.SortByKey(out[s])
+	}
 	return out, nil
 }
 
@@ -372,7 +387,8 @@ type HeterogeneousData struct {
 	// STPMixes are the random mixes for the throughput study (IPC metric).
 	STPMixes []MixResult
 
-	models foldModels // the predictors trained so far, shared by every spec
+	engine *runner.Engine // lends EvaluatePerApp its worker count
+	models foldModels     // the predictors trained so far, shared by every spec
 }
 
 // MixResult is one simulated mix: its composition and the measured
@@ -418,6 +434,7 @@ func (l *Lab) CollectHeterogeneous(suite []*trace.Profile, opts HeteroOptions) (
 		Metric:      opts.Metric,
 		Meas:        map[string]Measurement{},
 		RegSamples:  map[int][]Sample{},
+		engine:      l.engine,
 	}
 	var evalProfiles, trainProfiles []*trace.Profile
 	for i, pi := range perm {
@@ -581,10 +598,22 @@ func (d *HeterogeneousData) fitMethod(spec MethodSpec) (predictFunc, error) {
 	})
 }
 
-// EvaluatePerApp returns, for each evaluation benchmark, the mean absolute
-// prediction error across the evaluation mixes (Fig. 5), keyed by the
-// benchmark's single-core LLC MPKI.
-func (d *HeterogeneousData) EvaluatePerApp(spec MethodSpec) ([]metrics.NamedError, error) {
+// EvaluatePerApp returns, for each method, each evaluation benchmark's mean
+// absolute prediction error across the evaluation mixes (Fig. 5), keyed by
+// the benchmark's single-core LLC MPKI; out[s] is specs[s]'s, one fanOut
+// task per spec.
+func (d *HeterogeneousData) EvaluatePerApp(specs ...MethodSpec) ([][]metrics.NamedError, error) {
+	out := make([][]metrics.NamedError, len(specs))
+	if i, err := fanOut(d.engine, len(specs), func(i int) (err error) {
+		out[i], err = d.perApp(specs[i])
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("scalemodel: %s: %w", specs[i].Name(), err)
+	}
+	return out, nil
+}
+
+func (d *HeterogeneousData) perApp(spec MethodSpec) ([]metrics.NamedError, error) {
 	predict, err := d.fitMethod(spec)
 	if err != nil {
 		return nil, err

@@ -226,11 +226,12 @@ func TestEvaluateLOOAllMethods(t *testing.T) {
 		{Method: MethodRegression, Estimator: DT, Form: fit.Linear},
 		{Method: MethodRegression, Estimator: RF, Form: fit.Power},
 	}
-	for _, spec := range specs {
-		errs, err := d.EvaluateLOO(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name(), err)
-		}
+	rows, err := d.EvaluateLOO(specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		errs := rows[i]
 		if len(errs) != 10 {
 			t.Fatalf("%s: %d errors, want 10", spec.Name(), len(errs))
 		}
@@ -256,14 +257,11 @@ func TestPredictionBeatsNoExtrapolationOnFakeWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noneErrs, err := d.EvaluateLOO(MethodSpec{Method: MethodNoExtrapolation})
+	rows, err := d.EvaluateLOO(MethodSpec{Method: MethodNoExtrapolation}, MethodSpec{Method: MethodPrediction, Estimator: SVM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svmErrs, err := d.EvaluateLOO(MethodSpec{Method: MethodPrediction, Estimator: SVM})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noneErrs, svmErrs := rows[0], rows[1]
 	collect := func(es []metrics.NamedError) []float64 {
 		out := make([]float64, len(es))
 		for i, e := range es {
@@ -279,7 +277,7 @@ func TestPredictionBeatsNoExtrapolationOnFakeWorld(t *testing.T) {
 }
 
 func TestRegressionWithScaleModelSubset(t *testing.T) {
-	l := fakeLab()
+	l := fakeLabWorkers(4)
 	d, err := l.CollectHomogeneous(someBenchmarks(8), []int{2, 4, 8, 16}, MetricIPC)
 	if err != nil {
 		t.Fatal(err)
@@ -288,9 +286,13 @@ func TestRegressionWithScaleModelSubset(t *testing.T) {
 	if _, err := d.EvaluateLOO(spec); err != nil {
 		t.Fatal(err)
 	}
-	spec.ScaleModels = []int{2, 64}
-	if _, err := d.EvaluateLOO(spec); err == nil {
-		t.Fatal("uncollected scale model accepted")
+	bad := spec
+	bad.ScaleModels = []int{2, 64}
+	// Every fold of bad fails; the error is the first in (spec, fold) order
+	// whichever of the pool's tasks failed first.
+	_, err = d.EvaluateLOO(spec, bad, bad)
+	if want := fmt.Sprintf("scalemodel: %s for %s: ", bad.Name(), d.Benchmarks[0]); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("uncollected scale model: err %v, want it to begin %q", err, want)
 	}
 }
 
@@ -373,8 +375,8 @@ func TestHeterogeneousEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name(), err)
 		}
-		if len(perApp) != 4 {
-			t.Fatalf("%s: %d per-app errors, want 4", spec.Name(), len(perApp))
+		if len(perApp) != 1 || len(perApp[0]) != 4 {
+			t.Fatalf("%s: %v per-app errors, want one row of 4", spec.Name(), perApp)
 		}
 		stp, err := d.EvaluateSTP(spec)
 		if err != nil {
@@ -429,7 +431,9 @@ func TestDeterministicCollection(t *testing.T) {
 		return d
 	}
 	a, b := collect(1), collect(1)
-	if par := collect(4); !reflect.DeepEqual(a, par) {
+	par := collect(4)
+	par.engine = a.engine // the engine lends evaluation its width; it is not data
+	if !reflect.DeepEqual(a, par) {
 		t.Fatal("heterogeneous collection differs between 1 and 4 workers")
 	}
 	if len(a.PredSamples) != len(b.PredSamples) {
@@ -515,17 +519,18 @@ func TestRealSimulatorSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []MethodSpec{
+	specs := []MethodSpec{
 		{Method: MethodNoExtrapolation},
 		{Method: MethodPrediction, Estimator: DT},
 		{Method: MethodRegression, Estimator: DT, Form: fit.Logarithmic},
-	} {
-		errs, err := d.EvaluateLOO(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name(), err)
-		}
-		if len(errs) != 4 {
-			t.Fatalf("%s: %d errors", spec.Name(), len(errs))
+	}
+	rows, err := d.EvaluateLOO(specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		if len(rows[i]) != 4 {
+			t.Fatalf("%s: %d errors", spec.Name(), len(rows[i]))
 		}
 	}
 }

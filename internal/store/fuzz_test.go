@@ -14,14 +14,24 @@ import (
 // fuzzKey is the key every fuzzed document is read as an artifact of.
 const fuzzKey = "aabbccdd00112233"
 
+// envelope is the oracle's reading of an artifact: any JSON document with
+// these four fields, in any order and any spacing.
+type envelope struct {
+	Schema string          `json:"schema"`
+	Key    string          `json:"key"`
+	SHA256 string          `json:"sha256"`
+	Result json.RawMessage `json:"result"`
+}
+
 // FuzzDecodeArtifact holds the artifact decoder — what stands between a
 // store directory and a served result — to three properties on arbitrary
 // bytes: it never panics; it returns no result for bytes whose schema, key or
 // checksum is wrong, and classifies every rejection as ErrCorrupt or
 // ErrUnknownSchema; and a result it accepts round-trips through Save and
 // Load unchanged. The hand-written seeds (valid, truncated, flipped checksum,
-// foreign key, unknown schema, trailing data) are committed under
-// testdata/fuzz.
+// foreign key, unknown schema, trailing data, and the envelope reordered,
+// pretty-printed or in a future layout — see TestArtifactHasOneLayout) are
+// committed under testdata/fuzz.
 func FuzzDecodeArtifact(f *testing.F) {
 	s, err := Open(f.TempDir())
 	if err != nil {

@@ -39,6 +39,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -74,15 +75,19 @@ var (
 	ErrUnknownSchema = errors.New("unknown schema")
 )
 
-// envelope is the on-disk artifact format: the schema tag, the job key the
-// artifact was stored under, a SHA-256 over the serialised result bytes, and
-// the result itself.
-type envelope struct {
-	Schema string          `json:"schema"`
-	Key    string          `json:"key"`
-	SHA256 string          `json:"sha256"`
-	Result json.RawMessage `json:"result"`
-}
+// An artifact has one layout, the bytes json.Marshal has written for its
+// envelope since the store was created: {"schema":S,"key":K,"sha256":H,
+// "result":R} and a newline, with S the schema tag, K the job key (plain),
+// H the hex SHA-256 of R and R the result's encoding/json bytes. Save
+// concatenates it, decodeArtifact splits it; any other layout carrying this
+// build's tag is corrupt.
+const (
+	layoutSchema = `{"schema":"`
+	layoutKey    = `","key":"`
+	layoutSHA256 = `","sha256":"`
+	layoutResult = `","result":`
+	layoutEnd    = "}\n"
+)
 
 // Store is a handle on one store directory. It is safe for concurrent use
 // within a process; distinct processes may share a directory (artifact
@@ -172,21 +177,16 @@ func (s *Store) Fail(key string) error {
 // rename — and journals completion. Concurrent savers of the same key are
 // harmless: results are deterministic, so both writers carry the same bytes.
 func (s *Store) Save(key string, res *sim.Result) error {
+	if !plain([]byte(key)) {
+		return fmt.Errorf("store: key %q is not printable ASCII free of JSON escapes", key)
+	}
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("store: encoding result for %s: %w", key, err)
 	}
 	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(envelope{
-		Schema: ArtifactSchema,
-		Key:    key,
-		SHA256: hex.EncodeToString(sum[:]),
-		Result: payload,
-	})
-	if err != nil {
-		return fmt.Errorf("store: encoding artifact for %s: %w", key, err)
-	}
-	data = append(data, '\n')
+	head := layoutSchema + ArtifactSchema + layoutKey + key + layoutSHA256 + hex.EncodeToString(sum[:]) + layoutResult
+	data := append(append([]byte(head), payload...), layoutEnd...)
 
 	path := s.objectPath(key)
 	shard := filepath.Dir(path)
@@ -267,32 +267,51 @@ func (s *Store) objectPath(key string) string {
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
 // decodeArtifact verifies and decodes one artifact, returning the result and
-// the key the envelope embeds (set, once the envelope parses, even when
-// verification fails). wantKey, when non-empty, must match the embedded key
-// (a mismatch means the file was stored under the wrong name — corrupt).
+// the key the artifact embeds (set, once the layout splits, even when
+// verification fails). The schema tag is read first: another tag is
+// ErrUnknownSchema whatever follows it. wantKey, when non-empty, must match
+// the embedded key (a mismatch means the file was stored under the wrong
+// name — corrupt). The result is hashed once and parsed once.
 func decodeArtifact(data []byte, wantKey string) (*sim.Result, string, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, "", fmt.Errorf("%w: %v", ErrCorrupt, err)
+	rest, ok := bytes.CutPrefix(data, []byte(layoutSchema))
+	end := bytes.IndexByte(rest, '"')
+	if !ok || end <= 0 {
+		return nil, "", fmt.Errorf("%w: missing schema tag", ErrCorrupt)
 	}
-	if env.Schema != ArtifactSchema {
-		if env.Schema == "" {
-			return nil, env.Key, fmt.Errorf("%w: missing schema tag", ErrCorrupt)
-		}
-		return nil, env.Key, fmt.Errorf("%w %q (this build reads %s)", ErrUnknownSchema, env.Schema, ArtifactSchema)
+	if tag := rest[:end]; string(tag) != ArtifactSchema {
+		return nil, "", fmt.Errorf("%w %q (this build reads %s)", ErrUnknownSchema, tag, ArtifactSchema)
 	}
-	if wantKey != "" && env.Key != wantKey {
-		return nil, env.Key, fmt.Errorf("%w: artifact keyed %s stored under %s", ErrCorrupt, env.Key, wantKey)
+	rest, okKey := bytes.CutPrefix(rest[end:], []byte(layoutKey))
+	k, rest, okSum := bytes.Cut(rest, []byte(layoutSHA256))
+	sum, payload, okResult := bytes.Cut(rest, []byte(layoutResult))
+	payload, okEnd := bytes.CutSuffix(payload, []byte(layoutEnd))
+	if !okKey || !okSum || !okResult || !okEnd || !plain(k) || !plain(sum) ||
+		len(payload) == 0 || payload[0] != '{' || payload[len(payload)-1] != '}' {
+		return nil, "", fmt.Errorf("%w: not the %s layout", ErrCorrupt, ArtifactSchema)
 	}
-	sum := sha256.Sum256(env.Result)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return nil, env.Key, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	key := string(k)
+	if wantKey != "" && key != wantKey {
+		return nil, key, fmt.Errorf("%w: artifact keyed %s stored under %s", ErrCorrupt, key, wantKey)
+	}
+	if got := sha256.Sum256(payload); hex.EncodeToString(got[:]) != string(sum) {
+		return nil, key, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	var res sim.Result
-	if err := json.Unmarshal(env.Result, &res); err != nil {
-		return nil, env.Key, fmt.Errorf("%w: decoding result: %v", ErrCorrupt, err)
+	if err := json.Unmarshal(payload, &res); err != nil {
+		return nil, key, fmt.Errorf("%w: decoding result: %v", ErrCorrupt, err)
 	}
-	return &res, env.Key, nil
+	return &res, key, nil
+}
+
+// plain reports whether s is printable ASCII that json.Marshal writes
+// verbatim: no quote, backslash (an escape), <, > or &.
+func plain(s []byte) bool {
+	for _, c := range s {
+		if c < ' ' || c > '~' || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadArtifact verifies and decodes the artifact file at path, returning the

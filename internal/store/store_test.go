@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -241,6 +244,72 @@ func TestUnknownArtifactSchemaRejected(t *testing.T) {
 	if info, err := Check(s.dir); err != nil || info.Quarantined != 1 {
 		t.Errorf("Check = (%+v, %v), want Quarantined=1 (unknown schema quarantines too)", info, err)
 	}
+}
+
+// TestArtifactHasOneLayout pins the artifact's bytes. testdata/artifact.golden
+// is what Save wrote for sampleResult when it json.Marshal'ed an envelope:
+// Save, which now concatenates the layout, writes those bytes exactly, and
+// they decode to sampleResult. The same artifact reordered or pretty-printed
+// (each of which the oracle's envelope reads as the golden one) is corrupt,
+// and a future tag is an unknown schema whatever layout follows it; the three
+// documents are FuzzDecodeArtifact seeds.
+func TestArtifactHasOneLayout(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "artifact.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, t.TempDir())
+	if err := s.Save(fuzzKey, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	if saved, err := os.ReadFile(s.objectPath(fuzzKey)); err != nil || !bytes.Equal(saved, golden) {
+		t.Fatalf("Save wrote (%v):\n%s\nwant the golden artifact:\n%s", err, saved, golden)
+	}
+	if res, key, err := decodeArtifact(golden, fuzzKey); err != nil || key != fuzzKey || !reflect.DeepEqual(res, sampleResult()) {
+		t.Fatalf("the golden artifact decodes to (%+v, %q, %v), want sampleResult", res, key, err)
+	}
+	var want envelope
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		seed string
+		want error
+	}{{"reordered-fields", ErrCorrupt}, {"pretty-printed", ErrCorrupt}, {"future-layout", ErrUnknownSchema}} {
+		doc := fuzzSeed(t, "FuzzDecodeArtifact", c.seed)
+		var env envelope
+		if err := json.Unmarshal(doc, &env); err != nil {
+			t.Fatalf("%s: %v", c.seed, err)
+		}
+		if same := reflect.DeepEqual(env, want); same != (c.want == ErrCorrupt) {
+			t.Fatalf("%s reads as the golden envelope: %v", c.seed, same)
+		}
+		if res, _, err := decodeArtifact(doc, fuzzKey); res != nil || !errors.Is(err, c.want) {
+			t.Errorf("%s: decodes to (%v, %v), want an error wrapping %v", c.seed, res, err, c.want)
+		}
+	}
+	if err := s.Save(`a"b`, sampleResult()); err == nil {
+		t.Error(`Save accepted the key a"b, which json.Marshal would have escaped`)
+	}
+}
+
+// fuzzSeed reads the input of one committed fuzz seed, a "go test fuzz v1"
+// file holding one []byte literal.
+func fuzzSeed(t *testing.T, fuzzer, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", fuzzer, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte(")
+	if lit, ok = strings.CutSuffix(lit, ")"); !ok {
+		t.Fatalf("%s: not one []byte seed:\n%s", name, data)
+	}
+	doc, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(doc)
 }
 
 func TestKeyMismatchQuarantined(t *testing.T) {

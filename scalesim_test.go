@@ -123,11 +123,13 @@ func TestMachineSpecVariants(t *testing.T) {
 }
 
 func TestExperimentsSubsetValidation(t *testing.T) {
-	if _, err := NewExperimentsSubset(tinyOptions(), "gcc"); err == nil {
-		t.Fatal("2-benchmark suite accepted")
+	for _, names := range [][]string{{"gcc"}, {"gcc", "lbm"}} {
+		if _, err := NewExperimentsSubset(tinyOptions(), names...); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("%d-benchmark suite: err = %v, want ErrBadSpec", len(names), err)
+		}
 	}
-	if _, err := NewExperimentsSubset(tinyOptions(), "gcc", "lbm", "nothere"); err == nil {
-		t.Fatal("unknown benchmark accepted")
+	if _, err := NewExperimentsSubset(tinyOptions(), "gcc", "lbm", "nothere"); !errors.Is(err, ErrUnknownBenchmark) {
+		t.Fatalf("unknown benchmark: err = %v, want ErrUnknownBenchmark", err)
 	}
 }
 
