@@ -83,6 +83,10 @@ func TestDoorRefusesWhatCannotRun(t *testing.T) {
 		{"EpochCycles=NaN", ofOptions, options(func(o *SimOptions) { o.EpochCycles = math.NaN() }), nil},
 		{"EpochCycles=+Inf", ofOptions, options(func(o *SimOptions) { o.EpochCycles = math.Inf(1) }), nil},
 		{"CapacityScale=-4", ofOptions, options(func(o *SimOptions) { o.CapacityScale = -4 }), nil},
+		// 64 L1-D sets / 3 = 21 and / 6 = 10: no power of two, so NewLevel
+		// would refuse the run only once it starts.
+		{"CapacityScale=3", ofMachine, options(func(o *SimOptions) { o.CapacityScale = 3 }), nil},
+		{"CapacityScale=6", ofMachine, options(func(o *SimOptions) { o.CapacityScale = 6 }), nil},
 		{"DRAMPerCoreGBps=-4", ofMachine, machine(MachineSpec{Cores: 1, DRAMPerCoreGBps: -4}, 1), nil},
 		// A KB count whose bytes wrap to 0 would run the default slice.
 		{"LLCPerCoreKB=1<<54", ofMachine, machine(MachineSpec{Cores: 1, LLCPerCoreKB: 1 << 54}, 1), nil},

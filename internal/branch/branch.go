@@ -30,17 +30,26 @@ type counter uint8
 
 func (c counter) taken() bool { return c >= 2 }
 
-func (c counter) update(taken bool) counter {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return c
+// update is the counter's one transition function: a lookup in counterNext,
+// so that training on a branch whose outcome is a coin flip costs no
+// mispredicted host branch.
+func (c counter) update(taken bool) counter { return counterNext[(b2u(taken)<<2|uint64(c))&7] }
+
+// counterNext[taken<<2 | c] is c moved one step toward taken, saturating at
+// 0 and 3.
+var counterNext = [8]counter{0, 0, 1, 2, 1, 2, 3, 3}
+
+// chooserNext[disagree<<3 | globalRight<<2 | c] is the chooser entry c
+// after a branch: left as it is when the components agreed, else moved one
+// step toward the component that was right (3: global, 0: local).
+var chooserNext = [16]counter{0, 1, 2, 3, 0, 1, 2, 3, 0, 0, 1, 2, 1, 2, 3, 3}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	if c > 0 {
-		return c - 1
-	}
-	return c
+	return 0
 }
 
 func hashPC(pc uint64) uint64 {
@@ -84,10 +93,7 @@ func (g *Gshare) Predict(pc uint64) bool { return g.table[g.idx(hashPC(pc))].tak
 func (g *Gshare) Update(pc uint64, taken bool) {
 	i := g.idx(hashPC(pc))
 	g.table[i] = g.table[i].update(taken)
-	g.history <<= 1
-	if taken {
-		g.history |= 1
-	}
+	g.history = g.history<<1 | b2u(taken)
 }
 
 // Local is a two-level predictor: a per-branch history table selects a
@@ -128,10 +134,7 @@ func (l *Local) Update(pc uint64, taken bool) {
 	hi := hashPC(pc) & l.histMask
 	p := l.pattern(hi)
 	l.counters[p] = l.counters[p].update(taken)
-	l.histories[hi] <<= 1
-	if taken {
-		l.histories[hi] |= 1
-	}
+	l.histories[hi] = l.histories[hi]<<1 | uint16(b2u(taken))
 }
 
 // Tournament is the Table II "hybrid local/global predictor": a chooser
@@ -182,28 +185,25 @@ func (t *Tournament) Predict(pc uint64) bool {
 func (t *Tournament) Update(pc uint64, taken bool) { t.Step(pc, taken) }
 
 // Step is Predict then Update with the PC hashed and each index computed
-// once; it reports whether the prediction was correct.
+// once; it reports whether the prediction was correct. Nothing in it
+// branches on taken or on a counter: the prediction is a select on the
+// chooser's bit and every counter moves by a table lookup.
 func (t *Tournament) Step(pc uint64, taken bool) (correct bool) {
 	l, g, h := t.local, t.global, hashPC(pc)
 	ci, hi := h&t.mask, h&l.histMask
 	li, gi := l.pattern(hi), g.idx(h)
-	lp, gp := l.counters[li].taken(), g.table[gi].taken()
-	predicted := lp
-	if t.chooser[ci].taken() {
-		predicted = gp
-	}
-	if lp != gp {
-		t.chooser[ci] = t.chooser[ci].update(gp == taken)
-	}
-	l.counters[li] = l.counters[li].update(taken)
-	g.table[gi] = g.table[gi].update(taken)
-	l.histories[hi] <<= 1
-	g.history <<= 1
-	if taken {
-		l.histories[hi] |= 1
-		g.history |= 1
-	}
-	return predicted == taken
+	tk := b2u(taken)
+	lc, gc, cc := l.counters[li], g.table[gi], t.chooser[ci]
+	lp, gp := uint64(lc>>1), uint64(gc>>1)
+	predicted := lp ^ (lp^gp)&uint64(cc>>1)
+	// The chooser trains only when the components disagree, toward the one
+	// that was right.
+	t.chooser[ci] = chooserNext[((lp^gp)<<3|(gp^tk^1)<<2|uint64(cc))&15]
+	l.counters[li] = lc.update(taken)
+	g.table[gi] = gc.update(taken)
+	l.histories[hi] = l.histories[hi]<<1 | uint16(tk)
+	g.history = g.history<<1 | tk
+	return predicted == tk
 }
 
 // Stats tracks prediction accuracy for one core.

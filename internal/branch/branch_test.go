@@ -165,6 +165,49 @@ func TestCounterSaturation(t *testing.T) {
 	}
 }
 
+// refCounterUpdate is counter.update as it was before counterNext: a 2-bit
+// counter steps toward the outcome and saturates at 0 and 3.
+func refCounterUpdate(c counter, taken bool) counter {
+	if taken {
+		if c < 3 {
+			return c + 1
+		}
+		return c
+	}
+	if c > 0 {
+		return c - 1
+	}
+	return c
+}
+
+// refChooserUpdate is the chooser's training rule as Step applied it before
+// chooserNext: only when the components disagree, toward the global one if
+// it was right and the local one otherwise.
+func refChooserUpdate(c counter, disagree, globalRight bool) counter {
+	if disagree {
+		return refCounterUpdate(c, globalRight)
+	}
+	return c
+}
+
+// TestCounterTables holds the two transition tables to the branchy rules
+// they replaced, on all 8 and 16 inputs.
+func TestCounterTables(t *testing.T) {
+	for c := counter(0); c < 4; c++ {
+		for _, taken := range []bool{false, true} {
+			if got, want := c.update(taken), refCounterUpdate(c, taken); got != want {
+				t.Errorf("counter %d, taken %v: update %d, want %d", c, taken, got, want)
+			}
+			for _, disagree := range []bool{false, true} {
+				i := b2u(disagree)<<3 | b2u(taken)<<2 | uint64(c)
+				if got, want := chooserNext[i], refChooserUpdate(c, disagree, taken); got != want {
+					t.Errorf("chooser %d, disagree %v, global right %v: chooserNext %d, want %d", c, disagree, taken, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestStatsZeroBranches(t *testing.T) {
 	var s Stats
 	if r := s.MispredictRate(); r != 0 {

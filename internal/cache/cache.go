@@ -66,9 +66,39 @@ type Level struct {
 // generates it, and the set scans need no separate valid flag.
 const emptyWay = ^uint64(0)
 
+// touch, holds and pushFront are the three set primitives; each runs an
+// unrolled body on an 8-way set and the early-exit scan on any other. The
+// target's L1-D and L2 are 8-way, and on real traffic their hits land at
+// every depth, so the scan's exit is mispredicted about once an access; in
+// the unrolled bodies the only data-dependent branch is hit or miss. The
+// 4-way L1-I hits at depth 0 most of the time, and a 64-way set is too wide
+// to compare whole, so both keep the scan.
+
 // touch looks line up in set; on a hit it marks the word dirty if write,
 // moves it to the front (an MRU hit moves nothing) and returns true.
 func touch(set []uint64, line uint64, write bool) bool {
+	if len(set) == 8 {
+		// The 8-way kernel: hits8's mask, written out again to save a call,
+		// then on a hit at depth d the words at depths [0, d) move back one,
+		// each by a select on i <= d, and the hit word becomes the front.
+		s := (*[8]uint64)(set)
+		w0, w1, w2, w3, w4, w5, w6, w7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		m := ((w0>>1^line)-1)>>63 | ((w1>>1^line)-1)>>63<<1 | ((w2>>1^line)-1)>>63<<2 | ((w3>>1^line)-1)>>63<<3 |
+			((w4>>1^line)-1)>>63<<4 | ((w5>>1^line)-1)>>63<<5 | ((w6>>1^line)-1)>>63<<6 | ((w7>>1^line)-1)>>63<<7
+		if m == 0 {
+			return false
+		}
+		d := uint(bits.TrailingZeros64(m))
+		s[0] = s[d&7] | b2u(write)
+		s[7] = sel(7 <= d, w6, w7)
+		s[6] = sel(6 <= d, w5, w6)
+		s[5] = sel(5 <= d, w4, w5)
+		s[4] = sel(4 <= d, w3, w4)
+		s[3] = sel(3 <= d, w2, w3)
+		s[2] = sel(2 <= d, w1, w2)
+		s[1] = sel(1 <= d, w0, w1)
+		return true
+	}
 	for d, w := range set {
 		if w>>1 != line {
 			continue
@@ -87,6 +117,9 @@ func touch(set []uint64, line uint64, write bool) bool {
 
 // holds reports whether line is in set, moving nothing.
 func holds(set []uint64, line uint64) bool {
+	if len(set) == 8 {
+		return hits8((*[8]uint64)(set), line) != 0
+	}
 	for _, w := range set {
 		if w>>1 == line {
 			return true
@@ -100,39 +133,51 @@ func holds(set []uint64, line uint64) bool {
 // caller fills only a line the set does not hold.
 func pushFront(set []uint64, line uint64, dirty bool, lineShift uint) (victimAddr uint64, victimDirty, evicted bool) {
 	last := set[len(set)-1]
-	copy(set[1:], set)
-	set[0] = line << 1
-	if dirty {
-		set[0] |= 1
+	if len(set) == 8 {
+		s := (*[8]uint64)(set)
+		s[7], s[6], s[5], s[4], s[3], s[2], s[1] = s[6], s[5], s[4], s[3], s[2], s[1], s[0]
+	} else {
+		copy(set[1:], set)
 	}
+	set[0] = line<<1 | b2u(dirty)
 	if last == emptyWay {
 		return 0, false, false
 	}
 	return last >> 1 << lineShift, last&1 != 0, true
 }
 
+// hits8 compares all eight words of s with line: bit d of the mask is set
+// if the word at depth d holds it. A set holds a line at most once. Both
+// w>>1 and line are below 1<<63, so (w>>1 ^ line) - 1 has its top bit set
+// exactly when they are equal.
+func hits8(s *[8]uint64, line uint64) uint64 {
+	return ((s[0]>>1^line)-1)>>63 | ((s[1]>>1^line)-1)>>63<<1 | ((s[2]>>1^line)-1)>>63<<2 | ((s[3]>>1^line)-1)>>63<<3 |
+		((s[4]>>1^line)-1)>>63<<4 | ((s[5]>>1^line)-1)>>63<<5 | ((s[6]>>1^line)-1)>>63<<6 | ((s[7]>>1^line)-1)>>63<<7
+}
+
+// sel returns a if c, else b; the compiler emits a conditional move.
+func sel(c bool, a, b uint64) uint64 {
+	if c {
+		return a
+	}
+	return b
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // NewLevel builds a cache level from cfg with its capacity divided by scale
 // (scale <= 1 means unscaled). Associativity and line size are preserved;
 // the set count shrinks, exactly like a die-shrunk miniature.
 func NewLevel(cfg config.CacheLevelConfig, scale int) (*Level, error) {
-	if scale < 1 {
-		scale = 1
-	}
-	if cfg.Assoc <= 0 || cfg.Size <= 0 {
-		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
-	}
-	// A set word is line<<1 | dirty with line = addr >> lineShift: the shift
-	// must be exact and at least 1, or the top bit is not free.
-	if cfg.LineSize < 2 || cfg.LineSize&(cfg.LineSize-1) != 0 {
-		return nil, fmt.Errorf("cache: line size %d is not a power of two >= 2", int64(cfg.LineSize))
-	}
-	sets := int(int64(cfg.Size) / (int64(cfg.Assoc) * int64(cfg.LineSize)) / int64(scale))
-	if sets < 1 {
-		sets = 1
-	}
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d not a power of two (size %v assoc %d scale %d)",
-			sets, cfg.Size, cfg.Assoc, scale)
+	sets, err := cfg.Sets(scale)
+	if err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
 	}
 	shift := uint(bits.TrailingZeros64(uint64(cfg.LineSize)))
 	ways := pad.Slice[uint64](sets * cfg.Assoc)
@@ -170,9 +215,7 @@ func (l *Level) set(line uint64) []uint64 {
 func (l *Level) Access(addr uint64, write bool) bool {
 	line := addr >> l.lineShift
 	l.Stats.Accesses++
-	if write {
-		l.Stats.Writes++
-	}
+	l.Stats.Writes += b2u(write)
 	if touch(l.set(line), line, write) {
 		return true
 	}
@@ -193,12 +236,10 @@ func (l *Level) Probe(addr uint64) bool {
 func (l *Level) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, evicted bool) {
 	line := addr >> l.lineShift
 	victimAddr, victimDirty, evicted = pushFront(l.set(line), line, dirty, l.lineShift)
-	if evicted {
-		l.Stats.Evictions++
-		if victimDirty {
-			l.Stats.Writebacks++
-		}
-	}
+	// A victim is dirty as often as not: count it without a branch
+	// (victimDirty implies evicted).
+	l.Stats.Evictions += b2u(evicted)
+	l.Stats.Writebacks += b2u(victimDirty)
 	return victimAddr, victimDirty, evicted
 }
 
@@ -218,10 +259,7 @@ func NewNUCA(cfg config.LLCConfig, scale, cores int) (*NUCA, error) {
 	if cfg.Slices < 1 {
 		return nil, fmt.Errorf("cache: LLC with %d slices", cfg.Slices)
 	}
-	lvl := config.CacheLevelConfig{
-		Size: cfg.SlicePerCore, Assoc: cfg.Assoc,
-		LineSize: cfg.LineSize, AccessTime: cfg.AccessTime,
-	}
+	lvl := cfg.Slice()
 	n := &NUCA{perCore: make([]Stats, cores)}
 	for i := 0; i < cfg.Slices; i++ {
 		s, err := NewLevel(lvl, scale)

@@ -368,6 +368,48 @@ func BenchmarkLevelAccessHit(b *testing.B) {
 	}
 }
 
+// BenchmarkLevelAccessStream prices the private levels on traffic shaped like
+// a program's: a seeded Zipf stream of lines, 30 % of them writes, replayed
+// on the target's L1-D and L2 at CapacityScale 16 with a fill on every miss.
+// Its hits land at every depth, as a program's do; LevelAccessHit's depth
+// never changes, so a branch on the depth is always predicted there.
+func BenchmarkLevelAccessStream(b *testing.B) {
+	target := config.Target()
+	for _, lv := range []struct {
+		name string
+		cfg  config.CacheLevelConfig
+	}{{"L1D", target.L1D}, {"L2", target.L2}} {
+		b.Run(lv.name, func(b *testing.B) {
+			l, err := NewLevel(lv.cfg, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := xrand.New(5)
+			// Twice the level's lines at skew 1.2: on the L1-D a third of the
+			// accesses hit at depth 0, a sixth at depth 1, every deeper depth
+			// takes its share and one in seven misses, close to a program's.
+			lines := xrand.NewZipf(rng.Split(), 2*l.Sets()*l.Assoc(), 1.2)
+			type op struct {
+				addr  uint64
+				write bool
+			}
+			stream := make([]op, 1<<16)
+			for i := range stream {
+				stream[i] = op{uint64(lines.Next()) << 6, rng.Bool(0.3)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := stream[i&(len(stream)-1)]
+				if !l.Access(o.addr, o.write) {
+					l.Fill(o.addr, o.write)
+				}
+			}
+			b.ReportMetric(float64(l.Stats.Misses)/float64(l.Stats.Accesses), "misses/op")
+		})
+	}
+}
+
 // BenchmarkNUCAAccess prices the 64-way LLC: a hit on the most recently used
 // line, a hit on the last of a full set (62 words move), and a miss with the
 // fill that follows it (63 words move, one falls off).

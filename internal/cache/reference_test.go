@@ -82,13 +82,15 @@ func setInvariant(l *Level, addr uint64) error {
 
 // TestLevelMatchesReferenceModel drives both implementations with a long
 // random access sequence and demands bit-identical behaviour, on a 4-way
-// geometry and on a 12-way one (a set size that is no power of two).
+// geometry, an 8-way one (the set kernels) and a 12-way one (a set size that
+// is no power of two).
 func TestLevelMatchesReferenceModel(t *testing.T) {
 	for _, geom := range []struct {
 		size  config.Bytes
 		assoc int
 	}{
 		{8 * config.KB, 4},   // 32 sets x 4 ways
+		{16 * config.KB, 8},  // 32 sets x 8 ways
 		{12 * config.KB, 12}, // 16 sets x 12 ways
 	} {
 		size, assoc := geom.size, geom.assoc

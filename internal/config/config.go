@@ -76,6 +76,32 @@ type LLCConfig struct {
 // Size returns the total LLC capacity.
 func (l LLCConfig) Size() Bytes { return Bytes(l.Slices) * l.SlicePerCore }
 
+// Slice returns the geometry of one LLC slice.
+func (l LLCConfig) Slice() CacheLevelConfig {
+	return CacheLevelConfig{Size: l.SlicePerCore, Assoc: l.Assoc, LineSize: l.LineSize, AccessTime: l.AccessTime}
+}
+
+// Sets returns the set count of a cache of geometry c with its capacity
+// divided by scale (scale <= 1 means unscaled), at least one set, or why
+// such a cache cannot be built. A way holds line<<1 | dirty with line =
+// addr >> log2(LineSize), so the line size must be a power of two >= 2; a
+// set is picked by masking the line, so the set count must be a power of
+// two.
+func (c CacheLevelConfig) Sets(scale int) (int, error) {
+	scale = max(scale, 1)
+	if c.Assoc <= 0 || c.Size <= 0 {
+		return 0, fmt.Errorf("non-positive geometry %+v", c)
+	}
+	if c.LineSize < 2 || c.LineSize&(c.LineSize-1) != 0 {
+		return 0, fmt.Errorf("line size %d is not a power of two >= 2", int64(c.LineSize))
+	}
+	sets := max(int(int64(c.Size)/(int64(c.Assoc)*int64(c.LineSize))/int64(scale)), 1)
+	if sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("set count %d not a power of two (size %v assoc %d scale %d)", sets, c.Size, c.Assoc, scale)
+	}
+	return sets, nil
+}
+
 // NoCConfig describes the 2D mesh interconnect. BisectionGBps is the
 // aggregate bandwidth across the bisection cut: CrossSectionLinks links of
 // LinkGBps each.
@@ -133,17 +159,12 @@ func (c *SystemConfig) Validate() error {
 	for _, lvl := range []struct {
 		name string
 		c    CacheLevelConfig
-	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2},
-		{"LLC slice", CacheLevelConfig{Size: c.LLC.SlicePerCore, Assoc: c.LLC.Assoc, LineSize: c.LLC.LineSize}}} {
-		if lvl.c.Size <= 0 || lvl.c.Assoc <= 0 {
-			return fmt.Errorf("config %q: %s has non-positive geometry", c.Name, lvl.name)
+	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}, {"LLC slice", c.LLC.Slice()}} {
+		if _, err := lvl.c.Sets(1); err != nil {
+			return fmt.Errorf("config %q: %s: %w", c.Name, lvl.name, err)
 		}
-		if line := lvl.c.LineSize; line < 2 || line&(line-1) != 0 {
-			return fmt.Errorf("config %q: %s line size %d is not a power of two >= 2", c.Name, lvl.name, int64(line))
-		}
-		sets := int64(lvl.c.Size) / (int64(lvl.c.Assoc) * int64(lvl.c.LineSize))
-		if sets <= 0 || sets&(sets-1) != 0 {
-			return fmt.Errorf("config %q: %s set count %d is not a positive power of two", c.Name, lvl.name, sets)
+		if int64(lvl.c.Size) < int64(lvl.c.Assoc)*int64(lvl.c.LineSize) {
+			return fmt.Errorf("config %q: %s is smaller than one set", c.Name, lvl.name)
 		}
 	}
 	return nil

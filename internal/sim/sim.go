@@ -301,12 +301,8 @@ func newMachine(cfg *config.SystemConfig, programs int, opts Options, build func
 		llcTime:    units.Cycles(cfg.LLC.AccessTime),
 	}
 	if opts.PartitionedLLC {
-		slice := config.CacheLevelConfig{
-			Size: cfg.LLC.SlicePerCore, Assoc: cfg.LLC.Assoc,
-			LineSize: cfg.LLC.LineSize, AccessTime: cfg.LLC.AccessTime,
-		}
 		for i := 0; i < cfg.Cores; i++ {
-			p, err := cache.NewLevel(slice, opts.CapacityScale)
+			p, err := cache.NewLevel(cfg.LLC.Slice(), opts.CapacityScale)
 			if err != nil {
 				return nil, err
 			}

@@ -521,6 +521,17 @@ func newJob(spec MachineSpec, wl sim.Workload, opts SimOptions) (runner.Job, err
 		return runner.Job{}, fmt.Errorf("scalesim: %w: the LLC's sets take %d MiB after CapacityScale %d, over %d MiB",
 			ErrBadSpec, words>>17, io.CapacityScale, maxLLCSetBytes>>20)
 	}
+	// The levels CapacityScale shrinks, by the rule cache.NewLevel builds
+	// them with: a scale that leaves a set count no power of two would fail
+	// only once the run starts.
+	for _, lvl := range []struct {
+		name string
+		c    config.CacheLevelConfig
+	}{{"L1-D", cfg.L1D}, {"L2", cfg.L2}, {"LLC slice", llc.Slice()}} {
+		if _, err := lvl.c.Sets(io.CapacityScale); err != nil {
+			return runner.Job{}, fmt.Errorf("scalesim: %w: %s: %v", ErrBadSpec, lvl.name, err)
+		}
+	}
 	return runner.Job{Config: cfg, Workload: wl, Options: io}, nil
 }
 
