@@ -39,6 +39,7 @@
 package apiv1
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -212,7 +213,7 @@ func DecodeErrorResponse(r io.Reader) (*ErrorResponse, error) {
 func decodeResponse[T any](r io.Reader, what string, schema func(*T) string) (*T, error) {
 	var resp T
 	if err := decodeStrict(r, &resp); err != nil {
-		return nil, fmt.Errorf("apiv1: decoding %s: %v", what, err)
+		return nil, fmt.Errorf("apiv1: decoding %s: %w", what, err)
 	}
 	if err := checkSchema(schema(&resp)); err != nil {
 		return nil, err
@@ -220,10 +221,25 @@ func decodeResponse[T any](r io.Reader, what string, schema func(*T) string) (*T
 	return &resp, nil
 }
 
-// decodeStrict decodes exactly one JSON value with unknown fields rejected
-// and nothing but whitespace allowed after it.
+// decodeStrict reads the body once, through r, and decodes exactly one JSON
+// value from it with unknown fields rejected and nothing but whitespace
+// allowed after it. A JobRequest or JobResponse in the canonical subset
+// that Encode writes is decoded without reflection (decodeCanonical); every
+// other document goes to encoding/json, the reference.
 func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(r); err != nil {
+		return err
+	}
+	if decodeCanonical(body.Bytes(), v) {
+		return nil
+	}
+	return decodeReference(body.Bytes(), v)
+}
+
+// decodeReference is the strict decode through encoding/json.
+func decodeReference(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err

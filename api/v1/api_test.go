@@ -2,10 +2,12 @@ package apiv1
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"scalesim"
 )
@@ -266,5 +268,14 @@ func TestDecodeIsStrict(t *testing.T) {
 	buf.WriteString(`{"second":"document"}`)
 	if _, err := DecodeJobRequest(&buf); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("trailing data error = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestDecodeResponseWrapsReadError: a client can tell a failed body read,
+// here a cancelled request, from a malformed body.
+func TestDecodeResponseWrapsReadError(t *testing.T) {
+	_, err := DecodeJobResponse(iotest.ErrReader(context.Canceled))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
 	}
 }

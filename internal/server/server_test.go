@@ -536,8 +536,9 @@ func TestBadRequestsRejected(t *testing.T) {
 }
 
 // TestRequestBodyLimit stands on both sides of MaxRequestBytes: a request of
-// exactly that size is served, and one whose JSON runs past it is answered
-// 413 with an ErrorResponse, without reaching the backend.
+// exactly that size is served, and one whose body runs past it, as JSON or
+// as trailing whitespace, is answered 413 with an ErrorResponse, without
+// reaching the backend.
 func TestRequestBodyLimit(t *testing.T) {
 	fake := &fakeBackend{}
 	s := New(fake, Config{Workers: 1})
@@ -572,16 +573,23 @@ func TestRequestBodyLimit(t *testing.T) {
 		t.Fatalf("request at the limit: outcomes = %+v, want one success", out.Outcomes)
 	}
 
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", body(MaxRequestBytes+64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("request past the limit: status = %d, want 413", resp.StatusCode)
-	}
-	if apiErr, err := apiv1.DecodeErrorResponse(resp.Body); err != nil || apiErr.Error == "" {
-		t.Errorf("413 body = %+v, %v; want an ErrorResponse carrying the error", apiErr, err)
+	// Past the limit: a longer document, and a valid one padded with
+	// whitespace, which is read to its end before it is decoded.
+	padded := body(MaxRequestBytes / 2)
+	padded.WriteString(strings.Repeat(" ", MaxRequestBytes))
+	for name, over := range map[string]*bytes.Buffer{"long": body(MaxRequestBytes + 64), "padded": padded} {
+		resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apiErr, err := apiv1.DecodeErrorResponse(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s request past the limit: status = %d (%+v), want 413", name, resp.StatusCode, apiErr)
+		}
+		if err != nil || apiErr.Error == "" {
+			t.Errorf("%s: 413 body = %+v, %v; want an ErrorResponse carrying the error", name, apiErr, err)
+		}
 	}
 	if fake.runCount() != 1 {
 		t.Errorf("backend ran %d jobs, want only the request at the limit", fake.runCount())
