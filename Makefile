@@ -3,10 +3,6 @@ GOFMT ?= gofmt
 
 .PHONY: all build test check lint mutate loc race bench bench-record bench-trend clean clean-store store-smoke mt-smoke serve-smoke surrogate-smoke
 
-# The lint report lands at the repository root regardless of the directory
-# make was invoked from, so CI's artifact path and local runs always agree.
-LINT_REPORT := $(CURDIR)/simlint-report.json
-
 all: build
 
 build:
@@ -16,8 +12,8 @@ build:
 test: build
 	$(GO) test ./...
 
-# Fast CI gate: formatting + vet + the determinism linter + the race
-# detector over the short test set (the expensive collections are guarded by
+# Fast CI gate: formatting + vet + the simlint gate + the race detector over
+# the short test set (the expensive collections are guarded by
 # testing.Short) + the four CLI smokes. Run this before every commit.
 check: build
 	@unformatted=$$($(GOFMT) -l .); \
@@ -27,7 +23,7 @@ check: build
 		exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./tools/simlint -report $(LINT_REPORT)
+	$(GO) test -run TestRepoClean ./tools/simlint/internal/rules
 	$(GO) test -race -short ./...
 	$(MAKE) store-smoke
 	$(MAKE) mt-smoke
@@ -102,12 +98,11 @@ serve-smoke:
 	@rm -rf .serve-smoke
 	@echo "serve-smoke: ok"
 
-# Static analysis over the full simlint rule set (see tools/simlint and
-# DESIGN.md, "Static analysis invariants"). Writes the machine-readable
-# report to simlint-report.json and exits non-zero on any finding that is
-# not suppressed in-source.
+# The simlint gate (DESIGN.md, "Static analysis invariants"): TestRepoClean
+# loads the module once, runs every rule and fails, printing each finding,
+# on any that is not suppressed in-source. Its surface census runs with it.
 lint:
-	$(GO) run ./tools/simlint -report $(LINT_REPORT)
+	$(GO) test -run TestRepoClean ./tools/simlint/internal/rules
 
 # Executable mutants: each tools/mutants/NN-name.patch seeds one violation of
 # an invariant and names the check that must catch it; the driver applies
@@ -154,4 +149,3 @@ clean:
 # with the conventional .scalesim-store directory.
 clean-store:
 	rm -rf .store-smoke .mt-smoke .scalesim-store .surrogate-smoke.out
-	rm -f simlint-report.json

@@ -252,6 +252,10 @@ func TestDecodeRejectsMissingSchemaAndEmptyBatch(t *testing.T) {
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("empty batch error = %v, want ErrBadRequest", err)
 	}
+	_, err = DecodeJobRequest(strings.NewReader(`{"schema":"` + Schema + `","jobs":[{"machine":{"Cores":1},"options":{}}]}`))
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("benchmark-less job error = %v, want ErrBadRequest", err)
+	}
 }
 
 func TestDecodeIsStrict(t *testing.T) {

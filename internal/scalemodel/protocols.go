@@ -428,7 +428,6 @@ func (l *Lab) CollectHeterogeneous(suite []*trace.Profile, opts HeteroOptions) (
 
 	// Random train/eval split.
 	perm := rng.Perm(len(suite))
-	byName := map[string]*trace.Profile{}
 	d := &HeterogeneousData{
 		TargetCores: T,
 		Metric:      opts.Metric,
@@ -439,7 +438,6 @@ func (l *Lab) CollectHeterogeneous(suite []*trace.Profile, opts HeteroOptions) (
 	var evalProfiles, trainProfiles []*trace.Profile
 	for i, pi := range perm {
 		p := suite[pi]
-		byName[p.Name] = p
 		if i < opts.EvalBenchmarks {
 			d.EvalBenchmarks = append(d.EvalBenchmarks, p.Name)
 			evalProfiles = append(evalProfiles, p)

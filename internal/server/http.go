@@ -80,6 +80,10 @@ func (s *Server) submitBatch(ctx context.Context, client string, jobs []scalesim
 	out := make([]batchOutcome, len(jobs))
 	submit := func(i int) {
 		oc, err := s.Submit(ctx, client, jobs[i])
+		if oc.Err == nil {
+			// A job the queue shed answers with why it never ran.
+			oc.Err = err
+		}
 		out[i] = batchOutcome{wire: wireOutcome(i, oc), admissionErr: err}
 	}
 	if len(jobs) == 1 {

@@ -35,6 +35,21 @@ type fakeBackend struct {
 	mu    sync.Mutex
 	runs  int
 	stats scalesim.CampaignStats
+
+	opened sync.Once
+}
+
+// open releases every gated Run, now and later; safe to call more than once.
+func (b *fakeBackend) open() { b.opened.Do(func() { close(b.release) }) }
+
+// serve starts s on a test HTTP server. Cleanup opens the gate before it
+// closes the server and drains s, so a test that fails while requests are
+// gated fails instead of hanging in ts.Close.
+func serve(t *testing.T, s *Server, fake *fakeBackend) *httptest.Server {
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Drain() })
+	t.Cleanup(fake.open) // cleanups run last-in first-out: this one first
+	return ts
 }
 
 func (b *fakeBackend) Prepare(job scalesim.CampaignJob) (Prepared, error) {
@@ -295,10 +310,9 @@ func TestQueueFullReturns429(t *testing.T) {
 	fake := &fakeBackend{entered: make(chan string, 8), release: make(chan struct{})}
 	s := New(fake, Config{Workers: 1, QueueDepth: 1, RetryAfterSec: 2})
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	s.Start(ctx)
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Drain() }()
+	ts := serve(t, s, fake)
 
 	done := make(chan *apiv1.JobResponse, 2)
 	go func() { done <- decodeOK(t, postJobs(t, ts.URL, "a", []scalesim.CampaignJob{job(1)})) }()
@@ -323,7 +337,7 @@ func TestQueueFullReturns429(t *testing.T) {
 		t.Errorf("429 body = %+v, want retry_after_sec=2 and an error", apiErr)
 	}
 
-	close(fake.release)
+	fake.open()
 	for i := 0; i < 2; i++ {
 		if resp := <-done; resp.Outcomes[0].Error != "" {
 			t.Errorf("admitted job failed: %s", resp.Outcomes[0].Error)
@@ -345,6 +359,50 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 	if stats.Shed != 1 || stats.QueueCapacity != 1 {
 		t.Errorf("statsz = %+v, want shed=1 capacity=1", stats)
+	}
+}
+
+// TestPartiallyShedBatchNamesItsShedJob: with the worker busy and room for
+// one queued job, a two-job batch has one job queued and one shed. The batch
+// answers 200 with the completed outcome, and the shed job's outcome carries
+// the queue-full error instead of an empty source, error and result.
+func TestPartiallyShedBatchNamesItsShedJob(t *testing.T) {
+	fake := &fakeBackend{entered: make(chan string, 8), release: make(chan struct{})}
+	s := New(fake, Config{Workers: 1, QueueDepth: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	s.Start(ctx)
+	ts := serve(t, s, fake)
+
+	busy := make(chan *apiv1.JobResponse, 1)
+	go func() { busy <- decodeOK(t, postJobs(t, ts.URL, "a", []scalesim.CampaignJob{job(1)})) }()
+	<-fake.entered // job 1 occupies the only worker
+	batch := make(chan *apiv1.JobResponse, 1)
+	go func() { batch <- decodeOK(t, postJobs(t, ts.URL, "b", []scalesim.CampaignJob{job(2), job(3)})) }()
+	waitUntil(t, "one batch job queued and one shed", func() bool {
+		q := s.queue.snapshot()
+		return q.depth == 1 && q.shed == 1
+	})
+	fake.open()
+	<-busy
+
+	resp := <-batch
+	if len(resp.Outcomes) != 2 {
+		t.Fatalf("batch returned %d outcomes, want 2", len(resp.Outcomes))
+	}
+	var served, shed int
+	for i, oc := range resp.Outcomes {
+		switch {
+		case oc.Source == string(scalesim.SourceCompute) && oc.Error == "" && oc.Result != nil:
+			served++
+		case oc.Source == "" && oc.Result == nil && strings.Contains(oc.Error, "admission queue full"):
+			shed++
+		default:
+			t.Errorf("outcome %d = %+v, want a computed result or the queue-full error", i, oc)
+		}
+	}
+	if served != 1 || shed != 1 {
+		t.Errorf("batch has %d served and %d shed outcomes, want one of each", served, shed)
 	}
 }
 
@@ -390,6 +448,7 @@ func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
 func TestDrainCompletesInFlight(t *testing.T) {
 	fake := &fakeBackend{entered: make(chan string, 8), release: make(chan struct{})}
 	s := New(fake, Config{Workers: 1})
+	t.Cleanup(fake.open)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -421,7 +480,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		t.Fatalf("submit during drain error = %v, want ErrDraining", err)
 	}
 
-	close(fake.release)
+	fake.open()
 	<-drained
 	for i := 0; i < 2; i++ {
 		r := <-done
@@ -444,6 +503,7 @@ func TestGracefulShutdownOverHTTP(t *testing.T) {
 	fake := &fakeBackend{entered: make(chan string, 8), release: make(chan struct{})}
 	addrs := make(chan string, 1)
 	cfg := Config{Workers: 1, OnListen: func(a net.Addr) { addrs <- a.String() }}
+	t.Cleanup(fake.open)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -481,7 +541,7 @@ func TestGracefulShutdownOverHTTP(t *testing.T) {
 		return false
 	})
 
-	close(fake.release)
+	fake.open()
 	resp := <-results
 	if oc := resp.Outcomes[0]; oc.Error != "" || oc.Source != string(scalesim.SourceCompute) {
 		t.Errorf("in-flight request outcome = %+v, want a completed compute", oc)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,6 +221,27 @@ func TestChecksumMismatchQuarantined(t *testing.T) {
 	_, ok, lerr := s.Load(key)
 	if ok || !errors.Is(lerr, ErrCorrupt) {
 		t.Errorf("Load of tampered artifact = (ok=%v, err=%v), want miss wrapping ErrCorrupt", ok, lerr)
+	}
+}
+
+// TestUndecodableResultQuarantined: an artifact in the one layout whose
+// checksum matches its result, but whose result is not a sim.Result, is
+// corrupt, the same as one whose checksum does not match.
+func TestUndecodableResultQuarantined(t *testing.T) {
+	s := open(t, t.TempDir())
+	const key = "beef4567"
+	if err := s.Save(key, sampleResult()); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	payload := `{"ElapsedCycles":"many"}`
+	sum := sha256.Sum256([]byte(payload))
+	doc := layoutSchema + ArtifactSchema + layoutKey + key + layoutSHA256 + hex.EncodeToString(sum[:]) + layoutResult + payload + layoutEnd
+	if err := os.WriteFile(s.objectPath(key), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ok, lerr := s.Load(key)
+	if ok || !errors.Is(lerr, ErrCorrupt) {
+		t.Errorf("Load of an undecodable result = (ok=%v, err=%v), want miss wrapping ErrCorrupt", ok, lerr)
 	}
 }
 

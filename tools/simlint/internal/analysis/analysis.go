@@ -1,16 +1,16 @@
-// Package analysis is the simlint analyzer framework: a shared type-checked
-// module load, an Analyzer interface with per-package facts, suppression
-// comments, deterministically sorted diagnostics, and a JSON report format
-// for CI.
+// Package analysis is the simlint analyzer framework: one type-checked
+// module load, an Analyzer interface over the loaded module, suppression
+// comments and deterministically sorted findings.
 //
 // Rules live in the sibling package rules; the framework knows nothing about
 // individual invariants.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
-	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,56 +25,14 @@ type Finding struct {
 	Msg  string
 }
 
-// Analyzer is one repo-specific rule, run once per package. Packages are
-// visited in import-topological order, so facts exported from a package are
-// visible when its importers are analyzed.
+// Analyzer is one repo-specific rule, run once over the whole module. A
+// rule that needs what another package declares (errwrap's sentinels,
+// units' quantity types, lockscope's blocking summaries) reads it from the
+// module directly: every package is already loaded and type-checked.
 type Analyzer interface {
 	// Name is the rule name used in diagnostics and suppressions.
 	Name() string
-	Run(pass *Pass) []Finding
-}
-
-// Pass carries one (analyzer, package) unit of work plus the fact store
-// shared across packages of the same analyzer.
-type Pass struct {
-	Module *Module
-	Pkg    *Package
-
-	analyzer string
-	facts    *factStore
-}
-
-// ExportFact records a named fact about the current package, visible to
-// later packages of the same analyzer via ImportFact. Facts are namespaced
-// per analyzer; rules cannot observe each other's facts.
-func (p *Pass) ExportFact(key string, value any) {
-	p.facts.set(p.analyzer, p.Pkg.Path, key, value)
-}
-
-// ImportFact retrieves a fact exported by this analyzer for the package with
-// the given import path. Because packages are visited in import-topological
-// order, facts of everything the current package imports are available.
-func (p *Pass) ImportFact(pkgPath, key string) (any, bool) {
-	return p.facts.get(p.analyzer, pkgPath, key)
-}
-
-type factKey struct {
-	analyzer string
-	pkgPath  string
-	key      string
-}
-
-type factStore struct{ m map[factKey]any }
-
-func newFactStore() *factStore { return &factStore{m: map[factKey]any{}} }
-
-func (s *factStore) set(analyzer, pkgPath, key string, v any) {
-	s.m[factKey{analyzer, pkgPath, key}] = v
-}
-
-func (s *factStore) get(analyzer, pkgPath, key string) (any, bool) {
-	v, ok := s.m[factKey{analyzer, pkgPath, key}]
-	return v, ok
+	Run(m *Module) []Finding
 }
 
 // IgnorePrefix introduces a suppression comment:
@@ -83,8 +41,8 @@ func (s *factStore) get(analyzer, pkgPath, key string) (any, bool) {
 //
 // placed either at the end of the offending line or on its own line
 // directly above it. The justification is mandatory and the rule name must
-// be a registered analyzer: a malformed suppression does not suppress and is
-// itself reported (rule "ignore").
+// be one of the analyzers run: a malformed suppression does not suppress and
+// is itself reported (rule "ignore").
 const IgnorePrefix = "simlint:ignore"
 
 // suppression is one parsed //simlint:ignore comment.
@@ -98,8 +56,8 @@ type suppressionIndex map[string]map[int][]suppression
 
 // collectSuppressions parses every //simlint:ignore comment in the module.
 // Malformed suppressions (no rule, unknown rule name, or no justification)
-// are returned as findings under the "ignore" rule. known holds the
-// registered rule names; an unknown name would otherwise silently suppress
+// are returned as findings under the "ignore" rule. known holds the names
+// of the analyzers run; an unknown name would otherwise silently suppress
 // nothing while looking like it suppresses something.
 func collectSuppressions(m *Module, known map[string]bool) (suppressionIndex, []Finding) {
 	idx := suppressionIndex{}
@@ -169,89 +127,42 @@ func (idx suppressionIndex) suppressed(f Finding) bool {
 	return false
 }
 
-// Config selects what the pipeline checks. The zero value is not usable;
-// see rules.RepoConfig for the repository's own settings.
-type Config struct {
-	// Root is the module root directory.
-	Root string
-	// Deterministic lists module-relative package directories whose code
-	// must be reproducible: maporder and wallclock apply only there.
-	Deterministic []string
-	// UnitsDir is the module-relative directory of the package declaring
-	// the named quantity types (Cycles, Bytes, ...) that the units analyzer
-	// enforces. Empty disables the rule.
-	UnitsDir string
-	// Goroutines lists module-relative package directories where every `go`
-	// statement must be joined through a sync.WaitGroup and the spawning
-	// function must accept a context.Context.
-	Goroutines []string
-	// Locks lists module-relative package directories where the lockscope
-	// rule enforces mutex hygiene (no blocking operation with a mutex held,
-	// no return path that leaks a lock).
-	Locks []string
-	// KnownRules lists every registered rule name for //simlint:ignore
-	// validation. When empty, the names of the analyzers actually run are
-	// used — set it when running a rule subset, so suppressions of inactive
-	// rules are not misreported as unknown.
-	KnownRules []string
-}
-
-// Run loads the module and runs every analyzer, returning the surviving
-// findings in deterministic order plus the loaded module. Suppression
-// comments are validated against cfg.KnownRules when set, otherwise against
-// the names of the analyzers run.
-func Run(cfg Config, analyzers []Analyzer) ([]Finding, *Module, error) {
-	m, err := LoadModule(cfg.Root)
+// Run loads the module at root and runs every analyzer over it, returning
+// the surviving findings in deterministic order plus the loaded module.
+// Suppression comments are validated against the names of the analyzers
+// run.
+func Run(root string, analyzers []Analyzer) ([]Finding, *Module, error) {
+	m, err := LoadModule(root)
 	if err != nil {
 		return nil, nil, err
 	}
 	known := map[string]bool{}
-	for _, n := range cfg.KnownRules {
-		known[n] = true
-	}
-	if len(known) == 0 {
-		for _, a := range analyzers {
-			known[a.Name()] = true
-		}
+	for _, a := range analyzers {
+		known[a.Name()] = true
 	}
 	idx, findings := collectSuppressions(m, known)
-	facts := newFactStore()
 	for _, a := range analyzers {
-		for _, p := range m.Order {
-			pass := &Pass{Module: m, Pkg: p, analyzer: a.Name(), facts: facts}
-			for _, f := range a.Run(pass) {
-				if !idx.suppressed(f) {
-					findings = append(findings, f)
-				}
+		for _, f := range a.Run(m) {
+			if !idx.suppressed(f) {
+				findings = append(findings, f)
 			}
 		}
 	}
 	for i := range findings {
 		findings[i].Pos.Filename = m.RelFile(findings[i].Pos.Filename)
 	}
-	SortFindings(findings)
-	return findings, m, nil
-}
-
-// SortFindings orders findings by (file, line, column, rule, message) so
-// output never depends on analyzer or map iteration order.
-func SortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Msg < b.Msg
+	// Ordered by (file, line, column, rule, message), so output never
+	// depends on analyzer or map iteration order.
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Rule, b.Rule),
+			cmp.Compare(a.Msg, b.Msg),
+		)
 	})
+	return findings, m, nil
 }
 
 // Render formats findings one per line as "file:line: [rule] message".
@@ -261,14 +172,4 @@ func Render(fs []Finding) string {
 		fmt.Fprintf(&b, "%s:%d: [%s] %s\n", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 	}
 	return b.String()
-}
-
-// EnclosingFuncs applies fn to every function declaration with a body in the
-// file, giving analyzers a named context for their walks.
-func EnclosingFuncs(f *ast.File, fn func(decl *ast.FuncDecl)) {
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			fn(fd)
-		}
-	}
 }

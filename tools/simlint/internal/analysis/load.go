@@ -29,7 +29,6 @@ import (
 type Package struct {
 	Rel   string // module-relative directory; "" is the module root package
 	Path  string // import path
-	Dir   string // absolute directory
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
@@ -45,12 +44,15 @@ type Module struct {
 
 	// Order lists the packages in type-check completion order, which is a
 	// topological order of the import graph: a package always appears after
-	// everything it imports. Analyzers that export facts from a package and
-	// consume them in its importers must visit packages in this order.
+	// everything it imports. An analyzer that summarizes a package for its
+	// importers visits packages in this order.
 	Order []*Package
 
 	byRel map[string]*Package
 }
+
+// Lookup returns the package in the module-relative directory rel, or nil.
+func (m *Module) Lookup(rel string) *Package { return m.byRel[rel] }
 
 // RelFile renders an absolute file position path relative to the module
 // root, for stable, machine-independent output.
@@ -214,7 +216,7 @@ func (l *loader) load(rel string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simlint: type-checking %s: %w", importPath, err)
 	}
-	p := &Package{Rel: rel, Path: importPath, Dir: dir, Files: files, Pkg: pkg, Info: info}
+	p := &Package{Rel: rel, Path: importPath, Files: files, Pkg: pkg, Info: info}
 	l.mod.byRel[rel] = p
 	l.mod.Pkgs = append(l.mod.Pkgs, p)
 	return p, nil

@@ -63,8 +63,8 @@ func TestLoadModule(t *testing.T) {
 		}
 		t.Errorf("Order = %v, want [inner <root>]: imports must come first", order)
 	}
-	if p := m.byRel["inner"]; p == nil || p.Path != "demo/inner" {
-		t.Errorf("byRel[inner] = %+v, want import path demo/inner", p)
+	if p := m.Lookup("inner"); p == nil || p.Path != "demo/inner" {
+		t.Errorf("Lookup(inner) = %+v, want import path demo/inner", p)
 	}
 	if got := m.RelFile(filepath.Join(m.Root, "inner", "inner.go")); got != "inner/inner.go" {
 		t.Errorf("RelFile = %q, want inner/inner.go", got)

@@ -1,11 +1,28 @@
 package rules
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"scalesim/tools/simlint/internal/analysis"
 )
+
+// finding builds one diagnostic of rule at pos.
+func finding(m *analysis.Module, pos token.Pos, rule, format string, args ...any) analysis.Finding {
+	return analysis.Finding{Pos: m.Fset.Position(pos), Rule: rule, Msg: fmt.Sprintf(format, args...)}
+}
+
+// funcDecls applies fn to every function declaration with a body in the
+// file, giving analyzers a named context for their walks.
+func funcDecls(f *ast.File, fn func(decl *ast.FuncDecl)) {
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+			fn(fd)
+		}
+	}
+}
 
 // calleeOf resolves the called function or method of a call expression,
 // including interface methods. Returns nil for conversions, builtins,
@@ -39,8 +56,8 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// funcKey renders the summary-fact key of a function or method:
-// "Type.Method" or "Func", scoped by the exporting package.
+// funcKey names a function or method in a message: "Type.Method" or
+// "Func".
 func funcKey(fn *types.Func) string {
 	if r := recvTypeName(fn); r != "" {
 		return r + "." + fn.Name()
@@ -60,7 +77,7 @@ type funcUnit struct {
 // each FuncDecl, followed by every FuncLit it contains.
 func funcUnits(f *ast.File) []funcUnit {
 	var out []funcUnit
-	analysis.EnclosingFuncs(f, func(fd *ast.FuncDecl) {
+	funcDecls(f, func(fd *ast.FuncDecl) {
 		out = append(out, funcUnit{name: fd.Name.Name, body: fd.Body})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {

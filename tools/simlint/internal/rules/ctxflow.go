@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 
@@ -22,30 +21,27 @@ type ctxflow struct{}
 
 func (ctxflow) Name() string { return "ctxflow" }
 
-func (a ctxflow) Run(pass *analysis.Pass) []analysis.Finding {
-	p := pass.Pkg
-	if p.Pkg.Name() == "main" {
-		return nil
-	}
+func (a ctxflow) Run(m *analysis.Module) []analysis.Finding {
 	var out []analysis.Finding
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && isBackgroundWrapper(p.Info, fd) {
-				continue
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || !isRootContextCall(p.Info, call) {
-					return true
+	for _, p := range m.Pkgs {
+		if p.Pkg.Name() == "main" {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && isBackgroundWrapper(p.Info, fd) {
+					continue
 				}
-				out = append(out, analysis.Finding{
-					Pos:  pass.Module.Fset.Position(call.Pos()),
-					Rule: a.Name(),
-					Msg: fmt.Sprintf("%s outside package main severs the caller's cancellation chain; thread the caller's context through (only a single-statement X → XContext wrapper may mint a root context)",
-						types.ExprString(call)),
+				ast.Inspect(d, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if ok && isRootContextCall(p.Info, call) {
+						out = append(out, finding(m, call.Pos(), a.Name(),
+							"%s outside package main severs the caller's cancellation chain; thread the caller's context through (only a single-statement X → XContext wrapper may mint a root context)",
+							types.ExprString(call)))
+					}
+					return true
 				})
-				return true
-			})
+			}
 		}
 	}
 	return out

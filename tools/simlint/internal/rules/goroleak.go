@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 
@@ -26,36 +25,36 @@ type goroleak struct {
 
 func (goroleak) Name() string { return "goroleak" }
 
-func (a goroleak) Run(pass *analysis.Pass) []analysis.Finding {
-	p := pass.Pkg
-	if !a.pkgs[p.Rel] {
-		return nil
-	}
+func (a goroleak) Run(m *analysis.Module) []analysis.Finding {
 	var out []analysis.Finding
-	for _, f := range p.Files {
-		analysis.EnclosingFuncs(f, func(fd *ast.FuncDecl) {
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				g, ok := n.(*ast.GoStmt)
-				if !ok {
+	for _, p := range m.Pkgs {
+		if !a.pkgs[p.Rel] {
+			continue
+		}
+		for _, f := range p.Files {
+			funcDecls(f, func(fd *ast.FuncDecl) {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					g, ok := n.(*ast.GoStmt)
+					if !ok {
+						return true
+					}
+					if !hasContextParam(p.Info, fd) {
+						out = append(out, finding(m, g.Pos(), a.Name(),
+							"go statement in %s, which has no context.Context parameter; spawned work must be cancellable", fd.Name.Name))
+					}
+					body := goroutineBody(p.Info, fd, g)
+					switch {
+					case body == nil:
+						out = append(out, finding(m, g.Pos(), a.Name(),
+							"cannot resolve the goroutine body; spawn a func literal (or a local variable bound to one) so the WaitGroup join is auditable"))
+					case !callsWaitGroup(p.Info, body, "Done") || !callsWaitGroup(p.Info, fd.Body, "Add"):
+						out = append(out, finding(m, g.Pos(), a.Name(),
+							"goroutine in %s is not WaitGroup-joined; Add before go, defer wg.Done() inside, Wait before returning", fd.Name.Name))
+					}
 					return true
-				}
-				pos := pass.Module.Fset.Position(g.Pos())
-				if !hasContextParam(p.Info, fd) {
-					out = append(out, analysis.Finding{Pos: pos, Rule: a.Name(),
-						Msg: fmt.Sprintf("go statement in %s, which has no context.Context parameter; spawned work must be cancellable", fd.Name.Name)})
-				}
-				body := goroutineBody(p.Info, fd, g)
-				switch {
-				case body == nil:
-					out = append(out, analysis.Finding{Pos: pos, Rule: a.Name(),
-						Msg: "cannot resolve the goroutine body; spawn a func literal (or a local variable bound to one) so the WaitGroup join is auditable"})
-				case !callsWaitGroup(p.Info, body, "Done") || !callsWaitGroup(p.Info, fd.Body, "Add"):
-					out = append(out, analysis.Finding{Pos: pos, Rule: a.Name(),
-						Msg: fmt.Sprintf("goroutine in %s is not WaitGroup-joined; Add before go, defer wg.Done() inside, Wait before returning", fd.Name.Name)})
-				}
-				return true
+				})
 			})
-		})
+		}
 	}
 	return out
 }

@@ -27,8 +27,9 @@ import (
 //
 // Nothing inside a section may block indefinitely: a channel send or
 // receive, a default-less select, sync.WaitGroup.Wait, time.Sleep, file or
-// network IO, or a call to a function that does one of these (same-package
-// callees by a local fixpoint, imported ones by exported facts).
+// network IO, or a call to a function that does one of these (a blocking
+// summary per function of the configured packages: a fixpoint within each
+// package, the packages in import order so an importer sees its imports').
 // sync.Cond.Wait is exempt (its contract requires the lock held), and so is
 // a select with a default clause (non-blocking by construction — the
 // engine's cache-probe select is the sanctioned idiom). Func literals, go
@@ -39,79 +40,58 @@ type lockscope struct {
 
 func (lockscope) Name() string { return "lockscope" }
 
-const lockFactKey = "blocking-funcs"
-
-func (a lockscope) Run(pass *analysis.Pass) []analysis.Finding {
-	p := pass.Pkg
-	if !a.pkgs[p.Rel] {
-		return nil
-	}
-	c := &lockChecker{pass: pass, imported: map[string]string{}, blocking: map[*types.Func]string{}}
-	for _, imp := range p.Pkg.Imports() {
-		if v, ok := pass.ImportFact(imp.Path(), lockFactKey); ok {
-			for k, reason := range v.(map[string]string) {
-				c.imported[imp.Path()+"|"+k] = reason
+func (a lockscope) Run(m *analysis.Module) []analysis.Finding {
+	c := &lockChecker{m: m, blocking: map[*types.Func]string{}}
+	for _, p := range m.Order {
+		if !a.pkgs[p.Rel] {
+			continue
+		}
+		c.p = p
+		// Fixpoint over the package's blocking summaries: a function blocks
+		// if its body does, including through calls to functions already
+		// summarized here or in a package it imports.
+		for changed := true; changed; {
+			changed = false
+			for _, f := range p.Files {
+				funcDecls(f, func(fd *ast.FuncDecl) {
+					fn, ok := p.Info.Defs[fd.Name].(*types.Func)
+					if !ok || c.blocking[fn] != "" {
+						return
+					}
+					c.blockers(fd.Body, func(_ ast.Node, reason string) {
+						if c.blocking[fn] == "" {
+							c.blocking[fn] = reason
+							changed = true
+						}
+					})
+				})
+			}
+		}
+		for _, f := range p.Files {
+			for _, u := range funcUnits(f) {
+				c.unit(u)
 			}
 		}
 	}
-
-	// Fixpoint over local blocking summaries: a function blocks if its body
-	// does, including through calls to already-summarized locals.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range p.Files {
-			analysis.EnclosingFuncs(f, func(fd *ast.FuncDecl) {
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok || c.blocking[fn] != "" {
-					return
-				}
-				c.blockers(fd.Body, func(_ ast.Node, reason string) {
-					if c.blocking[fn] == "" {
-						c.blocking[fn] = reason
-						changed = true
-					}
-				})
-			})
-		}
-	}
-
-	for _, f := range p.Files {
-		for _, u := range funcUnits(f) {
-			c.unit(u)
-		}
-	}
-
-	// Export blocking summaries of exported functions for importing packages.
-	exported := map[string]string{}
-	for fn, reason := range c.blocking {
-		if fn.Exported() {
-			exported[funcKey(fn)] = reason
-		}
-	}
-	pass.ExportFact(lockFactKey, exported)
 	return c.out
 }
 
-// lockChecker is one package's lockscope run.
+// lockChecker is one lockscope run over the module.
 type lockChecker struct {
-	pass     *analysis.Pass
-	imported map[string]string      // "<pkg path>|<funcKey>" -> blocking reason
-	blocking map[*types.Func]string // local functions that may block
+	m        *analysis.Module
+	p        *analysis.Package      // the package being checked
+	blocking map[*types.Func]string // functions that may block, with why
 	out      []analysis.Finding
 }
 
 func (c *lockChecker) report(at ast.Node, format string, args ...any) {
-	c.out = append(c.out, analysis.Finding{
-		Pos:  c.pass.Module.Fset.Position(at.Pos()),
-		Rule: "lockscope",
-		Msg:  fmt.Sprintf(format, args...),
-	})
+	c.out = append(c.out, finding(c.m, at.Pos(), "lockscope", format, args...))
 }
 
 // unit finds the critical sections of one function body, checks what each
 // holds the lock across, and rejects every mutex call that is part of none.
 func (c *lockChecker) unit(u funcUnit) {
-	info := c.pass.Pkg.Info
+	info := c.p.Info
 	inShape := map[*ast.CallExpr]bool{}
 	heldAcross := func(mu string) func(ast.Node, string) {
 		return func(at ast.Node, reason string) {
@@ -291,7 +271,7 @@ func (c *lockChecker) blockers(n ast.Node, found func(at ast.Node, reason string
 			}
 			return false
 		case *ast.CallExpr:
-			if fn := calleeOf(c.pass.Pkg.Info, n); fn != nil {
+			if fn := calleeOf(c.p.Info, n); fn != nil {
 				if reason, ok := c.calleeBlocks(fn); ok {
 					found(n, reason)
 				}
@@ -301,8 +281,8 @@ func (c *lockChecker) blockers(n ast.Node, found func(at ast.Node, reason string
 	})
 }
 
-// calleeBlocks classifies one resolved callee: a leaf blocking primitive, a
-// locally summarized function, or an imported fact.
+// calleeBlocks classifies one resolved callee: a leaf blocking primitive or
+// a summarized function.
 func (c *lockChecker) calleeBlocks(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {
@@ -317,10 +297,7 @@ func (c *lockChecker) calleeBlocks(fn *types.Func) (string, bool) {
 	case "os", "net", "net/http", "io", "bufio":
 		return pkg.Path() + "." + funcKey(fn), ioVerb(fn.Name())
 	}
-	reason := c.imported[pkg.Path()+"|"+funcKey(fn)]
-	if pkg == c.pass.Pkg.Pkg {
-		reason = c.blocking[fn]
-	}
+	reason := c.blocking[fn.Origin()]
 	return fmt.Sprintf("%s (which may block on %s)", funcKey(fn), reason), reason != ""
 }
 

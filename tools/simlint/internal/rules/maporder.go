@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 
@@ -22,32 +21,30 @@ type maporder struct {
 
 func (maporder) Name() string { return "maporder" }
 
-func (a maporder) Run(pass *analysis.Pass) []analysis.Finding {
-	p := pass.Pkg
-	if !a.det[p.Rel] {
-		return nil
-	}
+func (a maporder) Run(m *analysis.Module) []analysis.Finding {
 	var out []analysis.Finding
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
+	for _, p := range m.Pkgs {
+		if !a.det[p.Rel] {
+			continue
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				t := p.Info.TypeOf(rs.X)
+				if t == nil {
+					return true
+				}
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					out = append(out, finding(m, rs.Pos(), a.Name(),
+						"range over %s has nondeterministic iteration order in a deterministic package; iterate sorted keys, or suppress with why order cannot leak",
+						types.TypeString(t, types.RelativeTo(p.Pkg))))
+				}
 				return true
-			}
-			t := p.Info.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				out = append(out, analysis.Finding{
-					Pos:  pass.Module.Fset.Position(rs.Pos()),
-					Rule: a.Name(),
-					Msg: fmt.Sprintf("range over %s has nondeterministic iteration order in a deterministic package; iterate sorted keys, or suppress with why order cannot leak",
-						types.TypeString(t, types.RelativeTo(p.Pkg))),
-				})
-			}
-			return true
-		})
+			})
+		}
 	}
 	return out
 }

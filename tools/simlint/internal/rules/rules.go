@@ -1,20 +1,40 @@
-// Package rules holds simlint's analyzers. Each rule is a small
-// analysis.Analyzer; the registry in All wires them to a Config and is the
-// single source of truth for known rule names (which also validates
-// //simlint:ignore comments).
+// Package rules holds simlint's analyzers and its one gate, TestRepoClean.
+// Each rule is a small analysis.Analyzer; All wires them to a Config, and
+// the analyzers it returns are the rule names a //simlint:ignore comment
+// may name.
 package rules
 
 import "scalesim/tools/simlint/internal/analysis"
+
+// Config selects what the rules check, by module-relative package
+// directory. See RepoConfig for the repository's own settings.
+type Config struct {
+	// Root is the module root directory.
+	Root string
+	// Deterministic lists the packages whose code must be reproducible:
+	// maporder and wallclock apply only there.
+	Deterministic []string
+	// UnitsDir is the package declaring the named quantity types (Cycles,
+	// Bytes, ...) that the units analyzer enforces. Empty disables the rule.
+	UnitsDir string
+	// Goroutines lists the packages where every `go` statement must be
+	// joined through a sync.WaitGroup and the spawning function must accept
+	// a context.Context.
+	Goroutines []string
+	// Locks lists the packages where the lockscope rule enforces mutex
+	// hygiene (no blocking operation with a mutex held, no return path that
+	// leaks a lock).
+	Locks []string
+}
 
 // RepoConfig is this repository's lint policy. The deterministic set is
 // every package whose code executes between "design point in" and "Result
 // out": the simulator core and its substrate models, the synthetic trace
 // generators, the machine configurations, the ML fits and the scale-model
 // protocols built on them, and the campaign engine (whose cache keys and
-// reports must themselves be reproducible). It lives here, next to the
-// rules, so the driver and the repo-clean test share one definition.
-func RepoConfig(root string) analysis.Config {
-	cfg := analysis.Config{
+// reports must themselves be reproducible).
+func RepoConfig(root string) Config {
+	return Config{
 		Root: root,
 		Deterministic: []string{
 			"internal/sim",
@@ -45,63 +65,34 @@ func RepoConfig(root string) analysis.Config {
 			"internal/surrogate",
 		},
 		UnitsDir: "internal/units",
-		// internal/sim joined for PR 10: the epoch fork/join pool's `go`
-		// statements must be WaitGroup-joined and context-scoped like every
-		// other pool in the tree.
+		// The epoch fork/join pool's `go` statements in internal/sim must be
+		// WaitGroup-joined and context-scoped like every other pool in the
+		// tree.
 		Goroutines: []string{"internal/runner", "internal/store", "internal/server", "internal/surrogate", "internal/sim"},
 		// Mutex hygiene in every package that mixes locks with channels, the
-		// journal, or the network — and, since PR 10, the epoch simulator
-		// (which must in fact hold no locks at all).
+		// journal, or the network — and the epoch simulator, which must in
+		// fact hold no locks at all.
 		Locks: []string{"internal/runner", "internal/store", "internal/server", "internal/surrogate", "internal/sim", "internal/scalemodel"},
 	}
-	// Suppressions always validate against the full registry, even when the
-	// driver runs a rule subset.
-	cfg.KnownRules = Names(cfg)
-	return cfg
 }
 
 // All returns every analyzer, configured from cfg, in a fixed order.
-func All(cfg analysis.Config) []analysis.Analyzer {
-	det := map[string]bool{}
-	for _, d := range cfg.Deterministic {
-		det[d] = true
-	}
-	goro := map[string]bool{}
-	for _, d := range cfg.Goroutines {
-		goro[d] = true
-	}
-	locks := map[string]bool{}
-	for _, d := range cfg.Locks {
-		locks[d] = true
-	}
+func All(cfg Config) []analysis.Analyzer {
 	return []analysis.Analyzer{
-		maporder{det: det},
-		wallclock{det: det},
+		maporder{det: set(cfg.Deterministic)},
+		wallclock{det: set(cfg.Deterministic)},
 		unitsRule{dir: cfg.UnitsDir},
 		errwrap{},
-		goroleak{pkgs: goro},
+		goroleak{pkgs: set(cfg.Goroutines)},
 		ctxflow{},
-		lockscope{pkgs: locks},
+		lockscope{pkgs: set(cfg.Locks)},
 	}
 }
 
-// Select returns the subset of All(cfg) whose names appear in names, in
-// registry order. Unknown names are reported by the caller via Names.
-func Select(cfg analysis.Config, names map[string]bool) []analysis.Analyzer {
-	var out []analysis.Analyzer
-	for _, a := range All(cfg) {
-		if names[a.Name()] {
-			out = append(out, a)
-		}
+func set(dirs []string) map[string]bool {
+	s := map[string]bool{}
+	for _, d := range dirs {
+		s[d] = true
 	}
-	return out
-}
-
-// Names lists every registered rule name in registry order.
-func Names(cfg analysis.Config) []string {
-	var out []string
-	for _, a := range All(cfg) {
-		out = append(out, a.Name())
-	}
-	return out
+	return s
 }

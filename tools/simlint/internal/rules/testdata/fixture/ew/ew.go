@@ -13,7 +13,7 @@ var ErrBoom = errors.New("boom")
 // Compared tests with ==: flagged.
 func Compared(err error) bool { return err == ErrBoom }
 
-// Wrapped passes the sentinel under %v: flagged.
+// Wrapped passes the sentinel under %v: clean (the wrap sites are tests').
 func Wrapped(err error) error { return fmt.Errorf("op: %v: %w", ErrBoom, err) }
 
 // TextMatched compares the message text: flagged.

@@ -1,5 +1,5 @@
-// Package ew2 compares against an imported sentinel, exercising the errwrap
-// fact flow between packages.
+// Package ew2 compares against an imported sentinel, exercising errwrap's
+// module-wide sentinel set.
 package ew2
 
 import "fixture/ew"

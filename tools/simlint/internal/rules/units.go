@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -31,40 +30,25 @@ import (
 //     conversion.
 //
 // The unit type set is discovered from the units package itself (every
-// package-level named type with a numeric underlying type) and exported as a
-// per-package fact, so the rule needs no hard-coded type list and works
-// unchanged on fixture modules.
+// package-level named type with a numeric underlying type), so the rule
+// needs no hard-coded type list and works unchanged on fixture modules.
 type unitsRule struct {
 	dir string // module-relative directory of the units package
 }
 
 func (unitsRule) Name() string { return "units" }
 
-const unitsFactKey = "types"
-
-func (a unitsRule) Run(pass *analysis.Pass) []analysis.Finding {
-	if a.dir == "" {
+func (a unitsRule) Run(m *analysis.Module) []analysis.Finding {
+	up := m.Lookup(a.dir)
+	if a.dir == "" || up == nil {
 		return nil
 	}
-	unitsPath := pass.Module.Path + "/" + a.dir
-	var set map[*types.Named]bool
-	if pass.Pkg.Rel == a.dir {
-		set = collectUnitTypes(pass.Pkg.Pkg)
-		pass.ExportFact(unitsFactKey, set)
-	} else if v, ok := pass.ImportFact(unitsPath, unitsFactKey); ok {
-		set = v.(map[*types.Named]bool)
-	} else {
-		// The units package has not been visited yet, so the current
-		// package cannot import it (packages run in import-topological
-		// order) and cannot mention unit types.
-		return nil
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	w := &unitsWalker{pass: pass, set: set}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, w.visit)
+	w := &unitsWalker{m: m, set: collectUnitTypes(up.Pkg)}
+	for _, p := range m.Pkgs {
+		w.p = p
+		for _, f := range p.Files {
+			ast.Inspect(f, w.visit)
+		}
 	}
 	return w.out
 }
@@ -91,9 +75,10 @@ func collectUnitTypes(pkg *types.Package) map[*types.Named]bool {
 }
 
 type unitsWalker struct {
-	pass *analysis.Pass
-	set  map[*types.Named]bool
-	out  []analysis.Finding
+	m   *analysis.Module
+	p   *analysis.Package // the package being walked
+	set map[*types.Named]bool
+	out []analysis.Finding
 }
 
 func (w *unitsWalker) visit(n ast.Node) bool {
@@ -127,7 +112,7 @@ func (w *unitsWalker) checkBinary(b *ast.BinaryExpr) {
 }
 
 func (w *unitsWalker) checkCall(call *ast.CallExpr) {
-	info := w.pass.Pkg.Info
+	info := w.p.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		// Conversion: unit -> unit reinterprets the quantity.
 		if len(call.Args) != 1 {
@@ -179,7 +164,7 @@ func (w *unitsWalker) checkCall(call *ast.CallExpr) {
 // exactly the bug class this rule exists for.
 func (w *unitsWalker) provenance(e ast.Expr) *types.Named {
 	e = ast.Unparen(e)
-	info := w.pass.Pkg.Info
+	info := w.p.Info
 	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
 		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 			if n := w.unitNamed(tv.Type); n != nil {
@@ -199,15 +184,11 @@ func (w *unitsWalker) unitNamed(t types.Type) *types.Named {
 }
 
 func (w *unitsWalker) typeName(n *types.Named) string {
-	return types.TypeString(n, types.RelativeTo(w.pass.Pkg.Pkg))
+	return types.TypeString(n, types.RelativeTo(w.p.Pkg))
 }
 
 func (w *unitsWalker) report(pos token.Pos, format string, args ...any) {
-	w.out = append(w.out, analysis.Finding{
-		Pos:  w.pass.Module.Fset.Position(pos),
-		Rule: "units",
-		Msg:  fmt.Sprintf(format, args...),
-	})
+	w.out = append(w.out, finding(w.m, pos, "units", format, args...))
 }
 
 // bareLiteral unwraps parentheses and numeric sign down to a basic literal,

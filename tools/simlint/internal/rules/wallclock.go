@@ -1,10 +1,6 @@
 package rules
 
-import (
-	"fmt"
-
-	"scalesim/tools/simlint/internal/analysis"
-)
+import "scalesim/tools/simlint/internal/analysis"
 
 // wallclock flags wall-clock and ambient-randomness sources inside a
 // deterministic package: time.Now / time.Since, and any use of math/rand or
@@ -20,36 +16,31 @@ type wallclock struct {
 
 func (wallclock) Name() string { return "wallclock" }
 
-func (a wallclock) Run(pass *analysis.Pass) []analysis.Finding {
-	p := pass.Pkg
-	if !a.det[p.Rel] {
-		return nil
-	}
+func (a wallclock) Run(m *analysis.Module) []analysis.Finding {
 	var out []analysis.Finding
-	// Info.Uses is a map, but findings are sorted by position before
-	// rendering, so iteration order cannot leak into the output.
-	for id, obj := range p.Info.Uses {
-		pkg := obj.Pkg()
-		if pkg == nil {
+	for _, p := range m.Pkgs {
+		if !a.det[p.Rel] {
 			continue
 		}
-		switch pkg.Path() {
-		case "time":
-			if obj.Name() == "Now" || obj.Name() == "Since" {
-				out = append(out, analysis.Finding{
-					Pos:  pass.Module.Fset.Position(id.Pos()),
-					Rule: a.Name(),
-					Msg: fmt.Sprintf("time.%s in a deterministic package: the wall clock must never influence simulated state; timing-measurement sites need //simlint:ignore wallclock <reason>",
-						obj.Name()),
-				})
+		// Info.Uses is a map, but findings are sorted by position before
+		// rendering, so iteration order cannot leak into the output.
+		for id, obj := range p.Info.Uses {
+			pkg := obj.Pkg()
+			if pkg == nil {
+				continue
 			}
-		case "math/rand", "math/rand/v2":
-			out = append(out, analysis.Finding{
-				Pos:  pass.Module.Fset.Position(id.Pos()),
-				Rule: a.Name(),
-				Msg: fmt.Sprintf("%s.%s: math/rand streams are not stable across Go releases and the global source is process-wide state; use internal/xrand",
-					pkg.Path(), obj.Name()),
-			})
+			switch pkg.Path() {
+			case "time":
+				if obj.Name() == "Now" || obj.Name() == "Since" {
+					out = append(out, finding(m, id.Pos(), a.Name(),
+						"time.%s in a deterministic package: the wall clock must never influence simulated state; timing-measurement sites need //simlint:ignore wallclock <reason>",
+						obj.Name()))
+				}
+			case "math/rand", "math/rand/v2":
+				out = append(out, finding(m, id.Pos(), a.Name(),
+					"%s.%s: math/rand streams are not stable across Go releases and the global source is process-wide state; use internal/xrand",
+					pkg.Path(), obj.Name()))
+			}
 		}
 	}
 	return out
