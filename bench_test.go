@@ -147,11 +147,7 @@ func BenchmarkFig6_STPPrediction(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("Fig. 6", res)
-		for _, m := range res.Methods {
-			if m.Method == "SVM-log" {
-				b.ReportMetric(100*m.Mean, "SVMlog_STP_avg_err_pct")
-			}
-		}
+		b.ReportMetric(100*cell(b, res, "SVM-log", "avg"), "SVMlog_STP_avg_err_pct")
 	}
 }
 
@@ -164,9 +160,7 @@ func BenchmarkFig7_ErrorVsSpeedup(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("Fig. 7", res)
-		if n := len(res.NoExtrapolation); n > 0 {
-			b.ReportMetric(res.NoExtrapolation[n-1].Speedup, "1core_speedup_x")
-		}
+		b.ReportMetric(cell(b, res, "No Extrapolation 1-core", "speedup"), "1core_speedup_x")
 	}
 }
 
@@ -273,14 +267,12 @@ func BenchmarkFig12_BandwidthPrediction(b *testing.B) {
 func BenchmarkSpeedup_SimulationTime(b *testing.B) {
 	ex := benchExperiments(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := ex.SimulationTimeStudy()
+		res, err := ex.SimulationTimeStudy()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, loaded := printedFigures.LoadOrStore("speedup", true); !loaded {
-			fmt.Println(rows)
-		}
-		b.ReportMetric(rows[len(rows)-1].TotalSecs/rows[0].TotalSecs, "speedup_1core_x")
+		printFigure("speedup", res)
+		b.ReportMetric(cell(b, res, "1", "speedup"), "speedup_1core_x")
 	}
 }
 
@@ -322,7 +314,7 @@ func BenchmarkExt_Multithreaded(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("ext-mt", res)
-		b.ReportMetric(100*res.Summary.Mean, "avg_err_pct")
+		b.ReportMetric(100*cell(b, res, "extrapolation error:", "avg"), "avg_err_pct")
 	}
 }
 
@@ -337,11 +329,7 @@ func BenchmarkAblation_ContentionModel(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("ablations", res)
-		for _, row := range res.Rows {
-			if row.Variant == "no bandwidth feedback" {
-				b.ReportMetric(100*row.PRSMean, "nofeedback_PRS_err_pct")
-			}
-		}
+		b.ReportMetric(100*cell(b, res, "no bandwidth feedback", "PRS err"), "nofeedback_PRS_err_pct")
 	}
 }
 
@@ -355,8 +343,8 @@ func BenchmarkExt_PrefetchRobustness(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("ext-prefetch", res)
-		b.ReportMetric(100*res.SummaryOff.Mean, "err_off_pct")
-		b.ReportMetric(100*res.SummaryOn.Mean, "err_on_pct")
+		b.ReportMetric(100*cell(b, res, "NoExtrap error without prefetcher:", "avg"), "err_off_pct")
+		b.ReportMetric(100*cell(b, res, "NoExtrap error with prefetcher:", "avg"), "err_on_pct")
 	}
 }
 

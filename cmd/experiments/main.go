@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,18 +39,15 @@ func main() {
 		opts = scalesim.FastOptions()
 	}
 
-	want := map[string]bool{}
-	if *figs != "" {
-		for _, f := range strings.Split(*figs, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
-
 	ex, err := scalesim.NewExperiments(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	want, err := selection(*figs, ex.Figures())
+	if err != nil {
+		log.Fatal(err)
+	}
+	selected := func(id string) bool { return want == nil || want[id] }
 	ex.SetWorkers(*workers)
 	if *storeDir != "" {
 		if err := ex.SetStore(*storeDir); err != nil {
@@ -101,4 +99,26 @@ func main() {
 		fmt.Println(ex.CampaignReport())
 	}
 	_ = os.Stdout.Sync()
+}
+
+// selection parses -figs into the set of ids to run, nil for all of them. An
+// id that is neither "1" (Table I) nor a figure's is refused with the list of
+// valid ids.
+func selection(spec string, figures []scalesim.Figure) (map[string]bool, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	valid := []string{"1"}
+	for _, f := range figures {
+		valid = append(valid, f.ID)
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("-figs: unknown id %q; valid ids: %s", id, strings.Join(valid, ","))
+		}
+		want[id] = true
+	}
+	return want, nil
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
+	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/fit"
@@ -173,33 +174,42 @@ type FigureResult struct {
 	Methods []MethodResult
 }
 
-// String renders the figure as a text table: one row per method, with the
-// per-benchmark series (sorted by MPKI) and the mean/max summary the paper
-// quotes.
-func (f *FigureResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", f.ID, f.Title)
+// String renders the figure's Table.
+func (f *FigureResult) String() string { return f.Table().String() }
+
+// avgMax are the columns of a method's mean and max error, each cell printed
+// with verb.
+func avgMax(verb string) []Column {
+	return []Column{
+		{Name: "avg", Unit: "%", Format: " avg " + verb + "%%"},
+		{Name: "max", Unit: "%", Format: "  max " + verb + "%%"},
+	}
+}
+
+// Table lays the figure out: one row per method with its mean and max error,
+// then, if the methods carry it, the per-benchmark series (sorted by MPKI).
+func (f *FigureResult) Table() *Table {
+	sum := Block{LabelFormat: "  %-22s", Columns: avgMax("%6.1f")}
+	per := Block{Heading: "per-benchmark (sorted by LLC MPKI):", Label: "benchmark", LabelFormat: "  %-12s"}
 	for _, m := range f.Methods {
-		fmt.Fprintf(&b, "  %-22s avg %6.1f%%  max %6.1f%%\n", m.Method, 100*m.Mean, 100*m.Max)
+		sum.Rows = append(sum.Rows, Row{Label: m.Method, Values: []Cell{Cell(m.Mean), Cell(m.Max)}})
+		per.Columns = append(per.Columns, Column{Name: m.Method, Unit: "%", Format: " %11.1f%%"})
 	}
-	if len(f.Methods) > 0 && len(f.Methods[0].PerBench) > 0 {
-		fmt.Fprintf(&b, "  per-benchmark (sorted by LLC MPKI):\n")
-		fmt.Fprintf(&b, "  %-12s", "benchmark")
+	t := &Table{ID: f.ID, Title: f.Title, Blocks: []Block{sum}}
+	if len(f.Methods) == 0 || len(f.Methods[0].PerBench) == 0 {
+		return t
+	}
+	for i, be := range f.Methods[0].PerBench {
+		row := Row{Label: be.Benchmark}
 		for _, m := range f.Methods {
-			fmt.Fprintf(&b, " %12s", m.Method)
-		}
-		fmt.Fprintln(&b)
-		for i, be := range f.Methods[0].PerBench {
-			fmt.Fprintf(&b, "  %-12s", be.Benchmark)
-			for _, m := range f.Methods {
-				if i < len(m.PerBench) {
-					fmt.Fprintf(&b, " %11.1f%%", 100*m.PerBench[i].Error)
-				}
+			if i < len(m.PerBench) {
+				row.Values = append(row.Values, Cell(m.PerBench[i].Error))
 			}
-			fmt.Fprintln(&b)
 		}
+		per.Rows = append(per.Rows, row)
 	}
-	return b.String()
+	t.Blocks = append(t.Blocks, per)
+	return t
 }
 
 // predictionSpecs returns the method lineup of Figs. 4, 5 and 12.
@@ -269,6 +279,20 @@ func (e *Experiments) noExtrapolation(lab *scalemodel.Lab) (*scalemodel.Homogene
 	return d, errs[0], nil
 }
 
+// direct summarizes the error of reading the X-core scale model's per-core
+// value as the target's, without extrapolation (X = 1: the single-core model).
+func direct(d *scalemodel.HomogeneousData, X int) metrics.Summary {
+	var errs []float64
+	for _, b := range d.Benchmarks {
+		pred := d.Meas[b].IPC
+		if X > 1 {
+			pred = d.Scale[X][b]
+		}
+		errs = append(errs, metrics.PredictionError(pred, d.Target[b]))
+	}
+	return metrics.Summarize(errs)
+}
+
 // Fig3Construction regenerates Fig. 3: single-core scale-model prediction
 // error under the four construction policies (NRS; PRS scaling LLC only;
 // PRS scaling DRAM only; PRS scaling all shared resources), sorted by LLC
@@ -313,111 +337,47 @@ func (e *Experiments) Fig5Heterogeneous() (*FigureResult, error) {
 	return out, out.addMethods(d.EvaluatePerApp, predictionSpecs(), scalemodel.MethodSpec.Name, false)
 }
 
-// STPResult is Fig. 6's outcome: sorted per-mix STP errors per method.
-type STPResult struct {
-	Methods []STPMethodResult
-	Mixes   int
-}
-
-// STPMethodResult is one regression method's STP error curve.
-type STPMethodResult struct {
-	Method string
-	Sorted []float64 // ascending per-mix absolute errors
-	Mean   float64
-	Max    float64
-}
-
-// String renders the sorted STP error curves.
-func (r *STPResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 6 — STP prediction error across %d heterogeneous mixes\n", r.Mixes)
-	for _, m := range r.Methods {
-		fmt.Fprintf(&b, "  %-10s avg %5.1f%%  max %5.1f%%\n", m.Method, 100*m.Mean, 100*m.Max)
-	}
-	return b.String()
-}
-
 // Fig6STP regenerates Fig. 6: system-throughput prediction error of the
 // ML-based regression methods across the heterogeneous STP mixes.
-func (e *Experiments) Fig6STP() (*STPResult, error) {
+func (e *Experiments) Fig6STP() (*Table, error) {
 	d, err := e.heteroData()
 	if err != nil {
 		return nil, err
 	}
-	out := &STPResult{Mixes: len(d.STPMixes)}
+	blk := Block{LabelFormat: "  %-10s", Columns: avgMax("%5.1f")}
 	for _, spec := range regressionSpecs() {
 		errs, err := d.EvaluateSTP(spec)
 		if err != nil {
 			return nil, fmt.Errorf("fig6 %s: %w", spec.Name(), err)
 		}
-		sorted := metrics.Sorted(errs)
 		s := metrics.Summarize(errs)
-		out.Methods = append(out.Methods, STPMethodResult{
-			Method: spec.Name(), Sorted: sorted, Mean: s.Mean, Max: s.Max,
-		})
+		blk.Rows = append(blk.Rows, Row{Label: spec.Name(), Values: []Cell{Cell(s.Mean), Cell(s.Max)}})
 	}
-	return out, nil
-}
-
-// SpeedupPoint is one point of Fig. 7: a method's mean error and its
-// simulation speedup over simulating the target system.
-type SpeedupPoint struct {
-	Label   string
-	Error   float64
-	Speedup float64
-}
-
-// SpeedupResult is Fig. 7's outcome.
-type SpeedupResult struct {
-	NoExtrapolation []SpeedupPoint // 16-, 8-, 4-, 2-, 1-core scale models
-	ML              []SpeedupPoint // SVM, SVM-log (single-core scale model)
-}
-
-// String renders the error-versus-speedup points.
-func (r *SpeedupResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 7 — prediction error vs simulation speedup\n")
-	for _, p := range r.NoExtrapolation {
-		fmt.Fprintf(&b, "  No Extrapolation %-9s err %5.1f%%  speedup %6.1fx\n", p.Label, 100*p.Error, p.Speedup)
-	}
-	for _, p := range r.ML {
-		fmt.Fprintf(&b, "  %-26s err %5.1f%%  speedup %6.1fx\n", p.Label, 100*p.Error, p.Speedup)
-	}
-	return b.String()
+	return &Table{ID: "Fig. 6", Title: fmt.Sprintf("STP prediction error across %d heterogeneous mixes", len(d.STPMixes)), Blocks: []Block{blk}}, nil
 }
 
 // Fig7ErrorVsSpeedup regenerates Fig. 7: No Extrapolation accuracy with
 // increasingly large scale models (1-16 cores) against their measured
 // simulation speedup, plus the ML methods at the single-core scale model's
 // speedup. Speedups are measured wall-clock ratios on this host.
-func (e *Experiments) Fig7ErrorVsSpeedup() (*SpeedupResult, error) {
+func (e *Experiments) Fig7ErrorVsSpeedup() (*Table, error) {
 	d, err := e.homogData(scalemodel.MetricIPC)
 	if err != nil {
 		return nil, err
 	}
 	// Wall-clock per machine size, as the collection recorded it.
 	targetSecs := d.SimTime[d.TargetCores].Seconds()
-
-	out := &SpeedupResult{}
-	// No-extrapolation points: the X-core scale-model reading predicts
-	// per-core target performance directly.
+	blk := Block{LabelFormat: "  %-26s", Columns: []Column{
+		{Name: "err", Unit: "%", Format: " err %5.1f%%"},
+		{Name: "speedup", Unit: "x", Format: "  speedup %6.1fx"},
+	}}
+	point := func(label string, err float64, cores int) {
+		blk.Rows = append(blk.Rows, Row{Label: label, Values: []Cell{Cell(err), Cell(targetSecs / d.SimTime[cores].Seconds())}})
+	}
 	sizes := append([]int{1}, e.scaleCores...)
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	for _, X := range sizes {
-		var errs []float64
-		for _, b := range d.Benchmarks {
-			pred := d.Meas[b].IPC
-			if X > 1 {
-				pred = d.Scale[X][b]
-			}
-			errs = append(errs, metrics.PredictionError(pred, d.Target[b]))
-		}
-		s := metrics.Summarize(errs)
-		out.NoExtrapolation = append(out.NoExtrapolation, SpeedupPoint{
-			Label:   fmt.Sprintf("%d-core", X),
-			Error:   s.Mean,
-			Speedup: targetSecs / d.SimTime[X].Seconds(),
-		})
+		point(fmt.Sprintf("No Extrapolation %d-core", X), direct(d, X).Mean, X)
 	}
 	// ML points: both methods only need the single-core scale model at
 	// prediction time.
@@ -430,13 +390,9 @@ func (e *Experiments) Fig7ErrorVsSpeedup() (*SpeedupResult, error) {
 		return nil, err
 	}
 	for i, spec := range specs {
-		out.ML = append(out.ML, SpeedupPoint{
-			Label:   spec.Name() + " (1-core)",
-			Error:   methodResult(spec.Name(), errs[i]).Mean,
-			Speedup: targetSecs / d.SimTime[1].Seconds(),
-		})
+		point(spec.Name()+" (1-core)", methodResult(spec.Name(), errs[i]).Mean, 1)
 	}
-	return out, nil
+	return &Table{ID: "Fig. 7", Title: "prediction error vs simulation speedup", Blocks: []Block{blk}}, nil
 }
 
 // Fig8BandwidthScaling regenerates Fig. 8: MC-first versus MB-first DRAM
@@ -462,15 +418,8 @@ func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
 		}
 		// Direct scale-model readings per size.
 		for _, X := range e.scaleCores {
-			var errs []float64
-			for _, b := range d.Benchmarks {
-				errs = append(errs, metrics.PredictionError(d.Scale[X][b], d.Target[b]))
-			}
-			s := metrics.Summarize(errs)
-			out.Methods = append(out.Methods, MethodResult{
-				Method: fmt.Sprintf("%s %d-core", bwp.name, X),
-				Mean:   s.Mean, Max: s.Max,
-			})
+			s := direct(d, X)
+			out.Methods = append(out.Methods, MethodResult{Method: fmt.Sprintf("%s %d-core", bwp.name, X), Mean: s.Mean, Max: s.Max})
 		}
 		label := func(spec scalemodel.MethodSpec) string { return bwp.name + " " + spec.Name() }
 		if err := out.addMethods(d.EvaluateLOO, regressionSpecs(), label, true); err != nil {
@@ -530,81 +479,69 @@ func (e *Experiments) Fig12Bandwidth() (*FigureResult, error) {
 		scalemodel.MetricBW, predictionSpecs(), scalemodel.MethodSpec.Name, true)
 }
 
-// SimTimeRow is one row of the simulation-cost study (§I: 8/16/32-core
-// simulations take super-linearly longer).
-type SimTimeRow struct {
-	Cores      int
-	TotalSecs  float64
-	PerBenchMs float64
-}
-
-// SimTimeRows is the simulation-cost study: one row per machine size,
-// smallest first, the target last.
-type SimTimeRows []SimTimeRow
-
-// String renders the rows with each size's speedup over the target.
-func (rows SimTimeRows) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Simulation time study (§I / §V-D) — wall-clock per machine size, full homogeneous suite\n")
-	target := rows[len(rows)-1]
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %2d cores: %8.2fs total (%6.1f ms/benchmark)  speedup vs %d-core: %5.1fx\n",
-			r.Cores, r.TotalSecs, r.PerBenchMs, target.Cores, target.TotalSecs/r.TotalSecs)
-	}
-	return b.String()
-}
-
 // SimulationTimeStudy reports the wall-clock cost of simulating the
 // homogeneous suite at each machine size, reproducing §I's super-linear
 // growth observation and the 28x single-core speedup claim. It reads the
 // durations the homogeneous collection recorded.
-func (e *Experiments) SimulationTimeStudy() (SimTimeRows, error) {
+func (e *Experiments) SimulationTimeStudy() (*Table, error) {
 	d, err := e.homogData(scalemodel.MetricIPC)
 	if err != nil {
 		return nil, err
 	}
-	var rows SimTimeRows
-	for _, c := range append(append([]int{1}, e.scaleCores...), d.TargetCores) {
-		total := d.SimTime[c].Seconds()
-		rows = append(rows, SimTimeRow{
-			Cores:      c,
-			TotalSecs:  total,
-			PerBenchMs: 1000 * total / float64(len(e.suite)),
-		})
+	return simTimeTable(d.SimTime, append(append([]int{1}, e.scaleCores...), d.TargetCores), len(e.suite)), nil
+}
+
+// simTimeTable lays the time study out: per machine size, smallest first and
+// the target last, its total and per-benchmark wall-clock and its speedup
+// over the target.
+func simTimeTable(simTime map[int]time.Duration, cores []int, benchmarks int) *Table {
+	last := cores[len(cores)-1]
+	blk := Block{LabelFormat: "  %2s cores:", Columns: []Column{
+		{Name: "total", Unit: "s", Format: " %8.2fs total"},
+		{Name: "per benchmark", Unit: "ms", Format: " (%6.1f ms/benchmark)"},
+		{Name: "speedup", Unit: "x", Format: fmt.Sprintf("  speedup vs %d-core: %%5.1fx", last)},
+	}}
+	for _, c := range cores {
+		secs := simTime[c].Seconds()
+		blk.Rows = append(blk.Rows, Row{Label: strconv.Itoa(c), Values: []Cell{Cell(secs), Cell(1000 * secs / float64(benchmarks)), Cell(simTime[last].Seconds() / secs)}})
 	}
-	return rows, nil
+	return &Table{ID: "Simulation time study (§I / §V-D)", Title: "wall-clock per machine size, full homogeneous suite", Blocks: []Block{blk}}
 }
 
 // Figure is one entry of the evaluation's table of contents.
 type Figure struct {
-	ID   string // what the CLIs select it by: "3".."12", "mt", "ablations", "prefetch", "speedup"
+	ID   string // what cmd/experiments -figs selects it by: "3".."12", "mt", "ablations", "prefetch", "speedup"
 	Name string
-	Run  func() (fmt.Stringer, error)
+	Run  func() (*Table, error)
 }
 
-// figure adapts a FigN method, whose result type is its own, to a table entry.
-func figure[T fmt.Stringer](id, name string, run func() (T, error)) Figure {
-	return Figure{ID: id, Name: name, Run: func() (fmt.Stringer, error) { return run() }}
-}
-
-// Figures lists everything the driver can regenerate, in report order. Both
-// CLIs loop over it.
+// Figures lists everything the driver can regenerate, in report order;
+// cmd/experiments loops over it.
 func (e *Experiments) Figures() []Figure {
+	table := func(run func() (*FigureResult, error)) func() (*Table, error) {
+		return func() (*Table, error) {
+			f, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return f.Table(), nil
+		}
+	}
 	return []Figure{
-		figure("3", "Fig. 3", e.Fig3Construction),
-		figure("4", "Fig. 4", e.Fig4Homogeneous),
-		figure("5", "Fig. 5", e.Fig5Heterogeneous),
-		figure("6", "Fig. 6", e.Fig6STP),
-		figure("7", "Fig. 7", e.Fig7ErrorVsSpeedup),
-		figure("8", "Fig. 8", e.Fig8BandwidthScaling),
-		figure("9", "Fig. 9", e.Fig9RegressionForms),
-		figure("10", "Fig. 10", e.Fig10Inputs),
-		figure("11", "Fig. 11", e.Fig11ScaleModelCount),
-		figure("12", "Fig. 12", e.Fig12Bandwidth),
-		figure("mt", "Extension: multi-threaded", e.ExtMultithreaded),
-		figure("ablations", "Ablations", e.Ablations),
-		figure("prefetch", "Extension: prefetcher robustness", e.PrefetchStudy),
-		figure("speedup", "Simulation time study", e.SimulationTimeStudy),
+		{"3", "Fig. 3", table(e.Fig3Construction)},
+		{"4", "Fig. 4", table(e.Fig4Homogeneous)},
+		{"5", "Fig. 5", table(e.Fig5Heterogeneous)},
+		{"6", "Fig. 6", e.Fig6STP},
+		{"7", "Fig. 7", e.Fig7ErrorVsSpeedup},
+		{"8", "Fig. 8", table(e.Fig8BandwidthScaling)},
+		{"9", "Fig. 9", table(e.Fig9RegressionForms)},
+		{"10", "Fig. 10", table(e.Fig10Inputs)},
+		{"11", "Fig. 11", table(e.Fig11ScaleModelCount)},
+		{"12", "Fig. 12", table(e.Fig12Bandwidth)},
+		{"mt", "Extension: multi-threaded", e.ExtMultithreaded},
+		{"ablations", "Ablations", e.Ablations},
+		{"prefetch", "Extension: prefetcher robustness", e.PrefetchStudy},
+		{"speedup", "Simulation time study", e.SimulationTimeStudy},
 	}
 }
 

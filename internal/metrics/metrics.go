@@ -53,24 +53,6 @@ func Summarize(errs []float64) Summary {
 	return s
 }
 
-// String renders the summary as the paper reports them.
-func (s Summary) String() string {
-	return fmt.Sprintf("avg %.1f%% (max %.1f%%, n=%d)", 100*s.Mean, 100*s.Max, s.N)
-}
-
-// Sorted returns a copy of errs sorted ascending (used for Fig. 6's sorted
-// error curves), non-finite values (NaN and ±Inf) removed.
-func Sorted(errs []float64) []float64 {
-	out := make([]float64, 0, len(errs))
-	for _, e := range errs {
-		if finite(e) {
-			out = append(out, e)
-		}
-	}
-	sort.Float64s(out)
-	return out
-}
-
 // CampaignStats aggregates a campaign engine's counters: how many jobs were
 // requested, how many unique simulations actually ran, and how many were
 // deduplicated by the content-addressed cache — in memory or on disk. The

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -33,9 +32,6 @@ func TestSummarize(t *testing.T) {
 	if empty.N != 0 || empty.Mean != 0 || empty.Max != 0 {
 		t.Fatalf("empty summary %+v", empty)
 	}
-	if !strings.Contains(s.String(), "20.0%") || !strings.Contains(s.String(), "30.0%") {
-		t.Fatalf("summary string %q", s.String())
-	}
 }
 
 func TestSummarizeSkipsInfinities(t *testing.T) {
@@ -50,19 +46,6 @@ func TestSummarizeSkipsInfinities(t *testing.T) {
 	}
 	if s := Summarize([]float64{math.Inf(1)}); s.N != 0 {
 		t.Fatalf("all-Inf summary %+v", s)
-	}
-}
-
-func TestSorted(t *testing.T) {
-	got := Sorted([]float64{0.3, math.NaN(), 0.1, math.Inf(1), 0.2, math.Inf(-1)})
-	want := []float64{0.1, 0.2, 0.3}
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sorted %v, want %v", got, want)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package scalesim
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"scalesim/internal/config"
 	"scalesim/internal/fit"
@@ -115,52 +114,12 @@ func SimulateParallelContext(ctx context.Context, spec MachineSpec, workload str
 	return parallelResult(res), nil
 }
 
-// MTWorkloadResult is one parallel workload's scaling study.
-type MTWorkloadResult struct {
-	Workload string
-	// ThroughputAt maps machine size to aggregate IPC (strong scaling).
-	ThroughputAt map[int]float64
-	StackAt      map[int]SpeedupStack
-	// Predicted32 is the 32-thread throughput extrapolated from the 2-16
-	// thread scale models: a logarithmic fit of per-thread throughput
-	// versus thread count (the saturating quantity), times 32. Actual32 is
-	// simulated.
-	Predicted32 float64
-	Actual32    float64
-	Error       float64
-}
-
-// MTResult is the multi-threaded extension study.
-type MTResult struct {
-	Workloads []MTWorkloadResult
-	Summary   metrics.Summary
-}
-
-// String renders the study.
-func (r *MTResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension — scale-model simulation for data-parallel multi-threaded workloads (§V-E6)\n")
-	for _, w := range r.Workloads {
-		fmt.Fprintf(&b, "  %-14s throughput:", w.Workload)
-		for _, c := range []int{1, 2, 4, 8, 16, 32} {
-			if v, ok := w.ThroughputAt[c]; ok {
-				fmt.Fprintf(&b, " %d:%.2f", c, v)
-			}
-		}
-		fmt.Fprintf(&b, "\n  %-14s 32-thread: predicted %.2f vs simulated %.2f -> err %.1f%%\n",
-			"", w.Predicted32, w.Actual32, 100*w.Error)
-		fmt.Fprintf(&b, "  %-14s stack@32: %s\n", "", w.StackAt[32])
-	}
-	fmt.Fprintf(&b, "  extrapolation error: %s\n", r.Summary)
-	return b.String()
-}
-
 // ExtMultithreaded runs the multi-threaded extension study: each parallel
 // workload is simulated on the PRS scale-model ladder (1-16 threads), its
 // 32-thread throughput extrapolated with the paper's logarithmic fit, and
 // validated against a simulated 32-core target. Speedup stacks show which
 // bottleneck (memory contention or barrier imbalance) limits scaling.
-func (e *Experiments) ExtMultithreaded() (*MTResult, error) {
+func (e *Experiments) ExtMultithreaded() (*Table, error) {
 	suite, sizes := trace.ParallelSuite(), []int{1, 2, 4, 8, 16, 32}
 	jobs := make([]runner.Job, 0, len(suite)*len(sizes))
 	for _, cores := range sizes {
@@ -176,19 +135,21 @@ func (e *Experiments) ExtMultithreaded() (*MTResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &MTResult{}
+	// Strong scaling: throughput is aggregate IPC. The prediction fits
+	// per-thread throughput, the saturating quantity, and scales it by 32.
+	tput := Block{Heading: "throughput (aggregate IPC) per thread count:", Label: "workload", LabelFormat: "  %-14s",
+		Columns: append(columns("IPC", " %6.2f", "1", "2", "4", "8", "16", "32"),
+			Column{Name: "predicted 32", Unit: "IPC", Format: " %13.2f"}, Column{Name: "err", Unit: "%", Format: " %7.1f%%"})}
+	stacks := Block{Heading: "speedup stack at 32 threads:", Label: "workload", LabelFormat: "  %-14s",
+		Columns: columns("%", " %7.0f%%", "base", "branch", "memory", "frontend", "barrier")}
 	var errs []float64
 	for wi, pp := range suite {
-		w := MTWorkloadResult{
-			Workload:     pp.Serial.Name,
-			ThroughputAt: map[int]float64{},
-			StackAt:      map[int]SpeedupStack{},
-		}
+		row := Row{Label: pp.Serial.Name}
 		var xs, ys []float64
+		var res *ParallelResult // after the loop, the 32-thread target's
 		for ci, cores := range sizes {
-			res := parallelResult(results[ci*len(suite)+wi])
-			w.ThroughputAt[cores] = res.AggregateIPC
-			w.StackAt[cores] = res.Stack
+			res = parallelResult(results[ci*len(suite)+wi])
+			row.Values = append(row.Values, Cell(res.AggregateIPC))
 			if cores >= 2 && cores <= 16 {
 				xs = append(xs, float64(cores))
 				ys = append(ys, res.AggregateIPC/float64(cores))
@@ -198,107 +159,46 @@ func (e *Experiments) ExtMultithreaded() (*MTResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.Predicted32 = 32 * curve.Eval(32)
-		w.Actual32 = w.ThroughputAt[32]
-		w.Error = metrics.PredictionError(w.Predicted32, w.Actual32)
-		errs = append(errs, w.Error)
-		out.Workloads = append(out.Workloads, w)
+		predicted := 32 * curve.Eval(32)
+		errs = append(errs, metrics.PredictionError(predicted, res.AggregateIPC))
+		row.Values = append(row.Values, Cell(predicted), Cell(errs[wi]))
+		tput.Rows = append(tput.Rows, row)
+		s := res.Stack
+		stacks.Rows = append(stacks.Rows, Row{Label: row.Label, Values: []Cell{Cell(s.Base), Cell(s.Branch), Cell(s.Memory), Cell(s.Frontend), Cell(s.Barrier)}})
 	}
-	out.Summary = metrics.Summarize(errs)
-	return out, nil
-}
-
-// AblationRow is one model variant's construction-accuracy outcome.
-type AblationRow struct {
-	Variant string
-	// NRSMean / PRSMean are the single-core scale-model prediction errors
-	// under each construction, suite-averaged.
-	NRSMean float64
-	PRSMean float64
-}
-
-// AblationResult compares the full contention model against the ablated
-// variants of DESIGN.md's starred design decisions.
-type AblationResult struct {
-	Rows []AblationRow
-}
-
-// String renders the ablation table.
-func (r *AblationResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation — contention-model design choices (single-core scale model, no extrapolation)\n")
-	fmt.Fprintf(&b, "  %-24s %10s %10s\n", "variant", "NRS err", "PRS err")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-24s %9.1f%% %9.1f%%\n", row.Variant, 100*row.NRSMean, 100*row.PRSMean)
-	}
-	return b.String()
+	return &Table{
+		ID: "Extension", Title: "scale-model simulation for data-parallel multi-threaded workloads (§V-E6)",
+		Blocks: []Block{tput, stacks, summaryBlock("  %s", []string{"extrapolation error:"}, metrics.Summarize(errs))},
+	}, nil
 }
 
 // Ablations quantifies how much the two load-bearing simulator mechanisms
 // matter to the paper's Fig. 3 result: the epoch bandwidth fixed point and
 // the structurally shared LLC. Removing either changes the NRS/PRS error
 // structure qualitatively (e.g. without feedback, bandwidth contention
-// disappears and NRS looks far better than it should).
-func (e *Experiments) Ablations() (*AblationResult, error) {
+// disappears and NRS looks far better than it should). A row is a model
+// variant, a cell the suite-averaged single-core scale-model error under one
+// construction.
+func (e *Experiments) Ablations() (*Table, error) {
+	noFeedback, partitioned := e.lab.Opts, e.lab.Opts
+	noFeedback.NoFeedback, partitioned.PartitionedLLC = true, true
 	variants := []struct {
-		name   string
-		mutate func(*sim.Options)
-	}{
-		{"full model", func(o *sim.Options) {}},
-		{"no bandwidth feedback", func(o *sim.Options) { o.NoFeedback = true }},
-		{"partitioned LLC", func(o *sim.Options) { o.PartitionedLLC = true }},
-	}
-	out := &AblationResult{}
+		name string
+		opts sim.Options
+	}{{"full model", e.lab.Opts}, {"no bandwidth feedback", noFeedback}, {"partitioned LLC", partitioned}}
+	blk := Block{Label: "variant", LabelFormat: "  %-24s", Columns: columns("%", " %9.1f%%", "NRS err", "PRS err")}
 	for _, v := range variants {
-		opts := e.lab.Opts
-		v.mutate(&opts)
-		lab := e.lab.WithSimOptions(opts)
-		row := AblationRow{Variant: v.name}
+		row := Row{Label: v.name}
 		for _, pol := range []config.ScalingPolicy{config.NRS, config.PRSFull} {
-			_, errs, err := e.noExtrapolation(lab.WithPolicy(pol))
+			_, errs, err := e.noExtrapolation(e.lab.WithSimOptions(v.opts).WithPolicy(pol))
 			if err != nil {
 				return nil, err
 			}
-			if mean := methodResult(v.name, errs).Mean; pol == config.NRS {
-				row.NRSMean = mean
-			} else {
-				row.PRSMean = mean
-			}
+			row.Values = append(row.Values, Cell(methodResult(v.name, errs).Mean))
 		}
-		out.Rows = append(out.Rows, row)
+		blk.Rows = append(blk.Rows, row)
 	}
-	return out, nil
-}
-
-// PrefetchRow is one benchmark's outcome in the prefetcher robustness
-// study.
-type PrefetchRow struct {
-	Benchmark string
-	IPCOff    float64 // single-core scale model, prefetcher off
-	IPCOn     float64 // single-core scale model, prefetcher on
-	ErrOff    float64 // NoExtrap target prediction error, prefetcher off
-	ErrOn     float64 // same with the prefetcher on (both machines)
-}
-
-// PrefetchResult is the prefetcher robustness study.
-type PrefetchResult struct {
-	Rows       []PrefetchRow
-	SummaryOff metrics.Summary
-	SummaryOn  metrics.Summary
-}
-
-// String renders the study.
-func (r *PrefetchResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension — methodology robustness with an L2 stream prefetcher\n")
-	fmt.Fprintf(&b, "  %-12s %8s %8s %10s %10s\n", "benchmark", "IPC off", "IPC on", "err off", "err on")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-12s %8.3f %8.3f %9.1f%% %9.1f%%\n",
-			row.Benchmark, row.IPCOff, row.IPCOn, 100*row.ErrOff, 100*row.ErrOn)
-	}
-	fmt.Fprintf(&b, "  NoExtrap error without prefetcher: %s\n", r.SummaryOff)
-	fmt.Fprintf(&b, "  NoExtrap error with prefetcher:    %s\n", r.SummaryOn)
-	return b.String()
+	return &Table{ID: "Ablation", Title: "contention-model design choices (single-core scale model, no extrapolation)", Blocks: []Block{blk}}, nil
 }
 
 // PrefetchStudy checks that the scale-model methodology is robust to a
@@ -306,39 +206,36 @@ func (r *PrefetchResult) String() string {
 // L2 stream prefetcher. When both the scale model and the target gain the
 // prefetcher, proportional scaling should remain (about) as accurate as
 // without it — the methodology does not depend on the exact core-side
-// configuration, only on both machines sharing it.
-func (e *Experiments) PrefetchStudy() (*PrefetchResult, error) {
-	out := &PrefetchResult{}
-	var offErrs, onErrs []float64
-	for _, variant := range []bool{false, true} {
+// configuration, only on both machines sharing it. A row is a benchmark: its
+// single-core scale-model IPC and its No Extrapolation target prediction
+// error, each without and with the prefetcher (on both machines).
+func (e *Experiments) PrefetchStudy() (*Table, error) {
+	blk := Block{Label: "benchmark", LabelFormat: "  %-12s",
+		Columns: append(columns("IPC", " %8.3f", "IPC off", "IPC on"), columns("%", " %9.1f%%", "err off", "err on")...)}
+	var errs [2][]float64
+	for on, variant := range []bool{false, true} {
 		opts := e.lab.Opts
 		opts.EnablePrefetch = variant
-		d, errsList, err := e.noExtrapolation(e.lab.WithSimOptions(opts))
+		d, named, err := e.noExtrapolation(e.lab.WithSimOptions(opts))
 		if err != nil {
 			return nil, err
 		}
-		for _, ne := range errsList {
+		for _, ne := range named {
 			if !variant {
-				out.Rows = append(out.Rows, PrefetchRow{
-					Benchmark: ne.Name,
-					IPCOff:    d.Meas[ne.Name].IPC,
-					ErrOff:    ne.Error,
-				})
-				offErrs = append(offErrs, ne.Error)
-			} else {
-				// EvaluateLOO sorts by MPKI which may differ slightly
-				// between variants; match by name.
-				for j := range out.Rows {
-					if out.Rows[j].Benchmark == ne.Name {
-						out.Rows[j].IPCOn = d.Meas[ne.Name].IPC
-						out.Rows[j].ErrOn = ne.Error
-					}
-				}
-				onErrs = append(onErrs, ne.Error)
+				blk.Rows = append(blk.Rows, Row{Label: ne.Name, Values: make([]Cell, 4)})
 			}
+			// EvaluateLOO sorts by MPKI, which may differ slightly between
+			// variants; match by name.
+			for _, r := range blk.Rows {
+				if r.Label == ne.Name {
+					r.Values[on], r.Values[2+on] = Cell(d.Meas[ne.Name].IPC), Cell(ne.Error)
+				}
+			}
+			errs[on] = append(errs[on], ne.Error)
 		}
 	}
-	out.SummaryOff = metrics.Summarize(offErrs)
-	out.SummaryOn = metrics.Summarize(onErrs)
-	return out, nil
+	return &Table{ID: "Extension", Title: "methodology robustness with an L2 stream prefetcher", Blocks: []Block{blk,
+		summaryBlock("  %-34s", []string{"NoExtrap error without prefetcher:", "NoExtrap error with prefetcher:"},
+			metrics.Summarize(errs[0]), metrics.Summarize(errs[1])),
+	}}, nil
 }

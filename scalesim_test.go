@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinyOptions keeps root-level pipeline tests fast; the benches use
@@ -237,35 +238,31 @@ func TestFig4AndDerivativesOnSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig7.NoExtrapolation) != 5 || len(fig7.ML) != 2 {
-		t.Fatalf("fig7 points %d/%d, want 5/2", len(fig7.NoExtrapolation), len(fig7.ML))
+	points := fig7.Blocks[0].Rows
+	if got, want := labels(points), "No Extrapolation 16-core,No Extrapolation 8-core,No Extrapolation 4-core,"+
+		"No Extrapolation 2-core,No Extrapolation 1-core,SVM (1-core),SVM-log (1-core)"; got != want {
+		t.Fatalf("fig7 points %s, want %s", got, want)
 	}
 	// The single-core scale model must be the fastest.
-	last := fig7.NoExtrapolation[len(fig7.NoExtrapolation)-1]
-	if last.Label != "1-core" {
-		t.Fatalf("last no-extrap point is %s, want 1-core", last.Label)
-	}
-	for _, p := range fig7.NoExtrapolation[:len(fig7.NoExtrapolation)-1] {
-		if p.Speedup >= last.Speedup {
-			t.Errorf("%s speedup %.1f >= 1-core speedup %.1f", p.Label, p.Speedup, last.Speedup)
+	fastest := cell(t, fig7, "No Extrapolation 1-core", "speedup")
+	for _, p := range points[:4] {
+		if got := cell(t, fig7, p.Label, "speedup"); got >= fastest {
+			t.Errorf("%s speedup %.1f >= 1-core speedup %.1f", p.Label, got, fastest)
 		}
 	}
 
-	rows, err := ex.SimulationTimeStudy()
+	study, err := ex.SimulationTimeStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jobs := ex.svc.Stats().Jobs; jobs != jobsBefore {
 		t.Errorf("Fig. 7 and the simulation-time study submitted %d engine jobs; they must read collected data", jobs-jobsBefore)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("%d sim-time rows", len(rows))
+	if got := labels(study.Blocks[0].Rows); got != "1,2,4,8,16,32" {
+		t.Fatalf("sim-time rows %s, want 1,2,4,8,16,32", got)
 	}
-	if rows[0].Cores != 1 || rows[5].Cores != 32 {
-		t.Fatalf("unexpected row order %+v", rows)
-	}
-	if rows[5].TotalSecs <= rows[0].TotalSecs {
-		t.Errorf("32-core sim (%.3fs) not slower than 1-core (%.3fs)", rows[5].TotalSecs, rows[0].TotalSecs)
+	if big, small := cell(t, study, "32", "total"), cell(t, study, "1", "total"); big <= small {
+		t.Errorf("32-core sim (%.3fs) not slower than 1-core (%.3fs)", big, small)
 	}
 
 	pred, err := ex.PredictTargetIPC("lbm")
@@ -317,15 +314,15 @@ func TestHeterogeneousFiguresOnSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig6.Methods) != 3 {
-		t.Fatalf("%d STP methods, want 3", len(fig6.Methods))
+	if got := labels(fig6.Blocks[0].Rows); got != "DT-log,RF-log,SVM-log" {
+		t.Fatalf("STP methods %s, want DT-log,RF-log,SVM-log", got)
 	}
-	for _, m := range fig6.Methods {
-		if len(m.Sorted) != fig6.Mixes {
-			t.Errorf("%s: %d sorted errors, want %d", m.Method, len(m.Sorted), fig6.Mixes)
+	for _, m := range fig6.Blocks[0].Rows {
+		if avg := cell(t, fig6, m.Label, "avg"); !(avg > 0) {
+			t.Errorf("%s: STP error %v", m.Label, avg)
 		}
-		if !strings.Contains(fig6.String(), m.Method) {
-			t.Errorf("STP rendering missing %s", m.Method)
+		if !strings.Contains(fig6.String(), m.Label) {
+			t.Errorf("STP rendering missing %s", m.Label)
 		}
 	}
 }
@@ -388,16 +385,16 @@ func TestExtMultithreadedOnTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Workloads) != 4 {
-		t.Fatalf("%d workloads", len(res.Workloads))
+	if got := labels(res.Blocks[0].Rows); got != "par.stream,par.stencil,par.tablescan,par.graph" {
+		t.Fatalf("workloads %s", got)
 	}
-	for _, w := range res.Workloads {
-		if w.Actual32 <= 0 || w.Predicted32 <= 0 {
-			t.Errorf("%s: bad throughputs %+v", w.Workload, w)
+	for _, w := range res.Blocks[0].Rows {
+		if cell(t, res, w.Label, "32") <= 0 || cell(t, res, w.Label, "predicted 32") <= 0 {
+			t.Errorf("%s: bad throughputs %v", w.Label, w.Values)
 		}
 		// Strong scaling: 32 threads must beat 1 thread.
-		if w.ThroughputAt[32] <= w.ThroughputAt[1] {
-			t.Errorf("%s: no scaling: %v", w.Workload, w.ThroughputAt)
+		if cell(t, res, w.Label, "32") <= cell(t, res, w.Label, "1") {
+			t.Errorf("%s: no scaling: %v", w.Label, w.Values)
 		}
 	}
 	if !strings.Contains(res.String(), "par.stream") {
@@ -449,20 +446,15 @@ func TestAblationsShowMechanismsMatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("%d ablation rows", len(res.Rows))
+	if got := labels(res.Blocks[0].Rows); got != "full model,no bandwidth feedback,partitioned LLC" {
+		t.Fatalf("ablation rows %s", got)
 	}
-	byName := map[string]AblationRow{}
-	for _, r := range res.Rows {
-		byName[r.Variant] = r
-	}
-	full := byName["full model"]
-	noFB := byName["no bandwidth feedback"]
+	full := cell(t, res, "full model", "NRS err")
+	noFB := cell(t, res, "no bandwidth feedback", "NRS err")
 	// Without the bandwidth fixed point there is (almost) no contention:
 	// the NRS error collapses, i.e. the mechanism is load-bearing.
-	if noFB.NRSMean >= full.NRSMean*0.8 {
-		t.Errorf("no-feedback NRS err %.3f not well below full-model %.3f; feedback not load-bearing?",
-			noFB.NRSMean, full.NRSMean)
+	if noFB >= full*0.8 {
+		t.Errorf("no-feedback NRS err %.3f not well below full-model %.3f; feedback not load-bearing?", noFB, full)
 	}
 	if !strings.Contains(res.String(), "partitioned LLC") {
 		t.Error("rendering missing variants")
@@ -481,16 +473,17 @@ func TestPrefetchStudyOnSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(subsetNames()) {
-		t.Fatalf("%d rows", len(res.Rows))
+	if len(res.Blocks[0].Rows) != len(subsetNames()) {
+		t.Fatalf("%d rows", len(res.Blocks[0].Rows))
 	}
 	foundSpeedup := false
-	for _, row := range res.Rows {
-		if row.IPCOn > row.IPCOff*1.02 {
+	for _, row := range res.Blocks[0].Rows {
+		on, off := cell(t, res, row.Label, "IPC on"), cell(t, res, row.Label, "IPC off")
+		if on > off*1.02 {
 			foundSpeedup = true
 		}
-		if row.IPCOn == 0 || row.IPCOff == 0 {
-			t.Errorf("%s: missing variant data %+v", row.Benchmark, row)
+		if on == 0 || off == 0 {
+			t.Errorf("%s: missing variant data %v", row.Label, row.Values)
 		}
 	}
 	if !foundSpeedup {
@@ -519,8 +512,8 @@ func TestCustomMachineSpec(t *testing.T) {
 	}
 }
 
-// TestFiguresTable pins the one figure table both CLIs loop over: the ids
-// `-figs`/`-fig` accept, in report order, and the simulation-time study's
+// TestFiguresTable pins the table of contents cmd/experiments loops over:
+// the ids its -figs accepts, in report order, and the simulation-time study's
 // rendering (the layout experiments_full.txt records).
 func TestFiguresTable(t *testing.T) {
 	ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
@@ -537,11 +530,11 @@ func TestFiguresTable(t *testing.T) {
 	if got, want := strings.Join(ids, ","), "3,4,5,6,7,8,9,10,11,12,mt,ablations,prefetch,speedup"; got != want {
 		t.Errorf("figure ids %s, want %s", got, want)
 	}
-	rows := SimTimeRows{{Cores: 1, TotalSecs: 0.5, PerBenchMs: 125}, {Cores: 32, TotalSecs: 14, PerBenchMs: 3500}}
+	study := simTimeTable(map[int]time.Duration{1: time.Second / 2, 32: 14 * time.Second}, []int{1, 32}, 4)
 	want := "Simulation time study (§I / §V-D) — wall-clock per machine size, full homogeneous suite\n" +
 		"   1 cores:     0.50s total ( 125.0 ms/benchmark)  speedup vs 32-core:  28.0x\n" +
 		"  32 cores:    14.00s total (3500.0 ms/benchmark)  speedup vs 32-core:   1.0x\n"
-	if got := rows.String(); got != want {
+	if got := study.String(); got != want {
 		t.Errorf("time study renders\n%s\nwant\n%s", got, want)
 	}
 }
