@@ -1,25 +1,16 @@
 package apiv1
 
 import (
-	"strconv"
-
 	"scalesim"
+	"scalesim/internal/canon"
 )
 
 // The canonical decoders read JobRequest and JobResponse without
-// reflection, for the strict subset of JSON that Encode writes for them:
-//
-//   - every key spelled exactly as its wire name, at most once per object;
-//   - strings of printable ASCII with no backslash;
-//   - numbers in the JSON grammar, parsed with the strconv call that
-//     encoding/json makes for the field's kind (an integer field takes only
-//     an integer literal);
-//   - null only where it means nil (a slice or a pointer), and [] as an
-//     empty non-nil slice;
-//   - JSON whitespace between tokens and after the value, nothing else.
-//
-// A non-null "tuning", "profiles" or result "Trace" is not part of the
-// subset. On anything outside it a decoder declines, and decodeStrict hands
+// reflection, for the subset of JSON that Encode writes for them and
+// internal/canon reads (exact keys, each at most once; plain ASCII strings;
+// numbers parsed as encoding/json parses them for the field's kind). A
+// non-null "tuning", "profiles" or result "Trace" is not part of the subset
+// here. On anything outside it a decoder declines, and decodeStrict hands
 // the same bytes to encoding/json, which stays the reference: whatever the
 // subset accepts, the reference accepts as the same value
 // (FuzzDecodeJobRequest, FuzzDecodeJobResponse), so every error and every
@@ -28,17 +19,17 @@ import (
 // decodeCanonical decodes b into v, a *JobRequest or *JobResponse, and
 // reports whether b was in the subset. v is left untouched when it was not.
 func decodeCanonical(b []byte, v any) bool {
-	c := canon{b: b}
+	c := canon.New(b)
 	switch v := v.(type) {
 	case *JobRequest:
 		var r JobRequest
-		if c.request(&r) && c.end() {
+		if request(&c, &r) && c.End() {
 			*v = r
 			return true
 		}
 	case *JobResponse:
 		var r JobResponse
-		if c.response(&r) && c.end() {
+		if response(&c, &r) && c.End() {
 			*v = r
 			return true
 		}
@@ -46,7 +37,8 @@ func decodeCanonical(b []byte, v any) bool {
 	return false
 }
 
-// Wire names per object, in encoding order.
+// Wire names per object, in encoding order; each at most canon.MaxNames
+// long (TestCanonicalNameTables).
 var (
 	requestNames  = []string{"schema", "client", "jobs"}
 	jobNames      = []string{"machine", "benchmarks", "options", "profiles"}
@@ -60,430 +52,220 @@ var (
 	frontNames    = []string{"ChunksProduced", "ChunksConsumed", "StreamsBuilt", "StreamsEvicted", "BytesRetained"}
 )
 
-func (c *canon) request(r *JobRequest) bool {
-	return c.object(requestNames, func(name string) bool {
+// schema reads a document's schema tag, keeping the one string every
+// document carries unallocated.
+func schema(c *canon.Cursor, v *string) bool {
+	raw, ok := c.Raw()
+	switch {
+	case !ok:
+		return false
+	case string(raw) == Schema:
+		*v = Schema
+	default:
+		*v = string(raw)
+	}
+	return true
+}
+
+func request(c *canon.Cursor, r *JobRequest) bool {
+	return c.Object(requestNames, func(name string) bool {
 		switch name {
 		case "schema":
-			return c.str(&r.Schema)
+			return schema(c, &r.Schema)
 		case "client":
-			return c.str(&r.Client)
+			return c.Str(&r.Client)
 		case "jobs":
-			return array(c, &r.Jobs, (*canon).job)
+			return canon.Array(c, &r.Jobs, job)
 		}
 		return false
 	})
 }
 
-func (c *canon) job(j *JobSpec) bool {
-	return c.object(jobNames, func(name string) bool {
+func job(c *canon.Cursor, j *JobSpec) bool {
+	return c.Object(jobNames, func(name string) bool {
 		switch name {
 		case "machine":
-			return c.machine(&j.Machine)
+			return machine(c, &j.Machine)
 		case "benchmarks":
-			return array(c, &j.Benchmarks, (*canon).str)
+			return canon.Array(c, &j.Benchmarks, (*canon.Cursor).Str)
 		case "options":
-			return c.options(&j.Options)
+			return options(c, &j.Options)
 		case "profiles":
-			return c.null()
+			return c.Null()
 		}
 		return false
 	})
 }
 
-func (c *canon) machine(m *scalesim.MachineSpec) bool {
-	return c.object(machineNames, func(name string) bool {
+func machine(c *canon.Cursor, m *scalesim.MachineSpec) bool {
+	return c.Object(machineNames, func(name string) bool {
 		switch name {
 		case "Cores":
-			return c.int(&m.Cores)
+			return c.Int(&m.Cores)
 		case "Policy":
-			return c.str((*string)(&m.Policy))
+			return c.Str((*string)(&m.Policy))
 		case "Bandwidth":
-			return c.str((*string)(&m.Bandwidth))
+			return c.Str((*string)(&m.Bandwidth))
 		case "LLCPerCoreKB":
-			return c.int(&m.LLCPerCoreKB)
+			return c.Int(&m.LLCPerCoreKB)
 		case "DRAMPerCoreGBps":
-			return c.float(&m.DRAMPerCoreGBps)
+			return c.Float(&m.DRAMPerCoreGBps)
 		case "NoCPerCoreGBps":
-			return c.float(&m.NoCPerCoreGBps)
+			return c.Float(&m.NoCPerCoreGBps)
 		}
 		return false
 	})
 }
 
-func (c *canon) options(o *scalesim.SimOptions) bool {
-	return c.object(optionNames, func(name string) bool {
+func options(c *canon.Cursor, o *scalesim.SimOptions) bool {
+	return c.Object(optionNames, func(name string) bool {
 		switch name {
 		case "Instructions":
-			return c.uint(&o.Instructions)
+			return c.Uint(&o.Instructions)
 		case "Warmup":
-			return c.uint(&o.Warmup)
+			return c.Uint(&o.Warmup)
 		case "EpochCycles":
-			return c.float(&o.EpochCycles)
+			return c.Float(&o.EpochCycles)
 		case "CapacityScale":
-			return c.int(&o.CapacityScale)
+			return c.Int(&o.CapacityScale)
 		case "Seed":
-			return c.uint(&o.Seed)
+			return c.Uint(&o.Seed)
 		case "EnablePrefetch":
-			return c.bool(&o.EnablePrefetch)
+			return c.Bool(&o.EnablePrefetch)
 		case "NoFeedback":
-			return c.bool(&o.NoFeedback)
+			return c.Bool(&o.NoFeedback)
 		case "PartitionedLLC":
-			return c.bool(&o.PartitionedLLC)
+			return c.Bool(&o.PartitionedLLC)
 		case "Trace":
-			return c.bool(&o.Trace)
+			return c.Bool(&o.Trace)
 		case "TraceWarmup":
-			return c.bool(&o.TraceWarmup)
+			return c.Bool(&o.TraceWarmup)
 		case "tuning":
-			return c.null()
+			return c.Null()
 		}
 		return false
 	})
 }
 
-func (c *canon) response(r *JobResponse) bool {
-	return c.object(responseNames, func(name string) bool {
+func response(c *canon.Cursor, r *JobResponse) bool {
+	return c.Object(responseNames, func(name string) bool {
 		switch name {
 		case "schema":
-			return c.str(&r.Schema)
+			return schema(c, &r.Schema)
 		case "outcomes":
-			return array(c, &r.Outcomes, (*canon).outcome)
+			return canon.Array(c, &r.Outcomes, outcome)
 		case "stats":
-			return c.stats(&r.Stats)
+			return stats(c, &r.Stats)
 		}
 		return false
 	})
 }
 
-func (c *canon) outcome(o *JobOutcome) bool {
-	return c.object(outcomeNames, func(name string) bool {
+func outcome(c *canon.Cursor, o *JobOutcome) bool {
+	return c.Object(outcomeNames, func(name string) bool {
 		switch name {
 		case "job":
-			return c.int(&o.Job)
+			return c.Int(&o.Job)
 		case "source":
-			return c.str(&o.Source)
+			return c.Str(&o.Source)
 		case "cache_hit":
-			return c.bool(&o.CacheHit)
+			return c.Bool(&o.CacheHit)
 		case "approximate":
-			return c.bool(&o.Approximate)
+			return c.Bool(&o.Approximate)
 		case "error":
-			return c.str(&o.Error)
+			return c.Str(&o.Error)
 		case "result":
-			if c.null() {
+			if c.Null() {
 				o.Result = nil
 				return true
 			}
 			o.Result = new(scalesim.SimResult)
-			return c.result(o.Result)
+			return result(c, o.Result)
 		}
 		return false
 	})
 }
 
-func (c *canon) result(r *scalesim.SimResult) bool {
-	return c.object(resultNames, func(name string) bool {
+func result(c *canon.Cursor, r *scalesim.SimResult) bool {
+	return c.Object(resultNames, func(name string) bool {
 		switch name {
 		case "Machine":
-			return c.str(&r.Machine)
+			return c.Str(&r.Machine)
 		case "Cores":
-			return array(c, &r.Cores, (*canon).core)
+			return canon.Array(c, &r.Cores, core)
 		case "DRAMUtilization":
-			return c.float(&r.DRAMUtilization)
+			return c.Float(&r.DRAMUtilization)
 		case "NoCUtilization":
-			return c.float(&r.NoCUtilization)
+			return c.Float(&r.NoCUtilization)
 		case "WallClockSec":
-			return c.float(&r.WallClockSec)
+			return c.Float(&r.WallClockSec)
 		case "SimulatedSec":
-			return c.float(&r.SimulatedSec)
+			return c.Float(&r.SimulatedSec)
 		case "Trace":
-			return c.null()
+			return c.Null()
 		}
 		return false
 	})
 }
 
-func (c *canon) core(r *scalesim.CoreResult) bool {
-	return c.object(coreNames, func(name string) bool {
+func core(c *canon.Cursor, r *scalesim.CoreResult) bool {
+	return c.Object(coreNames, func(name string) bool {
 		switch name {
 		case "Core":
-			return c.int(&r.Core)
+			return c.Int(&r.Core)
 		case "Benchmark":
-			return c.str(&r.Benchmark)
+			return c.Str(&r.Benchmark)
 		case "Instructions":
-			return c.uint(&r.Instructions)
+			return c.Uint(&r.Instructions)
 		case "IPC":
-			return c.float(&r.IPC)
+			return c.Float(&r.IPC)
 		case "BWBytesPerCycle":
-			return c.float(&r.BWBytesPerCycle)
+			return c.Float(&r.BWBytesPerCycle)
 		case "LLCMPKI":
-			return c.float(&r.LLCMPKI)
+			return c.Float(&r.LLCMPKI)
 		case "BranchMispredictRate":
-			return c.float(&r.BranchMispredictRate)
+			return c.Float(&r.BranchMispredictRate)
 		}
 		return false
 	})
 }
 
-func (c *canon) stats(s *scalesim.CampaignStats) bool {
-	return c.object(statsNames, func(name string) bool {
+func stats(c *canon.Cursor, s *scalesim.CampaignStats) bool {
+	return c.Object(statsNames, func(name string) bool {
 		switch name {
 		case "Jobs":
-			return c.int(&s.Jobs)
+			return c.Int(&s.Jobs)
 		case "UniqueRuns":
-			return c.int(&s.UniqueRuns)
+			return c.Int(&s.UniqueRuns)
 		case "CacheHits":
-			return c.int(&s.CacheHits)
+			return c.Int(&s.CacheHits)
 		case "CoalescedHits":
-			return c.int(&s.CoalescedHits)
+			return c.Int(&s.CoalescedHits)
 		case "DiskHits":
-			return c.int(&s.DiskHits)
+			return c.Int(&s.DiskHits)
 		case "ModelHits":
-			return c.int(&s.ModelHits)
+			return c.Int(&s.ModelHits)
 		case "Failures":
-			return c.int(&s.Failures)
+			return c.Int(&s.Failures)
 		case "StoreCorrupt":
-			return c.int(&s.StoreCorrupt)
+			return c.Int(&s.StoreCorrupt)
 		case "Fronts":
-			return c.object(frontNames, func(name string) bool {
+			return c.Object(frontNames, func(name string) bool {
 				switch name {
 				case "ChunksProduced":
-					return c.uint(&s.Fronts.ChunksProduced)
+					return c.Uint(&s.Fronts.ChunksProduced)
 				case "ChunksConsumed":
-					return c.uint(&s.Fronts.ChunksConsumed)
+					return c.Uint(&s.Fronts.ChunksConsumed)
 				case "StreamsBuilt":
-					return c.int(&s.Fronts.StreamsBuilt)
+					return c.Int(&s.Fronts.StreamsBuilt)
 				case "StreamsEvicted":
-					return c.int(&s.Fronts.StreamsEvicted)
+					return c.Int(&s.Fronts.StreamsEvicted)
 				case "BytesRetained":
-					return c.int(&s.Fronts.BytesRetained)
+					return c.Int(&s.Fronts.BytesRetained)
 				}
 				return false
 			})
 		}
 		return false
 	})
-}
-
-// canon is a cursor over one document of the canonical subset. Every
-// reader skips the whitespace before its token and reports false, having
-// consumed an unspecified prefix, on input outside the subset.
-type canon struct {
-	b []byte
-	i int
-}
-
-// space skips JSON whitespace, all of which sorts at or below ' '.
-func (c *canon) space() {
-	b, i := c.b, c.i
-	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	c.i = i
-}
-
-// next consumes the byte ch if it is the next token.
-func (c *canon) next(ch byte) bool {
-	c.space()
-	if c.i < len(c.b) && c.b[c.i] == ch {
-		c.i++
-		return true
-	}
-	return false
-}
-
-// literal consumes the keyword word (null, true or false) if it is next.
-func (c *canon) literal(word string) bool {
-	c.space()
-	if len(c.b)-c.i >= len(word) && string(c.b[c.i:c.i+len(word)]) == word {
-		c.i += len(word)
-		return true
-	}
-	return false
-}
-
-func (c *canon) null() bool { return c.literal("null") }
-
-// end reports whether nothing but whitespace is left.
-func (c *canon) end() bool {
-	c.space()
-	return c.i == len(c.b)
-}
-
-// object reads one object whose keys are among names, each spelled exactly
-// and present at most once, and hands each key's value to field by its
-// entry in names.
-func (c *canon) object(names []string, field func(name string) bool) bool {
-	if !c.next('{') {
-		return false
-	}
-	if c.next('}') {
-		return true
-	}
-	var seen uint64
-	for {
-		key, ok := c.raw()
-		if !ok || !c.next(':') {
-			return false
-		}
-		f := 0
-		for f < len(names) && names[f] != string(key) {
-			f++
-		}
-		if f == len(names) || seen&(1<<f) != 0 || !field(names[f]) {
-			return false
-		}
-		seen |= 1 << f
-		if !c.next(',') {
-			return c.next('}')
-		}
-	}
-}
-
-// array reads null as a nil slice and an array as a non-nil slice whose
-// elements elem reads.
-func array[T any](c *canon, v *[]T, elem func(*canon, *T) bool) bool {
-	if c.null() {
-		*v = nil
-		return true
-	}
-	if !c.next('[') {
-		return false
-	}
-	s := []T{}
-	for !c.next(']') {
-		if len(s) > 0 && !c.next(',') {
-			return false
-		}
-		var zero T
-		s = append(s, zero)
-		if !elem(c, &s[len(s)-1]) {
-			return false
-		}
-	}
-	*v = s
-	return true
-}
-
-// raw reads one string's bytes: printable ASCII, no escapes.
-func (c *canon) raw() ([]byte, bool) {
-	if !c.next('"') {
-		return nil, false
-	}
-	b, start, i := c.b, c.i, c.i
-	for i < len(b) && plain[b[i]] {
-		i++
-	}
-	if i == len(b) || b[i] != '"' {
-		return nil, false
-	}
-	c.i = i + 1
-	return b[start:i], true
-}
-
-// plain marks the bytes a canonical string holds: printable ASCII but the
-// quote and the backslash.
-var plain = func() (t [256]bool) {
-	for ch := ' '; ch <= '~'; ch++ {
-		t[ch] = ch != '"' && ch != '\\'
-	}
-	return t
-}()
-
-func (c *canon) str(v *string) bool {
-	raw, ok := c.raw()
-	if !ok {
-		return false
-	}
-	if string(raw) == Schema {
-		*v = Schema // the one string every document carries, kept unallocated
-	} else {
-		*v = string(raw)
-	}
-	return true
-}
-
-func (c *canon) bool(v *bool) bool {
-	switch {
-	case c.literal("true"):
-		*v = true
-	case c.literal("false"):
-		*v = false
-	default:
-		return false
-	}
-	return true
-}
-
-// number reads one number in the JSON grammar and reports whether it is an
-// integer literal: no fraction and no exponent.
-func (c *canon) number() (lit []byte, integer, ok bool) {
-	c.space()
-	start := c.i
-	if c.i < len(c.b) && c.b[c.i] == '-' {
-		c.i++
-	}
-	switch {
-	case c.i < len(c.b) && c.b[c.i] == '0':
-		c.i++
-	case c.digits() == 0:
-		return nil, false, false
-	}
-	integer = true
-	if c.i < len(c.b) && c.b[c.i] == '.' {
-		c.i++
-		if c.digits() == 0 {
-			return nil, false, false
-		}
-		integer = false
-	}
-	if c.i < len(c.b) && (c.b[c.i] == 'e' || c.b[c.i] == 'E') {
-		c.i++
-		if c.i < len(c.b) && (c.b[c.i] == '+' || c.b[c.i] == '-') {
-			c.i++
-		}
-		if c.digits() == 0 {
-			return nil, false, false
-		}
-		integer = false
-	}
-	return c.b[start:c.i], integer, true
-}
-
-// digits consumes a run of decimal digits and returns its length.
-func (c *canon) digits() int {
-	b, start, i := c.b, c.i, c.i
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	c.i = i
-	return i - start
-}
-
-func (c *canon) int(v *int) bool {
-	lit, integer, ok := c.number()
-	if !ok || !integer {
-		return false
-	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	*v = int(n)
-	return err == nil
-}
-
-func (c *canon) uint(v *uint64) bool {
-	lit, integer, ok := c.number()
-	if !ok || !integer {
-		return false
-	}
-	n, err := strconv.ParseUint(string(lit), 10, 64)
-	*v = n
-	return err == nil
-}
-
-func (c *canon) float(v *float64) bool {
-	lit, _, ok := c.number()
-	if !ok {
-		return false
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	*v = f
-	return err == nil
 }

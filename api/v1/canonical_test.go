@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"scalesim/internal/canon"
 )
 
 // declinedSubtrees are the fields the canonical decoder reads only as null:
@@ -80,6 +82,18 @@ func fillDistinct(t *testing.T, v reflect.Value, n *int, declined map[string]boo
 		v.SetBool(true)
 	default:
 		t.Fatalf("%s: no filler for kind %s; teach fillDistinct and the canonical decoder", v.Type(), v.Kind())
+	}
+}
+
+// TestCanonicalNameTables holds every field table to canon.MaxNames
+// entries: past the width of the mask Object tracks seen keys in, a repeated
+// key would go unseen.
+func TestCanonicalNameTables(t *testing.T) {
+	for i, table := range [][]string{requestNames, jobNames, machineNames, optionNames, responseNames,
+		outcomeNames, resultNames, coreNames, statsNames, frontNames} {
+		if len(table) > canon.MaxNames {
+			t.Errorf("table %d (%s, ...) has %d names, more than %d", i, table[0], len(table), canon.MaxNames)
+		}
 	}
 }
 

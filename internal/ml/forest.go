@@ -20,16 +20,20 @@ type RandomForest struct {
 	// valid and deterministic.
 	Seed uint64
 
-	ensemble []DecisionTree
-	d        int
+	// nodes holds tree t at nodes[t*stride:], in the pre-order layout of
+	// DecisionTree.nodes: one pointer-free arena for the whole ensemble.
+	nodes  []treeNode
+	stride int
+	trees  int
+	d      int
 }
 
 // Name implements Regressor.
 func (f *RandomForest) Name() string { return "RF" }
 
-// Fit implements Regressor. Every tree is grown from one scratch and one
-// node arena (tree t's nodes are arena[t*n:(t+1)*n], see treeFit.grow), so a
-// fit allocates per forest, not per tree.
+// Fit implements Regressor. Every tree is grown from one scratch into one
+// node arena, tree t into arena[t*m:(t+1)*m] with m = maxNodes(n), so a fit
+// allocates per forest, not per tree.
 func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	n, d, err := validate(X, y)
 	if err != nil {
@@ -39,15 +43,14 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 	if trees <= 0 {
 		trees = 100
 	}
-	f.d = d
-	f.ensemble = make([]DecisionTree, trees)
+	m := maxNodes(n)
+	f.nodes, f.stride, f.trees, f.d = make([]treeNode, trees*m), m, trees, d
 	rng := xrand.New(f.Seed ^ 0x5eedf04e57)
 
 	fit := newTreeFit(make([][]float64, n), make([]float64, n), d)
-	arena := make([]treeNode, trees*n)
 	perm := fit.features
 	swap := func(i, j int) { perm[i], perm[j] = perm[j], perm[i] }
-	for t := range f.ensemble {
+	for t := 0; t < trees; t++ {
 		// Bootstrap resample (with replacement) of the validated rows.
 		for i := 0; i < n; i++ {
 			j := rng.Intn(n)
@@ -59,7 +62,7 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 			perm[j] = j
 		}
 		rng.Shuffle(d, swap)
-		fit.grow(&f.ensemble[t], arena[t*n:(t+1)*n])
+		fit.grow(f.nodes[t*m : (t+1)*m])
 	}
 	return nil
 }
@@ -77,16 +80,19 @@ func (f *RandomForest) Predict(x []float64) float64 {
 // extrapolation, which is what the surrogate tier's confidence gate keys
 // on.
 func (f *RandomForest) PredictStats(x []float64) (mean, std float64) {
-	if len(f.ensemble) == 0 {
+	if f.trees == 0 {
 		panic("ml: RandomForest.Predict before Fit")
 	}
+	if len(x) != f.d {
+		panic(fmt.Sprintf("ml: RandomForest.Predict with %d features, trained on %d", len(x), f.d))
+	}
 	var sum, sumSq float64
-	for i := range f.ensemble {
-		p := f.ensemble[i].Predict(x)
+	for t := 0; t < f.trees; t++ {
+		p := predict(f.nodes[t*f.stride:], x)
 		sum += p
 		sumSq += p * p
 	}
-	n := float64(len(f.ensemble))
+	n := float64(f.trees)
 	mean = sum / n
 	variance := sumSq/n - mean*mean
 	if variance < 0 { // floating-point cancellation on near-identical trees
@@ -101,9 +107,9 @@ func (f *RandomForest) PredictStats(x []float64) (mean, std float64) {
 // byte-identical encodings, which is how the surrogate tier fingerprints
 // (and regression-tests) trained models.
 func (f *RandomForest) WriteCanonical(w io.Writer) {
-	fmt.Fprintf(w, "rf|trees=%d|d=%d\n", len(f.ensemble), f.d)
-	for i := range f.ensemble {
-		fmt.Fprintf(w, "tree|%d\n", i)
-		f.ensemble[i].WriteCanonical(w)
+	fmt.Fprintf(w, "rf|trees=%d|d=%d\n", f.trees, f.d)
+	for t := 0; t < f.trees; t++ {
+		fmt.Fprintf(w, "tree|%d\n", t)
+		writeTree(w, f.nodes[t*f.stride:])
 	}
 }

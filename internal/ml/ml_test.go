@@ -3,7 +3,9 @@ package ml
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,24 +173,82 @@ func TestTreeStructure(t *testing.T) {
 	if err := tr.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	var walk func(n *treeNode) (depth, leaves int)
-	walk = func(n *treeNode) (int, int) {
-		if n.leaf {
-			return 0, 1
+	// walk reads the subtree at arena index i and returns its depth, its
+	// leaf count and the index just past it: a split's left subtree starts
+	// at i+1 and must end where its right child starts.
+	var walk func(i int) (depth, leaves, end int)
+	walk = func(i int) (int, int, int) {
+		n := tr.nodes[i]
+		if n.feature == leaf {
+			return 0, 1, i + 1
 		}
-		ld, ll := walk(n.left)
-		rd, rl := walk(n.right)
-		if rd > ld {
-			ld = rd
+		if n.feature < 0 || int(n.feature) >= tr.d {
+			t.Fatalf("node %d splits on feature %d of %d", i, n.feature, tr.d)
 		}
-		return ld + 1, ll + rl
+		ld, ll, lend := walk(i + 1)
+		if lend != int(n.right) {
+			t.Fatalf("node %d: left subtree ends at %d, right child at %d", i, lend, n.right)
+		}
+		rd, rl, rend := walk(lend)
+		return max(ld, rd) + 1, ll + rl, rend
 	}
-	depth, leaves := walk(tr.root)
+	depth, leaves, end := walk(0)
+	if end != len(tr.nodes) {
+		t.Errorf("the root's subtree holds %d of the arena's %d nodes", end, len(tr.nodes))
+	}
 	if depth > treeMaxDepth {
 		t.Errorf("depth %d exceeds treeMaxDepth %d", depth, treeMaxDepth)
 	}
 	if leaves < 2 || leaves > len(y)/treeMinLeaf {
 		t.Errorf("leaves %d outside [2, %d] for %d samples", leaves, len(y)/treeMinLeaf, len(y))
+	}
+}
+
+// WriteCanonical writes the fitted tree as RandomForest.WriteCanonical writes
+// each of its trees; the tree goldens hash it. An unfitted tree writes
+// nothing.
+func (t *DecisionTree) WriteCanonical(w io.Writer) {
+	if len(t.nodes) > 0 {
+		writeTree(w, t.nodes)
+	}
+}
+
+// TestTreeNodeHoldsNoPointer pins why a node is an index arena: a node with
+// no pointer is an allocation the collector never scans, and a 100-tree
+// forest over the 7 rows the figures fit takes its nodes in one allocation
+// below Go's 32 KiB small-object limit: a tree over 7 rows has at most 3
+// leaves and 5 nodes (48-byte nodes with two child pointers, 7 a tree, made
+// it 33,600 B, a large object zeroed and scanned per fit).
+func TestTreeNodeHoldsNoPointer(t *testing.T) {
+	var pointers func(reflect.Type) bool
+	pointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		case reflect.Array:
+			return pointers(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if pointers(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true
+	}
+	if ty := reflect.TypeOf(treeNode{}); pointers(ty) {
+		t.Fatalf("%v holds a pointer", ty)
+	}
+	X, y := synth(7, 1)
+	f := &RandomForest{Trees: 100}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if bytes := len(f.nodes) * int(reflect.TypeOf(treeNode{}).Size()); bytes != 100*5*16 || bytes >= 32<<10 {
+		t.Errorf("a 100-tree forest on 7 rows allocates %d B of nodes; want 100 trees x 5 nodes x 16 B = 8,000 B, below 32 KiB", bytes)
 	}
 }
 
@@ -241,8 +301,8 @@ func TestForestSmoothsTree(t *testing.T) {
 	if fm > tm*1.2 {
 		t.Errorf("forest MAPE %.3f much worse than tree MAPE %.3f", fm, tm)
 	}
-	if len(forest.ensemble) != 80 {
-		t.Errorf("forest size %d, want 80", len(forest.ensemble))
+	if forest.trees != 80 {
+		t.Errorf("forest size %d, want 80", forest.trees)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // criterion the paper cites), grown depth-first until treeMaxDepth or
 // treeMinLeaf is reached.
 type DecisionTree struct {
-	root *treeNode
-	d    int
+	nodes []treeNode // pre-order: the root first, a split's left child next to it
+	d     int
 }
 
 const (
@@ -20,14 +20,17 @@ const (
 	treeMinLeaf  = 2  // minimum number of samples in a leaf
 )
 
+// treeNode is one node of a tree's pre-order arena. It holds no pointer, so
+// an arena is 16 bytes a node that the collector never scans (DESIGN.md,
+// Performance invariants, 9).
 type treeNode struct {
-	feature int
-	thresh  float64
-	left    *treeNode
-	right   *treeNode
-	value   float64 // leaf prediction
-	leaf    bool
+	v       float64 // a split's threshold, a leaf's prediction
+	feature int32   // a split's feature; leaf for a leaf
+	right   int32   // a split's right child; its left child is the next node
 }
+
+// leaf is the feature of a leaf node.
+const leaf = -1
 
 // Name implements Regressor.
 func (t *DecisionTree) Name() string { return "DT" }
@@ -42,7 +45,8 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	for j := range f.features {
 		f.features[j] = j
 	}
-	f.grow(t, make([]treeNode, n))
+	nodes := make([]treeNode, maxNodes(n))
+	t.nodes, t.d = nodes[:f.grow(nodes)], d
 	return nil
 }
 
@@ -58,6 +62,7 @@ type treeFit struct {
 	sorted      []keyed    // bestSplit's sort buffer
 	left, right []int      // build's partition buffers
 	nodes       []treeNode // the arena the tree being grown takes nodes from
+	used        int        // the nodes taken so far
 }
 
 func newTreeFit(X [][]float64, y []float64, d int) *treeFit {
@@ -66,17 +71,20 @@ func newTreeFit(X [][]float64, y []float64, d int) *treeFit {
 		sorted: make([]keyed, n), left: make([]int, n), right: make([]int, n)}
 }
 
-// grow fits t to f's training set, taking its nodes from nodes. A leaf
-// below a split holds at least treeMinLeaf = 2 samples, so a tree over n
-// samples has at most n/2 leaves and n-1 nodes (1 without a split):
-// len(nodes) = n always suffices.
-func (f *treeFit) grow(t *DecisionTree, nodes []treeNode) {
+// maxNodes bounds the nodes of a tree over n samples: a leaf below a split
+// holds at least treeMinLeaf samples, so the tree has at most
+// n/treeMinLeaf leaves and one split fewer.
+func maxNodes(n int) int { return max(1, 2*(n/treeMinLeaf)-1) }
+
+// grow fits a tree to f's training set into nodes, which holds
+// maxNodes(len(f.X)) of them, and returns how many it took.
+func (f *treeFit) grow(nodes []treeNode) int {
 	for i := range f.idx {
 		f.idx[i] = i
 	}
-	f.nodes = nodes
-	t.d = len(f.features)
-	t.root = f.build(f.idx, 0)
+	f.nodes, f.used = nodes, 0
+	f.build(f.idx, 0)
+	return f.used
 }
 
 // keyed is a sample index with the value of the feature being scanned.
@@ -113,24 +121,25 @@ func sortByValue(s []keyed) {
 }
 
 // build grows the subtree over the sample indices idx, which it reorders
-// into its children's halves.
-func (f *treeFit) build(idx []int, depth int) *treeNode {
-	node := &f.nodes[0]
-	f.nodes = f.nodes[1:]
-	leafValue := func() *treeNode {
+// into its children's halves, into the arena in pre-order.
+func (f *treeFit) build(idx []int, depth int) {
+	node := &f.nodes[f.used]
+	f.used++
+	leafValue := func() {
 		sum := 0.0
 		for _, i := range idx {
 			sum += f.y[i]
 		}
-		node.leaf, node.value = true, sum/float64(len(idx))
-		return node
+		node.feature, node.v = leaf, sum/float64(len(idx))
 	}
 	if depth >= treeMaxDepth || len(idx) < 2*treeMinLeaf {
-		return leafValue()
+		leafValue()
+		return
 	}
 	feature, thresh, ok := f.bestSplit(idx)
 	if !ok {
-		return leafValue()
+		leafValue()
+		return
 	}
 	// Stable partition through the scratch: each side keeps idx's order, as
 	// the sums over a side depend on it.
@@ -143,14 +152,15 @@ func (f *treeFit) build(idx []int, depth int) *treeNode {
 		}
 	}
 	if len(left) < treeMinLeaf || len(right) < treeMinLeaf {
-		return leafValue()
+		leafValue()
+		return
 	}
 	nl := copy(idx, left)
 	copy(idx[nl:], right)
-	node.feature, node.thresh = feature, thresh
-	node.left = f.build(idx[:nl], depth+1)
-	node.right = f.build(idx[nl:], depth+1)
-	return node
+	node.feature, node.v = int32(feature), thresh
+	f.build(idx[:nl], depth+1)
+	node.right = int32(f.used)
+	f.build(idx[nl:], depth+1)
 }
 
 // bestSplit finds the (feature, threshold) pair with the greatest variance
@@ -201,40 +211,41 @@ func (f *treeFit) bestSplit(idx []int) (feature int, thresh float64, ok bool) {
 
 // Predict implements Regressor.
 func (t *DecisionTree) Predict(x []float64) float64 {
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		panic("ml: DecisionTree.Predict before Fit")
 	}
 	if len(x) != t.d {
 		panic(fmt.Sprintf("ml: DecisionTree.Predict with %d features, trained on %d", len(x), t.d))
 	}
-	node := t.root
-	for !node.leaf {
-		if x[node.feature] <= node.thresh {
-			node = node.left
-		} else {
-			node = node.right
-		}
-	}
-	return node.value
+	return predict(t.nodes, x)
 }
 
-// WriteCanonical writes a canonical encoding of the fitted tree: a
-// pre-order walk with every split's feature index and threshold and every
-// leaf's value in Go's shortest round-trip float format (%v), which is
-// exact and byte-stable across processes and platforms.
-func (t *DecisionTree) WriteCanonical(w io.Writer) {
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n == nil {
-			return
+// predict walks the tree at the start of nodes to x's leaf.
+func predict(nodes []treeNode, x []float64) float64 {
+	i := 0
+	for nodes[i].feature != leaf {
+		if n := nodes[i]; x[n.feature] <= n.v {
+			i++
+		} else {
+			i = int(n.right)
 		}
-		if n.leaf {
-			fmt.Fprintf(w, "leaf|%v\n", n.value)
-			return
-		}
-		fmt.Fprintf(w, "split|%d|%v\n", n.feature, n.thresh)
-		walk(n.left)
-		walk(n.right)
 	}
-	walk(t.root)
+	return nodes[i].v
+}
+
+// writeTree writes a canonical encoding of the tree at the start of nodes:
+// its nodes in pre-order, up to the node that leaves no child unwritten,
+// every split's feature index and threshold and every leaf's value in Go's
+// shortest round-trip float format (%v), which is exact and byte-stable
+// across processes and platforms.
+func writeTree(w io.Writer, nodes []treeNode) {
+	for i, open := 0, 1; open > 0; i++ {
+		if n := nodes[i]; n.feature == leaf {
+			fmt.Fprintf(w, "leaf|%v\n", n.v)
+			open--
+		} else {
+			fmt.Fprintf(w, "split|%d|%v\n", n.feature, n.v)
+			open++
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"scalesim/internal/sim"
 )
 
 // fuzzKey is the key every fuzzed document is read as an artifact of.
@@ -77,6 +80,52 @@ func FuzzDecodeArtifact(f *testing.F) {
 			t.Fatalf("accepted result changed through Save and Load: (%+v, %v, %v), want %+v", again, ok, err, res)
 		}
 	})
+}
+
+// FuzzDecodeResult holds the result decoder to its reference on raw result
+// payloads, outside the checksum envelope: decodeResult never panics, fails
+// exactly when json.Unmarshal does, and decodes what it accepts — on the
+// canonical path or the reference's — to the same sim.Result. The seeds are
+// what Save writes for sampleResult() and, under testdata/fuzz, the same
+// result untraced (the canonical path) and traced, and the near misses the
+// canonical reader must leave to the reference: a case-folded key, a
+// duplicate key, an escaped string and a fraction in an integer field
+// (TestCanonicalResultSeeds).
+func FuzzDecodeResult(f *testing.F) {
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	if err := s.Save(fuzzKey, sampleResult()); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(s.objectPath(fuzzKey))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(resultPayload(f, saved))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, err := decodeResult(payload)
+		var want sim.Result
+		werr := json.Unmarshal(payload, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decodeResult error %v, json.Unmarshal error %v, on\n%s", err, werr, payload)
+		}
+		if err == nil && !reflect.DeepEqual(*got, want) {
+			t.Fatalf("decodeResult and json.Unmarshal disagree on\n%s\ndecodeResult %+v\n   reference %+v", payload, *got, want)
+		}
+	})
+}
+
+// resultPayload cuts the result payload out of an artifact.
+func resultPayload(tb testing.TB, artifact []byte) []byte {
+	tb.Helper()
+	_, payload, ok := bytes.Cut(artifact, []byte(layoutResult))
+	if payload, ok = bytes.CutSuffix(payload, []byte(layoutEnd)); !ok {
+		tb.Fatalf("not an artifact:\n%s", artifact)
+	}
+	return payload
 }
 
 // FuzzJournal holds the two readers of an existing journal.log — Open, which

@@ -296,11 +296,11 @@ func decodeArtifact(data []byte, wantKey string) (*sim.Result, string, error) {
 	if got := sha256.Sum256(payload); hex.EncodeToString(got[:]) != string(sum) {
 		return nil, key, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	var res sim.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
+	res, err := decodeResult(payload)
+	if err != nil {
 		return nil, key, fmt.Errorf("%w: decoding result: %v", ErrCorrupt, err)
 	}
-	return &res, key, nil
+	return res, key, nil
 }
 
 // plain reports whether s is printable ASCII that json.Marshal writes
