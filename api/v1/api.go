@@ -251,11 +251,38 @@ func decodeReference(b []byte, v any) error {
 	return nil
 }
 
-// Encode writes v to w as one JSON document. It exists so callers on both
-// sides of the wire share one encoding (and one place to change it).
+// Encode writes v to w as one JSON document, the bytes Marshal returns. It
+// exists so callers on both sides of the wire share one encoding (and one
+// place to change it).
 func Encode(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(v)
+	b, err := Marshal(v)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// Marshal returns v as one newline-terminated JSON document: the bytes
+// encoding/json's Encoder writes for it. A *JobResponse in the canonical
+// subset is written by hand (encodeCanonical); every other value goes to
+// encoding/json, the reference.
+func Marshal(v any) ([]byte, error) {
+	if r, ok := v.(*JobResponse); ok {
+		if b, ok := encodeCanonical(r); ok {
+			return b, nil
+		}
+	}
+	return marshalReference(v)
+}
+
+// marshalReference is Marshal through encoding/json.
+func marshalReference(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // NewJobRequest tags public campaign jobs as a request: a JobSpec is a

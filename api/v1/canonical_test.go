@@ -18,9 +18,10 @@ var declinedSubtrees = []string{"SimOptions.Tuning", "CampaignJob.Extra", "SimRe
 
 // TestCanonicalCoversEveryField sets every field of a request and a
 // response non-zero by reflection, each to its own value, and requires the
-// canonical decoder to read the encoded document back unchanged. A field
-// added to a wire type without a line in canonical.go fails here instead of
-// quietly sending every document to the reference.
+// canonical decoder to read the reference's document back unchanged, and
+// Marshal to write that document byte for byte (by hand, for the response).
+// A field added to a wire type without a line in canonical.go or encode.go
+// fails here instead of quietly sending every document to the reference.
 func TestCanonicalCoversEveryField(t *testing.T) {
 	declined := map[string]bool{}
 	for _, path := range declinedSubtrees {
@@ -29,13 +30,21 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 	for _, v := range []any{new(JobRequest), new(JobResponse)} {
 		n := 0
 		fillDistinct(t, reflect.ValueOf(v).Elem(), &n, declined)
-		var doc bytes.Buffer
-		if err := Encode(&doc, v); err != nil {
+		doc, err := marshalReference(v)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if b, err := Marshal(v); err != nil || !bytes.Equal(b, doc) {
+			t.Fatalf("Marshal of a %T with every field set = %v\n got %s\nwant %s", v, err, b, doc)
+		}
+		if r, ok := v.(*JobResponse); ok {
+			if _, ok := encodeCanonical(r); !ok {
+				t.Fatalf("canonical encoder declined a response with every field set:\n%s", doc)
+			}
+		}
 		got := reflect.New(reflect.TypeOf(v).Elem()).Interface()
-		if !decodeCanonical(doc.Bytes(), got) {
-			t.Fatalf("canonical decoder declined a %T with every field set:\n%s", v, doc.Bytes())
+		if !decodeCanonical(doc, got) {
+			t.Fatalf("canonical decoder declined a %T with every field set:\n%s", v, doc)
 		}
 		if !reflect.DeepEqual(got, v) {
 			t.Fatalf("canonical decoder changed a %T:\n got %+v\nwant %+v", v, got, v)

@@ -452,6 +452,14 @@ func TestKeyAllocs(t *testing.T) {
 	if n != 0 {
 		t.Errorf("RunKeyed on a landed key allocates %v times per call, want 0", n)
 	}
+	n = testing.AllocsPerRun(100, func() {
+		if _, ok := e.Lookup(key); !ok {
+			t.Fatal("Lookup missed a landed key")
+		}
+	})
+	if n != 0 {
+		t.Errorf("Lookup on a landed key allocates %v times per call, want 0", n)
+	}
 }
 
 // BenchmarkJobKey is the per-request hash: c1 is a served one-program job,

@@ -332,6 +332,23 @@ func (e *Engine) RunKeyed(ctx context.Context, key string, job Job) Outcome {
 	return f.oc
 }
 
+// Lookup answers a job from the memory tier alone, as RunKeyed would answer
+// it: a landed flight's outcome as SourceMemory, counted once in Jobs and
+// CacheHits. For a key that is absent or still in flight it reports false,
+// claiming and counting nothing, and the caller goes on to RunKeyed. key is
+// the job's Key().
+func (e *Engine) Lookup(key string) (Outcome, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f, ok := e.cache[key]
+	if !ok || !e.landed(f) {
+		return Outcome{}, false
+	}
+	oc := f.oc
+	oc.Source, oc.CacheHit = SourceMemory, true
+	return oc, true
+}
+
 // claim says how the memory tier serves the key: SourceMemory from a landed
 // flight, SourceCoalesced from one still in the air (the same result, told
 // apart only so batch and serving report dedup alike), or "" with a fresh
@@ -339,20 +356,31 @@ func (e *Engine) RunKeyed(ctx context.Context, key string, job Job) Outcome {
 func (e *Engine) claim(key string) (*flight, Source) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.stats.Jobs++
 	f, ok := e.cache[key]
-	if !ok {
-		f = &flight{done: make(chan struct{})}
-		e.cache[key] = f
-		return f, ""
-	}
-	select {
-	case <-f.done:
-		e.stats.CacheHits++
+	if ok && e.landed(f) {
 		return f, SourceMemory
-	default:
+	}
+	e.stats.Jobs++
+	if ok {
 		e.stats.CoalescedHits++
 		return f, SourceCoalesced
+	}
+	f = &flight{done: make(chan struct{})}
+	e.cache[key] = f
+	return f, ""
+}
+
+// landed is the memory tier's hit rule, claim's and Lookup's: a cached
+// flight whose done is closed is a hit, counted in Jobs and CacheHits. It
+// counts nothing for a flight still in the air. e.mu is held.
+func (e *Engine) landed(f *flight) bool {
+	select {
+	case <-f.done:
+		e.stats.Jobs++
+		e.stats.CacheHits++
+		return true
+	default:
+		return false
 	}
 }
 

@@ -222,6 +222,42 @@ func TestCoalescedSource(t *testing.T) {
 	}
 }
 
+// TestLookupAnswersOnlyLandedFlights: Lookup answers a key as RunKeyed would
+// once its flight has landed — SourceMemory, the leader's result, counted
+// once — and before that, absent or in the air, reports false and counts
+// nothing, so the caller's RunKeyed is the job's one claim.
+func TestLookupAnswersOnlyLandedFlights(t *testing.T) {
+	e := New(2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	e.SetRunFunc(func(ctx context.Context, _ *config.SystemConfig, _ sim.Workload, o sim.Options) (*sim.Result, error) {
+		close(entered)
+		<-release
+		return fakeResult(o.Seed), nil
+	})
+	key := job(1).Key()
+	if _, ok := e.Lookup(key); ok {
+		t.Fatal("Lookup answered a key never run")
+	}
+	first := make(chan Outcome, 1)
+	go func() { first <- e.RunKeyed(context.Background(), key, job(1)) }()
+	<-entered
+	if oc, ok := e.Lookup(key); ok {
+		t.Fatalf("Lookup answered a flight still in the air: %+v", oc)
+	}
+	if s := e.Stats(); s.Jobs != 1 || s.CacheHits != 0 || s.CoalescedHits != 0 {
+		t.Fatalf("stats before landing = %+v, want the leader's one job", s)
+	}
+	close(release)
+	leader := <-first
+	oc, ok := e.Lookup(key)
+	if !ok || oc.Source != SourceMemory || !oc.CacheHit || oc.Err != nil || oc.Result != leader.Result {
+		t.Fatalf("Lookup on a landed key = %+v, %v; want a memory hit with the leader's result", oc, ok)
+	}
+	if s := e.Stats(); s.Jobs != 2 || s.CacheHits != 1 || s.UniqueRuns != 1 {
+		t.Fatalf("stats after one lookup hit = %+v, want 2 jobs, 1 cache hit, 1 run", s)
+	}
+}
+
 // TestPanickingJobRunsOnce: a job runs once. A panic in the simulator is that
 // job's answer — recovered, its stack kept, wrapped in ErrJobFailed, never
 // tried again — and its batch siblings are unaffected.

@@ -126,31 +126,76 @@ func TestBatchWithBadMachineKeepsServing(t *testing.T) {
 	}
 }
 
-// BenchmarkSubmitHit is the server's share of a serve-hot request below the
-// HTTP layer: Submit of a design point the engine has already landed, through
-// a real Service — Prepare (the one hash), admission, the queue hand-off to a
-// worker, the memory-tier hit, and the hand-back.
-func BenchmarkSubmitHit(b *testing.B) {
+// hitServer is a server over a real Service with n distinct replica jobs
+// landed in its memory tier.
+func hitServer(tb testing.TB, n int) (*Server, []scalesim.CampaignJob) {
 	svc, err := scalesim.NewService(scalesim.ServiceConfig{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer svc.Close()
 	s := New(NewServiceBackend(svc), Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	s.Start(ctx)
-	defer s.Drain()
-
-	job := replicaJob()
-	if oc, err := s.Submit(ctx, "bench", job); err != nil || oc.Err != nil {
-		b.Fatalf("landing the key: %v, %v", err, oc.Err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if oc, err := s.Submit(ctx, "bench", job); err != nil || oc.Source != scalesim.SourceMemory {
-			b.Fatalf("Submit = %q, %v; want a memory hit", oc.Source, err)
+	tb.Cleanup(func() {
+		s.Drain()
+		cancel()
+		svc.Close()
+	})
+	jobs := make([]scalesim.CampaignJob, n)
+	for i := range jobs {
+		jobs[i] = replicaJob()
+		jobs[i].Options.Seed += uint64(i)
+		if oc, err := s.Submit(ctx, "setup", jobs[i]); err != nil || oc.Err != nil {
+			tb.Fatalf("landing job %d: %v, %v", i, err, oc.Err)
 		}
 	}
+	return s, jobs
+}
+
+// TestSubmitHitAllocs holds the server's share of a one-job hit — Prepare,
+// the one hash, the lookup and the public outcome — to 10 allocations: no
+// flight, task, channel or goroutine is made for it.
+func TestSubmitHitAllocs(t *testing.T) {
+	s, jobs := hitServer(t, 1)
+	ctx := context.Background()
+	n := testing.AllocsPerRun(100, func() {
+		if oc, err := s.Submit(ctx, "a", jobs[0]); err != nil || oc.Source != scalesim.SourceMemory {
+			t.Fatalf("Submit = %q, %v; want a memory hit", oc.Source, err)
+		}
+	})
+	if n > 10 {
+		t.Errorf("a one-job hit allocates %v times, want at most 10", n)
+	}
+}
+
+// BenchmarkSubmitHit is the server's share of a serve-hot request below the
+// HTTP layer, through a real Service, every design point already landed: one
+// job through Submit, and eight through submitBatch, as a batch request
+// arrives. Each job is Prepare (the one hash) and the memory-tier lookup on
+// the calling goroutine; no queue, worker or goroutine is involved.
+func BenchmarkSubmitHit(b *testing.B) {
+	b.Run("1", func(b *testing.B) {
+		s, jobs := hitServer(b, 1)
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if oc, err := s.Submit(ctx, "bench", jobs[0]); err != nil || oc.Source != scalesim.SourceMemory {
+				b.Fatalf("Submit = %q, %v; want a memory hit", oc.Source, err)
+			}
+		}
+	})
+	b.Run("8", func(b *testing.B) {
+		s, jobs := hitServer(b, 8)
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, oc := range s.submitBatch(ctx, "bench", jobs) {
+				if oc.wire.Source != string(scalesim.SourceMemory) {
+					b.Fatalf("job %d = %q, %s; want a memory hit", oc.wire.Job, oc.wire.Source, oc.wire.Error)
+				}
+			}
+		}
+	})
 }

@@ -3,7 +3,12 @@
 // through the shared memoization hierarchy (in-memory memo cache,
 // optional durable store).
 //
-// Three properties define the service:
+// Four properties define the service:
+//
+//   - A landed key is answered where it arrives. A request whose design
+//     point has already completed is served from the memory tier on the
+//     request's goroutine, right after Prepare: it takes no server lock,
+//     queue slot, worker or goroutine, so it is never queued or shed.
 //
 //   - Coalescing. Admission is singleflight on the content-addressed job
 //     key: when a request arrives for a design point that is already
@@ -34,6 +39,7 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scalesim"
@@ -56,6 +62,10 @@ type Backend interface {
 	// Run executes a job this backend prepared, through whatever
 	// memoization tiers it has.
 	Run(ctx context.Context, p Prepared) scalesim.JobOutcome
+	// Lookup answers a job from the memory tier alone, as Run would answer
+	// it, and reports false — having counted nothing — when the job has
+	// not landed or p is not a Prepared this backend minted.
+	Lookup(p Prepared) (scalesim.JobOutcome, bool)
 	// Stats snapshots the backend's campaign counters.
 	Stats() scalesim.CampaignStats
 }
@@ -80,6 +90,18 @@ func (b serviceBackend) Run(ctx context.Context, p Prepared) scalesim.JobOutcome
 	return b.svc.RunJobContext(ctx, p.(*scalesim.PreparedJob))
 }
 
+func (b serviceBackend) Lookup(p Prepared) (scalesim.JobOutcome, bool) {
+	// Unlike Run's, this assertion is checked: Lookup is called before
+	// admission, with whatever Prepare returned, and a backend that wraps
+	// this one may have wrapped its Prepared too. Such a job is a miss
+	// here and runs through the queue.
+	pj, ok := p.(*scalesim.PreparedJob)
+	if !ok {
+		return scalesim.JobOutcome{}, false
+	}
+	return b.svc.Lookup(pj)
+}
+
 func (b serviceBackend) Stats() scalesim.CampaignStats {
 	return b.svc.Stats()
 }
@@ -99,8 +121,8 @@ type Config struct {
 	// the campaign engine). Each worker runs one queued job at a time.
 	Workers int
 	// QueueDepth caps queued (admitted, not yet running) jobs across all
-	// clients (<= 0 selects DefaultQueueDepth). Coalesced requests do not
-	// consume depth.
+	// clients (<= 0 selects DefaultQueueDepth). Coalesced requests and
+	// memory hits do not consume depth.
 	QueueDepth int
 	// RetryAfterSec is the Retry-After hint sent with 429 responses
 	// (<= 0 selects 1). A constant, not a measurement: the service never
@@ -131,10 +153,11 @@ type Server struct {
 	workers       int
 	retryAfterSec int
 
+	draining atomic.Bool // read lock-free by the hit path
+
 	mu        sync.Mutex
 	inflight  map[string]*flight // job key -> flight queued or running
 	coalesced int                // requests served by attaching to a flight
-	draining  bool
 
 	wg sync.WaitGroup
 }
@@ -192,17 +215,41 @@ func (s *Server) work(ctx context.Context) {
 	}
 }
 
-// Submit runs one job to completion on the caller's behalf: coalesce onto
-// an identical in-flight job, or admit it under the client's identity and
-// wait. The returned error is an admission failure (ErrQueueFull,
-// ErrDraining, ctx cancellation); job-level failures — an invalid spec, a
-// simulation error — are reported inside the outcome, like batch
-// campaigns do.
+// Submit runs one job to completion on the caller's behalf: answer a
+// landed key from the memory tier at once, coalesce onto an identical
+// in-flight job, or admit it under the client's identity and wait. The
+// returned error is an admission failure (ErrQueueFull, ErrDraining, ctx
+// cancellation); job-level failures — an invalid spec, a simulation error —
+// are reported inside the outcome, like batch campaigns do.
 func (s *Server) Submit(ctx context.Context, client string, job scalesim.CampaignJob) (scalesim.JobOutcome, error) {
+	prep, oc, answered := s.prepare(job)
+	if answered {
+		return oc, nil
+	}
+	return s.queued(ctx, client, prep)
+}
+
+// prepare prepares job and answers it there if it can: a spec the backend
+// refuses, or a landed key, from the backend's memory tier, on the caller's
+// goroutine and under no server lock — nothing is queued, so nothing can be
+// shed. Otherwise it returns the prepared job for queued. A draining server
+// looks nothing up: every job it is sent goes on to admit, which refuses it.
+func (s *Server) prepare(job scalesim.CampaignJob) (_ Prepared, _ scalesim.JobOutcome, answered bool) {
 	prep, err := s.backend.Prepare(job)
 	if err != nil {
-		return scalesim.JobOutcome{Err: err}, nil
+		return nil, scalesim.JobOutcome{Err: err}, true
 	}
+	if !s.draining.Load() {
+		if oc, ok := s.backend.Lookup(prep); ok {
+			return nil, oc, true
+		}
+	}
+	return prep, scalesim.JobOutcome{}, false
+}
+
+// queued runs a job the memory tier did not answer through admission: it
+// coalesces onto a flight or enqueues a new one, then waits for it.
+func (s *Server) queued(ctx context.Context, client string, prep Prepared) (scalesim.JobOutcome, error) {
 	fl, coalesced, err := s.admit(client, prep)
 	if err != nil {
 		return scalesim.JobOutcome{}, err
@@ -210,13 +257,13 @@ func (s *Server) Submit(ctx context.Context, client string, job scalesim.Campaig
 	return s.await(ctx, fl, coalesced)
 }
 
-// admit is Submit's whole critical section: refuse while draining, attach
-// to an identical in-flight job (coalesced), or enqueue a new flight under
-// the client's identity.
+// admit is the queued path's whole critical section: refuse while
+// draining, attach to an identical in-flight job (coalesced), or enqueue a
+// new flight under the client's identity.
 func (s *Server) admit(client string, prep Prepared) (_ *flight, coalesced bool, _ error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.draining.Load() {
 		return nil, false, fmt.Errorf("server: %w", ErrDraining)
 	}
 	if fl, ok := s.inflight[prep.Key()]; ok {
@@ -257,18 +304,14 @@ func (s *Server) await(ctx context.Context, fl *flight, coalesced bool) (scalesi
 // Drain stops admission and blocks until every queued and in-flight job
 // has finished and every worker has exited. Safe to call more than once.
 func (s *Server) Drain() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
+	s.draining.Store(true)
 	s.queue.close()
 	s.wg.Wait()
 }
 
 // Draining reports whether shutdown has begun.
 func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	return s.draining.Load()
 }
 
 // Stats merges the backend's counters with admission-level coalescing:
@@ -324,9 +367,7 @@ func ListenAndServeContext(ctx context.Context, addr string, backend Backend, cf
 	case <-ctx.Done():
 		// Graceful drain: refuse new jobs, wait for connections whose
 		// requests are riding in-flight flights, bounded by DrainTimeout.
-		s.mu.Lock()
-		s.draining = true
-		s.mu.Unlock()
+		s.draining.Store(true)
 		shutCtx := context.WithoutCancel(ctx)
 		if cfg.DrainTimeout > 0 {
 			var cancel context.CancelFunc

@@ -81,6 +81,11 @@ func (b *fakeBackend) Run(ctx context.Context, p Prepared) scalesim.JobOutcome {
 	}
 }
 
+// Lookup answers nothing: the fake has no memory tier.
+func (b *fakeBackend) Lookup(Prepared) (scalesim.JobOutcome, bool) {
+	return scalesim.JobOutcome{}, false
+}
+
 func (b *fakeBackend) Stats() scalesim.CampaignStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()

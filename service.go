@@ -136,6 +136,19 @@ func (s *Service) RunJobContext(ctx context.Context, p *PreparedJob) JobOutcome 
 	return outcomeFromInternal(s.eng.RunKeyed(ctx, p.key, p.job))
 }
 
+// Lookup answers a prepared job from the memory tier alone: when an
+// identical job has already completed it reports that outcome, as
+// RunJobContext would (SourceMemory, counted once in Stats), and true.
+// Otherwise — never run, still running, or answered approximately — it
+// reports false and counts nothing; RunJobContext then runs the job.
+func (s *Service) Lookup(p *PreparedJob) (JobOutcome, bool) {
+	oc, ok := s.eng.Lookup(p.key)
+	if !ok {
+		return JobOutcome{}, false
+	}
+	return outcomeFromInternal(oc), true
+}
+
 // outcomeFromInternal is the one engine-to-public outcome conversion.
 func outcomeFromInternal(oc runner.Outcome) JobOutcome {
 	out := JobOutcome{Err: oc.Err, Source: oc.Source, CacheHit: oc.CacheHit, Approximate: oc.Approximate}
