@@ -111,13 +111,16 @@ lint:
 mutate:
 	sh tools/mutants/run.sh
 
-# The two sizes ROADMAP's diet item budgets, over tracked files: non-test Go
-# outside bench/ (testdata aside), and bench/'s non-test Go.
+# The three sizes ROADMAP budgets, over tracked files: non-test Go outside
+# bench/ (testdata aside), bench/'s non-test Go, and simlint's (inside the
+# first count too).
 loc:
-	@printf 'non-test Go outside bench/: '; \
+	@printf 'non-test Go outside bench/:       '; \
 	git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs cat | wc -l
-	@printf 'non-test Go under bench/:   '; \
+	@printf 'non-test Go under bench/:         '; \
 	git ls-files '*.go' | grep '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l
+	@printf 'non-test Go under tools/simlint/: '; \
+	git ls-files 'tools/simlint/*.go' | grep -v -e '_test\.go$$' -e '/testdata/' | xargs cat | wc -l
 
 # Race detector over the full test set (slow).
 race:

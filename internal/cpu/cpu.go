@@ -237,9 +237,6 @@ func (c *Core) step() {
 	}
 }
 
-// Done reports whether the core has retired at least budget instructions.
-func (c *Core) Done(budget uint64) bool { return c.Stats.Instructions >= budget }
-
 // ResetStats zeroes the statistics (used at the warmup/measurement
 // boundary) while preserving all microarchitectural state: caches stay
 // warm, predictors stay trained, the generator keeps its position.

@@ -1,21 +1,12 @@
 package rules
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-
-	"scalesim/tools/simlint/internal/analysis"
 )
 
-// finding builds one diagnostic of rule at pos.
-func finding(m *analysis.Module, pos token.Pos, rule, format string, args ...any) analysis.Finding {
-	return analysis.Finding{Pos: m.Fset.Position(pos), Rule: rule, Msg: fmt.Sprintf(format, args...)}
-}
-
 // funcDecls applies fn to every function declaration with a body in the
-// file, giving analyzers a named context for their walks.
+// file, giving rules a named context for their walks.
 func funcDecls(f *ast.File, fn func(decl *ast.FuncDecl)) {
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {

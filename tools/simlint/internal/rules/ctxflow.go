@@ -3,8 +3,6 @@ package rules
 import (
 	"go/ast"
 	"go/types"
-
-	"scalesim/tools/simlint/internal/analysis"
 )
 
 // ctxflow keeps root contexts at the top of the program.
@@ -17,34 +15,26 @@ import (
 // those two places is a finding, whether it is passed on directly, derived
 // from (WithCancel), captured by a goroutine or parked in a struct field
 // for a later call to pick up.
-type ctxflow struct{}
-
-func (ctxflow) Name() string { return "ctxflow" }
-
-func (a ctxflow) Run(m *analysis.Module) []analysis.Finding {
-	var out []analysis.Finding
-	for _, p := range m.Pkgs {
-		if p.Pkg.Name() == "main" {
+func ctxflow(m *module, _ config, report reporter) {
+	for _, p := range m.pkgs {
+		if p.types.Name() == "main" {
 			continue
 		}
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && isBackgroundWrapper(p.Info, fd) {
+				if fd, ok := d.(*ast.FuncDecl); ok && isBackgroundWrapper(p.info, fd) {
 					continue
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if ok && isRootContextCall(p.Info, call) {
-						out = append(out, finding(m, call.Pos(), a.Name(),
-							"%s outside package main severs the caller's cancellation chain; thread the caller's context through (only a single-statement X → XContext wrapper may mint a root context)",
-							types.ExprString(call)))
+					if call, ok := n.(*ast.CallExpr); ok && isRootContextCall(p.info, call) {
+						report(call.Pos(), "%s outside package main severs the caller's cancellation chain; thread the caller's context through (only a single-statement X → XContext wrapper may mint a root context)",
+							types.ExprString(call))
 					}
 					return true
 				})
 			}
 		}
 	}
-	return out
 }
 
 // isRootContextCall reports whether expr is context.Background() or

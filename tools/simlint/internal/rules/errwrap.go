@@ -5,9 +5,9 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-
-	"scalesim/tools/simlint/internal/analysis"
 )
+
+var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 // errwrap enforces how sentinel errors (package-level `var ErrX =
 // errors.New(...)` values, like runner.ErrJobFailed and store.ErrCorrupt)
@@ -23,16 +23,10 @@ import (
 // implements error, collected across the module, so a comparison against an
 // imported package's sentinel is caught in the importer too. Struct fields
 // named Err are not sentinels; `oc.Err != nil` stays legal.
-type errwrap struct{}
-
-func (errwrap) Name() string { return "errwrap" }
-
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-func (a errwrap) Run(m *analysis.Module) []analysis.Finding {
+func errwrap(m *module, _ config, report reporter) {
 	sentinels := map[types.Object]bool{}
-	for _, p := range m.Pkgs {
-		scope := p.Pkg.Scope()
+	for _, p := range m.pkgs {
+		scope := p.types.Scope()
 		for _, name := range scope.Names() {
 			v, ok := scope.Lookup(name).(*types.Var)
 			if ok && len(name) >= 4 && name[:3] == "Err" && types.Implements(v.Type(), errorIface) {
@@ -40,26 +34,17 @@ func (a errwrap) Run(m *analysis.Module) []analysis.Finding {
 			}
 		}
 	}
-
-	var out []analysis.Finding
-	for _, p := range m.Pkgs {
-		report := func(pos token.Pos, format string, args ...any) {
-			out = append(out, finding(m, pos, a.Name(), format, args...))
-		}
-		sentinelOf := func(e ast.Expr) types.Object {
+	for _, p := range m.pkgs {
+		objectOf := func(e ast.Expr) types.Object {
 			switch e := ast.Unparen(e).(type) {
 			case *ast.Ident:
-				if o := p.Info.Uses[e]; o != nil && sentinels[o] {
-					return o
-				}
+				return p.info.Uses[e]
 			case *ast.SelectorExpr:
-				if o := p.Info.Uses[e.Sel]; o != nil && sentinels[o] {
-					return o
-				}
+				return p.info.Uses[e.Sel]
 			}
 			return nil
 		}
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.BinaryExpr:
@@ -67,30 +52,27 @@ func (a errwrap) Run(m *analysis.Module) []analysis.Finding {
 						return true
 					}
 					for _, pair := range [2][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
-						s, other := sentinelOf(pair[0]), pair[1]
-						if s == nil || isNilIdent(p.Info, other) {
-							continue
+						if s := objectOf(pair[0]); sentinels[s] && !isNilIdent(p.info, pair[1]) {
+							report(n.OpPos, "error compared to sentinel %s with %s; use errors.Is so wrapped errors still match", s.Name(), n.Op)
+							break
 						}
-						report(n.OpPos, "error compared to sentinel %s with %s; use errors.Is so wrapped errors still match", s.Name(), n.Op)
-						break
 					}
-					if isErrorTextMatch(p.Info, n.X, n.Y) || isErrorTextMatch(p.Info, n.Y, n.X) {
+					if isErrorTextMatch(p.info, n.X, n.Y) || isErrorTextMatch(p.info, n.Y, n.X) {
 						report(n.OpPos, "error matched by message text; compare sentinels with errors.Is instead of Error() strings")
 					}
 				case *ast.CallExpr:
-					checkStringsMatch(p.Info, n, report)
+					checkStringsMatch(p.info, n, report)
 				}
 				return true
 			})
 		}
 	}
-	return out
 }
 
 // checkStringsMatch flags strings.Contains/HasPrefix/HasSuffix applied to an
 // Error() result: matching by message text breaks as soon as a wrapping
 // layer rewords the message.
-func checkStringsMatch(info *types.Info, call *ast.CallExpr, report func(token.Pos, string, ...any)) {
+func checkStringsMatch(info *types.Info, call *ast.CallExpr, report reporter) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return

@@ -3,8 +3,7 @@ package rules
 import (
 	"go/ast"
 	"go/types"
-
-	"scalesim/tools/simlint/internal/analysis"
+	"slices"
 )
 
 // goroleak enforces concurrency hygiene in the configured packages (the
@@ -19,59 +18,38 @@ import (
 // directly, or a local variable bound to one (`worker := func() {...};
 // go worker()`). Anything else is flagged as unverifiable — concurrency in
 // these packages must stay simple enough to audit.
-type goroleak struct {
-	pkgs map[string]bool
-}
-
-func (goroleak) Name() string { return "goroleak" }
-
-func (a goroleak) Run(m *analysis.Module) []analysis.Finding {
-	var out []analysis.Finding
-	for _, p := range m.Pkgs {
-		if !a.pkgs[p.Rel] {
+func goroleak(m *module, cfg config, report reporter) {
+	for _, p := range m.pkgs {
+		if !slices.Contains(cfg.goroutines, p.rel) {
 			continue
 		}
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			funcDecls(f, func(fd *ast.FuncDecl) {
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					g, ok := n.(*ast.GoStmt)
 					if !ok {
 						return true
 					}
-					if !hasContextParam(p.Info, fd) {
-						out = append(out, finding(m, g.Pos(), a.Name(),
-							"go statement in %s, which has no context.Context parameter; spawned work must be cancellable", fd.Name.Name))
+					if !hasContextParam(p.info, fd) {
+						report(g.Pos(), "go statement in %s, which has no context.Context parameter; spawned work must be cancellable", fd.Name.Name)
 					}
-					body := goroutineBody(p.Info, fd, g)
-					switch {
+					switch body := goroutineBody(p.info, fd, g); {
 					case body == nil:
-						out = append(out, finding(m, g.Pos(), a.Name(),
-							"cannot resolve the goroutine body; spawn a func literal (or a local variable bound to one) so the WaitGroup join is auditable"))
-					case !callsWaitGroup(p.Info, body, "Done") || !callsWaitGroup(p.Info, fd.Body, "Add"):
-						out = append(out, finding(m, g.Pos(), a.Name(),
-							"goroutine in %s is not WaitGroup-joined; Add before go, defer wg.Done() inside, Wait before returning", fd.Name.Name))
+						report(g.Pos(), "cannot resolve the goroutine body; spawn a func literal (or a local variable bound to one) so the WaitGroup join is auditable")
+					case !callsWaitGroup(p.info, body, "Done") || !callsWaitGroup(p.info, fd.Body, "Add"):
+						report(g.Pos(), "goroutine in %s is not WaitGroup-joined; Add before go, defer wg.Done() inside, Wait before returning", fd.Name.Name)
 					}
 					return true
 				})
 			})
 		}
 	}
-	return out
 }
 
 // hasContextParam reports whether any parameter of fd is a context.Context.
 func hasContextParam(info *types.Info, fd *ast.FuncDecl) bool {
-	def := info.Defs[fd.Name]
-	if def == nil {
-		return false
-	}
-	sig, ok := def.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if types.TypeString(params.At(i).Type(), nil) == "context.Context" {
+	for _, field := range fd.Type.Params.List {
+		if types.TypeString(info.TypeOf(field.Type), nil) == "context.Context" {
 			return true
 		}
 	}
@@ -125,26 +103,16 @@ func goroutineBody(info *types.Info, fd *ast.FuncDecl, g *ast.GoStmt) *ast.Block
 func callsWaitGroup(info *types.Info, block *ast.BlockStmt, method string) bool {
 	found := false
 	ast.Inspect(block, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == method {
+				t := info.TypeOf(sel.X)
+				if ptr, ok := t.(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				found = found || types.TypeString(t, nil) == "sync.WaitGroup"
+			}
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != method {
-			return true
-		}
-		t := info.TypeOf(sel.X)
-		if t == nil {
-			return true
-		}
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if types.TypeString(t, nil) == "sync.WaitGroup" {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
 }

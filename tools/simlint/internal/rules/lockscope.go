@@ -5,25 +5,26 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
-
-	"scalesim/tools/simlint/internal/analysis"
 )
 
 // lockscope makes the shape of a critical section the invariant. In the
 // configured packages a sync.Mutex or RWMutex is taken in one of two ways:
 //
 //	X.Lock()              X.Lock()
-//	defer X.Unlock()      ...         // no return, goto, labelled branch
-//	...                   X.Unlock()  // or loop exit in between
+//	defer X.Unlock()      ...         // no return, goto, break or
+//	...                   X.Unlock()  // continue in between
 //
 // The deferred form holds X to the end of the function; the paired form
-// holds it between two statements of one statement list. Every other Lock or
-// Unlock — an unlock inside a branch, a lock taken in an `if` and released
-// after the join, a defer that does not directly follow its Lock — is a
-// finding, so where a section starts and ends is read off the page, with no
-// control-flow graph. That is stricter than following paths: unlocking in a
-// branch and then returning is correct on every path and still rejected.
+// holds it between two statements of one statement list, and runs straight
+// through. Every other Lock or Unlock — an unlock inside a branch, a lock
+// taken in an `if` and released after the join, a defer that does not
+// directly follow its Lock — is a finding, so where a section starts and
+// ends is read off the page, with no control-flow graph. That is stricter
+// than following paths: unlocking in a branch and then returning is correct
+// on every path and still rejected, and so is a loop inside a paired section
+// that breaks out of itself.
 //
 // Nothing inside a section may block indefinitely: a channel send or
 // receive, a default-less select, sync.WaitGroup.Wait, time.Sleep, file or
@@ -34,32 +35,23 @@ import (
 // a select with a default clause (non-blocking by construction — the
 // engine's cache-probe select is the sanctioned idiom). Func literals, go
 // and defer statements are skipped: their bodies do not run in the section.
-type lockscope struct {
-	pkgs map[string]bool
-}
-
-func (lockscope) Name() string { return "lockscope" }
-
-func (a lockscope) Run(m *analysis.Module) []analysis.Finding {
-	c := &lockChecker{m: m, blocking: map[*types.Func]string{}}
-	for _, p := range m.Order {
-		if !a.pkgs[p.Rel] {
+func lockscope(m *module, cfg config, report reporter) {
+	c := &lockChecker{blocking: map[*types.Func]string{}, report: report}
+	for _, p := range m.pkgs {
+		if !slices.Contains(cfg.locks, p.rel) {
 			continue
 		}
-		c.p = p
+		c.info = p.info
 		// Fixpoint over the package's blocking summaries: a function blocks
 		// if its body does, including through calls to functions already
 		// summarized here or in a package it imports.
 		for changed := true; changed; {
 			changed = false
-			for _, f := range p.Files {
+			for _, f := range p.files {
 				funcDecls(f, func(fd *ast.FuncDecl) {
-					fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-					if !ok || c.blocking[fn] != "" {
-						return
-					}
-					c.blockers(fd.Body, func(_ ast.Node, reason string) {
-						if c.blocking[fn] == "" {
+					fn, _ := p.info.Defs[fd.Name].(*types.Func)
+					c.walk(fd.Body, func(_ ast.Node, reason string, escape bool) {
+						if !escape && c.blocking[fn] == "" {
 							c.blocking[fn] = reason
 							changed = true
 						}
@@ -67,94 +59,72 @@ func (a lockscope) Run(m *analysis.Module) []analysis.Finding {
 				})
 			}
 		}
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			for _, u := range funcUnits(f) {
 				c.unit(u)
 			}
 		}
 	}
-	return c.out
 }
 
 // lockChecker is one lockscope run over the module.
 type lockChecker struct {
-	m        *analysis.Module
-	p        *analysis.Package      // the package being checked
+	info     *types.Info            // of the package being checked
 	blocking map[*types.Func]string // functions that may block, with why
-	out      []analysis.Finding
+	report   reporter
 }
 
-func (c *lockChecker) report(at ast.Node, format string, args ...any) {
-	c.out = append(c.out, finding(c.m, at.Pos(), "lockscope", format, args...))
-}
-
-// unit finds the critical sections of one function body, checks what each
-// holds the lock across, and rejects every mutex call that is part of none.
+// unit finds the critical sections of one function body, checks each with
+// one walk, and rejects every mutex call that is part of none.
 func (c *lockChecker) unit(u funcUnit) {
-	info := c.p.Info
 	inShape := map[*ast.CallExpr]bool{}
-	heldAcross := func(mu string) func(ast.Node, string) {
-		return func(at ast.Node, reason string) {
-			c.report(at, "%s held across %s in %s; release the lock before any operation that can block", mu, reason, u.name)
-		}
-	}
 	eachStmtList(u.body, func(list []ast.Stmt) {
 		for i, st := range list {
 			lock := stmtCall(st)
-			mu, method := mutexCall(info, lock)
-			if method != "Lock" && method != "RLock" {
+			mu, method := mutexCall(c.info, lock)
+			if method != "Lock" && method != "RLock" || i+1 == len(list) {
 				continue
 			}
 			release := strings.Replace(method, "Lock", "Unlock", 1)
 			unlocks := func(call *ast.CallExpr) bool {
-				m, op := mutexCall(info, call)
+				m, op := mutexCall(c.info, call)
 				return m == mu && op == release
 			}
-			rest := list[i+1:]
-			if len(rest) == 0 {
-				continue
-			}
-			if d, ok := rest[0].(*ast.DeferStmt); ok && unlocks(d.Call) {
+			// The deferred shape holds mu to the end of the function, so its
+			// section is everything after the defer, enclosing lists
+			// included; the paired shape holds it up to the Unlock.
+			var section ast.Node
+			deferred := token.NoPos
+			if d, ok := list[i+1].(*ast.DeferStmt); ok && unlocks(d.Call) {
 				inShape[lock], inShape[d.Call] = true, true
-				// Held to the end of the function, so the section is
-				// everything after the defer, enclosing lists included.
-				report := heldAcross(mu)
-				c.blockers(u.body, func(at ast.Node, reason string) {
-					if at.Pos() > d.End() {
-						report(at, reason)
-					}
-				})
+				section, deferred = u.body, d.End()
+			} else if j := slices.IndexFunc(list[i+1:], func(s ast.Stmt) bool { return unlocks(stmtCall(s)) }); j >= 0 {
+				inShape[lock], inShape[stmtCall(list[i+1+j])] = true, true
+				section = &ast.BlockStmt{List: list[i+1 : i+1+j]}
+			}
+			if section == nil {
 				continue
 			}
-			for j, s := range rest {
-				unlock := stmtCall(s)
-				if !unlocks(unlock) {
-					continue
+			c.walk(section, func(at ast.Node, reason string, escape bool) {
+				switch {
+				case at.Pos() <= deferred:
+				case !escape:
+					c.report(at.Pos(), "%s held across %s in %s; release the lock before any operation that can block", mu, reason, u.name)
+				case deferred == token.NoPos:
+					c.report(at.Pos(), "%s in %s with %s still held and no deferred unlock; a paired section runs straight through: unlock first or defer the unlock", reason, u.name, mu)
 				}
-				inShape[lock], inShape[unlock] = true, true
-				section := &ast.BlockStmt{List: rest[:j]}
-				c.blockers(section, heldAcross(mu))
-				escapes(section, false, false, func(e ast.Stmt, what, leaving string) {
-					c.report(e, "%s in %s with %s still held and no deferred unlock; unlock before %s or defer the unlock", what, u.name, mu, leaving)
-				})
-				break
-			}
+			})
 		}
 	})
 	ast.Inspect(u.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // its own unit
-		case *ast.CallExpr:
-			mu, method := mutexCall(info, n)
-			switch method {
+		if call, ok := n.(*ast.CallExpr); ok && !inShape[call] {
+			switch mu, method := mutexCall(c.info, call); method {
 			case "Lock", "RLock", "Unlock", "RUnlock":
-				if !inShape[n] {
-					c.report(n, "%s.%s() in %s is in neither permitted shape: Lock directly followed by defer Unlock, or Lock … Unlock as two statements of one block", mu, method, u.name)
-				}
+				c.report(call.Pos(), "%s.%s() in %s is in neither permitted shape: Lock directly followed by defer Unlock, or Lock … Unlock as two statements of one block", mu, method, u.name)
 			}
 		}
-		return true
+		_, lit := n.(*ast.FuncLit)
+		return !lit // its own unit
 	})
 }
 
@@ -208,51 +178,23 @@ func mutexCall(info *types.Info, call *ast.CallExpr) (mu, method string) {
 	return types.ExprString(sel.X), fn.Name()
 }
 
-// escapes finds the statements under n that leave a Lock … Unlock section
-// sideways, with the lock held: a return, a goto or labelled branch
-// (wherever it lands), and a break or continue whose target encloses the
-// section. n is the section, or a statement inside it that an unlabelled
-// break (breakOK) or continue (continueOK) can target.
-func escapes(n ast.Node, breakOK, continueOK bool, found func(s ast.Stmt, what, leaving string)) {
-	ast.Inspect(n, func(c ast.Node) bool {
-		if c == n {
-			return true
-		}
-		switch c := c.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			found(c, "return", "returning")
-		case *ast.BranchStmt:
-			switch {
-			case c.Label != nil:
-				found(c, c.Tok.String()+" "+c.Label.Name, "branching")
-			case c.Tok == token.BREAK && !breakOK, c.Tok == token.CONTINUE && !continueOK:
-				found(c, c.Tok.String(), "branching")
-			}
-		case *ast.ForStmt, *ast.RangeStmt:
-			escapes(c, true, true, found)
-			return false
-		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			escapes(c, true, continueOK, found)
-			return false
-		}
-		return true
-	})
-}
-
-// blockers calls found for every construct under n that can block
-// indefinitely.
-func (c *lockChecker) blockers(n ast.Node, found func(at ast.Node, reason string)) {
+// walk calls found for every construct under n that can block
+// indefinitely, and, as an escape named by its keyword, for every return,
+// goto, break and continue.
+func (c *lockChecker) walk(n ast.Node, found func(at ast.Node, reason string, escape bool)) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
 			return false
+		case *ast.ReturnStmt:
+			found(n, "return", true)
+		case *ast.BranchStmt:
+			found(n, n.Tok.String(), true)
 		case *ast.SendStmt:
-			found(n, "channel send")
+			found(n, "channel send", false)
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				found(n, "channel receive")
+				found(n, "channel receive", false)
 			}
 		case *ast.SelectStmt:
 			// The comm operations are the select's own: it blocks as a
@@ -263,17 +205,17 @@ func (c *lockChecker) blockers(n ast.Node, found func(at ast.Node, reason string
 				cc := cl.(*ast.CommClause)
 				hasDefault = hasDefault || cc.Comm == nil
 				for _, s := range cc.Body {
-					c.blockers(s, found)
+					c.walk(s, found)
 				}
 			}
 			if !hasDefault {
-				found(n, "select with no default clause")
+				found(n, "select with no default clause", false)
 			}
 			return false
 		case *ast.CallExpr:
-			if fn := calleeOf(c.p.Info, n); fn != nil {
+			if fn := calleeOf(c.info, n); fn != nil {
 				if reason, ok := c.calleeBlocks(fn); ok {
-					found(n, reason)
+					found(n, reason, false)
 				}
 			}
 		}

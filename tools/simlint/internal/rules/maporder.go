@@ -3,8 +3,7 @@ package rules
 import (
 	"go/ast"
 	"go/types"
-
-	"scalesim/tools/simlint/internal/analysis"
+	"slices"
 )
 
 // maporder flags `range` over a map type inside a deterministic package.
@@ -15,36 +14,23 @@ import (
 // sorted key slice instead, or suppress with a justification explaining why
 // order provably cannot leak (e.g. the body only writes into another map
 // under the same key).
-type maporder struct {
-	det map[string]bool
-}
-
-func (maporder) Name() string { return "maporder" }
-
-func (a maporder) Run(m *analysis.Module) []analysis.Finding {
-	var out []analysis.Finding
-	for _, p := range m.Pkgs {
-		if !a.det[p.Rel] {
+func maporder(m *module, cfg config, report reporter) {
+	for _, p := range m.pkgs {
+		if !slices.Contains(cfg.det, p.rel) {
 			continue
 		}
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				t := p.Info.TypeOf(rs.X)
-				if t == nil {
-					return true
-				}
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					out = append(out, finding(m, rs.Pos(), a.Name(),
-						"range over %s has nondeterministic iteration order in a deterministic package; iterate sorted keys, or suppress with why order cannot leak",
-						types.TypeString(t, types.RelativeTo(p.Pkg))))
+				if rs, ok := n.(*ast.RangeStmt); ok {
+					if t := p.info.TypeOf(rs.X); t != nil {
+						if _, isMap := t.Underlying().(*types.Map); isMap {
+							report(rs.Pos(), "range over %s has nondeterministic iteration order in a deterministic package; iterate sorted keys, or suppress with why order cannot leak",
+								types.TypeString(t, types.RelativeTo(p.types)))
+						}
+					}
 				}
 				return true
 			})
 		}
 	}
-	return out
 }

@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"scalesim/tools/simlint/internal/analysis"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fixture.golden from the current output")
@@ -17,30 +15,29 @@ var update = flag.Bool("update", false, "rewrite testdata/fixture.golden from th
 // fixtureConfig lints the self-contained module under testdata/fixture,
 // with its own deterministic set, units package, goroutine policy and lock
 // policy.
-func fixtureConfig() Config {
-	return Config{
-		Root:          filepath.Join("testdata", "fixture"),
-		Deterministic: []string{"det"},
-		UnitsDir:      "uu",
-		Goroutines:    []string{"leak"},
-		Locks:         []string{"lk"},
+func fixtureConfig() config {
+	return config{
+		root:       filepath.Join("testdata", "fixture"),
+		det:        []string{"det"},
+		unitsDir:   "uu",
+		goroutines: []string{"leak"},
+		locks:      []string{"lk"},
 	}
 }
 
 var (
 	fixtureOnce     sync.Once
-	fixtureFindings []analysis.Finding
+	fixtureFindings []finding
 	fixtureErr      error
 )
 
-func fixtureLint(t *testing.T) []analysis.Finding {
+func fixtureLint(t *testing.T) []finding {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		cfg := fixtureConfig()
-		fixtureFindings, _, fixtureErr = analysis.Run(cfg.Root, All(cfg))
+		fixtureFindings, _, fixtureErr = lint(fixtureConfig())
 	})
 	if fixtureErr != nil {
-		t.Fatalf("analysis.Run: %v", fixtureErr)
+		t.Fatalf("lint: %v", fixtureErr)
 	}
 	return fixtureFindings
 }
@@ -52,7 +49,7 @@ func TestAnalyzerFindings(t *testing.T) {
 	findings := fixtureLint(t)
 	got := map[string][]string{}
 	for _, f := range findings {
-		got[f.Rule] = append(got[f.Rule], fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line))
+		got[f.rule] = append(got[f.rule], fmt.Sprintf("%s:%d", f.pos.Filename, f.pos.Line))
 	}
 	want := map[string][]string{
 		"maporder": {
@@ -106,6 +103,8 @@ func TestAnalyzerFindings(t *testing.T) {
 			"lk/lk.go:139", // NestedDefer: write after the block, before the deferred unlock runs
 			"lk/lk.go:146", // BranchOnlyLock: lock with no unlock in its block
 			"lk/lk.go:149", // BranchOnlyLock: unlock with no lock in its block
+			"lk/lk.go:160", // SwitchInside: a break inside a paired section, even one that stays in it
+			"lk/lk.go:166", // SwitchInside: a continue inside a paired section, likewise
 		},
 	}
 	for rule, sites := range want {
@@ -126,7 +125,7 @@ func TestAnalyzerFindings(t *testing.T) {
 // -update to regenerate after deliberate fixture or message changes.
 func TestGoldenOutput(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "fixture.golden")
-	got := analysis.Render(fixtureLint(t))
+	got := render(fixtureLint(t))
 	if *update {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatalf("update golden: %v", err)
@@ -147,12 +146,11 @@ func TestOutputDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("second full load is slow")
 	}
-	cfg := fixtureConfig()
-	again, _, err := analysis.Run(cfg.Root, All(cfg))
+	again, _, err := lint(fixtureConfig())
 	if err != nil {
-		t.Fatalf("analysis.Run: %v", err)
+		t.Fatalf("lint: %v", err)
 	}
-	if a, b := analysis.Render(fixtureLint(t)), analysis.Render(again); a != b {
+	if a, b := render(fixtureLint(t)), render(again); a != b {
 		t.Errorf("two runs rendered differently:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}
 }
@@ -166,13 +164,12 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
-	cfg := RepoConfig(filepath.Join("..", "..", "..", ".."))
-	findings, m, err := analysis.Run(cfg.Root, All(cfg))
+	findings, m, err := lint(repoConfig(filepath.Join("..", "..", "..", "..")))
 	if err != nil {
-		t.Fatalf("analysis.Run: %v", err)
+		t.Fatalf("lint: %v", err)
 	}
 	if len(findings) != 0 {
-		t.Errorf("repository is not lint-clean:\n%s", analysis.Render(findings))
+		t.Errorf("repository is not lint-clean:\n%s", render(findings))
 	}
 	t.Run("surface", func(t *testing.T) { checkSurface(t, m) })
 }

@@ -7,17 +7,14 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"scalesim/tools/simlint/internal/analysis"
 )
 
 // surfaceAllowed lists the only names under internal/ that may exist with no
 // use in non-test code, each with the reason it stays. An entry that names
 // nothing, or names something the program does use, fails the gate too.
 var surfaceAllowed = map[string]string{
-	"internal/cpu.(*Core).Done":       "cpu.Core is TestSplitMatchesMonolith's oracle; scalebench's cpu.step_ns_per_instr probe uses only New and Run (ROADMAP 8(a))",
-	"internal/cpu.(*Core).ResetStats": "the oracle's, as above",
-	"internal/surrogate.(*Surrogate).Fingerprint": "the cross-process determinism suite's observable; in a _test.go it would " +
+	"internal/cpu.(*Core).ResetStats": "TestSplitMatchesMonolith's oracle resets its cpu.Core statistics at the end of warm-up",
+	"internal/surrogate.(*Surrogate).Fingerprint": "TestCrossProcessModelDeterminism's observable; in a _test.go it would " +
 		"orphan ml's WriteCanonical pair, which another package's test file cannot reach",
 }
 
@@ -28,24 +25,24 @@ var surfaceAllowed = map[string]string{
 // public surface and are not policed). A use inside the declaration itself —
 // for a type, inside its own methods — does not count. The module was loaded
 // without its _test.go files, so "used" already means "used by the program".
-func checkSurface(t *testing.T, m *analysis.Module) {
+func checkSurface(t *testing.T, m *module) {
 	type span struct{ pos, end token.Pos }
 	type decl struct {
 		name string
 		own  []span // the declaration's own extent(s)
 	}
 	decls := map[types.Object]*decl{}
-	for _, p := range m.Pkgs {
-		if !strings.HasPrefix(p.Rel, "internal/") {
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.rel, "internal/") {
 			continue
 		}
 		add := func(id *ast.Ident, name string, node ast.Node) {
 			if id.Name != "_" {
-				decls[p.Info.Defs[id]] = &decl{p.Rel + "." + name, []span{{node.Pos(), node.End()}}}
+				decls[p.info.Defs[id]] = &decl{p.rel + "." + name, []span{{node.Pos(), node.End()}}}
 			}
 		}
 		var methods []*ast.FuncDecl
-		for _, f := range p.Files {
+		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -72,7 +69,7 @@ func checkSurface(t *testing.T, m *analysis.Module) {
 		for _, d := range methods {
 			add(d.Name, "("+types.ExprString(d.Recv.List[0].Type)+")."+d.Name.Name, d)
 			// A type's methods are part of the type's own extent.
-			recv := p.Info.Defs[d.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+			recv := p.info.Defs[d.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
 			if ptr, ok := recv.(*types.Pointer); ok {
 				recv = ptr.Elem()
 			}
@@ -89,9 +86,9 @@ func checkSurface(t *testing.T, m *analysis.Module) {
 	stringer := types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "String",
 		types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false))}, nil)
 	ifaces := map[*types.Interface]bool{stringer.Complete(): true}
-	for _, p := range m.Pkgs {
+	for _, p := range m.pkgs {
 	uses:
-		for id, obj := range p.Info.Uses {
+		for id, obj := range p.info.Uses {
 			if f, ok := obj.(*types.Func); ok {
 				obj = f.Origin()
 			}
@@ -106,7 +103,7 @@ func checkSurface(t *testing.T, m *analysis.Module) {
 			}
 			used[obj] = true
 		}
-		for _, tv := range p.Info.Types {
+		for _, tv := range p.info.Types {
 			if iface, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
 				ifaces[iface] = true
 			}

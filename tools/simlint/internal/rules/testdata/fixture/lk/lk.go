@@ -149,8 +149,8 @@ func (b *Box) BranchOnlyLock(v int) {
 	b.mu.Unlock()
 }
 
-// SwitchInside is clean: a switch (with its implicit and explicit breaks)
-// and a loop with its own continue stay inside the section.
+// SwitchInside's explicit break and inner continue stay inside the section
+// and are flagged all the same: a paired section has no branch statement.
 func (b *Box) SwitchInside(v int) {
 	b.mu.Lock()
 	switch {

@@ -4,11 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"scalesim/tools/simlint/internal/analysis"
 )
 
-// unitsRule enforces dimensional consistency over the named quantity types
+// units enforces dimensional consistency over the named quantity types
 // declared in the configured units package (internal/units in this repo:
 // Cycles, Bytes, BytesPerCycle, Picoseconds). Go's type system already
 // rejects direct arithmetic between distinct named types; what it cannot see
@@ -32,25 +30,18 @@ import (
 // The unit type set is discovered from the units package itself (every
 // package-level named type with a numeric underlying type), so the rule
 // needs no hard-coded type list and works unchanged on fixture modules.
-type unitsRule struct {
-	dir string // module-relative directory of the units package
-}
-
-func (unitsRule) Name() string { return "units" }
-
-func (a unitsRule) Run(m *analysis.Module) []analysis.Finding {
-	up := m.Lookup(a.dir)
-	if a.dir == "" || up == nil {
-		return nil
+func units(m *module, cfg config, report reporter) {
+	up := m.byRel[cfg.unitsDir]
+	if cfg.unitsDir == "" || up == nil {
+		return
 	}
-	w := &unitsWalker{m: m, set: collectUnitTypes(up.Pkg)}
-	for _, p := range m.Pkgs {
-		w.p = p
-		for _, f := range p.Files {
+	w := &unitsWalker{set: collectUnitTypes(up.types), report: report}
+	for _, p := range m.pkgs {
+		w.info, w.pkg = p.info, p.types
+		for _, f := range p.files {
 			ast.Inspect(f, w.visit)
 		}
 	}
-	return w.out
 }
 
 // collectUnitTypes gathers every package-level named type of pkg whose
@@ -75,10 +66,10 @@ func collectUnitTypes(pkg *types.Package) map[*types.Named]bool {
 }
 
 type unitsWalker struct {
-	m   *analysis.Module
-	p   *analysis.Package // the package being walked
-	set map[*types.Named]bool
-	out []analysis.Finding
+	info   *types.Info    // of the package being walked
+	pkg    *types.Package // the package being walked
+	set    map[*types.Named]bool
+	report reporter
 }
 
 func (w *unitsWalker) visit(n ast.Node) bool {
@@ -112,7 +103,7 @@ func (w *unitsWalker) checkBinary(b *ast.BinaryExpr) {
 }
 
 func (w *unitsWalker) checkCall(call *ast.CallExpr) {
-	info := w.p.Info
+	info := w.info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		// Conversion: unit -> unit reinterprets the quantity.
 		if len(call.Args) != 1 {
@@ -129,7 +120,11 @@ func (w *unitsWalker) checkCall(call *ast.CallExpr) {
 		}
 		return
 	}
-	sig, ok := typeAsSignature(info.TypeOf(call.Fun))
+	t := info.TypeOf(call.Fun)
+	if t == nil {
+		return
+	}
+	sig, ok := t.Underlying().(*types.Signature)
 	if !ok {
 		return
 	}
@@ -164,7 +159,7 @@ func (w *unitsWalker) checkCall(call *ast.CallExpr) {
 // exactly the bug class this rule exists for.
 func (w *unitsWalker) provenance(e ast.Expr) *types.Named {
 	e = ast.Unparen(e)
-	info := w.p.Info
+	info := w.info
 	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
 		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 			if n := w.unitNamed(tv.Type); n != nil {
@@ -184,11 +179,7 @@ func (w *unitsWalker) unitNamed(t types.Type) *types.Named {
 }
 
 func (w *unitsWalker) typeName(n *types.Named) string {
-	return types.TypeString(n, types.RelativeTo(w.p.Pkg))
-}
-
-func (w *unitsWalker) report(pos token.Pos, format string, args ...any) {
-	w.out = append(w.out, finding(w.m, pos, "units", format, args...))
+	return types.TypeString(n, types.RelativeTo(w.pkg))
 }
 
 // bareLiteral unwraps parentheses and numeric sign down to a basic literal,
@@ -210,12 +201,4 @@ func bareLiteral(e ast.Expr) *ast.BasicLit {
 			return nil
 		}
 	}
-}
-
-func typeAsSignature(t types.Type) (*types.Signature, bool) {
-	if t == nil {
-		return nil, false
-	}
-	sig, ok := t.Underlying().(*types.Signature)
-	return sig, ok
 }
