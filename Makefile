@@ -111,9 +111,9 @@ lint:
 mutate:
 	sh tools/mutants/run.sh
 
-# The three sizes ROADMAP budgets, over tracked files: non-test Go outside
-# bench/ (testdata aside), bench/'s non-test Go, and simlint's (inside the
-# first count too).
+# The sizes ROADMAP budgets, over tracked files: non-test Go outside bench/
+# (testdata aside), bench/'s non-test Go, simlint's (inside the first count
+# too), and the two prose docs' lines.
 loc:
 	@printf 'non-test Go outside bench/:       '; \
 	git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs cat | wc -l
@@ -121,6 +121,8 @@ loc:
 	git ls-files '*.go' | grep '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l
 	@printf 'non-test Go under tools/simlint/: '; \
 	git ls-files 'tools/simlint/*.go' | grep -v -e '_test\.go$$' -e '/testdata/' | xargs cat | wc -l
+	@printf 'DESIGN.md:                        '; wc -l < DESIGN.md
+	@printf 'README.md:                        '; wc -l < README.md
 
 # Race detector over the full test set (slow).
 race:

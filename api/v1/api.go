@@ -32,10 +32,10 @@
 // # Fields that left
 //
 // A job runs once, so three response fields no longer exist: an outcome's
-// "retries", and the stats object's "Retries" and its panic subset (DESIGN.md,
-// "Serving invariants", spells the names). Request documents and response
-// bytes are otherwise unchanged. Responses are decoded strictly too:
-// `scalesim request` must be the build of the daemon it talks to.
+// "retries", and the stats object's "Retries" and "PanicRetries". Request
+// documents and response bytes are otherwise unchanged. Responses are
+// decoded strictly too: `scalesim request` must be the build of the daemon
+// it talks to.
 package apiv1
 
 import (

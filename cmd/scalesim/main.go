@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -317,15 +318,8 @@ func cmdPredict(args []string) {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: simulated target IPC: %.3f  (prediction error %.1f%%)\n",
-			*bench, actual, 100*abs(pred-actual)/actual)
+			*bench, actual, 100*math.Abs(pred-actual)/actual)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // surrogateFlags registers the shared surrogate-tier flags on fs and

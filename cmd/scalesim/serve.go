@@ -29,7 +29,6 @@ func cmdServe(args []string) {
 	addrFile := fs.String("addrfile", "", "write the bound address to FILE once listening (for scripts using port 0)")
 	queue := fs.Int("queue", server.DefaultQueueDepth, "admission queue depth; beyond it requests are shed with 429")
 	storeDir := fs.String("store", "", "durable result store directory, shareable between replicas")
-	retryAfter := fs.Int("retry-after", 1, "Retry-After seconds sent with 429 responses")
 	drainTimeout := fs.Duration("drain-timeout", 0, "bound on the graceful drain (0 waits for in-flight jobs)")
 	surrogate := surrogateFlags(fs)
 	tuning := tuningFlags(fs, true)
@@ -51,10 +50,9 @@ func cmdServe(args []string) {
 	defer svc.Close()
 
 	cfg := server.Config{
-		Workers:       workers,
-		QueueDepth:    *queue,
-		RetryAfterSec: *retryAfter,
-		DrainTimeout:  *drainTimeout,
+		Workers:      workers,
+		QueueDepth:   *queue,
+		DrainTimeout: *drainTimeout,
 		OnListen: func(a net.Addr) {
 			log.Printf("serving on %s (workers %d, queue %d)", a, workers, *queue)
 			if *addrFile != "" {

@@ -23,6 +23,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"scalesim"
 )
@@ -56,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-12s %14.3f %14.3f %8.1f%%\n", app, pred, actual, 100*abs(pred-actual)/actual)
+		fmt.Printf("%-12s %14.3f %14.3f %8.1f%%\n", app, pred, actual, 100*math.Abs(pred-actual)/actual)
 		predSum += pred
 		actualSum += actual
 	}
@@ -66,13 +67,6 @@ func main() {
 	// and under-estimates offset (the paper's Fig. 6 observation).
 	fmt.Printf("\nportfolio throughput estimate (sum of per-core IPC):\n")
 	fmt.Printf("  predicted %.3f vs simulated %.3f  ->  error %.1f%%\n",
-		predSum, actualSum, 100*abs(predSum-actualSum)/actualSum)
+		predSum, actualSum, 100*math.Abs(predSum-actualSum)/actualSum)
 	fmt.Println("\n(the prediction never simulated the 32-core part; only 1-16-core scale models)")
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

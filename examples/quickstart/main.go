@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"scalesim"
 )
@@ -65,13 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	errPct := 100 * abs(pred-actual) / actual
+	errPct := 100 * math.Abs(pred-actual) / actual
 	fmt.Printf("simulated target IPC: %.3f  ->  prediction error %.1f%%\n", actual, errPct)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -15,11 +15,12 @@ import (
 //
 //	lambda/2 * beta' K beta + (1/n) * sum_i max(0, |f(x_i)-y_i| - eps).
 //
-// (scikit-learn's SVR solves the equivalent dual with SMO; for the few
-// hundred training points these experiments use, the primal solver reaches
-// the same optimum and is considerably simpler to verify. DESIGN.md records
-// this substitution.) Features and targets are standardised internally;
-// Gamma follows scikit-learn's "scale" heuristic.
+// (scikit-learn's SVR solves the equivalent dual with SMO to a tolerance;
+// this trainer runs a fixed budget of 1,500 primal epochs, which is not
+// known to reach the dual's optimum: predictions can sit a few percent from
+// SMO's, ROADMAP 14. DESIGN.md, "Substitutions", 6, records this.) Features
+// and targets are standardised internally; Gamma follows scikit-learn's
+// "scale" heuristic.
 type SVR struct {
 	// C is the regularisation trade-off (0 = default 1, scikit-learn's
 	// default).

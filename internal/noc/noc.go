@@ -86,13 +86,6 @@ func (m *Mesh) MCTile(mc, total int) int {
 	return (m.h-1)*m.w + x
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Route returns the XY-routing hop count between two tiles and whether the
 // route crosses the horizontal bisection cut (between rows h/2-1 and h/2).
 func (m *Mesh) Route(from, to int) (hops int, crossesBisection bool) {

@@ -54,7 +54,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if shed > 0 && ok == 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 		s.writeError(w, http.StatusTooManyRequests, outcomes[0].admissionErr)
 		return
 	}
@@ -154,7 +154,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	resp := &apiv1.ErrorResponse{Schema: apiv1.Schema, Error: err.Error()}
 	if status == http.StatusTooManyRequests {
-		resp.RetryAfterSec = s.retryAfterSec
+		resp.RetryAfterSec = retryAfterSec
 	}
 	s.writeJSON(w, status, resp)
 }

@@ -115,6 +115,10 @@ const DefaultQueueDepth = 64
 // can make the daemon buffer is bounded first. 1 MiB is ≈ 2 000 32-program jobs.
 const MaxRequestBytes = 1 << 20
 
+// retryAfterSec is the Retry-After hint sent with 429 responses. A constant,
+// not a measurement: the service never consults the wall clock.
+const retryAfterSec = 1
+
 // Config configures a Server.
 type Config struct {
 	// Workers bounds concurrent simulations (<= 0 selects GOMAXPROCS, like
@@ -124,10 +128,6 @@ type Config struct {
 	// clients (<= 0 selects DefaultQueueDepth). Coalesced requests and
 	// memory hits do not consume depth.
 	QueueDepth int
-	// RetryAfterSec is the Retry-After hint sent with 429 responses
-	// (<= 0 selects 1). A constant, not a measurement: the service never
-	// consults the wall clock.
-	RetryAfterSec int
 	// DrainTimeout bounds the graceful drain in ListenAndServeContext.
 	// Zero waits indefinitely for in-flight jobs; past the deadline,
 	// remaining jobs are cancelled.
@@ -148,10 +148,9 @@ type flight struct {
 // workers with Start, and stop with Drain. HTTP transport is layered on
 // top via Handler / ListenAndServeContext.
 type Server struct {
-	backend       Backend
-	queue         *admitQueue
-	workers       int
-	retryAfterSec int
+	backend Backend
+	queue   *admitQueue
+	workers int
 
 	draining atomic.Bool // read lock-free by the hit path
 
@@ -171,15 +170,11 @@ func New(backend Backend, cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.RetryAfterSec <= 0 {
-		cfg.RetryAfterSec = 1
-	}
 	return &Server{
-		backend:       backend,
-		queue:         newAdmitQueue(cfg.QueueDepth),
-		workers:       cfg.Workers,
-		retryAfterSec: cfg.RetryAfterSec,
-		inflight:      make(map[string]*flight),
+		backend:  backend,
+		queue:    newAdmitQueue(cfg.QueueDepth),
+		workers:  cfg.Workers,
+		inflight: make(map[string]*flight),
 	}
 }
 

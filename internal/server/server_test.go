@@ -310,10 +310,11 @@ func TestBatchCoalescesIntraRequest(t *testing.T) {
 }
 
 // TestQueueFullReturns429: with the worker busy and the queue at
-// capacity, a distinct job is shed with 429 and a Retry-After hint.
+// capacity, a distinct job is shed with 429 and the constant Retry-After
+// hint, in the header and in the body.
 func TestQueueFullReturns429(t *testing.T) {
 	fake := &fakeBackend{entered: make(chan string, 8), release: make(chan struct{})}
-	s := New(fake, Config{Workers: 1, QueueDepth: 1, RetryAfterSec: 2})
+	s := New(fake, Config{Workers: 1, QueueDepth: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	s.Start(ctx)
@@ -330,16 +331,16 @@ func TestQueueFullReturns429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	apiErr, err := apiv1.DecodeErrorResponse(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("decode 429 body: %v", err)
 	}
-	if apiErr.RetryAfterSec != 2 || apiErr.Error == "" {
-		t.Errorf("429 body = %+v, want retry_after_sec=2 and an error", apiErr)
+	if apiErr.RetryAfterSec != 1 || apiErr.Error == "" {
+		t.Errorf("429 body = %+v, want retry_after_sec=1 and an error", apiErr)
 	}
 
 	fake.open()

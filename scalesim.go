@@ -101,7 +101,7 @@ type SimOptions struct {
 	// EpochCycles is the contention-feedback epoch. Default 20k.
 	EpochCycles float64
 	// CapacityScale divides cache capacities and workload footprints
-	// (see DESIGN.md, "Capacity scaling"). Default 8.
+	// (see DESIGN.md, "Substitutions", 5). Default 8.
 	CapacityScale int
 	// Seed makes every run reproducible. It has no default: 0 is a seed
 	// like any other, and DefaultOptions and FastOptions use 1.
