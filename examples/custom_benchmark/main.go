@@ -70,7 +70,7 @@ func main() {
 	// Logarithmic least squares over the multi-core points (the paper's
 	// best-performing regression family), extrapolated to 32 cores.
 	a, b := leastSquares(lnCores, ipcs)
-	pred := a*math.Log(32) + b
+	pred := float64(a*math.Log(32)) + b
 	fmt.Printf("\nlog fit: IPC(n) = %.4f*ln(n) + %.4f\n", a, b)
 	fmt.Printf("extrapolated per-core IPC at 32 cores: %.3f\n", pred)
 
@@ -95,10 +95,10 @@ func leastSquares(xs, ys []float64) (a, b float64) {
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
 	}
-	a = (n*sxy - sx*sy) / (n*sxx - sx*sx)
-	b = (sy - a*sx) / n
+	a = (float64(n*sxy) - float64(sx*sy)) / (float64(n*sxx) - float64(sx*sx))
+	b = (sy - float64(a*sx)) / n
 	return a, b
 }

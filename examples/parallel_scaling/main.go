@@ -44,7 +44,7 @@ func main() {
 			}
 		}
 		a, b := leastSquares(lnCores, tputs)
-		pred := 32 * (a*math.Log(32) + b)
+		pred := float64(32 * (float64(a*math.Log(32)) + b))
 
 		tgt, err := scalesim.SimulateParallel(
 			scalesim.MachineSpec{Cores: 32, Policy: scalesim.PolicyTarget}, workload, opts)
@@ -65,10 +65,10 @@ func leastSquares(xs, ys []float64) (a, b float64) {
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
 	}
-	a = (n*sxy - sx*sy) / (n*sxx - sx*sx)
-	b = (sy - a*sx) / n
+	a = (float64(n*sxy) - float64(sx*sy)) / (float64(n*sxx) - float64(sx*sx))
+	b = (sy - float64(a*sx)) / n
 	return a, b
 }

@@ -316,5 +316,32 @@ func (n *NUCA) Fill(core int, addr uint64, dirty bool) (victimAddr uint64, victi
 	return victimAddr, victimDirty, evicted
 }
 
+// Replay repeats an access (or, with fill set, a fill) that a core made to
+// addr through its Overlay, on slice, addr's home slice as the overlay
+// computed it, counting it into st; the caller adds st into the core's
+// attribution with AddCoreStats. Replays on different slices touch disjoint
+// memory and may run at once. A fill replays only if the line is absent: a
+// fill replayed earlier, from another core's log, may have brought it in.
+func (n *NUCA) Replay(slice int, addr uint64, fill, dirty bool, st *Stats) {
+	lvl := n.slices[slice]
+	if !fill {
+		hit := lvl.Access(addr, dirty)
+		st.Accesses++
+		st.Writes += b2u(dirty)
+		st.Misses += b2u(!hit)
+	} else if !lvl.Probe(addr) {
+		_, victimDirty, evicted := lvl.Fill(addr, dirty)
+		st.Evictions += b2u(evicted)
+		st.Writebacks += b2u(victimDirty)
+	}
+}
+
+// AddCoreStats adds st to core's attribution.
+func (n *NUCA) AddCoreStats(core int, st Stats) {
+	c := &n.perCore[core]
+	c.Accesses, c.Misses, c.Writes = c.Accesses+st.Accesses, c.Misses+st.Misses, c.Writes+st.Writes
+	c.Evictions, c.Writebacks = c.Evictions+st.Evictions, c.Writebacks+st.Writebacks
+}
+
 // CoreStats returns the per-core attribution for core.
 func (n *NUCA) CoreStats(core int) Stats { return n.perCore[core] }

@@ -186,14 +186,14 @@ func (m *Memory) EndEpoch(cycles units.Cycles) {
 	for mc := range m.epochBytes {
 		streams := popcount(m.epochStreams[mc])
 		if m.epochBytes[mc] > 0 {
-			m.eff[mc] = 0.5*m.eff[mc] + 0.5*rowEfficiency(streams)
+			m.eff[mc] = float64(0.5*m.eff[mc]) + float64(0.5*rowEfficiency(streams))
 		}
 		capacity := m.bytesPerCyc.Scale(m.eff[mc]).Capacity(cycles)
 		inst := float64(m.epochBytes[mc]) / float64(capacity)
 		if inst > 1.5 {
 			inst = 1.5
 		}
-		m.util[mc] = 0.5*m.util[mc] + 0.5*inst
+		m.util[mc] = float64(0.5*m.util[mc]) + float64(0.5*inst)
 		m.epochBytes[mc] = 0
 		m.epochStreams[mc] = 0
 	}

@@ -46,15 +46,15 @@ func leastSquares(xs, ys []float64) (a, b float64, err error) {
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if math.Abs(den) < 1e-12 {
 		return 0, 0, fmt.Errorf("fit: degenerate x values (all equal?)")
 	}
-	a = (n*sxy - sx*sy) / den
-	b = (sy - a*sx) / n
+	a = (float64(n*sxy) - float64(sx*sy)) / den
+	b = (sy - float64(a*sx)) / n
 	return a, b, nil
 }
 
@@ -118,9 +118,9 @@ func Fit(model Model, xs, ys []float64) (Curve, error) {
 func (c Curve) Eval(x float64) float64 {
 	switch c.Model {
 	case Linear:
-		return c.A*x + c.B
+		return float64(c.A*x) + c.B
 	case Logarithmic:
-		return c.A*math.Log(x) + c.B
+		return float64(c.A*math.Log(x)) + c.B
 	case Power:
 		return c.A * math.Pow(x, c.B)
 	default:

@@ -90,11 +90,11 @@ func (f *RandomForest) PredictStats(x []float64) (mean, std float64) {
 	for t := 0; t < f.trees; t++ {
 		p := predict(f.nodes[t*f.stride:], x)
 		sum += p
-		sumSq += p * p
+		sumSq += float64(p * p)
 	}
 	n := float64(f.trees)
 	mean = sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if variance < 0 { // floating-point cancellation on near-identical trees
 		variance = 0
 	}

@@ -90,7 +90,7 @@ func FitScaler(X [][]float64) (*Scaler, error) {
 	for _, row := range X {
 		for j, v := range row {
 			dv := v - s.Mean[j]
-			s.Scale[j] += dv * dv
+			s.Scale[j] += float64(dv * dv)
 		}
 	}
 	for j := range s.Scale {

@@ -60,7 +60,7 @@ func (s *SVR) kernel(u, v []float64) float64 {
 	d := 0.0
 	for j := range u {
 		dv := u[j] - v[j]
-		d += dv * dv
+		d += float64(dv * dv)
 	}
 	return math.Exp(-s.gamma * d)
 }
@@ -81,7 +81,7 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	s.yMean = mean(y)
 	varY := 0.0
 	for _, v := range y {
-		varY += (v - s.yMean) * (v - s.yMean)
+		varY += float64((v - s.yMean) * (v - s.yMean))
 	}
 	s.yStd = math.Sqrt(varY / float64(n))
 	if s.yStd < 1e-12 {
@@ -153,10 +153,10 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 			break // every point inside the tube: optimum reached
 		}
 		eta := 1 / (lambda * float64(epoch+2))
-		shrink := 1 - eta*lambda
+		shrink := 1 - float64(eta*lambda)
 		step := eta / float64(n)
 		for i := 0; i < n; i++ {
-			beta[i] = shrink*beta[i] - step*sign[i]
+			beta[i] = float64(shrink*beta[i]) - float64(step*sign[i])
 		}
 		// The bias is unregularised; a small decaying step on its
 		// subgradient keeps it stable alongside the Pegasos schedule.
@@ -176,10 +176,10 @@ func rowSums(f, K, beta []float64, b float64) {
 		k0, k1, k2, k3 := K[i*n:][:n], K[(i+1)*n:][:n], K[(i+2)*n:][:n], K[(i+3)*n:][:n]
 		f0, f1, f2, f3 := b, b, b, b
 		for j, bj := range beta {
-			f0 += k0[j] * bj
-			f1 += k1[j] * bj
-			f2 += k2[j] * bj
-			f3 += k3[j] * bj
+			f0 += float64(k0[j] * bj)
+			f1 += float64(k1[j] * bj)
+			f2 += float64(k2[j] * bj)
+			f3 += float64(k3[j] * bj)
 		}
 		f[i], f[i+1], f[i+2], f[i+3] = f0, f1, f2, f3
 	}
@@ -194,8 +194,8 @@ func (s *SVR) Predict(x []float64) float64 {
 	sum := s.b
 	for i, row := range s.X {
 		if s.beta[i] != 0 {
-			sum += s.beta[i] * s.kernel(row, xs)
+			sum += float64(s.beta[i] * s.kernel(row, xs))
 		}
 	}
-	return sum*s.yStd + s.yMean
+	return float64(sum*s.yStd) + s.yMean
 }

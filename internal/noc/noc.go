@@ -174,7 +174,7 @@ func (m *Mesh) EndEpoch(cycles units.Cycles) {
 		inst = 1.5 // bounded overshoot; the CPI feedback throttles demand
 	}
 	// Exponential smoothing stabilises the fixed point across epochs.
-	m.util = 0.5*m.util + 0.5*inst
+	m.util = float64(0.5*m.util) + float64(0.5*inst)
 	m.epochBisectionBytes = 0
 }
 

@@ -219,6 +219,8 @@ type executor interface {
 	stats() *cpu.Stats
 	// private returns the cumulative L1-D and L2 access and miss counts.
 	private() (l1d, l2 cache.Stats)
+	// ahead does, on an idle epoch worker, work the next Run would do.
+	ahead()
 }
 
 // machine is the simulated shared memory hierarchy plus its cores. Each core
@@ -234,8 +236,11 @@ type machine struct {
 	ctxs  []*coreCtx
 
 	// blocks holds one block of cores per epoch worker (resolveWorkers of
-	// them; see runCoresParallel). Nil when one worker runs every core.
-	blocks []block
+	// them; see runCoresParallel) and owner the worker that replays each LLC
+	// slice; ran and replayed are where the workers wait for each other.
+	blocks        []block
+	owner         []int
+	ran, replayed phase
 
 	// part, when non-nil, replaces the shared LLC with per-core private
 	// partitions (the PartitionedLLC ablation).
@@ -323,14 +328,22 @@ func newMachine(cfg *config.SystemConfig, programs int, opts Options, build func
 	// core can touch it within an epoch; a single core or the partitioned
 	// ablation keeps the zero-overhead direct path.
 	sharedLLC := cfg.Cores > 1 && m.part == nil
-	if workers := resolveWorkers(opts.CoreWorkers, cfg.Cores); workers > 1 {
-		m.blocks = pad.Slice[block](workers)
+	workers := resolveWorkers(opts.CoreWorkers, cfg.Cores)
+	m.blocks = pad.Slice[block](workers)
+	for w := range m.blocks {
+		m.blocks[w].llc = pad.Slice[cache.Stats](cfg.Cores)
+	}
+	m.owner = pad.Slice[int](cfg.LLC.Slices)
+	for s := range m.owner {
+		m.owner[s] = s % workers
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		cc := pad.New(coreCtx{m: m, core: i, dramAcc: m.mem.NewAcc()})
+		cc := pad.New(coreCtx{m: m, core: i, dramAcc: m.mem.NewAcc(), logs: pad.Slice[[]llcOp](workers)})
 		if sharedLLC {
 			cc.ov = cache.NewOverlay(m.llc)
-			cc.log = pad.Slice[llcOp](defaultEpochLogOps)[:0]
+			for w := range cc.logs {
+				cc.logs[w] = pad.Slice[llcOp](max(1, defaultEpochLogOps/workers))[:0]
+			}
 		}
 		m.ctxs = append(m.ctxs, cc)
 		core, err := build(i, cc)
@@ -548,5 +561,5 @@ func (m *machine) borrowed() (sum time.Duration) {
 	for _, cc := range m.ctxs {
 		sum += cc.borrowed
 	}
-	return sum / time.Duration(max(1, len(m.blocks)))
+	return sum / time.Duration(len(m.blocks))
 }

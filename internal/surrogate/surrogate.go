@@ -389,7 +389,7 @@ func nearestDistance(trainX [][]float64, q []float64) float64 {
 		var d2 float64
 		for j := range q {
 			dv := q[j] - row[j]
-			d2 += dv * dv
+			d2 += float64(dv * dv)
 			if d2 >= best {
 				break
 			}

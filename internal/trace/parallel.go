@@ -107,7 +107,7 @@ func (p *ParallelProfile) ThreadBudget(thread, threads int) uint64 {
 		return p.BarrierInterval
 	}
 	frac := float64(thread) / float64(threads-1)
-	scaled := float64(p.BarrierInterval) * (1 + p.Skew*(frac-0.5))
+	scaled := float64(p.BarrierInterval) * (1 + float64(p.Skew*(frac-0.5)))
 	if scaled < 1 {
 		scaled = 1
 	}

@@ -344,9 +344,9 @@ func NewGenerator(prof *Profile, opts GenOptions) (*Generator, error) {
 			// The minority-direction rate bounds the achievable prediction
 			// accuracy on i.i.d. outcomes: easy loop/guard branches flip
 			// 0.5-2% of the time, hard data-dependent ones 10-35%.
-			bias := 0.005 + 0.015*rng.Float64()
+			bias := 0.005 + float64(0.015*rng.Float64())
 			if rng.Bool(prof.HardFrac) {
-				bias = 0.10 + 0.25*rng.Float64()
+				bias = 0.10 + float64(0.25*rng.Float64())
 			}
 			if rng.Bool(0.5) {
 				bias = 1 - bias

@@ -103,7 +103,7 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Bool returns true with probability p.
@@ -114,9 +114,9 @@ func (r *RNG) Bool(p float64) bool {
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -176,7 +176,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 		thr[i] = math.Float64bits(sum) // the running sum, parked until the total is known
 	}
 	for i, partial := range thr {
-		thr[i] = uint64(math.Float64frombits(partial) / sum * (1 << 53))
+		thr[i] = uint64(float64(math.Float64frombits(partial) / sum * (1 << 53)))
 	}
 	thr[n-1] = 1 << 53 // cdf 1, above every draw: guard against FP round-off
 	cells, shift := 2, uint(52)

@@ -159,7 +159,7 @@ func (e *Experiments) ExtMultithreaded() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		predicted := 32 * curve.Eval(32)
+		predicted := float64(32 * curve.Eval(32))
 		errs = append(errs, metrics.PredictionError(predicted, res.AggregateIPC))
 		row.Values = append(row.Values, Cell(predicted), Cell(errs[wi]))
 		tput.Rows = append(tput.Rows, row)

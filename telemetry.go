@@ -168,17 +168,17 @@ func SummarizeTrace(trace []EpochSnapshot) TraceSummary {
 			// CoreEpoch records per-instruction CPI components; scale back
 			// to cycles so epochs weight by their actual activity.
 			ki := float64(c.Instructions)
-			a.base += c.BaseCPI * ki
-			a.branch += c.BranchCPI * ki
-			a.memory += c.MemoryCPI * ki
-			a.frontend += c.FrontendCPI * ki
+			a.base += float64(c.BaseCPI * ki)
+			a.branch += float64(c.BranchCPI * ki)
+			a.memory += float64(c.MemoryCPI * ki)
+			a.frontend += float64(c.FrontendCPI * ki)
 			// Hit rates weight by the level's traffic proxy: instructions
 			// for L1D (the recorded rate is per-access, access counts are
 			// proportional to instructions for a fixed profile), and the
 			// same instruction weight for L2/LLC.
-			a.l1dHit += c.L1DHitRate * ki
-			a.l2Hit += c.L2HitRate * ki
-			a.llcHit += c.LLCHitRate * ki
+			a.l1dHit += float64(c.L1DHitRate * ki)
+			a.l2Hit += float64(c.L2HitRate * ki)
+			a.llcHit += float64(c.LLCHitRate * ki)
 			a.hitN += ki
 			a.dramBytes += c.DRAMBytes
 		}
