@@ -11,7 +11,8 @@ package scalesim
 //
 // Simulations are cached inside a shared experiment driver, so the whole
 // harness costs roughly one full data collection. Set SCALESIM_BENCH_FAST=1
-// to run at reduced fidelity (~10x faster; conclusions unchanged).
+// to run at reduced fidelity (~5x faster; not every verdict of verdicts.go
+// survives it, see FastOptions).
 
 import (
 	"context"
@@ -147,7 +148,7 @@ func BenchmarkFig6_STPPrediction(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("Fig. 6", res)
-		b.ReportMetric(100*cell(b, res, "SVM-log", "avg"), "SVMlog_STP_avg_err_pct")
+		b.ReportMetric(100*res.Cell("SVM-log", "avg"), "SVMlog_STP_avg_err_pct")
 	}
 }
 
@@ -160,7 +161,7 @@ func BenchmarkFig7_ErrorVsSpeedup(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("Fig. 7", res)
-		b.ReportMetric(cell(b, res, "No Extrapolation 1-core", "speedup"), "1core_speedup_x")
+		b.ReportMetric(res.Cell("No Extrapolation 1-core", "speedup"), "1core_speedup_x")
 	}
 }
 
@@ -272,7 +273,7 @@ func BenchmarkSpeedup_SimulationTime(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("speedup", res)
-		b.ReportMetric(cell(b, res, "1", "speedup"), "speedup_1core_x")
+		b.ReportMetric(res.Cell("1", "speedup"), "speedup_1core_x")
 	}
 }
 
@@ -314,7 +315,7 @@ func BenchmarkExt_Multithreaded(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("ext-mt", res)
-		b.ReportMetric(100*cell(b, res, "extrapolation error:", "avg"), "avg_err_pct")
+		b.ReportMetric(100*res.Cell("extrapolation error:", "avg"), "avg_err_pct")
 	}
 }
 
@@ -329,7 +330,7 @@ func BenchmarkAblation_ContentionModel(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("ablations", res)
-		b.ReportMetric(100*cell(b, res, "no bandwidth feedback", "PRS err"), "nofeedback_PRS_err_pct")
+		b.ReportMetric(100*res.Cell("no bandwidth feedback", "PRS err"), "nofeedback_PRS_err_pct")
 	}
 }
 
@@ -343,8 +344,8 @@ func BenchmarkExt_PrefetchRobustness(b *testing.B) {
 			b.Fatal(err)
 		}
 		printFigure("ext-prefetch", res)
-		b.ReportMetric(100*cell(b, res, "NoExtrap error without prefetcher:", "avg"), "err_off_pct")
-		b.ReportMetric(100*cell(b, res, "NoExtrap error with prefetcher:", "avg"), "err_on_pct")
+		b.ReportMetric(100*res.Cell("NoExtrap error without prefetcher:", "avg"), "err_off_pct")
+		b.ReportMetric(100*res.Cell("NoExtrap error with prefetcher:", "avg"), "err_on_pct")
 	}
 }
 

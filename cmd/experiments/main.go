@@ -4,11 +4,16 @@
 //
 // Usage:
 //
-//	experiments [-fast] [-figs 3,4,7] [-skip-hetero] [-workers N] [-stats] [-store DIR]
+//	experiments [-fast] [-figs 3,4,7] [-workers N] [-stats] [-store DIR]
 //
-// -fast runs at reduced simulation fidelity (about 10x cheaper; the
-// qualitative conclusions survive). The full run regenerates the numbers
-// recorded in EXPERIMENTS.md.
+// After the figures it prints one "verdict:" line per claim of
+// scalesim.Verdicts whose figures all ran: "holds", or "fails:" and the row
+// that breaks it.
+//
+// -fast runs at reduced simulation fidelity, about 5x cheaper, and loses two
+// of the full run's verdicts on some seeds: Fig. 5's "SVM is best in each
+// family" and Fig. 10's "adding bandwidth worsens no method". The full run
+// regenerates the numbers recorded in EXPERIMENTS.md.
 package main
 
 import (
@@ -16,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -26,9 +32,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	fast := flag.Bool("fast", false, "reduced simulation fidelity (~10x faster)")
+	fast := flag.Bool("fast", false, "reduced simulation fidelity (~5x faster; on some seeds loses the full run's Fig. 5 \"SVM is best\" and Fig. 10 verdicts)")
 	figs := flag.String("figs", "", "comma-separated ids to run (default: all): 1,3..12, mt, ablations, prefetch, speedup")
-	skipHetero := flag.Bool("skip-hetero", false, "skip the heterogeneous studies (Figs. 5 and 6), the most expensive collection")
 	workers := flag.Int("workers", 1, "campaign worker-pool size: bounds batch collections and leave-one-out evaluation fan-out (0 = GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print the campaign execution report (per-configuration simulation time) at the end")
 	storeDir := flag.String("store", "", "durable result store directory: makes figure regeneration incremental across invocations")
@@ -58,7 +63,7 @@ func main() {
 
 	fmt.Printf("scale-model simulation experiment suite (fidelity: %s)\n",
 		map[bool]string{true: "fast", false: "full"}[*fast])
-	fmt.Printf("host: single-threaded Go simulator; all runs deterministic (seed %d)\n\n", opts.Seed)
+	fmt.Printf("host: %d CPUs for the Go runtime; all runs deterministic (seed %d)\n\n", runtime.GOMAXPROCS(0), opts.Seed)
 
 	start := time.Now()
 	if selected("1") {
@@ -73,8 +78,9 @@ func main() {
 		fmt.Println()
 	}
 
+	tables := map[string]*scalesim.Table{}
 	for _, f := range ex.Figures() {
-		if !selected(f.ID) || *skipHetero && (f.ID == "5" || f.ID == "6") {
+		if !selected(f.ID) {
 			continue
 		}
 		t0 := time.Now()
@@ -82,6 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", f.Name, err)
 		}
+		tables[f.ID] = res
 		fmt.Println(res.String())
 		// The time study regenerates nothing: it reads recorded durations.
 		if f.ID != "speedup" {
@@ -90,6 +97,10 @@ func main() {
 		}
 	}
 
+	for _, v := range scalesim.Verdicts(tables) {
+		verdict := map[bool]string{true: "holds", false: "fails:"}[v.Holds]
+		fmt.Println(strings.TrimSpace(fmt.Sprintf("verdict: %s — %s %s", v.Claim, verdict, v.Detail)))
+	}
 	fmt.Printf("total: %.1fs wall-clock, %d distinct simulations", time.Since(start).Seconds(), ex.Runs())
 	if *storeDir != "" {
 		fmt.Printf(", %d served from store", ex.DiskHits())

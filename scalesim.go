@@ -142,9 +142,11 @@ func DefaultOptions() SimOptions {
 	}
 }
 
-// FastOptions returns reduced-budget options: every qualitative conclusion
-// survives, at roughly a tenth of the simulation cost. Used by the examples
-// and quick CLI runs.
+// FastOptions returns reduced-budget options at roughly a fifth of the
+// simulation cost, used by the examples and quick CLI runs. Against
+// DefaultOptions on seeds 1–5 (EXPERIMENTS.md) they lose two verdicts on some
+// seeds: Fig. 5's "SVM is best in each family" and Fig. 10's "adding
+// bandwidth worsens no method".
 func FastOptions() SimOptions {
 	return SimOptions{
 		Instructions:  200_000,

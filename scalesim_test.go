@@ -168,7 +168,10 @@ func TestTargetIPCOutsideTheSuite(t *testing.T) {
 	}
 }
 
-func TestFig3OrderingOnSubset(t *testing.T) {
+// TestFig3OnSubset builds Fig. 3 under the short test set, so the race run
+// covers the four construction policies; what the figure concludes is the
+// verdict table's (verdicts.go).
+func TestFig3OnSubset(t *testing.T) {
 	ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
 	if err != nil {
 		t.Fatal(err)
@@ -179,15 +182,6 @@ func TestFig3OrderingOnSubset(t *testing.T) {
 	}
 	if len(fig3.Methods) != 4 {
 		t.Fatalf("%d policies, want 4", len(fig3.Methods))
-	}
-	byName := map[string]MethodResult{}
-	for _, m := range fig3.Methods {
-		byName[m.Method] = m
-	}
-	// The paper's headline ordering: full PRS is the most accurate
-	// construction, NRS the worst.
-	if byName["PRS"].Mean >= byName["NRS"].Mean {
-		t.Errorf("PRS mean %.3f not below NRS mean %.3f", byName["PRS"].Mean, byName["NRS"].Mean)
 	}
 	if s := fig3.String(); !strings.Contains(s, "NRS") || !strings.Contains(s, "per-benchmark") {
 		t.Errorf("figure rendering incomplete:\n%s", s)
@@ -244,9 +238,9 @@ func TestFig4AndDerivativesOnSubset(t *testing.T) {
 		t.Fatalf("fig7 points %s, want %s", got, want)
 	}
 	// The single-core scale model must be the fastest.
-	fastest := cell(t, fig7, "No Extrapolation 1-core", "speedup")
+	fastest := fig7.Cell("No Extrapolation 1-core", "speedup")
 	for _, p := range points[:4] {
-		if got := cell(t, fig7, p.Label, "speedup"); got >= fastest {
+		if got := fig7.Cell(p.Label, "speedup"); !(got < fastest) {
 			t.Errorf("%s speedup %.1f >= 1-core speedup %.1f", p.Label, got, fastest)
 		}
 	}
@@ -261,7 +255,7 @@ func TestFig4AndDerivativesOnSubset(t *testing.T) {
 	if got := labels(study.Blocks[0].Rows); got != "1,2,4,8,16,32" {
 		t.Fatalf("sim-time rows %s, want 1,2,4,8,16,32", got)
 	}
-	if big, small := cell(t, study, "32", "total"), cell(t, study, "1", "total"); big <= small {
+	if big, small := study.Cell("32", "total"), study.Cell("1", "total"); !(big > small) {
 		t.Errorf("32-core sim (%.3fs) not slower than 1-core (%.3fs)", big, small)
 	}
 
@@ -318,7 +312,7 @@ func TestHeterogeneousFiguresOnSubset(t *testing.T) {
 		t.Fatalf("STP methods %s, want DT-log,RF-log,SVM-log", got)
 	}
 	for _, m := range fig6.Blocks[0].Rows {
-		if avg := cell(t, fig6, m.Label, "avg"); !(avg > 0) {
+		if avg := fig6.Cell(m.Label, "avg"); !(avg > 0) {
 			t.Errorf("%s: STP error %v", m.Label, avg)
 		}
 		if !strings.Contains(fig6.String(), m.Label) {
@@ -389,11 +383,11 @@ func TestExtMultithreadedOnTinyBudget(t *testing.T) {
 		t.Fatalf("workloads %s", got)
 	}
 	for _, w := range res.Blocks[0].Rows {
-		if cell(t, res, w.Label, "32") <= 0 || cell(t, res, w.Label, "predicted 32") <= 0 {
+		if !(res.Cell(w.Label, "32") > 0 && res.Cell(w.Label, "predicted 32") > 0) {
 			t.Errorf("%s: bad throughputs %v", w.Label, w.Values)
 		}
 		// Strong scaling: 32 threads must beat 1 thread.
-		if cell(t, res, w.Label, "32") <= cell(t, res, w.Label, "1") {
+		if !(res.Cell(w.Label, "32") > res.Cell(w.Label, "1")) {
 			t.Errorf("%s: no scaling: %v", w.Label, w.Values)
 		}
 	}
@@ -434,33 +428,6 @@ func TestExtMultithreadedOnTinyBudget(t *testing.T) {
 	}
 }
 
-func TestAblationsShowMechanismsMatter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three model variants over the subset suite")
-	}
-	ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Ablations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := labels(res.Blocks[0].Rows); got != "full model,no bandwidth feedback,partitioned LLC" {
-		t.Fatalf("ablation rows %s", got)
-	}
-	full := cell(t, res, "full model", "NRS err")
-	noFB := cell(t, res, "no bandwidth feedback", "NRS err")
-	// Without the bandwidth fixed point there is (almost) no contention:
-	// the NRS error collapses, i.e. the mechanism is load-bearing.
-	if noFB >= full*0.8 {
-		t.Errorf("no-feedback NRS err %.3f not well below full-model %.3f; feedback not load-bearing?", noFB, full)
-	}
-	if !strings.Contains(res.String(), "partitioned LLC") {
-		t.Error("rendering missing variants")
-	}
-}
-
 func TestPrefetchStudyOnSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two homogeneous collections")
@@ -478,11 +445,11 @@ func TestPrefetchStudyOnSubset(t *testing.T) {
 	}
 	foundSpeedup := false
 	for _, row := range res.Blocks[0].Rows {
-		on, off := cell(t, res, row.Label, "IPC on"), cell(t, res, row.Label, "IPC off")
+		on, off := res.Cell(row.Label, "IPC on"), res.Cell(row.Label, "IPC off")
 		if on > off*1.02 {
 			foundSpeedup = true
 		}
-		if on == 0 || off == 0 {
+		if !(on > 0 && off > 0) {
 			t.Errorf("%s: missing variant data %v", row.Label, row.Values)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"scalesim/internal/metrics"
@@ -98,6 +99,19 @@ func (t *Table) String() string {
 		}
 	}
 	return b.String()
+}
+
+// Cell returns the number at row label and column name in the first block
+// that has both, or NaN: a comparison of cells fails on a missing one.
+func (t *Table) Cell(label, column string) float64 {
+	for _, blk := range t.Blocks {
+		c := slices.IndexFunc(blk.Columns, func(c Column) bool { return c.Name == column })
+		r := slices.IndexFunc(blk.Rows, func(r Row) bool { return r.Label == label })
+		if c >= 0 && r >= 0 && c < len(blk.Rows[r].Values) {
+			return float64(blk.Rows[r].Values[c])
+		}
+	}
+	return math.NaN()
 }
 
 // columns are named columns of one unit and cell format.

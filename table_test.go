@@ -10,21 +10,6 @@ import (
 	"testing"
 )
 
-// cell returns the number at row label and column name in the first block of
-// t that has both.
-func cell(tb testing.TB, t *Table, label, column string) float64 {
-	tb.Helper()
-	for _, blk := range t.Blocks {
-		c := slices.IndexFunc(blk.Columns, func(c Column) bool { return c.Name == column })
-		r := slices.IndexFunc(blk.Rows, func(r Row) bool { return r.Label == label })
-		if c >= 0 && r >= 0 && c < len(blk.Rows[r].Values) {
-			return float64(blk.Rows[r].Values[c])
-		}
-	}
-	tb.Fatalf("%s: no cell (%q, %q)", t.ID, label, column)
-	return 0
-}
-
 // labels joins the rows' labels with commas.
 func labels(rows []Row) string {
 	var out []string
@@ -42,44 +27,111 @@ var hostTimed = map[string]bool{"speedup": true, "total": true, "per benchmark":
 // two workers and pins the rendered report, host-timed columns zeroed, to
 // testdata/figures.golden. Every table also round-trips through its JSON
 // form. Regenerate the golden deliberately with SCALESIM_UPDATE_GOLDEN=1.
+//
+// It also judges the verdict table (verdicts.go) on seeds 1–5, regenerating
+// for the seeds other than the golden's only the figures a claim reads, and
+// pins on how many seeds each claim holds, so a change that moves any count
+// fails naming the claim. A claim that reads a host-timed column is not
+// pinned.
 func TestFigureTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure on the tiny subset")
 	}
-	ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
-	if err != nil {
-		t.Fatal(err)
+	// Seeds (of 1–5) on which each claim holds at tinyOptions. A count of 0
+	// is a claim this fidelity does not show, not a check to loosen.
+	want := map[string]int{
+		"Fig. 3: PRS is best and NRS is worst":                                                             5,
+		"Fig. 4: every ML method beats No Extrapolation":                                                   3,
+		"Fig. 4: the best method beats No Extrapolation by ≥ 2× (paper: 2.3×)":                             0,
+		"Fig. 4: the best regression method's error is ≤ 1.5× the best prediction method's (paper: 1.25×)": 5,
+		"Fig. 5: every method's error is higher than on homogeneous mixes (Fig. 4)":                        5,
+		"Fig. 5: SVM is best in each family":                                                               5,
+		"Fig. 6: each method's STP error is below its per-application error (Fig. 5)":                      0,
+		"Fig. 8: MC-first's DT-log and SVM-log errors are each ≤ MB-first's":                               0,
+		"Fig. 9: linear is the worst form":                                                                 4,
+		"Fig. 10: adding bandwidth worsens no method":                                                      1,
+		"Fig. 11: error does not increase as scale models are added":                                       4,
+		"Fig. 12: the best prediction method beats the best regression method":                             5,
+		"Ablations: without bandwidth feedback the NRS error is < 0.8× the full model's":                   5,
+		"Ablations: with a partitioned LLC the PRS error is < 0.8× the full model's":                       5,
 	}
-	ex.SetWorkers(2)
+	golden := tinyOptions().Seed
+	held := map[string]int{}
+	timed := map[string]bool{}
 	var report strings.Builder
-	for _, f := range ex.Figures() {
-		tab, err := f.Run()
+	for seed := uint64(1); seed <= 5; seed++ {
+		opts := tinyOptions()
+		opts.Seed = seed
+		ex, err := NewExperimentsSubset(opts, subsetNames()...)
 		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+			t.Fatal(err)
 		}
-		checkJSONRoundTrip(t, tab)
-		for _, blk := range tab.Blocks {
-			for c, col := range blk.Columns {
-				for _, r := range blk.Rows {
-					if hostTimed[col.Name] && c < len(r.Values) {
-						r.Values[c] = 0
+		ex.SetWorkers(2)
+		tables := map[string]*Table{}
+		for _, f := range ex.Figures() {
+			if seed != golden && !slices.ContainsFunc(predicates, func(p predicate) bool { return slices.Contains(p.figs, f.ID) }) {
+				continue
+			}
+			if tables[f.ID], err = f.Run(); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, f.Name, err)
+			}
+		}
+		for _, v := range Verdicts(tables) {
+			if v.Holds {
+				held[v.Claim]++
+			}
+		}
+		if seed != golden {
+			continue
+		}
+		for _, p := range predicates {
+			p.check(func(fig, label, column string) float64 {
+				timed[p.claim] = timed[p.claim] || hostTimed[column]
+				return tables[fig].Cell(label, column)
+			})
+		}
+		for _, f := range ex.Figures() {
+			tab := tables[f.ID]
+			checkJSONRoundTrip(t, tab)
+			for _, blk := range tab.Blocks {
+				for c, col := range blk.Columns {
+					for _, r := range blk.Rows {
+						if hostTimed[col.Name] && c < len(r.Values) {
+							r.Values[c] = 0
+						}
 					}
 				}
 			}
+			report.WriteString(tab.String() + "\n")
 		}
-		report.WriteString(tab.String() + "\n")
 	}
+	for _, p := range predicates {
+		n, pinned := want[p.claim]
+		switch {
+		case timed[p.claim] && pinned:
+			t.Errorf("%q reads a host-timed column: it cannot be pinned", p.claim)
+		case !timed[p.claim] && !pinned:
+			t.Errorf("%q holds on %d of seeds 1–5 and is not pinned", p.claim, held[p.claim])
+		case !timed[p.claim] && held[p.claim] != n:
+			t.Errorf("%q holds on %d of seeds 1–5, pinned at %d", p.claim, held[p.claim], n)
+		}
+		delete(want, p.claim)
+	}
+	for claim := range want {
+		t.Errorf("pinned claim %q is not in the verdict table", claim)
+	}
+
 	path := filepath.Join("testdata", "figures.golden")
 	if os.Getenv("SCALESIM_UPDATE_GOLDEN") == "1" {
 		if err := os.WriteFile(path, []byte(report.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(path)
+	pinned, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := report.String(); got != string(want) {
+	if got := report.String(); got != string(pinned) {
 		t.Errorf("rendered figures differ from %s:\n%s", path, got)
 	}
 }
