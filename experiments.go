@@ -115,16 +115,19 @@ func (e *Experiments) CampaignReport() string { return e.svc.eng.Report().String
 // bit-identical for any worker count.
 func (e *Experiments) SetWorkers(n int) { e.svc.eng.SetWorkers(n) }
 
+// homogData returns the base lab's homogeneous collection for m. The first
+// call collects once for both metrics the figures read (Fig. 12 predicts
+// bandwidth), so no figure keys and looks up the same jobs again.
 func (e *Experiments) homogData(m scalemodel.Metric) (*scalemodel.HomogeneousData, error) {
 	if d, ok := e.homog[m]; ok {
 		return d, nil
 	}
-	d, err := e.lab.CollectHomogeneous(e.suite, e.scaleCores, m)
+	ds, err := e.lab.CollectHomogeneous(e.suite, e.scaleCores, scalemodel.MetricIPC, scalemodel.MetricBW)
 	if err != nil {
 		return nil, err
 	}
-	e.homog[m] = d
-	return d, nil
+	e.homog[scalemodel.MetricIPC], e.homog[scalemodel.MetricBW] = ds[0], ds[1]
+	return e.homog[m], nil
 }
 
 func (e *Experiments) heteroData() (*scalemodel.HeterogeneousData, error) {
@@ -268,10 +271,11 @@ func (e *Experiments) homogFigure(id, title string, metric scalemodel.Metric, sp
 // target only, and evaluates the No Extrapolation baseline on it: the shared
 // step of Fig. 3, the ablations and the prefetcher study.
 func (e *Experiments) noExtrapolation(lab *scalemodel.Lab) (*scalemodel.HomogeneousData, []metrics.NamedError, error) {
-	d, err := lab.CollectHomogeneous(e.suite, nil, scalemodel.MetricIPC)
+	ds, err := lab.CollectHomogeneous(e.suite, nil, scalemodel.MetricIPC)
 	if err != nil {
 		return nil, nil, err
 	}
+	d := ds[0]
 	errs, err := d.EvaluateLOO(scalemodel.MethodSpec{Method: scalemodel.MethodNoExtrapolation})
 	if err != nil {
 		return nil, nil, err
@@ -411,7 +415,11 @@ func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
 			// fold models already trained there.
 			d, err = e.homogData(scalemodel.MetricIPC)
 		} else {
-			d, err = e.lab.WithBandwidth(bwp.bw).CollectHomogeneous(e.suite, e.scaleCores, scalemodel.MetricIPC)
+			var ds []*scalemodel.HomogeneousData
+			ds, err = e.lab.WithBandwidth(bwp.bw).CollectHomogeneous(e.suite, e.scaleCores, scalemodel.MetricIPC)
+			if err == nil {
+				d = ds[0]
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", bwp.name, err)

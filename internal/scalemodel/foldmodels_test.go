@@ -59,15 +59,11 @@ func collectFigureData(t *testing.T, workers int) map[Metric]*HomogeneousData {
 	for i := 5; i < 29; i += 3 {
 		benches = append(benches, trace.Suite()[i])
 	}
-	data := map[Metric]*HomogeneousData{}
-	for _, m := range []Metric{MetricIPC, MetricBW} {
-		d, err := l.CollectHomogeneous(benches, figureScaleCores, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[m] = d
+	ds, err := l.CollectHomogeneous(benches, figureScaleCores, MetricIPC, MetricBW)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return data
+	return map[Metric]*HomogeneousData{MetricIPC: ds[0], MetricBW: ds[1]}
 }
 
 // TestEvaluateLOOWorkersIdentical holds the evaluation to its reference:

@@ -95,14 +95,16 @@ func (l *Lab) machines(sizes []int) (map[int]*config.SystemConfig, error) {
 }
 
 // RunBatch runs a collection's jobs as one engine batch and returns their
-// results by index. One worker runs them in submission order; more workers
-// change only wall-clock. The first failed outcome in submission order is
-// the returned error, whichever worker hit it first.
+// results by index. The jobs are keyed on the engine's workers, and one
+// worker runs them in submission order; more workers change only wall-clock.
+// The first failed outcome in submission order is the returned error,
+// whichever worker hit it first.
 func (l *Lab) RunBatch(jobs []runner.Job) ([]*sim.Result, error) {
 	keys := make([]string, len(jobs))
-	for i, j := range jobs {
-		keys[i] = j.Key()
-	}
+	fanOut(l.engine, len(jobs), func(i int) error {
+		keys[i] = jobs[i].Key()
+		return nil
+	})
 	//simlint:ignore ctxflow the figure API is context-free; the process is the cancellation scope
 	outcomes, err := l.engine.RunBatch(context.Background(), keys, jobs)
 	results := make([]*sim.Result, len(outcomes))

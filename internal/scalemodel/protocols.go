@@ -182,10 +182,10 @@ type HomogeneousData struct {
 // CollectHomogeneous simulates everything the homogeneous protocol needs:
 // for each benchmark, the single-core scale model, the homogeneous target
 // run, and homogeneous runs on each multi-core scale model in scaleCores.
-// The collection is one ordered job list run as one engine batch; the data
-// is assembled from the results by index, so it is bit-identical for any
-// worker count.
-func (l *Lab) CollectHomogeneous(benchmarks []*trace.Profile, scaleCores []int, metric Metric) (*HomogeneousData, error) {
+// The collection is one ordered job list run as one engine batch, and out[i]
+// is metrics[i]'s data, each derived from the same results by index, so it
+// is bit-identical for any worker count.
+func (l *Lab) CollectHomogeneous(benchmarks []*trace.Profile, scaleCores []int, metrics ...Metric) ([]*HomogeneousData, error) {
 	T := l.Target.Cores
 	sizes := append([]int{1, T}, scaleCores...)
 	cfgs, err := l.machines(sizes)
@@ -203,36 +203,40 @@ func (l *Lab) CollectHomogeneous(benchmarks []*trace.Profile, scaleCores []int, 
 		return nil, err
 	}
 
-	d := &HomogeneousData{
-		TargetCores: T,
-		Metric:      metric,
-		Meas:        map[string]Measurement{},
-		Feat:        map[string]Features{},
-		Target:      map[string]float64{},
-		Scale:       map[int]map[string]float64{},
-		SimTime:     map[int]time.Duration{},
-		engine:      l.engine,
-	}
-	for _, c := range scaleCores {
-		d.Scale[c] = map[string]float64{}
-	}
-	for bi, prof := range benchmarks {
-		row := results[bi*len(sizes) : (bi+1)*len(sizes)]
-		m := singleCoreMeasurement(cfgs[1], row[0])
-		d.Benchmarks = append(d.Benchmarks, prof.Name)
-		d.Meas[prof.Name] = m
-		// In a homogeneous mix every co-runner is another copy of the
-		// benchmark itself: CoBW = (T-1) * BW^ss.
-		d.Feat[prof.Name] = Features{IPC: m.IPC, BW: m.BW, CoBW: float64(T-1) * m.BW}
-		d.Target[prof.Name] = perBenchAverage(metric, l.Target, row[1])[prof.Name]
-		for i, c := range scaleCores {
-			d.Scale[c][prof.Name] = perBenchAverage(metric, cfgs[c], row[2+i])[prof.Name]
+	out := make([]*HomogeneousData, len(metrics))
+	for mi, metric := range metrics {
+		d := &HomogeneousData{
+			TargetCores: T,
+			Metric:      metric,
+			Meas:        map[string]Measurement{},
+			Feat:        map[string]Features{},
+			Target:      map[string]float64{},
+			Scale:       map[int]map[string]float64{},
+			SimTime:     map[int]time.Duration{},
+			engine:      l.engine,
 		}
-		for i, c := range sizes {
-			d.SimTime[c] += row[i].WallClock
+		for _, c := range scaleCores {
+			d.Scale[c] = map[string]float64{}
 		}
+		for bi, prof := range benchmarks {
+			row := results[bi*len(sizes) : (bi+1)*len(sizes)]
+			m := singleCoreMeasurement(cfgs[1], row[0])
+			d.Benchmarks = append(d.Benchmarks, prof.Name)
+			d.Meas[prof.Name] = m
+			// In a homogeneous mix every co-runner is another copy of the
+			// benchmark itself: CoBW = (T-1) * BW^ss.
+			d.Feat[prof.Name] = Features{IPC: m.IPC, BW: m.BW, CoBW: float64(T-1) * m.BW}
+			d.Target[prof.Name] = perBenchAverage(metric, l.Target, row[1])[prof.Name]
+			for i, c := range scaleCores {
+				d.Scale[c][prof.Name] = perBenchAverage(metric, cfgs[c], row[2+i])[prof.Name]
+			}
+			for i, c := range sizes {
+				d.SimTime[c] += row[i].WallClock
+			}
+		}
+		out[mi] = d
 	}
-	return d, nil
+	return out, nil
 }
 
 // samplesExcluding builds the training samples whose labels were measured

@@ -121,10 +121,11 @@ func TestMethodSpecNames(t *testing.T) {
 func TestCollectHomogeneousShapes(t *testing.T) {
 	l := fakeLab()
 	benches := someBenchmarks(6)
-	d, err := l.CollectHomogeneous(benches, []int{2, 4, 8, 16}, MetricIPC)
+	ds, err := l.CollectHomogeneous(benches, []int{2, 4, 8, 16}, MetricIPC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	if len(d.Benchmarks) != 6 {
 		t.Fatalf("%d benchmarks, want 6", len(d.Benchmarks))
 	}
@@ -174,10 +175,11 @@ func TestLabCaching(t *testing.T) {
 func TestCollectionIsOneBatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		l := fakeLabWorkers(workers)
-		d, err := l.CollectHomogeneous(someBenchmarks(4), []int{2, 4}, MetricIPC)
+		ds, err := l.CollectHomogeneous(someBenchmarks(4), []int{2, 4}, MetricIPC)
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := ds[0]
 		st := l.engine.Stats()
 		if st.Jobs != 16 || st.CacheHits != 0 || st.UniqueRuns != 16 {
 			t.Errorf("%d workers: jobs %d, memory hits %d, unique runs %d; want 16, 0, 16",
@@ -213,10 +215,11 @@ func TestCollectionReportsFirstFailureInOrder(t *testing.T) {
 
 func TestEvaluateLOOAllMethods(t *testing.T) {
 	l := fakeLab()
-	d, err := l.CollectHomogeneous(someBenchmarks(10), []int{2, 4, 8, 16}, MetricIPC)
+	ds, err := l.CollectHomogeneous(someBenchmarks(10), []int{2, 4, 8, 16}, MetricIPC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	specs := []MethodSpec{
 		{Method: MethodNoExtrapolation},
 		{Method: MethodPrediction, Estimator: DT},
@@ -253,10 +256,11 @@ func TestPredictionBeatsNoExtrapolationOnFakeWorld(t *testing.T) {
 	// The fake world has a learnable contention law, so ML prediction must
 	// reduce the mean error substantially.
 	l := fakeLab()
-	d, err := l.CollectHomogeneous(trace.Suite(), []int{2, 4, 8, 16}, MetricIPC)
+	ds, err := l.CollectHomogeneous(trace.Suite(), []int{2, 4, 8, 16}, MetricIPC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	rows, err := d.EvaluateLOO(MethodSpec{Method: MethodNoExtrapolation}, MethodSpec{Method: MethodPrediction, Estimator: SVM})
 	if err != nil {
 		t.Fatal(err)
@@ -278,10 +282,11 @@ func TestPredictionBeatsNoExtrapolationOnFakeWorld(t *testing.T) {
 
 func TestRegressionWithScaleModelSubset(t *testing.T) {
 	l := fakeLabWorkers(4)
-	d, err := l.CollectHomogeneous(someBenchmarks(8), []int{2, 4, 8, 16}, MetricIPC)
+	ds, err := l.CollectHomogeneous(someBenchmarks(8), []int{2, 4, 8, 16}, MetricIPC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	spec := MethodSpec{Method: MethodRegression, Estimator: SVM, Form: fit.Logarithmic, ScaleModels: []int{2, 4}}
 	if _, err := d.EvaluateLOO(spec); err != nil {
 		t.Fatal(err)
@@ -515,10 +520,11 @@ func TestRealSimulatorSmoke(t *testing.T) {
 	}
 	l := NewLab(runner.New(1), sim.Options{Instructions: 40_000, Warmup: 10_000, EpochCycles: 10_000, CapacityScale: 32, Seed: 5})
 	benches := []*trace.Profile{trace.ByName("exchange2"), trace.ByName("gcc"), trace.ByName("lbm"), trace.ByName("mcf")}
-	d, err := l.CollectHomogeneous(benches, []int{2, 4}, MetricIPC)
+	ds, err := l.CollectHomogeneous(benches, []int{2, 4}, MetricIPC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	specs := []MethodSpec{
 		{Method: MethodNoExtrapolation},
 		{Method: MethodPrediction, Estimator: DT},
@@ -537,10 +543,11 @@ func TestRealSimulatorSmoke(t *testing.T) {
 
 func TestPredictOne(t *testing.T) {
 	l := fakeLab()
-	d, err := l.CollectHomogeneous(someBenchmarks(8), []int{2, 4}, MetricIPC)
+	ds, err := l.CollectHomogeneous(someBenchmarks(8), []int{2, 4}, MetricIPC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := ds[0]
 	spec := MethodSpec{Method: MethodPrediction, Estimator: DT}
 	pred, actual, err := d.PredictOne(d.Benchmarks[3], spec)
 	if err != nil {
