@@ -196,7 +196,8 @@ func (f *FigureResult) Table() *Table {
 	per := Block{Heading: "per-benchmark (sorted by LLC MPKI):", Label: "benchmark", LabelFormat: "  %-12s"}
 	for _, m := range f.Methods {
 		sum.Rows = append(sum.Rows, Row{Label: m.Method, Values: []Cell{Cell(m.Mean), Cell(m.Max)}})
-		per.Columns = append(per.Columns, Column{Name: m.Method, Unit: "%", Format: " %11.1f%%"})
+		// A column is as wide as its method's name, "No Extrapolation" included.
+		per.Columns = append(per.Columns, Column{Name: m.Method, Unit: "%", Format: fmt.Sprintf(" %%%d.1f%%%%", max(11, len(m.Method)))})
 	}
 	t := &Table{ID: f.ID, Title: f.Title, Blocks: []Block{sum}}
 	if len(f.Methods) == 0 || len(f.Methods[0].PerBench) == 0 {

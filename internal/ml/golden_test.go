@@ -13,14 +13,14 @@ import (
 )
 
 // The golden values below pin the tree, forest and SVR kernels bit for bit.
-// The n7, n28 and n320ties values were recorded before the first speed
-// rewrite (slices.SortFunc plus per-fit scratch in bestSplit, a flat kernel
-// matrix in SVR.Fit); the n12ties values before the second (one scratch and
-// one node arena per forest, the inline sort of nodes of up to 12 samples,
-// SVR.Fit's four-row blocks). A rewrite must not move a single output bit,
-// so they are compared exactly — on amd64, where they were recorded:
-// architectures whose compiler fuses multiply-adds (arm64, ppc64le, s390x)
-// round differently and are skipped.
+// The tree and forest values for n7, n28 and n320ties were recorded before
+// the first speed rewrite (slices.SortFunc plus per-fit scratch in
+// bestSplit), the n12ties values before the second (one scratch and one node
+// arena per forest, the inline sort of nodes of up to 12 samples); the SVR
+// values were recorded from the SMO solver. A rewrite must not move a single
+// output bit, so they are compared exactly — on amd64, where they were
+// recorded: architectures whose compiler fuses multiply-adds (arm64,
+// ppc64le, s390x) round differently and are skipped.
 
 // goldenSets are the training-set shapes the figures send: 7 rows (subset
 // runs), 28 rows (the full suite's leave-one-out folds) and 320 rows (the
@@ -90,14 +90,14 @@ func TestGoldenTreeAndForest(t *testing.T) {
 func TestGoldenSVRPredictions(t *testing.T) {
 	skipUnlessAMD64(t)
 	want := map[string][3]uint64{
-		"svr/n7":         {0x3fe2dbfa3e4f78f5, 0x3fe5bd3f02d8c78a, 0x3fe5c323f1d92926},
-		"tuned/n7":       {0x3fe2dbfa3e4f78f5, 0x3fe5bd3f02d8c78a, 0x3fe5c323f1d92926},
-		"svr/n28":        {0x3fe28896ab3234b0, 0x3fe67176f3ec0602, 0x3fe1e93f8e5df576},
-		"tuned/n28":      {0x3fe28896ab3234b0, 0x3fe67176f3ec0602, 0x3fe1e93f8e5df576},
-		"svr/n320ties":   {0x3fd6786191e01239, 0x3fe67587ca0cca12, 0x3fe26b208591f77c},
-		"tuned/n320ties": {0x3fd9ee557fb43bde, 0x3fe580d3e09cbdd3, 0x3fe3128b9ebd92ab},
-		"svr/n12ties":    {0x3fe7a4366470bede, 0x3feb0b972256f9be, 0x3fe7695948ac613c},
-		"tuned/n12ties":  {0x3fe7a4366470bede, 0x3feb0b972256f9be, 0x3fe7695948ac613c},
+		"svr/n7":         {0x3fe2dd67f0a51ea3, 0x3fe5bdadb2477897, 0x3fe5c35315f4be29},
+		"tuned/n7":       {0x3fe2dd67f0a51ea3, 0x3fe5bdadb2477897, 0x3fe5c35315f4be29},
+		"svr/n28":        {0x3fe28c809070016e, 0x3fe679333cc366f8, 0x3fe1eaa35c06042f},
+		"tuned/n28":      {0x3fe28c809070016e, 0x3fe679333cc366f8, 0x3fe1eaa35c06042f},
+		"svr/n320ties":   {0x3fd66bacb0ac61a7, 0x3fe67dfb976bf9e7, 0x3fe26af64e74625a},
+		"tuned/n320ties": {0x3fd9e06cbdbd82d8, 0x3fe59a6cdc2d004c, 0x3fe2c38b9e8d9062},
+		"svr/n12ties":    {0x3fe74286b53fa56a, 0x3fead503aa6dea5a, 0x3fe72a18a21c0afd},
+		"tuned/n12ties":  {0x3fe74286b53fa56a, 0x3fead503aa6dea5a, 0x3fe72a18a21c0afd},
 	}
 	probes := [3][]float64{{0.4, 0.1, 0.3}, {1.1, 0.5, 1.5}, {1.9, 0.9, 2.8}}
 	for _, set := range goldenSets {
@@ -138,39 +138,6 @@ func TestSmallSortMatchesSlicesSortFunc(t *testing.T) {
 			sortByValue(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d trial %d: inline sort %v, slices.SortFunc %v", n, trial, got, want)
-			}
-		}
-	}
-}
-
-// TestRowSumsMatchRowByRow keeps the one-row-at-a-time loop SVR.Fit ran
-// before as the oracle of rowSums' four-row blocks, bit for bit. The SVR
-// goldens cannot hold this alone: f reaches the model only through the tube
-// signs, and no golden set's residual comes within rounding of the tube's
-// edge, so a block that sums in another order leaves every prediction bit
-// where it was.
-func TestRowSumsMatchRowByRow(t *testing.T) {
-	rng := xrand.New(32)
-	for n := 1; n <= 40; n++ {
-		rows := (n + 3) &^ 3
-		K := make([]float64, rows*n) // the padding rows stay zero, as in Fit
-		for i := range K[:n*n] {
-			K[i] = rng.Float64()
-		}
-		beta := make([]float64, n)
-		for j := range beta {
-			beta[j] = rng.NormFloat64()
-		}
-		b := rng.NormFloat64()
-		got := make([]float64, rows)
-		rowSums(got, K, beta, b)
-		for i := 0; i < n; i++ {
-			want := b
-			for j, k := range K[i*n : (i+1)*n] {
-				want += k * beta[j]
-			}
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("n=%d row %d: rowSums %v, row by row %v", n, i, got[i], want)
 			}
 		}
 	}

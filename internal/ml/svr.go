@@ -10,17 +10,12 @@ import (
 //
 //	f(x) = sum_i beta_i * K(x_i, x) + b,   K(u,v) = exp(-gamma*|u-v|^2),
 //
-// trained by deterministic full-batch projected subgradient descent on the
-// regularised epsilon-insensitive primal objective
-//
-//	lambda/2 * beta' K beta + (1/n) * sum_i max(0, |f(x_i)-y_i| - eps).
-//
-// (scikit-learn's SVR solves the equivalent dual with SMO to a tolerance;
-// this trainer runs a fixed budget of 1,500 primal epochs, which is not
-// known to reach the dual's optimum: predictions can sit a few percent from
-// SMO's, ROADMAP 14. DESIGN.md, "Substitutions", 6, records this.) Features
-// and targets are standardised internally; Gamma follows scikit-learn's
-// "scale" heuristic.
+// with beta = alpha - alpha* solving the epsilon-SVR dual the way libsvm
+// (scikit-learn's SVR) does: SMO over the 2n box-constrained variables with
+// second-order working-set selection (Fan, Chen & Lin, JMLR 2005), stopped
+// when the maximal KKT violation is at most svrTol, scikit-learn's tol.
+// Features and targets are standardised internally; Gamma follows
+// scikit-learn's "scale" heuristic.
 type SVR struct {
 	// C is the regularisation trade-off (0 = default 1, scikit-learn's
 	// default).
@@ -41,17 +36,13 @@ const (
 	// svrEpsilon is the insensitive-tube half-width on the *standardised*
 	// target scale.
 	svrEpsilon = 0.05
-	// svrEpochs bounds the optimisation.
-	svrEpochs = 1500
+	// svrTol bounds the maximal KKT violation at which SMO stops.
+	svrTol = 1e-3
+	// svrMaxIter caps SMO's pair updates at libsvm's floor.
+	svrMaxIter = 10_000_000
+	// svrTau replaces a non-positive curvature (libsvm's TAU).
+	svrTau = 1e-12
 )
-
-// svrBiasStep[t] is epoch t's bias step size, 0.1/sqrt(t+1).
-var svrBiasStep = func() (steps [svrEpochs]float64) {
-	for t := range steps {
-		steps[t] = 0.1 / math.Sqrt(float64(t+1))
-	}
-	return steps
-}()
 
 // Name implements Regressor.
 func (s *SVR) Name() string { return "SVM" }
@@ -105,13 +96,9 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	if s.gamma <= 0 {
 		s.gamma = 1 // features are unit-variance after scaling
 	}
-	lambda := 1 / (C * float64(n))
 
-	// Precompute the kernel matrix, row-major in one block, padded with
-	// zero rows to a multiple of four for rowSums (the padding rows' sums
-	// land past f[n-1] and are never read).
-	rows := (n + 3) &^ 3
-	K := make([]float64, rows*n)
+	// The kernel matrix, row-major in one block, built once per fit.
+	K := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			k := s.kernel(s.X[i], s.X[j])
@@ -119,70 +106,165 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 			K[j*n+i] = k
 		}
 	}
-
-	// Kernelised Pegasos (Shalev-Shwartz et al.) adapted to the
-	// epsilon-insensitive loss: the RKHS subgradient of the objective is
-	// lambda*f + (1/n) sum_i s_i K(x_i, .) with s_i the tube sign, giving
-	// the update beta <- (1 - eta*lambda)*beta - (eta/n)*s under the
-	// schedule eta_t = 1/(lambda*(t+2)).
-	beta := make([]float64, n)
-	s.beta = beta
-	b := 0.0
-	f := make([]float64, rows)
-	sign := make([]float64, n)
-	for epoch := 0; epoch < svrEpochs; epoch++ {
-		rowSums(f, K, beta, b) // f = K beta + b
-		// gb is the tube signs' sum: small integers, exact as an int.
-		active, gb := 0, 0
-		for i := 0; i < n; i++ {
-			r := f[i] - ys[i]
-			switch {
-			case r > svrEpsilon:
-				sign[i] = 1
-				active++
-				gb++
-			case r < -svrEpsilon:
-				sign[i] = -1
-				active++
-				gb--
-			default:
-				sign[i] = 0
-			}
-		}
-		if active == 0 && epoch > 0 {
-			break // every point inside the tube: optimum reached
-		}
-		eta := 1 / (lambda * float64(epoch+2))
-		shrink := 1 - float64(eta*lambda)
-		step := eta / float64(n)
-		for i := 0; i < n; i++ {
-			beta[i] = float64(shrink*beta[i]) - float64(step*sign[i])
-		}
-		// The bias is unregularised; a small decaying step on its
-		// subgradient keeps it stable alongside the Pegasos schedule.
-		b -= svrBiasStep[epoch] * float64(gb) / float64(n)
-	}
-	s.b = b
+	s.beta, s.b = smo(K, ys, C)
 	return nil
 }
 
-// rowSums sets f[i] = b + sum_j K[i*n+j]*beta[j] for each of K's len(f)
-// rows (n = len(beta), len(f) a multiple of four), four rows at a time: each
-// row adds its terms j = 0..n-1 in order into its own accumulator, exactly
-// as a row on its own does, but the four add chains overlap their latency.
-func rowSums(f, K, beta []float64, b float64) {
-	n := len(beta)
-	for i := 0; i < len(f); i += 4 {
-		k0, k1, k2, k3 := K[i*n:][:n], K[(i+1)*n:][:n], K[(i+2)*n:][:n], K[(i+3)*n:][:n]
-		f0, f1, f2, f3 := b, b, b, b
-		for j, bj := range beta {
-			f0 += float64(k0[j] * bj)
-			f1 += float64(k1[j] * bj)
-			f2 += float64(k2[j] * bj)
-			f3 += float64(k3[j] * bj)
-		}
-		f[i], f[i+1], f[i+2], f[i+3] = f0, f1, f2, f3
+// smo solves the epsilon-SVR dual over the n x n kernel matrix K, libsvm's
+// form: minimise a'Qa/2 + p'a over a = [alpha; alpha*] in [0, C]^2n subject
+// to y'a = 0, where y_t is +1 for the first n variables and -1 for the
+// second, Q_ts = y_t*y_s*K(t mod n, s mod n) and p = [eps - ys; eps + ys].
+// It returns beta = alpha - alpha* and the bias. Each step updates the pair
+// of svrWorkingSet through G, the dual's gradient Qa + p.
+func smo(K, ys []float64, C float64) (beta []float64, b float64) {
+	n := len(ys)
+	a := make([]float64, 2*n)
+	G := make([]float64, 2*n)
+	for i, v := range ys {
+		G[i], G[i+n] = svrEpsilon-v, svrEpsilon+v
 	}
+	for range svrMaxIter {
+		i, j := svrWorkingSet(K, a, G, C)
+		if i < 0 {
+			break
+		}
+		ai, aj := a[i], a[j]
+		quad := curvature(K, n, i, j)
+		// The step along the constraint, clipped to the box (libsvm's
+		// Solver::Solve, with C_i = C_j).
+		if (i < n) != (j < n) {
+			delta := (-G[i] - G[j]) / quad
+			diff := ai - aj
+			a[i], a[j] = ai+delta, aj+delta
+			if diff > 0 {
+				if a[j] < 0 {
+					a[j], a[i] = 0, diff
+				}
+				if a[i] > C {
+					a[i], a[j] = C, C-diff
+				}
+			} else {
+				if a[i] < 0 {
+					a[i], a[j] = 0, -diff
+				}
+				if a[j] > C {
+					a[j], a[i] = C, C+diff
+				}
+			}
+		} else {
+			delta := (G[i] - G[j]) / quad
+			sum := ai + aj
+			a[i], a[j] = ai-delta, aj+delta
+			if sum > C {
+				if a[i] > C {
+					a[i], a[j] = C, sum-C
+				}
+				if a[j] > C {
+					a[j], a[i] = C, sum-C
+				}
+			} else {
+				if a[j] < 0 {
+					a[j], a[i] = 0, sum
+				}
+				if a[i] < 0 {
+					a[i], a[j] = 0, sum
+				}
+			}
+		}
+		// G += Q_i*da_i + Q_j*da_j: row t of Q is y_t times row t mod n of
+		// K on the first n variables and its negation on the second.
+		u, v := a[i]-ai, a[j]-aj
+		if i >= n {
+			u = -u
+		}
+		if j >= n {
+			v = -v
+		}
+		Ki, Kj := K[i%n*n:][:n], K[j%n*n:][:n]
+		for k := range Ki {
+			d := float64(Ki[k]*u) + float64(Kj[k]*v)
+			G[k] += d
+			G[k+n] -= d
+		}
+	}
+
+	// The bias is minus rho, the mean of y_t*G_t over the free variables,
+	// or the midpoint of its bounds when none is free.
+	ub, lb, sum, free := math.Inf(1), math.Inf(-1), 0.0, 0
+	for t, at := range a {
+		yG := G[t]
+		if t >= n {
+			yG = -yG
+		}
+		switch {
+		case at >= C && t >= n, at <= 0 && t < n:
+			ub = min(ub, yG)
+		case at >= C, at <= 0:
+			lb = max(lb, yG)
+		default:
+			free++
+			sum += yG
+		}
+	}
+	rho := (ub + lb) / 2
+	if free > 0 {
+		rho = sum / float64(free)
+	}
+	beta = make([]float64, n)
+	for i := range beta {
+		beta[i] = a[i] - a[i+n]
+	}
+	return beta, -rho
+}
+
+// curvature is K_ii + K_jj - 2K_ij for dual variables i and j (the RBF
+// diagonal being 1), or svrTau where that is not positive.
+func curvature(K []float64, n, i, j int) float64 {
+	if q := 2 - float64(2*K[i%n*n+j%n]); q > 0 {
+		return q
+	}
+	return svrTau
+}
+
+// svrWorkingSet picks SMO's next pair by second-order selection: i is the
+// variable of I_up with the largest -y_t*G_t, and j the one of I_low whose
+// update with i decreases the dual most. Ties go to the lowest index. It
+// returns -1, -1 once the maximal KKT violation, max over I_up of -y_t*G_t
+// minus min over I_low, is at most svrTol.
+func svrWorkingSet(K, a, G []float64, C float64) (i, j int) {
+	n := len(G) / 2
+	gmax, gmax2, i, j := math.Inf(-1), math.Inf(-1), -1, -1
+	for t, g := range G {
+		if t < n && a[t] < C && -g > gmax {
+			gmax, i = -g, t
+		} else if t >= n && a[t] > 0 && g > gmax {
+			gmax, i = g, t
+		}
+	}
+	best := math.Inf(1)
+	for t, g := range G {
+		// grad is how far t's -y_t*G_t sits below i's; only a pair with
+		// grad > 0 decreases the dual.
+		var grad float64
+		switch {
+		case t < n && a[t] > 0:
+			grad, gmax2 = gmax+g, max(gmax2, g)
+		case t >= n && a[t] < C:
+			grad, gmax2 = gmax-g, max(gmax2, -g)
+		default:
+			continue
+		}
+		if grad <= 0 {
+			continue
+		}
+		if obj := -float64(grad*grad) / curvature(K, n, i, t); obj < best {
+			best, j = obj, t
+		}
+	}
+	if gmax+gmax2 <= svrTol || j < 0 {
+		return -1, -1
+	}
+	return i, j
 }
 
 // Predict implements Regressor.

@@ -51,7 +51,7 @@ func TestFigureTablesGolden(t *testing.T) {
 		"Fig. 9: linear is the worst form":                                                                 4,
 		"Fig. 10: adding bandwidth worsens no method":                                                      1,
 		"Fig. 11: error does not increase as scale models are added":                                       4,
-		"Fig. 12: the best prediction method beats the best regression method":                             5,
+		"Fig. 12: the best prediction method beats the best regression method":                             4,
 		"Ablations: without bandwidth feedback the NRS error is < 0.8× the full model's":                   5,
 		"Ablations: with a partitioned LLC the PRS error is < 0.8× the full model's":                       5,
 	}
