@@ -116,8 +116,7 @@ func (e *Experiments) CampaignReport() string { return e.svc.eng.Report().String
 func (e *Experiments) SetWorkers(n int) { e.svc.eng.SetWorkers(n) }
 
 // homogData returns the base lab's homogeneous collection for m. The first
-// call collects once for both metrics the figures read (Fig. 12 predicts
-// bandwidth), so no figure keys and looks up the same jobs again.
+// call collects once for both metrics the figures read (Fig. 12's is BW).
 func (e *Experiments) homogData(m scalemodel.Metric) (*scalemodel.HomogeneousData, error) {
 	if d, ok := e.homog[m]; ok {
 		return d, nil
@@ -409,22 +408,18 @@ func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
 		name string
 		bw   config.BandwidthScaling
 	}{{"MC-first", config.MCFirst}, {"MB-first", config.MBFirst}} {
-		var d *scalemodel.HomogeneousData
-		var err error
+		ds, err := []*scalemodel.HomogeneousData{nil}, error(nil)
 		if bwp.bw == e.lab.Bandwidth {
 			// The base lab's own order is Fig. 4's data: its rows reuse the
 			// fold models already trained there.
-			d, err = e.homogData(scalemodel.MetricIPC)
+			ds[0], err = e.homogData(scalemodel.MetricIPC)
 		} else {
-			var ds []*scalemodel.HomogeneousData
 			ds, err = e.lab.WithBandwidth(bwp.bw).CollectHomogeneous(e.suite, e.scaleCores, scalemodel.MetricIPC)
-			if err == nil {
-				d = ds[0]
-			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", bwp.name, err)
 		}
+		d := ds[0]
 		// Direct scale-model readings per size.
 		for _, X := range e.scaleCores {
 			s := direct(d, X)

@@ -582,3 +582,36 @@ func TestTunedSVRRejectsBadInput(t *testing.T) {
 	}()
 	(&TunedSVR{}).Predict([]float64{1})
 }
+
+func TestTunedSVRFoldsHoldOutGroups(t *testing.T) {
+	// Six applications of ten rows each, interleaved as mixes interleave
+	// them: every application's rows must land in one fold, and every
+	// fold must hold one.
+	var X [][]float64
+	for r := 0; r < 10; r++ {
+		for app := 0; app < 6; app++ {
+			X = append(X, []float64{float64(app) + 0.5, float64(r)})
+		}
+	}
+	assign, fold := groupFolds(X), map[float64]int{}
+	seen := make([]bool, tunedFolds)
+	for i, row := range X {
+		if f, ok := fold[row[0]]; ok && f != assign[i] {
+			t.Fatalf("application %v split across folds %d and %d", row[0], f, assign[i])
+		}
+		fold[row[0]] = assign[i]
+		seen[assign[i]] = true
+	}
+	for f, ok := range seen {
+		if !ok {
+			t.Errorf("fold %d holds no application", f)
+		}
+	}
+	// Distinct first features fold row-wise.
+	X, _ = synth(40, 35)
+	for i, f := range groupFolds(X) {
+		if f != (i*7)%tunedFolds {
+			t.Fatalf("row %d in fold %d, want %d", i, f, (i*7)%tunedFolds)
+		}
+	}
+}

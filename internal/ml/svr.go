@@ -14,8 +14,7 @@ import (
 // (scikit-learn's SVR) does: SMO over the 2n box-constrained variables with
 // second-order working-set selection (Fan, Chen & Lin, JMLR 2005), stopped
 // when the maximal KKT violation is at most svrTol, scikit-learn's tol.
-// Features and targets are standardised internally; Gamma follows
-// scikit-learn's "scale" heuristic.
+// Features and targets are standardised internally.
 type SVR struct {
 	// C is the regularisation trade-off (0 = default 1, scikit-learn's
 	// default).
@@ -129,7 +128,7 @@ func smo(K, ys []float64, C float64) (beta []float64, b float64) {
 			break
 		}
 		ai, aj := a[i], a[j]
-		quad := curvature(K, n, i, j)
+		quad := curvature(K[i%n*n+j%n])
 		// The step along the constraint, clipped to the box (libsvm's
 		// Solver::Solve, with C_i = C_j).
 		if (i < n) != (j < n) {
@@ -217,10 +216,10 @@ func smo(K, ys []float64, C float64) (beta []float64, b float64) {
 	return beta, -rho
 }
 
-// curvature is K_ii + K_jj - 2K_ij for dual variables i and j (the RBF
-// diagonal being 1), or svrTau where that is not positive.
-func curvature(K []float64, n, i, j int) float64 {
-	if q := 2 - float64(2*K[i%n*n+j%n]); q > 0 {
+// curvature is K_ii + K_jj - 2K_ij for the kernel entry kij of two dual
+// variables (the RBF diagonal being 1), or svrTau where that is not positive.
+func curvature(kij float64) float64 {
+	if q := 2 - float64(2*kij); q > 0 {
 		return q
 	}
 	return svrTau
@@ -241,23 +240,24 @@ func svrWorkingSet(K, a, G []float64, C float64) (i, j int) {
 			gmax, i = g, t
 		}
 	}
-	best := math.Inf(1)
+	best, ki := math.Inf(1), i%n*n // i's row of K, read only if grad > 0, so i >= 0
 	for t, g := range G {
 		// grad is how far t's -y_t*G_t sits below i's; only a pair with
 		// grad > 0 decreases the dual.
 		var grad float64
+		k := t
 		switch {
 		case t < n && a[t] > 0:
 			grad, gmax2 = gmax+g, max(gmax2, g)
 		case t >= n && a[t] < C:
-			grad, gmax2 = gmax-g, max(gmax2, -g)
+			grad, gmax2, k = gmax-g, max(gmax2, -g), t-n
 		default:
 			continue
 		}
 		if grad <= 0 {
 			continue
 		}
-		if obj := -float64(grad*grad) / curvature(K, n, i, t); obj < best {
+		if obj := -float64(grad*grad) / curvature(K[ki+k]); obj < best {
 			best, j = obj, t
 		}
 	}

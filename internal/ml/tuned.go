@@ -7,8 +7,8 @@ import (
 
 // TunedSVR wraps SVR with small-grid hyperparameter selection by k-fold
 // cross-validation during Fit, the way an SVR is normally deployed through
-// a scikit-learn GridSearchCV pipeline. The selection is deterministic:
-// folds are contiguous blocks of a fixed stride permutation.
+// a scikit-learn GridSearchCV pipeline with group folds (groupFolds). The
+// selection is deterministic.
 //
 // The paper's two protocols hand the SVM very different training sets (28
 // homogeneous points versus 320 noisy heterogeneous samples); no single
@@ -43,14 +43,7 @@ func (t *TunedSVR) Fit(X [][]float64, y []float64) error {
 		return t.best.Fit(X, y)
 	}
 
-	// Deterministic fold assignment decorrelated from input order: stride
-	// by a constant co-prime to the fold count.
-	assign := make([]int, n)
-	for i := 0; i < n; i++ {
-		assign[i] = (i * 7) % tunedFolds
-	}
-
-	bestScore := math.Inf(1)
+	assign, bestScore := groupFolds(X), math.Inf(1)
 	for _, c := range [...]float64{1, 10, 30} {
 		for _, g := range [...]float64{0.33, 1} {
 			score, ok := cvScore(X, y, assign, c, g)
@@ -69,6 +62,20 @@ func (t *TunedSVR) Fit(X [][]float64, y []float64) error {
 		return fmt.Errorf("ml: tuned SVR refit: %w", err)
 	}
 	return nil
+}
+
+// groupFolds deals X's rows to the folds keeping rows that share their first
+// feature, IPC^ss, in one: CV then scores unseen applications (EXPERIMENTS, Fig. 5).
+func groupFolds(X [][]float64) []int {
+	assign := make([]int, len(X))
+	group := map[float64]int{}
+	for i, row := range X {
+		if _, ok := group[row[0]]; !ok {
+			group[row[0]] = len(group)
+		}
+		assign[i] = (group[row[0]] * 7) % tunedFolds
+	}
+	return assign
 }
 
 // cvScore returns the mean absolute validation error of (c, g) across the
