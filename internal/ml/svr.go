@@ -39,7 +39,8 @@ const (
 	svrTol = 1e-3
 	// svrMaxIter caps SMO's pair updates at libsvm's floor.
 	svrMaxIter = 10_000_000
-	// svrTau replaces a non-positive curvature (libsvm's TAU).
+	// svrTau floors a pair's curvature K_ii + K_jj - 2K_ij (the RBF
+	// diagonal being 1), as libsvm's TAU replaces a non-positive one.
 	svrTau = 1e-12
 )
 
@@ -128,7 +129,7 @@ func smo(K, ys []float64, C float64) (beta []float64, b float64) {
 			break
 		}
 		ai, aj := a[i], a[j]
-		quad := curvature(K[i%n*n+j%n])
+		quad := max(2-float64(2*K[i%n*n+j%n]), svrTau) // K_ii + K_jj - 2K_ij
 		// The step along the constraint, clipped to the box (libsvm's
 		// Solver::Solve, with C_i = C_j).
 		if (i < n) != (j < n) {
@@ -216,15 +217,6 @@ func smo(K, ys []float64, C float64) (beta []float64, b float64) {
 	return beta, -rho
 }
 
-// curvature is K_ii + K_jj - 2K_ij for the kernel entry kij of two dual
-// variables (the RBF diagonal being 1), or svrTau where that is not positive.
-func curvature(kij float64) float64 {
-	if q := 2 - float64(2*kij); q > 0 {
-		return q
-	}
-	return svrTau
-}
-
 // svrWorkingSet picks SMO's next pair by second-order selection: i is the
 // variable of I_up with the largest -y_t*G_t, and j the one of I_low whose
 // update with i decreases the dual most. Ties go to the lowest index. It
@@ -257,7 +249,7 @@ func svrWorkingSet(K, a, G []float64, C float64) (i, j int) {
 		if grad <= 0 {
 			continue
 		}
-		if obj := -float64(grad*grad) / curvature(K[ki+k]); obj < best {
+		if obj := -float64(grad*grad) / max(2-float64(2*K[ki+k]), svrTau); obj < best {
 			best, j = obj, t
 		}
 	}

@@ -604,6 +604,33 @@ func TestPredictScaleModels(t *testing.T) {
 	}
 }
 
+func TestPredictorClampsToTrainingBox(t *testing.T) {
+	// Twelve applications on a curved ratio surface, IPC 0.5–1.6 and BW
+	// 0.1–0.65. Beyond the box a query must read as its nearest point on
+	// the box's surface (the ratio, not the baseline, is clamped); inside
+	// it, as itself.
+	var samples []Sample
+	for i := 0; i < 12; i++ {
+		f := Features{IPC: 0.5 + 0.1*float64(i), BW: 0.1 + 0.05*float64(i), CoBW: float64(i % 4)}
+		samples = append(samples, Sample{Bench: fmt.Sprint(i), F: f, Y: f.IPC * (1 - 0.3*f.BW*f.BW)})
+	}
+	for _, kind := range Kinds() {
+		p, err := TrainPredictor(kind, InputsIPCAndBW, MetricIPC, samples, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := func(f Features) float64 { return p.Predict(f) / f.IPC }
+		beyond, edge := Features{IPC: 2.5, BW: 1.2, CoBW: -1}, Features{IPC: 1.6, BW: 0.65, CoBW: 0}
+		if got, want := ratio(beyond), ratio(edge); math.Abs(got-want) > 1e-12 {
+			t.Errorf("%v: ratio beyond the box %v, at its edge %v", kind, got, want)
+		}
+		in := samples[5].F
+		if got, want := p.Predict(in), p.model.Predict(in.Vector(InputsIPCAndBW))*in.IPC; got != want {
+			t.Errorf("%v: inside the box %v, unclamped model %v", kind, got, want)
+		}
+	}
+}
+
 func TestTrainPredictorRejectsBadBaseline(t *testing.T) {
 	samples := []Sample{{Bench: "x", F: Features{IPC: 0}, Y: 1}}
 	if _, err := TrainPredictor(DT, InputsIPCAndBW, MetricIPC, samples, 1); err == nil {

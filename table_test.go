@@ -42,16 +42,16 @@ func TestFigureTablesGolden(t *testing.T) {
 	want := map[string]int{
 		"Fig. 3: PRS is best and NRS is worst":                                                             5,
 		"Fig. 4: every ML method beats No Extrapolation":                                                   3,
-		"Fig. 4: the best method beats No Extrapolation by ≥ 2× (paper: 2.3×)":                             0,
+		"Fig. 4: the best method beats No Extrapolation by ≥ 2× (paper: 2.3×)":                             1,
 		"Fig. 4: the best regression method's error is ≤ 1.5× the best prediction method's (paper: 1.25×)": 5,
 		"Fig. 5: every method's error is higher than on homogeneous mixes (Fig. 4)":                        5,
-		"Fig. 5: SVM is best in each family":                                                               5,
+		"Fig. 5: SVM is best in each family":                                                               2,
 		"Fig. 6: each method's STP error is below its per-application error (Fig. 5)":                      1,
 		"Fig. 8: MC-first's DT-log and SVM-log errors are each ≤ MB-first's":                               0,
-		"Fig. 9: linear is the worst form":                                                                 4,
+		"Fig. 9: linear is the worst form":                                                                 5,
 		"Fig. 10: adding bandwidth worsens no method":                                                      1,
 		"Fig. 11: error does not increase as scale models are added":                                       4,
-		"Fig. 12: the best prediction method beats the best regression method":                             4,
+		"Fig. 12: the best prediction method beats the best regression method":                             5,
 		"Ablations: without bandwidth feedback the NRS error is < 0.8× the full model's":                   5,
 		"Ablations: with a partitioned LLC the PRS error is < 0.8× the full model's":                       5,
 	}
