@@ -60,19 +60,7 @@ func printFigure(id string, body fmt.Stringer) {
 // bandwidth-scaling orders).
 func BenchmarkTableI_ScaleModelConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, bw := range []Bandwidth{BandwidthMCFirst, BandwidthMBFirst} {
-			rows, err := TableI(bw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, loaded := printedFigures.LoadOrStore("tableI-"+string(bw), true); !loaded {
-				fmt.Printf("Table I (%s):\n", bw)
-				for _, r := range rows {
-					fmt.Printf("  %2d cores | %-18s | %-34s | %s\n", r.Cores, r.LLC, r.NoC, r.DRAM)
-				}
-				fmt.Println()
-			}
-		}
+		printFigure("Table I", TableI())
 	}
 }
 

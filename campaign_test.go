@@ -345,42 +345,12 @@ func TestSentinelErrorsSurfaceFromAPI(t *testing.T) {
 	if _, err := Simulate(MachineSpec{Cores: 1}, []string{"nope"}, tinyOptions()); !errors.Is(err, ErrUnknownBenchmark) {
 		t.Errorf("Simulate benchmark err: %v", err)
 	}
-	if _, err := TableI("bogus"); !errors.Is(err, ErrUnknownBandwidth) {
-		t.Errorf("TableI err: %v", err)
-	}
 	if _, err := SimulateParallel(MachineSpec{Cores: 2}, "nope", tinyOptions()); !errors.Is(err, ErrUnknownBenchmark) {
 		t.Errorf("SimulateParallel err: %v", err)
 	}
 	bad := Profile{Name: "x", BaseCPI: 1, MLP: 1, Regions: []Region{{SizeBytes: 1 << 20, Frac: 1, Pattern: "wat"}}}
 	if _, err := Simulate(MachineSpec{Cores: 1}, []string{"x"}, tinyOptions(), bad); !errors.Is(err, ErrUnknownPattern) {
 		t.Errorf("custom pattern err: %v", err)
-	}
-}
-
-func TestTableIRowNumericFields(t *testing.T) {
-	rows, err := TableI(BandwidthMCFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := rows[0]
-	if full.Cores != 32 || full.LLCBytes != 32<<20 || full.LLCSlices != 32 {
-		t.Fatalf("target row %+v", full)
-	}
-	if full.DRAMGBps != 128 || full.MCs*int(full.PerMCGBps) != int(full.DRAMGBps) {
-		t.Fatalf("target DRAM %+v", full)
-	}
-	for _, r := range rows {
-		if r.LLCBytes <= 0 || r.NoCGBps <= 0 || r.DRAMGBps <= 0 || r.CSLs <= 0 || r.MCs <= 0 {
-			t.Fatalf("non-positive construction parameters: %+v", r)
-		}
-		// Numeric fields are per-row consistent with the render strings.
-		if int64(r.LLCSlices) == 0 || r.PerCSLGBps <= 0 || r.PerMCGBps <= 0 {
-			t.Fatalf("row %+v", r)
-		}
-	}
-	// PRS: per-core proportionality of the 16-core model vs the target.
-	if rows[1].Cores != 16 || rows[1].DRAMGBps*2 != full.DRAMGBps {
-		t.Fatalf("16-core row not proportional: %+v", rows[1])
 	}
 }
 

@@ -66,18 +66,6 @@ func main() {
 	fmt.Printf("host: %d CPUs for the Go runtime; all runs deterministic (seed %d)\n\n", runtime.GOMAXPROCS(0), opts.Seed)
 
 	start := time.Now()
-	if selected("1") {
-		rows, err := scalesim.TableI(scalesim.BandwidthMCFirst)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("Table I — scale-model construction (Proportional Resource Scaling, MC-first)")
-		for _, r := range rows {
-			fmt.Printf("  %2d cores | %-18s | %-32s | %s\n", r.Cores, r.LLC, r.NoC, r.DRAM)
-		}
-		fmt.Println()
-	}
-
 	tables := map[string]*scalesim.Table{}
 	for _, f := range ex.Figures() {
 		if !selected(f.ID) {
@@ -113,13 +101,12 @@ func main() {
 }
 
 // selection parses -figs into the set of ids to run, nil for all of them. An
-// id that is neither "1" (Table I) nor a figure's is refused with the list of
-// valid ids.
+// id that is no figure's is refused with the list of valid ids.
 func selection(spec string, figures []scalesim.Figure) (map[string]bool, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	valid := []string{"1"}
+	var valid []string
 	for _, f := range figures {
 		valid = append(valid, f.ID)
 	}

@@ -20,9 +20,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestFigsRefusesUnknownIDs: -figs with an id that names nothing exits
-// non-zero and lists the valid ids; Table I's id "1" runs, and since it is no
-// figure of the verdict table no verdict line follows; -skip-hetero is no
-// flag. Nothing here runs a figure that simulates.
+// non-zero and lists the valid ids; Table I's id "1" prints both bandwidth
+// orders, and since it is no figure of the verdict table no verdict line
+// follows; -skip-hetero is no flag. Nothing here runs a figure that
+// simulates.
 func TestFigsRefusesUnknownIDs(t *testing.T) {
 	run := func(args string) (string, int) {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
@@ -41,7 +42,7 @@ func TestFigsRefusesUnknownIDs(t *testing.T) {
 			t.Errorf("-figs %s: exit %d, output\n%s", figs, code, out)
 		}
 	}
-	if out, code := run("-figs 1"); code != 0 || !strings.Contains(out, "Table I") || strings.Contains(out, "verdict") {
+	if out, code := run("-figs 1"); code != 0 || !strings.Contains(out, "Table I") || !strings.Contains(out, "1-core MB-first") || strings.Contains(out, "verdict") {
 		t.Errorf("-figs 1: exit %d, output\n%s", code, out)
 	}
 	if out, code := run("-figs 1 -skip-hetero"); code == 0 || !strings.Contains(out, "-skip-hetero") {

@@ -1,12 +1,12 @@
 // Command scalesim is the interactive CLI for the scale-model simulation
-// library: inspect configurations, simulate workloads on scale models or
+// library: list the workload suite, simulate workloads on scale models or
 // the target system, and predict target performance from single-core
-// scale-model runs. The paper's figures are cmd/experiments' (go run
-// ./cmd/experiments -fast -figs 3).
+// scale-model runs. The paper's tables and figures, Table I's scale-model
+// construction included, are cmd/experiments' (go run ./cmd/experiments
+// -figs 1).
 //
 // Usage:
 //
-//	scalesim table1 [-bw MC-first|MB-first]
 //	scalesim suite
 //	scalesim simulate -machine <cores>[:<policy>] -bench <a,b,...> [-fast] [-core-workers N]
 //	scalesim predict -bench <name> [-fast]
@@ -50,8 +50,6 @@ func main() {
 		os.Exit(2)
 	}
 	switch os.Args[1] {
-	case "table1":
-		cmdTable1(os.Args[2:])
 	case "suite":
 		cmdSuite()
 	case "simulate":
@@ -79,7 +77,6 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  scalesim table1 [-bw MC-first|MB-first]   print the Table I scale-model construction
   scalesim suite                            list the 29-benchmark workload suite
   scalesim simulate -machine C[:POLICY] -bench A,B,... [-fast] [-trace FILE] [-stats] [-store DIR]
                                             simulate a workload ("lbm x4" repeats);
@@ -105,7 +102,7 @@ performance flags (identical results at any setting, wall-clock only):
   -cpuprofile FILE      write a pprof CPU profile (simulate, sweep)
   -memprofile FILE      write a pprof heap profile at exit (simulate, sweep)
 
-to regenerate a figure: go run ./cmd/experiments -fast -figs 3`)
+to regenerate a figure: go run ./cmd/experiments -fast -figs 3 (Table I: -figs 1)`)
 }
 
 func options(fast bool) scalesim.SimOptions {
@@ -113,20 +110,6 @@ func options(fast bool) scalesim.SimOptions {
 		return scalesim.FastOptions()
 	}
 	return scalesim.DefaultOptions()
-}
-
-func cmdTable1(args []string) {
-	fs := flag.NewFlagSet("table1", flag.ExitOnError)
-	bw := fs.String("bw", string(scalesim.BandwidthMCFirst), "bandwidth scaling order (MC-first or MB-first)")
-	_ = fs.Parse(args)
-	rows, err := scalesim.TableI(scalesim.Bandwidth(*bw))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Scale-model construction (%s):\n", *bw)
-	for _, r := range rows {
-		fmt.Printf("  %2d cores | %-18s | %-34s | %s\n", r.Cores, r.LLC, r.NoC, r.DRAM)
-	}
 }
 
 func cmdSuite() {
@@ -245,7 +228,7 @@ func cmdSimulate(args []string) {
 	}
 	printResult(res)
 	if *stats {
-		fmt.Println(scalesim.SummarizeTrace(res.Trace).String())
+		fmt.Print(scalesim.SummarizeTrace(res.Trace))
 	}
 }
 
@@ -268,7 +251,7 @@ func cmdStats(args []string) {
 	if len(trace) == 0 {
 		log.Fatalf("stats: %s holds no epoch snapshots", *traceFile)
 	}
-	fmt.Println(scalesim.SummarizeTrace(trace).String())
+	fmt.Print(scalesim.SummarizeTrace(trace))
 }
 
 func cmdStore(args []string) {

@@ -155,3 +155,39 @@ func TestStoreMissingDirFlagExitsNonzero(t *testing.T) {
 		t.Errorf("output lacks the usage hint:\n%s", out)
 	}
 }
+
+// TestTraceFileRoundTrip drives the trace path end to end: simulate writes a
+// JSONL trace and prints its summary, stats reads the file back and prints
+// every core and the shared NoC and DRAM rows, and a file without the schema
+// header is refused naming the schema.
+func TestTraceFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "trace.jsonl")
+	out, code := runCLI(t, "simulate", "-fast", "-machine", "2:PRS", "-bench", "mcf,gcc", "-trace", file, "-stats")
+	if code != 0 || !strings.Contains(out, "trace summary") {
+		t.Fatalf("simulate -trace -stats exited %d:\n%s", code, out)
+	}
+	out, code = runCLI(t, "stats", "-trace", file)
+	if code != 0 {
+		t.Fatalf("stats exited %d:\n%s", code, out)
+	}
+	for _, want := range []string{"0 mcf", "1 gcc", "noc:", "dram:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats output lacks %q:\n%s", want, out)
+		}
+	}
+
+	body, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snapshots, _ := strings.Cut(string(body), "\n")
+	headerless := filepath.Join(dir, "headerless.jsonl")
+	if err := os.WriteFile(headerless, []byte(snapshots), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code = runCLI(t, "stats", "-trace", headerless)
+	if code == 0 || !strings.Contains(out, "scalesim/trace/v1") {
+		t.Errorf("headerless trace: stats exited %d:\n%s", code, out)
+	}
+}

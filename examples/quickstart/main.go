@@ -23,14 +23,7 @@ func main() {
 
 	// 1. How the scale models are built (the paper's Table I): shrinking
 	// core count together with every shared resource.
-	fmt.Println("Proportional Resource Scaling (Table I):")
-	rows, err := scalesim.TableI(scalesim.BandwidthMCFirst)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range rows {
-		fmt.Printf("  %2d cores | %-18s | %s\n", r.Cores, r.LLC, r.DRAM)
-	}
+	fmt.Print(scalesim.TableI())
 
 	// 2. Simulate one memory-intensive benchmark on the single-core PRS
 	// scale model: 1 MB of LLC and 4 GB/s of memory bandwidth — the

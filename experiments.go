@@ -512,9 +512,50 @@ func simTimeTable(simTime map[int]time.Duration, cores []int, benchmarks int) *T
 	return &Table{ID: "Simulation time study (§I / §V-D)", Title: "wall-clock per machine size, full homogeneous suite", Blocks: []Block{blk}}
 }
 
+// TableI reproduces the paper's Table I, the Proportional Resource Scaling
+// ladder from the 32-core target down to one core, with a block per DRAM
+// bandwidth order: MC-first (the paper's table) and MB-first (§V-E1). A row's
+// label names its size and order, e.g. "8-core MB-first"; its columns are the
+// LLC (MB, slices), the NoC (bisection GB/s, CSLs, GB/s per CSL) and the DRAM
+// (GB/s, MCs, GB/s per MC).
+func TableI() *Table {
+	t := &Table{ID: "Table I", Title: "scale-model construction (Proportional Resource Scaling)"}
+	for _, order := range []struct {
+		bw      config.BandwidthScaling
+		heading string
+	}{
+		{config.MCFirst, "MC-first, the paper's table: memory controllers are dropped first"},
+		{config.MBFirst, "MB-first (§V-E1): bandwidth per controller shrinks first"},
+	} {
+		blk := Block{Heading: order.heading, LabelFormat: "  %16s", Columns: []Column{
+			{Name: "LLC", Unit: "MB", Format: " | %2g MB:"},
+			{Name: "slices", Unit: "count", Format: " %2g slices"},
+			{Name: "NoC", Unit: "GB/s", Format: " | %3g GB/s:"},
+			{Name: "CSLs", Unit: "count", Format: " %g CSLs,"},
+			{Name: "per CSL", Unit: "GB/s", Format: " %2g GB/s per CSL"},
+			{Name: "DRAM", Unit: "GB/s", Format: " | %3g GB/s:"},
+			{Name: "MCs", Unit: "count", Format: " %g MCs,"},
+			{Name: "per MC", Unit: "GB/s", Format: " %2g GB/s per MC"},
+		}}
+		for _, n := range []int{32, 16, 8, 4, 2, 1} {
+			sm, err := config.ScaleModel(config.Target(), n, config.ScaleModelOptions{Policy: config.PRSFull, Bandwidth: order.bw})
+			if err != nil {
+				panic(err) // unreachable: every count divides 32
+			}
+			blk.Rows = append(blk.Rows, Row{Label: fmt.Sprintf("%d-core %v", n, order.bw), Values: []Cell{
+				Cell(float64(sm.LLC.Size()) / float64(config.MB)), Cell(sm.LLC.Slices),
+				Cell(sm.NoC.BisectionGBps()), Cell(sm.NoC.CrossSectionLinks), Cell(sm.NoC.LinkGBps),
+				Cell(sm.DRAM.TotalGBps()), Cell(sm.DRAM.Controllers), Cell(sm.DRAM.PerControllerGBps),
+			}})
+		}
+		t.Blocks = append(t.Blocks, blk)
+	}
+	return t
+}
+
 // Figure is one entry of the evaluation's table of contents.
 type Figure struct {
-	ID   string // what cmd/experiments -figs selects it by: "3".."12", "mt", "ablations", "prefetch", "speedup"
+	ID   string // what cmd/experiments -figs selects it by: "1" (Table I), "3".."12", "mt", "ablations", "prefetch", "speedup"
 	Name string
 	Run  func() (*Table, error)
 }
@@ -532,6 +573,7 @@ func (e *Experiments) Figures() []Figure {
 		}
 	}
 	return []Figure{
+		{"1", "Table I", func() (*Table, error) { return TableI(), nil }},
 		{"3", "Fig. 3", table(e.Fig3Construction)},
 		{"4", "Fig. 4", table(e.Fig4Homogeneous)},
 		{"5", "Fig. 5", table(e.Fig5Heterogeneous)},

@@ -430,50 +430,3 @@ func CustomSystem(cores int, opts CustomOptions) (*SystemConfig, error) {
 	}
 	return c, nil
 }
-
-// TableIRow is one row of the paper's Table I.
-type TableIRow struct {
-	Cores      int
-	LLCSize    Bytes
-	LLCSlices  int
-	NoCGBps    GBps
-	CSLs       int
-	PerCSLGBps GBps
-	DRAMGBps   GBps
-	MCs        int
-	PerMCGBps  GBps
-}
-
-// TableI reproduces the paper's Table I for the given bandwidth-scaling
-// policy (the paper's table uses MC-first).
-func TableI(policy BandwidthScaling) []TableIRow {
-	target := Target()
-	counts := []int{32, 16, 8, 4, 2, 1}
-	rows := make([]TableIRow, 0, len(counts))
-	for _, n := range counts {
-		sm, err := ScaleModel(target, n, ScaleModelOptions{Policy: PRSFull, Bandwidth: policy})
-		if err != nil {
-			panic(err) // unreachable: all counts divide 32
-		}
-		rows = append(rows, TableIRow{
-			Cores:      n,
-			LLCSize:    sm.LLC.Size(),
-			LLCSlices:  sm.LLC.Slices,
-			NoCGBps:    sm.NoC.BisectionGBps(),
-			CSLs:       sm.NoC.CrossSectionLinks,
-			PerCSLGBps: sm.NoC.LinkGBps,
-			DRAMGBps:   sm.DRAM.TotalGBps(),
-			MCs:        sm.DRAM.Controllers,
-			PerMCGBps:  sm.DRAM.PerControllerGBps,
-		})
-	}
-	return rows
-}
-
-// String renders the row in the paper's Table I format.
-func (r TableIRow) String() string {
-	return fmt.Sprintf("%2d | %s: %d slices | %s: %d CSLs, %s per CSL | %s: %d MCs, %s per MC",
-		r.Cores, r.LLCSize, r.LLCSlices,
-		r.NoCGBps, r.CSLs, r.PerCSLGBps,
-		r.DRAMGBps, r.MCs, r.PerMCGBps)
-}

@@ -2,7 +2,6 @@ package config
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -40,46 +39,6 @@ func TestTargetMatchesTableII(t *testing.T) {
 	}
 	if c.DRAM.Controllers != 8 || c.DRAM.TotalGBps() != 128 {
 		t.Errorf("DRAM %+v does not match Table II (8 MCs, 128 GB/s)", c.DRAM)
-	}
-}
-
-// TestTableIMCFirst checks every cell of the paper's Table I.
-func TestTableIMCFirst(t *testing.T) {
-	rows := TableI(MCFirst)
-	want := []TableIRow{
-		{32, 32 * MB, 32, 128, 4, 32, 128, 8, 16},
-		{16, 16 * MB, 16, 64, 4, 16, 64, 4, 16},
-		{8, 8 * MB, 8, 32, 2, 16, 32, 2, 16},
-		{4, 4 * MB, 4, 16, 2, 8, 16, 1, 16},
-		{2, 2 * MB, 2, 8, 1, 8, 8, 1, 8},
-		{1, 1 * MB, 1, 4, 1, 4, 4, 1, 4},
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(want))
-	}
-	for i, w := range want {
-		if rows[i] != w {
-			t.Errorf("row %d:\n got %+v\nwant %+v", i, rows[i], w)
-		}
-	}
-}
-
-// TestTableIMBFirst checks the MB-first alternative from §V-E1: bandwidth
-// per controller shrinks 16->4 GB/s before controllers are dropped.
-func TestTableIMBFirst(t *testing.T) {
-	rows := TableI(MBFirst)
-	wantMCs := map[int]int{32: 8, 16: 8, 8: 8, 4: 4, 2: 2, 1: 1}
-	wantPerMC := map[int]GBps{32: 16, 16: 8, 8: 4, 4: 4, 2: 4, 1: 4}
-	for _, r := range rows {
-		if r.MCs != wantMCs[r.Cores] {
-			t.Errorf("%d cores: %d MCs, want %d", r.Cores, r.MCs, wantMCs[r.Cores])
-		}
-		if r.PerMCGBps != wantPerMC[r.Cores] {
-			t.Errorf("%d cores: %v per MC, want %v", r.Cores, r.PerMCGBps, wantPerMC[r.Cores])
-		}
-		if r.DRAMGBps != GBps(4*r.Cores) {
-			t.Errorf("%d cores: total DRAM %v, want %v", r.Cores, r.DRAMGBps, GBps(4*r.Cores))
-		}
 	}
 }
 
@@ -196,16 +155,6 @@ func TestBytesString(t *testing.T) {
 	for b, want := range cases {
 		if got := b.String(); got != want {
 			t.Errorf("Bytes(%d).String() = %q, want %q", int64(b), got, want)
-		}
-	}
-}
-
-func TestTableIRowString(t *testing.T) {
-	rows := TableI(MCFirst)
-	s := rows[0].String()
-	for _, frag := range []string{"32 MB", "32 slices", "4 CSLs", "8 MCs", "16 GB/s per MC"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("row string %q missing %q", s, frag)
 		}
 	}
 }

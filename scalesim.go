@@ -564,50 +564,3 @@ func resultFromInternal(res *sim.Result) *SimResult {
 	}
 	return out
 }
-
-// TableIRow is one row of the paper's Table I (scale-model construction).
-// LLC, NoC and DRAM are formatted render strings; the numeric fields carry
-// the same data for programmatic use.
-type TableIRow struct {
-	Cores int
-	LLC   string
-	NoC   string
-	DRAM  string
-
-	// Numeric construction parameters.
-	LLCBytes   int64   // total LLC capacity in bytes
-	LLCSlices  int     // NUCA slices
-	NoCGBps    float64 // NoC bisection bandwidth
-	CSLs       int     // cross-section links
-	PerCSLGBps float64 // bandwidth per cross-section link
-	DRAMGBps   float64 // total DRAM bandwidth
-	MCs        int     // memory controllers
-	PerMCGBps  float64 // bandwidth per controller
-}
-
-// TableI reproduces the paper's Table I for the given bandwidth order
-// (BandwidthMCFirst or BandwidthMBFirst; "" = MC-first).
-func TableI(bandwidth Bandwidth) ([]TableIRow, error) {
-	bw, err := bandwidth.internal()
-	if err != nil {
-		return nil, err
-	}
-	var out []TableIRow
-	for _, r := range config.TableI(bw) {
-		out = append(out, TableIRow{
-			Cores:      r.Cores,
-			LLC:        fmt.Sprintf("%v: %d slices", r.LLCSize, r.LLCSlices),
-			NoC:        fmt.Sprintf("%v: %d CSLs, %v per CSL", r.NoCGBps, r.CSLs, r.PerCSLGBps),
-			DRAM:       fmt.Sprintf("%v: %d MCs, %v per MC", r.DRAMGBps, r.MCs, r.PerMCGBps),
-			LLCBytes:   int64(r.LLCSize),
-			LLCSlices:  r.LLCSlices,
-			NoCGBps:    float64(r.NoCGBps),
-			CSLs:       r.CSLs,
-			PerCSLGBps: float64(r.PerCSLGBps),
-			DRAMGBps:   float64(r.DRAMGBps),
-			MCs:        r.MCs,
-			PerMCGBps:  float64(r.PerMCGBps),
-		})
-	}
-	return out, nil
-}

@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -25,22 +26,66 @@ func subsetNames() []string {
 	return []string{"exchange2", "leela", "gcc", "xalancbmk", "omnetpp", "bwaves", "mcf", "lbm", "milc"}
 }
 
+// TestTableI: Table I is the first entry of Figures(), id "1", and its
+// table survives its JSON form.
 func TestTableI(t *testing.T) {
-	rows, err := TableI(BandwidthMCFirst)
+	ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 6", len(rows))
+	f := ex.Figures()[0]
+	tab, err := f.Run()
+	if err != nil || f.ID != "1" || f.Name != "Table I" || tab.String() != TableI().String() {
+		t.Fatalf("Figures()[0] = %q %q, err %v, table\n%s", f.ID, f.Name, err, tab)
 	}
-	if rows[0].Cores != 32 || !strings.Contains(rows[0].LLC, "32 MB") {
-		t.Fatalf("row 0 = %+v", rows[0])
+	checkJSONRoundTrip(t, tab)
+}
+
+// TestTableIMCFirst checks every cell of the paper's Table I.
+func TestTableIMCFirst(t *testing.T) {
+	tab := TableI()
+	cols := []string{"LLC", "slices", "NoC", "CSLs", "per CSL", "DRAM", "MCs", "per MC"}
+	want := map[int][]float64{
+		32: {32, 32, 128, 4, 32, 128, 8, 16},
+		16: {16, 16, 64, 4, 16, 64, 4, 16},
+		8:  {8, 8, 32, 2, 16, 32, 2, 16},
+		4:  {4, 4, 16, 2, 8, 16, 1, 16},
+		2:  {2, 2, 8, 1, 8, 8, 1, 8},
+		1:  {1, 1, 4, 1, 4, 4, 1, 4},
 	}
-	if rows[5].Cores != 1 || !strings.Contains(rows[5].DRAM, "1 MCs") {
-		t.Fatalf("row 5 = %+v", rows[5])
+	if rows := len(tab.Blocks[0].Rows); rows != len(want) {
+		t.Fatalf("MC-first block has %d rows, want %d", rows, len(want))
 	}
-	if _, err := TableI("bogus"); err == nil {
-		t.Fatal("bogus bandwidth order accepted")
+	for cores, w := range want {
+		label := fmt.Sprintf("%d-core MC-first", cores)
+		for i, col := range cols {
+			if got := tab.Cell(label, col); got != w[i] {
+				t.Errorf("%s %s = %v, want %v", label, col, got, w[i])
+			}
+		}
+	}
+}
+
+// TestTableIMBFirst checks the MB-first alternative from §V-E1: bandwidth
+// per controller shrinks 16->4 GB/s before controllers are dropped.
+func TestTableIMBFirst(t *testing.T) {
+	tab := TableI()
+	wantMCs := map[int]float64{32: 8, 16: 8, 8: 8, 4: 4, 2: 2, 1: 1}
+	wantPerMC := map[int]float64{32: 16, 16: 8, 8: 4, 4: 4, 2: 4, 1: 4}
+	if rows := len(tab.Blocks[1].Rows); rows != len(wantMCs) {
+		t.Fatalf("MB-first block has %d rows, want %d", rows, len(wantMCs))
+	}
+	for cores := range wantMCs {
+		label := fmt.Sprintf("%d-core MB-first", cores)
+		if got := tab.Cell(label, "MCs"); got != wantMCs[cores] {
+			t.Errorf("%s: %v MCs, want %v", label, got, wantMCs[cores])
+		}
+		if got := tab.Cell(label, "per MC"); got != wantPerMC[cores] {
+			t.Errorf("%s: %v GB/s per MC, want %v", label, got, wantPerMC[cores])
+		}
+		if got := tab.Cell(label, "DRAM"); got != float64(4*cores) {
+			t.Errorf("%s: total DRAM %v GB/s, want %d", label, got, 4*cores)
+		}
 	}
 }
 
@@ -494,7 +539,7 @@ func TestFiguresTable(t *testing.T) {
 		}
 		ids = append(ids, f.ID)
 	}
-	if got, want := strings.Join(ids, ","), "3,4,5,6,7,8,9,10,11,12,mt,ablations,prefetch,speedup"; got != want {
+	if got, want := strings.Join(ids, ","), "1,3,4,5,6,7,8,9,10,11,12,mt,ablations,prefetch,speedup"; got != want {
 		t.Errorf("figure ids %s, want %s", got, want)
 	}
 	study := simTimeTable(map[int]time.Duration{1: time.Second / 2, 32: 14 * time.Second}, []int{1, 32}, 4)

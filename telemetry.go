@@ -11,7 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 
 	"scalesim/internal/sim"
 )
@@ -81,82 +81,48 @@ func ReadTraceJSONL(r io.Reader) ([]EpochSnapshot, error) {
 	}
 }
 
-// TraceCoreSummary aggregates one core's measured epochs of a trace.
-type TraceCoreSummary struct {
-	Core      int
-	Benchmark string
-
-	Instructions uint64
-	Cycles       float64
-	IPC          float64 // total instructions / total cycles
-
-	// CPI stack shares: each component's fraction of the core's total
-	// cycles (they sum to 1 when the core retired instructions).
-	BaseShare     float64
-	BranchShare   float64
-	MemoryShare   float64
-	FrontendShare float64
-
-	// Access-weighted cache hit rates across the summarised epochs.
-	L1DHitRate float64
-	L2HitRate  float64
-	LLCHitRate float64
-
-	DRAMBytes float64
-}
-
-// TraceSummary condenses a trace into per-component aggregates — the
-// program-level view `scalesim stats` prints. Only measured epochs
-// contribute; warmup epochs (present when SimOptions.TraceWarmup was set)
-// are counted but not aggregated.
-type TraceSummary struct {
-	Config       string
-	Epochs       int // measured epochs summarised
-	WarmupEpochs int // warmup epochs skipped
-	Cycles       float64
-
-	Cores []TraceCoreSummary
-
-	// Epoch-mean shared-resource state.
-	NoCUtilization    float64
-	NoCQueueDelay     float64
-	DRAMUtilization   float64
-	DRAMQueueDelay    float64
-	DRAMRowEfficiency float64
-	DRAMBytesPerCycle float64
-}
-
-// SummarizeTrace aggregates a trace's measured epochs. Per-core CPI-stack
-// shares weight each epoch by its cycle deltas (not an epoch mean of
-// ratios), hit rates weight by accesses via the recorded per-epoch rates and
-// instruction counts, and shared-resource figures are epoch means.
-func SummarizeTrace(trace []EpochSnapshot) TraceSummary {
-	var s TraceSummary
+// SummarizeTrace condenses a trace's measured epochs into the table `scalesim
+// stats` prints, its ID the machine's name. Warmup epochs (present when
+// SimOptions.TraceWarmup was set) are counted but not aggregated. Row
+// "epochs" has the "measured" and "warmup" counts and the measured "cycles".
+// A row per core, labelled "<core> <benchmark>" (e.g. "0 mcf"), has "ipc"
+// (total instructions over total cycles); the CPI-stack shares "base",
+// "branch", "memory" and "frontend", each component's fraction of the core's
+// cycles (summed over epochs, not an epoch mean of ratios; they sum to 1 when
+// the core retired instructions); the hit rates "l1d hit", "l2 hit" and "llc
+// hit", instruction-weighted means of the recorded per-epoch rates; and "dram
+// bytes". Rows "noc" and "dram" are epoch means of the shared state:
+// "utilization" and "queue delay" (cycles), and DRAM's "row efficiency" and
+// "bytes/cycle".
+func SummarizeTrace(trace []EpochSnapshot) *Table {
 	type coreAcc struct {
-		instr                          uint64
-		cycles                         float64
-		base, branch, memory, frontend float64
-		l1dHit, l2Hit, llcHit, hitN    float64
-		dramBytes                      float64
-		benchmark                      string
+		benchmark string
+		instr     uint64
+		cycles    float64
+		cpi       [4]float64 // base, branch, memory, frontend cycles
+		hit       [3]float64 // L1D, L2, LLC rate × instructions
+		dramBytes float64
 	}
-	var acc []coreAcc
+	var (
+		machine          string
+		measured, warmup int
+		cycles           float64
+		shared           [6]float64 // NoC utilization and delay; DRAM utilization, delay, row efficiency, bytes/cycle
+		acc              []coreAcc
+	)
 	for _, e := range trace {
 		if e.Phase == PhaseWarmup {
-			s.WarmupEpochs++
+			warmup++
 			continue
 		}
-		if s.Config == "" {
-			s.Config = e.Config
+		if machine == "" {
+			machine = e.Config
 		}
-		s.Epochs++
-		s.Cycles += e.EpochCycles
-		s.NoCUtilization += e.NoCUtilization
-		s.NoCQueueDelay += e.NoCQueueDelay
-		s.DRAMUtilization += e.DRAMUtilization
-		s.DRAMQueueDelay += e.DRAMQueueDelay
-		s.DRAMRowEfficiency += e.DRAMRowEfficiency
-		s.DRAMBytesPerCycle += e.DRAMBytesPerCycle
+		measured++
+		cycles += e.EpochCycles
+		for i, v := range [...]float64{e.NoCUtilization, e.NoCQueueDelay, e.DRAMUtilization, e.DRAMQueueDelay, e.DRAMRowEfficiency, e.DRAMBytesPerCycle} {
+			shared[i] += v
+		}
 		for _, c := range e.Cores {
 			for len(acc) <= c.Core {
 				acc = append(acc, coreAcc{})
@@ -165,82 +131,58 @@ func SummarizeTrace(trace []EpochSnapshot) TraceSummary {
 			a.benchmark = c.Benchmark
 			a.instr += c.Instructions
 			a.cycles += c.Cycles
-			// CoreEpoch records per-instruction CPI components; scale back
-			// to cycles so epochs weight by their actual activity.
+			// CoreEpoch records per-instruction CPI components and per-access
+			// hit rates; weighting each by the epoch's instructions scales
+			// the CPI back to cycles, and stands in for the level's accesses
+			// (proportional to instructions for a fixed profile).
 			ki := float64(c.Instructions)
-			a.base += float64(c.BaseCPI * ki)
-			a.branch += float64(c.BranchCPI * ki)
-			a.memory += float64(c.MemoryCPI * ki)
-			a.frontend += float64(c.FrontendCPI * ki)
-			// Hit rates weight by the level's traffic proxy: instructions
-			// for L1D (the recorded rate is per-access, access counts are
-			// proportional to instructions for a fixed profile), and the
-			// same instruction weight for L2/LLC.
-			a.l1dHit += float64(c.L1DHitRate * ki)
-			a.l2Hit += float64(c.L2HitRate * ki)
-			a.llcHit += float64(c.LLCHitRate * ki)
-			a.hitN += ki
+			for i, v := range [...]float64{c.BaseCPI, c.BranchCPI, c.MemoryCPI, c.FrontendCPI} {
+				a.cpi[i] += float64(v * ki)
+			}
+			for i, v := range [...]float64{c.L1DHitRate, c.L2HitRate, c.LLCHitRate} {
+				a.hit[i] += float64(v * ki)
+			}
 			a.dramBytes += c.DRAMBytes
 		}
 	}
-	if s.Epochs > 0 {
-		n := float64(s.Epochs)
-		s.NoCUtilization /= n
-		s.NoCQueueDelay /= n
-		s.DRAMUtilization /= n
-		s.DRAMQueueDelay /= n
-		s.DRAMRowEfficiency /= n
-		s.DRAMBytesPerCycle /= n
-	}
-	div := func(num, den float64) float64 {
+	div := func(num, den float64) Cell {
 		if den == 0 {
 			return 0
 		}
-		return num / den
+		return Cell(num / den)
 	}
+	n := float64(max(measured, 1))
+	dram := Block{LabelFormat: "  %s:", Columns: []Column{
+		{Name: "utilization", Unit: "%", Format: " %.1f%% utilized"},
+		{Name: "queue delay", Unit: "cycles", Format: ", %.2f cycles mean queue delay"},
+		{Name: "row efficiency", Unit: "%", Format: ", %.0f%% row efficiency"},
+		{Name: "bytes/cycle", Unit: "bytes/cycle", Format: ", %.3f bytes/cycle"},
+	}}
+	noc := Block{LabelFormat: dram.LabelFormat, Columns: dram.Columns[:2:2]}
+	noc.Rows = []Row{{Label: "noc", Values: []Cell{Cell(shared[0] / n), Cell(shared[1] / n)}}}
+	dram.Rows = []Row{{Label: "dram", Values: []Cell{Cell(shared[2] / n), Cell(shared[3] / n), Cell(shared[4] / n), Cell(shared[5] / n)}}}
+	cores := Block{Label: "core", LabelFormat: "  %-16s", Columns: slices.Concat(
+		[]Column{{Name: "ipc", Unit: "IPC", Format: " %6.3f"}},
+		columns("%", " %7.0f%%", "base", "branch", "memory", "frontend"),
+		columns("%", " %7.0f%%", "l1d hit", "l2 hit", "llc hit"),
+		[]Column{{Name: "dram bytes", Unit: "bytes", Format: " %11.3g"}},
+	)}
 	for core, a := range acc {
-		cs := TraceCoreSummary{
-			Core:         core,
-			Benchmark:    a.benchmark,
-			Instructions: a.instr,
-			Cycles:       a.cycles,
-			IPC:          div(float64(a.instr), a.cycles),
-			DRAMBytes:    a.dramBytes,
+		total := a.cpi[0] + a.cpi[1] + a.cpi[2] + a.cpi[3]
+		row := Row{Label: fmt.Sprintf("%d %s", core, a.benchmark), Values: []Cell{div(float64(a.instr), a.cycles)}}
+		for _, c := range a.cpi {
+			row.Values = append(row.Values, div(c, total))
 		}
-		total := a.base + a.branch + a.memory + a.frontend
-		cs.BaseShare = div(a.base, total)
-		cs.BranchShare = div(a.branch, total)
-		cs.MemoryShare = div(a.memory, total)
-		cs.FrontendShare = div(a.frontend, total)
-		cs.L1DHitRate = div(a.l1dHit, a.hitN)
-		cs.L2HitRate = div(a.l2Hit, a.hitN)
-		cs.LLCHitRate = div(a.llcHit, a.hitN)
-		s.Cores = append(s.Cores, cs)
+		for _, h := range a.hit {
+			row.Values = append(row.Values, div(h, float64(a.instr)))
+		}
+		row.Values = append(row.Values, Cell(a.dramBytes))
+		cores.Rows = append(cores.Rows, row)
 	}
-	return s
-}
-
-// String renders the summary as a per-component table in the spirit of the
-// paper's Table I: one row per core with its CPI stack and hit rates,
-// followed by the shared NoC and DRAM lines.
-func (s TraceSummary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d measured epochs (%.0f cycles)", s.Config, s.Epochs, s.Cycles)
-	if s.WarmupEpochs > 0 {
-		fmt.Fprintf(&b, ", %d warmup epochs skipped", s.WarmupEpochs)
-	}
-	b.WriteString("\n")
-	b.WriteString("  core benchmark          ipc   | cpi stack: base  branch  memory  front | hit: l1d    l2   llc |  dram bytes\n")
-	for _, c := range s.Cores {
-		fmt.Fprintf(&b, "  %4d %-16s %6.3f |           %4.0f%%   %4.0f%%   %4.0f%%   %4.0f%% |    %4.0f%% %4.0f%% %4.0f%% | %11.3g\n",
-			c.Core, c.Benchmark, c.IPC,
-			100*c.BaseShare, 100*c.BranchShare, 100*c.MemoryShare, 100*c.FrontendShare,
-			100*c.L1DHitRate, 100*c.L2HitRate, 100*c.LLCHitRate,
-			c.DRAMBytes)
-	}
-	fmt.Fprintf(&b, "  noc:  %.1f%% utilized, %.2f cycles mean queue delay\n",
-		100*s.NoCUtilization, s.NoCQueueDelay)
-	fmt.Fprintf(&b, "  dram: %.1f%% utilized, %.2f cycles mean queue delay, %.0f%% row efficiency, %.3f bytes/cycle",
-		100*s.DRAMUtilization, s.DRAMQueueDelay, 100*s.DRAMRowEfficiency, s.DRAMBytesPerCycle)
-	return b.String()
+	epochs := Block{LabelFormat: "  %s:", Columns: []Column{
+		{Name: "measured", Unit: "epochs", Format: " %.0f measured"},
+		{Name: "warmup", Unit: "epochs", Format: ", %.0f warmup skipped"},
+		{Name: "cycles", Unit: "cycles", Format: " (%.0f measured cycles)"},
+	}, Rows: []Row{{Label: "epochs", Values: []Cell{Cell(measured), Cell(warmup), Cell(cycles)}}}}
+	return &Table{ID: machine, Title: "trace summary", Blocks: []Block{epochs, cores, noc, dram}}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,34 +167,35 @@ func startsWithTraceHeader(doc []byte) bool {
 func TestSummarizeTrace(t *testing.T) {
 	res := tracedRun(t, true)
 	s := SummarizeTrace(res.Trace)
-	if s.Epochs == 0 || s.WarmupEpochs == 0 {
-		t.Fatalf("summary epochs %d/%d, want both measured and warmup", s.Epochs, s.WarmupEpochs)
+	measured, warmup := s.Cell("epochs", "measured"), s.Cell("epochs", "warmup")
+	if measured == 0 || warmup == 0 {
+		t.Fatalf("summary epochs %v/%v, want both measured and warmup", measured, warmup)
 	}
-	if s.Epochs+s.WarmupEpochs != len(res.Trace) {
-		t.Fatalf("summary covers %d epochs, trace has %d", s.Epochs+s.WarmupEpochs, len(res.Trace))
+	if int(measured+warmup) != len(res.Trace) {
+		t.Fatalf("summary covers %v epochs, trace has %d", measured+warmup, len(res.Trace))
 	}
-	if len(s.Cores) != 2 {
-		t.Fatalf("%d core summaries", len(s.Cores))
+	if rows := len(s.Blocks[1].Rows); rows != 2 {
+		t.Fatalf("%d core rows", rows)
 	}
-	for _, c := range s.Cores {
-		if c.IPC <= 0 || c.IPC > 4 {
-			t.Fatalf("core %d IPC %v out of range", c.Core, c.IPC)
+	for i, c := range res.Cores {
+		core := fmt.Sprintf("%d %s", i, c.Benchmark)
+		ipc := s.Cell(core, "ipc")
+		if ipc <= 0 || ipc > 4 {
+			t.Fatalf("core %s IPC %v out of range", core, ipc)
 		}
-		shares := c.BaseShare + c.BranchShare + c.MemoryShare + c.FrontendShare
+		shares := s.Cell(core, "base") + s.Cell(core, "branch") + s.Cell(core, "memory") + s.Cell(core, "frontend")
 		if shares < 0.999 || shares > 1.001 {
-			t.Fatalf("core %d CPI-stack shares sum to %v", c.Core, shares)
+			t.Fatalf("core %s CPI-stack shares sum to %v", core, shares)
+		}
+		// Summary IPC must agree with the simulator's own result (the trace
+		// accounts for every measured instruction and cycle).
+		if rel := (ipc - c.IPC) / c.IPC; rel > 0.01 || rel < -0.01 {
+			t.Fatalf("core %s summary IPC %v, simulator reports %v", core, ipc, c.IPC)
 		}
 	}
-	// Summary IPC must agree with the simulator's own result (the trace
-	// accounts for every measured instruction and cycle).
-	for i, c := range s.Cores {
-		want := res.Cores[i].IPC
-		if rel := (c.IPC - want) / want; rel > 0.01 || rel < -0.01 {
-			t.Fatalf("core %d summary IPC %v, simulator reports %v", i, c.IPC, want)
-		}
-	}
+	checkJSONRoundTrip(t, s)
 	out := s.String()
-	for _, want := range []string{"mcf", "gcc", "noc:", "dram:", "warmup epochs skipped"} {
+	for _, want := range []string{"mcf", "gcc", "noc:", "dram:", "warmup skipped"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary rendering lacks %q:\n%s", want, out)
 		}
