@@ -354,6 +354,33 @@ func TestSentinelErrorsSurfaceFromAPI(t *testing.T) {
 	}
 }
 
+// TestTableIRowNumericFields: every construction parameter in Table I's
+// MC-first block is positive, the target row splits its DRAM bandwidth
+// evenly over its controllers, and the 16-core model has half the target's
+// DRAM bandwidth.
+func TestTableIRowNumericFields(t *testing.T) {
+	tab := TableI()
+	full := "32-core MC-first"
+	if tab.Cell(full, "LLC") != 32 || tab.Cell(full, "slices") != 32 {
+		t.Fatalf("target LLC %v MB in %v slices", tab.Cell(full, "LLC"), tab.Cell(full, "slices"))
+	}
+	if dram := tab.Cell(full, "DRAM"); dram != 128 || tab.Cell(full, "MCs")*tab.Cell(full, "per MC") != dram {
+		t.Fatalf("target DRAM %v GB/s = %v MCs x %v GB/s", dram, tab.Cell(full, "MCs"), tab.Cell(full, "per MC"))
+	}
+	blk := tab.Blocks[0]
+	for _, r := range blk.Rows {
+		for i, c := range blk.Columns {
+			if float64(r.Values[i]) <= 0 {
+				t.Errorf("%s: non-positive %s %v", r.Label, c.Name, r.Values[i])
+			}
+		}
+	}
+	// PRS: per-core proportionality of the 16-core model vs the target.
+	if tab.Cell("16-core MC-first", "DRAM")*2 != tab.Cell(full, "DRAM") {
+		t.Fatalf("16-core DRAM %v GB/s not half the target's", tab.Cell("16-core MC-first", "DRAM"))
+	}
+}
+
 func TestExperimentsParallelMatchesSequential(t *testing.T) {
 	names := []string{"exchange2", "gcc", "lbm"}
 	seq, err := NewExperimentsSubset(tinyOptions(), names...)

@@ -42,6 +42,46 @@ func TestTargetMatchesTableII(t *testing.T) {
 	}
 }
 
+// TestTableIMCFirst checks every cell of the paper's Table I as ScaleModel
+// builds it under PRS with the MC-first bandwidth order.
+func TestTableIMCFirst(t *testing.T) {
+	want := []struct {
+		cores  int
+		llc    Bytes
+		slices int
+		noc    GBps
+		csls   int
+		perCSL GBps
+		dram   GBps
+		mcs    int
+		perMC  GBps
+	}{
+		{32, 32 * MB, 32, 128, 4, 32, 128, 8, 16},
+		{16, 16 * MB, 16, 64, 4, 16, 64, 4, 16},
+		{8, 8 * MB, 8, 32, 2, 16, 32, 2, 16},
+		{4, 4 * MB, 4, 16, 2, 8, 16, 1, 16},
+		{2, 2 * MB, 2, 8, 1, 8, 8, 1, 8},
+		{1, 1 * MB, 1, 4, 1, 4, 4, 1, 4},
+	}
+	for _, w := range want {
+		sm, err := ScaleModel(Target(), w.cores, ScaleModelOptions{Policy: PRSFull, Bandwidth: MCFirst})
+		if err != nil {
+			t.Fatalf("%d cores: %v", w.cores, err)
+		}
+		if sm.LLC.Size() != w.llc || sm.LLC.Slices != w.slices {
+			t.Errorf("%d cores: LLC %v in %d slices, want %v in %d", w.cores, sm.LLC.Size(), sm.LLC.Slices, w.llc, w.slices)
+		}
+		if sm.NoC.BisectionGBps() != w.noc || sm.NoC.CrossSectionLinks != w.csls || sm.NoC.LinkGBps != w.perCSL {
+			t.Errorf("%d cores: NoC %v, %d CSLs, %v per CSL; want %v, %d, %v",
+				w.cores, sm.NoC.BisectionGBps(), sm.NoC.CrossSectionLinks, sm.NoC.LinkGBps, w.noc, w.csls, w.perCSL)
+		}
+		if sm.DRAM.TotalGBps() != w.dram || sm.DRAM.Controllers != w.mcs || sm.DRAM.PerControllerGBps != w.perMC {
+			t.Errorf("%d cores: DRAM %v, %d MCs, %v per MC; want %v, %d, %v",
+				w.cores, sm.DRAM.TotalGBps(), sm.DRAM.Controllers, sm.DRAM.PerControllerGBps, w.dram, w.mcs, w.perMC)
+		}
+	}
+}
+
 func TestScaleModelPolicies(t *testing.T) {
 	target := Target()
 	cases := []struct {
