@@ -1,9 +1,9 @@
 package scalesim
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (one Benchmark* per table/figure; see DESIGN.md's experiment
-// index). Each benchmark prints the rows/series the paper reports and
-// attaches the headline numbers as custom metrics (avg_err_pct, ...).
+// evaluation: BenchmarkFigures runs each entry of Figures(), the table of
+// contents cmd/experiments loops over, as BenchmarkFigures/<id> and prints
+// the table the paper reports (see DESIGN.md's experiment index).
 //
 // Run the full harness with:
 //
@@ -47,221 +47,22 @@ func benchExperiments(b *testing.B) *Experiments {
 	return benchExp
 }
 
-// reportOnce prints the figure's table on the first iteration only.
-var printedFigures sync.Map
-
-func printFigure(id string, body fmt.Stringer) {
-	if _, loaded := printedFigures.LoadOrStore(id, true); !loaded {
-		fmt.Println(body.String())
-	}
-}
-
-// BenchmarkTableI_ScaleModelConstruction regenerates Table I (both
-// bandwidth-scaling orders).
-func BenchmarkTableI_ScaleModelConstruction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		printFigure("Table I", TableI())
-	}
-}
-
-// BenchmarkFig3_ScaleModelConstruction regenerates Fig. 3: NRS vs PRS
-// variants with a single-core scale model and no extrapolation.
-func BenchmarkFig3_ScaleModelConstruction(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig3Construction()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for _, m := range res.Methods {
-			if m.Method == "PRS" {
-				b.ReportMetric(100*m.Mean, "PRS_avg_err_pct")
+// BenchmarkFigures regenerates every entry of Figures() as a sub-benchmark
+// named by its id, printing its table once: BenchmarkFigures/1 is Table I
+// (no simulation), /3 to /12 the figures, /mt, /ablations, /prefetch and
+// /speedup the studies. -bench 'Figures$/^8$' runs one.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range benchExperiments(b).Figures() {
+		b.Run(f.ID, func(b *testing.B) {
+			var t *Table
+			for b.Loop() {
+				var err error
+				if t, err = f.Run(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if m.Method == "NRS" {
-				b.ReportMetric(100*m.Mean, "NRS_avg_err_pct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig4_HomogeneousExtrapolation regenerates Fig. 4.
-func BenchmarkFig4_HomogeneousExtrapolation(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig4Homogeneous()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for _, m := range res.Methods {
-			switch m.Method {
-			case "SVM":
-				b.ReportMetric(100*m.Mean, "SVM_avg_err_pct")
-			case "SVM-log":
-				b.ReportMetric(100*m.Mean, "SVMlog_avg_err_pct")
-			case "No Extrapolation":
-				b.ReportMetric(100*m.Mean, "NoExtrap_avg_err_pct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig5_HeterogeneousExtrapolation regenerates Fig. 5.
-func BenchmarkFig5_HeterogeneousExtrapolation(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig5Heterogeneous()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for _, m := range res.Methods {
-			switch m.Method {
-			case "SVM":
-				b.ReportMetric(100*m.Mean, "SVM_avg_err_pct")
-			case "SVM-log":
-				b.ReportMetric(100*m.Mean, "SVMlog_avg_err_pct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig6_STPPrediction regenerates Fig. 6.
-func BenchmarkFig6_STPPrediction(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig6STP()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 6", res)
-		b.ReportMetric(100*res.Cell("SVM-log", "avg"), "SVMlog_STP_avg_err_pct")
-	}
-}
-
-// BenchmarkFig7_ErrorVsSpeedup regenerates Fig. 7.
-func BenchmarkFig7_ErrorVsSpeedup(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig7ErrorVsSpeedup()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Fig. 7", res)
-		b.ReportMetric(res.Cell("No Extrapolation 1-core", "speedup"), "1core_speedup_x")
-	}
-}
-
-// BenchmarkFig8_MemoryBandwidthScaling regenerates Fig. 8.
-func BenchmarkFig8_MemoryBandwidthScaling(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig8BandwidthScaling()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for _, m := range res.Methods {
-			switch m.Method {
-			case "MC-first SVM-log":
-				b.ReportMetric(100*m.Mean, "MCfirst_SVMlog_err_pct")
-			case "MB-first SVM-log":
-				b.ReportMetric(100*m.Mean, "MBfirst_SVMlog_err_pct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig9_RegressionForms regenerates Fig. 9.
-func BenchmarkFig9_RegressionForms(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig9RegressionForms()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for _, m := range res.Methods {
-			switch m.Method {
-			case "SVM-linear":
-				b.ReportMetric(100*m.Mean, "linear_err_pct")
-			case "SVM-power":
-				b.ReportMetric(100*m.Mean, "power_err_pct")
-			case "SVM-log":
-				b.ReportMetric(100*m.Mean, "log_err_pct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig10_MLInputs regenerates Fig. 10.
-func BenchmarkFig10_MLInputs(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig10Inputs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for _, m := range res.Methods {
-			switch m.Method {
-			case "SVM-log (IPC-only)":
-				b.ReportMetric(100*m.Mean, "SVMlog_ipc_only_err_pct")
-			case "SVM-log (IPC+BW)":
-				b.ReportMetric(100*m.Mean, "SVMlog_ipc_bw_err_pct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig11_ScaleModelCount regenerates Fig. 11.
-func BenchmarkFig11_ScaleModelCount(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig11ScaleModelCount()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for j, m := range res.Methods {
-			b.ReportMetric(100*m.Mean, fmt.Sprintf("with_%d_models_err_pct", j+2))
-		}
-	}
-}
-
-// BenchmarkFig12_BandwidthPrediction regenerates Fig. 12.
-func BenchmarkFig12_BandwidthPrediction(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Fig12Bandwidth()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure(res.ID, res)
-		for _, m := range res.Methods {
-			switch m.Method {
-			case "SVM":
-				b.ReportMetric(100*m.Mean, "SVM_bw_err_pct")
-			case "SVM-log":
-				b.ReportMetric(100*m.Mean, "SVMlog_bw_err_pct")
-			}
-		}
-	}
-}
-
-// BenchmarkSpeedup_SimulationTime regenerates the §I simulation-cost
-// observation: wall-clock per machine size grows super-linearly with core
-// count.
-func BenchmarkSpeedup_SimulationTime(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.SimulationTimeStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("speedup", res)
-		b.ReportMetric(res.Cell("1", "speedup"), "speedup_1core_x")
+			fmt.Println(t)
+		})
 	}
 }
 
@@ -290,50 +91,6 @@ func BenchmarkSimulator_ScaleModelRun(b *testing.B) {
 		if _, err := Simulate(MachineSpec{Cores: 1}, []string{"gcc"}, opts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkExt_Multithreaded runs the §V-E6 future-work extension:
-// scale-model extrapolation for data-parallel multi-threaded workloads.
-func BenchmarkExt_Multithreaded(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.ExtMultithreaded()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("ext-mt", res)
-		b.ReportMetric(100*res.Cell("extrapolation error:", "avg"), "avg_err_pct")
-	}
-}
-
-// BenchmarkAblation_ContentionModel quantifies the starred design choices
-// of DESIGN.md: the epoch bandwidth fixed point and the structurally shared
-// LLC.
-func BenchmarkAblation_ContentionModel(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.Ablations()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("ablations", res)
-		b.ReportMetric(100*res.Cell("no bandwidth feedback", "PRS err"), "nofeedback_PRS_err_pct")
-	}
-}
-
-// BenchmarkExt_PrefetchRobustness checks the methodology with an L2 stream
-// prefetcher added to scale model and target alike.
-func BenchmarkExt_PrefetchRobustness(b *testing.B) {
-	ex := benchExperiments(b)
-	for i := 0; i < b.N; i++ {
-		res, err := ex.PrefetchStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("ext-prefetch", res)
-		b.ReportMetric(100*res.Cell("NoExtrap error without prefetcher:", "avg"), "err_off_pct")
-		b.ReportMetric(100*res.Cell("NoExtrap error with prefetcher:", "avg"), "err_on_pct")
 	}
 }
 

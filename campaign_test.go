@@ -392,22 +392,22 @@ func TestExperimentsParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	par.SetWorkers(max(4, runtime.NumCPU()))
-	figSeq, err := seq.Fig3Construction()
+	figSeq, err := seq.fig3Construction()
 	if err != nil {
 		t.Fatal(err)
 	}
-	figPar, err := par.Fig3Construction()
+	figPar, err := par.fig3Construction()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(figSeq, figPar) {
 		t.Fatalf("parallel figure differs from sequential:\n%s\nvs\n%s", figSeq, figPar)
 	}
-	mtSeq, err := seq.ExtMultithreaded()
+	mtSeq, err := seq.extMultithreaded()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mtPar, err := par.ExtMultithreaded()
+	mtPar, err := par.extMultithreaded()
 	if err != nil {
 		t.Fatal(err)
 	}

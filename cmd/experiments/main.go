@@ -78,11 +78,8 @@ func main() {
 		}
 		tables[f.ID] = res
 		fmt.Println(res.String())
-		// The time study regenerates nothing: it reads recorded durations.
-		if f.ID != "speedup" {
-			fmt.Printf("  [%s regenerated in %.1fs, %d simulations so far]\n\n",
-				f.Name, time.Since(t0).Seconds(), ex.Runs())
-		}
+		fmt.Printf("  [%s regenerated in %.1fs, %d simulations so far]\n\n",
+			f.Name, time.Since(t0).Seconds(), ex.Runs())
 	}
 
 	for _, v := range scalesim.Verdicts(tables) {

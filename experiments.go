@@ -141,11 +141,10 @@ func (e *Experiments) heteroData() (*scalemodel.HeterogeneousData, error) {
 	return d, nil
 }
 
-// BenchError is one benchmark's absolute prediction error, with its LLC
-// MPKI sort key (figures order benchmarks by memory intensity).
+// BenchError is one benchmark's absolute prediction error; a method's
+// series is in LLC MPKI order (figures order benchmarks by memory intensity).
 type BenchError struct {
 	Benchmark string
-	MPKI      float64
 	Error     float64
 }
 
@@ -161,7 +160,7 @@ func methodResult(name string, errs []metrics.NamedError) MethodResult {
 	mr := MethodResult{Method: name}
 	vals := make([]float64, 0, len(errs))
 	for _, e := range errs {
-		mr.PerBench = append(mr.PerBench, BenchError{Benchmark: e.Name, MPKI: e.Key, Error: e.Error})
+		mr.PerBench = append(mr.PerBench, BenchError{Benchmark: e.Name, Error: e.Error})
 		vals = append(vals, e.Error)
 	}
 	s := metrics.Summarize(vals)
@@ -169,7 +168,7 @@ func methodResult(name string, errs []metrics.NamedError) MethodResult {
 	return mr
 }
 
-// FigureResult is one regenerated figure or table.
+// FigureResult is a regenerated figure as Figs. 4 and 9-12 return it.
 type FigureResult struct {
 	ID      string
 	Title   string
@@ -297,11 +296,11 @@ func direct(d *scalemodel.HomogeneousData, X int) metrics.Summary {
 	return metrics.Summarize(errs)
 }
 
-// Fig3Construction regenerates Fig. 3: single-core scale-model prediction
+// fig3Construction regenerates Fig. 3: single-core scale-model prediction
 // error under the four construction policies (NRS; PRS scaling LLC only;
 // PRS scaling DRAM only; PRS scaling all shared resources), sorted by LLC
 // MPKI, no extrapolation.
-func (e *Experiments) Fig3Construction() (*FigureResult, error) {
+func (e *Experiments) fig3Construction() (*Table, error) {
 	policies := []struct {
 		name   string
 		policy config.ScalingPolicy
@@ -319,7 +318,7 @@ func (e *Experiments) Fig3Construction() (*FigureResult, error) {
 		}
 		out.Methods = append(out.Methods, methodResult(p.name, errs))
 	}
-	return out, nil
+	return out.Table(), nil
 }
 
 // Fig4Homogeneous regenerates Fig. 4: extrapolation accuracy on homogeneous
@@ -330,20 +329,21 @@ func (e *Experiments) Fig4Homogeneous() (*FigureResult, error) {
 		scalemodel.MetricIPC, predictionSpecs(), scalemodel.MethodSpec.Name, false)
 }
 
-// Fig5Heterogeneous regenerates Fig. 5: per-application prediction error on
+// fig5Heterogeneous regenerates Fig. 5: per-application prediction error on
 // heterogeneous mixes.
-func (e *Experiments) Fig5Heterogeneous() (*FigureResult, error) {
+func (e *Experiments) fig5Heterogeneous() (*Table, error) {
 	d, err := e.heteroData()
 	if err != nil {
 		return nil, err
 	}
 	out := &FigureResult{ID: "Fig. 5", Title: "Scale-model extrapolation, heterogeneous workload mixes"}
-	return out, out.addMethods(d.EvaluatePerApp, predictionSpecs(), scalemodel.MethodSpec.Name, false)
+	err = out.addMethods(d.EvaluatePerApp, predictionSpecs(), scalemodel.MethodSpec.Name, false)
+	return out.Table(), err
 }
 
-// Fig6STP regenerates Fig. 6: system-throughput prediction error of the
+// fig6STP regenerates Fig. 6: system-throughput prediction error of the
 // ML-based regression methods across the heterogeneous STP mixes.
-func (e *Experiments) Fig6STP() (*Table, error) {
+func (e *Experiments) fig6STP() (*Table, error) {
 	d, err := e.heteroData()
 	if err != nil {
 		return nil, err
@@ -360,11 +360,11 @@ func (e *Experiments) Fig6STP() (*Table, error) {
 	return &Table{ID: "Fig. 6", Title: fmt.Sprintf("STP prediction error across %d heterogeneous mixes", len(d.STPMixes)), Blocks: []Block{blk}}, nil
 }
 
-// Fig7ErrorVsSpeedup regenerates Fig. 7: No Extrapolation accuracy with
+// fig7ErrorVsSpeedup regenerates Fig. 7: No Extrapolation accuracy with
 // increasingly large scale models (1-16 cores) against their measured
 // simulation speedup, plus the ML methods at the single-core scale model's
 // speedup. Speedups are measured wall-clock ratios on this host.
-func (e *Experiments) Fig7ErrorVsSpeedup() (*Table, error) {
+func (e *Experiments) fig7ErrorVsSpeedup() (*Table, error) {
 	d, err := e.homogData(scalemodel.MetricIPC)
 	if err != nil {
 		return nil, err
@@ -399,10 +399,10 @@ func (e *Experiments) Fig7ErrorVsSpeedup() (*Table, error) {
 	return &Table{ID: "Fig. 7", Title: "prediction error vs simulation speedup", Blocks: []Block{blk}}, nil
 }
 
-// Fig8BandwidthScaling regenerates Fig. 8: MC-first versus MB-first DRAM
+// fig8BandwidthScaling regenerates Fig. 8: MC-first versus MB-first DRAM
 // bandwidth scaling, comparing the direct multi-core scale-model readings
 // and the ML-based regression methods under both orders.
-func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
+func (e *Experiments) fig8BandwidthScaling() (*Table, error) {
 	out := &FigureResult{ID: "Fig. 8", Title: "Memory bandwidth scaling alternatives under PRS (MC-first vs MB-first)"}
 	for _, bwp := range []struct {
 		name string
@@ -430,7 +430,7 @@ func (e *Experiments) Fig8BandwidthScaling() (*FigureResult, error) {
 			return nil, err
 		}
 	}
-	return out, nil
+	return out.Table(), nil
 }
 
 // Fig9RegressionForms regenerates Fig. 9: linear vs power vs logarithmic
@@ -483,11 +483,11 @@ func (e *Experiments) Fig12Bandwidth() (*FigureResult, error) {
 		scalemodel.MetricBW, predictionSpecs(), scalemodel.MethodSpec.Name, true)
 }
 
-// SimulationTimeStudy reports the wall-clock cost of simulating the
+// simulationTimeStudy reports the wall-clock cost of simulating the
 // homogeneous suite at each machine size, reproducing §I's super-linear
 // growth observation and the 28x single-core speedup claim. It reads the
 // durations the homogeneous collection recorded.
-func (e *Experiments) SimulationTimeStudy() (*Table, error) {
+func (e *Experiments) simulationTimeStudy() (*Table, error) {
 	d, err := e.homogData(scalemodel.MetricIPC)
 	if err != nil {
 		return nil, err
@@ -561,7 +561,8 @@ type Figure struct {
 }
 
 // Figures lists everything the driver can regenerate, in report order;
-// cmd/experiments loops over it.
+// cmd/experiments loops over it. The builders of Figs. 4 and 9-12 are
+// exported too, because bench/cmd/scalebench calls them by name.
 func (e *Experiments) Figures() []Figure {
 	table := func(run func() (*FigureResult, error)) func() (*Table, error) {
 		return func() (*Table, error) {
@@ -574,20 +575,20 @@ func (e *Experiments) Figures() []Figure {
 	}
 	return []Figure{
 		{"1", "Table I", func() (*Table, error) { return TableI(), nil }},
-		{"3", "Fig. 3", table(e.Fig3Construction)},
+		{"3", "Fig. 3", e.fig3Construction},
 		{"4", "Fig. 4", table(e.Fig4Homogeneous)},
-		{"5", "Fig. 5", table(e.Fig5Heterogeneous)},
-		{"6", "Fig. 6", e.Fig6STP},
-		{"7", "Fig. 7", e.Fig7ErrorVsSpeedup},
-		{"8", "Fig. 8", table(e.Fig8BandwidthScaling)},
+		{"5", "Fig. 5", e.fig5Heterogeneous},
+		{"6", "Fig. 6", e.fig6STP},
+		{"7", "Fig. 7", e.fig7ErrorVsSpeedup},
+		{"8", "Fig. 8", e.fig8BandwidthScaling},
 		{"9", "Fig. 9", table(e.Fig9RegressionForms)},
 		{"10", "Fig. 10", table(e.Fig10Inputs)},
 		{"11", "Fig. 11", table(e.Fig11ScaleModelCount)},
 		{"12", "Fig. 12", table(e.Fig12Bandwidth)},
-		{"mt", "Extension: multi-threaded", e.ExtMultithreaded},
-		{"ablations", "Ablations", e.Ablations},
-		{"prefetch", "Extension: prefetcher robustness", e.PrefetchStudy},
-		{"speedup", "Simulation time study", e.SimulationTimeStudy},
+		{"mt", "Extension: multi-threaded", e.extMultithreaded},
+		{"ablations", "Ablations", e.ablations},
+		{"prefetch", "Extension: prefetcher robustness", e.prefetchStudy},
+		{"speedup", "Simulation time study", e.simulationTimeStudy},
 	}
 }
 

@@ -437,10 +437,39 @@ func TestDeterministicCollection(t *testing.T) {
 	}
 	a, b := collect(1), collect(1)
 	par := collect(4)
+	wide := par.engine
 	par.engine = a.engine // the engine lends evaluation its width; it is not data
 	if !reflect.DeepEqual(a, par) {
 		t.Fatal("heterogeneous collection differs between 1 and 4 workers")
 	}
+	par.engine = wide
+
+	// Evaluation fans Fig. 5's lineup out over the engine's workers, every
+	// spec training through the one shared d.models: each collection gives
+	// the same per-application and STP errors, bit for bit.
+	evaluate := func(d *HeterogeneousData) (perApp [][]metrics.NamedError, stp [][]float64) {
+		perApp, err := d.EvaluatePerApp(figures()[0].specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, est := range Kinds() {
+			errs, err := d.EvaluateSTP(MethodSpec{Method: MethodRegression, Estimator: est, Form: fit.Logarithmic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stp = append(stp, errs)
+		}
+		return perApp, stp
+	}
+	serialApp, serialSTP := evaluate(a)
+	parApp, parSTP := evaluate(par)
+	if !reflect.DeepEqual(serialApp, parApp) {
+		t.Errorf("per-application errors differ between 1 and 4 workers:\n%v\nvs\n%v", serialApp, parApp)
+	}
+	if !reflect.DeepEqual(serialSTP, parSTP) {
+		t.Errorf("STP errors differ between 1 and 4 workers:\n%v\nvs\n%v", serialSTP, parSTP)
+	}
+
 	if len(a.PredSamples) != len(b.PredSamples) {
 		t.Fatal("sample counts differ across identical collections")
 	}

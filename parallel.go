@@ -114,12 +114,12 @@ func SimulateParallelContext(ctx context.Context, spec MachineSpec, workload str
 	return parallelResult(res), nil
 }
 
-// ExtMultithreaded runs the multi-threaded extension study: each parallel
+// extMultithreaded runs the multi-threaded extension study: each parallel
 // workload is simulated on the PRS scale-model ladder (1-16 threads), its
 // 32-thread throughput extrapolated with the paper's logarithmic fit, and
 // validated against a simulated 32-core target. Speedup stacks show which
 // bottleneck (memory contention or barrier imbalance) limits scaling.
-func (e *Experiments) ExtMultithreaded() (*Table, error) {
+func (e *Experiments) extMultithreaded() (*Table, error) {
 	suite, sizes := trace.ParallelSuite(), []int{1, 2, 4, 8, 16, 32}
 	jobs := make([]runner.Job, 0, len(suite)*len(sizes))
 	for _, cores := range sizes {
@@ -172,14 +172,14 @@ func (e *Experiments) ExtMultithreaded() (*Table, error) {
 	}, nil
 }
 
-// Ablations quantifies how much the two load-bearing simulator mechanisms
+// ablations quantifies how much the two load-bearing simulator mechanisms
 // matter to the paper's Fig. 3 result: the epoch bandwidth fixed point and
 // the structurally shared LLC. Removing either changes the NRS/PRS error
 // structure qualitatively (e.g. without feedback, bandwidth contention
 // disappears and NRS looks far better than it should). A row is a model
 // variant, a cell the suite-averaged single-core scale-model error under one
 // construction.
-func (e *Experiments) Ablations() (*Table, error) {
+func (e *Experiments) ablations() (*Table, error) {
 	noFeedback, partitioned := e.lab.Opts, e.lab.Opts
 	noFeedback.NoFeedback, partitioned.PartitionedLLC = true, true
 	variants := []struct {
@@ -201,7 +201,7 @@ func (e *Experiments) Ablations() (*Table, error) {
 	return &Table{ID: "Ablation", Title: "contention-model design choices (single-core scale model, no extrapolation)", Blocks: []Block{blk}}, nil
 }
 
-// PrefetchStudy checks that the scale-model methodology is robust to a
+// prefetchStudy checks that the scale-model methodology is robust to a
 // microarchitectural feature the paper's configuration does not include: an
 // L2 stream prefetcher. When both the scale model and the target gain the
 // prefetcher, proportional scaling should remain (about) as accurate as
@@ -209,7 +209,7 @@ func (e *Experiments) Ablations() (*Table, error) {
 // configuration, only on both machines sharing it. A row is a benchmark: its
 // single-core scale-model IPC and its No Extrapolation target prediction
 // error, each without and with the prefetcher (on both machines).
-func (e *Experiments) PrefetchStudy() (*Table, error) {
+func (e *Experiments) prefetchStudy() (*Table, error) {
 	blk := Block{Label: "benchmark", LabelFormat: "  %-12s",
 		Columns: append(columns("IPC", " %8.3f", "IPC off", "IPC on"), columns("%", " %9.1f%%", "err off", "err on")...)}
 	var errs [2][]float64

@@ -221,12 +221,12 @@ func TestFig3OnSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig3, err := ex.Fig3Construction()
+	fig3, err := ex.fig3Construction()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig3.Methods) != 4 {
-		t.Fatalf("%d policies, want 4", len(fig3.Methods))
+	if got := labels(fig3.Blocks[0].Rows); got != "NRS,PRS-LLC,PRS-DRAM,PRS" {
+		t.Fatalf("policies %s, want NRS,PRS-LLC,PRS-DRAM,PRS", got)
 	}
 	if s := fig3.String(); !strings.Contains(s, "NRS") || !strings.Contains(s, "per-benchmark") {
 		t.Errorf("figure rendering incomplete:\n%s", s)
@@ -273,7 +273,7 @@ func TestFig4AndDerivativesOnSubset(t *testing.T) {
 	// The speedup studies read the durations the collection recorded: they
 	// submit nothing to the engine, not even memory hits.
 	jobsBefore := ex.svc.Stats().Jobs
-	fig7, err := ex.Fig7ErrorVsSpeedup()
+	fig7, err := ex.fig7ErrorVsSpeedup()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestFig4AndDerivativesOnSubset(t *testing.T) {
 		}
 	}
 
-	study, err := ex.SimulationTimeStudy()
+	study, err := ex.simulationTimeStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +342,14 @@ func TestHeterogeneousFiguresOnSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig5, err := ex.Fig5Heterogeneous()
+	fig5, err := ex.fig5Heterogeneous()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig5.Methods) != 7 {
-		t.Fatalf("%d methods, want 7", len(fig5.Methods))
+	if len(fig5.Blocks[0].Rows) != 7 {
+		t.Fatalf("%d methods, want 7", len(fig5.Blocks[0].Rows))
 	}
-	fig6, err := ex.Fig6STP()
+	fig6, err := ex.fig6STP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestExtMultithreadedOnTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.ExtMultithreaded()
+	res, err := ex.extMultithreaded()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestExtMultithreadedOnTinyBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 2; rep++ {
-			again, err := stored.ExtMultithreaded()
+			again, err := stored.extMultithreaded()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,7 +481,7 @@ func TestPrefetchStudyOnSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.PrefetchStudy()
+	res, err := ex.prefetchStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
