@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test check lint mutate loc race bench bench-record bench-trend clean clean-store store-smoke mt-smoke serve-smoke surrogate-smoke
+.PHONY: all build test check examples lint mutate loc race bench bench-record bench-trend clean clean-store store-smoke mt-smoke serve-smoke surrogate-smoke
 
 all: build
 
@@ -97,6 +97,15 @@ serve-smoke:
 	@$(GO) run ./cmd/scalesim store -dir .serve-smoke/store
 	@rm -rf .serve-smoke
 	@echo "serve-smoke: ok"
+
+# Run every program under examples/ (≈ 25 s in all; none writes a file): a
+# non-zero exit from any of them fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "examples: $$d failed" >&2; exit 1; }; \
+	done
+	@echo "examples: ok"
 
 # The simlint gate (DESIGN.md, "Static analysis invariants"): TestRepoClean
 # loads the module once, runs every rule and fails, printing each finding,

@@ -37,7 +37,7 @@ func benchExperiments(b *testing.B) *Experiments {
 			opts = FastOptions()
 			fmt.Println("bench fidelity: fast (SCALESIM_BENCH_FAST set)")
 		} else {
-			fmt.Println("bench fidelity: full (set SCALESIM_BENCH_FAST=1 for a ~10x faster run)")
+			fmt.Println("bench fidelity: full (set SCALESIM_BENCH_FAST=1 for a ~5x faster run)")
 		}
 		benchExp, benchErr = NewExperiments(opts)
 	})
@@ -76,7 +76,7 @@ func BenchmarkSimulator_TargetRun(b *testing.B) {
 	opts := FastOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(MachineSpec{Cores: 32, Policy: PolicyTarget}, wl, opts); err != nil {
+		if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 32, Policy: PolicyTarget}, wl, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkSimulator_ScaleModelRun(b *testing.B) {
 	opts := FastOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(MachineSpec{Cores: 1}, []string{"gcc"}, opts); err != nil {
+		if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1}, []string{"gcc"}, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,34 +18,6 @@ type CampaignJob struct {
 	Extra      []Profile   `json:"profiles,omitempty"`
 }
 
-// Campaign is a batch of simulation jobs to execute on a worker pool with
-// content-addressed memoization: jobs describing the same design point
-// (identical machine, workload and options, seed included) simulate exactly
-// once, however often they recur in the batch.
-type Campaign struct {
-	// Jobs are the design points, in the order results are returned.
-	Jobs []CampaignJob
-	// Tuning consolidates the campaign's performance knobs: job-level
-	// workers (CampaignWorkers, <= 0 selects GOMAXPROCS) and per-simulation
-	// core workers. Nil means auto. A job's own Options.Tuning, when
-	// non-nil, overrides the campaign default for that job. Tuning never
-	// changes results or cache keys — only wall-clock.
-	Tuning *Tuning
-	// Store, when non-empty, is a directory used as a durable second
-	// memoization tier: results persist across processes, so re-running a
-	// campaign recomputes nothing (Stats.DiskHits). The store is created
-	// on first use; results are bit-identical with or without it. See
-	// README "Durable campaigns" for the on-disk layout.
-	Store string
-	// Surrogate, when non-nil, enables the learned fast path: design
-	// points the trained model is confident about are answered by the
-	// model (SourceModel, approximate) instead of simulating, and every
-	// computed result feeds the training set. Nil — the default — changes
-	// nothing. When Store is also set, the training set persists in
-	// <Store>/surrogate across processes. See SurrogateConfig.
-	Surrogate *SurrogateConfig
-}
-
 // ResultSource says where a job's result came from.
 type ResultSource = runner.Source
 
@@ -72,7 +44,7 @@ const (
 // JobOutcome is one job's result: either a simulation result or an error,
 // plus where the result came from.
 type JobOutcome struct {
-	// Job is the submission-order index into Campaign.Jobs.
+	// Job is the submission-order index into the campaign's jobs.
 	Job int
 	// Result is the simulation outcome (nil when Err is set).
 	Result *SimResult
@@ -106,51 +78,36 @@ type CampaignResult struct {
 	Stats    CampaignStats
 }
 
-// Errs returns the failed outcomes (empty when every job succeeded).
-func (r *CampaignResult) Errs() []JobOutcome {
-	var out []JobOutcome
-	for _, o := range r.Outcomes {
-		if o.Err != nil {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// RunCampaign executes the campaign's jobs on a bounded worker pool and
-// returns their outcomes in submission order. Duplicated design points
-// simulate once; each simulation is deterministic, so results are
-// bit-identical to a sequential (CampaignWorkers: 1) run apart from the
-// measured wall-clock. Per-job failures — including invalid specs and
-// recovered panics — are reported in the outcomes without aborting the batch.
-func RunCampaign(c Campaign) (*CampaignResult, error) {
-	return RunCampaignContext(context.Background(), c)
-}
-
-// RunCampaignContext is RunCampaign bounded by a context.
+// RunCampaignContext executes jobs on the worker pool of an engine configured
+// by cfg and returns their outcomes in submission order. Duplicated design
+// points (seed included) simulate once; each simulation is deterministic, so
+// results are bit-identical to a sequential (CampaignWorkers: 1) run apart
+// from the measured wall-clock. Per-job failures — including invalid specs
+// and recovered panics — are reported in the outcomes without aborting the
+// batch.
 //
 // Cancelling ctx stops feeding jobs and aborts in-flight simulations at
 // their next epoch boundary; RunCampaignContext then returns ctx.Err()
 // alongside the partial outcomes (jobs cut short carry the context error).
 //
-// When c.Store is set, the directory is opened (created on first use) as a
+// When cfg.Store is set, the directory is opened (created on first use) as a
 // durable memoization tier: previously computed design points load from
 // disk instead of simulating, and fresh computes are written back
 // atomically. A store that cannot be opened is an error; a corrupt artifact
 // inside an open store is not — it is quarantined and its job recomputed
 // (counted in Stats.StoreCorrupt).
-func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignResult, error) {
-	svc, err := newService("campaign", ServiceConfig{Tuning: c.Tuning, Store: c.Store, Surrogate: c.Surrogate})
+func RunCampaignContext(ctx context.Context, cfg ServiceConfig, jobs []CampaignJob) (*CampaignResult, error) {
+	svc, err := newService("campaign", cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer svc.Close()
 
-	res := &CampaignResult{Outcomes: make([]JobOutcome, len(c.Jobs))}
+	res := &CampaignResult{Outcomes: make([]JobOutcome, len(jobs))}
 	var keys []string
 	var batch []runner.Job
-	var at []int // batch[k], keyed keys[k], is c.Jobs[at[k]]
-	for i, cj := range c.Jobs {
+	var at []int // batch[k], keyed keys[k], is jobs[at[k]]
+	for i, cj := range jobs {
 		p, err := svc.Prepare(cj)
 		if err != nil {
 			// Invalid job: fails in its outcome without entering the batch.
@@ -166,7 +123,7 @@ func RunCampaignContext(ctx context.Context, c Campaign) (*CampaignResult, error
 		res.Outcomes[at[k]].Job = at[k]
 	}
 	res.Stats = svc.Stats()
-	res.Stats.Jobs = len(c.Jobs)
-	res.Stats.Failures += len(c.Jobs) - len(batch) // invalid jobs count as failed
+	res.Stats.Jobs = len(jobs)
+	res.Stats.Failures += len(jobs) - len(batch) // invalid jobs count as failed
 	return res, ctxErr
 }

@@ -44,7 +44,7 @@ func TestCampaignMemoizesAndPreservesOrder(t *testing.T) {
 	if len(jobs) < 8 {
 		t.Fatalf("campaign too small: %d jobs", len(jobs))
 	}
-	res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 2}})
+	res, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: 2}}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestCampaignMemoizesAndPreservesOrder(t *testing.T) {
 
 func TestCampaignParallelBitIdenticalToSequential(t *testing.T) {
 	jobs := campaignJobs()
-	seq, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 1}})
+	seq, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: 1}}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: runtime.NumCPU()}})
+	par, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: runtime.NumCPU()}}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +119,12 @@ func TestCampaignSpeedup(t *testing.T) {
 		})
 	}
 	t0 := time.Now()
-	if _, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 1}}); err != nil {
+	if _, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: 1}}, jobs); err != nil {
 		t.Fatal(err)
 	}
 	seq := time.Since(t0)
 	t0 = time.Now()
-	if _, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 4}}); err != nil {
+	if _, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: 4}}, jobs); err != nil {
 		t.Fatal(err)
 	}
 	par := time.Since(t0)
@@ -139,7 +139,7 @@ func TestCampaignInvalidJobIsolated(t *testing.T) {
 		{Machine: MachineSpec{Cores: 1, Policy: "bogus"}, Benchmarks: []string{"gcc"}, Options: tinyOptions()},
 		{Machine: MachineSpec{Cores: 1}, Benchmarks: []string{"nothere"}, Options: tinyOptions()},
 	}
-	res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: &Tuning{CampaignWorkers: 2}})
+	res, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: 2}}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +152,6 @@ func TestCampaignInvalidJobIsolated(t *testing.T) {
 	if !errors.Is(res.Outcomes[2].Err, ErrUnknownBenchmark) {
 		t.Fatalf("job 2 err %v, want ErrUnknownBenchmark", res.Outcomes[2].Err)
 	}
-	if got := len(res.Errs()); got != 2 {
-		t.Fatalf("%d failed outcomes, want 2", got)
-	}
 	if res.Stats.Failures != 2 || res.Stats.Jobs != 3 {
 		t.Fatalf("stats %+v", res.Stats)
 	}
@@ -164,10 +161,11 @@ func TestCampaignInvalidJobIsolated(t *testing.T) {
 	}
 }
 
-// TestCampaignIsABatchOverService pins the contract that lets Campaign stay a
-// thin batch over Service: the same job list — a valid point, its duplicate,
-// an invalid spec, an unknown benchmark — driven through RunCampaignContext
-// and through Service.Prepare + RunJobContext one job at a time yields the
+// TestCampaignIsABatchOverService pins the contract that lets
+// RunCampaignContext stay a thin batch over Service: the same job list — a
+// valid point, its duplicate, an invalid spec, an unknown benchmark — driven
+// through RunCampaignContext and through Service.Prepare + RunJobContext one
+// job at a time yields the
 // same Source, Approximate and result bytes per job and the same
 // CampaignStats, once the invalid jobs the service never ran are counted the
 // way the campaign counts them. With a store, a second pass over it (disk
@@ -203,7 +201,7 @@ func TestCampaignIsABatchOverService(t *testing.T) {
 	}
 	sequential := &Tuning{CampaignWorkers: 1}
 	viaCampaign := func(store string) ([]row, CampaignStats) {
-		res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs, Tuning: sequential, Store: store})
+		res, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: sequential, Store: store}, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,20 +334,20 @@ func TestTypedEnumsValidate(t *testing.T) {
 }
 
 func TestSentinelErrorsSurfaceFromAPI(t *testing.T) {
-	if _, err := Simulate(MachineSpec{Cores: 1, Policy: "bogus"}, []string{"gcc"}, tinyOptions()); !errors.Is(err, ErrUnknownPolicy) {
-		t.Errorf("Simulate policy err: %v", err)
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1, Policy: "bogus"}, []string{"gcc"}, tinyOptions()); !errors.Is(err, ErrUnknownPolicy) {
+		t.Errorf("SimulateContext policy err: %v", err)
 	}
-	if _, err := Simulate(MachineSpec{Cores: 1, Bandwidth: "bogus"}, []string{"gcc"}, tinyOptions()); !errors.Is(err, ErrUnknownBandwidth) {
-		t.Errorf("Simulate bandwidth err: %v", err)
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1, Bandwidth: "bogus"}, []string{"gcc"}, tinyOptions()); !errors.Is(err, ErrUnknownBandwidth) {
+		t.Errorf("SimulateContext bandwidth err: %v", err)
 	}
-	if _, err := Simulate(MachineSpec{Cores: 1}, []string{"nope"}, tinyOptions()); !errors.Is(err, ErrUnknownBenchmark) {
-		t.Errorf("Simulate benchmark err: %v", err)
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1}, []string{"nope"}, tinyOptions()); !errors.Is(err, ErrUnknownBenchmark) {
+		t.Errorf("SimulateContext benchmark err: %v", err)
 	}
-	if _, err := SimulateParallel(MachineSpec{Cores: 2}, "nope", tinyOptions()); !errors.Is(err, ErrUnknownBenchmark) {
-		t.Errorf("SimulateParallel err: %v", err)
+	if _, err := SimulateParallelContext(context.Background(), MachineSpec{Cores: 2}, "nope", tinyOptions()); !errors.Is(err, ErrUnknownBenchmark) {
+		t.Errorf("SimulateParallelContext err: %v", err)
 	}
 	bad := Profile{Name: "x", BaseCPI: 1, MLP: 1, Regions: []Region{{SizeBytes: 1 << 20, Frac: 1, Pattern: "wat"}}}
-	if _, err := Simulate(MachineSpec{Cores: 1}, []string{"x"}, tinyOptions(), bad); !errors.Is(err, ErrUnknownPattern) {
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1}, []string{"x"}, tinyOptions(), bad); !errors.Is(err, ErrUnknownPattern) {
 		t.Errorf("custom pattern err: %v", err)
 	}
 }

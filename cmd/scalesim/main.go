@@ -198,10 +198,8 @@ func cmdSimulate(args []string) {
 
 	// One path with or without -store: a one-job campaign, whose engine
 	// hands the job the whole host. An empty Store is no store.
-	cres, err := scalesim.RunCampaign(scalesim.Campaign{
-		Jobs:  []scalesim.CampaignJob{{Machine: m, Benchmarks: wl, Options: opts}},
-		Store: *storeDir,
-	})
+	cres, err := scalesim.RunCampaignContext(context.Background(), scalesim.ServiceConfig{Store: *storeDir},
+		[]scalesim.CampaignJob{{Machine: m, Benchmarks: wl, Options: opts}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -376,17 +374,18 @@ func cmdSweep(args []string) {
 	for i := range wl {
 		wl[i] = *bench
 	}
-	campaign := scalesim.Campaign{Tuning: tuning(), Store: *storeDir, Surrogate: surrogate()}
+	var jobs []scalesim.CampaignJob
 	for _, p := range points {
-		campaign.Jobs = append(campaign.Jobs, scalesim.CampaignJob{
+		jobs = append(jobs, scalesim.CampaignJob{
 			Machine:    p.spec,
 			Benchmarks: wl,
 			Options:    options(*fast),
 		})
 	}
 	fmt.Printf("design-space sweep: %s on a %d-core scale model (%d design points)\n",
-		*bench, *cores, len(campaign.Jobs))
-	res, err := scalesim.RunCampaignContext(context.Background(), campaign)
+		*bench, *cores, len(jobs))
+	cfg := scalesim.ServiceConfig{Tuning: tuning(), Store: *storeDir, Surrogate: surrogate()}
+	res, err := scalesim.RunCampaignContext(context.Background(), cfg, jobs)
 	if err != nil {
 		log.Fatal(err)
 	}

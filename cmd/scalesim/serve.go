@@ -118,9 +118,15 @@ func cmdRequest(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(out.Outcomes) != 1 {
+		log.Fatalf("server answered one job with %d outcomes", len(out.Outcomes))
+	}
 	oc := out.Outcomes[0]
 	if oc.Error != "" {
 		log.Fatalf("job failed: %s", oc.Error)
+	}
+	if oc.Result == nil {
+		log.Fatalf("server answered the job with neither a result nor an error")
 	}
 	marker := ""
 	if oc.Approximate {

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -117,5 +120,27 @@ func TestRequestWithoutServerFails(t *testing.T) {
 	out, code := runCLI(t, "request", "-server", "http://127.0.0.1:1", "-bench", "mcf", "-fast")
 	if code == 0 {
 		t.Fatalf("request with no server exited 0:\n%s", out)
+	}
+}
+
+// TestRequestRefusesMalformedResponse: a 200 answer with no outcome, or
+// with an outcome that carries neither a result nor an error, fails the
+// client with a message naming what is missing instead of a panic.
+func TestRequestRefusesMalformedResponse(t *testing.T) {
+	for name, body := range map[string]string{
+		"no outcome":               `{"schema":"scalesim/api/v1","outcomes":[],"stats":{}}`,
+		"neither result nor error": `{"schema":"scalesim/api/v1","outcomes":[{"job":0}],"stats":{}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				io.WriteString(w, body)
+			}))
+			defer srv.Close()
+			out, code := runCLI(t, "request", "-server", srv.URL, "-bench", "mcf", "-fast")
+			if code != 1 || strings.Contains(out, "panic:") {
+				t.Fatalf("exit %d, want a clean refusal (exit 1):\n%s", code, out)
+			}
+		})
 	}
 }

@@ -87,15 +87,15 @@ func writeDeterminismPayload(t *testing.T, path string) {
 
 	// Campaign results (including a duplicate job exercising the memo
 	// cache) rendered with bit-exact float formatting.
-	campaign := Campaign{Tuning: &Tuning{CampaignWorkers: 2}}
+	var jobs []CampaignJob
 	for _, seed := range []uint64{1, 7, 1} {
 		o := opts
 		o.Seed = seed
-		campaign.Jobs = append(campaign.Jobs, CampaignJob{Machine: spec, Benchmarks: benches, Options: o})
+		jobs = append(jobs, CampaignJob{Machine: spec, Benchmarks: benches, Options: o})
 	}
-	res, err := RunCampaignContext(context.Background(), campaign)
+	res, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: 2}}, jobs)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("RunCampaignContext: %v", err)
 	}
 	for _, oc := range res.Outcomes {
 		if oc.Err != nil {
@@ -112,9 +112,9 @@ func writeDeterminismPayload(t *testing.T, path string) {
 	// The telemetry stream must serialise to identical bytes.
 	traced := opts
 	traced.Trace = true
-	tr, err := Simulate(spec, benches, traced)
+	tr, err := SimulateContext(context.Background(), spec, benches, traced)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("SimulateContext: %v", err)
 	}
 	if len(tr.Trace) == 0 {
 		t.Fatal("traced run produced no snapshots")

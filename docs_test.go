@@ -1,6 +1,7 @@
 package scalesim
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -13,10 +14,12 @@ import (
 
 // TestDocsCiteRealNames holds the prose docs to the code they cite: every
 // backticked test, fuzzer or benchmark name in DESIGN.md, README.md and
-// EXPERIMENTS.md is declared in some _test.go of the module, and every
-// DESIGN.md section a Go comment cites by its quoted title is the start of
-// a DESIGN.md heading. A renamed test or a retitled section fails here
-// instead of leaving a reader to search for what no longer exists.
+// EXPERIMENTS.md is declared in some _test.go of the module, every
+// scalesim.X they cite is an exported top-level declaration of this
+// package, and every DESIGN.md section a Go comment cites by its quoted
+// title is the start of a DESIGN.md heading. A renamed test, a deleted API
+// name or a retitled section fails here instead of leaving a reader to
+// search for what no longer exists.
 func TestDocsCiteRealNames(t *testing.T) {
 	declared := map[string]bool{}
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
@@ -59,7 +62,9 @@ func TestDocsCiteRealNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	api := exportedAPI(t, fset)
 	nameRE := regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_]\\w*)")
+	apiRE := regexp.MustCompile(`scalesim\.([A-Z]\w*)`)
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -68,6 +73,11 @@ func TestDocsCiteRealNames(t *testing.T) {
 		for _, m := range nameRE.FindAllSubmatch(src, -1) {
 			if !declared[string(m[1])] {
 				t.Errorf("%s cites %s, which no _test.go declares", doc, m[1])
+			}
+		}
+		for _, m := range apiRE.FindAllSubmatch(src, -1) {
+			if !api[string(m[1])] {
+				t.Errorf("%s cites scalesim.%s, which the package does not declare", doc, m[1])
 			}
 		}
 	}
@@ -91,4 +101,45 @@ func TestDocsCiteRealNames(t *testing.T) {
 			t.Errorf("%s cites DESIGN.md, %q, which no DESIGN.md heading starts with", c.file, c.section)
 		}
 	}
+}
+
+// exportedAPI returns the exported top-level names this package's non-test
+// files declare: functions, types, constants and variables.
+func exportedAPI(t *testing.T, fset *token.FileSet) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	add := func(id *ast.Ident) { names[id.Name] = id.IsExported() }
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name)
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							add(n)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }

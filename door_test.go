@@ -13,7 +13,7 @@ import (
 
 // What a refused input is part of, and so which entries take it: options
 // reach every entry, a machine every entry that takes one, a mix only the
-// entries that run one (SimulateParallel runs a thread per core).
+// entries that run one (SimulateParallelContext runs a thread per core).
 const (
 	ofOptions = iota
 	ofMachine
@@ -137,7 +137,7 @@ func TestDoorRefusesWhatCannotRun(t *testing.T) {
 		}},
 		{"Service.Prepare", ofMix, prepare},
 		{"RunCampaign", ofMix, func(ctx context.Context, j CampaignJob) error {
-			res, err := RunCampaignContext(ctx, Campaign{Jobs: []CampaignJob{j}})
+			res, err := RunCampaignContext(ctx, ServiceConfig{}, []CampaignJob{j})
 			if err != nil {
 				return err
 			}

@@ -16,20 +16,21 @@ import (
 
 // durabilityCampaign is the shared workload of the durability tests: three
 // jobs over two benchmarks, the third a duplicate of the first so both
-// memoization tiers are exercised in one batch.
-func durabilityCampaign(storeDir string) Campaign {
+// memoization tiers are exercised in one batch, and the engine that runs
+// them against storeDir.
+func durabilityCampaign(storeDir string) (ServiceConfig, []CampaignJob) {
 	spec := MachineSpec{Cores: 2, Bandwidth: BandwidthMCFirst}
 	opts := FastOptions()
 	opts.Instructions = 60_000
 	opts.Warmup = 20_000
 	benches := BenchmarkNames()[:2]
-	c := Campaign{Tuning: &Tuning{CampaignWorkers: 2}, Store: storeDir}
+	var jobs []CampaignJob
 	for _, seed := range []uint64{1, 7, 1} {
 		o := opts
 		o.Seed = seed
-		c.Jobs = append(c.Jobs, CampaignJob{Machine: spec, Benchmarks: benches, Options: o})
+		jobs = append(jobs, CampaignJob{Machine: spec, Benchmarks: benches, Options: o})
 	}
-	return c
+	return ServiceConfig{Tuning: &Tuning{CampaignWorkers: 2}, Store: storeDir}, jobs
 }
 
 // renderOutcomes flattens every per-core metric of every outcome with
@@ -78,17 +79,17 @@ func artifactFiles(t *testing.T, storeDir string) []string {
 func TestStoreBitTransparency(t *testing.T) {
 	ctx := context.Background()
 
-	storeless := durabilityCampaign("")
-	baseRes, err := RunCampaignContext(ctx, storeless)
+	cfg, jobs := durabilityCampaign("")
+	baseRes, err := RunCampaignContext(ctx, cfg, jobs)
 	if err != nil {
 		t.Fatalf("store-less campaign: %v", err)
 	}
 	baseline := renderOutcomes(t, baseRes)
 
 	storeDir := filepath.Join(t.TempDir(), "store")
-	campaign := durabilityCampaign(storeDir)
+	cfg.Store = storeDir
 
-	first, err := RunCampaignContext(ctx, campaign)
+	first, err := RunCampaignContext(ctx, cfg, jobs)
 	if err != nil {
 		t.Fatalf("first stored campaign: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestStoreBitTransparency(t *testing.T) {
 		t.Errorf("first run job 2 source = %q, want memory or coalesced", src)
 	}
 
-	second, err := RunCampaignContext(ctx, campaign)
+	second, err := RunCampaignContext(ctx, cfg, jobs)
 	if err != nil {
 		t.Fatalf("second stored campaign: %v", err)
 	}
@@ -147,9 +148,9 @@ func TestStoreBitTransparency(t *testing.T) {
 func TestStoreCorruptionRecovery(t *testing.T) {
 	ctx := context.Background()
 	storeDir := filepath.Join(t.TempDir(), "store")
-	campaign := durabilityCampaign(storeDir)
+	cfg, jobs := durabilityCampaign(storeDir)
 
-	first, err := RunCampaignContext(ctx, campaign)
+	first, err := RunCampaignContext(ctx, cfg, jobs)
 	if err != nil {
 		t.Fatalf("populating campaign: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestStoreCorruptionRecovery(t *testing.T) {
 		t.Fatalf("truncate artifact: %v", err)
 	}
 
-	second, err := RunCampaignContext(ctx, campaign)
+	second, err := RunCampaignContext(ctx, cfg, jobs)
 	if err != nil {
 		t.Fatalf("campaign against corrupt store: %v", err)
 	}
@@ -194,7 +195,7 @@ func TestStoreCorruptionRecovery(t *testing.T) {
 		t.Errorf("healed store check = %+v, want 2 clean artifacts and 1 quarantined file", info)
 	}
 
-	third, err := RunCampaignContext(ctx, campaign)
+	third, err := RunCampaignContext(ctx, cfg, jobs)
 	if err != nil {
 		t.Fatalf("campaign against healed store: %v", err)
 	}
@@ -253,7 +254,8 @@ func TestCrossProcessStoreReuse(t *testing.T) {
 // asserts the expected memoization behavior (fresh store computes; reused
 // store disk-hits everything), and streams the bit-exact metrics to path.
 func writeStorePayload(t *testing.T, path, storeDir, expect string) {
-	res, err := RunCampaignContext(context.Background(), durabilityCampaign(storeDir))
+	cfg, jobs := durabilityCampaign(storeDir)
+	res, err := RunCampaignContext(context.Background(), cfg, jobs)
 	if err != nil {
 		t.Fatalf("RunCampaignContext: %v", err)
 	}
@@ -299,7 +301,7 @@ func TestStoreAndSurrogateHandlesAreReleased(t *testing.T) {
 	before := openFDs(t)
 	var closed []*Service
 	for i := 0; i < 50; i++ {
-		if _, err := RunCampaign(Campaign{Store: dir, Surrogate: &SurrogateConfig{}}); err != nil {
+		if _, err := RunCampaignContext(context.Background(), ServiceConfig{Store: dir, Surrogate: &SurrogateConfig{}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		svc, err := NewService(ServiceConfig{Store: dir, Surrogate: &SurrogateConfig{}})

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -22,6 +23,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	// A hypothetical in-memory analytics kernel: mostly hot hash tables,
 	// plus a scan phase streaming a 96 MB column and a pointer-heavy index
@@ -54,7 +56,7 @@ func main() {
 		for i := range wl {
 			wl[i] = kernel.Name
 		}
-		res, err := scalesim.Simulate(scalesim.MachineSpec{Cores: cores}, wl, opts, kernel)
+		res, err := scalesim.SimulateContext(ctx, scalesim.MachineSpec{Cores: cores}, wl, opts, kernel)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,7 +81,7 @@ func main() {
 	for i := range wl {
 		wl[i] = kernel.Name
 	}
-	tgt, err := scalesim.Simulate(scalesim.MachineSpec{Cores: 32, Policy: scalesim.PolicyTarget}, wl, opts, kernel)
+	tgt, err := scalesim.SimulateContext(ctx, scalesim.MachineSpec{Cores: 32, Policy: scalesim.PolicyTarget}, wl, opts, kernel)
 	if err != nil {
 		log.Fatal(err)
 	}

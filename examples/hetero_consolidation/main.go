@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -35,11 +36,12 @@ var mixes = []struct {
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	opts := scalesim.FastOptions()
 
 	// Baseline: the victim alone on the 1-core scale model (its fair share
 	// of the target's resources, no interference beyond its own).
-	alone, err := scalesim.Simulate(scalesim.MachineSpec{Cores: 1}, []string{victim}, opts)
+	alone, err := scalesim.SimulateContext(ctx, scalesim.MachineSpec{Cores: 1}, []string{victim}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	for _, m := range mixes {
 		// Scale model: victim + 3 co-runners on a 4-core PRS model.
 		smWl := []string{victim, m.coRunner, m.coRunner, m.coRunner}
-		sm, err := scalesim.Simulate(scalesim.MachineSpec{Cores: 4}, smWl, opts)
+		sm, err := scalesim.SimulateContext(ctx, scalesim.MachineSpec{Cores: 4}, smWl, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +65,7 @@ func main() {
 		for i := 0; i < 24; i++ {
 			tgtWl = append(tgtWl, m.coRunner)
 		}
-		tgt, err := scalesim.Simulate(scalesim.MachineSpec{Cores: 32, Policy: scalesim.PolicyTarget}, tgtWl, opts)
+		tgt, err := scalesim.SimulateContext(ctx, scalesim.MachineSpec{Cores: 32, Policy: scalesim.PolicyTarget}, tgtWl, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

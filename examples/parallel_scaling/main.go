@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -23,6 +24,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	opts := scalesim.FastOptions()
 
 	for _, workload := range scalesim.ParallelBenchmarkNames() {
@@ -30,7 +32,7 @@ func main() {
 		var lnCores, tputs []float64
 		for _, cores := range []int{1, 2, 4, 8, 16} {
 			spec := scalesim.MachineSpec{Cores: cores}
-			res, err := scalesim.SimulateParallel(spec, workload, opts)
+			res, err := scalesim.SimulateParallelContext(ctx, spec, workload, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -46,7 +48,7 @@ func main() {
 		a, b := leastSquares(lnCores, tputs)
 		pred := float64(32 * (float64(a*math.Log(32)) + b))
 
-		tgt, err := scalesim.SimulateParallel(
+		tgt, err := scalesim.SimulateParallelContext(ctx,
 			scalesim.MachineSpec{Cores: 32, Policy: scalesim.PolicyTarget}, workload, opts)
 		if err != nil {
 			log.Fatal(err)

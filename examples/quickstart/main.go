@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -20,6 +21,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	// 1. How the scale models are built (the paper's Table I): shrinking
 	// core count together with every shared resource.
@@ -30,7 +32,7 @@ func main() {
 	// per-core share of the 32-core target.
 	opts := scalesim.FastOptions()
 	const bench = "mcf"
-	res, err := scalesim.Simulate(scalesim.MachineSpec{Cores: 1, Policy: scalesim.PolicyPRS},
+	res, err := scalesim.SimulateContext(ctx, scalesim.MachineSpec{Cores: 1, Policy: scalesim.PolicyPRS},
 		[]string{bench}, opts)
 	if err != nil {
 		log.Fatal(err)

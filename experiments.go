@@ -87,9 +87,6 @@ func newExperiments(opts SimOptions, suite []*trace.Profile) (*Experiments, erro
 // Runs reports how many distinct simulations have been executed so far.
 func (e *Experiments) Runs() int { return e.svc.Stats().UniqueRuns }
 
-// CacheHits reports how many simulations were served from the memo cache.
-func (e *Experiments) CacheHits() int { return e.svc.Stats().CacheHits }
-
 // DiskHits reports how many simulations were served from the durable store.
 func (e *Experiments) DiskHits() int { return e.svc.Stats().DiskHits }
 

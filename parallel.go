@@ -88,16 +88,11 @@ func ParallelBenchmarkNames() []string {
 	return names
 }
 
-// SimulateParallel runs the named data-parallel workload with one thread
-// per core of the machine (strong scaling: opts.Instructions is the total
-// work, split across threads).
-func SimulateParallel(spec MachineSpec, workload string, opts SimOptions) (*ParallelResult, error) {
-	return SimulateParallelContext(context.Background(), spec, workload, opts)
-}
-
-// SimulateParallelContext is SimulateParallel bounded by ctx: cancellation
-// or deadline expiry propagates into the simulator's epoch loop, aborting
-// the run within one epoch and returning ctx.Err().
+// SimulateParallelContext runs the named data-parallel workload with one
+// thread per core of the machine (strong scaling: opts.Instructions is the
+// total work, split across threads). Cancellation or deadline expiry of ctx
+// propagates into the simulator's epoch loop, aborting the run within one
+// epoch and returning ctx.Err().
 func SimulateParallelContext(ctx context.Context, spec MachineSpec, workload string, opts SimOptions) (*ParallelResult, error) {
 	pp := trace.ParallelByName(workload)
 	if pp == nil {

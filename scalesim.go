@@ -18,9 +18,9 @@
 //     Resource Scaling, with MC-first/MB-first DRAM scaling),
 //   - ML extrapolation (CART decision tree, random forest, RBF-kernel SVR)
 //     and least-squares performance/core-count regression,
-//   - a concurrent campaign engine (Campaign / RunCampaign) that executes
-//     batches of design points on a worker pool with content-addressed
-//     memoization,
+//   - a concurrent campaign engine (RunCampaignContext, Service) that
+//     executes batches of design points on a worker pool with
+//     content-addressed memoization,
 //   - experiment drivers regenerating every table and figure in the paper.
 //
 // # Quick start
@@ -29,11 +29,10 @@
 //	pred, _ := ex.PredictTargetIPC("mcf")        // from a 1-core scale model
 //	fmt.Printf("predicted 32-core IPC: %.3f\n", pred)
 //
-// The context-aware entry points (SimulateContext, SimulateParallelContext,
-// RunCampaignContext) are the preferred API: they honour cancellation and
-// deadlines down to the simulator's epoch loop. The context-free wrappers
-// remain for convenience; each delegates to its *Context counterpart (a
-// pairing pinned by test).
+// The simulation entry points (SimulateContext, SimulateParallelContext,
+// RunCampaignContext) take a context and honour its cancellation and
+// deadline down to the simulator's epoch loop; a program with nothing to
+// cancel passes context.Background().
 //
 // See the examples/ directory for complete programs and DESIGN.md for the
 // architecture and the paper-to-module map.
@@ -455,16 +454,11 @@ func (r *SimResult) AverageIPC() float64 {
 	return sum / float64(len(r.Cores))
 }
 
-// Simulate runs the named benchmarks (one per core; repeat a name for
+// SimulateContext runs the named benchmarks (one per core; repeat a name for
 // multiple copies) on the machine described by spec. Custom profiles can be
-// passed via extra; they take precedence over suite names.
-func Simulate(spec MachineSpec, benchmarks []string, opts SimOptions, extra ...Profile) (*SimResult, error) {
-	return SimulateContext(context.Background(), spec, benchmarks, opts, extra...)
-}
-
-// SimulateContext is Simulate bounded by ctx: cancellation or deadline
-// expiry propagates into the simulator's epoch loop, aborting the run
-// within one epoch and returning ctx.Err().
+// passed via extra; they take precedence over suite names. Cancellation or
+// deadline expiry of ctx propagates into the simulator's epoch loop,
+// aborting the run within one epoch and returning ctx.Err().
 func SimulateContext(ctx context.Context, spec MachineSpec, benchmarks []string, opts SimOptions, extra ...Profile) (*SimResult, error) {
 	j, err := CampaignJob{Machine: spec, Benchmarks: benchmarks, Options: opts, Extra: extra}.job()
 	if err != nil {

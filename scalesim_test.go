@@ -1,6 +1,7 @@
 package scalesim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -109,7 +110,7 @@ func TestSuiteAccessors(t *testing.T) {
 }
 
 func TestSimulatePublicAPI(t *testing.T) {
-	res, err := Simulate(MachineSpec{Cores: 1, Policy: PolicyPRS}, []string{"gcc"}, tinyOptions())
+	res, err := SimulateContext(context.Background(), MachineSpec{Cores: 1, Policy: PolicyPRS}, []string{"gcc"}, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +123,13 @@ func TestSimulatePublicAPI(t *testing.T) {
 	if res.WallClockSec <= 0 {
 		t.Fatal("missing wall clock")
 	}
-	if _, err := Simulate(MachineSpec{Cores: 1}, []string{"nope"}, tinyOptions()); err == nil {
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1}, []string{"nope"}, tinyOptions()); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := Simulate(MachineSpec{Cores: 3}, []string{"gcc", "gcc", "gcc"}, tinyOptions()); err == nil {
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 3}, []string{"gcc", "gcc", "gcc"}, tinyOptions()); err == nil {
 		t.Fatal("invalid core count accepted")
 	}
-	if _, err := Simulate(MachineSpec{Cores: 1, Policy: "bogus"}, []string{"gcc"}, tinyOptions()); err == nil {
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1, Policy: "bogus"}, []string{"gcc"}, tinyOptions()); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
 }
@@ -143,7 +144,7 @@ func TestSimulateCustomProfile(t *testing.T) {
 			{SizeBytes: 64 << 20, Frac: 0.2, Pattern: PatternSeq, ElemSize: 8},
 		},
 	}
-	res, err := Simulate(MachineSpec{Cores: 2}, []string{"mystream", "gcc"}, tinyOptions(), custom)
+	res, err := SimulateContext(context.Background(), MachineSpec{Cores: 2}, []string{"mystream", "gcc"}, tinyOptions(), custom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +153,18 @@ func TestSimulateCustomProfile(t *testing.T) {
 	}
 	// Invalid custom profile must be rejected.
 	custom.Regions[0].Pattern = "wat"
-	if _, err := Simulate(MachineSpec{Cores: 1}, []string{"mystream"}, tinyOptions(), custom); err == nil {
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1}, []string{"mystream"}, tinyOptions(), custom); err == nil {
 		t.Fatal("invalid pattern accepted")
 	}
 }
 
 func TestMachineSpecVariants(t *testing.T) {
 	for _, pol := range []Policy{PolicyNRS, PolicyPRS, PolicyPRSLLC, PolicyPRSDRAM} {
-		if _, err := Simulate(MachineSpec{Cores: 1, Policy: pol}, []string{"exchange2"}, tinyOptions()); err != nil {
+		if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1, Policy: pol}, []string{"exchange2"}, tinyOptions()); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 	}
-	if _, err := Simulate(MachineSpec{Cores: 2, Bandwidth: BandwidthMBFirst}, []string{"lbm", "lbm"}, tinyOptions()); err != nil {
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 2, Bandwidth: BandwidthMBFirst}, []string{"lbm", "lbm"}, tinyOptions()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -382,7 +383,7 @@ func TestSimulateParallelPublicAPI(t *testing.T) {
 	if len(names) < 4 {
 		t.Fatalf("parallel suite %v", names)
 	}
-	res, err := SimulateParallel(MachineSpec{Cores: 2}, "par.stencil", tinyOptions())
+	res, err := SimulateParallelContext(context.Background(), MachineSpec{Cores: 2}, "par.stencil", tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,13 +394,13 @@ func TestSimulateParallelPublicAPI(t *testing.T) {
 	if sum < 0.9 || sum > 1.1 {
 		t.Fatalf("stack sums to %.3f: %s", sum, res.Stack)
 	}
-	if _, err := SimulateParallel(MachineSpec{Cores: 2}, "nope", tinyOptions()); err == nil {
+	if _, err := SimulateParallelContext(context.Background(), MachineSpec{Cores: 2}, "nope", tinyOptions()); err == nil {
 		t.Fatal("unknown parallel workload accepted")
 	}
 	// Tracing records the epochs and changes nothing else.
 	traced := tinyOptions()
 	traced.Trace, traced.TraceWarmup = true, true
-	got, err := SimulateParallel(MachineSpec{Cores: 2}, "par.stencil", traced)
+	got, err := SimulateParallelContext(context.Background(), MachineSpec{Cores: 2}, "par.stencil", traced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,9 +464,10 @@ func TestExtMultithreadedOnTinyBudget(t *testing.T) {
 				t.Fatalf("process %d, regeneration %d: figure differs:\n%s\nvs\n%s", process, rep, again, res)
 			}
 		}
-		if stored.Runs() != want.runs || stored.DiskHits() != want.disk || stored.CacheHits() != 24 {
+		memory := stored.svc.Stats().CacheHits
+		if stored.Runs() != want.runs || stored.DiskHits() != want.disk || memory != 24 {
 			t.Fatalf("process %d: %d simulated, %d from disk, %d from memory; want %d, %d, 24",
-				process, stored.Runs(), stored.DiskHits(), stored.CacheHits(), want.runs, want.disk)
+				process, stored.Runs(), stored.DiskHits(), memory, want.runs, want.disk)
 		}
 		if err := stored.Close(); err != nil {
 			t.Fatal(err)
@@ -507,11 +509,11 @@ func TestPrefetchStudyOnSubset(t *testing.T) {
 }
 
 func TestCustomMachineSpec(t *testing.T) {
-	res, err := Simulate(MachineSpec{Cores: 1, LLCPerCoreKB: 2048}, []string{"xalancbmk"}, tinyOptions())
+	res, err := SimulateContext(context.Background(), MachineSpec{Cores: 1, LLCPerCoreKB: 2048}, []string{"xalancbmk"}, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Simulate(MachineSpec{Cores: 1}, []string{"xalancbmk"}, tinyOptions())
+	base, err := SimulateContext(context.Background(), MachineSpec{Cores: 1}, []string{"xalancbmk"}, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +521,7 @@ func TestCustomMachineSpec(t *testing.T) {
 	if res.Cores[0].IPC <= base.Cores[0].IPC {
 		t.Errorf("2 MB LLC IPC %.3f not above 1 MB IPC %.3f", res.Cores[0].IPC, base.Cores[0].IPC)
 	}
-	if _, err := Simulate(MachineSpec{Cores: 1, LLCPerCoreKB: 3000}, []string{"gcc"}, tinyOptions()); err == nil {
+	if _, err := SimulateContext(context.Background(), MachineSpec{Cores: 1, LLCPerCoreKB: 3000}, []string{"gcc"}, tinyOptions()); err == nil {
 		t.Error("invalid custom LLC accepted")
 	}
 }

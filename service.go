@@ -9,7 +9,8 @@ import (
 	"scalesim/internal/surrogate"
 )
 
-// ServiceConfig configures a long-lived Service.
+// ServiceConfig configures the campaign engine: a long-lived Service or one
+// batch (RunCampaignContext).
 type ServiceConfig struct {
 	// Tuning consolidates the service's performance knobs: job-level
 	// workers (CampaignWorkers sizes the engine's pool for batch use;

@@ -43,11 +43,10 @@ func looseSurrogate(minTrain int) *SurrogateConfig {
 // outcomes and stats.
 func TestSurrogateCampaignEndToEnd(t *testing.T) {
 	jobs, base := surrogateSweep()
-	res, err := RunCampaignContext(context.Background(), Campaign{
-		Jobs:      jobs,
+	res, err := RunCampaignContext(context.Background(), ServiceConfig{
 		Tuning:    &Tuning{CampaignWorkers: 1}, // sequential: the base grid trains before the midpoints query
 		Surrogate: looseSurrogate(base),
-	})
+	}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestSurrogateCampaignEndToEnd(t *testing.T) {
 // of the tier — every point computes, nothing is approximate.
 func TestSurrogateOffByDefault(t *testing.T) {
 	jobs, _ := surrogateSweep()
-	res, err := RunCampaignContext(context.Background(), Campaign{Jobs: jobs[:3], Tuning: &Tuning{CampaignWorkers: 1}})
+	res, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: &Tuning{CampaignWorkers: 1}}, jobs[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +103,11 @@ func TestSurrogateModelResultsNeverPersist(t *testing.T) {
 	jobs, base := surrogateSweep()
 	storeDir := filepath.Join(t.TempDir(), "store")
 
-	first, err := RunCampaignContext(context.Background(), Campaign{
-		Jobs:      jobs,
+	first, err := RunCampaignContext(context.Background(), ServiceConfig{
 		Tuning:    &Tuning{CampaignWorkers: 1},
 		Store:     storeDir,
 		Surrogate: looseSurrogate(base),
-	})
+	}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +117,10 @@ func TestSurrogateModelResultsNeverPersist(t *testing.T) {
 
 	// Same store, surrogate off: the base grid is ground truth on disk, the
 	// midpoints were only ever approximated and must compute now.
-	second, err := RunCampaignContext(context.Background(), Campaign{
-		Jobs:   jobs,
+	second, err := RunCampaignContext(context.Background(), ServiceConfig{
 		Tuning: &Tuning{CampaignWorkers: 1},
 		Store:  storeDir,
-	})
+	}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package scalesim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,7 +16,7 @@ func tracedRun(t *testing.T, warmup bool) *SimResult {
 	opts := tinyOptions()
 	opts.Trace = true
 	opts.TraceWarmup = warmup
-	res, err := Simulate(MachineSpec{Cores: 2}, []string{"mcf", "gcc"}, opts)
+	res, err := SimulateContext(context.Background(), MachineSpec{Cores: 2}, []string{"mcf", "gcc"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestSimulateTrace(t *testing.T) {
 		t.Fatalf("core 1 benchmark %q, want gcc", b)
 	}
 	// Untraced runs carry no trace.
-	plain, err := Simulate(MachineSpec{Cores: 2}, []string{"mcf", "gcc"}, tinyOptions())
+	plain, err := SimulateContext(context.Background(), MachineSpec{Cores: 2}, []string{"mcf", "gcc"}, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

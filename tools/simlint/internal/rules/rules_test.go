@@ -85,11 +85,11 @@ func TestAnalyzerFindings(t *testing.T) {
 			"leak/leak.go:38", // Opaque: unresolvable goroutine body
 		},
 		"ctxflow": {
+			"cf/cf.go:14", // Run: a context-free wrapper mints a root too
 			"cf/cf.go:18", // Fresh: Background despite a ctx parameter
 			"cf/cf.go:23", // Derived: WithCancel does not launder a root
 			"cf/cf.go:37", // Spawn: goroutine drops the caller's context
-			"cf/cf.go:50", // Drift: a re-implementing wrapper loses the exemption
-			"cf/cf.go:62", // NewHolder: root context parked in a struct field
+			"cf/cf.go:50", // NewHolder: root context parked in a struct field
 		},
 		"lockscope": {
 			"lk/lk.go:23",  // HeldAcrossSend: channel send under the mutex

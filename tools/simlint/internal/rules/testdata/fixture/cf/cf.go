@@ -1,5 +1,5 @@
-// Package cf exercises the ctxflow rule: outside package main a root context
-// may be minted only by a single-statement X → XContext wrapper.
+// Package cf exercises the ctxflow rule: outside package main no function
+// may mint a root context.
 package cf
 
 import "context"
@@ -10,7 +10,7 @@ func RunContext(ctx context.Context, n int) int {
 	return n
 }
 
-// Run is the sanctioned X/XContext convenience wrapper: exempt.
+// Run is a context-free X → XContext convenience wrapper: flagged.
 func Run(n int) int { return RunContext(context.Background(), n) }
 
 // Fresh ignores its own context parameter: flagged.
@@ -38,18 +38,6 @@ func Spawn(ctx context.Context, n int) {
 		close(done)
 	}()
 	<-done
-}
-
-// DriftContext has a wrapper that does not delegate.
-func DriftContext(ctx context.Context, n int) int { return n }
-
-// Drift re-implements instead of delegating in one statement, so it loses
-// the wrapper exemption: flagged.
-func Drift(n int) int {
-	if n > 0 {
-		return DriftContext(context.Background(), n)
-	}
-	return 0
 }
 
 // Holder launders a root context through a struct field: the constructor

@@ -17,8 +17,8 @@ var ErrBadTuning = errors.New("invalid tuning")
 // stored result.
 //
 // The zero value (and a nil *Tuning) means "auto" everywhere. Tuning is
-// accepted by SimOptions, Campaign, and ServiceConfig, and is settable from
-// the CLIs via -core-workers / -campaign-workers.
+// accepted by SimOptions and ServiceConfig, and is settable from the CLIs
+// via -core-workers / -campaign-workers.
 type Tuning struct {
 	// CoreWorkers bounds the worker pool that executes per-core epoch work
 	// in parallel inside one simulation. 0 = auto: a standalone simulation

@@ -41,25 +41,25 @@ func TestBadTuningSurfaces(t *testing.T) {
 	opts := FastOptions()
 	opts.Tuning = bad
 
-	if _, err := Simulate(spec, []string{"mcf"}, opts); !errors.Is(err, ErrBadTuning) {
-		t.Errorf("Simulate with bad tuning = %v, want ErrBadTuning", err)
+	if _, err := SimulateContext(context.Background(), spec, []string{"mcf"}, opts); !errors.Is(err, ErrBadTuning) {
+		t.Errorf("SimulateContext with bad tuning = %v, want ErrBadTuning", err)
 	}
-	if _, err := SimulateParallel(spec, "par.stream", opts); !errors.Is(err, ErrBadTuning) {
-		t.Errorf("SimulateParallel with bad tuning = %v, want ErrBadTuning", err)
+	if _, err := SimulateParallelContext(context.Background(), spec, "par.stream", opts); !errors.Is(err, ErrBadTuning) {
+		t.Errorf("SimulateParallelContext with bad tuning = %v, want ErrBadTuning", err)
 	}
-	if _, err := RunCampaign(Campaign{Tuning: bad}); !errors.Is(err, ErrBadTuning) {
-		t.Errorf("RunCampaign with bad campaign tuning = %v, want ErrBadTuning", err)
+	if _, err := RunCampaignContext(context.Background(), ServiceConfig{Tuning: bad}, nil); !errors.Is(err, ErrBadTuning) {
+		t.Errorf("RunCampaignContext with bad campaign tuning = %v, want ErrBadTuning", err)
 	}
 	if _, err := NewService(ServiceConfig{Tuning: bad}); !errors.Is(err, ErrBadTuning) {
 		t.Errorf("NewService with bad tuning = %v, want ErrBadTuning", err)
 	}
 	// A bad per-job tuning fails in that job's outcome without sinking the
 	// batch.
-	res, err := RunCampaign(Campaign{Jobs: []CampaignJob{
+	res, err := RunCampaignContext(context.Background(), ServiceConfig{}, []CampaignJob{
 		{Machine: spec, Benchmarks: []string{"mcf"}, Options: opts},
-	}})
+	})
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("RunCampaignContext: %v", err)
 	}
 	if got := res.Outcomes[0].Err; !errors.Is(got, ErrBadTuning) {
 		t.Errorf("job outcome = %v, want ErrBadTuning", got)
@@ -89,7 +89,8 @@ func TestTuningIsKeyless(t *testing.T) {
 // second hash — is the key of the very job the engine runs, for every
 // fixture job, with and without per-job and service-level tuning.
 func TestPreparedKeyIsJobKey(t *testing.T) {
-	jobs := append(campaignJobs(), durabilityCampaign("").Jobs...)
+	_, durable := durabilityCampaign("")
+	jobs := append(campaignJobs(), durable...)
 	jobs = append(jobs, CampaignJob{
 		Machine:    MachineSpec{Cores: 2, DRAMPerCoreGBps: 2.5},
 		Benchmarks: []string{"mcf", "lbm"},
@@ -245,7 +246,7 @@ func simPayload(t *testing.T, spec MachineSpec, benches []string, opts SimOption
 	t.Helper()
 	res, err := SimulateContext(context.Background(), spec, benches, opts)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("SimulateContext: %v", err)
 	}
 	var buf bytes.Buffer
 	hex := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
