@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	experiments [-fast] [-figs 3,4,7] [-workers N] [-stats] [-store DIR]
+//	experiments [-fast] [-figs 3,4,7] [-workers N] [-stats] [-store DIR] [-seeds]
 //
 // After the figures it prints one "verdict:" line per claim of
 // scalesim.Verdicts whose figures all ran: "holds", or "fails:" and the row
-// that breaks it.
+// that breaks it; -seeds adds on which of seeds 1–5 each claim holds
+// (scalesim's Experiments.SeedVerdicts; one -store serves all five seeds).
 //
 // -fast runs at reduced simulation fidelity, about 5x cheaper, and loses two
 // of the full run's verdicts on some seeds: Fig. 5's "SVM is best in each
@@ -37,6 +38,7 @@ func main() {
 	workers := flag.Int("workers", 1, "campaign worker-pool size: bounds batch collections and leave-one-out evaluation fan-out (0 = GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print the campaign execution report (per-configuration simulation time) at the end")
 	storeDir := flag.String("store", "", "durable result store directory: makes figure regeneration incremental across invocations")
+	seeds := flag.Bool("seeds", false, "after the verdict lines, judge every claim on seeds 1–5 and print on which seeds it holds")
 	flag.Parse()
 
 	opts := scalesim.DefaultOptions()
@@ -85,6 +87,13 @@ func main() {
 	for _, v := range scalesim.Verdicts(tables) {
 		verdict := map[bool]string{true: "holds", false: "fails:"}[v.Holds]
 		fmt.Println(strings.TrimSpace(fmt.Sprintf("verdict: %s — %s %s", v.Claim, verdict, v.Detail)))
+	}
+	if *seeds {
+		t, err := ex.SeedVerdicts()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\n%s\n", t)
 	}
 	fmt.Printf("total: %.1fs wall-clock, %d distinct simulations", time.Since(start).Seconds(), ex.Runs())
 	if *storeDir != "" {

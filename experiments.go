@@ -80,7 +80,6 @@ func newExperiments(opts SimOptions, suite []*trace.Profile) (*Experiments, erro
 		suite:      suite,
 		scaleCores: []int{2, 4, 8, 16},
 		heteroOpts: heteroOpts,
-		homog:      map[scalemodel.Metric]*scalemodel.HomogeneousData{},
 	}, nil
 }
 
@@ -122,7 +121,7 @@ func (e *Experiments) homogData(m scalemodel.Metric) (*scalemodel.HomogeneousDat
 	if err != nil {
 		return nil, err
 	}
-	e.homog[scalemodel.MetricIPC], e.homog[scalemodel.MetricBW] = ds[0], ds[1]
+	e.homog = map[scalemodel.Metric]*scalemodel.HomogeneousData{scalemodel.MetricIPC: ds[0], scalemodel.MetricBW: ds[1]}
 	return e.homog[m], nil
 }
 

@@ -1,6 +1,7 @@
 package scalemodel
 
 import (
+	"maps"
 	"sync"
 	"testing"
 
@@ -187,6 +188,42 @@ func TestFoldModelsTrainedOnce(t *testing.T) {
 		trained := data[MetricIPC].models.trained.Load() + data[MetricBW].models.trained.Load()
 		if trained != int64(len(distinct)) {
 			t.Fatalf("round %d: %d trainings for %d distinct fold models", round, trained, len(distinct))
+		}
+	}
+}
+
+// TestHeldOutLabelsNeverReachTheirPrediction: a benchmark's own target and
+// scale-model labels never reach its leave-one-out prediction. For each
+// benchmark in turn, a copy of the data set whose labels for that benchmark
+// alone are scaled by arbitrary positive factors evaluates every figure's
+// lineup (so every fold model is trained, the benchmark's own folds
+// included); its prediction for the benchmark must then equal the original's
+// bit for bit, under every spec of Figs. 4, 9, 10 and 11.
+func TestHeldOutLabelsNeverReachTheirPrediction(t *testing.T) {
+	d := collectFigureData(t, 1)[MetricIPC]
+	var specs []MethodSpec
+	for _, fig := range figures()[:4] {
+		specs = append(specs, fig.specs...)
+	}
+	for bi, b := range d.Benchmarks {
+		moved := &HomogeneousData{TargetCores: d.TargetCores, Metric: d.Metric, Benchmarks: d.Benchmarks,
+			Meas: d.Meas, Feat: d.Feat, Target: maps.Clone(d.Target), Scale: map[int]map[string]float64{}}
+		moved.Target[b] *= 1.7 + 0.3*float64(bi)
+		for X, labels := range d.Scale {
+			moved.Scale[X] = maps.Clone(labels)
+			moved.Scale[X][b] *= 0.4 + 0.1*float64(X)
+		}
+		if _, err := moved.EvaluateLOO(specs...); err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range specs {
+			want, _, err := d.PredictOne(b, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, err := moved.PredictOne(b, spec); err != nil || got != want {
+				t.Errorf("%s, %s (%s, %v): %v (err %v) with its own labels moved, %v without", b, spec.Name(), spec.Inputs, spec.ScaleModels, got, err, want)
+			}
 		}
 	}
 }

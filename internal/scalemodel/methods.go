@@ -35,10 +35,10 @@ type Predictor struct {
 // baseline returns the no-extrapolation reading the ratio is taken
 // against: IPC^ss for performance, BW^ss for bandwidth. The bare ratio is
 // the right transform for bandwidth too — every workload has some DRAM
-// traffic, and both floor and offset variants distort the low-bandwidth end
-// where the error metric is most sensitive (validated by the full-fidelity
-// sweep in TestFig12Tune). The guard only prevents division by an exact
-// zero.
+// traffic, and floor and offset variants distort the low end, where the error
+// is most sensitive: at full fidelity SVR/DT/RF err 5.3/5.1/5.5% (max
+// 19.7/15.4/14.4%), and 7.2/5.6/5.8% (max 35.9/24.2/21.2%) at the best offset,
+// BW^t/(BW^ss+0.005). The guard only prevents division by an exact zero.
 func baseline(m Metric, f Features) float64 {
 	if m == MetricBW {
 		if f.BW < 1e-6 {

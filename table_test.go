@@ -28,11 +28,9 @@ var hostTimed = map[string]bool{"speedup": true, "total": true, "per benchmark":
 // testdata/figures.golden. Every table also round-trips through its JSON
 // form. Regenerate the golden deliberately with SCALESIM_UPDATE_GOLDEN=1.
 //
-// It also judges the verdict table (verdicts.go) on seeds 1–5, regenerating
-// for the seeds other than the golden's only the figures a claim reads, and
-// pins on how many seeds each claim holds, so a change that moves any count
-// fails naming the claim. A claim that reads a host-timed column is not
-// pinned.
+// It also pins, from SeedVerdicts, on how many of seeds 1–5 each claim of the
+// verdict table (verdicts.go) holds, so a change that moves any count fails
+// naming the claim. A claim that reads a host-timed column is not pinned.
 func TestFigureTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure on the tiny subset")
@@ -55,65 +53,51 @@ func TestFigureTablesGolden(t *testing.T) {
 		"Ablations: without bandwidth feedback the NRS error is < 0.8× the full model's":                   5,
 		"Ablations: with a partitioned LLC the PRS error is < 0.8× the full model's":                       5,
 	}
-	golden := tinyOptions().Seed
-	held := map[string]int{}
-	timed := map[string]bool{}
+	ex, err := NewExperimentsSubset(tinyOptions(), subsetNames()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.SetWorkers(2)
+	tables := map[string]*Table{}
 	var report strings.Builder
-	for seed := uint64(1); seed <= 5; seed++ {
-		opts := tinyOptions()
-		opts.Seed = seed
-		ex, err := NewExperimentsSubset(opts, subsetNames()...)
+	for _, f := range ex.Figures() {
+		tab, err := f.Run()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", f.Name, err)
 		}
-		ex.SetWorkers(2)
-		tables := map[string]*Table{}
-		for _, f := range ex.Figures() {
-			if seed != golden && !slices.ContainsFunc(predicates, func(p predicate) bool { return slices.Contains(p.figs, f.ID) }) {
-				continue
-			}
-			if tables[f.ID], err = f.Run(); err != nil {
-				t.Fatalf("seed %d %s: %v", seed, f.Name, err)
-			}
-		}
-		for _, v := range Verdicts(tables) {
-			if v.Holds {
-				held[v.Claim]++
-			}
-		}
-		if seed != golden {
-			continue
-		}
-		for _, p := range predicates {
-			p.check(func(fig, label, column string) float64 {
-				timed[p.claim] = timed[p.claim] || hostTimed[column]
-				return tables[fig].Cell(label, column)
-			})
-		}
-		for _, f := range ex.Figures() {
-			tab := tables[f.ID]
-			checkJSONRoundTrip(t, tab)
-			for _, blk := range tab.Blocks {
-				for c, col := range blk.Columns {
-					for _, r := range blk.Rows {
-						if hostTimed[col.Name] && c < len(r.Values) {
-							r.Values[c] = 0
-						}
+		tables[f.ID] = tab
+		checkJSONRoundTrip(t, tab)
+		for _, blk := range tab.Blocks {
+			for c, col := range blk.Columns {
+				for _, r := range blk.Rows {
+					if hostTimed[col.Name] && c < len(r.Values) {
+						r.Values[c] = 0
 					}
 				}
 			}
-			report.WriteString(tab.String() + "\n")
 		}
+		report.WriteString(tab.String() + "\n")
 	}
+	seeds, err := ex.SeedVerdicts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJSONRoundTrip(t, seeds)
 	for _, p := range predicates {
+		timed := false
+		p.check(func(fig, label, column string) float64 {
+			timed = timed || hostTimed[column]
+			return tables[fig].Cell(label, column)
+		})
+		held := int(seeds.Cell(p.claim, "holds"))
 		n, pinned := want[p.claim]
 		switch {
-		case timed[p.claim] && pinned:
+		case timed && pinned:
 			t.Errorf("%q reads a host-timed column: it cannot be pinned", p.claim)
-		case !timed[p.claim] && !pinned:
-			t.Errorf("%q holds on %d of seeds 1–5 and is not pinned", p.claim, held[p.claim])
-		case !timed[p.claim] && held[p.claim] != n:
-			t.Errorf("%q holds on %d of seeds 1–5, pinned at %d", p.claim, held[p.claim], n)
+		case !timed && !pinned:
+			t.Errorf("%q holds on %d of seeds 1–5 and is not pinned", p.claim, held)
+		case !timed && held != n:
+			t.Errorf("%q holds on %d of seeds 1–5, pinned at %d", p.claim, held, n)
 		}
 		delete(want, p.claim)
 	}

@@ -16,7 +16,7 @@ type Verdict struct {
 
 // Verdicts judges, in order, each claim of the verdict table whose figures are
 // all in tables (a Figure's ID to its Table): the one statement of the paper's
-// conclusions, whose per-seed counts TestFigureTablesGolden pins.
+// conclusions. SeedVerdicts judges them on seeds 1–5.
 func Verdicts(tables map[string]*Table) []Verdict {
 	var out []Verdict
 	for _, p := range predicates {
@@ -26,6 +26,38 @@ func Verdicts(tables map[string]*Table) []Verdict {
 		}
 	}
 	return out
+}
+
+// SeedVerdicts judges every claim of the verdict table on seeds 1–5: per
+// seed, a copy of e at that seed (e's engine, worker pool and store; its own
+// collections) runs the figures some claim reads. A row per claim, in order,
+// holds the number of seeds it holds on and, per seed, 1 (holds) or 0.
+func (e *Experiments) SeedVerdicts() (*Table, error) {
+	blk := Block{Label: "claim", LabelFormat: "  %-96s", Columns: columns("count", " %6.0f", "holds", "seed 1", "seed 2", "seed 3", "seed 4", "seed 5")}
+	for _, p := range predicates {
+		blk.Rows = append(blk.Rows, Row{Label: p.claim, Values: make([]Cell, len(blk.Columns))})
+	}
+	for s := 1; s < len(blk.Columns); s++ {
+		opts := e.lab.Opts
+		opts.Seed = uint64(s)
+		at := *e
+		at.lab, at.homog, at.hetero = e.lab.WithSimOptions(opts), nil, nil
+		tables, err := map[string]*Table{}, error(nil)
+		for _, f := range at.Figures() {
+			if slices.ContainsFunc(predicates, func(p predicate) bool { return slices.Contains(p.figs, f.ID) }) {
+				if tables[f.ID], err = f.Run(); err != nil {
+					return nil, fmt.Errorf("seed %d %s: %w", s, f.Name, err)
+				}
+			}
+		}
+		for i, v := range Verdicts(tables) {
+			if v.Holds {
+				blk.Rows[i].Values[0]++
+				blk.Rows[i].Values[s] = 1
+			}
+		}
+	}
+	return &Table{ID: "Verdicts", Title: "the claims on seeds 1–5 (1 holds, 0 fails)", Blocks: []Block{blk}}, nil
 }
 
 // predicate is one row of the verdict table: the paper's claim, the figures
